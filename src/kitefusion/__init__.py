@@ -48,7 +48,6 @@ from .lineangle import (
     EncoderGeometry,
     EncoderReading,
     angles_to_encoder,
-    angles_to_position,
     encoder_to_angles,
 )
 from .pipelines import (
@@ -95,7 +94,6 @@ __all__ = [
     "EncoderGeometry",
     "EncoderReading",
     "angles_to_encoder",
-    "angles_to_position",
     "encoder_to_angles",
     "EstimateOutput",
     "EstimationPipeline",

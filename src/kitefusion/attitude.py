@@ -33,6 +33,15 @@ def _check_unit(q) -> None:
         raise DomainError(f"quaternion norm {n} departs from 1 beyond {_UNIT_NORM_TOL}")
 
 
+def _check_units(q: np.ndarray) -> None:
+    """:func:`_check_unit` for every row of an (n, 4) stack."""
+    norms = np.sqrt(np.sum(q * q, axis=-1))
+    bad = np.abs(norms - 1.0) > _UNIT_NORM_TOL
+    if bad.any():
+        raise DomainError(
+            f"quaternion norm {norms[bad][0]} departs from 1 beyond {_UNIT_NORM_TOL}")
+
+
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
     """Rotation matrix from body to NED coordinates.
 
@@ -60,45 +69,48 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     ])
 
 
+def quats_to_rots(q: np.ndarray) -> np.ndarray:
+    """:func:`quat_to_rot` for a stack of quaternions, shape (n, 4);
+    returns shape (n, 3, 3), equal bit for bit to the per-row results."""
+    q = np.asarray(q, dtype=float)
+    _check_units(q)
+    q1, q2, q3, q4 = q.T
+    return np.stack([
+        2.0 * (q1 * q1 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q1 * q4), 2.0 * (q2 * q4 + q1 * q3),
+        2.0 * (q2 * q3 + q1 * q4), 2.0 * (q1 * q1 + q3 * q3) - 1.0, 2.0 * (q3 * q4 - q1 * q2),
+        2.0 * (q2 * q4 - q1 * q3), 2.0 * (q3 * q4 + q1 * q2), 2.0 * (q1 * q1 + q4 * q4) - 1.0,
+    ], axis=-1).reshape(-1, 3, 3)
+
+
 def rot_to_quat(R: np.ndarray) -> np.ndarray:
     """Unit quaternion (scalar first, scalar part >= 0) of a rotation matrix.
 
     Inverse of :func:`quat_to_rot` up to the quaternion sign ambiguity.
     Uses the largest of the four squared components as pivot for numerical
-    robustness.
+    robustness.  Takes one matrix, shape (3, 3), or a stack, shape
+    (n, 3, 3), and returns shape (4,) or (n, 4) to match.
     """
     R = np.asarray(R, dtype=float)
-    t = R[0, 0] + R[1, 1] + R[2, 2]
-    choices = (t, R[0, 0], R[1, 1], R[2, 2])
-    case = int(np.argmax(choices))
-    if case == 0:
-        s = math.sqrt(1.0 + t) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
-    elif case == 1:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([(R[2, 1] - R[1, 2]) / s,
-                      0.25 * s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      (R[0, 2] + R[2, 0]) / s])
-    elif case == 2:
-        s = math.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([(R[0, 2] - R[2, 0]) / s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      0.25 * s,
-                      (R[1, 2] + R[2, 1]) / s])
-    else:
-        s = math.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2]) * 2.0
-        q = np.array([(R[1, 0] - R[0, 1]) / s,
-                      (R[0, 2] + R[2, 0]) / s,
-                      (R[1, 2] + R[2, 1]) / s,
-                      0.25 * s])
-    q /= np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R.reshape(-1, 9).T
+    t = r00 + r11 + r22
+    case = np.argmax(np.stack([t, r00, r11, r22]), axis=0)
+    # Per pivot component: the radicand of s = 2 sqrt(.) and the
+    # numerators over s of the four components (None marks the pivot).
+    x12, x13, x14 = r21 - r12, r02 - r20, r10 - r01
+    x23, x24, x34 = r01 + r10, r02 + r20, r12 + r21
+    pivots = ((1.0 + t, (None, x12, x13, x14)),
+              (1.0 + r00 - r11 - r22, (x12, None, x23, x24)),
+              (1.0 - r00 + r11 - r22, (x13, x23, None, x34)),
+              (1.0 - r00 - r11 + r22, (x14, x24, x34, None)))
+    q = np.empty((len(t), 4))
+    for k, (radicand, numerators) in enumerate(pivots):
+        rows = case == k
+        s = np.sqrt(radicand[rows]) * 2.0
+        for j, num in enumerate(numerators):
+            q[rows, j] = 0.25 * s if num is None else num[rows] / s
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    q[q[:, 0] < 0.0] *= -1.0
+    return q.reshape(R.shape[:-2] + (4,))
 
 
 def quat_derivative(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -163,28 +175,34 @@ def body_rates_between(q0: np.ndarray, q1: np.ndarray, dt: float) -> np.ndarray:
 
     Exact inverse of :func:`quat_propagate`; the two quaternions must be on
     the same sign branch (``q0 . q1 >= 0``) for the short-way rotation.
+    Takes one pair, shape (4,), or stacks of pairs, shape (n, 4), and
+    returns shape (3,) or (n, 3) to match.
     """
-    _check_unit(q0)
-    _check_unit(q1)
-    if dt <= 0.0:
-        raise DomainError(f"step length must be positive, got {dt}")
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    c = float(q0 @ q1)
-    d = q1 - c * q0
-    w0, x0, y0, z0 = q0
+    shape = q0.shape[:-1] + (3,)
+    q0, q1 = q0.reshape(-1, 4), q1.reshape(-1, 4)
+    _check_units(q0)
+    _check_units(q1)
+    if dt <= 0.0:
+        raise DomainError(f"step length must be positive, got {dt}")
+    c = (q0[:, None, :] @ q1[:, :, None])[:, 0, 0]
+    d0, d1, d2, d3 = (q1 - c[:, None] * q0).T
+    w0, x0, y0, z0 = q0.T
     # Project the residual on the three rate directions of the kinematic
     # map; d lies in their span because it is orthogonal to q0.
-    e = np.array([
-        -x0 * d[0] + w0 * d[1] - z0 * d[2] + y0 * d[3],
-        -y0 * d[0] + z0 * d[1] + w0 * d[2] - x0 * d[3],
-        -z0 * d[0] - y0 * d[1] + x0 * d[2] + w0 * d[3],
-    ])
-    sin_a = math.sqrt(e @ e)
-    if sin_a < 1e-15:
-        return (2.0 / dt) * e
-    a = math.atan2(sin_a, c)
-    return e * (2.0 * a / (dt * sin_a))
+    e = np.stack([
+        -x0 * d0 + w0 * d1 - z0 * d2 + y0 * d3,
+        -y0 * d0 + z0 * d1 + w0 * d2 - x0 * d3,
+        -z0 * d0 - y0 * d1 + x0 * d2 + w0 * d3,
+    ], axis=-1)
+    sin_a = np.sqrt(e[:, None, :] @ e[:, :, None])[:, 0, 0]
+    scale = np.full(len(e), 2.0 / dt)
+    turned = sin_a >= 1e-15
+    # math.atan2 per element: numpy's arctan2 can differ in the last bit.
+    a = np.array(list(map(math.atan2, sin_a[turned].tolist(), c[turned].tolist())))
+    scale[turned] = 2.0 * a / (dt * sin_a[turned])
+    return (e * scale[:, None]).reshape(shape)
 
 
 def accel_to_inertial(a_k: np.ndarray, q: np.ndarray, phi_g: float) -> np.ndarray:

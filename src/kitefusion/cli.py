@@ -7,7 +7,7 @@ length ``r`` appear once and feed every consumer.  Missing keys fall
 back to the library defaults, so an empty or absent config is valid.
 
 Exit codes: 0 on success, 2 for domain, input or format errors, 3 when
-an iterative solve fails to converge.
+the Riccati solve for the filter gain fails to converge.
 """
 
 from __future__ import annotations

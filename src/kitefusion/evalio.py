@@ -57,13 +57,6 @@ def _format(value: float) -> str:
     return repr(float(value))
 
 
-def _group(frame: SensorFrame, name):
-    value = getattr(frame, name)
-    if value is None:
-        return None
-    return value
-
-
 def write_log(frames: Sequence[SensorFrame], path, truth=None,
               meta: Sequence[str] | None = None) -> None:
     """Write a sensor stream (optionally with truth columns) as CSV.
@@ -83,7 +76,7 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
     for i, frame in enumerate(frames):
         cells = [_format(frame.t)]
         for name, width in (("accel_k", 3), ("gyro_k", 3), ("quat", 4), ("gps_xy", 2)):
-            value = _group(frame, name)
+            value = getattr(frame, name)
             cells += [""] * width if value is None else [_format(v) for v in value]
         cells.append("" if frame.baro_z is None else _format(frame.baro_z))
         if frame.encoder is None:
@@ -266,9 +259,19 @@ def compare_approaches(log: LogData,
     -------
     RmseReport
         One row per quantity and routing; bins with no samples hold nan.
+
+    Raises
+    ------
+    DomainError
+        If two configs share an approach (their rows would be
+        indistinguishable), or the bin edges do not strictly increase.
     """
     if configs is None:
         configs = default_configs()
+    approaches = [config.approach for config in configs]
+    for approach in approaches:
+        if approaches.count(approach) > 1:
+            raise DomainError(f"approach {approach} appears more than once in configs")
     edges = [float(e) for e in bin_edges]
     if not edges or sorted(edges) != edges or len(set(edges)) != len(edges):
         raise DomainError(f"bin edges must be strictly increasing, got {bin_edges}")

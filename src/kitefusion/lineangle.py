@@ -18,10 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import DegenerateInputError, DomainError, NonConvergenceError
-from .frames import spherical_to_cartesian, wrap_angle
+from .errors import DegenerateInputError, DomainError
 
 #: Encoder line count used when none is configured (resolution 2*pi/400).
 DEFAULT_COUNTS_PER_REV = 400
@@ -121,23 +118,17 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
     return math.atan((up + g.pivot_height) / ground), math.atan2(side, fwd)
 
 
-def angles_to_position(theta: float, phi: float, r: float) -> np.ndarray:
-    """Wing position on the sphere of radius ``r`` for line angles
-    (theta, phi); lies on the sphere by construction."""
-    return spherical_to_cartesian(theta, phi, r)
-
-
 def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
-                      counts_per_rev: int | None = DEFAULT_COUNTS_PER_REV,
-                      initial: EncoderReading | None = None) -> EncoderReading:
+                      counts_per_rev: int | None = DEFAULT_COUNTS_PER_REV) -> EncoderReading:
     """Arm angles that the mechanism shows for wing angles (theta, phi).
 
-    Numerically inverts :func:`encoder_to_angles` with a damped Newton
-    iteration on the two-dimensional angle residual (central-difference
-    Jacobian, residual wrapped to (-pi, pi]), then rounds to the encoder
-    grid.  The wing angles themselves are the initial guess unless
-    ``initial`` (e.g. the previous solution when sweeping a trajectory)
-    is given.
+    Inverts :func:`encoder_to_angles` in closed form.  The line guide
+    lies on a sphere of radius ``hypot(guide_rise, guide_reach)`` about
+    the pivot, and the tether leaves the reference origin along the unit
+    ray of (theta, phi), so the guide sits where that ray meets the
+    sphere: a quadratic in the distance along the ray.  When the origin
+    lies outside the sphere the ray can cross it twice; the far crossing
+    is taken.  The solution is then rounded to the encoder grid.
 
     Parameters
     ----------
@@ -147,52 +138,32 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
         Mounting geometry of the mechanism.
     counts_per_rev : int or None
         Encoder line count for the final rounding; ``None`` or ``0``
-        returns the unrounded solution.
-    initial : EncoderReading, optional
-        Starting point for the iteration.
+        returns the unrounded solution, azimuth in (-pi, pi].
 
     Raises
     ------
-    NonConvergenceError
-        If the residual does not reach 1e-12 within 50 iterations, e.g.
-        for wing angles outside the mechanism's reachable set.
+    DomainError
+        If the ray misses the guide sphere or meets it only behind the
+        origin, i.e. the wing angles are outside the mechanism's
+        reachable set.
     """
-    target = np.array([theta, phi])
-    x = np.array(initial) if initial is not None else target.copy()
-    tol = 1e-12
-    fd_step = 1e-7
-
-    def residual(v):
-        t, p = encoder_to_angles(EncoderReading(v[0], v[1]), geometry)
-        return np.array([wrap_angle(t - target[0]), wrap_angle(p - target[1])])
-
-    f = residual(x)
-    for _ in range(50):
-        if max(abs(f[0]), abs(f[1])) < tol:
-            break
-        J = np.empty((2, 2))
-        for j in range(2):
-            dx = np.zeros(2)
-            dx[j] = fd_step
-            J[:, j] = (residual(x + dx) - residual(x - dx)) / (2.0 * fd_step)
-        try:
-            step = np.linalg.solve(J, f)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError("singular Jacobian in encoder inversion") from exc
-        # Damp by halving until the residual shrinks.
-        scale = 1.0
-        norm0 = float(f @ f)
-        for _ in range(20):
-            x_new = x - scale * step
-            f_new = residual(x_new)
-            if float(f_new @ f_new) < norm0:
-                break
-            scale *= 0.5
-        x, f = x_new, f_new
-    else:
-        if max(abs(f[0]), abs(f[1])) >= tol:
-            raise NonConvergenceError(
-                f"encoder inversion did not converge for theta={theta}, phi={phi}")
+    g = geometry
+    cos_t = math.cos(theta)
+    ux, uy, uz = cos_t * math.cos(phi), cos_t * math.sin(phi), math.sin(theta)
+    # The reference origin sits at (pivot_setback, 0, -pivot_height) from
+    # the pivot; solve |origin + lam * u| = reach for the far root lam.
+    b = g.pivot_setback * ux - g.pivot_height * uz
+    disc = (b * b - g.pivot_setback * g.pivot_setback - g.pivot_height * g.pivot_height
+            + g.guide_rise * g.guide_rise + g.guide_reach * g.guide_reach)
+    lam = -b + math.sqrt(disc) if disc >= 0.0 else -1.0
+    if lam <= 0.0:
+        raise DomainError(
+            f"wing angles theta={theta}, phi={phi} are outside the reachable set")
+    fwd = g.pivot_setback + lam * ux
+    side = lam * uy
+    up = lam * uz - g.pivot_height
+    theta_b = math.atan2(up, math.hypot(fwd, side)) + math.atan2(g.guide_rise, g.guide_reach)
+    phi_b = math.atan2(side, fwd)
     if not counts_per_rev:
-        return EncoderReading(float(x[0]), float(x[1]))
-    return quantize(float(x[0]), float(x[1]), counts_per_rev)
+        return EncoderReading(theta_b, phi_b)
+    return quantize(theta_b, phi_b, counts_per_rev)

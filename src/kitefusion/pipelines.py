@@ -29,8 +29,8 @@ import numpy as np
 
 from .attitude import accel_to_inertial
 from .errors import DegenerateInputError, DomainError, LogFormatError
-from .frames import rot_g_to_l, velocity_angle, wrap_angle
-from .lineangle import EncoderGeometry, EncoderReading, angles_to_position, encoder_to_angles
+from .frames import rot_g_to_l, spherical_to_cartesian, velocity_angle, wrap_angle
+from .lineangle import EncoderGeometry, EncoderReading, encoder_to_angles
 from .estimator import (
     KfTuning,
     KinematicState,
@@ -316,7 +316,7 @@ class EstimationPipeline:
                     theta, phi = encoder_to_angles(frame.encoder, cfg.geometry)
                 except DegenerateInputError:
                     return
-                self._correct(angles_to_position(theta, phi, cfg.r), (0, 1, 2))
+                self._correct(spherical_to_cartesian(theta, phi, cfg.r), (0, 1, 2))
 
     def _emit(self, t: float) -> EstimateOutput:
         cfg = self.config

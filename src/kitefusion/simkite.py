@@ -14,8 +14,9 @@ the wing flying "nose first" the way a rigid kite actually does.
 stream consumed by the estimation pipelines: a 50 Hz IMU and attitude
 channel, delayed low-rate horizontal satellite fixes, a quantized
 barometric height at its own rate, and line-angle encoder readings
-obtained by numerically inverting the ground-station geometry for every
-tick.  Faster flights come from a pure time dilation of the pattern, so
+obtained by inverting the ground-station geometry in closed form for
+every tick.  Every channel is evaluated over the whole time vector at
+once.  Faster flights come from a pure time dilation of the pattern, so
 one knob scales every speed and acceleration together.
 """
 
@@ -27,13 +28,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attitude import GRAVITY, body_rates_between, quat_to_rot, rot_to_quat
+from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
 from .errors import DegenerateInputError, DomainError
 from .frames import rot_ned_to_g
 from .lineangle import EncoderGeometry, angles_to_encoder
 from .pipelines import SensorFrame
 
 DEG = math.pi / 180.0
+
+#: Ticks per stacked-matrix stage: bounds the (n, 3, 3) temporaries of
+#: long records to a few tens of kilobytes each.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -108,20 +113,68 @@ class TruthSample(NamedTuple):
     gamma: float
 
 
-def _pattern_angles(params: TrajectoryParams, t: float):
-    """Sphere angles and their first two time derivatives at ``t``."""
+def _pattern_angles(params: TrajectoryParams, t: np.ndarray):
+    """Sphere angles and their first two time derivatives at the times
+    ``t``."""
     s = params.speed_scale
     w_th = 4.0 * math.pi * params.f_loop * s
     w_ph = 2.0 * math.pi * params.f_loop * s
     arg_th = w_th * t + params.theta_phase
     arg_ph = w_ph * t
-    th = params.theta0 + params.a_theta * math.sin(arg_th)
-    thd = params.a_theta * w_th * math.cos(arg_th)
-    thdd = -params.a_theta * w_th ** 2 * math.sin(arg_th)
-    ph = params.phi0 + params.a_phi * math.sin(arg_ph)
-    phd = params.a_phi * w_ph * math.cos(arg_ph)
-    phdd = -params.a_phi * w_ph ** 2 * math.sin(arg_ph)
+    th = params.theta0 + params.a_theta * np.sin(arg_th)
+    thd = params.a_theta * w_th * np.cos(arg_th)
+    thdd = -params.a_theta * w_th ** 2 * np.sin(arg_th)
+    ph = params.phi0 + params.a_phi * np.sin(arg_ph)
+    phd = params.a_phi * w_ph * np.cos(arg_ph)
+    phdd = -params.a_phi * w_ph ** 2 * np.sin(arg_ph)
     return th, ph, thd, phd, thdd, phdd
+
+
+def _blocks(n: int):
+    """Consecutive slices of at most ``_BLOCK`` ticks covering ``range(n)``."""
+    return [slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)]
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """Element-wise ``x ** 2`` by Python's float power (libm ``pow``),
+    which can differ from numpy's squaring in the last bit."""
+    return np.array([value ** 2 for value in x.tolist()])
+
+
+def _truth(params: TrajectoryParams, t: np.ndarray):
+    """Position, velocity, acceleration, quaternion and velocity angle at
+    the times ``t``, one row per time; see :func:`truth_at`."""
+    th, ph, thd, phd, thdd, phdd = _pattern_angles(params, t)
+    r = params.r
+    st, ct = np.sin(th), np.cos(th)
+    sp, cp = np.sin(ph), np.cos(ph)
+    thd2, phd2 = _square(thd), _square(phd)
+    p = r * np.stack([ct * cp, ct * sp, st], axis=-1)
+    v = r * np.stack([-st * thd * cp - ct * sp * phd,
+                      -st * thd * sp + ct * cp * phd,
+                      ct * thd], axis=-1)
+    a = r * np.stack([
+        -ct * cp * (thd2 + phd2) - st * cp * thdd
+        + 2.0 * st * sp * thd * phd - ct * sp * phdd,
+        -ct * sp * (thd2 + phd2) - st * sp * thdd
+        - 2.0 * st * cp * thd * phd + ct * cp * phdd,
+        -st * thd2 + ct * thdd,
+    ], axis=-1)
+    speed = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+    stopped = np.flatnonzero(speed == 0.0)
+    if stopped.size:
+        raise DegenerateInputError(f"pattern velocity vanishes at t={t[stopped[0]]}")
+    # body x along the velocity, body z down the tether; y completes
+    x_k = v / speed
+    z_k = -p / r
+    y_k = np.cross(z_k, x_k)
+    rot_n2g = rot_ned_to_g(params.phi_g)  # self-inverse map
+    q = np.empty((len(t), 4))
+    for rows in _blocks(len(t)):
+        rot_k_to_g = np.stack([x_k[rows], y_k[rows], z_k[rows]], axis=-1)
+        q[rows] = rot_to_quat(rot_n2g @ rot_k_to_g)
+    gamma = np.array(list(map(math.atan2, (ct * phd).tolist(), thd.tolist())))
+    return p, v, a, q, gamma
 
 
 def truth_at(params: TrajectoryParams, t: float) -> TruthSample:
@@ -133,33 +186,8 @@ def truth_at(params: TrajectoryParams, t: float) -> TruthSample:
         If the pattern velocity vanishes at ``t`` (no flight direction to
         align the body frame with).
     """
-    th, ph, thd, phd, thdd, phdd = _pattern_angles(params, t)
-    r = params.r
-    st, ct = math.sin(th), math.cos(th)
-    sp, cp = math.sin(ph), math.cos(ph)
-    p = r * np.array([ct * cp, ct * sp, st])
-    v = r * np.array([-st * thd * cp - ct * sp * phd,
-                      -st * thd * sp + ct * cp * phd,
-                      ct * thd])
-    a = r * np.array([
-        -ct * cp * (thd ** 2 + phd ** 2) - st * cp * thdd
-        + 2.0 * st * sp * thd * phd - ct * sp * phdd,
-        -ct * sp * (thd ** 2 + phd ** 2) - st * sp * thdd
-        - 2.0 * st * cp * thd * phd + ct * cp * phdd,
-        -st * thd ** 2 + ct * thdd,
-    ])
-    speed = float(np.linalg.norm(v))
-    if speed == 0.0:
-        raise DegenerateInputError(f"pattern velocity vanishes at t={t}")
-    # body x along the velocity, body z down the tether; y completes
-    x_k = v / speed
-    z_k = -p / r
-    y_k = np.cross(z_k, x_k)
-    rot_k_to_g = np.column_stack([x_k, y_k, z_k])
-    rot_k_to_ned = rot_ned_to_g(params.phi_g) @ rot_k_to_g  # self-inverse map
-    q = rot_to_quat(rot_k_to_ned)
-    gamma = math.atan2(ct * phd, thd)
-    return TruthSample(t, p, v, a, q, gamma)
+    p, v, a, q, gamma = _truth(params, np.array([t], dtype=float))
+    return TruthSample(t, p[0], v[0], a[0], q[0], float(gamma[0]))
 
 
 @dataclass(frozen=True)
@@ -227,19 +255,35 @@ class NoiseSpec:
                    encoder_cpr=0, seed=seed)
 
 
-def _small_rotation(delta: np.ndarray) -> np.ndarray:
-    """Rotation matrix for the rotation vector ``delta`` (Rodrigues)."""
-    angle = float(np.linalg.norm(delta))
-    if angle == 0.0:
-        return np.eye(3)
-    kx, ky, kz = delta / angle
-    K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+def _small_rotations(delta: np.ndarray) -> np.ndarray:
+    """Rotation matrices, shape (n, 3, 3), for the rotation vectors
+    ``delta``, shape (n, 3) (Rodrigues); identity for a zero vector."""
+    angle = np.sqrt(delta[:, None, :] @ delta[:, :, None])[:, 0]
+    axis = np.divide(delta, angle, out=np.zeros_like(delta), where=angle != 0.0)
+    kx, ky, kz = axis.T
+    zero = np.zeros_like(kx)
+    K = np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero], axis=-1).reshape(-1, 3, 3)
+    angle = angle[:, :, None]
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
 def _arrival_tick(t: float, ts: float) -> int:
     """First tick index whose time is not before ``t``."""
     return math.ceil(t / ts - 1e-9)
+
+
+def _fix_schedule(rate: float, latency: float, ts: float, n: int):
+    """Times and arrival ticks of the samples a channel at ``rate`` Hz
+    delivers within ``n`` ticks; none when ``rate`` is zero."""
+    times, ticks = [], []
+    while rate > 0.0:
+        t_fix = len(times) / rate
+        tick = _arrival_tick(t_fix + latency, ts)
+        if tick >= n:
+            break
+        times.append(t_fix)
+        ticks.append(tick)
+    return np.array(times), ticks
 
 
 def synthesize(params: TrajectoryParams = TrajectoryParams(),
@@ -275,71 +319,56 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     accel_bias = rng.uniform(-noise.accel_bias_g, noise.accel_bias_g, 3) * GRAVITY
     gyro_bias = rng.uniform(-noise.gyro_bias_dps, noise.gyro_bias_dps, 3) * DEG
 
-    gps_at: dict[int, np.ndarray] = {}
-    if noise.gps_rate > 0.0:
-        j = 0
-        while True:
-            t_fix = j / noise.gps_rate
-            tick = _arrival_tick(t_fix + noise.gps_latency, ts)
-            if tick >= n:
-                break
-            fix = truth_at(params, t_fix).p[:2] + rng.normal(0.0, noise.gps_sigma_xy, 2)
-            gps_at[tick] = fix
-            j += 1
+    gps_times, gps_ticks = _fix_schedule(noise.gps_rate, noise.gps_latency, ts, n)
+    gps_xy = (_truth(params, gps_times)[0][:, :2]
+              + rng.normal(0.0, noise.gps_sigma_xy, (len(gps_times), 2)))
+    gps_at = dict(zip(gps_ticks, gps_xy))
 
-    baro_at: dict[int, float] = {}
-    if noise.baro_rate > 0.0:
-        m = 0
-        while True:
-            t_fix = m / noise.baro_rate
-            tick = _arrival_tick(t_fix, ts)
-            if tick >= n:
-                break
-            z = float(truth_at(params, t_fix).p[2])
-            if noise.baro_resolution > 0.0:
-                z = math.floor(z / noise.baro_resolution + 0.5) * noise.baro_resolution
-            baro_at[tick] = z
-            m += 1
+    baro_times, baro_ticks = _fix_schedule(noise.baro_rate, 0.0, ts, n)
+    baro_z = _truth(params, baro_times)[0][:, 2]
+    if noise.baro_resolution > 0.0:
+        baro_z = np.floor(baro_z / noise.baro_resolution + 0.5) * noise.baro_resolution
+    baro_at = dict(zip(baro_ticks, baro_z.tolist()))
 
-    truth: list[TruthSample] = []
-    for k in range(n):
-        sample = truth_at(params, k * ts)
-        if k and float(truth[-1].q @ sample.q) < 0.0:
-            sample = sample._replace(q=-sample.q)
-        truth.append(sample)
+    t = np.arange(n) * ts
+    p, v, a, q, gamma = _truth(params, t)
+    # Keep the quaternions sign-continuous: flip every one whose dot
+    # product with its (already continuous) predecessor is negative.
+    turns = np.cumsum((q[:-1, None, :] @ q[1:, :, None])[:, 0, 0] < 0.0) % 2
+    q[1:][turns == 1] *= -1.0
 
-    rates = [body_rates_between(truth[k].q, truth[k + 1].q, ts) for k in range(n - 1)]
+    rates = np.zeros((n, 3))
     if n > 1:
-        rates.insert(0, rates[0])
-    else:
-        rates = [np.zeros(3)]
+        rates[1:] = body_rates_between(q[:-1], q[1:], ts)
+        rates[0] = rates[1]
 
+    # Per tick, in draw order: accelerometer, gyro and attitude-tilt noise.
+    sigmas = np.repeat([sigma_accel, sigma_gyro, noise.attitude_rms_deg * DEG], 3)
+    draws = rng.normal(0.0, sigmas, (n, 9))
     rot_n2g = rot_ned_to_g(params.phi_g)
     gravity_g = np.array([0.0, 0.0, GRAVITY])
+    accel = np.empty((n, 3))
+    quat = np.empty((n, 4))
+    for rows in _blocks(n):
+        rot_k_to_ned = quats_to_rots(q[rows])
+        force = rot_k_to_ned.transpose(0, 2, 1) @ (rot_n2g @ (a[rows] - gravity_g)[:, :, None])
+        accel[rows] = force[:, :, 0] + accel_bias + draws[rows, 0:3]
+        quat[rows] = rot_to_quat(rot_k_to_ned @ _small_rotations(draws[rows, 6:9]))
+    gyro = rates + gyro_bias + draws[:, 3:6]
     gyro_limit = noise.gyro_range_dps * DEG
-    att_sigma = noise.attitude_rms_deg * DEG
-    cpr = noise.encoder_cpr if noise.encoder_cpr else None
-    warm = None
+    if gyro_limit > 0.0:
+        gyro = np.clip(gyro, -gyro_limit, gyro_limit)
+    th, ph, *_ = _pattern_angles(params, t)
+    encoders = [angles_to_encoder(th_k, ph_k, geometry, noise.encoder_cpr)
+                for th_k, ph_k in zip(th.tolist(), ph.tolist())]
 
-    frames: list[SensorFrame] = []
-    for k, s in enumerate(truth):
-        force_k = quat_to_rot(s.q).T @ (rot_n2g @ (s.a - gravity_g))
-        accel_meas = force_k + accel_bias + rng.normal(0.0, sigma_accel, 3)
-        gyro_meas = rates[k] + gyro_bias + rng.normal(0.0, sigma_gyro, 3)
-        if gyro_limit > 0.0:
-            gyro_meas = np.clip(gyro_meas, -gyro_limit, gyro_limit)
-        tilt = _small_rotation(rng.normal(0.0, att_sigma, 3))
-        quat_meas = rot_to_quat(quat_to_rot(s.q) @ tilt)
-        th, ph, *_ = _pattern_angles(params, s.t)
-        warm = angles_to_encoder(th, ph, geometry, counts_per_rev=cpr, initial=warm)
-        frames.append(SensorFrame(
-            t=s.t,
-            accel_k=accel_meas,
-            gyro_k=gyro_meas,
-            quat=quat_meas,
-            gps_xy=gps_at.get(k),
-            baro_z=baro_at.get(k),
-            encoder=warm,
-            wind_speed=params.speed_scale,
-        ))
+    times = t.tolist()
+    truth = [TruthSample(*sample) for sample in zip(times, p, v, a, q, gamma.tolist())]
+    frames = [
+        SensorFrame(t=t_k, accel_k=accel_k, gyro_k=gyro_k, quat=quat_k,
+                    gps_xy=gps_at.get(k), baro_z=baro_at.get(k), encoder=encoder,
+                    wind_speed=params.speed_scale)
+        for k, (t_k, accel_k, gyro_k, quat_k, encoder)
+        in enumerate(zip(times, accel, gyro, quat, encoders))
+    ]
     return frames, truth

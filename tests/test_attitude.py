@@ -12,6 +12,7 @@ from kitefusion.attitude import (
     quat_derivative,
     quat_propagate,
     quat_to_rot,
+    quats_to_rots,
     rot_to_quat,
 )
 from kitefusion.errors import DomainError
@@ -20,6 +21,31 @@ from kitefusion.errors import DomainError
 def random_unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
+
+
+def scalar_rot_to_quat(R):
+    """Reference: one matrix at a time, pivoting on the largest of the
+    four squared components."""
+    t = R[0, 0] + R[1, 1] + R[2, 2]
+    case = int(np.argmax((t, R[0, 0], R[1, 1], R[2, 2])))
+    if case == 0:
+        s = math.sqrt(1.0 + t) * 2.0
+        q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s,
+                      (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
+    elif case == 1:
+        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array([(R[2, 1] - R[1, 2]) / s, 0.25 * s,
+                      (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s])
+    elif case == 2:
+        s = math.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2]) * 2.0
+        q = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s,
+                      0.25 * s, (R[1, 2] + R[2, 1]) / s])
+    else:
+        s = math.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2]) * 2.0
+        q = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
+                      (R[1, 2] + R[2, 1]) / s, 0.25 * s])
+    q /= np.linalg.norm(q)
+    return -q if q[0] < 0.0 else q
 
 
 def quat_angle(qa, qb):
@@ -81,6 +107,39 @@ class TestRotToQuat:
         rng = np.random.default_rng(24)
         for _ in range(50):
             assert rot_to_quat(quat_to_rot(random_unit_quat(rng)))[0] >= 0.0
+
+    def test_stack_matches_scalar_reference_on_every_pivot(self):
+        rng = np.random.default_rng(26)
+        quats = [random_unit_quat(rng) for _ in range(200)]
+        # Each component in turn made dominant, so every pivot is taken.
+        for k in range(4):
+            q = rng.normal(size=4) * 0.1
+            q[k] = 1.0
+            quats.append(q / np.linalg.norm(q))
+        stack = np.array([quat_to_rot(q) for q in quats])
+        traces = stack[:, [0, 1, 2], [0, 1, 2]]
+        pivots = np.argmax(np.column_stack([traces.sum(axis=1), traces]), axis=1)
+        assert set(pivots.tolist()) == {0, 1, 2, 3}
+        batch = rot_to_quat(stack)
+        assert batch.shape == (len(quats), 4)
+        for R, q in zip(stack, batch):
+            assert np.array_equal(q, scalar_rot_to_quat(R))
+            assert np.array_equal(q, rot_to_quat(R))
+
+
+class TestQuatsToRots:
+    def test_matches_scalar_per_row(self):
+        rng = np.random.default_rng(27)
+        quats = np.array([random_unit_quat(rng) for _ in range(100)])
+        batch = quats_to_rots(quats)
+        assert batch.shape == (100, 3, 3)
+        for q, R in zip(quats, batch):
+            assert np.array_equal(R, quat_to_rot(q))
+
+    def test_rejects_non_unit_row(self):
+        quats = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.1, 0.0]])
+        with pytest.raises(DomainError):
+            quats_to_rots(quats)
 
 
 class TestQuatDerivative:
@@ -160,6 +219,18 @@ class TestBodyRatesBetween:
         rng = np.random.default_rng(30)
         q = random_unit_quat(rng)
         assert_allclose(body_rates_between(q, q, 0.02), np.zeros(3), atol=1e-12)
+
+    def test_stack_matches_pairs(self):
+        rng = np.random.default_rng(31)
+        q0 = np.array([random_unit_quat(rng) for _ in range(50)])
+        q1 = np.array([quat_propagate(q, rng.normal(size=3), 0.02) for q in q0])
+        q1[7] = q0[7]  # no rotation: the small-angle branch
+        rates = body_rates_between(q0, q1, 0.02)
+        assert rates.shape == (50, 3)
+        for a, b, w in zip(q0, q1, rates):
+            assert np.array_equal(w, body_rates_between(a, b, 0.02))
+        with pytest.raises(DomainError):
+            body_rates_between(q0, 1.01 * q1, 0.02)
 
 
 class TestAccelToInertial:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -228,6 +229,15 @@ class TestCompareApproaches:
             compare_approaches(LogData(frames, truth), bin_edges=(3.0, 2.0))
         with pytest.raises(DomainError):
             compare_approaches(LogData(frames, truth), bin_edges=())
+
+    def test_repeated_approach_rejected(self):
+        # Two tunings of one routing would share a run key, and both rows
+        # would report the second run.
+        frames, truth = small_record(duration=0.5)
+        soft, _, stiff = default_configs()
+        stiff_radio = dataclasses.replace(stiff, approach=1)
+        with pytest.raises(DomainError, match="approach 1"):
+            compare_approaches(LogData(frames, truth), [soft, stiff_radio])
 
     def test_default_configs_tunings(self):
         configs = default_configs()

@@ -33,6 +33,13 @@ class TestSphericalToCartesian:
         with pytest.raises(DomainError):
             frames.spherical_to_cartesian(1.8, 0.0, 30.0)
 
+    def test_on_sphere_by_construction(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            p = frames.spherical_to_cartesian(rng.uniform(-1.5, 1.5), rng.uniform(-3.1, 3.1),
+                                              30.0)
+            assert np.linalg.norm(p) == pytest.approx(30.0, abs=1e-12)
+
 
 class TestCartesianToSpherical:
     def test_downwind(self):

@@ -5,12 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kitefusion import frames, lineangle
-from kitefusion.errors import DegenerateInputError, DomainError, NonConvergenceError
+from kitefusion.errors import DegenerateInputError, DomainError
 from kitefusion.lineangle import (
     EncoderGeometry,
     EncoderReading,
     angles_to_encoder,
-    angles_to_position,
     encoder_to_angles,
     quantize,
     resolution,
@@ -56,23 +55,6 @@ class TestEncoderToAngles:
             EncoderGeometry(guide_rise=0.0, guide_reach=0.0)
 
 
-class TestAnglesToPosition:
-    def test_matches_frame_transform(self):
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            theta = rng.uniform(-math.pi / 2, math.pi / 2)
-            phi = rng.uniform(-math.pi, math.pi)
-            assert_allclose(angles_to_position(theta, phi, 30.0),
-                            frames.spherical_to_cartesian(theta, phi, 30.0),
-                            rtol=0.0, atol=0.0)
-
-    def test_on_sphere_by_construction(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            p = angles_to_position(rng.uniform(-1.5, 1.5), rng.uniform(-3.1, 3.1), 30.0)
-            assert np.linalg.norm(p) == pytest.approx(30.0, abs=1e-12)
-
-
 class TestQuantize:
     def test_grid_multiples(self):
         step = resolution(400)
@@ -110,17 +92,34 @@ class TestAnglesToEncoder:
             assert abs(theta2 - theta) <= step
             assert abs(frames.wrap_angle(phi2 - phi)) <= step
 
-    def test_warm_start_matches_cold_start(self):
-        cold = angles_to_encoder(0.8, 0.4, BENCH, counts_per_rev=None)
-        warm = angles_to_encoder(0.8, 0.4, BENCH, counts_per_rev=None,
-                                 initial=EncoderReading(0.82, 0.38))
-        assert cold.theta_b == pytest.approx(warm.theta_b, abs=1e-9)
-        assert cold.phi_b == pytest.approx(warm.phi_b, abs=1e-9)
+    @pytest.mark.parametrize("geometry", [EncoderGeometry(), BENCH], ids=["default", "bench"])
+    def test_unquantized_round_trip(self, geometry):
+        rng = np.random.default_rng(44)
+        for _ in range(500):
+            theta = rng.uniform(-1.3, 1.5)
+            phi = rng.uniform(-math.pi, math.pi)
+            reading = angles_to_encoder(theta, phi, geometry, counts_per_rev=None)
+            theta2, phi2 = encoder_to_angles(reading, geometry)
+            assert abs(theta2 - theta) <= 1e-12
+            assert abs(frames.wrap_angle(phi2 - phi)) <= 1e-12
+
+    def test_two_root_geometry_takes_far_root(self):
+        # The reference origin lies outside the guide sphere, so a ray can
+        # cross it twice; the far crossing is the branch the mechanism
+        # settles on when started from the wing angles.
+        geo = EncoderGeometry(guide_rise=0.0, guide_reach=0.1,
+                              pivot_height=0.0, pivot_setback=0.15)
+        reading = angles_to_encoder(0.3, 3.0, geo, counts_per_rev=None)
+        assert reading.theta_b == pytest.approx(0.744105430, abs=1e-9)
+        assert reading.phi_b == pytest.approx(2.708146019, abs=1e-9)
+        # Pointing away from the sphere: both crossings lie behind the origin.
+        with pytest.raises(DomainError):
+            angles_to_encoder(0.5, 0.2, geo)
 
     def test_unreachable_angles_fail(self):
         # A large pivot height pushes the reachable elevations far from
-        # level flight; asking for a level tether cannot converge.
+        # level flight; a level tether misses the guide sphere.
         geo = EncoderGeometry(guide_rise=0.0, guide_reach=0.1,
                               pivot_height=5.0, pivot_setback=0.0)
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(DomainError, match="reachable"):
             angles_to_encoder(0.0, 0.0, geo)

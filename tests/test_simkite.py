@@ -7,13 +7,138 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kitefusion.attitude import GRAVITY, accel_to_inertial, body_rates_between, quat_to_rot
+from kitefusion.attitude import (
+    GRAVITY,
+    accel_to_inertial,
+    body_rates_between,
+    quat_to_rot,
+    rot_to_quat,
+)
 from kitefusion.errors import DegenerateInputError, DomainError
 from kitefusion.frames import rot_g_to_l, rot_ned_to_g, velocity_angle, wrap_angle
-from kitefusion.lineangle import EncoderGeometry, encoder_to_angles, resolution
-from kitefusion.simkite import NoiseSpec, TrajectoryParams, synthesize, truth_at
+from kitefusion.lineangle import (
+    EncoderGeometry,
+    angles_to_encoder,
+    encoder_to_angles,
+    resolution,
+)
+from kitefusion.pipelines import SensorFrame
+from kitefusion.simkite import NoiseSpec, TrajectoryParams, TruthSample, synthesize, truth_at
 
 TS = 0.02
+DEG = math.pi / 180.0
+
+
+def reference_truth(params, t):
+    """Pattern angles and exact state at ``t``, one time at a time in
+    scalar ``math`` arithmetic."""
+    s = params.speed_scale
+    w_th = 4.0 * math.pi * params.f_loop * s
+    w_ph = 2.0 * math.pi * params.f_loop * s
+    arg_th = w_th * t + params.theta_phase
+    arg_ph = w_ph * t
+    th = params.theta0 + params.a_theta * math.sin(arg_th)
+    thd = params.a_theta * w_th * math.cos(arg_th)
+    thdd = -params.a_theta * w_th ** 2 * math.sin(arg_th)
+    ph = params.phi0 + params.a_phi * math.sin(arg_ph)
+    phd = params.a_phi * w_ph * math.cos(arg_ph)
+    phdd = -params.a_phi * w_ph ** 2 * math.sin(arg_ph)
+    r = params.r
+    st, ct = math.sin(th), math.cos(th)
+    sp, cp = math.sin(ph), math.cos(ph)
+    p = r * np.array([ct * cp, ct * sp, st])
+    v = r * np.array([-st * thd * cp - ct * sp * phd,
+                      -st * thd * sp + ct * cp * phd,
+                      ct * thd])
+    a = r * np.array([
+        -ct * cp * (thd ** 2 + phd ** 2) - st * cp * thdd
+        + 2.0 * st * sp * thd * phd - ct * sp * phdd,
+        -ct * sp * (thd ** 2 + phd ** 2) - st * sp * thdd
+        - 2.0 * st * cp * thd * phd + ct * cp * phdd,
+        -st * thd ** 2 + ct * thdd,
+    ])
+    x_k = v / float(np.linalg.norm(v))
+    z_k = -p / r
+    rot_k_to_g = np.column_stack([x_k, np.cross(z_k, x_k), z_k])
+    q = rot_to_quat(rot_ned_to_g(params.phi_g) @ rot_k_to_g)
+    return (th, ph), TruthSample(t, p, v, a, q, math.atan2(ct * phd, thd))
+
+
+def reference_small_rotation(delta):
+    angle = float(np.linalg.norm(delta))
+    if angle == 0.0:
+        return np.eye(3)
+    kx, ky, kz = delta / angle
+    K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
+def reference_synthesize(params, noise, geometry=EncoderGeometry(), ts=TS):
+    """:func:`synthesize` one tick at a time, with every random draw made
+    in the order the record defines."""
+    n = int(round(params.duration / ts))
+    rng = np.random.default_rng(noise.seed)
+    bandwidth = 0.5 / ts
+    sigma_accel = noise.accel_density_g * math.sqrt(bandwidth) * GRAVITY
+    sigma_gyro = noise.gyro_density_dps * math.sqrt(bandwidth) * DEG
+    accel_bias = rng.uniform(-noise.accel_bias_g, noise.accel_bias_g, 3) * GRAVITY
+    gyro_bias = rng.uniform(-noise.gyro_bias_dps, noise.gyro_bias_dps, 3) * DEG
+
+    def arrival(t):
+        return math.ceil(t / ts - 1e-9)
+
+    gps_at, j = {}, 0
+    while noise.gps_rate > 0.0 and arrival(j / noise.gps_rate + noise.gps_latency) < n:
+        t_fix = j / noise.gps_rate
+        gps_at[arrival(t_fix + noise.gps_latency)] = (
+            reference_truth(params, t_fix)[1].p[:2] + rng.normal(0.0, noise.gps_sigma_xy, 2))
+        j += 1
+    baro_at, m = {}, 0
+    while noise.baro_rate > 0.0 and arrival(m / noise.baro_rate) < n:
+        t_fix = m / noise.baro_rate
+        z = float(reference_truth(params, t_fix)[1].p[2])
+        if noise.baro_resolution > 0.0:
+            z = math.floor(z / noise.baro_resolution + 0.5) * noise.baro_resolution
+        baro_at[arrival(t_fix)] = z
+        m += 1
+
+    angles, truth = [], []
+    for k in range(n):
+        pattern, sample = reference_truth(params, k * ts)
+        if k and float(truth[-1].q @ sample.q) < 0.0:
+            sample = sample._replace(q=-sample.q)
+        angles.append(pattern)
+        truth.append(sample)
+    rates = [body_rates_between(truth[k].q, truth[k + 1].q, ts) for k in range(n - 1)]
+    rates = [rates[0]] + rates if n > 1 else [np.zeros(3)]
+
+    rot_n2g = rot_ned_to_g(params.phi_g)
+    gyro_limit = noise.gyro_range_dps * DEG
+    frames = []
+    for k, s in enumerate(truth):
+        force = quat_to_rot(s.q).T @ (rot_n2g @ (s.a - np.array([0.0, 0.0, GRAVITY])))
+        accel = force + accel_bias + rng.normal(0.0, sigma_accel, 3)
+        gyro = rates[k] + gyro_bias + rng.normal(0.0, sigma_gyro, 3)
+        if gyro_limit > 0.0:
+            gyro = np.clip(gyro, -gyro_limit, gyro_limit)
+        tilt = reference_small_rotation(rng.normal(0.0, noise.attitude_rms_deg * DEG, 3))
+        frames.append(SensorFrame(
+            t=s.t, accel_k=accel, gyro_k=gyro, quat=rot_to_quat(quat_to_rot(s.q) @ tilt),
+            gps_xy=gps_at.get(k), baro_z=baro_at.get(k),
+            encoder=angles_to_encoder(*angles[k], geometry, noise.encoder_cpr),
+            wind_speed=params.speed_scale))
+    return frames, truth
+
+
+def assert_fields_equal(a, b):
+    a, b = (vars(x) if dataclasses.is_dataclass(x) else x._asdict() for x in (a, b))
+    assert a.keys() == b.keys()
+    for name in a:
+        x, y = a[name], b[name]
+        if x is None or y is None:
+            assert x is None and y is None, name
+        else:
+            assert np.array_equal(x, y), name
 
 
 class TestTrajectoryParams:
@@ -96,6 +221,45 @@ class TestTruth:
         arc = TrajectoryParams(theta_phase=math.pi / 2, duration=2.0)
         frames, truth = synthesize(arc, NoiseSpec.none())
         assert len(frames) == 100
+
+
+class TestMatchesTickByTickReference:
+    """The array-at-a-time synthesizer reproduces the tick-by-tick
+    formulas bit for bit, across block boundaries and in short records."""
+
+    @pytest.mark.parametrize("params, noise", [
+        (TrajectoryParams(duration=12.0, speed_scale=4.5, phi_g=0.6),
+         NoiseSpec(gyro_range_dps=50.0, seed=21)),
+        (TrajectoryParams(duration=12.0, phi_g=2.5), NoiseSpec.none()),
+        (TrajectoryParams(duration=3.0),
+         dataclasses.replace(NoiseSpec(seed=22), gps_rate=0.0, attitude_rms_deg=0.0)),
+        (TrajectoryParams(duration=0.005), NoiseSpec(seed=23)),
+        (TrajectoryParams(duration=0.02), NoiseSpec(seed=24)),
+        (TrajectoryParams(duration=0.04), NoiseSpec(seed=25)),
+    ], ids=["clipped-noisy", "noiseless", "no-gps-no-tilt", "n0", "n1", "n2"])
+    def test_every_field_identical(self, params, noise):
+        frames, truth = synthesize(params, noise)
+        ref_frames, ref_truth = reference_synthesize(params, noise)
+        assert len(frames) == len(ref_frames) == int(round(params.duration / TS))
+        assert len(truth) == len(ref_truth) == len(frames)
+        for got, want in zip(frames, ref_frames):
+            assert_fields_equal(got, want)
+        for got, want in zip(truth, ref_truth):
+            assert_fields_equal(got, want)
+
+    def test_reference_cases_clip_and_flip(self):
+        frames, _ = synthesize(TrajectoryParams(duration=2.0, speed_scale=4.5),
+                               NoiseSpec(gyro_range_dps=50.0, seed=21))
+        assert max(np.max(np.abs(f.gyro_k)) for f in frames) == math.radians(50.0)
+        # Quaternions come out with a non-negative scalar part, so a negative
+        # one in the truth shows that sign continuity flipped it.
+        _, truth = synthesize(TrajectoryParams(duration=12.0, phi_g=2.5), NoiseSpec.none())
+        assert any(s.q[0] < 0.0 for s in truth)
+
+    def test_truth_at_matches_reference(self):
+        params = TrajectoryParams(phi_g=0.6, speed_scale=2.5)
+        for t in np.linspace(0.0, 9.0, 41):
+            assert_fields_equal(truth_at(params, t), reference_truth(params, t)[1])
 
 
 class TestNoiselessConsistency:
