@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .frames import rot_ned_to_g
 
 #: Standard gravity in m/s^2 used to restore the gravitational acceleration
 #: that an accelerometer does not sense.
@@ -226,7 +225,33 @@ def accel_to_inertial(a_k: np.ndarray, q: np.ndarray, phi_g: float) -> np.ndarra
     numpy.ndarray, shape (3,)
         Acceleration of the wing in ``G`` in m/s^2.
     """
-    a_ned = quat_to_rot(q) @ np.asarray(a_k, dtype=float)
-    a_g = rot_ned_to_g(phi_g) @ a_ned
-    a_g[2] += GRAVITY
-    return a_g
+    return np.array(inertial_accel(a_k, q, math.cos(phi_g), math.sin(phi_g)))
+
+
+def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, float]:
+    """:func:`accel_to_inertial` on plain floats, for a heading given by
+    its cosine and sine so that a caller with a fixed heading computes
+    them once.
+
+    ``a_k`` and ``q`` are sequences of 3 and 4 floats.  The rotations are
+    summed term by term, so the result can differ from the matrix
+    products of :func:`quat_to_rot` and :func:`~kitefusion.frames.rot_ned_to_g`
+    in the last bits.
+
+    Raises
+    ------
+    DomainError
+        If the quaternion norm departs from 1 by more than 1e-6.
+    """
+    _check_unit(q)
+    ax, ay, az = a_k
+    q1, q2, q3, q4 = q
+    # The rows of quat_to_rot(q) applied to a_k: NED components.
+    north = ((2.0 * (q1 * q1 + q2 * q2) - 1.0) * ax + 2.0 * (q2 * q3 - q1 * q4) * ay
+             + 2.0 * (q2 * q4 + q1 * q3) * az)
+    east = (2.0 * (q2 * q3 + q1 * q4) * ax + (2.0 * (q1 * q1 + q3 * q3) - 1.0) * ay
+            + 2.0 * (q3 * q4 - q1 * q2) * az)
+    down = (2.0 * (q2 * q4 - q1 * q3) * ax + 2.0 * (q3 * q4 + q1 * q2) * ay
+            + (2.0 * (q1 * q1 + q4 * q4) - 1.0) * az)
+    # rot_ned_to_g(phi_g) applied to them, with gravity restored.
+    return cos_g * north + sin_g * east, sin_g * north - cos_g * east, GRAVITY - down

@@ -14,7 +14,7 @@ trust the position sensor up to higher frequencies, small ratios lean on
 the accelerometer path.  The three axes are decoupled, so the six-state
 problem splits into three independent two-state problems; the production
 gain synthesis exploits that and solves three 2x2 fixed points instead
-of one 6x6.
+of one 6x6, and the recursion runs per axis on plain floats.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ from .errors import DomainError, NonConvergenceError
 
 
 class KinematicState(NamedTuple):
-    """Estimated position and velocity in ``G``, metres and m/s."""
+    """Estimated position and velocity in ``G``, metres and m/s: two lists
+    of three floats each, which :func:`time_update` and
+    :func:`measurement_update` change in place."""
 
-    p: np.ndarray
-    v: np.ndarray
+    p: list[float]
+    v: list[float]
 
 
 class KfTuning(NamedTuple):
@@ -48,6 +50,13 @@ class KalmanGain(NamedTuple):
 
     gain: np.ndarray
     covariance: np.ndarray
+
+    @property
+    def axis_gains(self) -> tuple[tuple[float, float], ...]:
+        """Per-axis ``(k1, k2)``: the position and velocity gains of each
+        decoupled axis, as :func:`measurement_update` takes them."""
+        K = self.gain
+        return tuple((float(K[axis, axis]), float(K[axis + 3, axis])) for axis in range(3))
 
 
 def build_system(ts: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,45 +193,51 @@ def steady_state_gain(tuning: KfTuning) -> KalmanGain:
     return KalmanGain(K, P)
 
 
-def time_update(state: KinematicState, a_g: np.ndarray, ts: float) -> KinematicState:
-    """Advance the state one sample under acceleration ``a_g``.
+def time_update(state: KinematicState, a_g, ts: float) -> None:
+    """Advance the state one sample under acceleration ``a_g``, in place.
 
-    Matches the stacked form ``x <- A x + B a`` exactly: position uses the
-    pre-update velocity.
+    Per axis, ``p += ts * v`` then ``v += ts * a``: the stacked form
+    ``x <- A x + B a`` exactly, since position uses the pre-update
+    velocity.
     """
-    return KinematicState(state.p + ts * state.v, state.v + ts * np.asarray(a_g, dtype=float))
+    p, v = state
+    ax, ay, az = a_g
+    p[0] += ts * v[0]
+    p[1] += ts * v[1]
+    p[2] += ts * v[2]
+    v[0] += ts * ax
+    v[1] += ts * ay
+    v[2] += ts * az
 
 
-def measurement_update(state: KinematicState, p_meas: np.ndarray, gain: KalmanGain,
-                       axes: tuple[int, ...] | None = None) -> KinematicState:
-    """Correct a predicted state with a position measurement.
+def measurement_update(state: KinematicState, p_meas, gains,
+                       axes: tuple[int, ...] = (0, 1, 2)) -> None:
+    """Correct a predicted state with a position measurement, in place.
 
     Parameters
     ----------
     state : KinematicState
         Predicted state.
-    p_meas : array_like, shape (3,)
+    p_meas : sequence of float, length 3
         Measured position in ``G``; components outside ``axes`` are ignored.
-    gain : KalmanGain
-        Constant gain from :func:`steady_state_gain` or :func:`kalman_gain`.
+    gains : sequence of (float, float)
+        Per-axis ``(k1, k2)``, e.g. :attr:`KalmanGain.axis_gains` of the
+        gain from :func:`steady_state_gain`.
     axes : tuple of int, optional
         Position components present in this measurement (e.g. ``(2,)`` for
-        a barometric sample).  All three when omitted.  Valid because the
-        per-axis gains are decoupled: each column of the gain touches only
-        its own axis.
+        a barometric sample); all three by default.
 
-    Returns
-    -------
-    KinematicState
-        Corrected state.
+    Each listed axis is corrected on its own, ``e = z - p``,
+    ``p += k1 * e``, ``v += k2 * e``, because the per-axis gains are
+    decoupled; the other axes are left untouched, so a non-finite
+    component cannot leak into them.
     """
-    if axes is None:
-        dx = gain.gain @ (np.asarray(p_meas, dtype=float) - state.p)
-    else:
-        cols = list(axes)
-        innovation = np.asarray(p_meas, dtype=float)[cols] - state.p[cols]
-        dx = gain.gain[:, cols] @ innovation
-    return KinematicState(state.p + dx[:3], state.v + dx[3:])
+    p, v = state
+    for axis in axes:
+        k1, k2 = gains[axis]
+        e = p_meas[axis] - p[axis]
+        p[axis] += k1 * e
+        v[axis] += k2 * e
 
 
 def kf_frequency_response(tuning: KfTuning, axis: int,

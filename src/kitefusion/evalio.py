@@ -15,7 +15,6 @@ none, against the line-angle routing as the reference.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from typing import NamedTuple, Sequence
@@ -99,9 +98,12 @@ def _parse_cell(cell: str, lineno: int) -> float | None:
     if not cell:
         return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise LogFormatError(f"line {lineno}: bad number {cell!r}") from None
+    if not math.isfinite(value):
+        raise LogFormatError(f"line {lineno}: non-finite number {cell!r}")
+    return value
 
 
 def _take(values, lineno: int, count: int, what: str):
@@ -121,9 +123,10 @@ def read_log(path) -> LogData:
     Raises
     ------
     LogFormatError
-        On an unrecognized header, a malformed row, a partially present
-        channel group, or timestamps that do not strictly increase.  The
-        message carries the 1-based line number.
+        On an unrecognized header, a malformed row, a non-finite cell
+        (``nan``, ``inf``), a partially present channel group, or
+        timestamps that do not strictly increase.  The message carries
+        the 1-based line number.
     """
     frames: list[SensorFrame] = []
     truth: list[TruthPoint] = []
@@ -275,39 +278,57 @@ def compare_approaches(log: LogData,
     edges = [float(e) for e in bin_edges]
     if not edges or sorted(edges) != edges or len(set(edges)) != len(edges):
         raise DomainError(f"bin edges must be strictly increasing, got {bin_edges}")
-    n_bins = len(edges) + 1
     runs: dict[int, list] = {}
     for config in configs:
         pipeline = EstimationPipeline(config)
         runs[config.approach] = [pipeline.step(f) for f in log.frames]
 
+    frames = log.frames
+    n = len(frames)
     if log.truth is not None:
-        ref_p = [s.p for s in log.truth]
-        ref_gamma = [s.gamma for s in log.truth]
+        ref_p = np.array([s.p for s in log.truth], dtype=float).reshape(-1, 3)
+        ref_gamma = np.array([s.gamma for s in log.truth], dtype=float)
+        has_ref = np.ones(n, dtype=bool)
     else:
         if 3 not in runs:
             raise DomainError("log has no truth and no routing-3 run to reference")
-        ref_p = [None if o is None else o.p_hat for o in runs[3]]
-        ref_gamma = [None if o is None else o.gamma_hat for o in runs[3]]
+        has_ref, ref_p, ref_gamma = _stacked(runs[3])
 
-    t0 = log.frames[0].t if log.frames else 0.0
+    t = np.array([f.t for f in frames], dtype=float)
+    t0 = frames[0].t if frames else 0.0
+    has_wind = np.array([f.wind_speed is not None for f in frames], dtype=bool)
+    wind = np.array([0.0 if f.wind_speed is None else f.wind_speed for f in frames], dtype=float)
+    # A speed equal to an edge belongs to the bin above it.
+    bins = np.searchsorted(edges, wind, side="right")
+    usable = has_ref & has_wind & ~(t - t0 < settle)
     rows = []
     for config in configs:
-        outputs = runs[config.approach]
-        residuals: list[list[list[float]]] = [[[] for _ in range(n_bins)]
-                                              for _ in QUANTITIES]
-        for i, (frame, out) in enumerate(zip(log.frames, outputs)):
-            if out is None or ref_p[i] is None or frame.wind_speed is None:
-                continue
-            if frame.t - t0 < settle:
-                continue
-            b = bisect.bisect_right(edges, frame.wind_speed)
-            for axis in range(3):
-                residuals[axis][b].append(out.p_hat[axis] - ref_p[i][axis])
-            residuals[3][b].append(float(wrap_angle(out.gamma_hat - ref_gamma[i])))
+        emitted, p_hat, gamma_hat = _stacked(runs[config.approach])
+        keep = np.flatnonzero(usable & emitted)
+        residuals = np.column_stack([
+            p_hat[keep] - ref_p[keep],
+            wrap_angle(gamma_hat[keep] - ref_gamma[keep]),
+        ])
+        in_bin = [bins[keep] == b for b in range(len(edges) + 1)]
         for qi, quantity in enumerate(QUANTITIES):
-            values = tuple(
-                float(np.sqrt(np.mean(np.square(r)))) if r else math.nan
-                for r in residuals[qi])
+            # A boolean selection keeps sample order, so each mean sums
+            # the residuals in the order of the log.
+            values = tuple(_rms(residuals[sel, qi]) for sel in in_bin)
             rows.append(ReportRow(quantity, config.approach, values))
     return RmseReport(_bin_labels(edges), tuple(rows))
+
+
+def _stacked(outputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which ticks of a run emitted, with its ``p_hat`` rows, shape (n, 3),
+    and ``gamma_hat``, nan where it emitted nothing."""
+    emitted = np.array([o is not None for o in outputs], dtype=bool)
+    p_hat = np.full((len(outputs), 3), math.nan)
+    gamma_hat = np.full(len(outputs), math.nan)
+    if emitted.any():
+        p_hat[emitted] = [o.p_hat for o in outputs if o is not None]
+        gamma_hat[emitted] = [o.gamma_hat for o in outputs if o is not None]
+    return emitted, p_hat, gamma_hat
+
+
+def _rms(residuals: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.square(residuals)))) if residuals.size else math.nan

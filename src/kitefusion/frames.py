@@ -31,7 +31,9 @@ TWO_PI = 2.0 * math.pi
 
 def wrap_angle(angle):
     """Wrap an angle (scalar or ndarray) to the interval (-pi, pi]."""
-    if np.ndim(angle) == 0:
+    # The isinstance test (true for numpy.float64 too) spares the per-tick
+    # callers the cost of np.ndim.
+    if isinstance(angle, float) or np.ndim(angle) == 0:
         return math.pi - (math.pi - float(angle)) % TWO_PI
     return math.pi - np.mod(math.pi - np.asarray(angle, dtype=float), TWO_PI)
 

@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attitude import accel_to_inertial
+from .attitude import inertial_accel
 from .errors import DegenerateInputError, DomainError, LogFormatError
-from .frames import rot_g_to_l, spherical_to_cartesian, velocity_angle, wrap_angle
+from .frames import spherical_to_cartesian, velocity_angle, wrap_angle
 from .lineangle import EncoderGeometry, EncoderReading, encoder_to_angles
 from .estimator import (
     KfTuning,
@@ -178,29 +178,39 @@ def geometric_correction(p_tilde: np.ndarray, r: float) -> np.ndarray:
     return np.array([p_tilde[0] * scale, p_tilde[1] * scale, p_tilde[2]])
 
 
-def gamma_unfiltered(v_hat: np.ndarray, theta_hat: float, phi_hat: float) -> float:
+def gamma_unfiltered(v_hat, theta_hat: float, phi_hat: float) -> float:
     """Velocity angle implied by a ground-frame velocity at given sphere
     angles: rotate into the local tangent frame and take the heading of
-    the tangential component."""
-    v_l = rot_g_to_l(theta_hat, phi_hat) @ np.asarray(v_hat, dtype=float)
-    return velocity_angle(v_l)
+    the tangential component.
+
+    Only the two tangent components are formed, as the first two rows of
+    :func:`~kitefusion.frames.rot_g_to_l` applied to ``v_hat``, summed
+    term by term.
+
+    Raises
+    ------
+    DegenerateInputError
+        If both tangent components are exactly zero.
+    """
+    vx, vy, vz = v_hat
+    st, ct = math.sin(theta_hat), math.cos(theta_hat)
+    sp, cp = math.sin(phi_hat), math.cos(phi_hat)
+    return velocity_angle((-st * cp * vx - st * sp * vy + ct * vz, -sp * vx + cp * vy))
 
 
-def luenberger_step(obs_state: np.ndarray, gamma_meas: float,
-                    k_gamma: tuple[float, float], ts: float) -> np.ndarray:
+def luenberger_step(obs_state, gamma_meas: float,
+                    k_gamma: tuple[float, float], ts: float) -> tuple[float, float]:
     """One predictor-form step of the velocity-angle tracking observer.
 
-    The observer state is ``[angle, rate]``; the angle is integrated
+    The observer state is ``(angle, rate)``; the angle is integrated
     without wrapping while the innovation is wrapped, so the state may
     drift outside (-pi, pi] during sustained rotation.
 
     Returns the state predicted for the next sample.
     """
-    innovation = wrap_angle(gamma_meas - obs_state[0])
-    return np.array([
-        obs_state[0] + ts * obs_state[1] + k_gamma[0] * innovation,
-        obs_state[1] + k_gamma[1] * innovation,
-    ])
+    angle, rate = obs_state
+    innovation = wrap_angle(gamma_meas - angle)
+    return angle + ts * rate + k_gamma[0] * innovation, rate + k_gamma[1] * innovation
 
 
 def lo_frequency_response(k_gamma: tuple[float, float], ts: float,
@@ -246,6 +256,14 @@ class EstimationPipeline:
     samples that cannot be used (sphere-correction degeneracies, vertical
     tether readings) are dropped rather than aborting the run.
 
+    The filter state is six Python floats, position and velocity per
+    axis, and each tick runs three decoupled two-state recursions on
+    them with the per-axis gains ``(k1, k2)`` read once from
+    :func:`~kitefusion.estimator.steady_state_gain`.  The heading of the
+    ground frame enters only as its cosine and sine, computed once, and
+    the observer state is a float pair.  Only the emitted estimate and
+    ``last_measurement`` are numpy arrays.
+
     Attributes
     ----------
     last_measurement : tuple or None
@@ -256,38 +274,42 @@ class EstimationPipeline:
     def __init__(self, config: EstimatorConfig):
         self.config = config
         self.gain = steady_state_gain(KfTuning(config.ts, tuple(config.ratios)))
+        self._gains = self.gain.axis_gains
+        self._heading = (math.cos(config.phi_g), math.sin(config.phi_g))
         self._state: KinematicState | None = None
         self._seed = [None, None, None]
         self._held_z: float | None = None
-        self._obs: np.ndarray | None = None
+        self._obs: tuple[float, float] | None = None
         self._phi_prev = 0.0
         self._last_t: float | None = None
         self.last_measurement: tuple[np.ndarray, tuple[int, ...]] | None = None
 
     def step(self, frame: SensorFrame) -> EstimateOutput | None:
-        if self._last_t is not None and frame.t <= self._last_t:
-            raise LogFormatError(
-                f"sample times must increase: {frame.t} after {self._last_t}")
-        self._last_t = frame.t
+        t = frame.t
+        if not math.isfinite(t):
+            raise LogFormatError(f"sample time must be finite, got {t}")
+        if self._last_t is not None and not t > self._last_t:
+            raise LogFormatError(f"sample times must increase: {t} after {self._last_t}")
+        self._last_t = t
         cfg = self.config
         if cfg.use_imu and frame.accel_k is not None and frame.quat is not None:
-            a_g = accel_to_inertial(frame.accel_k, frame.quat, cfg.phi_g)
+            a_g = inertial_accel(frame.accel_k.tolist(), frame.quat.tolist(), *self._heading)
         else:
-            a_g = np.zeros(3)
+            a_g = (0.0, 0.0, 0.0)
         if self._state is not None:
-            self._state = time_update(self._state, a_g, cfg.ts)
+            time_update(self._state, a_g, cfg.ts)
         self.last_measurement = None
         self._route_measurements(frame)
-        if self._state is None and all(s is not None for s in self._seed):
-            self._state = KinematicState(np.array(self._seed, dtype=float), np.zeros(3))
+        if self._state is None and None not in self._seed:
+            self._state = KinematicState(list(self._seed), [0.0, 0.0, 0.0])
         if self._state is None:
             return None
-        return self._emit(frame.t)
+        return self._emit(t)
 
     def _correct(self, p_meas: np.ndarray, axes: tuple[int, ...]) -> None:
         if self._state is not None:
-            self._state = measurement_update(self._state, p_meas, self.gain, axes)
-            self.last_measurement = (np.asarray(p_meas, dtype=float).copy(), axes)
+            measurement_update(self._state, p_meas.tolist(), self._gains, axes)
+            self.last_measurement = (p_meas, axes)
         else:
             for axis in axes:
                 self._seed[axis] = float(p_meas[axis])
@@ -332,14 +354,14 @@ class EstimationPipeline:
         except DegenerateInputError:
             gamma_meas = None
         if self._obs is None and gamma_meas is not None:
-            self._obs = np.array([gamma_meas, 0.0])
+            self._obs = (gamma_meas, 0.0)
         if self._obs is None:
             gamma_out, gamma_dot_out = 0.0, 0.0
         else:
-            gamma_out = float(wrap_angle(self._obs[0]))
-            gamma_dot_out = float(self._obs[1])
+            angle, gamma_dot_out = self._obs
+            gamma_out = wrap_angle(angle)
             if gamma_meas is not None:
                 self._obs = luenberger_step(self._obs, gamma_meas, cfg.k_gamma, cfg.ts)
             else:
-                self._obs = np.array([self._obs[0] + cfg.ts * self._obs[1], self._obs[1]])
-        return EstimateOutput(t, p.copy(), v.copy(), theta, phi, gamma_out, gamma_dot_out)
+                self._obs = (angle + cfg.ts * gamma_dot_out, gamma_dot_out)
+        return EstimateOutput(t, np.array(p), np.array(v), theta, phi, gamma_out, gamma_dot_out)

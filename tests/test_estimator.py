@@ -178,10 +178,10 @@ class TestSteadyStateGain:
 
 class TestRecursions:
     def test_time_update_example(self):
-        state = KinematicState(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, -0.5]))
-        out = time_update(state, np.array([0.0, 10.0, 0.0]), TS)
-        assert_allclose(out.p, [1.01, 2.0, 2.99])
-        assert_allclose(out.v, [0.5, 0.2, -0.5])
+        state = KinematicState([1.0, 2.0, 3.0], [0.5, 0.0, -0.5])
+        time_update(state, [0.0, 10.0, 0.0], TS)
+        assert_allclose(state.p, [1.01, 2.0, 2.99])
+        assert_allclose(state.v, [0.5, 0.2, -0.5])
 
     def test_time_update_matches_matrix_form(self):
         rng = np.random.default_rng(7)
@@ -189,47 +189,51 @@ class TestRecursions:
         for _ in range(50):
             x = rng.normal(size=6)
             a = rng.normal(size=3)
-            out = time_update(KinematicState(x[:3].copy(), x[3:].copy()), a, TS)
+            state = KinematicState(x[:3].tolist(), x[3:].tolist())
+            time_update(state, a.tolist(), TS)
             ref = A @ x + B @ a
-            assert_allclose(np.concatenate(out), ref, rtol=0, atol=0)
+            assert_allclose(np.concatenate(state), ref, rtol=0, atol=0)
 
     def test_measurement_update_full(self):
         gain = steady_state_gain(KfTuning(TS, (500.0, 500.0, 500.0)))
-        state = KinematicState(np.zeros(3), np.zeros(3))
-        out = measurement_update(state, np.array([1.0, 0.0, 0.0]), gain)
-        assert_allclose(out.p, [gain.gain[0, 0], 0.0, 0.0])
-        assert_allclose(out.v, [gain.gain[3, 0], 0.0, 0.0])
+        state = KinematicState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        measurement_update(state, [1.0, 0.0, 0.0], gain.axis_gains)
+        assert_allclose(state.p, [gain.gain[0, 0], 0.0, 0.0])
+        assert_allclose(state.v, [gain.gain[3, 0], 0.0, 0.0])
 
     def test_partial_update_touches_only_listed_axes(self):
-        gain = steady_state_gain(KfTuning(TS, (10.0, 10.0, 500.0)))
-        state = KinematicState(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]))
-        out = measurement_update(state, np.array([9.0, 9.0, 4.0]), gain, axes=(2,))
-        assert out.p[0] == state.p[0] and out.p[1] == state.p[1]
-        assert out.v[0] == state.v[0] and out.v[1] == state.v[1]
-        assert out.p[2] != state.p[2]
+        gains = steady_state_gain(KfTuning(TS, (10.0, 10.0, 500.0))).axis_gains
+        state = KinematicState([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+        measurement_update(state, [9.0, 9.0, 4.0], gains, axes=(2,))
+        assert state.p[:2] == [1.0, 2.0] and state.v[:2] == [0.1, 0.2]
+        assert state.p[2] != 3.0
 
     def test_partial_all_axes_equals_full(self):
-        gain = steady_state_gain(KfTuning(TS, (10.0, 500.0, 2.0)))
-        state = KinematicState(np.array([1.0, -2.0, 3.0]), np.array([0.1, 0.2, -0.3]))
-        meas = np.array([1.5, -1.5, 2.5])
-        a = measurement_update(state, meas, gain)
-        b = measurement_update(state, meas, gain, axes=(0, 1, 2))
-        assert_allclose(np.concatenate(a), np.concatenate(b), rtol=0, atol=0)
+        gains = steady_state_gain(KfTuning(TS, (10.0, 500.0, 2.0))).axis_gains
+        meas = [1.5, -1.5, 2.5]
+        full = KinematicState([1.0, -2.0, 3.0], [0.1, 0.2, -0.3])
+        split = KinematicState([1.0, -2.0, 3.0], [0.1, 0.2, -0.3])
+        measurement_update(full, meas, gains)
+        measurement_update(split, meas, gains, axes=(0, 1))
+        measurement_update(split, meas, gains, axes=(2,))
+        assert full == split
 
     def test_recursion_matches_full_matrix_filter(self):
-        """Per-axis scattered gain run step by step agrees with the stacked
-        6x6 closed-loop recursion."""
+        """The per-axis float recursion agrees with the stacked 6x6
+        closed-loop recursion driven by the coupled gain of the full
+        six-state Riccati solve."""
         ratios = (10.0, 500.0, 2.0)
-        gain = steady_state_gain(KfTuning(TS, ratios))
+        gains = steady_state_gain(KfTuning(TS, ratios)).axis_gains
         A, B, C = build_system(TS)
-        K = gain.gain
+        K = kalman_gain(solve_dare(A, B, C, np.diag(ratios), np.eye(3)), A, C, np.eye(3)).gain
         rng = np.random.default_rng(11)
-        state = KinematicState(np.zeros(3), np.zeros(3))
+        state = KinematicState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         x = np.zeros(6)
         for _ in range(200):
             a = rng.normal(size=3)
             y = rng.normal(size=3)
-            state = measurement_update(time_update(state, a, TS), y, gain)
+            time_update(state, a.tolist(), TS)
+            measurement_update(state, y.tolist(), gains)
             xpred = A @ x + B @ a
             x = xpred + K @ (y - C @ xpred)
             assert_allclose(np.concatenate(state), x, atol=1e-10)
@@ -237,17 +241,18 @@ class TestRecursions:
     def test_converges_on_model_consistent_data(self):
         """With exact measurements of a trajectory generated by the same
         dynamics the estimate converges geometrically to the truth."""
-        gain = steady_state_gain(KfTuning(TS, (500.0, 500.0, 500.0)))
+        gains = steady_state_gain(KfTuning(TS, (500.0, 500.0, 500.0))).axis_gains
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.normal(size=3) * 5.0, rng.normal(size=3)])
-        state = KinematicState(np.zeros(3), np.zeros(3))
+        state = KinematicState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         A, B, _ = build_system(TS)
         for k in range(600):
             a = np.array([np.sin(0.05 * k), np.cos(0.03 * k), 0.2])
             x = A @ x + B @ a
-            state = measurement_update(time_update(state, a, TS), x[:3], gain)
-        assert np.max(np.abs(state.p - x[:3])) < 1e-6
-        assert np.max(np.abs(state.v - x[3:])) < 1e-6
+            time_update(state, a.tolist(), TS)
+            measurement_update(state, x[:3].tolist(), gains)
+        assert np.max(np.abs(np.subtract(state.p, x[:3]))) < 1e-6
+        assert np.max(np.abs(np.subtract(state.v, x[3:]))) < 1e-6
 
 
 class TestFrequencyResponse:
@@ -260,18 +265,17 @@ class TestFrequencyResponse:
         """Drive the actual recursion with a single tone on each input and
         read the steady-state amplitude off the position estimate."""
         t = KfTuning(TS, (500.0, 500.0, 500.0))
-        gain = steady_state_gain(t)
+        gains = steady_state_gain(t).axis_gains
         f = 0.5
         mag_u, mag_y = kf_frequency_response(t, 0, np.array([f]))
         n_settle, n_meas = 3000, 4000  # 4000 samples = 40 whole periods
         for channel, expected in (("u", mag_u[0]), ("y", mag_y[0])):
-            state = KinematicState(np.zeros(3), np.zeros(3))
+            state = KinematicState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
             response = np.empty(n_meas)
             for k in range(n_settle + n_meas):
-                s = np.sin(2.0 * np.pi * f * k * TS)
-                a = np.array([s if channel == "u" else 0.0, 0.0, 0.0])
-                y = np.array([s if channel == "y" else 0.0, 0.0, 0.0])
-                state = measurement_update(time_update(state, a, TS), y, gain)
+                s = float(np.sin(2.0 * np.pi * f * k * TS))
+                time_update(state, [s if channel == "u" else 0.0, 0.0, 0.0], TS)
+                measurement_update(state, [s if channel == "y" else 0.0, 0.0, 0.0], gains)
                 if k >= n_settle:
                     response[k - n_settle] = state.p[0]
             k = np.arange(n_settle, n_settle + n_meas)

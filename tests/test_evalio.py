@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -10,16 +12,21 @@ from numpy.testing import assert_allclose
 from kitefusion.errors import DomainError, LogFormatError
 from kitefusion.evalio import (
     FRAME_COLUMNS,
+    QUANTITIES,
     LogData,
+    ReportRow,
+    RmseReport,
     TruthPoint,
+    _bin_labels,
     compare_approaches,
     default_configs,
     read_log,
     rmse,
     write_log,
 )
+from kitefusion.frames import wrap_angle
 from kitefusion.lineangle import EncoderReading
-from kitefusion.pipelines import SensorFrame
+from kitefusion.pipelines import EstimationPipeline, SensorFrame
 from kitefusion.simkite import NoiseSpec, TrajectoryParams, synthesize
 
 
@@ -159,6 +166,28 @@ class TestReadValidation:
             read_log(path)
 
 
+    @pytest.mark.parametrize("row, col, cell", [
+        (5, 0, "nan"),                         # timestamp
+        (8, 1, "inf"),                         # accelerometer
+        (3, FRAME_COLUMNS.index("wind"), "-inf"),
+        (4, len(FRAME_COLUMNS) + 6, "NaN"),    # truth gamma
+    ])
+    def test_non_finite_cell_rejected(self, tmp_path, row, col, cell):
+        """A nan time would pass the increasing-time check (every
+        comparison with nan is false) and switch it off for every later
+        row, so non-finite cells are refused wherever they stand."""
+        frames, truth = small_record(duration=0.2)
+        path = tmp_path / "t.csv"
+        write_log(frames, path, truth=truth)
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = cell
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match=f"line {row + 1}: non-finite"):
+            read_log(path)
+
+
 class TestRmse:
     def test_plain(self):
         assert_allclose(rmse([0.0, 3.0, 4.0], [0.0, 0.0, 0.0]),
@@ -254,3 +283,75 @@ class TestTruthPointDuckTyping:
         log = read_log(path)
         assert isinstance(log.truth[0], TruthPoint)
         write_log(log.frames, tmp_path / "second.csv", truth=log.truth)
+
+
+def per_sample_report(log, configs, bin_edges, settle):
+    """The previous tabulation of :func:`compare_approaches`: one residual
+    at a time into per-bin lists."""
+    edges = [float(e) for e in bin_edges]
+    n_bins = len(edges) + 1
+    runs = {}
+    for config in configs:
+        pipeline = EstimationPipeline(config)
+        runs[config.approach] = [pipeline.step(f) for f in log.frames]
+    if log.truth is not None:
+        ref_p = [s.p for s in log.truth]
+        ref_gamma = [s.gamma for s in log.truth]
+    else:
+        ref_p = [None if o is None else o.p_hat for o in runs[3]]
+        ref_gamma = [None if o is None else o.gamma_hat for o in runs[3]]
+    t0 = log.frames[0].t if log.frames else 0.0
+    rows = []
+    for config in configs:
+        outputs = runs[config.approach]
+        residuals = [[[] for _ in range(n_bins)] for _ in QUANTITIES]
+        for i, (frame, out) in enumerate(zip(log.frames, outputs)):
+            if out is None or ref_p[i] is None or frame.wind_speed is None:
+                continue
+            if frame.t - t0 < settle:
+                continue
+            b = bisect.bisect_right(edges, frame.wind_speed)
+            for axis in range(3):
+                residuals[axis][b].append(out.p_hat[axis] - ref_p[i][axis])
+            residuals[3][b].append(float(wrap_angle(out.gamma_hat - ref_gamma[i])))
+        for qi, quantity in enumerate(QUANTITIES):
+            values = tuple(float(np.sqrt(np.mean(np.square(r)))) if r else math.nan
+                           for r in residuals[qi])
+            rows.append(ReportRow(quantity, config.approach, values))
+    return RmseReport(_bin_labels(edges), tuple(rows))
+
+
+@functools.lru_cache(maxsize=None)
+def tabulation_record():
+    """A record whose wind cell steps through values on and between the
+    bin edges, and is missing on every fifth row."""
+    frames, truth = synthesize(TrajectoryParams(duration=6.0, speed_scale=2.5),
+                               NoiseSpec(seed=4))
+    winds = (1.5, 2.0, 2.4, 3.0, None, 3.5, 4.0, 4.5, 2.6, None)
+    frames = [dataclasses.replace(f, wind_speed=winds[k % len(winds)])
+              for k, f in enumerate(frames)]
+    return frames, truth
+
+
+class TestTabulationMatchesPerSample:
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("bin_edges, settle", [
+        ((2.0, 3.0, 4.0), 2.0),
+        ((2.0, 3.0, 4.0), 0.0),
+        ((2.4, 2.6), 1.0),
+        ((0.5,), 2.0),
+    ])
+    def test_tables_repr_equal(self, with_truth, bin_edges, settle):
+        frames, truth = tabulation_record()
+        log = LogData(frames, truth if with_truth else None)
+        configs = default_configs()
+        got = compare_approaches(log, configs, bin_edges=bin_edges, settle=settle)
+        assert repr(got) == repr(per_sample_report(log, configs, bin_edges, settle))
+
+    @pytest.mark.parametrize("truth", [None, []])
+    def test_empty_log(self, truth):
+        log = LogData([], truth)
+        configs = default_configs()
+        got = compare_approaches(log, configs)
+        assert repr(got) == repr(per_sample_report(log, configs, (2.0, 3.0, 4.0), 2.0))
+        assert all(math.isnan(v) for row in got.rows for v in row.values)

@@ -175,3 +175,11 @@ class TestWrapAngle:
         w = frames.wrap_angle(rng.uniform(-50, 50, size=1000))
         assert np.all(w > -math.pi)
         assert np.all(w <= math.pi)
+
+    def test_scalar_and_array_paths_agree_bit_for_bit(self):
+        angles = np.random.default_rng(17).uniform(-50, 50, size=1000)
+        wrapped = frames.wrap_angle(angles)
+        for angle, expected in zip(angles, wrapped):
+            for value in (float(angle), angle, np.array(angle)):
+                out = frames.wrap_angle(value)
+                assert type(out) is float and out == expected

@@ -1,16 +1,27 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kitefusion.attitude import GRAVITY
+from kitefusion.attitude import GRAVITY, quat_to_rot
 from kitefusion.errors import DegenerateInputError, DomainError, LogFormatError
-from kitefusion.frames import rot_g_to_l, rot_ned_to_g, velocity_angle, wrap_angle
-from kitefusion.lineangle import EncoderGeometry, EncoderReading
+from kitefusion.estimator import KfTuning, steady_state_gain
+from kitefusion.evalio import default_configs
+from kitefusion.frames import (
+    rot_g_to_l,
+    rot_ned_to_g,
+    spherical_to_cartesian,
+    velocity_angle,
+    wrap_angle,
+)
+from kitefusion.lineangle import EncoderGeometry, EncoderReading, encoder_to_angles
 from kitefusion.pipelines import (
+    EstimateOutput,
     EstimationPipeline,
     EstimatorConfig,
     SensorFrame,
@@ -19,6 +30,7 @@ from kitefusion.pipelines import (
     lo_frequency_response,
     luenberger_step,
 )
+from kitefusion.simkite import NoiseSpec, TrajectoryParams, synthesize
 
 R = 30.0
 TS = 0.02
@@ -387,3 +399,241 @@ class TestPipelineRadio:
         assert out is None  # degenerate fix ignored, still warming up
         out = pipe.step(SensorFrame(t=2 * TS, gps_xy=np.array([20.0, 1.0])))
         assert out is not None
+
+    def test_nan_fix_stays_on_its_axis(self):
+        """A correction leaves every axis outside its own bit-unchanged,
+        so a non-finite x fix cannot spill into y and z."""
+        def last(x):
+            pipe = EstimationPipeline(EstimatorConfig(approach=1))
+            pipe.step(SensorFrame(t=0.0, gps_xy=np.array([20.0, 1.0]), baro_z=15.0))
+            return pipe.step(SensorFrame(t=TS, gps_xy=np.array([x, 1.0])))
+
+        bad, good = last(math.nan), last(21.0)
+        assert math.isnan(bad.p_hat[0]) and math.isnan(bad.v_hat[0])
+        assert bad.p_hat[1:].tolist() == [1.0, 15.0]
+        assert np.array_equal(bad.p_hat[1:], good.p_hat[1:])
+        assert np.array_equal(bad.v_hat[1:], good.v_hat[1:])
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejected_first_and_later(self, t):
+        with pytest.raises(LogFormatError, match="finite"):
+            EstimationPipeline(EstimatorConfig()).step(SensorFrame(t=t))
+        pipe = EstimationPipeline(EstimatorConfig())
+        pipe.step(SensorFrame(t=0.0))
+        with pytest.raises(LogFormatError, match="finite"):
+            pipe.step(SensorFrame(t=t))
+        # the rejected tick leaves the increasing-time check in force
+        pipe.step(SensorFrame(t=TS))
+        with pytest.raises(LogFormatError, match="increase"):
+            pipe.step(SensorFrame(t=0.5 * TS))
+
+
+# ----------------------------------------------------------------------
+# Reference: the array-form pipeline that EstimationPipeline replaced.
+# Each tick runs the stacked 6x3 gain and the 3x3 rotation matrices
+# through numpy; the float pipeline must agree with it on every output.
+
+
+def ref_accel_to_inertial(a_k, q, phi_g):
+    a_g = rot_ned_to_g(phi_g) @ (quat_to_rot(q) @ np.asarray(a_k, dtype=float))
+    a_g[2] += GRAVITY
+    return a_g
+
+
+def ref_measurement_update(p, v, p_meas, gain, axes):
+    cols = list(axes)
+    dx = gain[:, cols] @ (np.asarray(p_meas, dtype=float)[cols] - p[cols])
+    return p + dx[:3], v + dx[3:]
+
+
+def ref_luenberger_step(obs, gamma_meas, k_gamma, ts):
+    innovation = wrap_angle(gamma_meas - obs[0])
+    return np.array([obs[0] + ts * obs[1] + k_gamma[0] * innovation,
+                     obs[1] + k_gamma[1] * innovation])
+
+
+class ArrayPipeline:
+    """The previous EstimationPipeline, numpy arrays throughout."""
+
+    def __init__(self, config):
+        self.config = config
+        self.gain = steady_state_gain(KfTuning(config.ts, tuple(config.ratios))).gain
+        self._state = None
+        self._seed = [None, None, None]
+        self._held_z = None
+        self._obs = None
+        self._phi_prev = 0.0
+        self._last_t = None
+        self.last_measurement = None
+
+    def step(self, frame):
+        if self._last_t is not None and frame.t <= self._last_t:
+            raise LogFormatError(f"sample times must increase: {frame.t} after {self._last_t}")
+        self._last_t = frame.t
+        cfg = self.config
+        if cfg.use_imu and frame.accel_k is not None and frame.quat is not None:
+            a_g = ref_accel_to_inertial(frame.accel_k, frame.quat, cfg.phi_g)
+        else:
+            a_g = np.zeros(3)
+        if self._state is not None:
+            p, v = self._state
+            self._state = (p + cfg.ts * v, v + cfg.ts * a_g)
+        self.last_measurement = None
+        self._route_measurements(frame)
+        if self._state is None and all(s is not None for s in self._seed):
+            self._state = (np.array(self._seed, dtype=float), np.zeros(3))
+        if self._state is None:
+            return None
+        return self._emit(frame.t)
+
+    def _correct(self, p_meas, axes):
+        if self._state is not None:
+            self._state = ref_measurement_update(*self._state, p_meas, self.gain, axes)
+            self.last_measurement = (np.asarray(p_meas, dtype=float).copy(), axes)
+        else:
+            for axis in axes:
+                self._seed[axis] = float(p_meas[axis])
+
+    def _route_measurements(self, frame):
+        cfg = self.config
+        if cfg.approach == 1:
+            if frame.gps_xy is not None:
+                self._correct(np.array([frame.gps_xy[0], frame.gps_xy[1], 0.0]), (0, 1))
+            if frame.baro_z is not None:
+                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
+        elif cfg.approach == 2:
+            if frame.baro_z is not None:
+                self._held_z = float(frame.baro_z)
+                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
+            if frame.gps_xy is not None and self._held_z is not None:
+                raw = np.array([frame.gps_xy[0], frame.gps_xy[1], self._held_z])
+                try:
+                    corrected = geometric_correction(raw, cfg.r)
+                except (DomainError, DegenerateInputError):
+                    return
+                self._correct(corrected, (0, 1))
+        elif frame.encoder is not None:
+            try:
+                theta, phi = encoder_to_angles(frame.encoder, cfg.geometry)
+            except DegenerateInputError:
+                return
+            self._correct(spherical_to_cartesian(theta, phi, cfg.r), (0, 1, 2))
+
+    def _emit(self, t):
+        cfg = self.config
+        p, v = self._state
+        theta = math.asin(min(1.0, max(-1.0, p[2] / cfg.r)))
+        if p[0] == 0.0 and p[1] == 0.0:
+            phi = self._phi_prev
+        else:
+            phi = math.atan2(p[1], p[0])
+        self._phi_prev = phi
+        try:
+            gamma_meas = velocity_angle(rot_g_to_l(theta, phi) @ v)
+        except DegenerateInputError:
+            gamma_meas = None
+        if self._obs is None and gamma_meas is not None:
+            self._obs = np.array([gamma_meas, 0.0])
+        if self._obs is None:
+            gamma_out, gamma_dot_out = 0.0, 0.0
+        else:
+            gamma_out = float(wrap_angle(self._obs[0]))
+            gamma_dot_out = float(self._obs[1])
+            if gamma_meas is not None:
+                self._obs = ref_luenberger_step(self._obs, gamma_meas, cfg.k_gamma, cfg.ts)
+            else:
+                self._obs = np.array([self._obs[0] + cfg.ts * self._obs[1], self._obs[1]])
+        return EstimateOutput(t, p.copy(), v.copy(), theta, phi, gamma_out, gamma_dot_out)
+
+
+def assert_close(actual, expected, what):
+    """Equal within 1e-12 relative to max(1, |expected|): the float
+    rotations sum in another order than numpy's matrix products."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    bound = 1e-12 * np.maximum(1.0, np.abs(expected))
+    assert np.all(np.abs(actual - expected) <= bound), (what, actual, expected)
+
+
+def replay_against_reference(config, frames):
+    """Step both pipelines through ``frames`` and compare every tick.
+
+    Returns the index of the tick where both raised ``DomainError``, or
+    None when the whole stream ran."""
+    new, ref = EstimationPipeline(config), ArrayPipeline(config)
+    first_output = None
+    for k, frame in enumerate(frames):
+        try:
+            expected = ref.step(frame)
+        except DomainError:
+            with pytest.raises(DomainError):
+                new.step(frame)
+            return k
+        out = new.step(frame)
+        assert (out is None) == (expected is None), k
+        assert (new.last_measurement is None) == (ref.last_measurement is None), k
+        if ref.last_measurement is not None:
+            assert new.last_measurement[1] == ref.last_measurement[1]
+            assert isinstance(new.last_measurement[0], np.ndarray)
+            assert_close(new.last_measurement[0], ref.last_measurement[0], (k, "p_meas"))
+        if expected is None:
+            continue
+        if first_output is None:
+            first_output = k
+        assert isinstance(out.p_hat, np.ndarray) and isinstance(out.v_hat, np.ndarray)
+        for name, a, b in zip(EstimateOutput._fields, out, expected):
+            assert_close(a, b, (k, name))
+    assert first_output is not None
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def reference_record(noisy, phi_g):
+    noise = NoiseSpec(seed=23) if noisy else NoiseSpec.none(seed=23)
+    frames, _ = synthesize(TrajectoryParams(duration=4.0, speed_scale=3.0, phi_g=phi_g), noise)
+    return tuple(frames)
+
+
+class TestMatchesArrayPipeline:
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    @pytest.mark.parametrize("noisy", [True, False])
+    @pytest.mark.parametrize("use_imu", [True, False])
+    @pytest.mark.parametrize("phi_g", [0.0, 0.6])
+    def test_synthesized_records(self, approach, noisy, use_imu, phi_g):
+        config = dataclasses.replace(default_configs()[approach - 1],
+                                     use_imu=use_imu, phi_g=phi_g)
+        assert replay_against_reference(config, reference_record(noisy, phi_g)) is None
+
+    def test_encoder_gap(self):
+        frames = [dataclasses.replace(f, encoder=None) if 60 <= k < 100 else f
+                  for k, f in enumerate(reference_record(True, 0.0))]
+        assert replay_against_reference(default_configs()[2], frames) is None
+
+    def test_vertical_encoder_reading_dropped(self):
+        # With the pivot set back by the full guide reach, arm angles
+        # (0, 0) put the guide on the vertical through the origin.
+        geometry = EncoderGeometry(guide_rise=0.0, guide_reach=1.0,
+                                   pivot_height=0.0, pivot_setback=1.0)
+        frames = [dataclasses.replace(f, encoder=EncoderReading(0.0, 0.0)) if k in (0, 90) else f
+                  for k, f in enumerate(reference_record(True, 0.0))]
+        config = dataclasses.replace(default_configs()[2], geometry=geometry)
+        assert replay_against_reference(config, frames) is None
+
+    @pytest.mark.parametrize("changes", [
+        {"gps_xy": np.array([0.0, 0.0])},
+        {"gps_xy": np.array([20.0, 1.0]), "baro_z": 31.0},
+    ])
+    def test_sphere_correction_drops(self, changes):
+        """XY at zero and a height above the sphere are dropped, both
+        while warming up and once filtering."""
+        frames = list(reference_record(True, 0.0))
+        for k in (0, 1, 120):
+            frames[k] = dataclasses.replace(frames[k], **changes)
+        assert replay_against_reference(default_configs()[1], frames) is None
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_non_unit_quaternion_raises_at_same_tick(self, approach):
+        frames = list(reference_record(True, 0.0))
+        frames[77] = dataclasses.replace(frames[77], quat=1.01 * frames[77].quat)
+        assert replay_against_reference(default_configs()[approach - 1], frames) == 77
