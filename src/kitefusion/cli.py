@@ -1,10 +1,14 @@
 """Command line front end: simulate, estimate, evaluate, bode.
 
 All four subcommands read the same flat ``key = value`` configuration
-format (``#`` starts a comment).  Keys map one to one onto the dataclass
-fields of the library; shared physical quantities such as the tether
-length ``r`` appear once and feed every consumer.  Missing keys fall
-back to the library defaults, so an empty or absent config is valid.
+format (``#`` starts a comment).  A key is a field name of
+``EncoderGeometry``, ``EstimatorConfig``, ``TrajectoryParams`` or
+``NoiseSpec``, parsed by the field's type, or one of ``lambda`` (the
+``ratios``; one value broadcasts to all axes), ``speed_bins`` and
+``settle``.  Shared keys such as ``r`` feed every dataclass with that
+field.  Each value is parsed as the file is read; an unknown key or a
+malformed or non-finite value is rejected with its line number.  Missing
+keys take the library defaults, so an empty or absent config is valid.
 
 Exit codes: 0 on success, 2 for domain, input or format errors, 3 when
 the Riccati solve for the filter gain fails to converge.
@@ -14,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
+import typing
 
 import numpy as np
 
@@ -25,52 +31,16 @@ from .lineangle import EncoderGeometry
 from .pipelines import EstimationPipeline, EstimatorConfig, lo_frequency_response
 from .simkite import NoiseSpec, TrajectoryParams, synthesize
 
-_FLOAT_KEYS = {
-    "r", "phi_g", "ts",
-    "guide_rise", "guide_reach", "pivot_height", "pivot_setback",
-    "theta0", "phi0", "a_theta", "a_phi", "f_loop", "speed_scale",
-    "duration", "theta_phase",
-    "accel_density_g", "accel_bias_g", "gyro_density_dps", "gyro_bias_dps",
-    "gyro_range_dps", "gps_sigma_xy", "gps_rate", "gps_latency",
-    "baro_resolution", "baro_rate", "attitude_rms_deg",
-    "settle",
-}
-_INT_KEYS = {"approach", "encoder_cpr", "seed"}
-_LIST_KEYS = {"lambda", "k_gamma", "speed_bins"}
-_BOOL_KEYS = {"use_imu"}
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _BOOL_KEYS
 
-
-def load_config(path: str | None) -> dict[str, str]:
-    """Parse a flat config file into raw string values."""
-    if path is None:
-        return {}
-    raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise LogFormatError(f"{path} line {lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in KNOWN_KEYS:
-                raise LogFormatError(f"{path} line {lineno}: unknown key {key!r}")
-            raw[key] = value
-    return raw
-
-
-def _get(cfg: dict[str, str], key: str, parse, default):
-    if key not in cfg:
-        return default
-    try:
-        return parse(cfg[key])
-    except ValueError:
-        raise LogFormatError(f"config key {key!r}: bad value {cfg[key]!r}") from None
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_float(part) for part in text.split(","))
 
 
 def _bool(text: str) -> bool:
@@ -82,84 +52,72 @@ def _bool(text: str) -> bool:
     raise ValueError(text)
 
 
-def build_geometry(cfg: dict[str, str]) -> EncoderGeometry:
-    base = EncoderGeometry()
-    return EncoderGeometry(
-        guide_rise=_get(cfg, "guide_rise", float, base.guide_rise),
-        guide_reach=_get(cfg, "guide_reach", float, base.guide_reach),
-        pivot_height=_get(cfg, "pivot_height", float, base.pivot_height),
-        pivot_setback=_get(cfg, "pivot_setback", float, base.pivot_setback),
-    )
+def _config_keys() -> dict[str, typing.Callable[[str], object]]:
+    """Every config key and the parser of its value, chosen by field type."""
+    parsers = {float: _float, int: int, bool: _bool, tuple: _floats}
+    keys = {"lambda": _floats, "speed_bins": _floats, "settle": _float}
+    for cls in (EncoderGeometry, EstimatorConfig, TrajectoryParams, NoiseSpec):
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            hint = hints[field.name]
+            parse = parsers.get(typing.get_origin(hint) or hint)
+            if parse is not None and field.name != "ratios":  # set through ``lambda``
+                keys[field.name] = parse
+    return keys
 
 
-def build_estimator_config(cfg: dict[str, str]) -> EstimatorConfig:
-    base = EstimatorConfig()
-    ratios = base.ratios
+CONFIG_KEYS = _config_keys()
+
+
+def load_config(path: str | None) -> dict[str, object]:
+    """Parse a flat config file into typed values by key."""
+    if path is None:
+        return {}
+    cfg: dict[str, object] = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise LogFormatError(f"{path} line {lineno}: expected key = value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise LogFormatError(f"{path} line {lineno}: unknown key {key!r}")
+            try:
+                cfg[key] = CONFIG_KEYS[key](value)
+            except ValueError:
+                raise LogFormatError(
+                    f"{path} line {lineno}: bad value {value!r} for key {key!r}") from None
+    return cfg
+
+
+def _build(cls, cfg: dict[str, object], **extra):
+    """``cls`` from the config keys named after its fields, plus ``extra``."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return cls(**{key: value for key, value in cfg.items() if key in names}, **extra)
+
+
+def build_estimator_config(cfg: dict[str, object]) -> EstimatorConfig:
+    extra = {"geometry": _build(EncoderGeometry, cfg)}
     if "lambda" in cfg:
-        values = _get(cfg, "lambda", _floats, None)
-        if len(values) == 1:
-            ratios = values * 3
-        elif len(values) == 3:
-            ratios = values
-        else:
-            raise LogFormatError("config key 'lambda': need one or three values")
-    k_gamma = _get(cfg, "k_gamma", _floats, base.k_gamma)
-    if len(k_gamma) != 2:
-        raise LogFormatError("config key 'k_gamma': need two values")
-    return EstimatorConfig(
-        r=_get(cfg, "r", float, base.r),
-        phi_g=_get(cfg, "phi_g", float, base.phi_g),
-        ts=_get(cfg, "ts", float, base.ts),
-        ratios=ratios,
-        k_gamma=tuple(k_gamma),
-        geometry=build_geometry(cfg),
-        approach=_get(cfg, "approach", int, base.approach),
-        use_imu=_get(cfg, "use_imu", _bool, base.use_imu),
-    )
+        ratios = cfg["lambda"]
+        extra["ratios"] = ratios * 3 if len(ratios) == 1 else ratios
+    return _build(EstimatorConfig, cfg, **extra)
 
 
-def build_trajectory(cfg: dict[str, str]) -> TrajectoryParams:
-    base = TrajectoryParams()
-    return TrajectoryParams(
-        r=_get(cfg, "r", float, base.r),
-        theta0=_get(cfg, "theta0", float, base.theta0),
-        phi0=_get(cfg, "phi0", float, base.phi0),
-        a_theta=_get(cfg, "a_theta", float, base.a_theta),
-        a_phi=_get(cfg, "a_phi", float, base.a_phi),
-        f_loop=_get(cfg, "f_loop", float, base.f_loop),
-        speed_scale=_get(cfg, "speed_scale", float, base.speed_scale),
-        duration=_get(cfg, "duration", float, base.duration),
-        phi_g=_get(cfg, "phi_g", float, base.phi_g),
-        theta_phase=_get(cfg, "theta_phase", float, base.theta_phase),
-    )
-
-
-def build_noise(cfg: dict[str, str]) -> NoiseSpec:
-    base = NoiseSpec()
-    return NoiseSpec(
-        accel_density_g=_get(cfg, "accel_density_g", float, base.accel_density_g),
-        accel_bias_g=_get(cfg, "accel_bias_g", float, base.accel_bias_g),
-        gyro_density_dps=_get(cfg, "gyro_density_dps", float, base.gyro_density_dps),
-        gyro_bias_dps=_get(cfg, "gyro_bias_dps", float, base.gyro_bias_dps),
-        gyro_range_dps=_get(cfg, "gyro_range_dps", float, base.gyro_range_dps),
-        gps_sigma_xy=_get(cfg, "gps_sigma_xy", float, base.gps_sigma_xy),
-        gps_rate=_get(cfg, "gps_rate", float, base.gps_rate),
-        gps_latency=_get(cfg, "gps_latency", float, base.gps_latency),
-        baro_resolution=_get(cfg, "baro_resolution", float, base.baro_resolution),
-        baro_rate=_get(cfg, "baro_rate", float, base.baro_rate),
-        attitude_rms_deg=_get(cfg, "attitude_rms_deg", float, base.attitude_rms_deg),
-        encoder_cpr=_get(cfg, "encoder_cpr", int, base.encoder_cpr),
-        seed=_get(cfg, "seed", int, base.seed),
-    )
+def _given(cfg: dict[str, object], **keys: str) -> dict[str, object]:
+    """Keyword arguments ``{name: cfg[key]}`` for the keys the file sets."""
+    return {name: cfg[key] for name, key in keys.items() if key in cfg}
 
 
 def cmd_simulate(args) -> None:
     cfg = load_config(args.config)
-    noise = build_noise(cfg)
     if args.seed is not None:
-        noise = dataclasses.replace(noise, seed=args.seed)
-    frames, truth = synthesize(build_trajectory(cfg), noise,
-                               build_geometry(cfg), ts=_get(cfg, "ts", float, 0.02))
+        cfg["seed"] = args.seed
+    noise = _build(NoiseSpec, cfg)
+    frames, truth = synthesize(_build(TrajectoryParams, cfg), noise,
+                               _build(EncoderGeometry, cfg), **_given(cfg, ts="ts"))
     write_log(frames, args.out,
               truth=None if args.no_truth else truth,
               meta=[f"rng: numpy-PCG64 seed={noise.seed}"])
@@ -194,10 +152,8 @@ def cmd_evaluate(args) -> None:
         configs = tuple(dataclasses.replace(base, approach=i) for i in (1, 2, 3))
     else:
         configs = default_configs(base)
-    report = compare_approaches(
-        read_log(args.log), configs,
-        bin_edges=_get(cfg, "speed_bins", _floats, (2.0, 3.0, 4.0)),
-        settle=_get(cfg, "settle", float, 2.0))
+    report = compare_approaches(read_log(args.log), configs,
+                                **_given(cfg, bin_edges="speed_bins", settle="settle"))
     with open(args.out, "w") as fh:
         fh.write(report.to_csv())
 

@@ -164,8 +164,10 @@ def kalman_gain(P: np.ndarray, A: np.ndarray, C: np.ndarray, R: np.ndarray) -> K
 @functools.lru_cache(maxsize=64)
 def _axis_solution(ts: float, ratio: float) -> tuple[float, float, np.ndarray]:
     """Per-axis 2x2 steady-state solution: gains (k1, k2) and covariance."""
-    if not ratio > 0.0:
-        raise DomainError(f"noise variance ratio must be positive, got {ratio}")
+    if not 0.0 < ts < math.inf:
+        raise DomainError(f"sample time must be positive and finite, got {ts}")
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"noise variance ratio must be positive and finite, got {ratio}")
     A = np.array([[1.0, ts], [0.0, 1.0]])
     B = np.array([[0.0], [ts]])
     C = np.array([[1.0, 0.0]])

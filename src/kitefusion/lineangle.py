@@ -14,6 +14,7 @@ the encoders read the wing angles directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,6 +57,16 @@ class EncoderGeometry:
             raise DomainError("guide offsets must be non-negative")
         if self.guide_rise == 0.0 and self.guide_reach == 0.0:
             raise DomainError("line guide cannot sit on the elevation pivot")
+
+    @functools.cached_property
+    def guide_radius(self) -> float:
+        """Distance from the elevation pivot to the line guide, m."""
+        return math.hypot(self.guide_rise, self.guide_reach)
+
+    @functools.cached_property
+    def guide_angle(self) -> float:
+        """Angle of the line guide above the arm axis, seen from the pivot, rad."""
+        return math.atan2(self.guide_rise, self.guide_reach)
 
 
 class EncoderReading(NamedTuple):
@@ -106,8 +117,8 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
         where the azimuth is undefined.
     """
     g = geometry
-    reach = math.hypot(g.guide_rise, g.guide_reach)
-    elev = reading.theta_b - math.atan2(g.guide_rise, g.guide_reach)
+    reach = g.guide_radius
+    elev = reading.theta_b - g.guide_angle
     up = reach * math.sin(elev)
     horiz = reach * math.cos(elev)
     fwd = horiz * math.cos(reading.phi_b) - g.pivot_setback
@@ -162,7 +173,7 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
     fwd = g.pivot_setback + lam * ux
     side = lam * uy
     up = lam * uz - g.pivot_height
-    theta_b = math.atan2(up, math.hypot(fwd, side)) + math.atan2(g.guide_rise, g.guide_reach)
+    theta_b = math.atan2(up, math.hypot(fwd, side)) + g.guide_angle
     phi_b = math.atan2(side, fwd)
     if not counts_per_rev:
         return EncoderReading(theta_b, phi_b)

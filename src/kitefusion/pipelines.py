@@ -115,6 +115,8 @@ class EstimatorConfig:
     use_imu: bool = True
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.r, self.phi_g, self.ts, *self.ratios, *self.k_gamma))):
+            raise DomainError("r, phi_g, ts, ratios and k_gamma must be finite")
         if not self.r > 0.0:
             raise DomainError(f"tether length must be positive, got {self.r}")
         if not self.ts > 0.0:
@@ -123,6 +125,8 @@ class EstimatorConfig:
             raise DomainError("need three positive variance ratios")
         if self.approach not in (1, 2, 3):
             raise DomainError(f"approach must be 1, 2 or 3, got {self.approach}")
+        if len(self.k_gamma) != 2:
+            raise DomainError(f"need two velocity-angle observer gains, got {len(self.k_gamma)}")
         k1, k2 = self.k_gamma
         closed_loop = np.array([[1.0 - k1, self.ts], [-k2, 1.0]])
         if max(abs(np.linalg.eigvals(closed_loop))) >= 1.0:

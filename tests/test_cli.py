@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from kitefusion.cli import ESTIMATE_HEADER, main
+from kitefusion import cli
+from kitefusion.cli import CONFIG_KEYS, ESTIMATE_HEADER, build_estimator_config, load_config, main
+from kitefusion.lineangle import EncoderGeometry
+from kitefusion.pipelines import EstimatorConfig
+from kitefusion.simkite import NoiseSpec, TrajectoryParams
 
 BASE_CONFIG = """\
 # short bench flight
@@ -50,6 +56,14 @@ class TestSimulate:
         out = tmp_path / "bare.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--no-truth"]) == 0
         assert out.read_text().splitlines()[1].endswith(",wind")
+
+    def test_ts_sets_tick_period(self, tmp_path):
+        cfg = write(tmp_path / "c.cfg", BASE_CONFIG + "ts = 0.04\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 50  # 2 s at 25 Hz
+        assert float(rows[1].split(",")[0]) - float(rows[0].split(",")[0]) == pytest.approx(0.04)
 
     def test_invalid_trajectory_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", "theta0 = 1.6\n")
@@ -156,10 +170,36 @@ class TestConfigParsing:
         capsys.readouterr()
 
     def test_bad_value_exits_2(self, tmp_path, capsys):
-        cfg = write(tmp_path / "c.cfg", "r = thirty\n")
+        cfg = write(tmp_path / "c.cfg", "# tether\nr = thirty\n")
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "line 2" in err and "'r'" in err
+
+    @pytest.mark.parametrize("line", [
+        "phi_g = nan",
+        "r = inf",
+        "ts = inf",
+        "k_gamma = nan, 0.9",
+        "lambda = inf",
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, sim_log, capsys, line):
+        # Unchecked, these give NaN estimates (phi_g, r), an uncaught
+        # LinAlgError (ts, k_gamma) or a million Riccati iterations (lambda).
+        cfg = write(tmp_path / "c.cfg", f"# tuning\n{line}\n")
+        start = time.perf_counter()
+        code = main(["estimate", "--config", cfg, "--log", str(sim_log),
+                     "--out", str(tmp_path / "e.csv")])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_unused_key_still_parsed(self, tmp_path, capsys):
+        # bode uses no noise key, but every value in the file is checked.
+        cfg = write(tmp_path / "c.cfg", "seed = seven\n")
+        code = main(["bode", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
 
     def test_lambda_must_be_one_or_three(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", "lambda = 1,2\n")
@@ -173,3 +213,97 @@ class TestConfigParsing:
         out = tmp_path / "e.csv"
         assert main(["estimate", "--config", cfg, "--log", str(sim_log),
                      "--out", str(out)]) == 0
+
+
+CONFIGURED = (EncoderGeometry, EstimatorConfig, TrajectoryParams, NoiseSpec)
+
+KEY_TYPES = {
+    "guide_rise": float, "guide_reach": float, "pivot_height": float,
+    "pivot_setback": float,
+    "r": float, "phi_g": float, "ts": float, "k_gamma": tuple, "approach": int,
+    "use_imu": bool,
+    "theta0": float, "phi0": float, "a_theta": float, "a_phi": float,
+    "f_loop": float, "speed_scale": float, "duration": float, "theta_phase": float,
+    "accel_density_g": float, "accel_bias_g": float, "gyro_density_dps": float,
+    "gyro_bias_dps": float, "gyro_range_dps": float, "gps_sigma_xy": float,
+    "gps_rate": float, "gps_latency": float, "baro_resolution": float,
+    "baro_rate": float, "attitude_rms_deg": float, "encoder_cpr": int, "seed": int,
+    "lambda": tuple, "speed_bins": tuple, "settle": float,
+}
+
+EVERY_KEY = """\
+guide_rise = 0.12
+guide_reach = 0.28
+pivot_height = 0.03
+pivot_setback = 0.01
+r = 25.0
+phi_g = 0.3
+ts = 0.025
+k_gamma = 0.5, 0.8
+approach = 2
+use_imu = false
+theta0 = 0.65
+phi0 = 0.1
+a_theta = 0.12
+a_phi = 0.7
+f_loop = 0.18
+speed_scale = 1.5
+duration = 3.0
+theta_phase = 0.2
+accel_density_g = 3e-4
+accel_bias_g = 3e-3
+gyro_density_dps = 0.04
+gyro_bias_dps = 0.2
+gyro_range_dps = 250.0
+gps_sigma_xy = 2.0
+gps_rate = 5.0
+gps_latency = 0.1
+baro_resolution = 0.25
+baro_rate = 10.0
+attitude_rms_deg = 1.5
+encoder_cpr = 1024
+seed = 5
+lambda = 300, 400, 600
+speed_bins = 1.0, 2.0
+settle = 0.5
+"""
+
+
+class TestConfigSchema:
+    def test_keys_and_value_types_pinned(self):
+        assert len(CONFIG_KEYS) == 34
+        assert set(CONFIG_KEYS) == set(KEY_TYPES)
+        for key, parse in CONFIG_KEYS.items():
+            assert type(parse("1")) is KEY_TYPES[key], key
+
+    def test_every_field_is_a_key(self):
+        for cls in CONFIGURED:
+            for field in dataclasses.fields(cls):
+                if field.name not in ("ratios", "geometry"):
+                    assert field.name in CONFIG_KEYS, (cls.__name__, field.name)
+
+    def test_every_key_reaches_its_dataclass(self, tmp_path):
+        cfg = load_config(write(tmp_path / "every.cfg", EVERY_KEY))
+        geometry = EncoderGeometry(guide_rise=0.12, guide_reach=0.28,
+                                   pivot_height=0.03, pivot_setback=0.01)
+        expected = [
+            EstimatorConfig(r=25.0, phi_g=0.3, ts=0.025, ratios=(300.0, 400.0, 600.0),
+                            k_gamma=(0.5, 0.8), geometry=geometry, approach=2,
+                            use_imu=False),
+            TrajectoryParams(r=25.0, theta0=0.65, phi0=0.1, a_theta=0.12, a_phi=0.7,
+                             f_loop=0.18, speed_scale=1.5, duration=3.0, phi_g=0.3,
+                             theta_phase=0.2),
+            NoiseSpec(accel_density_g=3e-4, accel_bias_g=3e-3, gyro_density_dps=0.04,
+                      gyro_bias_dps=0.2, gyro_range_dps=250.0, gps_sigma_xy=2.0,
+                      gps_rate=5.0, gps_latency=0.1, baro_resolution=0.25,
+                      baro_rate=10.0, attitude_rms_deg=1.5, encoder_cpr=1024, seed=5),
+        ]
+        built = [build_estimator_config(cfg),
+                 cli._build(TrajectoryParams, cfg), cli._build(NoiseSpec, cfg)]
+        for want, got in zip(expected, built):
+            assert got == want
+            default = type(want)()
+            for field in dataclasses.fields(want):
+                assert getattr(want, field.name) != getattr(default, field.name), field.name
+                assert type(getattr(got, field.name)) is type(getattr(want, field.name))
+        assert cfg["speed_bins"] == (1.0, 2.0) and cfg["settle"] == 0.5

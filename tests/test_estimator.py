@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -174,6 +176,18 @@ class TestSteadyStateGain:
     def test_nonpositive_ratio_rejected(self):
         with pytest.raises(DomainError):
             steady_state_gain(KfTuning(TS, (500.0, 0.0, 500.0)))
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan, -math.inf])
+    def test_non_finite_ratio_rejected(self, ratio):
+        # Rejected before the Riccati iteration, which an infinite ratio
+        # would otherwise run to its iteration limit.
+        with pytest.raises(DomainError, match="finite"):
+            steady_state_gain(KfTuning(TS, (500.0, ratio, 500.0)))
+
+    @pytest.mark.parametrize("ts", [math.inf, math.nan, -TS])
+    def test_bad_sample_time_rejected(self, ts):
+        with pytest.raises(DomainError, match="sample time"):
+            steady_state_gain(KfTuning(ts, (500.0, 500.0, 500.0)))
 
 
 class TestRecursions:

@@ -54,6 +54,17 @@ class TestEncoderToAngles:
         with pytest.raises(DomainError):
             EncoderGeometry(guide_rise=0.0, guide_reach=0.0)
 
+    def test_guide_constants_cached_per_geometry(self):
+        geo = EncoderGeometry(guide_rise=0.1, guide_reach=0.3,
+                              pivot_height=0.05, pivot_setback=0.05)
+        assert "guide_radius" not in vars(geo) and "guide_angle" not in vars(geo)
+        cold = encoder_to_angles(angles_to_encoder(0.8, -0.4, geo), geo)
+        assert vars(geo)["guide_radius"] == math.hypot(0.1, 0.3)
+        assert vars(geo)["guide_angle"] == math.atan2(0.1, 0.3)
+        assert encoder_to_angles(angles_to_encoder(0.8, -0.4, geo), geo) == cold
+        # The cache is not a field: equality and hashing see the geometry only.
+        assert geo == BENCH and hash(geo) == hash(BENCH)
+
 
 class TestQuantize:
     def test_grid_multiples(self):

@@ -227,6 +227,17 @@ class TestConfigValidation:
         {"ratios": (500.0, 0.0, 500.0)},
         {"approach": 4},
         {"k_gamma": (0.0, 0.0)},
+        {"r": math.inf},
+        {"r": math.nan},
+        {"phi_g": math.nan},
+        {"phi_g": -math.inf},
+        {"ts": math.inf},
+        {"ratios": (500.0, math.inf, 500.0)},
+        {"ratios": (500.0, 500.0, math.nan)},
+        {"k_gamma": (math.nan, 0.9)},
+        {"k_gamma": (0.4, math.inf)},
+        {"k_gamma": (0.4, 0.9, 1.0)},
+        {"k_gamma": (0.4,)},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
