@@ -135,12 +135,9 @@ def cmd_estimate(args) -> None:
         out = pipeline.step(frame)
         if out is None:
             continue
-        cells = [repr(out.t)]
-        cells += [repr(float(v)) for v in out.p_hat]
-        cells += [repr(float(v)) for v in out.v_hat]
-        cells += [repr(out.theta_hat), repr(out.phi_hat),
-                  repr(out.gamma_hat), repr(out.gamma_dot_hat)]
-        lines.append(",".join(cells))
+        row = [out.t, *out.p_hat.tolist(), *out.v_hat.tolist(),
+               out.theta_hat, out.phi_hat, out.gamma_hat, out.gamma_dot_hat]
+        lines.append(",".join(map(repr, row)))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -6,6 +6,19 @@ a written log reads back bit for bit.  Lines starting with ``#`` are
 comments (the writer uses them for provenance such as the noise seed)
 and are ignored by the reader.
 
+Both directions handle a log as one ``(n, width)`` float table.  The
+reader streams the file line by line, parses each data row with one
+``float`` per cell into a flat buffer next to an explicit empty-cell
+mask, and stops at the first line whose cells do not all parse to
+finite numbers.  It then reshapes the buffer once and runs the row
+checks (missing timestamp, time not increasing, partial channel group,
+incomplete truth row) as boolean array tests, so the line it reports
+and the message are those of a line-by-line check.  Each channel is
+copied out of the table once, and every frame takes its row of that
+copy.  The writer gathers the same table from the frames, refuses a
+non-finite present cell before it opens the file, and formats the table
+row by row.
+
 The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing
 estimators are usually compared: horizontal position, height and
@@ -15,8 +28,10 @@ none, against the line-angle routing as the reference.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import math
+import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,6 +51,25 @@ RADIO_RATIOS = (10.0, 10.0, 10.0)
 LINE_ANGLE_RATIOS = (500.0, 500.0, 500.0)
 
 
+def _spans(widths: Sequence[tuple[str, int]], start: int = 0) -> tuple[tuple[str, slice], ...]:
+    """``(field, columns)`` of fields of the given widths laid out from ``start``."""
+    spans = []
+    for name, width in widths:
+        spans.append((name, slice(start, start + width)))
+        start += width
+    return tuple(spans)
+
+
+# The columns of each ``SensorFrame`` field, in field order, and of each
+# truth attribute.
+_FRAME_SPANS = _spans((("t", 1), ("accel_k", 3), ("gyro_k", 3), ("quat", 4),
+                       ("gps_xy", 2), ("baro_z", 1), ("encoder", 2), ("wind_speed", 1)))
+_TRUTH_SPANS = _spans((("p", 3), ("v", 3), ("gamma", 1)), start=len(FRAME_COLUMNS))
+# Channel groups whose cells are all present or all absent, as messages name them.
+_GROUPS = {"accel_k": "accelerometer", "gyro_k": "gyro", "quat": "attitude",
+           "gps_xy": "XY fix", "encoder": "encoder"}
+
+
 class TruthPoint(NamedTuple):
     """Reference state carried alongside a log row."""
 
@@ -52,10 +86,6 @@ class LogData(NamedTuple):
     truth: list[TruthPoint] | None
 
 
-def _format(value: float) -> str:
-    return repr(float(value))
-
-
 def write_log(frames: Sequence[SensorFrame], path, truth=None,
               meta: Sequence[str] | None = None) -> None:
     """Write a sensor stream (optionally with truth columns) as CSV.
@@ -63,58 +93,115 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
     ``truth`` entries only need ``p``, ``v`` and ``gamma`` attributes, so
     both simulator truth samples and re-read :class:`TruthPoint` rows
     work.  ``meta`` lines are written as ``#`` comments above the header.
+
+    Raises
+    ------
+    LogFormatError
+        If ``truth`` and ``frames`` differ in length, a channel value has
+        the wrong number of entries, or a present value is not finite,
+        which :func:`read_log` would refuse (that message names the frame
+        index and the column).  Nothing is written then.
     """
     if truth is not None and len(truth) != len(frames):
         raise LogFormatError(
             f"truth length {len(truth)} does not match {len(frames)} frames")
-    header = FRAME_COLUMNS + (TRUTH_COLUMNS if truth is not None else ())
-    lines = []
-    for line in meta or ():
-        lines.append(f"# {line}")
-    lines.append(",".join(header))
-    for i, frame in enumerate(frames):
-        cells = [_format(frame.t)]
-        for name, width in (("accel_k", 3), ("gyro_k", 3), ("quat", 4), ("gps_xy", 2)):
-            value = getattr(frame, name)
-            cells += [""] * width if value is None else [_format(v) for v in value]
-        cells.append("" if frame.baro_z is None else _format(frame.baro_z))
-        if frame.encoder is None:
-            cells += ["", ""]
-        else:
-            cells += [_format(frame.encoder.theta_b), _format(frame.encoder.phi_b)]
-        cells.append("" if frame.wind_speed is None else _format(frame.wind_speed))
-        if truth is not None:
-            s = truth[i]
-            cells += [_format(v) for v in s.p]
-            cells += [_format(v) for v in s.v]
-            cells.append(_format(s.gamma))
-        lines.append(",".join(cells))
+    records = [(frames, _FRAME_SPANS)]
+    header = FRAME_COLUMNS
+    if truth is not None:
+        records.append((truth, _TRUTH_SPANS))
+        header += TRUTH_COLUMNS
+    table = np.full((len(frames), len(header)), math.nan)
+    present = np.zeros(table.shape, dtype=bool)
+    for items, spans in records:
+        for name, cols in spans:
+            values = [getattr(item, name) for item in items]
+            rows = [i for i, value in enumerate(values) if value is not None]
+            width = cols.stop - cols.start
+            try:
+                table[rows, cols] = np.array([values[i] for i in rows],
+                                             dtype=float).reshape(len(rows), width)
+            except ValueError:
+                raise LogFormatError(f"every {name} value must hold {width} numbers") from None
+            present[rows, cols] = True
+    bad = present & ~np.isfinite(table)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise LogFormatError(
+            f"frame {i}: non-finite value {float(table[i, j])!r} in column {header[j]}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {line}\n" for line in meta or ())
+        fh.write(",".join(header) + "\n")
+        # Every nan left in the table is an absent cell, and no finite
+        # float's repr contains "nan", so blanking "nan" empties exactly those.
+        fh.writelines((",".join(map(repr, row.tolist())) + "\n").replace("nan", "")
+                      for row in table)
 
 
-def _parse_cell(cell: str, lineno: int) -> float | None:
-    cell = cell.strip()
-    if not cell:
-        return None
+def _floats(cells: list[str]) -> list[float] | None:
+    """Each cell as a float, 0.0 for an empty one; None if one does not parse."""
     try:
-        value = float(cell)
+        return [float(cell) if cell else 0.0 for cell in cells]
     except ValueError:
-        raise LogFormatError(f"line {lineno}: bad number {cell!r}") from None
-    if not math.isfinite(value):
-        raise LogFormatError(f"line {lineno}: non-finite number {cell!r}")
-    return value
-
-
-def _take(values, lineno: int, count: int, what: str):
-    """Pop ``count`` cells that must be all present or all absent."""
-    cells = [values.pop(0) for _ in range(count)]
-    present = [c is not None for c in cells]
-    if not any(present):
         return None
-    if not all(present):
-        raise LogFormatError(f"line {lineno}: partial {what} sample")
-    return cells
+
+
+def _cell_error(cells: list[str], lineno: int) -> str | None:
+    """The message for the leftmost cell that is neither empty nor a
+    finite number, or None if there is none."""
+    for cell in cells:
+        cell = cell.strip()
+        if not cell:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"line {lineno}: bad number {cell!r}"
+        if not math.isfinite(value):
+            return f"line {lineno}: non-finite number {cell!r}"
+    return None
+
+
+def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool) -> tuple[int, str] | None:
+    """The index and message of the first row that fails a row check.
+
+    A row's checks are tried in the order a line-by-line reader applies
+    them: timestamp present, time increasing past the previous row,
+    each channel group whole, truth complete.
+    """
+    t = table[:, 0]
+    stalled = np.zeros(len(t), dtype=bool)
+    stalled[1:] = t[1:] <= t[:-1]
+    faults, messages = [empty[:, 0], stalled], ["missing timestamp", None]
+    for name, cols in _FRAME_SPANS:
+        if name in _GROUPS:
+            absent = empty[:, cols]
+            faults.append(absent.any(axis=1) & ~absent.all(axis=1))
+            messages.append(f"partial {_GROUPS[name]} sample")
+    if has_truth:
+        faults.append(empty[:, len(FRAME_COLUMNS):].any(axis=1))
+        messages.append("incomplete truth row")
+    faulty = np.vstack(faults)
+    rows = np.flatnonzero(faulty.any(axis=0))
+    if rows.size == 0:
+        return None
+    row = int(rows[0])
+    message = messages[int(np.argmax(faulty[:, row]))]
+    if message is None:
+        message = f"time {float(t[row])} does not increase past {float(t[row - 1])}"
+    return row, message
+
+
+def _column(table: np.ndarray, empty: np.ndarray, name: str, cols: slice) -> list:
+    """One field of every row: None where its cells are empty, otherwise a
+    float, an :class:`EncoderReading` or a row of one ``(n, k)`` copy."""
+    if cols.stop - cols.start == 1:
+        values = table[:, cols.start].tolist()
+    elif name == "encoder":
+        values = list(map(EncoderReading, *table[:, cols].T.tolist()))
+    else:
+        values = list(table[:, cols].copy())
+    present = (~empty[:, cols.start]).tolist()
+    return [value if here else None for value, here in zip(values, present)]
 
 
 def read_log(path) -> LogData:
@@ -124,15 +211,17 @@ def read_log(path) -> LogData:
     ------
     LogFormatError
         On an unrecognized header, a malformed row, a non-finite cell
-        (``nan``, ``inf``), a partially present channel group, or
-        timestamps that do not strictly increase.  The message carries
-        the 1-based line number.
+        (``nan``, ``inf``, an overflowing ``1e999``), a partially present
+        channel group, or timestamps that do not strictly increase.  The
+        message carries the 1-based line number of the earliest offending
+        line.
     """
-    frames: list[SensorFrame] = []
-    truth: list[TruthPoint] = []
     header: tuple[str, ...] | None = None
     has_truth = False
-    last_t = None
+    values_buf = array.array("d")
+    empty_buf = bytearray()
+    linenos: list[int] = []
+    cell_error = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -150,42 +239,40 @@ def read_log(path) -> LogData:
                 continue
             cells = line.split(",")
             if len(cells) != len(header):
-                raise LogFormatError(
-                    f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-            values = [_parse_cell(c, lineno) for c in cells]
-            t = values.pop(0)
-            if t is None:
-                raise LogFormatError(f"line {lineno}: missing timestamp")
-            if last_t is not None and t <= last_t:
-                raise LogFormatError(
-                    f"line {lineno}: time {t} does not increase past {last_t}")
-            last_t = t
-            accel = _take(values, lineno, 3, "accelerometer")
-            gyro = _take(values, lineno, 3, "gyro")
-            quat = _take(values, lineno, 4, "attitude")
-            gps = _take(values, lineno, 2, "XY fix")
-            baro = values.pop(0)
-            enc = _take(values, lineno, 2, "encoder")
-            wind = values.pop(0)
-            frames.append(SensorFrame(
-                t=t,
-                accel_k=None if accel is None else np.array(accel),
-                gyro_k=None if gyro is None else np.array(gyro),
-                quat=None if quat is None else np.array(quat),
-                gps_xy=None if gps is None else np.array(gps),
-                baro_z=baro,
-                encoder=None if enc is None else EncoderReading(*enc),
-                wind_speed=wind,
-            ))
-            if has_truth:
-                if any(v is None for v in values):
-                    raise LogFormatError(f"line {lineno}: incomplete truth row")
-                truth.append(TruthPoint(
-                    t=t, p=np.array(values[0:3]), v=np.array(values[3:6]),
-                    gamma=values[6]))
+                cell_error = f"line {lineno}: expected {len(header)} cells, got {len(cells)}"
+                break
+            values = _floats(cells)
+            if values is None:
+                # A whitespace-only cell is empty; anything else is a bad number.
+                cells = [cell.strip() for cell in cells]
+                values = _floats(cells)
+            # A non-finite sum flags a row that may hold a nan or inf cell.
+            if values is None or not math.isfinite(sum(values)):
+                cell_error = _cell_error(cells, lineno)
+                if cell_error is not None:
+                    break
+            values_buf.extend(values)
+            empty_buf.extend(map(operator.not_, cells))
+            linenos.append(lineno)
     if header is None:
         raise LogFormatError("no header line found")
-    return LogData(frames, truth if has_truth else None)
+    table = np.frombuffer(values_buf).reshape(len(linenos), len(header))
+    empty = np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
+    table[empty] = math.nan
+    # Every row in the table comes before the line of a cell error.
+    fault = _row_fault(table, empty, has_truth)
+    if fault is not None:
+        row, message = fault
+        raise LogFormatError(f"line {linenos[row]}: {message}")
+    if cell_error is not None:
+        raise LogFormatError(cell_error)
+    columns = [_column(table, empty, name, cols) for name, cols in _FRAME_SPANS]
+    frames = [SensorFrame(*fields) for fields in zip(*columns)]
+    if not has_truth:
+        return LogData(frames, None)
+    truth = [TruthPoint(*fields) for fields in zip(
+        columns[0], *(_column(table, empty, name, cols) for name, cols in _TRUTH_SPANS))]
+    return LogData(frames, truth)
 
 
 def rmse(a, b, angular: bool = False) -> float:

@@ -23,7 +23,7 @@ one knob scales every speed and acceleration together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,14 @@ DEG = math.pi / 180.0
 _BLOCK = 512
 
 
+def _require_finite(spec) -> None:
+    """Reject a dataclass instance with a nan or infinite field, by name."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if not math.isfinite(value):
+            raise DomainError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TrajectoryParams:
     """Figure-eight pattern on the tether sphere.
@@ -51,7 +59,8 @@ class TrajectoryParams:
         phi(t)   = phi0   + a_phi   * sin(2 pi f s t)
 
     with ``s`` the speed scale.  ``f_loop`` is the azimuth frequency at
-    unit speed scale, i.e. full eights per second.
+    unit speed scale, i.e. full eights per second.  Every field must be
+    finite; a ``DomainError`` names the first one that is not.
 
     Attributes
     ----------
@@ -86,6 +95,7 @@ class TrajectoryParams:
     theta_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.r > 0.0:
             raise DomainError(f"tether length must be positive, got {self.r}")
         if not self.f_loop > 0.0 or not self.speed_scale > 0.0:
@@ -198,7 +208,8 @@ class NoiseSpec:
     sampling bandwidth (half the tick rate).  Bias limits are the half
     width of a uniform draw made once per record.  A rate of zero removes
     the channel entirely; a zero resolution or line count disables the
-    corresponding quantization.
+    corresponding quantization.  Every field must be finite; a
+    ``DomainError`` names the first one that is not.
 
     Attributes
     ----------
@@ -243,6 +254,9 @@ class NoiseSpec:
     attitude_rms_deg: float = 1.0
     encoder_cpr: int = 400
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
 
     @classmethod
     def none(cls, seed: int = 0) -> "NoiseSpec":

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import time
 
@@ -9,8 +10,9 @@ import pytest
 
 from kitefusion import cli
 from kitefusion.cli import CONFIG_KEYS, ESTIMATE_HEADER, build_estimator_config, load_config, main
+from kitefusion.evalio import read_log
 from kitefusion.lineangle import EncoderGeometry
-from kitefusion.pipelines import EstimatorConfig
+from kitefusion.pipelines import EstimationPipeline, EstimatorConfig
 from kitefusion.simkite import NoiseSpec, TrajectoryParams
 
 BASE_CONFIG = """\
@@ -31,6 +33,23 @@ def sim_log(tmp_path):
     log = tmp_path / "flight.csv"
     assert main(["simulate", "--config", cfg, "--out", str(log)]) == 0
     return log
+
+
+def per_cell_estimate_csv(log, config) -> str:
+    """The previous ``estimate`` row writer: one ``repr`` per cell."""
+    pipeline = EstimationPipeline(config)
+    lines = [ESTIMATE_HEADER]
+    for frame in log.frames:
+        out = pipeline.step(frame)
+        if out is None:
+            continue
+        cells = [repr(out.t)]
+        cells += [repr(float(v)) for v in out.p_hat]
+        cells += [repr(float(v)) for v in out.v_hat]
+        cells += [repr(out.theta_hat), repr(out.phi_hat),
+                  repr(out.gamma_hat), repr(out.gamma_dot_hat)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 class TestSimulate:
@@ -71,6 +90,23 @@ class TestSimulate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_noise_exits_2_without_a_log(self, tmp_path, capsys):
+        """A finite but huge fix deviation draws infinite fixes; the writer
+        refuses them, as the reader would, before it creates the file."""
+        cfg = write(tmp_path / "c.cfg", BASE_CONFIG + "gps_sigma_xy = 1e308\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite value" in err and "column gps_" in err
+        assert not out.exists()
+
+    def test_seeded_log_bytes_pinned(self, tmp_path):
+        cfg = write(tmp_path / "c.cfg", "duration = 3.0\napproach = 3\n")
+        out = tmp_path / "pinned.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "11"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e8960e767ea2388c45633a15ea2fa5309477ebdfe75cd60c280e5187ad2752f4")
+
 
 class TestEstimate:
     def test_output_layout_and_determinism(self, tmp_path, sim_log):
@@ -92,6 +128,17 @@ class TestEstimate:
                      "--out", str(out1)]) == 0
         assert main(["estimate", "--log", str(sim_log), "--out", str(out3)]) == 0
         assert out1.read_bytes() != out3.read_bytes()
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_bytes_match_per_cell_formatter(self, tmp_path, approach):
+        """The row writer formats each output the way the per-cell
+        formatter it replaced did, byte for byte."""
+        cfg = write(tmp_path / "c.cfg", f"duration = 4.0\nseed = 3\napproach = {approach}\n")
+        log, out = tmp_path / "noisy.csv", tmp_path / "estimate.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(log)]) == 0
+        assert main(["estimate", "--config", cfg, "--log", str(log), "--out", str(out)]) == 0
+        config = build_estimator_config(load_config(cfg))
+        assert out.read_bytes() == per_cell_estimate_csv(read_log(log), config).encode()
 
     def test_missing_log_exits_2(self, tmp_path, capsys):
         code = main(["estimate", "--log", str(tmp_path / "nope.csv"),

@@ -4,15 +4,20 @@ import bisect
 import dataclasses
 import functools
 import math
+import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kitefusion.errors import DomainError, LogFormatError
 from kitefusion.evalio import (
     FRAME_COLUMNS,
     QUANTITIES,
+    TRUTH_COLUMNS,
     LogData,
     ReportRow,
     RmseReport,
@@ -188,6 +193,45 @@ class TestReadValidation:
             read_log(path)
 
 
+class TestWriteFiniteRule:
+    """The writer refuses what the reader would refuse, before it opens
+    the file, naming the frame index and the column."""
+
+    def test_nan_attitude_rejected(self, tmp_path):
+        frames, truth = small_record(duration=0.2)
+        frames[3] = dataclasses.replace(frames[3], quat=np.array([math.nan, 0.0, 0.0, 1.0]))
+        path = tmp_path / "bad.csv"
+        with pytest.raises(LogFormatError, match="frame 3: non-finite value nan in column q1"):
+            write_log(frames, path, truth=truth)
+        assert not path.exists()
+
+    def test_infinite_truth_rejected(self, tmp_path):
+        frames, truth = small_record(duration=0.2)
+        truth[5] = truth[5]._replace(gamma=-math.inf)
+        path = tmp_path / "bad.csv"
+        with pytest.raises(LogFormatError, match="frame 5: .* -inf in column truth_gamma"):
+            write_log(frames, path, truth=truth)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("frame", [
+        SensorFrame(t=0.0, accel_k=np.array([1.0, 2.0])),
+        SensorFrame(t=0.0, baro_z="twelve"),
+    ])
+    def test_malformed_channel_rejected(self, tmp_path, frame):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(LogFormatError, match="value must hold"):
+            write_log([frame], path)
+        assert not path.exists()
+
+    def test_earliest_frame_then_leftmost_column_named(self, tmp_path):
+        frames = [SensorFrame(t=0.0, baro_z=math.inf),
+                  SensorFrame(t=0.02, gps_xy=np.array([1.0, math.nan]), wind_speed=math.nan)]
+        with pytest.raises(LogFormatError, match="frame 0: non-finite value inf in column baro_z"):
+            write_log(frames, tmp_path / "bad.csv")
+        with pytest.raises(LogFormatError, match="frame 0: .* in column gps_y"):
+            write_log(frames[1:], tmp_path / "bad.csv")
+
+
 class TestRmse:
     def test_plain(self):
         assert_allclose(rmse([0.0, 3.0, 4.0], [0.0, 0.0, 0.0]),
@@ -355,3 +399,247 @@ class TestTabulationMatchesPerSample:
         got = compare_approaches(log, configs)
         assert repr(got) == repr(per_sample_report(log, configs, (2.0, 3.0, 4.0), 2.0))
         assert all(math.isnan(v) for row in got.rows for v in row.values)
+
+
+# The line-by-line reader that the table reader replaced, kept as the
+# oracle for what ``read_log`` returns and which message it raises.
+
+def _reference_parse_cell(cell: str, lineno: int) -> float | None:
+    cell = cell.strip()
+    if not cell:
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        raise LogFormatError(f"line {lineno}: bad number {cell!r}") from None
+    if not math.isfinite(value):
+        raise LogFormatError(f"line {lineno}: non-finite number {cell!r}")
+    return value
+
+
+def _reference_take(values, lineno: int, count: int, what: str):
+    cells = [values.pop(0) for _ in range(count)]
+    present = [c is not None for c in cells]
+    if not any(present):
+        return None
+    if not all(present):
+        raise LogFormatError(f"line {lineno}: partial {what} sample")
+    return cells
+
+
+def line_by_line_read_log(path) -> LogData:
+    frames, truth = [], []
+    header = None
+    has_truth = False
+    last_t = None
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                cols = tuple(c.strip() for c in line.split(","))
+                if cols == FRAME_COLUMNS:
+                    has_truth = False
+                elif cols == FRAME_COLUMNS + TRUTH_COLUMNS:
+                    has_truth = True
+                else:
+                    raise LogFormatError(f"line {lineno}: unrecognized header")
+                header = cols
+                continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise LogFormatError(
+                    f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
+            values = [_reference_parse_cell(c, lineno) for c in cells]
+            t = values.pop(0)
+            if t is None:
+                raise LogFormatError(f"line {lineno}: missing timestamp")
+            if last_t is not None and t <= last_t:
+                raise LogFormatError(
+                    f"line {lineno}: time {t} does not increase past {last_t}")
+            last_t = t
+            accel = _reference_take(values, lineno, 3, "accelerometer")
+            gyro = _reference_take(values, lineno, 3, "gyro")
+            quat = _reference_take(values, lineno, 4, "attitude")
+            gps = _reference_take(values, lineno, 2, "XY fix")
+            baro = values.pop(0)
+            enc = _reference_take(values, lineno, 2, "encoder")
+            wind = values.pop(0)
+            frames.append(SensorFrame(
+                t=t,
+                accel_k=None if accel is None else np.array(accel),
+                gyro_k=None if gyro is None else np.array(gyro),
+                quat=None if quat is None else np.array(quat),
+                gps_xy=None if gps is None else np.array(gps),
+                baro_z=baro,
+                encoder=None if enc is None else EncoderReading(*enc),
+                wind_speed=wind,
+            ))
+            if has_truth:
+                if any(v is None for v in values):
+                    raise LogFormatError(f"line {lineno}: incomplete truth row")
+                truth.append(TruthPoint(
+                    t=t, p=np.array(values[0:3]), v=np.array(values[3:6]),
+                    gamma=values[6]))
+    if header is None:
+        raise LogFormatError("no header line found")
+    return LogData(frames, truth if has_truth else None)
+
+
+def _bits(value):
+    """A value as its exact bits and type: a Python float, a float64
+    array, an encoder reading, or None."""
+    if value is None:
+        return None
+    if isinstance(value, EncoderReading):
+        return ("encoder", _bits(value.theta_b), _bits(value.phi_b))
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    assert type(value) is float, type(value)
+    return value.hex()
+
+
+def log_bits(log: LogData):
+    frames = [tuple(_bits(getattr(frame, field.name)) for field in dataclasses.fields(frame))
+              for frame in log.frames]
+    truth = None if log.truth is None else [tuple(map(_bits, s)) for s in log.truth]
+    return frames, truth
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: its exact frames and truth, or the
+    message it raises."""
+    try:
+        return log_bits(reader(path))
+    except LogFormatError as exc:
+        return str(exc)
+
+
+CORRUPT_CELLS = ("", " ", "nan", "NaN", "inf", "-inf", "1e999", "-1e400", "twelve",
+                 "1_0", " 1.5 ", "\t", "\x1c2.5")
+CHANNELS = [[FRAME_COLUMNS.index(name) for name in names] for names in (
+    ("ax", "ay", "az"), ("wx", "wy", "wz"), ("q1", "q2", "q3", "q4"),
+    ("gps_x", "gps_y"), ("baro_z",), ("enc_theta", "enc_phi"), ("wind",))]
+
+
+def corrupt(lines: list[str], first: int, rng) -> list[str]:
+    """One to three seeded corruptions of the data rows from ``first`` on:
+    a replaced or deleted cell, a blanked channel, a swapped or repeated
+    timestamp, an inserted comment or blank line, or a replaced
+    timestamp."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(8)
+        row = rng.randrange(first, len(lines))
+        cells = lines[row].split(",")
+        if kind in (0, 1):
+            cells[rng.randrange(len(cells))] = rng.choice(CORRUPT_CELLS)
+        elif kind == 2:
+            del cells[rng.randrange(len(cells))]
+        elif kind == 3:
+            for col in rng.choice(CHANNELS):
+                if col < len(cells):
+                    cells[col] = ""
+        elif kind in (4, 5) and row + 1 < len(lines):
+            after = lines[row + 1].split(",")
+            if kind == 4:
+                cells[0], after[0] = after[0], cells[0]
+            else:
+                after[0] = cells[0]
+            lines[row + 1] = ",".join(after)
+        elif kind == 6:
+            lines.insert(row, rng.choice(("# inserted", "", "   ", "#")))
+            continue
+        elif kind == 7:
+            cells[0] = rng.choice(CORRUPT_CELLS)
+        lines[row] = ",".join(cells)
+    return lines
+
+
+class TestTableReaderMatchesLineByLine:
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("block", range(4))
+    def test_corruption_sweep(self, tmp_path, with_truth, block):
+        """Over seeded corruptions of short logs the table reader returns
+        bit-identical frames and truth, or raises the identical message."""
+        frames, truth = small_record(duration=0.5)
+        clean = tmp_path / "clean.csv"
+        write_log(frames, clean, truth=truth if with_truth else None, meta=["seed 2"])
+        lines = clean.read_text().splitlines()
+        rng = random.Random(1000 * block + with_truth)
+        path = tmp_path / "corrupt.csv"
+        seen, mismatches = set(), []
+        for case in range(250):
+            path.write_text("\n".join(corrupt(lines, 2, rng)) + "\n")
+            expected = outcome(line_by_line_read_log, path)
+            got = outcome(read_log, path)
+            if got != expected:
+                mismatches.append((case, path.read_text(), expected, got))
+            seen.add("ok" if isinstance(expected, tuple) else expected.split(": ")[1].split()[0])
+        assert not mismatches, mismatches[0]
+        # The sweep reaches clean reads and every class of fault.
+        assert {"ok", "expected", "bad", "non-finite", "missing", "time", "partial"} <= seen
+
+    def test_clean_logs_identical(self, tmp_path):
+        frames, truth = small_record(duration=1.0)
+        for kept in (truth, None):
+            path = tmp_path / "clean.csv"
+            write_log(frames, path, truth=kept)
+            assert outcome(read_log, path) == outcome(line_by_line_read_log, path)
+
+    @pytest.mark.parametrize("body, message", [
+        # An earlier row fault wins over a later unparsable line.
+        ("0.0" + ",," * 8 + "\n0.0" + ",," * 8 + "\n1.0,x\n", "line 3: time 0.0"),
+        ("0.0,1.0" + ",," * 7 + "," + "\n0.1,twelve" + ",," * 7 + "," + "\n",
+         "line 2: partial accelerometer"),
+        # Within a line, a bad cell wins over the row checks.
+        (",nan" + ",," * 7 + ",\n", "line 2: non-finite number 'nan'"),
+        # An overflowing literal is a non-finite value, not a number.
+        ("1e999" + ",," * 8 + "\n", "line 2: non-finite number '1e999'"),
+        # A finite row whose sum overflows is still a good row.
+        ("1e308," * 5 + "," * 11 + "\n", "line 2: partial gyro"),
+    ])
+    def test_fault_precedence(self, tmp_path, body, message):
+        path = write_text(tmp_path, HEADER_LINE + "\n" + body)
+        with pytest.raises(LogFormatError, match=re.escape(message)):
+            read_log(path)
+        assert outcome(line_by_line_read_log, path) == outcome(read_log, path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def vectors(width: int):
+    return st.none() | st.lists(finite, min_size=width, max_size=width).map(np.array)
+
+
+@st.composite
+def recorded_logs(draw):
+    times = sorted(draw(st.lists(finite, max_size=6, unique=True)))
+    frames = [SensorFrame(
+        t=t, accel_k=draw(vectors(3)), gyro_k=draw(vectors(3)), quat=draw(vectors(4)),
+        gps_xy=draw(vectors(2)), baro_z=draw(st.none() | finite),
+        encoder=draw(st.none() | st.builds(EncoderReading, finite, finite)),
+        wind_speed=draw(st.none() | finite)) for t in times]
+    truth = None
+    if draw(st.booleans()):
+        truth = [TruthPoint(t, draw(vectors(3).filter(lambda v: v is not None)),
+                            draw(vectors(3).filter(lambda v: v is not None)), draw(finite))
+                 for t in times]
+    return LogData(frames, truth)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(log=recorded_logs())
+    def test_write_read_write_identical(self, tmp_path, log):
+        """Any finite log, absent channels included, reads back bit for bit
+        and writes again to the same bytes."""
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_log(log.frames, first, truth=log.truth)
+        back = read_log(first)
+        assert log_bits(back) == log_bits(log)
+        write_log(back.frames, second, truth=back.truth)
+        assert first.read_bytes() == second.read_bytes()

@@ -158,6 +158,24 @@ class TestTrajectoryParams:
         with pytest.raises(DomainError):
             TrajectoryParams(**kwargs)
 
+    @pytest.mark.parametrize("cls, field, value", [
+        (TrajectoryParams, "phi0", math.nan),
+        (TrajectoryParams, "speed_scale", math.inf),
+        (TrajectoryParams, "r", -math.inf),
+        (NoiseSpec, "attitude_rms_deg", math.inf),
+        (NoiseSpec, "gps_sigma_xy", math.nan),
+    ])
+    def test_non_finite_field_named(self, cls, field, value):
+        """A nan or inf field is refused up front, by name, rather than
+        turning into nan samples or a misleading reachability error."""
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            cls(**{field: value})
+
+    def test_finite_extremes_still_accepted(self):
+        # The rule is about nan and inf only; range checks stay as they were.
+        assert NoiseSpec(gps_sigma_xy=1e308).gps_sigma_xy == 1e308
+        assert NoiseSpec.none().attitude_rms_deg == 0.0
+
 
 class TestTruth:
     PARAMS = TrajectoryParams()
