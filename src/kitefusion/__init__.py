@@ -17,14 +17,11 @@ from .errors import (
 from .estimator import (
     KalmanGain,
     KfTuning,
-    KinematicState,
     build_system,
     kalman_gain,
     kf_frequency_response,
-    measurement_update,
     solve_dare,
     steady_state_gain,
-    time_update,
 )
 from .evalio import (
     LogData,
@@ -69,14 +66,11 @@ __all__ = [
     "NonConvergenceError",
     "KalmanGain",
     "KfTuning",
-    "KinematicState",
     "build_system",
     "kalman_gain",
     "kf_frequency_response",
-    "measurement_update",
     "solve_dare",
     "steady_state_gain",
-    "time_update",
     "LogData",
     "RmseReport",
     "TruthPoint",

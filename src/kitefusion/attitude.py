@@ -1,4 +1,4 @@
-"""Attitude representation and strapdown helpers.
+"""Attitude representation and the kinematic relations the package uses.
 
 Quaternions are unit length, scalar first: ``q = [q1, q2, q3, q4]`` with
 ``q1`` the scalar part.  ``quat_to_rot`` maps body (``K``) coordinates to
@@ -7,8 +7,10 @@ through the belly.  Body angular rates are ``[wx, wy, wz]`` in rad/s about
 the body axes.
 
 The onboard unit fuses its own gyro and accelerometer into the attitude
-quaternion; this package consumes that quaternion as a measurement and only
-needs the kinematic relations below.
+quaternion; this package consumes that quaternion as a measurement and does
+not integrate the gyro.  It only needs the relations below: rotation
+matrices, body rates between successive attitudes, and the inertial
+acceleration from the specific force.
 """
 
 from __future__ import annotations
@@ -112,70 +114,15 @@ def rot_to_quat(R: np.ndarray) -> np.ndarray:
     return q.reshape(R.shape[:-2] + (4,))
 
 
-def quat_derivative(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Quaternion time derivative for body rates ``w``.
-
-    Evaluates ``0.5 * Omega(w) @ q`` where ``Omega`` is the linear map of
-    the quaternion kinematic equation used throughout this package.
-    """
-    _check_unit(q)
-    q1, q2, q3, q4 = (float(c) for c in q)
-    wx, wy, wz = (float(c) for c in w)
-    return 0.5 * np.array([
-        -wx * q2 - wy * q3 - wz * q4,
-        wx * q1 - wz * q3 + wy * q4,
-        wy * q1 + wz * q2 - wx * q4,
-        wz * q1 - wy * q2 + wx * q3,
-    ])
-
-
-def quat_propagate(q: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-    """Propagate a quaternion over ``dt`` under constant body rates.
-
-    Uses the closed-form matrix exponential of the kinematic equation,
-    ``q(t+dt) = (cos(a) I + sin(a)/|w| Omega(w)) q(t)`` with
-    ``a = |w| dt / 2``, which is exact for constant rates and preserves the
-    unit norm; the result is renormalised to shed rounding residue.
-
-    Parameters
-    ----------
-    q : array_like, shape (4,)
-        Unit attitude quaternion, scalar first.
-    w : array_like, shape (3,)
-        Body rates in rad/s, held constant over the step.
-    dt : float
-        Step length in s.
-
-    Returns
-    -------
-    numpy.ndarray, shape (4,)
-        Unit quaternion after the step.
-    """
-    _check_unit(q)
-    wx, wy, wz = (float(c) for c in w)
-    n = math.sqrt(wx * wx + wy * wy + wz * wz)
-    if n == 0.0:
-        return np.asarray(q, dtype=float).copy()
-    a = 0.5 * n * dt
-    c = math.cos(a)
-    s = math.sin(a) / n
-    q1, q2, q3, q4 = (float(cmp) for cmp in q)
-    out = np.array([
-        c * q1 + s * (-wx * q2 - wy * q3 - wz * q4),
-        c * q2 + s * (wx * q1 - wz * q3 + wy * q4),
-        c * q3 + s * (wy * q1 + wz * q2 - wx * q4),
-        c * q4 + s * (wz * q1 - wy * q2 + wx * q3),
-    ])
-    return out / math.sqrt(out @ out)
-
-
 def body_rates_between(q0: np.ndarray, q1: np.ndarray, dt: float) -> np.ndarray:
     """Constant body rates that carry ``q0`` to ``q1`` in one step of ``dt``.
 
-    Exact inverse of :func:`quat_propagate`; the two quaternions must be on
-    the same sign branch (``q0 . q1 >= 0``) for the short-way rotation.
-    Takes one pair, shape (4,), or stacks of pairs, shape (n, 4), and
-    returns shape (3,) or (n, 3) to match.
+    Exact inverse of propagation under constant rates, ``q1 = (cos(a) I +
+    sin(a)/|w| Omega(w)) q0`` with ``a = |w| dt / 2`` and ``Omega`` the
+    linear map of the quaternion kinematic equation.  The two quaternions
+    must be on the same sign branch (``q0 . q1 >= 0``) for the short-way
+    rotation.  Takes one pair, shape (4,), or stacks of pairs, shape
+    (n, 4), and returns shape (3,) or (n, 3) to match.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
@@ -204,34 +151,14 @@ def body_rates_between(q0: np.ndarray, q1: np.ndarray, dt: float) -> np.ndarray:
     return (e * scale[:, None]).reshape(shape)
 
 
-def accel_to_inertial(a_k: np.ndarray, q: np.ndarray, phi_g: float) -> np.ndarray:
+def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, float]:
     """Inertial acceleration in ``G`` from body-frame specific force.
 
     Rotates the accelerometer reading into ``G`` through NED and restores
-    gravity.  A wing at rest with ``K`` aligned to NED reads
-    ``[0, 0, GRAVITY]`` and maps to zero inertial acceleration.
-
-    Parameters
-    ----------
-    a_k : array_like, shape (3,)
-        Specific force in body coordinates in m/s^2.
-    q : array_like, shape (4,)
-        Unit attitude quaternion (body to NED), scalar first.
-    phi_g : float
-        Heading of the downwind axis from north in rad.
-
-    Returns
-    -------
-    numpy.ndarray, shape (3,)
-        Acceleration of the wing in ``G`` in m/s^2.
-    """
-    return np.array(inertial_accel(a_k, q, math.cos(phi_g), math.sin(phi_g)))
-
-
-def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, float]:
-    """:func:`accel_to_inertial` on plain floats, for a heading given by
-    its cosine and sine so that a caller with a fixed heading computes
-    them once.
+    gravity: a wing at rest with ``K`` aligned to NED reads
+    ``[0, 0, GRAVITY]`` and maps to zero.  The heading ``phi_g`` of the
+    downwind axis from north is given by its cosine and sine, so that a
+    caller with a fixed heading computes them once.
 
     ``a_k`` and ``q`` are sequences of 3 and 4 floats.  The rotations are
     summed term by term, so the result can differ from the matrix

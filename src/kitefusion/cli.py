@@ -135,7 +135,7 @@ def cmd_estimate(args) -> None:
         out = pipeline.step(frame)
         if out is None:
             continue
-        row = [out.t, *out.p_hat.tolist(), *out.v_hat.tolist(),
+        row = [out.t, *out.p_hat, *out.v_hat,
                out.theta_hat, out.phi_hat, out.gamma_hat, out.gamma_dot_hat]
         lines.append(",".join(map(repr, row)))
     with open(args.out, "w") as fh:

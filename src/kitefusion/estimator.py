@@ -14,7 +14,8 @@ trust the position sensor up to higher frequencies, small ratios lean on
 the accelerometer path.  The three axes are decoupled, so the six-state
 problem splits into three independent two-state problems; the production
 gain synthesis exploits that and solves three 2x2 fixed points instead
-of one 6x6, and the recursion runs per axis on plain floats.
+of one 6x6, and :class:`~kitefusion.pipelines.EstimationPipeline` runs
+the recursion per axis on plain floats.
 """
 
 from __future__ import annotations
@@ -26,15 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-
-
-class KinematicState(NamedTuple):
-    """Estimated position and velocity in ``G``, metres and m/s: two lists
-    of three floats each, which :func:`time_update` and
-    :func:`measurement_update` change in place."""
-
-    p: list[float]
-    v: list[float]
 
 
 class KfTuning(NamedTuple):
@@ -54,7 +46,8 @@ class KalmanGain(NamedTuple):
     @property
     def axis_gains(self) -> tuple[tuple[float, float], ...]:
         """Per-axis ``(k1, k2)``: the position and velocity gains of each
-        decoupled axis, as :func:`measurement_update` takes them."""
+        decoupled axis, with which a position error ``e`` corrects the
+        axis as ``p += k1 * e``, ``v += k2 * e``."""
         K = self.gain
         return tuple((float(K[axis, axis]), float(K[axis + 3, axis])) for axis in range(3))
 
@@ -193,53 +186,6 @@ def steady_state_gain(tuning: KfTuning) -> KalmanGain:
         P[axis + 3, axis] = P2[1, 0]
         P[axis + 3, axis + 3] = P2[1, 1]
     return KalmanGain(K, P)
-
-
-def time_update(state: KinematicState, a_g, ts: float) -> None:
-    """Advance the state one sample under acceleration ``a_g``, in place.
-
-    Per axis, ``p += ts * v`` then ``v += ts * a``: the stacked form
-    ``x <- A x + B a`` exactly, since position uses the pre-update
-    velocity.
-    """
-    p, v = state
-    ax, ay, az = a_g
-    p[0] += ts * v[0]
-    p[1] += ts * v[1]
-    p[2] += ts * v[2]
-    v[0] += ts * ax
-    v[1] += ts * ay
-    v[2] += ts * az
-
-
-def measurement_update(state: KinematicState, p_meas, gains,
-                       axes: tuple[int, ...] = (0, 1, 2)) -> None:
-    """Correct a predicted state with a position measurement, in place.
-
-    Parameters
-    ----------
-    state : KinematicState
-        Predicted state.
-    p_meas : sequence of float, length 3
-        Measured position in ``G``; components outside ``axes`` are ignored.
-    gains : sequence of (float, float)
-        Per-axis ``(k1, k2)``, e.g. :attr:`KalmanGain.axis_gains` of the
-        gain from :func:`steady_state_gain`.
-    axes : tuple of int, optional
-        Position components present in this measurement (e.g. ``(2,)`` for
-        a barometric sample); all three by default.
-
-    Each listed axis is corrected on its own, ``e = z - p``,
-    ``p += k1 * e``, ``v += k2 * e``, because the per-axis gains are
-    decoupled; the other axes are left untouched, so a non-finite
-    component cannot leak into them.
-    """
-    p, v = state
-    for axis in axes:
-        k1, k2 = gains[axis]
-        e = p_meas[axis] - p[axis]
-        p[axis] += k1 * e
-        v[axis] += k2 * e
 
 
 def kf_frequency_response(tuning: KfTuning, axis: int,

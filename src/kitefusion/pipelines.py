@@ -29,15 +29,9 @@ import numpy as np
 
 from .attitude import inertial_accel
 from .errors import DegenerateInputError, DomainError, LogFormatError
-from .frames import spherical_to_cartesian, velocity_angle, wrap_angle
+from .frames import TWO_PI
 from .lineangle import EncoderGeometry, EncoderReading, encoder_to_angles
-from .estimator import (
-    KfTuning,
-    KinematicState,
-    measurement_update,
-    steady_state_gain,
-    time_update,
-)
+from .estimator import KfTuning, steady_state_gain
 
 
 @dataclass
@@ -134,16 +128,21 @@ class EstimatorConfig:
 
 
 class EstimateOutput(NamedTuple):
-    """Per-sample estimate: position/velocity in ``G``, sphere angles and
-    the smoothed velocity angle with its rate."""
+    """Per-sample estimate: position/velocity in ``G`` as tuples of three
+    floats, sphere angles and the smoothed velocity angle with its rate."""
 
     t: float
-    p_hat: np.ndarray
-    v_hat: np.ndarray
+    p_hat: tuple[float, float, float]
+    v_hat: tuple[float, float, float]
     theta_hat: float
     phi_hat: float
     gamma_hat: float
     gamma_dot_hat: float
+
+
+# Builds an EstimateOutput from one tuple of its fields, skipping the
+# Python-level __new__ of the named tuple.
+_output = tuple.__new__
 
 
 def geometric_correction(p_tilde: np.ndarray, r: float) -> np.ndarray:
@@ -164,7 +163,8 @@ def geometric_correction(p_tilde: np.ndarray, r: float) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``|p_tilde[2]| > r`` (no elevation angle exists).
+        If ``|p_tilde[2]| > r`` or the height is not finite (no elevation
+        angle exists).
     DegenerateInputError
         If the XY components are both exactly zero (no direction to keep).
     """
@@ -172,7 +172,7 @@ def geometric_correction(p_tilde: np.ndarray, r: float) -> np.ndarray:
     if not r > 0.0:
         raise DomainError(f"radius must be positive, got {r}")
     ratio = p_tilde[2] / r
-    if abs(ratio) > 1.0 + 1e-9:
+    if not abs(ratio) <= 1.0 + 1e-9:
         raise DomainError(f"height {p_tilde[2]} outside sphere of radius {r}")
     ratio = min(1.0, max(-1.0, ratio))
     horizontal = math.hypot(p_tilde[0], p_tilde[1])
@@ -180,41 +180,6 @@ def geometric_correction(p_tilde: np.ndarray, r: float) -> np.ndarray:
         raise DegenerateInputError("XY components are zero; direction undefined")
     scale = r * math.cos(math.asin(ratio)) / horizontal
     return np.array([p_tilde[0] * scale, p_tilde[1] * scale, p_tilde[2]])
-
-
-def gamma_unfiltered(v_hat, theta_hat: float, phi_hat: float) -> float:
-    """Velocity angle implied by a ground-frame velocity at given sphere
-    angles: rotate into the local tangent frame and take the heading of
-    the tangential component.
-
-    Only the two tangent components are formed, as the first two rows of
-    :func:`~kitefusion.frames.rot_g_to_l` applied to ``v_hat``, summed
-    term by term.
-
-    Raises
-    ------
-    DegenerateInputError
-        If both tangent components are exactly zero.
-    """
-    vx, vy, vz = v_hat
-    st, ct = math.sin(theta_hat), math.cos(theta_hat)
-    sp, cp = math.sin(phi_hat), math.cos(phi_hat)
-    return velocity_angle((-st * cp * vx - st * sp * vy + ct * vz, -sp * vx + cp * vy))
-
-
-def luenberger_step(obs_state, gamma_meas: float,
-                    k_gamma: tuple[float, float], ts: float) -> tuple[float, float]:
-    """One predictor-form step of the velocity-angle tracking observer.
-
-    The observer state is ``(angle, rate)``; the angle is integrated
-    without wrapping while the innovation is wrapped, so the state may
-    drift outside (-pi, pi] during sustained rotation.
-
-    Returns the state predicted for the next sample.
-    """
-    angle, rate = obs_state
-    innovation = wrap_angle(gamma_meas - angle)
-    return angle + ts * rate + k_gamma[0] * innovation, rate + k_gamma[1] * innovation
 
 
 def lo_frequency_response(k_gamma: tuple[float, float], ts: float,
@@ -260,33 +225,49 @@ class EstimationPipeline:
     samples that cannot be used (sphere-correction degeneracies, vertical
     tether readings) are dropped rather than aborting the run.
 
-    The filter state is six Python floats, position and velocity per
-    axis, and each tick runs three decoupled two-state recursions on
-    them with the per-axis gains ``(k1, k2)`` read once from
-    :func:`~kitefusion.estimator.steady_state_gain`.  The heading of the
-    ground frame enters only as its cosine and sine, computed once, and
-    the observer state is a float pair.  Only the emitted estimate and
-    ``last_measurement`` are numpy arrays.
+    The filter state is six float attributes, position and velocity per
+    axis.  Each tick runs three decoupled two-state recursions on them
+    with the per-axis gains ``(k1, k2)`` read once from
+    :func:`~kitefusion.estimator.steady_state_gain`, then derives the
+    sphere angles and the velocity angle and steps the observer, all in
+    one straight-line pass on floats.  The heading of the ground frame
+    enters only as its cosine and sine, computed once, and the routing's
+    measurement handler is chosen once.  A tick that raises
+    ``DomainError`` (a non-unit quaternion, a NaN encoder reading)
+    changes no filter state, though its time counts for the
+    increasing-time check.
 
     Attributes
     ----------
     last_measurement : tuple or None
         ``(p_meas, axes)`` of the final position correction applied in
-        the most recent step, ``None`` if that step applied none.
+        the most recent step, ``p_meas`` a new ndarray of shape (3,) built
+        when the attribute is read; ``None`` if that step applied none.
     """
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
         self.gain = steady_state_gain(KfTuning(config.ts, tuple(config.ratios)))
         self._gains = self.gain.axis_gains
-        self._heading = (math.cos(config.phi_g), math.sin(config.phi_g))
-        self._state: KinematicState | None = None
+        self._cos_g, self._sin_g = math.cos(config.phi_g), math.sin(config.phi_g)
+        self._fix = (self._radio_fix, self._sphere_fix, self._encoder_fix)[config.approach - 1]
         self._seed = [None, None, None]
+        self._seeded = False
+        self._px = self._py = self._pz = 0.0
+        self._vx = self._vy = self._vz = 0.0
         self._held_z: float | None = None
-        self._obs: tuple[float, float] | None = None
+        self._obs_angle: float | None = None
+        self._obs_rate = 0.0
         self._phi_prev = 0.0
         self._last_t: float | None = None
-        self.last_measurement: tuple[np.ndarray, tuple[int, ...]] | None = None
+        self._shown = None
+
+    @property
+    def last_measurement(self) -> tuple[np.ndarray, tuple[int, ...]] | None:
+        if self._shown is None:
+            return None
+        p_meas, axes = self._shown
+        return np.array(p_meas), axes
 
     def step(self, frame: SensorFrame) -> EstimateOutput | None:
         t = frame.t
@@ -296,76 +277,144 @@ class EstimationPipeline:
             raise LogFormatError(f"sample times must increase: {t} after {self._last_t}")
         self._last_t = t
         cfg = self.config
+        ts = cfg.ts
         if cfg.use_imu and frame.accel_k is not None and frame.quat is not None:
-            a_g = inertial_accel(frame.accel_k.tolist(), frame.quat.tolist(), *self._heading)
+            ax, ay, az = inertial_accel(frame.accel_k.tolist(), frame.quat.tolist(),
+                                        self._cos_g, self._sin_g)
         else:
-            a_g = (0.0, 0.0, 0.0)
-        if self._state is not None:
-            time_update(self._state, a_g, cfg.ts)
-        self.last_measurement = None
-        self._route_measurements(frame)
-        if self._state is None and None not in self._seed:
-            self._state = KinematicState(list(self._seed), [0.0, 0.0, 0.0])
-        if self._state is None:
-            return None
-        return self._emit(t)
-
-    def _correct(self, p_meas: np.ndarray, axes: tuple[int, ...]) -> None:
-        if self._state is not None:
-            measurement_update(self._state, p_meas.tolist(), self._gains, axes)
-            self.last_measurement = (p_meas, axes)
+            ax = ay = az = 0.0
+        measured = self._fix(frame)
+        if self._seeded:
+            # Prediction, per axis: p += ts * v with the pre-update
+            # velocity, then v += ts * a.
+            vx, vy, vz = self._vx, self._vy, self._vz
+            px = self._px + ts * vx
+            py = self._py + ts * vy
+            pz = self._pz + ts * vz
+            vx += ts * ax
+            vy += ts * ay
+            vz += ts * az
+            shown = None
+            if measured is not None:
+                # Correction of each measured axis on its own: e = z - p,
+                # p += k1 * e, v += k2 * e.
+                (zx, zy, zz), shown = measured
+                (k1x, k2x), (k1y, k2y), (k1z, k2z) = self._gains
+                if zx is not None:
+                    e = zx - px
+                    px += k1x * e
+                    vx += k2x * e
+                if zy is not None:
+                    e = zy - py
+                    py += k1y * e
+                    vy += k2y * e
+                if zz is not None:
+                    e = zz - pz
+                    pz += k1z * e
+                    vz += k2z * e
         else:
-            for axis in axes:
-                self._seed[axis] = float(p_meas[axis])
+            # Warming up: fixes seed their axes until all three are known.
+            shown = None
+            if measured is not None:
+                for axis, z in enumerate(measured[0]):
+                    if z is not None:
+                        self._seed[axis] = z
+            if None in self._seed:
+                return None
+            self._seeded = True
+            px, py, pz = self._seed
+            vx = vy = vz = 0.0
+        self._px, self._py, self._pz = px, py, pz
+        self._vx, self._vy, self._vz = vx, vy, vz
+        self._shown = shown
 
-    def _route_measurements(self, frame: SensorFrame) -> None:
-        cfg = self.config
-        if cfg.approach == 1:
-            if frame.gps_xy is not None:
-                self._correct(np.array([frame.gps_xy[0], frame.gps_xy[1], 0.0]), (0, 1))
-            if frame.baro_z is not None:
-                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
-        elif cfg.approach == 2:
-            if frame.baro_z is not None:
-                self._held_z = float(frame.baro_z)
-                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
-            if frame.gps_xy is not None and self._held_z is not None:
-                raw = np.array([frame.gps_xy[0], frame.gps_xy[1], self._held_z])
-                try:
-                    corrected = geometric_correction(raw, cfg.r)
-                except (DomainError, DegenerateInputError):
-                    return
-                self._correct(corrected, (0, 1))
-        else:
-            if frame.encoder is not None:
-                try:
-                    theta, phi = encoder_to_angles(frame.encoder, cfg.geometry)
-                except DegenerateInputError:
-                    return
-                self._correct(spherical_to_cartesian(theta, phi, cfg.r), (0, 1, 2))
-
-    def _emit(self, t: float) -> EstimateOutput:
-        cfg = self.config
-        p, v = self._state
-        theta = math.asin(min(1.0, max(-1.0, p[2] / cfg.r)))
-        if p[0] == 0.0 and p[1] == 0.0:
+        # Sphere angles of the estimate; the azimuth holds on the zenith
+        # axis, and a non-finite height gives a non-finite elevation.
+        theta = math.asin(min(max(pz / cfg.r, -1.0), 1.0))
+        if px == 0.0 and py == 0.0:
             phi = self._phi_prev
         else:
-            phi = math.atan2(p[1], p[0])
-        self._phi_prev = phi
-        try:
-            gamma_meas = gamma_unfiltered(v, theta, phi)
-        except DegenerateInputError:
-            gamma_meas = None
-        if self._obs is None and gamma_meas is not None:
-            self._obs = (gamma_meas, 0.0)
-        if self._obs is None:
-            gamma_out, gamma_dot_out = 0.0, 0.0
+            phi = self._phi_prev = math.atan2(py, px)
+        # Velocity angle: heading of the tangent components of v, the
+        # first two rows of frames.rot_g_to_l(theta, phi) applied to it.
+        st, ct = math.sin(theta), math.cos(theta)
+        sp, cp = math.sin(phi), math.cos(phi)
+        v_north = -st * cp * vx - st * sp * vy + ct * vz
+        v_east = -sp * vx + cp * vy
+        angle, rate = self._obs_angle, self._obs_rate
+        if v_north == 0.0 and v_east == 0.0:
+            # Undefined velocity angle: the observer coasts, or waits.
+            if angle is None:
+                return _output(EstimateOutput, (t, (px, py, pz), (vx, vy, vz),
+                                                theta, phi, 0.0, 0.0))
+            self._obs_angle = angle + ts * rate
         else:
-            angle, gamma_dot_out = self._obs
-            gamma_out = wrap_angle(angle)
-            if gamma_meas is not None:
-                self._obs = luenberger_step(self._obs, gamma_meas, cfg.k_gamma, cfg.ts)
-            else:
-                self._obs = (angle + cfg.ts * gamma_dot_out, gamma_dot_out)
-        return EstimateOutput(t, np.array(p), np.array(v), theta, phi, gamma_out, gamma_dot_out)
+            gamma_meas = math.atan2(v_east, v_north)
+            if angle is None:
+                angle = gamma_meas
+            # Predictor-form observer step: the angle integrates unwrapped
+            # while the innovation is wrapped to (-pi, pi].
+            innovation = math.pi - (math.pi - (gamma_meas - angle)) % TWO_PI
+            k1, k2 = cfg.k_gamma
+            self._obs_angle = angle + ts * rate + k1 * innovation
+            self._obs_rate = rate + k2 * innovation
+        return _output(EstimateOutput, (t, (px, py, pz), (vx, vy, vz), theta, phi,
+                                        math.pi - (math.pi - angle) % TWO_PI, rate))
+
+    def _radio_fix(self, frame: SensorFrame):
+        """Routing 1: the XY fix and the height, each as it arrives.
+
+        Returns ``None`` or ``(z, shown)``: ``z`` holds the measured value
+        of each axis (``None`` where absent) and ``shown`` is the final
+        correction as :attr:`last_measurement` reports it.
+        """
+        gps, height = frame.gps_xy, frame.baro_z
+        if height is not None:
+            height = float(height)
+        if gps is None:
+            return None if height is None else ((None, None, height), ((0.0, 0.0, height), (2,)))
+        x, y = float(gps[0]), float(gps[1])
+        if height is None:
+            return (x, y, None), ((x, y, 0.0), (0, 1))
+        return (x, y, height), ((0.0, 0.0, height), (2,))
+
+    def _sphere_fix(self, frame: SensorFrame):
+        """Routing 2: the height as it arrives, and each XY fix rescaled
+        onto the sphere at the latest height, or dropped where that fails.
+        Returns what :meth:`_radio_fix` does."""
+        height = frame.baro_z
+        measured = None
+        if height is not None:
+            height = self._held_z = float(height)
+            measured = ((None, None, height), ((0.0, 0.0, height), (2,)))
+        if frame.gps_xy is None or self._held_z is None:
+            return measured
+        try:
+            corrected = geometric_correction(
+                (frame.gps_xy[0], frame.gps_xy[1], self._held_z), self.config.r).tolist()
+        except (DomainError, DegenerateInputError):
+            return measured
+        return (corrected[0], corrected[1], height), (tuple(corrected), (0, 1))
+
+    def _encoder_fix(self, frame: SensorFrame):
+        """Routing 3: the point on the sphere that an encoder reading
+        gives, or ``None`` for a vertical tether.  Returns what
+        :meth:`_radio_fix` does.
+
+        Raises
+        ------
+        DomainError
+            If the reading implies no elevation in [-pi/2, pi/2] (NaN).
+        """
+        if frame.encoder is None:
+            return None
+        try:
+            theta, phi = encoder_to_angles(frame.encoder, self.config.geometry)
+        except DegenerateInputError:
+            return None
+        if not abs(theta) <= math.pi / 2.0:
+            raise DomainError(f"elevation out of [-pi/2, pi/2]: {theta}")
+        r = self.config.r
+        ct = math.cos(theta)
+        fix = (r * ct * math.cos(phi), r * ct * math.sin(phi), r * math.sin(theta))
+        return fix, (fix, (0, 1, 2))

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kitefusion.attitude import GRAVITY, quat_to_rot
+from filter_reference import (
+    KinematicState,
+    gamma_unfiltered,
+    luenberger_step,
+    measurement_update,
+    time_update,
+)
+from kitefusion.attitude import GRAVITY, inertial_accel, quat_to_rot
 from kitefusion.errors import DegenerateInputError, DomainError, LogFormatError
 from kitefusion.estimator import KfTuning, steady_state_gain
 from kitefusion.evalio import default_configs
@@ -25,10 +32,8 @@ from kitefusion.pipelines import (
     EstimationPipeline,
     EstimatorConfig,
     SensorFrame,
-    gamma_unfiltered,
     geometric_correction,
     lo_frequency_response,
-    luenberger_step,
 )
 from kitefusion.simkite import NoiseSpec, TrajectoryParams, synthesize
 
@@ -421,7 +426,7 @@ class TestPipelineRadio:
 
         bad, good = last(math.nan), last(21.0)
         assert math.isnan(bad.p_hat[0]) and math.isnan(bad.v_hat[0])
-        assert bad.p_hat[1:].tolist() == [1.0, 15.0]
+        assert bad.p_hat[1:] == (1.0, 15.0)
         assert np.array_equal(bad.p_hat[1:], good.p_hat[1:])
         assert np.array_equal(bad.v_hat[1:], good.v_hat[1:])
 
@@ -592,7 +597,8 @@ def replay_against_reference(config, frames):
             continue
         if first_output is None:
             first_output = k
-        assert isinstance(out.p_hat, np.ndarray) and isinstance(out.v_hat, np.ndarray)
+        assert all(type(x) is float for x in (*out.p_hat, *out.v_hat))
+        assert type(out.p_hat) is tuple and type(out.v_hat) is tuple
         for name, a, b in zip(EstimateOutput._fields, out, expected):
             assert_close(a, b, (k, name))
     assert first_output is not None
@@ -648,3 +654,311 @@ class TestMatchesArrayPipeline:
         frames = list(reference_record(True, 0.0))
         frames[77] = dataclasses.replace(frames[77], quat=1.01 * frames[77].quat)
         assert replay_against_reference(default_configs()[approach - 1], frames) == 77
+
+
+# ----------------------------------------------------------------------
+# Reference: the step that called the helpers in filter_reference.
+# EstimationPipeline.step does their arithmetic inline, in the same
+# order, so it must agree with this one bit for bit on finite input.
+
+
+class HelperPipeline:
+    """The previous EstimationPipeline: float state in a KinematicState,
+    one helper call per stage, ndarray outputs.  It clamps a non-finite
+    height into an elevation of -pi/2, which the pipeline no longer does
+    (see TestNonFiniteHeight)."""
+
+    def __init__(self, config):
+        self.config = config
+        self._gains = steady_state_gain(KfTuning(config.ts, tuple(config.ratios))).axis_gains
+        self._heading = (math.cos(config.phi_g), math.sin(config.phi_g))
+        self._state = None
+        self._seed = [None, None, None]
+        self._held_z = None
+        self._obs = None
+        self._phi_prev = 0.0
+        self._last_t = None
+        self.last_measurement = None
+
+    def step(self, frame):
+        t = frame.t
+        if not math.isfinite(t):
+            raise LogFormatError(f"sample time must be finite, got {t}")
+        if self._last_t is not None and not t > self._last_t:
+            raise LogFormatError(f"sample times must increase: {t} after {self._last_t}")
+        self._last_t = t
+        cfg = self.config
+        if cfg.use_imu and frame.accel_k is not None and frame.quat is not None:
+            a_g = inertial_accel(frame.accel_k.tolist(), frame.quat.tolist(), *self._heading)
+        else:
+            a_g = (0.0, 0.0, 0.0)
+        if self._state is not None:
+            time_update(self._state, a_g, cfg.ts)
+        self.last_measurement = None
+        self._route_measurements(frame)
+        if self._state is None and None not in self._seed:
+            self._state = KinematicState(list(self._seed), [0.0, 0.0, 0.0])
+        if self._state is None:
+            return None
+        return self._emit(t)
+
+    def _correct(self, p_meas, axes):
+        if self._state is not None:
+            measurement_update(self._state, p_meas.tolist(), self._gains, axes)
+            self.last_measurement = (p_meas, axes)
+        else:
+            for axis in axes:
+                self._seed[axis] = float(p_meas[axis])
+
+    def _route_measurements(self, frame):
+        cfg = self.config
+        if cfg.approach == 1:
+            if frame.gps_xy is not None:
+                self._correct(np.array([frame.gps_xy[0], frame.gps_xy[1], 0.0]), (0, 1))
+            if frame.baro_z is not None:
+                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
+        elif cfg.approach == 2:
+            if frame.baro_z is not None:
+                self._held_z = float(frame.baro_z)
+                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
+            if frame.gps_xy is not None and self._held_z is not None:
+                raw = np.array([frame.gps_xy[0], frame.gps_xy[1], self._held_z])
+                try:
+                    corrected = geometric_correction(raw, cfg.r)
+                except (DomainError, DegenerateInputError):
+                    return
+                self._correct(corrected, (0, 1))
+        else:
+            if frame.encoder is not None:
+                try:
+                    theta, phi = encoder_to_angles(frame.encoder, cfg.geometry)
+                except DegenerateInputError:
+                    return
+                self._correct(spherical_to_cartesian(theta, phi, cfg.r), (0, 1, 2))
+
+    def _emit(self, t):
+        cfg = self.config
+        p, v = self._state
+        theta = math.asin(min(1.0, max(-1.0, p[2] / cfg.r)))
+        if p[0] == 0.0 and p[1] == 0.0:
+            phi = self._phi_prev
+        else:
+            phi = math.atan2(p[1], p[0])
+        self._phi_prev = phi
+        try:
+            gamma_meas = gamma_unfiltered(v, theta, phi)
+        except DegenerateInputError:
+            gamma_meas = None
+        if self._obs is None and gamma_meas is not None:
+            self._obs = (gamma_meas, 0.0)
+        if self._obs is None:
+            gamma_out, gamma_dot_out = 0.0, 0.0
+        else:
+            angle, gamma_dot_out = self._obs
+            gamma_out = wrap_angle(angle)
+            if gamma_meas is not None:
+                self._obs = luenberger_step(self._obs, gamma_meas, cfg.k_gamma, cfg.ts)
+            else:
+                self._obs = (angle + cfg.ts * gamma_dot_out, gamma_dot_out)
+        return EstimateOutput(t, np.array(p), np.array(v), theta, phi, gamma_out, gamma_dot_out)
+
+
+def same(a, b):
+    """``a == b`` for floats, with the sign of zero compared too and NaN
+    equal to NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def assert_same_tick(k, new, ref, out, expected):
+    """One tick of the pipeline ``new`` against HelperPipeline ``ref``:
+    each EstimateOutput field with ``==`` and its type, and
+    ``last_measurement``."""
+    assert (out is None) == (expected is None), k
+    shown, ref_shown = new.last_measurement, ref.last_measurement
+    assert (shown is None) == (ref_shown is None), k
+    if ref_shown is not None:
+        assert shown[1] == ref_shown[1], k
+        assert isinstance(shown[0], np.ndarray) and shown[0].shape == (3,)
+        assert all(map(same, shown[0].tolist(), ref_shown[0].tolist())), (k, shown, ref_shown)
+    if expected is None:
+        return
+    assert type(out) is EstimateOutput
+    assert type(out.p_hat) is tuple and type(out.v_hat) is tuple
+    got = (out.t, *out.p_hat, *out.v_hat, *out[3:])
+    want = (expected.t, *expected.p_hat.tolist(), *expected.v_hat.tolist(), *expected[3:])
+    assert all(type(x) is float for x in got), (k, got)
+    assert all(map(same, got, want)), (k, got, want)
+
+
+def replay_against_helpers(config, frames):
+    """Step the pipeline and HelperPipeline through ``frames`` and compare
+    every tick.  Where the reference raises, the pipeline must raise the
+    same exception with the same message at the same tick.
+
+    Returns the index of that tick, or None when the whole stream ran."""
+    new, ref = EstimationPipeline(config), HelperPipeline(config)
+    emitted = 0
+    for k, frame in enumerate(frames):
+        try:
+            expected = ref.step(frame)
+        except (DomainError, LogFormatError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                new.step(frame)
+            assert str(raised.value) == str(exc)
+            return k
+        out = new.step(frame)
+        assert_same_tick(k, new, ref, out, expected)
+        emitted += expected is not None
+    assert emitted > 0
+    return None
+
+
+class TestMatchesHelperPipeline:
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    @pytest.mark.parametrize("noisy", [True, False])
+    @pytest.mark.parametrize("use_imu", [True, False])
+    @pytest.mark.parametrize("phi_g", [0.0, 0.6])
+    def test_synthesized_records(self, approach, noisy, use_imu, phi_g):
+        config = dataclasses.replace(default_configs()[approach - 1],
+                                     use_imu=use_imu, phi_g=phi_g)
+        assert replay_against_helpers(config, reference_record(noisy, phi_g)) is None
+
+    def test_encoder_gap_and_vertical_reading(self):
+        geometry = EncoderGeometry(guide_rise=0.0, guide_reach=1.0,
+                                   pivot_height=0.0, pivot_setback=1.0)
+        frames = list(reference_record(True, 0.0))
+        for k in range(60, 100):
+            frames[k] = dataclasses.replace(frames[k], encoder=None)
+        for k in (0, 130):
+            frames[k] = dataclasses.replace(frames[k], encoder=EncoderReading(0.0, 0.0))
+        config = dataclasses.replace(default_configs()[2], geometry=geometry)
+        assert replay_against_helpers(config, frames) is None
+
+    @pytest.mark.parametrize("approach", [1, 2])
+    @pytest.mark.parametrize("changes", [
+        {"gps_xy": np.array([0.0, 0.0])},
+        {"gps_xy": np.array([20.0, 1.0]), "baro_z": 31.0},
+        {"gps_xy": np.array([20.0, 1.0]), "baro_z": None},
+        {"gps_xy": None, "baro_z": 14.0},
+    ])
+    def test_radio_channels_and_drops(self, approach, changes):
+        """Fixes alone, together, at XY zero and above the sphere, both
+        while warming up and once filtering."""
+        frames = list(reference_record(True, 0.0))
+        for k in (0, 1, 120, 121):
+            frames[k] = dataclasses.replace(frames[k], **changes)
+        assert replay_against_helpers(default_configs()[approach - 1], frames) is None
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    @pytest.mark.parametrize("tick", [0, 77])
+    def test_non_unit_quaternion(self, approach, tick):
+        """Raised before the state has seeded (tick 0) and after."""
+        frames = list(reference_record(True, 0.0))
+        frames[tick] = dataclasses.replace(frames[tick], quat=1.01 * frames[tick].quat)
+        assert replay_against_helpers(default_configs()[approach - 1], frames) == tick
+
+    @pytest.mark.parametrize("reading", [(math.nan, 0.2), (0.5, math.nan)])
+    @pytest.mark.parametrize("tick", [0, 50])
+    def test_nan_encoder_reading(self, reading, tick):
+        frames = list(reference_record(True, 0.0))
+        frames[tick] = dataclasses.replace(frames[tick], encoder=EncoderReading(*reading))
+        assert replay_against_helpers(default_configs()[2], frames) == tick
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, "repeat"])
+    def test_bad_time(self, approach, t):
+        frames = list(reference_record(False, 0.0))
+        frames[40] = dataclasses.replace(frames[40], t=frames[39].t if t == "repeat" else t)
+        assert replay_against_helpers(default_configs()[approach - 1], frames) == 40
+
+    @staticmethod
+    def drive(config, fixes):
+        """Feed both pipelines XY fixes (height 15 with the first); each
+        fix is a function of the previous output, and ``None`` skips."""
+        new, ref = EstimationPipeline(config), HelperPipeline(config)
+        out = None
+        outputs = []
+        for k, fix in enumerate(fixes):
+            xy = None if fix is None else np.array(fix(out), dtype=float)
+            frame = SensorFrame(t=k * TS, gps_xy=xy, baro_z=15.0 if k == 0 else None)
+            out = new.step(frame)
+            assert_same_tick(k, new, ref, out, ref.step(frame))
+            outputs.append(out)
+        return outputs
+
+    def test_observer_coasts_at_zero_tangent_velocity(self):
+        """Fixes 1 m ahead, 2 m behind and 1 m ahead of the prediction
+        swing v_x from k2 to -k2 to exactly zero, so the observer starts,
+        turns by pi and then coasts on its rate."""
+        def ahead(by):
+            return lambda out: (out.p_hat[0] + TS * out.v_hat[0] + by, 0.0)
+
+        config = EstimatorConfig(approach=1, use_imu=False)
+        outs = self.drive(config, [lambda out: (20.0, 0.0), ahead(1.0), ahead(-2.0),
+                                   ahead(1.0), None])
+        assert outs[3].v_hat == (0.0, 0.0, 0.0) and outs[4].v_hat == (0.0, 0.0, 0.0)
+        assert outs[3].gamma_dot_hat != 0.0
+        assert outs[4].gamma_hat != outs[3].gamma_hat  # coasting, not frozen
+
+    def test_azimuth_holds_on_zenith_axis(self):
+        config = EstimatorConfig(approach=1, use_imu=False)
+        k1 = EstimationPipeline(config)._gains[0][0]
+        z = 3.0 - 3.0 / k1
+        assert 3.0 + k1 * (z - 3.0) == 0.0  # this fix lands exactly on the axis
+        outs = self.drive(config, [lambda out: (3.0, 3.0), lambda out: (z, z)])
+        assert outs[1].p_hat[:2] == (0.0, 0.0)
+        assert outs[1].phi_hat == outs[0].phi_hat == math.atan2(3.0, 3.0)
+
+    def test_lists_of_readings(self):
+        """Fix channels given as plain sequences are read like arrays."""
+        pipe, ref = EstimationPipeline(default_configs()[0]), HelperPipeline(default_configs()[0])
+        for k, (xy, z) in enumerate([([20, 1], 15), ((21.0, 1.5), None), (None, 14)]):
+            frame = SensorFrame(t=k * TS, gps_xy=xy, baro_z=z)
+            out, expected = pipe.step(frame), ref.step(frame)
+            assert out.p_hat == tuple(expected.p_hat.tolist())
+            assert out.v_hat == tuple(expected.v_hat.tolist())
+
+
+class TestNonFiniteHeight:
+    """A NaN height is not clamped into a finite answer."""
+
+    def test_correction_rejects_nan_height(self):
+        with pytest.raises(DomainError):
+            geometric_correction(np.array([20.0, 1.0, math.nan]), 30.0)
+        with pytest.raises(DomainError):
+            geometric_correction(np.array([20.0, 1.0, math.inf]), 30.0)
+
+    def test_sphere_routing_drops_fix_after_nan_height(self):
+        def run_to(baro):
+            pipe = EstimationPipeline(EstimatorConfig(approach=2))
+            pipe.step(SensorFrame(t=0.0, baro_z=15.0))
+            pipe.step(SensorFrame(t=TS, gps_xy=np.array([20.0, 1.0])))
+            pipe.step(SensorFrame(t=2 * TS, baro_z=baro))
+            return pipe, pipe.step(SensorFrame(t=3 * TS, gps_xy=np.array([20.0, 1.0])))
+
+        pipe, out = run_to(math.nan)
+        assert pipe.last_measurement is None  # the fix was dropped
+        # x and y only predicted, as on a tick without a fix
+        quiet = EstimationPipeline(EstimatorConfig(approach=2))
+        quiet.step(SensorFrame(t=0.0, baro_z=15.0))
+        quiet.step(SensorFrame(t=TS, gps_xy=np.array([20.0, 1.0])))
+        quiet.step(SensorFrame(t=2 * TS, baro_z=14.0))
+        expected = quiet.step(SensorFrame(t=3 * TS))
+        assert out.p_hat[:2] == expected.p_hat[:2]
+        assert out.v_hat[:2] == expected.v_hat[:2]
+        assert math.isnan(out.p_hat[2]) and math.isnan(out.theta_hat)
+        # a finite height still lets the fix through
+        pipe, out = run_to(14.0)
+        assert pipe.last_measurement[1] == (0, 1)
+
+    @pytest.mark.parametrize("approach", [1, 2])
+    def test_elevation_stays_nan(self, approach):
+        pipe = EstimationPipeline(EstimatorConfig(approach=approach))
+        pipe.step(SensorFrame(t=0.0, baro_z=15.0))
+        pipe.step(SensorFrame(t=TS, gps_xy=np.array([20.0, 1.0])))
+        out = pipe.step(SensorFrame(t=2 * TS, baro_z=math.nan))
+        assert math.isnan(out.p_hat[2])
+        assert math.isnan(out.theta_hat)
+        assert math.isfinite(out.phi_hat)

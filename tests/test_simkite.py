@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from kitefusion.attitude import (
     GRAVITY,
-    accel_to_inertial,
     body_rates_between,
+    inertial_accel,
     quat_to_rot,
     rot_to_quat,
 )
@@ -294,7 +294,7 @@ class TestNoiselessConsistency:
 
     def test_accelerometer_round_trip(self):
         for f, s in zip(self.frames, self.truth):
-            a = accel_to_inertial(f.accel_k, f.quat, 0.3)
+            a = inertial_accel(f.accel_k, f.quat, math.cos(0.3), math.sin(0.3))
             assert_allclose(a, s.a, atol=1e-9)
 
     def test_gyro_matches_quaternion_differencing(self):
