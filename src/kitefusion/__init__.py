@@ -17,11 +17,11 @@ from .errors import (
 from .estimator import (
     KalmanGain,
     KfTuning,
+    axis_gain,
     build_system,
     kalman_gain,
     kf_frequency_response,
     solve_dare,
-    steady_state_gain,
 )
 from .evalio import (
     LogData,
@@ -38,7 +38,6 @@ from .frames import (
     rot_g_to_l,
     rot_ned_to_g,
     spherical_to_cartesian,
-    velocity_angle,
     wrap_angle,
 )
 from .lineangle import (
@@ -55,7 +54,7 @@ from .pipelines import (
     geometric_correction,
     lo_frequency_response,
 )
-from .simkite import NoiseSpec, TrajectoryParams, TruthSample, synthesize, truth_at
+from .simkite import NoiseSpec, TrajectoryParams, TruthSample, synthesize
 
 __version__ = "0.1.0"
 
@@ -66,11 +65,11 @@ __all__ = [
     "NonConvergenceError",
     "KalmanGain",
     "KfTuning",
+    "axis_gain",
     "build_system",
     "kalman_gain",
     "kf_frequency_response",
     "solve_dare",
-    "steady_state_gain",
     "LogData",
     "RmseReport",
     "TruthPoint",
@@ -83,7 +82,6 @@ __all__ = [
     "rot_g_to_l",
     "rot_ned_to_g",
     "spherical_to_cartesian",
-    "velocity_angle",
     "wrap_angle",
     "EncoderGeometry",
     "EncoderReading",
@@ -99,6 +97,5 @@ __all__ = [
     "TrajectoryParams",
     "TruthSample",
     "synthesize",
-    "truth_at",
     "__version__",
 ]

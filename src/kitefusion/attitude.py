@@ -1,7 +1,7 @@
 """Attitude representation and the kinematic relations the package uses.
 
 Quaternions are unit length, scalar first: ``q = [q1, q2, q3, q4]`` with
-``q1`` the scalar part.  ``quat_to_rot`` maps body (``K``) coordinates to
+``q1`` the scalar part.  ``quats_to_rots`` maps body (``K``) coordinates to
 NED coordinates; the wing body frame has ``K_x`` out the nose, ``K_z``
 through the belly.  Body angular rates are ``[wx, wy, wz]`` in rad/s about
 the body axes.
@@ -43,36 +43,11 @@ def _check_units(q: np.ndarray) -> None:
             f"quaternion norm {norms[bad][0]} departs from 1 beyond {_UNIT_NORM_TOL}")
 
 
-def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix from body to NED coordinates.
-
-    Parameters
-    ----------
-    q : array_like, shape (4,)
-        Unit attitude quaternion, scalar first.
-
-    Returns
-    -------
-    numpy.ndarray, shape (3, 3)
-        Proper rotation matrix; columns are the body axes in NED.
-
-    Raises
-    ------
-    DomainError
-        If the quaternion norm departs from 1 by more than 1e-6.
-    """
-    _check_unit(q)
-    q1, q2, q3, q4 = (float(c) for c in q)
-    return np.array([
-        [2.0 * (q1 * q1 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q1 * q4), 2.0 * (q2 * q4 + q1 * q3)],
-        [2.0 * (q2 * q3 + q1 * q4), 2.0 * (q1 * q1 + q3 * q3) - 1.0, 2.0 * (q3 * q4 - q1 * q2)],
-        [2.0 * (q2 * q4 - q1 * q3), 2.0 * (q3 * q4 + q1 * q2), 2.0 * (q1 * q1 + q4 * q4) - 1.0],
-    ])
-
-
 def quats_to_rots(q: np.ndarray) -> np.ndarray:
-    """:func:`quat_to_rot` for a stack of quaternions, shape (n, 4);
-    returns shape (n, 3, 3), equal bit for bit to the per-row results."""
+    """Rotation matrices from body to NED coordinates, shape (n, 3, 3), of
+    unit quaternions (scalar first) stacked as shape (n, 4); the columns
+    are the body axes in NED.  Raises ``DomainError`` if a norm departs
+    from 1 by more than 1e-6."""
     q = np.asarray(q, dtype=float)
     _check_units(q)
     q1, q2, q3, q4 = q.T
@@ -86,7 +61,7 @@ def quats_to_rots(q: np.ndarray) -> np.ndarray:
 def rot_to_quat(R: np.ndarray) -> np.ndarray:
     """Unit quaternion (scalar first, scalar part >= 0) of a rotation matrix.
 
-    Inverse of :func:`quat_to_rot` up to the quaternion sign ambiguity.
+    Inverse of :func:`quats_to_rots` up to the quaternion sign ambiguity.
     Uses the largest of the four squared components as pivot for numerical
     robustness.  Takes one matrix, shape (3, 3), or a stack, shape
     (n, 3, 3), and returns shape (4,) or (n, 4) to match.
@@ -162,7 +137,7 @@ def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, fl
 
     ``a_k`` and ``q`` are sequences of 3 and 4 floats.  The rotations are
     summed term by term, so the result can differ from the matrix
-    products of :func:`quat_to_rot` and :func:`~kitefusion.frames.rot_ned_to_g`
+    products of :func:`quats_to_rots` and :func:`~kitefusion.frames.rot_ned_to_g`
     in the last bits.
 
     Raises
@@ -173,7 +148,7 @@ def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, fl
     _check_unit(q)
     ax, ay, az = a_k
     q1, q2, q3, q4 = q
-    # The rows of quat_to_rot(q) applied to a_k: NED components.
+    # The rows of quats_to_rots([q])[0] applied to a_k: NED components.
     north = ((2.0 * (q1 * q1 + q2 * q2) - 1.0) * ax + 2.0 * (q2 * q3 - q1 * q4) * ay
              + 2.0 * (q2 * q4 + q1 * q3) * az)
     east = (2.0 * (q2 * q3 + q1 * q4) * ax + (2.0 * (q1 * q1 + q3 * q3) - 1.0) * ay

@@ -7,6 +7,9 @@ The split mirrors how failures surface to a caller: bad values in
 to exit code 2 and the last one to exit code 3.
 """
 
+import math
+from dataclasses import fields
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
@@ -23,3 +26,11 @@ class LogFormatError(ValueError):
 
 class NonConvergenceError(RuntimeError):
     """An iterative solver exhausted its budget without converging."""
+
+
+def require_finite(spec) -> None:
+    """Reject a dataclass instance with a nan or infinite field, by name."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if not math.isfinite(value):
+            raise DomainError(f"{field.name} must be finite, got {value}")

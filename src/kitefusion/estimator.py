@@ -12,10 +12,9 @@ With unit measurement-noise variance, the only tuning knob left is the
 per-axis ratio of process to measurement noise variance: large ratios
 trust the position sensor up to higher frequencies, small ratios lean on
 the accelerometer path.  The three axes are decoupled, so the six-state
-problem splits into three independent two-state problems; the production
-gain synthesis exploits that and solves three 2x2 fixed points instead
-of one 6x6, and :class:`~kitefusion.pipelines.EstimationPipeline` runs
-the recursion per axis on plain floats.
+problem splits into three independent two-state problems: :func:`axis_gain`
+solves one 2x2 fixed point, and :class:`~kitefusion.pipelines.EstimationPipeline`
+runs the recursion per axis on plain floats with those gains.
 """
 
 from __future__ import annotations
@@ -37,19 +36,11 @@ class KfTuning(NamedTuple):
 
 
 class KalmanGain(NamedTuple):
-    """Constant correction gain (6x3) with the steady-state prediction
-    covariance (6x6) it was derived from."""
+    """Constant correction gain with the steady-state prediction covariance
+    it was derived from, sized by the system given to :func:`kalman_gain`."""
 
     gain: np.ndarray
     covariance: np.ndarray
-
-    @property
-    def axis_gains(self) -> tuple[tuple[float, float], ...]:
-        """Per-axis ``(k1, k2)``: the position and velocity gains of each
-        decoupled axis, with which a position error ``e`` corrects the
-        axis as ``p += k1 * e``, ``v += k2 * e``."""
-        K = self.gain
-        return tuple((float(K[axis, axis]), float(K[axis + 3, axis])) for axis in range(3))
 
 
 def build_system(ts: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,8 +146,12 @@ def kalman_gain(P: np.ndarray, A: np.ndarray, C: np.ndarray, R: np.ndarray) -> K
 
 
 @functools.lru_cache(maxsize=64)
-def _axis_solution(ts: float, ratio: float) -> tuple[float, float, np.ndarray]:
-    """Per-axis 2x2 steady-state solution: gains (k1, k2) and covariance."""
+def axis_gain(ts: float, ratio: float) -> tuple[float, float]:
+    """Steady-state gains ``(k1, k2)`` of one decoupled axis with process
+    to measurement noise variance ``ratio``: a position error ``e``
+    corrects the axis as ``p += k1 * e``, ``v += k2 * e``.  Cached, since
+    one 2x2 Riccati solve takes up to tens of milliseconds.  Raises
+    ``DomainError`` unless ``ts`` and ``ratio`` are positive and finite."""
     if not 0.0 < ts < math.inf:
         raise DomainError(f"sample time must be positive and finite, got {ts}")
     if not 0.0 < ratio < math.inf:
@@ -166,26 +161,22 @@ def _axis_solution(ts: float, ratio: float) -> tuple[float, float, np.ndarray]:
     C = np.array([[1.0, 0.0]])
     P = solve_dare(A, B, C, np.array([[ratio]]), np.array([[1.0]]))
     K = kalman_gain(P, A, C, np.array([[1.0]])).gain
-    return float(K[0, 0]), float(K[1, 0]), P
+    return float(K[0, 0]), float(K[1, 0])
 
 
-def steady_state_gain(tuning: KfTuning) -> KalmanGain:
-    """Assemble the 6x3 gain and 6x6 covariance from per-axis solutions.
-
-    The axes are decoupled with diagonal noise, so each axis is solved as
-    its own 2x2 problem and scattered back into the stacked layout.
-    """
-    K = np.zeros((6, 3))
-    P = np.zeros((6, 6))
-    for axis in range(3):
-        k1, k2, P2 = _axis_solution(float(tuning.ts), float(tuning.ratios[axis]))
-        K[axis, axis] = k1
-        K[axis + 3, axis] = k2
-        P[axis, axis] = P2[0, 0]
-        P[axis, axis + 3] = P2[0, 1]
-        P[axis + 3, axis] = P2[1, 0]
-        P[axis + 3, axis + 3] = P2[1, 1]
-    return KalmanGain(K, P)
+def _unit_circle_magnitudes(ts: float, freqs, response) -> tuple[np.ndarray, np.ndarray]:
+    """``|h_1|, |h_2|`` of ``response(z) = (h_1, h_2)`` at ``z = exp(j 2 pi f ts)``
+    for each frequency ``f`` in Hz, which must lie in (0, Nyquist)."""
+    freqs = np.asarray(freqs, dtype=float)
+    nyquist = 0.5 / ts
+    if np.any(freqs <= 0.0) or np.any(freqs >= nyquist):
+        raise DomainError(f"frequencies must lie in (0, {nyquist}) Hz")
+    mag_1 = np.empty_like(freqs)
+    mag_2 = np.empty_like(freqs)
+    for i, f in enumerate(freqs):
+        z = complex(math.cos(2 * math.pi * f * ts), math.sin(2 * math.pi * f * ts))
+        mag_1[i], mag_2[i] = map(abs, response(z))
+    return mag_1, mag_2
 
 
 def kf_frequency_response(tuning: KfTuning, axis: int,
@@ -215,20 +206,14 @@ def kf_frequency_response(tuning: KfTuning, axis: int,
         If a frequency lies outside the open interval up to Nyquist.
     """
     ts = float(tuning.ts)
-    nyquist = 0.5 / ts
-    freqs = np.asarray(freqs, dtype=float)
-    if np.any(freqs <= 0.0) or np.any(freqs >= nyquist):
-        raise DomainError(f"frequencies must lie in (0, {nyquist}) Hz")
-    k1, k2, _ = _axis_solution(ts, float(tuning.ratios[axis]))
+    k1, k2 = axis_gain(ts, float(tuning.ratios[axis]))
     # (I - K C) A and (I - K C) B for the single axis.
     a00, a01 = 1.0 - k1, (1.0 - k1) * ts
     a10, a11 = -k2, 1.0 - k2 * ts
     bu0, bu1 = 0.0, ts
-    mag_u = np.empty_like(freqs)
-    mag_y = np.empty_like(freqs)
-    for i, f in enumerate(freqs):
-        z = complex(math.cos(2 * math.pi * f * ts), math.sin(2 * math.pi * f * ts))
+
+    def response(z):
         det = (z - a00) * (z - a11) - a01 * a10
-        mag_u[i] = abs(z * ((z - a11) * bu0 + a01 * bu1) / det)
-        mag_y[i] = abs(z * ((z - a11) * k1 + a01 * k2) / det)
-    return mag_u, mag_y
+        return z * ((z - a11) * bu0 + a01 * bu1) / det, z * ((z - a11) * k1 + a01 * k2) / det
+
+    return _unit_circle_magnitudes(ts, freqs, response)

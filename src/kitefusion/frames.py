@@ -148,32 +148,3 @@ def rot_ned_to_g(phi_g: float) -> np.ndarray:
         [sp, -cp, 0.0],
         [0.0, 0.0, -1.0],
     ])
-
-
-def velocity_angle(v_l: np.ndarray) -> float:
-    """Velocity angle of a wing velocity expressed in the local frame.
-
-    The velocity angle is the heading of the velocity on the tangent plane:
-    0 toward local north (climbing), pi/2 toward local east.  It is the
-    feedback variable used for figure-eight path control.
-
-    Parameters
-    ----------
-    v_l : array_like, shape (3,)
-        Velocity in the local frame in m/s; only the first two components
-        (north, east) enter.
-
-    Returns
-    -------
-    float
-        ``atan2(v_east, v_north)`` in (-pi, pi].
-
-    Raises
-    ------
-    DegenerateInputError
-        If both tangent components are exactly zero.
-    """
-    vn, ve = float(v_l[0]), float(v_l[1])
-    if vn == 0.0 and ve == 0.0:
-        raise DegenerateInputError("velocity angle undefined for zero tangent velocity")
-    return math.atan2(ve, vn)

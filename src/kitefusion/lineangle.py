@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, require_finite
 
 #: Encoder line count used when none is configured (resolution 2*pi/400).
 DEFAULT_COUNTS_PER_REV = 400
@@ -42,6 +42,7 @@ class EncoderGeometry:
 
     The defaults are plausible bench values for a small ground unit; they
     are placeholders to be replaced by measurements of the actual build.
+    Every field must be finite; a ``DomainError`` names one that is not.
     The pivot offsets are kept small relative to the arm length so that
     one encoder count maps to at most about one count of wing-angle
     error; large offsets amplify the quantization.
@@ -53,6 +54,7 @@ class EncoderGeometry:
     pivot_setback: float = 0.02
 
     def __post_init__(self):
+        require_finite(self)
         if self.guide_rise < 0.0 or self.guide_reach < 0.0:
             raise DomainError("guide offsets must be non-negative")
         if self.guide_rise == 0.0 and self.guide_reach == 0.0:

@@ -29,9 +29,9 @@ import numpy as np
 
 from .attitude import inertial_accel
 from .errors import DegenerateInputError, DomainError, LogFormatError
-from .frames import TWO_PI
+from .frames import TWO_PI, Z_OVER_R_TOL
 from .lineangle import EncoderGeometry, EncoderReading, encoder_to_angles
-from .estimator import KfTuning, steady_state_gain
+from .estimator import _unit_circle_magnitudes, axis_gain
 
 
 @dataclass
@@ -164,7 +164,7 @@ def geometric_correction(p_tilde: np.ndarray, r: float) -> np.ndarray:
     ------
     DomainError
         If ``|p_tilde[2]| > r`` or the height is not finite (no elevation
-        angle exists).
+        angle exists), or an XY component is not finite.
     DegenerateInputError
         If the XY components are both exactly zero (no direction to keep).
     """
@@ -172,10 +172,12 @@ def geometric_correction(p_tilde: np.ndarray, r: float) -> np.ndarray:
     if not r > 0.0:
         raise DomainError(f"radius must be positive, got {r}")
     ratio = p_tilde[2] / r
-    if not abs(ratio) <= 1.0 + 1e-9:
+    if not abs(ratio) <= 1.0 + Z_OVER_R_TOL:
         raise DomainError(f"height {p_tilde[2]} outside sphere of radius {r}")
     ratio = min(1.0, max(-1.0, ratio))
     horizontal = math.hypot(p_tilde[0], p_tilde[1])
+    if not math.isfinite(horizontal):
+        raise DomainError(f"XY components {p_tilde[0]}, {p_tilde[1]} must be finite")
     if horizontal == 0.0:
         raise DegenerateInputError("XY components are zero; direction undefined")
     scale = r * math.cos(math.asin(ratio)) / horizontal
@@ -195,19 +197,13 @@ def lo_frequency_response(k_gamma: tuple[float, float], ts: float,
     DomainError
         If any frequency lies outside (0, Nyquist).
     """
-    freqs = np.asarray(freqs, dtype=float)
-    nyquist = 0.5 / ts
-    if np.any(freqs <= 0.0) or np.any(freqs >= nyquist):
-        raise DomainError(f"frequencies must lie in (0, {nyquist}) Hz")
     k1, k2 = k_gamma
-    mag_angle = np.empty_like(freqs)
-    mag_rate = np.empty_like(freqs)
-    for i, f in enumerate(freqs):
-        z = complex(math.cos(2 * math.pi * f * ts), math.sin(2 * math.pi * f * ts))
+
+    def response(z):
         det = (z - 1.0 + k1) * (z - 1.0) + ts * k2
-        mag_angle[i] = abs(((z - 1.0) * k1 + ts * k2) / det)
-        mag_rate[i] = abs(k2 * (z - 1.0) / det)
-    return mag_angle, mag_rate
+        return ((z - 1.0) * k1 + ts * k2) / det, k2 * (z - 1.0) / det
+
+    return _unit_circle_magnitudes(ts, freqs, response)
 
 
 class EstimationPipeline:
@@ -228,12 +224,12 @@ class EstimationPipeline:
     The filter state is six float attributes, position and velocity per
     axis.  Each tick runs three decoupled two-state recursions on them
     with the per-axis gains ``(k1, k2)`` read once from
-    :func:`~kitefusion.estimator.steady_state_gain`, then derives the
+    :func:`~kitefusion.estimator.axis_gain`, then derives the
     sphere angles and the velocity angle and steps the observer, all in
     one straight-line pass on floats.  The heading of the ground frame
     enters only as its cosine and sine, computed once, and the routing's
     measurement handler is chosen once.  A tick that raises
-    ``DomainError`` (a non-unit quaternion, a NaN encoder reading)
+    ``DomainError`` (a non-unit quaternion, a non-finite encoder reading)
     changes no filter state, though its time counts for the
     increasing-time check.
 
@@ -247,8 +243,7 @@ class EstimationPipeline:
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
-        self.gain = steady_state_gain(KfTuning(config.ts, tuple(config.ratios)))
-        self._gains = self.gain.axis_gains
+        self._gains = tuple(axis_gain(config.ts, ratio) for ratio in config.ratios)
         self._cos_g, self._sin_g = math.cos(config.phi_g), math.sin(config.phi_g)
         self._fix = (self._radio_fix, self._sphere_fix, self._encoder_fix)[config.approach - 1]
         self._seed = [None, None, None]
@@ -404,7 +399,7 @@ class EstimationPipeline:
         Raises
         ------
         DomainError
-            If the reading implies no elevation in [-pi/2, pi/2] (NaN).
+            If an angle is infinite or implies no elevation (NaN).
         """
         if frame.encoder is None:
             return None
@@ -412,6 +407,8 @@ class EstimationPipeline:
             theta, phi = encoder_to_angles(frame.encoder, self.config.geometry)
         except DegenerateInputError:
             return None
+        except ValueError as exc:  # math.sin/cos of an infinite angle
+            raise DomainError(f"encoder reading {frame.encoder} is not finite") from exc
         if not abs(theta) <= math.pi / 2.0:
             raise DomainError(f"elevation out of [-pi/2, pi/2]: {theta}")
         r = self.config.r

@@ -23,13 +23,13 @@ one knob scales every speed and acceleration together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, require_finite
 from .frames import rot_ned_to_g
 from .lineangle import EncoderGeometry, angles_to_encoder
 from .pipelines import SensorFrame
@@ -39,14 +39,6 @@ DEG = math.pi / 180.0
 #: Ticks per stacked-matrix stage: bounds the (n, 3, 3) temporaries of
 #: long records to a few tens of kilobytes each.
 _BLOCK = 512
-
-
-def _require_finite(spec) -> None:
-    """Reject a dataclass instance with a nan or infinite field, by name."""
-    for field in fields(spec):
-        value = getattr(spec, field.name)
-        if not math.isfinite(value):
-            raise DomainError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,7 @@ class TrajectoryParams:
     theta_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite(self)
         if not self.r > 0.0:
             raise DomainError(f"tether length must be positive, got {self.r}")
         if not self.f_loop > 0.0 or not self.speed_scale > 0.0:
@@ -153,7 +145,8 @@ def _square(x: np.ndarray) -> np.ndarray:
 
 def _truth(params: TrajectoryParams, t: np.ndarray):
     """Position, velocity, acceleration, quaternion and velocity angle at
-    the times ``t``, one row per time; see :func:`truth_at`."""
+    the times ``t``, one row per time.  Raises ``DegenerateInputError``
+    where the pattern velocity vanishes."""
     th, ph, thd, phd, thdd, phdd = _pattern_angles(params, t)
     r = params.r
     st, ct = np.sin(th), np.cos(th)
@@ -185,19 +178,6 @@ def _truth(params: TrajectoryParams, t: np.ndarray):
         q[rows] = rot_to_quat(rot_n2g @ rot_k_to_g)
     gamma = np.array(list(map(math.atan2, (ct * phd).tolist(), thd.tolist())))
     return p, v, a, q, gamma
-
-
-def truth_at(params: TrajectoryParams, t: float) -> TruthSample:
-    """Exact trajectory state at time ``t``.
-
-    Raises
-    ------
-    DegenerateInputError
-        If the pattern velocity vanishes at ``t`` (no flight direction to
-        align the body frame with).
-    """
-    p, v, a, q, gamma = _truth(params, np.array([t], dtype=float))
-    return TruthSample(t, p[0], v[0], a[0], q[0], float(gamma[0]))
 
 
 @dataclass(frozen=True)
@@ -256,7 +236,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite(self)
 
     @classmethod
     def none(cls, seed: int = 0) -> "NoiseSpec":

@@ -3,9 +3,10 @@
 Verbatim copies of the per-tick helpers that ``EstimationPipeline.step``
 used to call before it did their arithmetic inline: the per-axis time and
 measurement updates on a ``KinematicState``, the velocity angle of a
-ground-frame velocity and the observer step.  The property tests check
-these copies, and the pipeline oracle in ``test_pipelines.py`` is built
-from them, so ``step`` must reproduce them bit for bit.
+local-frame and of a ground-frame velocity and the observer step.  The
+property tests check these copies, and the pipeline oracle in
+``test_pipelines.py`` is built from them, so ``step`` must reproduce them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from kitefusion.frames import velocity_angle, wrap_angle
+from kitefusion.errors import DegenerateInputError
+from kitefusion.frames import wrap_angle
 
 
 class KinematicState(NamedTuple):
@@ -56,6 +58,18 @@ def measurement_update(state: KinematicState, p_meas, gains,
         e = p_meas[axis] - p[axis]
         p[axis] += k1 * e
         v[axis] += k2 * e
+
+
+def velocity_angle(v_l) -> float:
+    """Velocity angle of a wing velocity expressed in the local frame: the
+    heading ``atan2(v_east, v_north)`` on the tangent plane, 0 toward local
+    north (climbing), pi/2 toward local east.  Only the first two
+    components enter.  Raises ``DegenerateInputError`` if both are
+    exactly zero."""
+    vn, ve = float(v_l[0]), float(v_l[1])
+    if vn == 0.0 and ve == 0.0:
+        raise DegenerateInputError("velocity angle undefined for zero tangent velocity")
+    return math.atan2(ve, vn)
 
 
 def gamma_unfiltered(v_hat, theta_hat: float, phi_hat: float) -> float:

@@ -9,7 +9,6 @@ from kitefusion.attitude import (
     GRAVITY,
     body_rates_between,
     inertial_accel,
-    quat_to_rot,
     quats_to_rots,
     rot_to_quat,
 )
@@ -55,6 +54,23 @@ def quat_propagate(q: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     return out / math.sqrt(out @ out)
 
 
+def rot_of(q) -> np.ndarray:
+    """Rotation matrix of one quaternion, from the package's stacked form."""
+    return quats_to_rots([q])[0]
+
+
+def scalar_quat_to_rot(q) -> np.ndarray:
+    """One quaternion's matrix, written out entry by entry: the scalar
+    definition that ``quats_to_rots`` must reproduce bit for bit."""
+    attitude._check_unit(q)
+    q1, q2, q3, q4 = (float(c) for c in q)
+    return np.array([
+        [2.0 * (q1 * q1 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q1 * q4), 2.0 * (q2 * q4 + q1 * q3)],
+        [2.0 * (q2 * q3 + q1 * q4), 2.0 * (q1 * q1 + q3 * q3) - 1.0, 2.0 * (q3 * q4 - q1 * q2)],
+        [2.0 * (q2 * q4 - q1 * q3), 2.0 * (q3 * q4 + q1 * q2), 2.0 * (q1 * q1 + q4 * q4) - 1.0],
+    ])
+
+
 def random_unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
@@ -92,7 +108,7 @@ def quat_angle(qa, qb):
 
 class TestQuatToRot:
     def test_identity(self):
-        assert_allclose(quat_to_rot([1.0, 0.0, 0.0, 0.0]), np.eye(3), atol=1e-15)
+        assert_allclose(rot_of([1.0, 0.0, 0.0, 0.0]), np.eye(3), atol=1e-15)
 
     def test_quarter_turn_about_z(self):
         s = math.sqrt(2.0) / 2.0
@@ -101,23 +117,23 @@ class TestQuatToRot:
             [1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0],
         ])
-        assert_allclose(quat_to_rot([s, 0.0, 0.0, s]), expected, atol=1e-15)
+        assert_allclose(rot_of([s, 0.0, 0.0, s]), expected, atol=1e-15)
 
     def test_orthonormal_proper(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
-            R = quat_to_rot(random_unit_quat(rng))
+            R = rot_of(random_unit_quat(rng))
             assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
     def test_double_cover(self):
         rng = np.random.default_rng(22)
         q = random_unit_quat(rng)
-        assert_allclose(quat_to_rot(q), quat_to_rot(-q), atol=1e-15)
+        assert_allclose(rot_of(q), rot_of(-q), atol=1e-15)
 
     def test_non_unit_rejected(self):
         with pytest.raises(DomainError):
-            quat_to_rot([1.0, 0.0, 0.1, 0.0])
+            rot_of([1.0, 0.0, 0.1, 0.0])
 
 
 class TestRotToQuat:
@@ -127,7 +143,7 @@ class TestRotToQuat:
             q = random_unit_quat(rng)
             if q[0] < 0:
                 q = -q
-            assert_allclose(rot_to_quat(quat_to_rot(q)), q, atol=1e-12)
+            assert_allclose(rot_to_quat(rot_of(q)), q, atol=1e-12)
 
     @pytest.mark.parametrize("q", [
         [0.0, 1.0, 0.0, 0.0],
@@ -137,13 +153,13 @@ class TestRotToQuat:
     ])
     def test_half_turn_pivots(self, q):
         # Half turns have zero scalar part and exercise the non-trace pivots.
-        R = quat_to_rot(q)
-        assert_allclose(quat_to_rot(rot_to_quat(R)), R, atol=1e-12)
+        R = rot_of(q)
+        assert_allclose(rot_of(rot_to_quat(R)), R, atol=1e-12)
 
     def test_canonical_sign(self):
         rng = np.random.default_rng(24)
         for _ in range(50):
-            assert rot_to_quat(quat_to_rot(random_unit_quat(rng)))[0] >= 0.0
+            assert rot_to_quat(rot_of(random_unit_quat(rng)))[0] >= 0.0
 
     def test_stack_matches_scalar_reference_on_every_pivot(self):
         rng = np.random.default_rng(26)
@@ -153,7 +169,7 @@ class TestRotToQuat:
             q = rng.normal(size=4) * 0.1
             q[k] = 1.0
             quats.append(q / np.linalg.norm(q))
-        stack = np.array([quat_to_rot(q) for q in quats])
+        stack = quats_to_rots(quats)
         traces = stack[:, [0, 1, 2], [0, 1, 2]]
         pivots = np.argmax(np.column_stack([traces.sum(axis=1), traces]), axis=1)
         assert set(pivots.tolist()) == {0, 1, 2, 3}
@@ -171,7 +187,7 @@ class TestQuatsToRots:
         batch = quats_to_rots(quats)
         assert batch.shape == (100, 3, 3)
         for q, R in zip(quats, batch):
-            assert np.array_equal(R, quat_to_rot(q))
+            assert np.array_equal(R, scalar_quat_to_rot(q))
 
     def test_rejects_non_unit_row(self):
         quats = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.1, 0.0]])

@@ -54,6 +54,18 @@ class TestEncoderToAngles:
         with pytest.raises(DomainError):
             EncoderGeometry(guide_rise=0.0, guide_reach=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("guide_rise", math.nan),
+        ("guide_reach", math.inf),
+        ("pivot_height", math.inf),
+        ("pivot_setback", math.nan),
+    ])
+    def test_non_finite_field_named(self, field, value):
+        """Rejected at construction like the other config dataclasses,
+        not only by the command line parser."""
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            EncoderGeometry(**{field: value})
+
     def test_guide_constants_cached_per_geometry(self):
         geo = EncoderGeometry(guide_rise=0.1, guide_reach=0.3,
                               pivot_height=0.05, pivot_setback=0.05)

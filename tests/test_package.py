@@ -1,0 +1,24 @@
+"""The package's public names."""
+
+import kitefusion
+from kitefusion import attitude, estimator, frames, simkite
+from kitefusion.pipelines import EstimationPipeline, EstimatorConfig
+
+
+def test_every_export_resolves():
+    for name in kitefusion.__all__:
+        assert getattr(kitefusion, name) is not None, name
+    assert len(set(kitefusion.__all__)) == len(kitefusion.__all__)
+
+
+def test_removed_names_are_gone():
+    """One per-axis gain path, and no public function that nothing in the
+    package calls."""
+    gone = {estimator: ("steady_state_gain",), simkite: ("truth_at",),
+            attitude: ("quat_to_rot",), frames: ("velocity_angle",)}
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in kitefusion.__all__ and not hasattr(kitefusion, name)
+    assert not hasattr(estimator.KalmanGain, "axis_gains")
+    assert not hasattr(EstimationPipeline(EstimatorConfig()), "gain")

@@ -14,16 +14,17 @@ from filter_reference import (
     luenberger_step,
     measurement_update,
     time_update,
+    velocity_angle,
 )
-from kitefusion.attitude import GRAVITY, inertial_accel, quat_to_rot
+from kitefusion.attitude import GRAVITY, inertial_accel, quats_to_rots
 from kitefusion.errors import DegenerateInputError, DomainError, LogFormatError
-from kitefusion.estimator import KfTuning, steady_state_gain
+from kitefusion.estimator import axis_gain
 from kitefusion.evalio import default_configs
 from kitefusion.frames import (
+    Z_OVER_R_TOL,
     rot_g_to_l,
     rot_ned_to_g,
     spherical_to_cartesian,
-    velocity_angle,
     wrap_angle,
 )
 from kitefusion.lineangle import EncoderGeometry, EncoderReading, encoder_to_angles
@@ -142,6 +143,18 @@ class TestGeometricCorrection:
     def test_zero_xy_rejected(self):
         with pytest.raises(DegenerateInputError):
             geometric_correction(np.array([0.0, 0.0, 10.0]), 30.0)
+
+    @pytest.mark.parametrize("xy", [(math.nan, 1.0), (20.0, math.nan), (math.inf, 1.0),
+                                    (20.0, -math.inf)])
+    def test_non_finite_xy_rejected(self, xy):
+        with pytest.raises(DomainError, match="XY components"):
+            geometric_correction(np.array([*xy, 10.0]), 30.0)
+
+    def test_height_slack_is_the_frames_tolerance(self):
+        z = 30.0 * (1.0 + 0.5 * Z_OVER_R_TOL)
+        assert geometric_correction(np.array([1.0, 1.0, z]), 30.0)[2] == z
+        with pytest.raises(DomainError):
+            geometric_correction(np.array([1.0, 1.0, 30.0 * (1.0 + 2.0 * Z_OVER_R_TOL)]), 30.0)
 
 
 class TestGammaUnfiltered:
@@ -430,6 +443,22 @@ class TestPipelineRadio:
         assert np.array_equal(bad.p_hat[1:], good.p_hat[1:])
         assert np.array_equal(bad.v_hat[1:], good.v_hat[1:])
 
+    @pytest.mark.parametrize("xy", [(math.nan, 1.0), (20.0, math.inf)])
+    def test_sphere_routing_drops_non_finite_fix(self, xy):
+        """Routing 2 cannot rescale a fix with a non-finite component onto
+        the sphere, so it drops the fix instead of spreading NaN over both
+        horizontal axes: x and y are only predicted."""
+        def run(fix):
+            pipe = EstimationPipeline(EstimatorConfig(approach=2))
+            pipe.step(SensorFrame(t=0.0, baro_z=15.0))
+            pipe.step(SensorFrame(t=TS, gps_xy=np.array([20.0, 1.0])))
+            return pipe, pipe.step(SensorFrame(t=2 * TS, gps_xy=fix))
+
+        pipe, out = run(np.array(xy))
+        assert pipe.last_measurement is None
+        assert all(map(math.isfinite, (*out.p_hat, *out.v_hat)))
+        assert out == run(None)[1]
+
 
 class TestNonFiniteTime:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -453,9 +482,19 @@ class TestNonFiniteTime:
 
 
 def ref_accel_to_inertial(a_k, q, phi_g):
-    a_g = rot_ned_to_g(phi_g) @ (quat_to_rot(q) @ np.asarray(a_k, dtype=float))
+    a_g = rot_ned_to_g(phi_g) @ (quats_to_rots([q])[0] @ np.asarray(a_k, dtype=float))
     a_g[2] += GRAVITY
     return a_g
+
+
+def stacked_gain(config):
+    """The 6x3 gain of the stacked filter, assembled from the per-axis
+    ``(k1, k2)``: column ``axis`` holds ``k1`` in row ``axis`` and ``k2``
+    in row ``axis + 3``, zeros elsewhere."""
+    K = np.zeros((6, 3))
+    for axis, ratio in enumerate(config.ratios):
+        K[axis, axis], K[axis + 3, axis] = axis_gain(config.ts, ratio)
+    return K
 
 
 def ref_measurement_update(p, v, p_meas, gain, axes):
@@ -475,7 +514,7 @@ class ArrayPipeline:
 
     def __init__(self, config):
         self.config = config
-        self.gain = steady_state_gain(KfTuning(config.ts, tuple(config.ratios))).gain
+        self.gain = stacked_gain(config)
         self._state = None
         self._seed = [None, None, None]
         self._held_z = None
@@ -670,7 +709,7 @@ class HelperPipeline:
 
     def __init__(self, config):
         self.config = config
-        self._gains = steady_state_gain(KfTuning(config.ts, tuple(config.ratios))).axis_gains
+        self._gains = tuple(axis_gain(config.ts, ratio) for ratio in config.ratios)
         self._heading = (math.cos(config.phi_g), math.sin(config.phi_g))
         self._state = None
         self._seed = [None, None, None]
@@ -865,6 +904,23 @@ class TestMatchesHelperPipeline:
         frames = list(reference_record(True, 0.0))
         frames[tick] = dataclasses.replace(frames[tick], encoder=EncoderReading(*reading))
         assert replay_against_helpers(default_configs()[2], frames) == tick
+
+    @pytest.mark.parametrize("reading", [(math.inf, 0.1), (0.8, math.inf),
+                                         (-math.inf, math.nan)])
+    @pytest.mark.parametrize("tick", [0, 50])
+    def test_infinite_encoder_reading(self, reading, tick):
+        """``DomainError`` naming the reading, as for NaN, and no state
+        change: the ticks after it come out as if it had not been fed."""
+        frames = reference_record(True, 0.0)
+        hit, clean = (EstimationPipeline(default_configs()[2]) for _ in range(2))
+        for frame in frames[:tick]:
+            hit.step(frame)
+            clean.step(frame)
+        bad = dataclasses.replace(frames[tick], encoder=EncoderReading(*reading))
+        with pytest.raises(DomainError, match=r"encoder reading EncoderReading\(.*inf"):
+            hit.step(bad)
+        for frame in frames[tick + 1:tick + 30]:
+            assert hit.step(frame) == clean.step(frame)
 
     @pytest.mark.parametrize("approach", [1, 2, 3])
     @pytest.mark.parametrize("t", [math.nan, math.inf, "repeat"])

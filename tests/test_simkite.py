@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from filter_reference import velocity_angle
+from kitefusion import simkite
 from kitefusion.attitude import (
     GRAVITY,
     body_rates_between,
     inertial_accel,
-    quat_to_rot,
+    quats_to_rots,
     rot_to_quat,
 )
 from kitefusion.errors import DegenerateInputError, DomainError
-from kitefusion.frames import rot_g_to_l, rot_ned_to_g, velocity_angle, wrap_angle
+from kitefusion.frames import rot_g_to_l, rot_ned_to_g, wrap_angle
 from kitefusion.lineangle import (
     EncoderGeometry,
     angles_to_encoder,
@@ -23,10 +25,22 @@ from kitefusion.lineangle import (
     resolution,
 )
 from kitefusion.pipelines import SensorFrame
-from kitefusion.simkite import NoiseSpec, TrajectoryParams, TruthSample, synthesize, truth_at
+from kitefusion.simkite import NoiseSpec, TrajectoryParams, TruthSample, synthesize
 
 TS = 0.02
 DEG = math.pi / 180.0
+
+
+def rot_of(q) -> np.ndarray:
+    """Rotation matrix (body to NED) of one quaternion."""
+    return quats_to_rots([q])[0]
+
+
+def truth_at(params, t) -> TruthSample:
+    """Exact trajectory state at time ``t``: one row of the synthesizer's
+    own truth channel, at any time rather than on the sample grid."""
+    p, v, a, q, gamma = simkite._truth(params, np.array([t], dtype=float))
+    return TruthSample(t, p[0], v[0], a[0], q[0], float(gamma[0]))
 
 
 def reference_truth(params, t):
@@ -116,14 +130,14 @@ def reference_synthesize(params, noise, geometry=EncoderGeometry(), ts=TS):
     gyro_limit = noise.gyro_range_dps * DEG
     frames = []
     for k, s in enumerate(truth):
-        force = quat_to_rot(s.q).T @ (rot_n2g @ (s.a - np.array([0.0, 0.0, GRAVITY])))
+        force = rot_of(s.q).T @ (rot_n2g @ (s.a - np.array([0.0, 0.0, GRAVITY])))
         accel = force + accel_bias + rng.normal(0.0, sigma_accel, 3)
         gyro = rates[k] + gyro_bias + rng.normal(0.0, sigma_gyro, 3)
         if gyro_limit > 0.0:
             gyro = np.clip(gyro, -gyro_limit, gyro_limit)
         tilt = reference_small_rotation(rng.normal(0.0, noise.attitude_rms_deg * DEG, 3))
         frames.append(SensorFrame(
-            t=s.t, accel_k=accel, gyro_k=gyro, quat=rot_to_quat(quat_to_rot(s.q) @ tilt),
+            t=s.t, accel_k=accel, gyro_k=gyro, quat=rot_to_quat(rot_of(s.q) @ tilt),
             gps_xy=gps_at.get(k), baro_z=baro_at.get(k),
             encoder=angles_to_encoder(*angles[k], geometry, noise.encoder_cpr),
             wind_speed=params.speed_scale))
@@ -216,7 +230,7 @@ class TestTruth:
         params = TrajectoryParams(phi_g=0.4)
         for t in (0.15, 1.3, 4.4):
             s = truth_at(params, t)
-            R = rot_ned_to_g(0.4) @ quat_to_rot(s.q)  # body -> ground
+            R = rot_ned_to_g(0.4) @ rot_of(s.q)  # body -> ground
             assert_allclose(R.T @ R, np.eye(3), atol=1e-12)
             assert_allclose(R[:, 0], s.v / np.linalg.norm(s.v), atol=1e-12)
             assert_allclose(R[:, 2], -s.p / 30.0, atol=1e-12)
@@ -378,8 +392,8 @@ class TestNoiseBudget:
         return dataclasses.replace(NoiseSpec.none(), **kw)
 
     def exact_force(self, s, phi_g=0.0):
-        return quat_to_rot(s.q).T @ (rot_ned_to_g(phi_g)
-                                     @ (s.a - np.array([0.0, 0.0, GRAVITY])))
+        return rot_of(s.q).T @ (rot_ned_to_g(phi_g)
+                                @ (s.a - np.array([0.0, 0.0, GRAVITY])))
 
     def test_accel_noise_level(self):
         spec = self.only(accel_density_g=2.5e-4, seed=4)
@@ -403,7 +417,7 @@ class TestNoiseBudget:
         frames, truth = synthesize(TrajectoryParams(duration=40.0), spec)
         tilts = []
         for f, s in zip(frames, truth):
-            R_err = quat_to_rot(s.q).T @ quat_to_rot(f.quat)
+            R_err = rot_of(s.q).T @ rot_of(f.quat)
             tilts.append([R_err[2, 1] - R_err[1, 2],
                           R_err[0, 2] - R_err[2, 0],
                           R_err[1, 0] - R_err[0, 1]])
