@@ -30,7 +30,6 @@ from .evalio import (
     compare_approaches,
     default_configs,
     read_log,
-    rmse,
     write_log,
 )
 from .frames import (
@@ -76,7 +75,6 @@ __all__ = [
     "compare_approaches",
     "default_configs",
     "read_log",
-    "rmse",
     "write_log",
     "cartesian_to_spherical",
     "rot_g_to_l",

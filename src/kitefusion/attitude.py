@@ -59,12 +59,12 @@ def quats_to_rots(q: np.ndarray) -> np.ndarray:
 
 
 def rot_to_quat(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (scalar first, scalar part >= 0) of a rotation matrix.
+    """Unit quaternions (scalar first, scalar part >= 0) of rotation matrices.
 
     Inverse of :func:`quats_to_rots` up to the quaternion sign ambiguity.
     Uses the largest of the four squared components as pivot for numerical
-    robustness.  Takes one matrix, shape (3, 3), or a stack, shape
-    (n, 3, 3), and returns shape (4,) or (n, 4) to match.
+    robustness.  Takes a stack of matrices, shape (n, 3, 3), and returns
+    one quaternion per matrix, shape (n, 4).
     """
     R = np.asarray(R, dtype=float)
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R.reshape(-1, 9).T
@@ -86,7 +86,7 @@ def rot_to_quat(R: np.ndarray) -> np.ndarray:
             q[rows, j] = 0.25 * s if num is None else num[rows] / s
     q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
     q[q[:, 0] < 0.0] *= -1.0
-    return q.reshape(R.shape[:-2] + (4,))
+    return q
 
 
 def body_rates_between(q0: np.ndarray, q1: np.ndarray, dt: float) -> np.ndarray:
@@ -96,13 +96,11 @@ def body_rates_between(q0: np.ndarray, q1: np.ndarray, dt: float) -> np.ndarray:
     sin(a)/|w| Omega(w)) q0`` with ``a = |w| dt / 2`` and ``Omega`` the
     linear map of the quaternion kinematic equation.  The two quaternions
     must be on the same sign branch (``q0 . q1 >= 0``) for the short-way
-    rotation.  Takes one pair, shape (4,), or stacks of pairs, shape
-    (n, 4), and returns shape (3,) or (n, 3) to match.
+    rotation.  Takes stacks of pairs, shape (n, 4) each, and returns one
+    rate vector per pair, shape (n, 3).
     """
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    shape = q0.shape[:-1] + (3,)
-    q0, q1 = q0.reshape(-1, 4), q1.reshape(-1, 4)
+    q0 = np.asarray(q0, dtype=float).reshape(-1, 4)
+    q1 = np.asarray(q1, dtype=float).reshape(-1, 4)
     _check_units(q0)
     _check_units(q1)
     if dt <= 0.0:
@@ -123,7 +121,7 @@ def body_rates_between(q0: np.ndarray, q1: np.ndarray, dt: float) -> np.ndarray:
     # math.atan2 per element: numpy's arctan2 can differ in the last bit.
     a = np.array(list(map(math.atan2, sin_a[turned].tolist(), c[turned].tolist())))
     scale[turned] = 2.0 * a / (dt * sin_a[turned])
-    return (e * scale[:, None]).reshape(shape)
+    return e * scale[:, None]
 
 
 def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, float]:

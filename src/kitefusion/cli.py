@@ -160,6 +160,8 @@ def cmd_bode(args) -> None:
     estimator = build_estimator_config(cfg)
     if not 0.0 < args.f_min < args.f_max:
         raise DomainError("need 0 < f-min < f-max")
+    if args.points < 1:
+        raise DomainError(f"need at least one point, got {args.points}")
     freqs = np.geomspace(args.f_min, args.f_max, args.points)
     kf_fu, kf_fy = kf_frequency_response(
         KfTuning(estimator.ts, estimator.ratios), args.axis, freqs)
@@ -212,15 +214,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (DomainError, DegenerateInputError, LogFormatError) as exc:
+    except (DomainError, DegenerateInputError, LogFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -8,7 +8,7 @@ to exit code 2 and the last one to exit code 3.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 
 class DomainError(ValueError):
@@ -29,8 +29,11 @@ class NonConvergenceError(RuntimeError):
 
 
 def require_finite(spec) -> None:
-    """Reject a dataclass instance with a nan or infinite field, by name."""
+    """Reject a dataclass instance with a nan or infinite field, by name;
+    tuple fields entry by entry, nested dataclasses not at all."""
     for field in fields(spec):
         value = getattr(spec, field.name)
-        if not math.isfinite(value):
+        if is_dataclass(value):
+            continue
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
             raise DomainError(f"{field.name} must be finite, got {value}")

@@ -65,9 +65,12 @@ def build_system(ts: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A, B, C
 
 
+DARE_TOL = 1e-13
+DARE_MAX_ITERATIONS = 10 ** 6
+
+
 def solve_dare(A: np.ndarray, B: np.ndarray, C: np.ndarray,
-               Q: np.ndarray, R: np.ndarray,
-               tol: float = 1e-13, max_iterations: int = 10 ** 6) -> np.ndarray:
+               Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Steady-state prediction covariance of the filtering Riccati equation.
 
     Iterates the fixed point
@@ -75,7 +78,7 @@ def solve_dare(A: np.ndarray, B: np.ndarray, C: np.ndarray,
         P <- A P A' - A P C' (C P C' + R)^-1 C P A' + B Q B'
 
     from ``P = B Q B'`` until the relative Frobenius change drops below
-    ``tol``.  Plain fixed-point iteration converges linearly at the squared
+    ``DARE_TOL``.  Plain fixed-point iteration converges linearly at the squared
     closed-loop spectral radius, which stays comfortably away from 1 for
     the tunings used here.
 
@@ -97,7 +100,7 @@ def solve_dare(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     DomainError
         If ``R`` is not symmetric positive definite.
     NonConvergenceError
-        If the iteration budget is exhausted.
+        If ``DARE_MAX_ITERATIONS`` iterations do not converge.
     """
     R = np.asarray(R, dtype=float)
     if not np.allclose(R, R.T, atol=1e-12):
@@ -111,17 +114,17 @@ def solve_dare(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     C = np.asarray(C, dtype=float)
     BQBt = B @ np.asarray(Q, dtype=float) @ B.T
     P = BQBt.copy()
-    for _ in range(max_iterations):
+    for _ in range(DARE_MAX_ITERATIONS):
         PCt = P @ C.T
         S = C @ PCt + R
         APCt = A @ PCt
         P_next = A @ P @ A.T - APCt @ np.linalg.solve(S, APCt.T) + BQBt
         delta = np.linalg.norm(P_next - P)
         P = P_next
-        if delta <= tol * max(1.0, np.linalg.norm(P)):
+        if delta <= DARE_TOL * max(1.0, np.linalg.norm(P)):
             return 0.5 * (P + P.T)
     raise NonConvergenceError(
-        f"Riccati fixed point not converged after {max_iterations} iterations")
+        f"Riccati fixed point not converged after {DARE_MAX_ITERATIONS} iterations")
 
 
 def kalman_gain(P: np.ndarray, A: np.ndarray, C: np.ndarray, R: np.ndarray) -> KalmanGain:
@@ -169,7 +172,7 @@ def _unit_circle_magnitudes(ts: float, freqs, response) -> tuple[np.ndarray, np.
     for each frequency ``f`` in Hz, which must lie in (0, Nyquist)."""
     freqs = np.asarray(freqs, dtype=float)
     nyquist = 0.5 / ts
-    if np.any(freqs <= 0.0) or np.any(freqs >= nyquist):
+    if not np.all((freqs > 0.0) & (freqs < nyquist)):
         raise DomainError(f"frequencies must lie in (0, {nyquist}) Hz")
     mag_1 = np.empty_like(freqs)
     mag_2 = np.empty_like(freqs)
@@ -203,8 +206,11 @@ def kf_frequency_response(tuning: KfTuning, axis: int,
     Raises
     ------
     DomainError
-        If a frequency lies outside the open interval up to Nyquist.
+        If the axis is not 0, 1 or 2, or a frequency lies outside the
+        open interval up to Nyquist.
     """
+    if axis not in (0, 1, 2):
+        raise DomainError(f"axis must be 0, 1 or 2, got {axis}")
     ts = float(tuning.ts)
     k1, k2 = axis_gain(ts, float(tuning.ratios[axis]))
     # (I - K C) A and (I - K C) B for the single axis.

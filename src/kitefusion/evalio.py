@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import array
 import dataclasses
+import itertools
 import math
 import operator
 from typing import NamedTuple, Sequence
@@ -41,33 +42,41 @@ from .frames import wrap_angle
 from .lineangle import EncoderReading
 from .pipelines import EstimationPipeline, EstimatorConfig, SensorFrame
 
-FRAME_COLUMNS = ("t", "ax", "ay", "az", "wx", "wy", "wz",
-                 "q1", "q2", "q3", "q4", "gps_x", "gps_y", "baro_z",
-                 "enc_theta", "enc_phi", "wind")
-TRUTH_COLUMNS = ("truth_px", "truth_py", "truth_pz",
-                 "truth_vx", "truth_vy", "truth_vz", "truth_gamma")
+# The log layout per record, in column order: field, column names, and
+# the label of a channel group whose cells must be all present or all
+# absent (None for a single cell, and for truth, which must be whole).
+_FRAME_LAYOUT = (
+    ("t", ("t",), None),
+    ("accel_k", ("ax", "ay", "az"), "accelerometer"),
+    ("gyro_k", ("wx", "wy", "wz"), "gyro"),
+    ("quat", ("q1", "q2", "q3", "q4"), "attitude"),
+    ("gps_xy", ("gps_x", "gps_y"), "XY fix"),
+    ("baro_z", ("baro_z",), None),
+    ("encoder", ("enc_theta", "enc_phi"), "encoder"),
+    ("wind_speed", ("wind",), None),
+)
+_TRUTH_LAYOUT = (
+    ("p", ("truth_px", "truth_py", "truth_pz"), None),
+    ("v", ("truth_vx", "truth_vy", "truth_vz"), None),
+    ("gamma", ("truth_gamma",), None),
+)
+
+
+def _field_slices(layout, start: int = 0) -> tuple[tuple[str, slice, str | None], ...]:
+    """``(field, columns, group)`` of each layout entry, its columns as a
+    slice of a table whose first column for the layout is ``start``."""
+    stops = list(itertools.accumulate((len(cols) for _, cols, _ in layout), initial=start))
+    return tuple((name, slice(lo, hi), group)
+                 for (name, _, group), lo, hi in zip(layout, stops, stops[1:]))
+
+
+FRAME_COLUMNS = tuple(col for _, cols, _ in _FRAME_LAYOUT for col in cols)
+TRUTH_COLUMNS = tuple(col for _, cols, _ in _TRUTH_LAYOUT for col in cols)
+_FRAME_FIELDS = _field_slices(_FRAME_LAYOUT)
+_TRUTH_FIELDS = _field_slices(_TRUTH_LAYOUT, start=len(FRAME_COLUMNS))
 
 RADIO_RATIOS = (10.0, 10.0, 10.0)
 LINE_ANGLE_RATIOS = (500.0, 500.0, 500.0)
-
-
-def _spans(widths: Sequence[tuple[str, int]], start: int = 0) -> tuple[tuple[str, slice], ...]:
-    """``(field, columns)`` of fields of the given widths laid out from ``start``."""
-    spans = []
-    for name, width in widths:
-        spans.append((name, slice(start, start + width)))
-        start += width
-    return tuple(spans)
-
-
-# The columns of each ``SensorFrame`` field, in field order, and of each
-# truth attribute.
-_FRAME_SPANS = _spans((("t", 1), ("accel_k", 3), ("gyro_k", 3), ("quat", 4),
-                       ("gps_xy", 2), ("baro_z", 1), ("encoder", 2), ("wind_speed", 1)))
-_TRUTH_SPANS = _spans((("p", 3), ("v", 3), ("gamma", 1)), start=len(FRAME_COLUMNS))
-# Channel groups whose cells are all present or all absent, as messages name them.
-_GROUPS = {"accel_k": "accelerometer", "gyro_k": "gyro", "quat": "attitude",
-           "gps_xy": "XY fix", "encoder": "encoder"}
 
 
 class TruthPoint(NamedTuple):
@@ -105,15 +114,15 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
     if truth is not None and len(truth) != len(frames):
         raise LogFormatError(
             f"truth length {len(truth)} does not match {len(frames)} frames")
-    records = [(frames, _FRAME_SPANS)]
+    records = [(frames, _FRAME_FIELDS)]
     header = FRAME_COLUMNS
     if truth is not None:
-        records.append((truth, _TRUTH_SPANS))
+        records.append((truth, _TRUTH_FIELDS))
         header += TRUTH_COLUMNS
     table = np.full((len(frames), len(header)), math.nan)
     present = np.zeros(table.shape, dtype=bool)
-    for items, spans in records:
-        for name, cols in spans:
+    for items, record_fields in records:
+        for name, cols, _ in record_fields:
             values = [getattr(item, name) for item in items]
             rows = [i for i, value in enumerate(values) if value is not None]
             width = cols.stop - cols.start
@@ -172,11 +181,11 @@ def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool) -> tuple[i
     stalled = np.zeros(len(t), dtype=bool)
     stalled[1:] = t[1:] <= t[:-1]
     faults, messages = [empty[:, 0], stalled], ["missing timestamp", None]
-    for name, cols in _FRAME_SPANS:
-        if name in _GROUPS:
+    for _, cols, group in _FRAME_FIELDS:
+        if group is not None:
             absent = empty[:, cols]
             faults.append(absent.any(axis=1) & ~absent.all(axis=1))
-            messages.append(f"partial {_GROUPS[name]} sample")
+            messages.append(f"partial {group} sample")
     if has_truth:
         faults.append(empty[:, len(FRAME_COLUMNS):].any(axis=1))
         messages.append("incomplete truth row")
@@ -229,13 +238,9 @@ def read_log(path) -> LogData:
                 continue
             if header is None:
                 cols = tuple(c.strip() for c in line.split(","))
-                if cols == FRAME_COLUMNS:
-                    has_truth = False
-                elif cols == FRAME_COLUMNS + TRUTH_COLUMNS:
-                    has_truth = True
-                else:
+                if cols not in (FRAME_COLUMNS, FRAME_COLUMNS + TRUTH_COLUMNS):
                     raise LogFormatError(f"line {lineno}: unrecognized header")
-                header = cols
+                header, has_truth = cols, cols != FRAME_COLUMNS
                 continue
             cells = line.split(",")
             if len(cells) != len(header):
@@ -266,31 +271,13 @@ def read_log(path) -> LogData:
         raise LogFormatError(f"line {linenos[row]}: {message}")
     if cell_error is not None:
         raise LogFormatError(cell_error)
-    columns = [_column(table, empty, name, cols) for name, cols in _FRAME_SPANS]
+    columns = [_column(table, empty, name, cols) for name, cols, _ in _FRAME_FIELDS]
     frames = [SensorFrame(*fields) for fields in zip(*columns)]
     if not has_truth:
         return LogData(frames, None)
     truth = [TruthPoint(*fields) for fields in zip(
-        columns[0], *(_column(table, empty, name, cols) for name, cols in _TRUTH_SPANS))]
+        columns[0], *(_column(table, empty, name, cols) for name, cols, _ in _TRUTH_FIELDS))]
     return LogData(frames, truth)
-
-
-def rmse(a, b, angular: bool = False) -> float:
-    """Root-mean-square difference of two equally long sequences.
-
-    With ``angular`` the differences are wrapped to (-pi, pi] first, so a
-    pair like 3.1 and -3.1 counts as 0.08 apart, not 6.2.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise DomainError("no samples to compare")
-    d = a - b
-    if angular:
-        d = wrap_angle(d)
-    return float(np.sqrt(np.mean(np.square(d))))
 
 
 def default_configs(base: EstimatorConfig | None = None) -> tuple[EstimatorConfig, ...]:

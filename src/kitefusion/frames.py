@@ -58,12 +58,15 @@ def spherical_to_cartesian(theta: float, phi: float, r: float) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``r`` is not positive or ``theta`` lies outside [-pi/2, pi/2].
+        If ``r`` is not positive, ``theta`` lies outside [-pi/2, pi/2]
+        or ``phi`` is not finite.
     """
     if not r > 0.0:
         raise DomainError(f"sphere radius must be positive, got {r}")
     if not abs(theta) <= math.pi / 2.0:
         raise DomainError(f"elevation out of [-pi/2, pi/2]: {theta}")
+    if not math.isfinite(phi):
+        raise DomainError(f"azimuth must be finite, got {phi}")
     ct = math.cos(theta)
     return np.array([r * ct * math.cos(phi), r * ct * math.sin(phi), r * math.sin(theta)])
 
@@ -90,21 +93,38 @@ def cartesian_to_spherical(p: np.ndarray, r: float) -> tuple[float, float]:
     Raises
     ------
     DomainError
-        If ``|p_z|`` exceeds ``r`` by more than the relative tolerance
-        ``Z_OVER_R_TOL``.
+        If ``r`` is not positive, ``|p_z|`` exceeds ``r`` by more than the
+        relative tolerance ``Z_OVER_R_TOL`` or a component is not finite.
     DegenerateInputError
         If ``p_x = p_y = 0`` (azimuth undefined on the zenith axis).
     """
+    px, py, pz = float(p[0]), float(p[1]), float(p[2])
+    theta = _elevation(pz, r)
+    _horizontal(px, py)
+    return theta, math.atan2(py, px)
+
+
+def _elevation(z: float, r: float) -> float:
+    """Elevation ``asin(z / r)`` of the height ``z``, with ``|z / r|`` up to
+    ``1 + Z_OVER_R_TOL`` clamped to 1; ``DomainError`` for ``r <= 0`` or
+    any other ``z``, NaN included."""
     if not r > 0.0:
         raise DomainError(f"sphere radius must be positive, got {r}")
-    px, py, pz = float(p[0]), float(p[1]), float(p[2])
-    ratio = pz / r
-    if abs(ratio) > 1.0 + Z_OVER_R_TOL:
-        raise DomainError(f"|p_z| = {abs(pz)} exceeds sphere radius {r}")
-    if px == 0.0 and py == 0.0:
+    ratio = z / r
+    if not abs(ratio) <= 1.0 + Z_OVER_R_TOL:
+        raise DomainError(f"height {z} gives no elevation on the sphere of radius {r}")
+    return math.asin(max(-1.0, min(1.0, ratio)))
+
+
+def _horizontal(x: float, y: float) -> float:
+    """``hypot(x, y)``, which must be finite (``DomainError``) and not zero
+    (``DegenerateInputError``) for the point to have an azimuth."""
+    horizontal = math.hypot(x, y)
+    if not math.isfinite(horizontal):
+        raise DomainError(f"XY components {x}, {y} must be finite")
+    if horizontal == 0.0:
         raise DegenerateInputError("azimuth undefined for a point on the zenith axis")
-    ratio = max(-1.0, min(1.0, ratio))
-    return math.asin(ratio), math.atan2(py, px)
+    return horizontal
 
 
 def rot_g_to_l(theta: float, phi: float) -> np.ndarray:

@@ -132,7 +132,7 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
 
 
 def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
-                      counts_per_rev: int | None = DEFAULT_COUNTS_PER_REV) -> EncoderReading:
+                      counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> EncoderReading:
     """Arm angles that the mechanism shows for wing angles (theta, phi).
 
     Inverts :func:`encoder_to_angles` in closed form.  The line guide
@@ -149,9 +149,10 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
         Wing elevation and azimuth in rad.
     geometry : EncoderGeometry
         Mounting geometry of the mechanism.
-    counts_per_rev : int or None
-        Encoder line count for the final rounding; ``None`` or ``0``
-        returns the unrounded solution, azimuth in (-pi, pi].
+    counts_per_rev : int
+        Encoder line count for the final rounding; ``0`` (ideal
+        readings, as in ``NoiseSpec``) returns the unrounded solution,
+        azimuth in (-pi, pi].
 
     Raises
     ------
@@ -177,6 +178,6 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
     up = lam * uz - g.pivot_height
     theta_b = math.atan2(up, math.hypot(fwd, side)) + g.guide_angle
     phi_b = math.atan2(side, fwd)
-    if not counts_per_rev:
+    if counts_per_rev == 0:
         return EncoderReading(theta_b, phi_b)
     return quantize(theta_b, phi_b, counts_per_rev)

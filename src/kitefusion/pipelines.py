@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attitude import inertial_accel
-from .errors import DegenerateInputError, DomainError, LogFormatError
-from .frames import TWO_PI, Z_OVER_R_TOL
+from .errors import DegenerateInputError, DomainError, LogFormatError, require_finite
+from .frames import TWO_PI, _elevation, _horizontal
 from .lineangle import EncoderGeometry, EncoderReading, encoder_to_angles
 from .estimator import _unit_circle_magnitudes, axis_gain
 
@@ -97,6 +97,8 @@ class EstimatorConfig:
     use_imu : bool
         Integrate the accelerometer between fixes when True; with False
         the prediction step uses zero acceleration.
+
+    A ``DomainError`` names the first field holding a non-finite number.
     """
 
     r: float = 30.0
@@ -109,8 +111,7 @@ class EstimatorConfig:
     use_imu: bool = True
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.r, self.phi_g, self.ts, *self.ratios, *self.k_gamma))):
-            raise DomainError("r, phi_g, ts, ratios and k_gamma must be finite")
+        require_finite(self)
         if not self.r > 0.0:
             raise DomainError(f"tether length must be positive, got {self.r}")
         if not self.ts > 0.0:
@@ -145,17 +146,17 @@ class EstimateOutput(NamedTuple):
 _output = tuple.__new__
 
 
-def geometric_correction(p_tilde: np.ndarray, r: float) -> np.ndarray:
+def geometric_correction(p_tilde, r: float) -> tuple[float, float, float]:
     """Rescale the XY components of a position so it lies on the sphere.
 
     The height component is trusted: the elevation it implies fixes the
     horizontal distance from the tether exit, and the XY pair is scaled
-    to that distance while keeping its direction.  The returned height is
-    the input height unchanged.
+    to that distance while keeping its direction.  Returns three floats,
+    the height the input height unchanged.
 
     Parameters
     ----------
-    p_tilde : array_like, shape (3,)
+    p_tilde : sequence of three floats
         Measured position, m.
     r : float
         Sphere radius (tether length), m.
@@ -168,20 +169,9 @@ def geometric_correction(p_tilde: np.ndarray, r: float) -> np.ndarray:
     DegenerateInputError
         If the XY components are both exactly zero (no direction to keep).
     """
-    p_tilde = np.asarray(p_tilde, dtype=float)
-    if not r > 0.0:
-        raise DomainError(f"radius must be positive, got {r}")
-    ratio = p_tilde[2] / r
-    if not abs(ratio) <= 1.0 + Z_OVER_R_TOL:
-        raise DomainError(f"height {p_tilde[2]} outside sphere of radius {r}")
-    ratio = min(1.0, max(-1.0, ratio))
-    horizontal = math.hypot(p_tilde[0], p_tilde[1])
-    if not math.isfinite(horizontal):
-        raise DomainError(f"XY components {p_tilde[0]}, {p_tilde[1]} must be finite")
-    if horizontal == 0.0:
-        raise DegenerateInputError("XY components are zero; direction undefined")
-    scale = r * math.cos(math.asin(ratio)) / horizontal
-    return np.array([p_tilde[0] * scale, p_tilde[1] * scale, p_tilde[2]])
+    x, y, z = float(p_tilde[0]), float(p_tilde[1]), float(p_tilde[2])
+    scale = r * math.cos(_elevation(z, r)) / _horizontal(x, y)
+    return x * scale, y * scale, z
 
 
 def lo_frequency_response(k_gamma: tuple[float, float], ts: float,
@@ -386,10 +376,10 @@ class EstimationPipeline:
             return measured
         try:
             corrected = geometric_correction(
-                (frame.gps_xy[0], frame.gps_xy[1], self._held_z), self.config.r).tolist()
+                (frame.gps_xy[0], frame.gps_xy[1], self._held_z), self.config.r)
         except (DomainError, DegenerateInputError):
             return measured
-        return (corrected[0], corrected[1], height), (tuple(corrected), (0, 1))
+        return (corrected[0], corrected[1], height), (corrected, (0, 1))
 
     def _encoder_fix(self, frame: SensorFrame):
         """Routing 3: the point on the sphere that an encoder reading

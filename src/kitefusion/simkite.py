@@ -23,7 +23,7 @@ one knob scales every speed and acceleration together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -188,8 +188,8 @@ class NoiseSpec:
     sampling bandwidth (half the tick rate).  Bias limits are the half
     width of a uniform draw made once per record.  A rate of zero removes
     the channel entirely; a zero resolution or line count disables the
-    corresponding quantization.  Every field must be finite; a
-    ``DomainError`` names the first one that is not.
+    corresponding quantization.  Every field must be finite and not
+    negative; a ``DomainError`` names the first one that is not.
 
     Attributes
     ----------
@@ -237,6 +237,10 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise DomainError(f"{field.name} must not be negative, got {value}")
 
     @classmethod
     def none(cls, seed: int = 0) -> "NoiseSpec":
@@ -261,23 +265,19 @@ def _small_rotations(delta: np.ndarray) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def _arrival_tick(t: float, ts: float) -> int:
-    """First tick index whose time is not before ``t``."""
-    return math.ceil(t / ts - 1e-9)
-
-
 def _fix_schedule(rate: float, latency: float, ts: float, n: int):
     """Times and arrival ticks of the samples a channel at ``rate`` Hz
-    delivers within ``n`` ticks; none when ``rate`` is zero."""
-    times, ticks = [], []
-    while rate > 0.0:
-        t_fix = len(times) / rate
-        tick = _arrival_tick(t_fix + latency, ts)
-        if tick >= n:
-            break
-        times.append(t_fix)
-        ticks.append(tick)
-    return np.array(times), ticks
+    delivers within ``n`` ticks; none when ``rate`` is zero.  Sample ``k``,
+    taken at ``k / rate``, arrives on the first tick not before
+    ``k / rate + latency``."""
+    if not rate > 0.0:
+        return np.empty(0), []
+    # The last sample is taken after n * ts, so with a non-negative
+    # latency it arrives too late: the range holds every sample kept.
+    times = np.arange(math.floor(rate * n * ts) + 2) / rate
+    ticks = np.ceil((times + latency) / ts - 1e-9)
+    keep = ticks < n
+    return times[keep], ticks[keep].astype(int).tolist()
 
 
 def synthesize(params: TrajectoryParams = TrajectoryParams(),

@@ -59,6 +59,16 @@ def rot_of(q) -> np.ndarray:
     return quats_to_rots([q])[0]
 
 
+def quat_of(R) -> np.ndarray:
+    """Quaternion of one rotation matrix, from the package's stacked form."""
+    return rot_to_quat([R])[0]
+
+
+def rates_between(q0, q1, dt) -> np.ndarray:
+    """Body rates of one quaternion pair, from the package's stacked form."""
+    return body_rates_between([q0], [q1], dt)[0]
+
+
 def scalar_quat_to_rot(q) -> np.ndarray:
     """One quaternion's matrix, written out entry by entry: the scalar
     definition that ``quats_to_rots`` must reproduce bit for bit."""
@@ -143,7 +153,7 @@ class TestRotToQuat:
             q = random_unit_quat(rng)
             if q[0] < 0:
                 q = -q
-            assert_allclose(rot_to_quat(rot_of(q)), q, atol=1e-12)
+            assert_allclose(quat_of(rot_of(q)), q, atol=1e-12)
 
     @pytest.mark.parametrize("q", [
         [0.0, 1.0, 0.0, 0.0],
@@ -154,12 +164,12 @@ class TestRotToQuat:
     def test_half_turn_pivots(self, q):
         # Half turns have zero scalar part and exercise the non-trace pivots.
         R = rot_of(q)
-        assert_allclose(rot_of(rot_to_quat(R)), R, atol=1e-12)
+        assert_allclose(rot_of(quat_of(R)), R, atol=1e-12)
 
     def test_canonical_sign(self):
         rng = np.random.default_rng(24)
         for _ in range(50):
-            assert rot_to_quat(rot_of(random_unit_quat(rng)))[0] >= 0.0
+            assert quat_of(rot_of(random_unit_quat(rng)))[0] >= 0.0
 
     def test_stack_matches_scalar_reference_on_every_pivot(self):
         rng = np.random.default_rng(26)
@@ -177,7 +187,7 @@ class TestRotToQuat:
         assert batch.shape == (len(quats), 4)
         for R, q in zip(stack, batch):
             assert np.array_equal(q, scalar_rot_to_quat(R))
-            assert np.array_equal(q, rot_to_quat(R))
+            assert np.array_equal(q, quat_of(R))
 
 
 class TestQuatsToRots:
@@ -264,12 +274,12 @@ class TestBodyRatesBetween:
             q1 = quat_propagate(q0, w, dt)
             if float(q0 @ q1) < 0:
                 q1 = -q1
-            assert_allclose(body_rates_between(q0, q1, dt), w, atol=1e-9)
+            assert_allclose(rates_between(q0, q1, dt), w, atol=1e-9)
 
     def test_identical_quaternions(self):
         rng = np.random.default_rng(30)
         q = random_unit_quat(rng)
-        assert_allclose(body_rates_between(q, q, 0.02), np.zeros(3), atol=1e-12)
+        assert_allclose(rates_between(q, q, 0.02), np.zeros(3), atol=1e-12)
 
     def test_stack_matches_pairs(self):
         rng = np.random.default_rng(31)
@@ -279,7 +289,7 @@ class TestBodyRatesBetween:
         rates = body_rates_between(q0, q1, 0.02)
         assert rates.shape == (50, 3)
         for a, b, w in zip(q0, q1, rates):
-            assert np.array_equal(w, body_rates_between(a, b, 0.02))
+            assert np.array_equal(w, rates_between(a, b, 0.02))
         with pytest.raises(DomainError):
             body_rates_between(q0, 1.01 * q1, 0.02)
 

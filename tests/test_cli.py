@@ -100,6 +100,19 @@ class TestSimulate:
         assert "non-finite value" in err and "column gps_" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--seed", "-1"], BASE_CONFIG),
+        ([], BASE_CONFIG + "gps_sigma_xy = -1\n"),
+        ([], BASE_CONFIG + "accel_bias_g = -1\n"),
+        ([], BASE_CONFIG + "baro_resolution = -0.2\n"),
+    ], ids=["seed", "gps_sigma_xy", "accel_bias_g", "baro_resolution"])
+    def test_negative_noise_value_exits_2_without_a_log(self, tmp_path, capsys, argv, config):
+        cfg = write(tmp_path / "c.cfg", config)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), *argv]) == 2
+        assert "must not be negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seeded_log_bytes_pinned(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", "duration = 3.0\napproach = 3\n")
         out = tmp_path / "pinned.csv"
@@ -196,6 +209,13 @@ class TestBode:
         # near 1 Hz the stiff tuning still tracks while the soft one rolls off
         mid = next(i for i, row in enumerate(f_soft) if float(row[0]) > 1.0)
         assert float(f_stiff[mid][2]) > float(f_soft[mid][2])
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_fewer_than_one_point_exits_2(self, tmp_path, capsys, points):
+        out = tmp_path / "x.csv"
+        assert main(["bode", "--out", str(out), "--points", points]) == 2
+        assert "error: need at least one point" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_band_outside_nyquist_exits_2(self, tmp_path, capsys):
         code = main(["bode", "--out", str(tmp_path / "x.csv"), "--f-max", "30"])

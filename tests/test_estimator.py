@@ -331,3 +331,10 @@ class TestFrequencyResponse:
             kf_frequency_response(t, 0, np.array([25.0]))
         with pytest.raises(DomainError):
             kf_frequency_response(t, 0, np.array([-1.0]))
+        with pytest.raises(DomainError):
+            kf_frequency_response(t, 0, np.array([0.5, math.nan]))
+
+    @pytest.mark.parametrize("axis", [-1, 3])
+    def test_rejects_axis_outside_0_to_2(self, axis):
+        with pytest.raises(DomainError, match="axis"):
+            kf_frequency_response(KfTuning(TS, (500.0, 10.0, 2.0)), axis, np.array([0.5]))

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from kitefusion.errors import DomainError, LogFormatError
 from kitefusion.evalio import (
@@ -26,7 +25,6 @@ from kitefusion.evalio import (
     compare_approaches,
     default_configs,
     read_log,
-    rmse,
     write_log,
 )
 from kitefusion.frames import wrap_angle
@@ -109,6 +107,16 @@ class TestRoundTrip:
 
 
 HEADER_LINE = ",".join(FRAME_COLUMNS)
+
+
+def test_header_is_the_file_format():
+    """The columns are derived from the layout tables; the names and their
+    order are the log format, so they are pinned here as written."""
+    assert FRAME_COLUMNS == ("t", "ax", "ay", "az", "wx", "wy", "wz",
+                             "q1", "q2", "q3", "q4", "gps_x", "gps_y", "baro_z",
+                             "enc_theta", "enc_phi", "wind")
+    assert TRUTH_COLUMNS == ("truth_px", "truth_py", "truth_pz",
+                             "truth_vx", "truth_vy", "truth_vz", "truth_gamma")
 
 
 def write_text(tmp_path, body):
@@ -230,25 +238,6 @@ class TestWriteFiniteRule:
             write_log(frames, tmp_path / "bad.csv")
         with pytest.raises(LogFormatError, match="frame 0: .* in column gps_y"):
             write_log(frames[1:], tmp_path / "bad.csv")
-
-
-class TestRmse:
-    def test_plain(self):
-        assert_allclose(rmse([0.0, 3.0, 4.0], [0.0, 0.0, 0.0]),
-                        math.sqrt(25.0 / 3.0))
-
-    def test_angular_wraps(self):
-        gap = 2.0 * math.pi - 6.2
-        assert_allclose(rmse([3.1, -3.1], [-3.1, 3.1], angular=True), gap,
-                        atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            rmse([1.0, 2.0], [1.0])
-
-    def test_empty(self):
-        with pytest.raises(DomainError):
-            rmse([], [])
 
 
 class TestCompareApproaches:

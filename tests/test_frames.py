@@ -34,6 +34,11 @@ class TestSphericalToCartesian:
         with pytest.raises(DomainError):
             frames.spherical_to_cartesian(1.8, 0.0, 30.0)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_azimuth_rejected(self, phi):
+        with pytest.raises(DomainError, match="azimuth"):
+            frames.spherical_to_cartesian(0.3, phi, 30.0)
+
     def test_on_sphere_by_construction(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -56,6 +61,15 @@ class TestCartesianToSpherical:
         p = np.array([1.0, 0.0, 30.0 * (1.0 + 1e-8)])
         with pytest.raises(DomainError):
             frames.cartesian_to_spherical(p, 30.0)
+
+    @pytest.mark.parametrize("xy", [(math.inf, 1.0), (math.nan, 1.0), (1.0, -math.inf)])
+    def test_non_finite_xy_rejected(self, xy):
+        with pytest.raises(DomainError):
+            frames.cartesian_to_spherical(np.array([*xy, 3.0]), 30.0)
+
+    def test_nan_height_rejected(self):
+        with pytest.raises(DomainError):
+            frames.cartesian_to_spherical(np.array([1.0, 1.0, math.nan]), 30.0)
 
     def test_z_within_tolerance_clamped(self):
         p = np.array([1e-6, 0.0, 30.0 * (1.0 + 1e-10)])

@@ -95,12 +95,12 @@ class TestQuantize:
 
 class TestAnglesToEncoder:
     def test_passthrough_unquantized(self):
-        reading = angles_to_encoder(0.5, 0.3, PASSTHROUGH, counts_per_rev=None)
+        reading = angles_to_encoder(0.5, 0.3, PASSTHROUGH, counts_per_rev=0)
         assert reading.theta_b == pytest.approx(0.5, abs=1e-9)
         assert reading.phi_b == pytest.approx(0.3, abs=1e-9)
 
     def test_bench_inverse_unquantized(self):
-        reading = angles_to_encoder(0.38571792893616741, 0.0, BENCH, counts_per_rev=None)
+        reading = angles_to_encoder(0.38571792893616741, 0.0, BENCH, counts_per_rev=0)
         assert reading.theta_b == pytest.approx(0.5, abs=1e-9)
         assert reading.phi_b == pytest.approx(0.0, abs=1e-9)
 
@@ -121,7 +121,7 @@ class TestAnglesToEncoder:
         for _ in range(500):
             theta = rng.uniform(-1.3, 1.5)
             phi = rng.uniform(-math.pi, math.pi)
-            reading = angles_to_encoder(theta, phi, geometry, counts_per_rev=None)
+            reading = angles_to_encoder(theta, phi, geometry, counts_per_rev=0)
             theta2, phi2 = encoder_to_angles(reading, geometry)
             assert abs(theta2 - theta) <= 1e-12
             assert abs(frames.wrap_angle(phi2 - phi)) <= 1e-12
@@ -132,7 +132,7 @@ class TestAnglesToEncoder:
         # settles on when started from the wing angles.
         geo = EncoderGeometry(guide_rise=0.0, guide_reach=0.1,
                               pivot_height=0.0, pivot_setback=0.15)
-        reading = angles_to_encoder(0.3, 3.0, geo, counts_per_rev=None)
+        reading = angles_to_encoder(0.3, 3.0, geo, counts_per_rev=0)
         assert reading.theta_b == pytest.approx(0.744105430, abs=1e-9)
         assert reading.phi_b == pytest.approx(2.708146019, abs=1e-9)
         # Pointing away from the sphere: both crossings lie behind the origin.

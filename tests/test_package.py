@@ -1,7 +1,7 @@
 """The package's public names."""
 
 import kitefusion
-from kitefusion import attitude, estimator, frames, simkite
+from kitefusion import attitude, estimator, evalio, frames, simkite
 from kitefusion.pipelines import EstimationPipeline, EstimatorConfig
 
 
@@ -15,7 +15,7 @@ def test_removed_names_are_gone():
     """One per-axis gain path, and no public function that nothing in the
     package calls."""
     gone = {estimator: ("steady_state_gain",), simkite: ("truth_at",),
-            attitude: ("quat_to_rot",), frames: ("velocity_angle",)}
+            attitude: ("quat_to_rot",), frames: ("velocity_angle",), evalio: ("rmse",)}
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)

@@ -22,6 +22,7 @@ from kitefusion.estimator import axis_gain
 from kitefusion.evalio import default_configs
 from kitefusion.frames import (
     Z_OVER_R_TOL,
+    cartesian_to_spherical,
     rot_g_to_l,
     rot_ned_to_g,
     spherical_to_cartesian,
@@ -119,6 +120,7 @@ class TestGeometricCorrection:
     def test_worked_example(self):
         out = geometric_correction(np.array([4.0, 3.0, 0.0]), 10.0)
         assert_allclose(out, [8.0, 6.0, 0.0], atol=1e-12)
+        assert type(out) is tuple and all(type(v) is float for v in out)
 
     def test_height_passes_through_bit_exact(self):
         z = 0.1 + 0.2  # deliberately not representable as a round literal
@@ -149,6 +151,22 @@ class TestGeometricCorrection:
     def test_non_finite_xy_rejected(self, xy):
         with pytest.raises(DomainError, match="XY components"):
             geometric_correction(np.array([*xy, 10.0]), 30.0)
+
+    @pytest.mark.parametrize("z", [30.0 * (1.0 + 0.5 * Z_OVER_R_TOL), -30.0, 12.5,
+                                   30.0 * (1.0 + 2.0 * Z_OVER_R_TOL), -31.0,
+                                   math.nan, math.inf])
+    def test_elevation_rule_shared_with_frames(self, z):
+        """The correction accepts the heights cartesian_to_spherical
+        accepts, and keeps the horizontal distance of their elevation."""
+        p = (20.0, 1.0, z)
+        try:
+            theta, _ = cartesian_to_spherical(p, 30.0)
+        except DomainError:
+            with pytest.raises(DomainError):
+                geometric_correction(p, 30.0)
+        else:
+            x, y, _ = geometric_correction(p, 30.0)
+            assert_allclose(math.hypot(x, y), 30.0 * math.cos(theta), rtol=1e-15, atol=1e-15)
 
     def test_height_slack_is_the_frames_tolerance(self):
         z = 30.0 * (1.0 + 0.5 * Z_OVER_R_TOL)
@@ -232,6 +250,8 @@ class TestLoFrequencyResponse:
             lo_frequency_response((0.4, 0.9), TS, np.array([0.0]))
         with pytest.raises(DomainError):
             lo_frequency_response((0.4, 0.9), TS, np.array([25.0]))
+        with pytest.raises(DomainError):
+            lo_frequency_response((0.4, 0.9), TS, np.array([0.5, math.nan]))
 
 
 class TestConfigValidation:
@@ -260,6 +280,14 @@ class TestConfigValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             EstimatorConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("r", math.nan), ("phi_g", -math.inf), ("ts", math.inf),
+        ("ratios", (500.0, math.inf, 500.0)), ("k_gamma", (math.nan, 0.9)),
+    ])
+    def test_non_finite_field_named(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            EstimatorConfig(**{field: value})
 
 
 def run(pipeline, frames):
@@ -763,7 +791,7 @@ class HelperPipeline:
             if frame.gps_xy is not None and self._held_z is not None:
                 raw = np.array([frame.gps_xy[0], frame.gps_xy[1], self._held_z])
                 try:
-                    corrected = geometric_correction(raw, cfg.r)
+                    corrected = np.array(geometric_correction(raw, cfg.r))
                 except (DomainError, DegenerateInputError):
                     return
                 self._correct(corrected, (0, 1))

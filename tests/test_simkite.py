@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -74,8 +75,24 @@ def reference_truth(params, t):
     x_k = v / float(np.linalg.norm(v))
     z_k = -p / r
     rot_k_to_g = np.column_stack([x_k, np.cross(z_k, x_k), z_k])
-    q = rot_to_quat(rot_ned_to_g(params.phi_g) @ rot_k_to_g)
+    q = rot_to_quat([rot_ned_to_g(params.phi_g) @ rot_k_to_g])[0]
     return (th, ph), TruthSample(t, p, v, a, q, math.atan2(ct * phd, thd))
+
+
+def reference_fix_schedule(rate, latency, ts, n):
+    """Sample times and arrival ticks of a channel, one sample at a time:
+    sample ``j`` is taken at ``j / rate`` and arrives on the first tick
+    whose time is not before ``j / rate + latency``, until one arrives at
+    tick ``n`` or later."""
+    times, ticks = [], []
+    while rate > 0.0:
+        t_fix = len(times) / rate
+        tick = math.ceil((t_fix + latency) / ts - 1e-9)
+        if tick >= n:
+            break
+        times.append(t_fix)
+        ticks.append(tick)
+    return np.array(times), ticks
 
 
 def reference_small_rotation(delta):
@@ -123,7 +140,7 @@ def reference_synthesize(params, noise, geometry=EncoderGeometry(), ts=TS):
             sample = sample._replace(q=-sample.q)
         angles.append(pattern)
         truth.append(sample)
-    rates = [body_rates_between(truth[k].q, truth[k + 1].q, ts) for k in range(n - 1)]
+    rates = [body_rates_between([truth[k].q], [truth[k + 1].q], ts)[0] for k in range(n - 1)]
     rates = [rates[0]] + rates if n > 1 else [np.zeros(3)]
 
     rot_n2g = rot_ned_to_g(params.phi_g)
@@ -137,7 +154,7 @@ def reference_synthesize(params, noise, geometry=EncoderGeometry(), ts=TS):
             gyro = np.clip(gyro, -gyro_limit, gyro_limit)
         tilt = reference_small_rotation(rng.normal(0.0, noise.attitude_rms_deg * DEG, 3))
         frames.append(SensorFrame(
-            t=s.t, accel_k=accel, gyro_k=gyro, quat=rot_to_quat(rot_of(s.q) @ tilt),
+            t=s.t, accel_k=accel, gyro_k=gyro, quat=rot_to_quat([rot_of(s.q) @ tilt])[0],
             gps_xy=gps_at.get(k), baro_z=baro_at.get(k),
             encoder=angles_to_encoder(*angles[k], geometry, noise.encoder_cpr),
             wind_speed=params.speed_scale))
@@ -184,6 +201,11 @@ class TestTrajectoryParams:
         turning into nan samples or a misleading reachability error."""
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             cls(**{field: value})
+
+    @pytest.mark.parametrize("field", [field.name for field in dataclasses.fields(NoiseSpec)])
+    def test_negative_noise_field_named(self, field):
+        with pytest.raises(DomainError, match=f"{field} must not be negative"):
+            NoiseSpec(**{field: -1})
 
     def test_finite_extremes_still_accepted(self):
         # The rule is about nan and inf only; range checks stay as they were.
@@ -312,9 +334,9 @@ class TestNoiselessConsistency:
             assert_allclose(a, s.a, atol=1e-9)
 
     def test_gyro_matches_quaternion_differencing(self):
-        for k in range(1, len(self.frames)):
-            w = body_rates_between(self.truth[k - 1].q, self.truth[k].q, TS)
-            assert_allclose(self.frames[k].gyro_k, w, atol=1e-12)
+        q = np.array([s.q for s in self.truth])
+        for frame, w in zip(self.frames[1:], body_rates_between(q[:-1], q[1:], TS)):
+            assert_allclose(frame.gyro_k, w, atol=1e-12)
 
     def test_encoder_reproduces_pattern_angles(self):
         for f, s in zip(self.frames[::7], self.truth[::7]):
@@ -347,6 +369,21 @@ class TestNoiselessConsistency:
         g = np.array([s.gamma for s in self.truth])
         peak = np.max(np.abs(wrap_angle(np.diff(g)))) / TS
         assert 1.5 < peak < 2.5  # measured 2.2966 rad/s for this pattern
+
+
+class TestFixSchedule:
+    @pytest.mark.parametrize("ts", [0.01, 0.02, 0.025, 0.03, 0.1])
+    def test_matches_reference_loop(self, ts):
+        """Times bit for bit and ticks as Python ints, including records
+        too short for any sample and latencies past the record."""
+        for rate, latency, n in itertools.product(
+                (0.0, 0.7, 1.0, 3.3, 4.0, 9.0, 12.5, 50.0, 64.0),
+                (0.0, 0.013, 0.02, 0.2, 0.37, 1.0, 50.0),
+                (0, 1, 2, 7, 50, 333, 1000)):
+            times, ticks = simkite._fix_schedule(rate, latency, ts, n)
+            ref_times, ref_ticks = reference_fix_schedule(rate, latency, ts, n)
+            assert times.dtype == ref_times.dtype and times.tobytes() == ref_times.tobytes()
+            assert ticks == ref_ticks and all(type(k) is int for k in ticks)
 
 
 class TestLatencyAndQuantization:
@@ -428,8 +465,8 @@ class TestNoiseBudget:
         fast = TrajectoryParams(duration=5.0, speed_scale=4.5)
         frames, truth = synthesize(fast, NoiseSpec.none())
         limit = math.radians(300.0)
-        true_peak = max(np.max(np.abs(body_rates_between(truth[k - 1].q, truth[k].q, TS)))
-                        for k in range(1, len(truth)))
+        q = np.array([s.q for s in truth])
+        true_peak = np.max(np.abs(body_rates_between(q[:-1], q[1:], TS)))
         assert true_peak > limit  # the flight really does exceed the range
         assert max(np.max(np.abs(f.gyro_k)) for f in frames) <= limit + 1e-12
 
