@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 #: Standard gravity in m/s^2 used to restore the gravitational acceleration
 #: that an accelerometer does not sense.
@@ -30,14 +30,14 @@ _UNIT_NORM_TOL = 1e-6
 
 def _check_unit(q) -> None:
     n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    if abs(n - 1.0) > _UNIT_NORM_TOL:
+    if not abs(n - 1.0) <= _UNIT_NORM_TOL:
         raise DomainError(f"quaternion norm {n} departs from 1 beyond {_UNIT_NORM_TOL}")
 
 
 def _check_units(q: np.ndarray) -> None:
     """:func:`_check_unit` for every row of an (n, 4) stack."""
     norms = np.sqrt(np.sum(q * q, axis=-1))
-    bad = np.abs(norms - 1.0) > _UNIT_NORM_TOL
+    bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
     if bad.any():
         raise DomainError(
             f"quaternion norm {norms[bad][0]} departs from 1 beyond {_UNIT_NORM_TOL}")
@@ -47,7 +47,7 @@ def quats_to_rots(q: np.ndarray) -> np.ndarray:
     """Rotation matrices from body to NED coordinates, shape (n, 3, 3), of
     unit quaternions (scalar first) stacked as shape (n, 4); the columns
     are the body axes in NED.  Raises ``DomainError`` if a norm departs
-    from 1 by more than 1e-6."""
+    from 1 by more than 1e-6 or is nan."""
     q = np.asarray(q, dtype=float)
     _check_units(q)
     q1, q2, q3, q4 = q.T
@@ -97,14 +97,13 @@ def body_rates_between(q0: np.ndarray, q1: np.ndarray, dt: float) -> np.ndarray:
     linear map of the quaternion kinematic equation.  The two quaternions
     must be on the same sign branch (``q0 . q1 >= 0``) for the short-way
     rotation.  Takes stacks of pairs, shape (n, 4) each, and returns one
-    rate vector per pair, shape (n, 3).
+    rate vector per pair, shape (n, 3); ``dt`` must be positive and finite.
     """
     q0 = np.asarray(q0, dtype=float).reshape(-1, 4)
     q1 = np.asarray(q1, dtype=float).reshape(-1, 4)
     _check_units(q0)
     _check_units(q1)
-    if dt <= 0.0:
-        raise DomainError(f"step length must be positive, got {dt}")
+    require_positive("dt", dt)
     c = (q0[:, None, :] @ q1[:, :, None])[:, 0, 0]
     d0, d1, d2, d3 = (q1 - c[:, None] * q0).T
     w0, x0, y0, z0 = q0.T
@@ -141,7 +140,7 @@ def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, fl
     Raises
     ------
     DomainError
-        If the quaternion norm departs from 1 by more than 1e-6.
+        If the quaternion norm departs from 1 by more than 1e-6 or is nan.
     """
     _check_unit(q)
     ax, ay, az = a_k

@@ -4,7 +4,9 @@ The split mirrors how failures surface to a caller: bad values in
 (``DomainError``, ``DegenerateInputError``), bad files in
 (``LogFormatError``) and iterative algorithms giving up
 (``NonConvergenceError``).  The command line tool maps the first three
-to exit code 2 and the last one to exit code 3.
+to exit code 2 and the last one to exit code 3.  Bad numbers raise
+``DomainError`` by name: :func:`require_finite` for dataclass fields,
+:func:`require_positive` for lengths, periods, ratios and counts.
 """
 
 import math
@@ -37,3 +39,9 @@ def require_finite(spec) -> None:
             continue
         if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
             raise DomainError(f"{field.name} must be finite, got {value}")
+
+
+def require_positive(name: str, value) -> None:
+    """``DomainError`` naming ``name`` unless ``0 < value < inf`` (nan fails)."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")

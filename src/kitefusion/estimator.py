@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, require_positive
 
 
 class KfTuning(NamedTuple):
@@ -49,15 +49,14 @@ def build_system(ts: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Parameters
     ----------
     ts : float
-        Sample time in s, > 0.
+        Sample time in s, positive and finite.
 
     Returns
     -------
     (A, B, C) : tuple of numpy.ndarray
         ``A`` is 6x6, ``B`` 6x3, ``C`` 3x6 with ``C @ x`` the position.
     """
-    if not ts > 0.0:
-        raise DomainError(f"sample time must be positive, got {ts}")
+    require_positive("ts", ts)
     eye = np.eye(3)
     A = np.block([[eye, ts * eye], [np.zeros((3, 3)), eye]])
     B = np.vstack([np.zeros((3, 3)), ts * eye])
@@ -155,10 +154,8 @@ def axis_gain(ts: float, ratio: float) -> tuple[float, float]:
     corrects the axis as ``p += k1 * e``, ``v += k2 * e``.  Cached, since
     one 2x2 Riccati solve takes up to tens of milliseconds.  Raises
     ``DomainError`` unless ``ts`` and ``ratio`` are positive and finite."""
-    if not 0.0 < ts < math.inf:
-        raise DomainError(f"sample time must be positive and finite, got {ts}")
-    if not 0.0 < ratio < math.inf:
-        raise DomainError(f"noise variance ratio must be positive and finite, got {ratio}")
+    require_positive("ts", ts)
+    require_positive("ratio", ratio)
     A = np.array([[1.0, ts], [0.0, 1.0]])
     B = np.array([[0.0], [ts]])
     C = np.array([[1.0, 0.0]])
@@ -169,7 +166,8 @@ def axis_gain(ts: float, ratio: float) -> tuple[float, float]:
 
 def _unit_circle_magnitudes(ts: float, freqs, response) -> tuple[np.ndarray, np.ndarray]:
     """``|h_1|, |h_2|`` of ``response(z) = (h_1, h_2)`` at ``z = exp(j 2 pi f ts)``
-    for each frequency ``f`` in Hz, which must lie in (0, Nyquist)."""
+    for each ``f`` in Hz in (0, Nyquist), with ``ts`` positive and finite."""
+    require_positive("ts", ts)
     freqs = np.asarray(freqs, dtype=float)
     nyquist = 0.5 / ts
     if not np.all((freqs > 0.0) & (freqs < nyquist)):

@@ -340,8 +340,8 @@ def compare_approaches(log: LogData,
     Raises
     ------
     DomainError
-        If two configs share an approach (their rows would be
-        indistinguishable), or the bin edges do not strictly increase.
+        If two configs share an approach, ``settle`` or a bin edge is not
+        finite, or the bin edges do not strictly increase.
     """
     if configs is None:
         configs = default_configs()
@@ -349,9 +349,11 @@ def compare_approaches(log: LogData,
     for approach in approaches:
         if approaches.count(approach) > 1:
             raise DomainError(f"approach {approach} appears more than once in configs")
+    if not math.isfinite(settle):
+        raise DomainError(f"settle must be finite, got {settle}")
     edges = [float(e) for e in bin_edges]
-    if not edges or sorted(edges) != edges or len(set(edges)) != len(edges):
-        raise DomainError(f"bin edges must be strictly increasing, got {bin_edges}")
+    if not (edges and np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()):
+        raise DomainError(f"bin edges must be finite and strictly increasing, got {bin_edges}")
     runs: dict[int, list] = {}
     for config in configs:
         pipeline = EstimationPipeline(config)

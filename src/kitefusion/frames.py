@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, require_positive
 
 # Relative slack on |p_z| <= r before an elevation is considered out of
 # domain; admits floating-point excursions of on-sphere points.
@@ -48,7 +48,7 @@ def spherical_to_cartesian(theta: float, phi: float, r: float) -> np.ndarray:
     phi : float
         Azimuth in rad.
     r : float
-        Sphere radius (line length) in m, > 0.
+        Sphere radius (line length) in m, positive and finite.
 
     Returns
     -------
@@ -58,11 +58,10 @@ def spherical_to_cartesian(theta: float, phi: float, r: float) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``r`` is not positive, ``theta`` lies outside [-pi/2, pi/2]
-        or ``phi`` is not finite.
+        If ``r`` is not positive and finite, ``theta`` lies outside
+        [-pi/2, pi/2] or ``phi`` is not finite.
     """
-    if not r > 0.0:
-        raise DomainError(f"sphere radius must be positive, got {r}")
+    require_positive("r", r)
     if not abs(theta) <= math.pi / 2.0:
         raise DomainError(f"elevation out of [-pi/2, pi/2]: {theta}")
     if not math.isfinite(phi):
@@ -83,7 +82,7 @@ def cartesian_to_spherical(p: np.ndarray, r: float) -> tuple[float, float]:
     p : array_like, shape (3,)
         Position in ``G`` in m.
     r : float
-        Sphere radius in m, > 0.
+        Sphere radius in m, positive and finite.
 
     Returns
     -------
@@ -93,8 +92,8 @@ def cartesian_to_spherical(p: np.ndarray, r: float) -> tuple[float, float]:
     Raises
     ------
     DomainError
-        If ``r`` is not positive, ``|p_z|`` exceeds ``r`` by more than the
-        relative tolerance ``Z_OVER_R_TOL`` or a component is not finite.
+        If ``r`` is not positive and finite, ``|p_z|`` exceeds ``r`` beyond
+        the relative tolerance ``Z_OVER_R_TOL`` or a component is not finite.
     DegenerateInputError
         If ``p_x = p_y = 0`` (azimuth undefined on the zenith axis).
     """
@@ -106,10 +105,9 @@ def cartesian_to_spherical(p: np.ndarray, r: float) -> tuple[float, float]:
 
 def _elevation(z: float, r: float) -> float:
     """Elevation ``asin(z / r)`` of the height ``z``, with ``|z / r|`` up to
-    ``1 + Z_OVER_R_TOL`` clamped to 1; ``DomainError`` for ``r <= 0`` or
-    any other ``z``, NaN included."""
-    if not r > 0.0:
-        raise DomainError(f"sphere radius must be positive, got {r}")
+    ``1 + Z_OVER_R_TOL`` clamped to 1; ``DomainError`` for an ``r`` that is
+    not positive and finite or any other ``z``, NaN included."""
+    require_positive("r", r)
     ratio = z / r
     if not abs(ratio) <= 1.0 + Z_OVER_R_TOL:
         raise DomainError(f"height {z} gives no elevation on the sphere of radius {r}")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateInputError, DomainError, require_finite
+from .errors import DegenerateInputError, DomainError, require_finite, require_positive
 
 #: Encoder line count used when none is configured (resolution 2*pi/400).
 DEFAULT_COUNTS_PER_REV = 400
@@ -80,9 +80,8 @@ class EncoderReading(NamedTuple):
 
 
 def resolution(counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> float:
-    """Angular size of one encoder count in rad."""
-    if counts_per_rev <= 0:
-        raise DomainError(f"counts per revolution must be positive, got {counts_per_rev}")
+    """Angular size of one encoder count in rad, for a positive, finite count."""
+    require_positive("counts_per_rev", counts_per_rev)
     return 2.0 * math.pi / counts_per_rev
 
 

@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attitude import inertial_accel
-from .errors import DegenerateInputError, DomainError, LogFormatError, require_finite
+from .errors import (DegenerateInputError, DomainError, LogFormatError, require_finite,
+                     require_positive)
 from .frames import TWO_PI, _elevation, _horizontal
 from .lineangle import EncoderGeometry, EncoderReading, encoder_to_angles
 from .estimator import _unit_circle_magnitudes, axis_gain
@@ -80,14 +81,14 @@ class EstimatorConfig:
     Attributes
     ----------
     r : float
-        Tether length, m.
+        Tether length, m, positive.
     phi_g : float
         Heading of the ground frame's downwind axis measured in NED, rad.
     ts : float
-        Base sample time, s.
+        Base sample time, s, positive.
     ratios : tuple of float
         Per-axis process/measurement variance ratios of the position
-        filter.
+        filter, three and positive.
     k_gamma : tuple of float
         Velocity-angle observer gains (angle, rate).
     geometry : EncoderGeometry
@@ -98,7 +99,7 @@ class EstimatorConfig:
         Integrate the accelerometer between fixes when True; with False
         the prediction step uses zero acceleration.
 
-    A ``DomainError`` names the first field holding a non-finite number.
+    A ``DomainError`` names the first field not finite, then the first not positive.
     """
 
     r: float = 30.0
@@ -112,12 +113,11 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if not self.r > 0.0:
-            raise DomainError(f"tether length must be positive, got {self.r}")
-        if not self.ts > 0.0:
-            raise DomainError(f"sample time must be positive, got {self.ts}")
-        if len(self.ratios) != 3 or any(not v > 0.0 for v in self.ratios):
-            raise DomainError("need three positive variance ratios")
+        require_positive("r", self.r)
+        require_positive("ts", self.ts)
+        if len(self.ratios) != 3:
+            raise DomainError(f"need three variance ratios, got {len(self.ratios)}")
+        require_positive("ratios", min(self.ratios))
         if self.approach not in (1, 2, 3):
             raise DomainError(f"approach must be 1, 2 or 3, got {self.approach}")
         if len(self.k_gamma) != 2:
@@ -185,7 +185,7 @@ def lo_frequency_response(k_gamma: tuple[float, float], ts: float,
     Raises
     ------
     DomainError
-        If any frequency lies outside (0, Nyquist).
+        If ``ts`` is not positive and finite, or a frequency not in (0, Nyquist).
     """
     k1, k2 = k_gamma
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
-from .errors import DegenerateInputError, DomainError, require_finite
+from .errors import DegenerateInputError, DomainError, require_finite, require_positive
 from .frames import rot_ned_to_g
 from .lineangle import EncoderGeometry, angles_to_encoder
 from .pipelines import SensorFrame
@@ -52,22 +52,22 @@ class TrajectoryParams:
 
     with ``s`` the speed scale.  ``f_loop`` is the azimuth frequency at
     unit speed scale, i.e. full eights per second.  Every field must be
-    finite; a ``DomainError`` names the first one that is not.
+    finite, the marked ones positive; a ``DomainError`` names the first that is not.
 
     Attributes
     ----------
     r : float
-        Tether length, m.
+        Tether length, m, positive.
     theta0, phi0 : float
         Pattern centre, rad.
     a_theta, a_phi : float
         Oscillation amplitudes, rad.
     f_loop : float
-        Pattern frequency at unit speed scale, Hz.
+        Pattern frequency at unit speed scale, Hz, positive.
     speed_scale : float
-        Time-dilation factor; doubles every velocity when doubled.
+        Time-dilation factor, positive; doubles every velocity when doubled.
     duration : float
-        Length of the synthesized record, s.
+        Length of the synthesized record, s, positive.
     phi_g : float
         Heading of the ground frame's downwind axis in NED, rad.
     theta_phase : float
@@ -88,12 +88,8 @@ class TrajectoryParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if not self.r > 0.0:
-            raise DomainError(f"tether length must be positive, got {self.r}")
-        if not self.f_loop > 0.0 or not self.speed_scale > 0.0:
-            raise DomainError("pattern frequency and speed scale must be positive")
-        if not self.duration > 0.0:
-            raise DomainError(f"duration must be positive, got {self.duration}")
+        for name in ("r", "f_loop", "speed_scale", "duration"):
+            require_positive(name, getattr(self, name))
         lo = self.theta0 - abs(self.a_theta)
         hi = self.theta0 + abs(self.a_theta)
         if not (0.0 < lo and hi < math.pi / 2.0):
@@ -303,8 +299,7 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     ts : float
         Tick period, s.
     """
-    if not ts > 0.0:
-        raise DomainError(f"tick period must be positive, got {ts}")
+    require_positive("ts", ts)
     n = int(round(params.duration / ts))
     rng = np.random.default_rng(noise.seed)
     bandwidth = 0.5 / ts

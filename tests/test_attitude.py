@@ -204,6 +204,11 @@ class TestQuatsToRots:
         with pytest.raises(DomainError):
             quats_to_rots(quats)
 
+    def test_rejects_nan_row(self):
+        quats = np.array([[1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0]])
+        with pytest.raises(DomainError, match="quaternion norm nan"):
+            quats_to_rots(quats)
+
 
 class TestQuatDerivative:
     """The reference kinematics above, which the propagation check uses."""
@@ -293,6 +298,13 @@ class TestBodyRatesBetween:
         with pytest.raises(DomainError):
             body_rates_between(q0, 1.01 * q1, 0.02)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, dt):
+        # nan would give nan rates and inf zero rates.
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="dt must be positive and finite"):
+            body_rates_between(q, q, dt)
+
 
 class TestAccelToInertial:
     """inertial_accel, the specific-force inversion the pipeline runs."""
@@ -328,3 +340,7 @@ class TestAccelToInertial:
     def test_non_unit_rejected(self):
         with pytest.raises(DomainError):
             inertial_accel([0.0, 0.0, GRAVITY], [1.0, 0.1, 0.0, 0.0], 1.0, 0.0)
+
+    def test_nan_quaternion_rejected(self):
+        with pytest.raises(DomainError, match="quaternion norm nan"):
+            inertial_accel([0.0, 0.0, GRAVITY], [math.nan, 0.0, 0.0, 0.0], 1.0, 0.0)

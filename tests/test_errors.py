@@ -1,0 +1,96 @@
+"""The positive-and-finite rule: every length, period, ratio and count the
+package checks goes through ``errors.require_positive``."""
+
+from __future__ import annotations
+
+import math
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from kitefusion import attitude, estimator, frames, lineangle, pipelines, simkite
+from kitefusion.errors import DomainError, require_positive
+from kitefusion.pipelines import EstimatorConfig
+from kitefusion.simkite import NoiseSpec, TrajectoryParams
+
+UNIT = np.array([1.0, 0.0, 0.0, 0.0])
+
+#: (module that runs the guard, parameter it names, call with the value).
+GUARDS = [
+    (attitude, "dt", lambda v: attitude.body_rates_between(UNIT, UNIT, v)),
+    (estimator, "ts", lambda v: estimator.build_system(v)),
+    (estimator, "ts", lambda v: estimator.axis_gain.__wrapped__(v, 500.0)),
+    (estimator, "ratio", lambda v: estimator.axis_gain.__wrapped__(0.02, v)),
+    (estimator, "ts", lambda v: estimator._unit_circle_magnitudes(v, [], None)),
+    (frames, "r", lambda v: frames.spherical_to_cartesian(0.3, 0.1, v)),
+    (frames, "r", lambda v: frames._elevation(5.0, v)),
+    (lineangle, "counts_per_rev", lambda v: lineangle.resolution(v)),
+    (pipelines, "r", lambda v: EstimatorConfig(r=v)),
+    (pipelines, "ts", lambda v: EstimatorConfig(ts=v)),
+    (pipelines, "ratios", lambda v: EstimatorConfig(ratios=(v, v, v))),
+    (simkite, "r", lambda v: TrajectoryParams(r=v)),
+    (simkite, "f_loop", lambda v: TrajectoryParams(f_loop=v)),
+    (simkite, "speed_scale", lambda v: TrajectoryParams(speed_scale=v)),
+    (simkite, "duration", lambda v: TrajectoryParams(duration=v)),
+    (simkite, "ts", lambda v: simkite.synthesize(TrajectoryParams(duration=0.2),
+                                                 NoiseSpec.none(), ts=v)),
+]
+IDS = [f"{module.__name__.split('.')[-1]}-{name}-{i}"
+       for i, (module, name, _) in enumerate(GUARDS)]
+
+not_positive = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(max_value=0.0, allow_nan=False),
+    st.integers(min_value=-2 ** 53, max_value=0),
+)
+positive = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.integers(min_value=1, max_value=2 ** 53),
+)
+
+
+class _PastGuard(Exception):
+    """Raised right after the guard under test has let its value through."""
+
+
+def _stop_after(name):
+    """A stand-in for ``require_positive`` that runs the real rule and
+    then stops the caller once the parameter ``name`` has passed it."""
+    def check(checked, value):
+        require_positive(checked, value)
+        if checked == name:
+            raise _PastGuard
+    return check
+
+
+@pytest.mark.parametrize("module, name, call", GUARDS, ids=IDS)
+@given(value=not_positive)
+def test_guard_rejects_by_name(module, name, call, value):
+    with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("module, name, call", GUARDS, ids=IDS)
+@given(value=positive)
+def test_guard_passes_positive_finite(module, name, call, value):
+    # The guarded bodies are stopped right after the guard, so a tiny
+    # ts never asks synthesize for billions of ticks.
+    with mock.patch.object(module, "require_positive", _stop_after(name)):
+        with pytest.raises(_PastGuard):
+            call(value)
+
+
+@given(value=positive)
+def test_rule_accepts_positive_finite(value):
+    require_positive("x", value)
+
+
+@given(value=not_positive)
+def test_rule_message(value):
+    with pytest.raises(DomainError) as info:
+        require_positive("x", value)
+    assert str(info.value) == f"x must be positive and finite, got {value}"

@@ -69,6 +69,11 @@ class TestBuildSystem:
         with pytest.raises(DomainError):
             build_system(ts)
 
+    def test_infinite_sample_time_rejected(self):
+        # ts * eye would fill the matrices with inf and nan.
+        with pytest.raises(DomainError, match="ts must be positive and finite"):
+            build_system(math.inf)
+
 
 class TestSolveDare:
     def test_matches_alternative_iteration_and_scipy(self):
@@ -198,7 +203,7 @@ class TestSteadyStateGain:
 
     @pytest.mark.parametrize("ts", [math.inf, math.nan, -TS])
     def test_bad_sample_time_rejected(self, ts):
-        with pytest.raises(DomainError, match="sample time"):
+        with pytest.raises(DomainError, match="ts must be positive and finite"):
             axis_gain(ts, 500.0)
 
 

@@ -292,6 +292,21 @@ class TestCompareApproaches:
         with pytest.raises(DomainError):
             compare_approaches(LogData(frames, truth), bin_edges=())
 
+    @pytest.mark.parametrize("bin_edges", [(math.nan,), (1.0, math.nan), (2.0, math.inf),
+                                           (-math.inf, 2.0)])
+    def test_non_finite_bin_edges_rejected(self, bin_edges):
+        # (nan,) would otherwise label its bins '<nan' and '>nan'.
+        frames, truth = small_record(duration=0.5)
+        with pytest.raises(DomainError, match="bin edges must be finite"):
+            compare_approaches(LogData(frames, truth), bin_edges=bin_edges)
+
+    @pytest.mark.parametrize("settle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settle_rejected(self, settle):
+        # nan would otherwise switch the settle window off without a word.
+        frames, truth = small_record(duration=0.5)
+        with pytest.raises(DomainError, match="settle must be finite"):
+            compare_approaches(LogData(frames, truth), settle=settle)
+
     def test_repeated_approach_rejected(self):
         # Two tunings of one routing would share a run key, and both rows
         # would report the second run.

@@ -25,10 +25,11 @@ class TestSphericalToCartesian:
         assert_allclose(frames.spherical_to_cartesian(0.7, -0.75, 30.0),
                         expected, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("r", [0.0, -1.0])
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf])
     def test_bad_radius(self, r):
-        with pytest.raises(DomainError):
-            frames.spherical_to_cartesian(0.3, 0.0, r)
+        # An infinite radius would put the point at [inf, inf, inf].
+        with pytest.raises(DomainError, match="r must be positive and finite"):
+            frames.spherical_to_cartesian(0.3, 0.1, r)
 
     def test_elevation_out_of_range(self):
         with pytest.raises(DomainError):
@@ -85,6 +86,11 @@ class TestCartesianToSpherical:
             theta2, phi2 = frames.cartesian_to_spherical(p, 30.0)
             assert abs(theta2 - theta) < 1e-12
             assert abs(frames.wrap_angle(phi2 - phi)) < 1e-12
+
+    def test_infinite_radius_rejected(self):
+        # z / r would read elevation 0.0 for a point 5 m up.
+        with pytest.raises(DomainError, match="r must be positive and finite"):
+            frames.cartesian_to_spherical(np.array([1.0, 2.0, 5.0]), math.inf)
 
 
 class TestRotGToL:

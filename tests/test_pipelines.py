@@ -122,6 +122,11 @@ class TestGeometricCorrection:
         assert_allclose(out, [8.0, 6.0, 0.0], atol=1e-12)
         assert type(out) is tuple and all(type(v) is float for v in out)
 
+    def test_infinite_radius_rejected(self):
+        # The rescale would put the fix at (inf, inf, 5.0).
+        with pytest.raises(DomainError, match="r must be positive and finite"):
+            geometric_correction(np.array([1.0, 2.0, 5.0]), math.inf)
+
     def test_height_passes_through_bit_exact(self):
         z = 0.1 + 0.2  # deliberately not representable as a round literal
         out = geometric_correction(np.array([5.0, 1.0, z]), 30.0)
@@ -252,6 +257,11 @@ class TestLoFrequencyResponse:
             lo_frequency_response((0.4, 0.9), TS, np.array([25.0]))
         with pytest.raises(DomainError):
             lo_frequency_response((0.4, 0.9), TS, np.array([0.5, math.nan]))
+
+    def test_zero_sample_time_rejected(self):
+        # The Nyquist frequency 0.5 / ts would otherwise divide by zero.
+        with pytest.raises(DomainError, match="ts must be positive and finite"):
+            lo_frequency_response((0.4, 0.9), 0.0, [0.5])
 
 
 class TestConfigValidation:
@@ -715,6 +725,18 @@ class TestMatchesArrayPipeline:
         for k in (0, 1, 120):
             frames[k] = dataclasses.replace(frames[k], **changes)
         assert replay_against_reference(default_configs()[1], frames) is None
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_nan_quaternion_raises_at_its_tick(self, approach):
+        """A nan attitude fails the unit-norm check like a non-unit one,
+        instead of turning every later estimate into nan."""
+        frames, _ = synthesize(TrajectoryParams(duration=1.0), NoiseSpec(seed=1))
+        frames[10] = dataclasses.replace(frames[10], quat=np.array([math.nan, 0.0, 0.0, 0.0]))
+        pipeline = EstimationPipeline(default_configs()[approach - 1])
+        for frame in frames[:10]:
+            pipeline.step(frame)
+        with pytest.raises(DomainError, match="quaternion norm nan"):
+            pipeline.step(frames[10])
 
     @pytest.mark.parametrize("approach", [1, 2, 3])
     def test_non_unit_quaternion_raises_at_same_tick(self, approach):

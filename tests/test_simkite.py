@@ -207,6 +207,11 @@ class TestTrajectoryParams:
         with pytest.raises(DomainError, match=f"{field} must not be negative"):
             NoiseSpec(**{field: -1})
 
+    def test_infinite_tick_period_rejected(self):
+        # The fix schedule's floor(rate * n * ts) has no value for inf.
+        with pytest.raises(DomainError, match="ts must be positive and finite"):
+            synthesize(TrajectoryParams(duration=0.2), NoiseSpec.none(), ts=math.inf)
+
     def test_finite_extremes_still_accepted(self):
         # The rule is about nan and inf only; range checks stay as they were.
         assert NoiseSpec(gps_sigma_xy=1e308).gps_sigma_xy == 1e308
