@@ -6,10 +6,12 @@ The split mirrors how failures surface to a caller: bad values in
 (``NonConvergenceError``).  The command line tool maps the first three
 to exit code 2 and the last one to exit code 3.  Bad numbers raise
 ``DomainError`` by name: :func:`require_finite` for dataclass fields,
-:func:`require_positive` for lengths, periods, ratios and counts.
+:func:`require_positive` for lengths, periods, ratios and counts.  Both
+count an integer beyond float range as not finite.
 """
 
 import math
+import sys
 from dataclasses import fields, is_dataclass
 
 
@@ -30,18 +32,38 @@ class NonConvergenceError(RuntimeError):
     """An iterative solver exhausted its budget without converging."""
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite float; an integer beyond float range
+    is not, since no float holds it."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value) -> str:
+    """``value`` as a message shows it; an integer too long for ``str``
+    by its length alone."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
 def require_finite(spec) -> None:
-    """Reject a dataclass instance with a nan or infinite field, by name;
-    tuple fields entry by entry, nested dataclasses not at all."""
+    """Reject a dataclass instance with a nan, infinite or out-of-range
+    field, by name; tuple fields entry by entry, nested dataclasses not
+    at all."""
     for field in fields(spec):
         value = getattr(spec, field.name)
         if is_dataclass(value):
             continue
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise DomainError(f"{field.name} must be finite, got {value}")
+        if not all(map(_finite, value if isinstance(value, tuple) else (value,))):
+            raise DomainError(f"{field.name} must be finite, got {_shown(value)}")
 
 
 def require_positive(name: str, value) -> None:
-    """``DomainError`` naming ``name`` unless ``0 < value < inf`` (nan fails)."""
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
+    """``DomainError`` naming ``name`` unless ``value`` is a finite float
+    above 0 (nan and an integer beyond float range fail)."""
+    if not (_finite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")

@@ -23,7 +23,10 @@ The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing
 estimators are usually compared: horizontal position, height and
 velocity angle against either recorded truth or, when the log carries
-none, against the line-angle routing as the reference.
+none, against the line-angle routing as the reference.  Each routing is
+turned into its error columns while it runs: every tick's estimate goes
+straight into flat ``emitted``, ``p_hat`` and ``gamma_hat`` buffers, so
+no per-tick output outlives its tick.
 """
 
 from __future__ import annotations
@@ -340,11 +343,13 @@ def compare_approaches(log: LogData,
     Raises
     ------
     DomainError
-        If two configs share an approach, ``settle`` or a bin edge is not
-        finite, or the bin edges do not strictly increase.
+        If ``configs`` is empty, two configs share an approach,
+        ``settle`` or a bin edge is not finite, or the bin edges do not
+        strictly increase.
     """
-    if configs is None:
-        configs = default_configs()
+    configs = default_configs() if configs is None else tuple(configs)
+    if not configs:
+        raise DomainError("configs must hold at least one routing")
     approaches = [config.approach for config in configs]
     for approach in approaches:
         if approaches.count(approach) > 1:
@@ -354,10 +359,8 @@ def compare_approaches(log: LogData,
     edges = [float(e) for e in bin_edges]
     if not (edges and np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()):
         raise DomainError(f"bin edges must be finite and strictly increasing, got {bin_edges}")
-    runs: dict[int, list] = {}
-    for config in configs:
-        pipeline = EstimationPipeline(config)
-        runs[config.approach] = [pipeline.step(f) for f in log.frames]
+    runs = {config.approach: _stacked(map(EstimationPipeline(config).step, log.frames))
+            for config in configs}
 
     frames = log.frames
     n = len(frames)
@@ -368,7 +371,7 @@ def compare_approaches(log: LogData,
     else:
         if 3 not in runs:
             raise DomainError("log has no truth and no routing-3 run to reference")
-        has_ref, ref_p, ref_gamma = _stacked(runs[3])
+        has_ref, ref_p, ref_gamma = runs[3]
 
     t = np.array([f.t for f in frames], dtype=float)
     t0 = frames[0].t if frames else 0.0
@@ -379,7 +382,7 @@ def compare_approaches(log: LogData,
     usable = has_ref & has_wind & ~(t - t0 < settle)
     rows = []
     for config in configs:
-        emitted, p_hat, gamma_hat = _stacked(runs[config.approach])
+        emitted, p_hat, gamma_hat = runs[config.approach]
         keep = np.flatnonzero(usable & emitted)
         residuals = np.column_stack([
             p_hat[keep] - ref_p[keep],
@@ -394,16 +397,30 @@ def compare_approaches(log: LogData,
     return RmseReport(_bin_labels(edges), tuple(rows))
 
 
+_NO_POSITION = (math.nan, math.nan, math.nan)
+
+
 def _stacked(outputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which ticks of a run emitted, with its ``p_hat`` rows, shape (n, 3),
-    and ``gamma_hat``, nan where it emitted nothing."""
-    emitted = np.array([o is not None for o in outputs], dtype=bool)
-    p_hat = np.full((len(outputs), 3), math.nan)
-    gamma_hat = np.full(len(outputs), math.nan)
-    if emitted.any():
-        p_hat[emitted] = [o.p_hat for o in outputs if o is not None]
-        gamma_hat[emitted] = [o.gamma_hat for o in outputs if o is not None]
-    return emitted, p_hat, gamma_hat
+    and ``gamma_hat``, nan where it emitted nothing.
+
+    Consumes ``outputs`` one tick at a time into flat buffers, so no
+    output is kept past its tick.
+    """
+    emitted = bytearray()
+    p_hat = array.array("d")
+    gamma_hat = array.array("d")
+    for out in outputs:
+        if out is None:
+            emitted.append(False)
+            p_hat.extend(_NO_POSITION)
+            gamma_hat.append(math.nan)
+        else:
+            emitted.append(True)
+            p_hat.extend(out.p_hat)
+            gamma_hat.append(out.gamma_hat)
+    return (np.frombuffer(emitted, dtype=bool), np.frombuffer(p_hat).reshape(-1, 3),
+            np.frombuffer(gamma_hat))
 
 
 def _rms(residuals: np.ndarray) -> float:

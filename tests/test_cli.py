@@ -274,6 +274,23 @@ class TestConfigParsing:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("verb, argv, config", [
+        ("simulate", ["--seed", str(10 ** 400)], BASE_CONFIG),
+        ("simulate", [], f"seed = {10 ** 400}\n"),
+        ("simulate", [], f"encoder_cpr = {10 ** 400}\n"),
+        ("estimate", [], f"approach = {10 ** 400}\n"),
+    ], ids=["seed-flag", "seed", "encoder_cpr", "approach"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, sim_log, capsys,
+                                                verb, argv, config):
+        cfg = write(tmp_path / "c.cfg", config)
+        out = tmp_path / "x.csv"
+        log = ["--log", str(sim_log)] if verb == "estimate" else []
+        assert main([verb, "--config", cfg, "--out", str(out), *log, *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "must be finite" in err[0]
+        assert not out.exists()
+
     def test_inline_comments_and_bools(self, tmp_path, sim_log):
         cfg = write(tmp_path / "c.cfg",
                     "use_imu = false  # coast between fixes\nlambda = 500\n")

@@ -1,10 +1,13 @@
 """The positive-and-finite rule: every length, period, ratio and count the
-package checks goes through ``errors.require_positive``."""
+package checks goes through ``errors.require_positive``.  Both that rule
+and ``errors.require_finite`` count an integer beyond float range as not
+finite."""
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from kitefusion import attitude, estimator, frames, lineangle, pipelines, simkite
 from kitefusion.errors import DomainError, require_positive
+from kitefusion.lineangle import EncoderGeometry
 from kitefusion.pipelines import EstimatorConfig
 from kitefusion.simkite import NoiseSpec, TrajectoryParams
 
@@ -94,3 +98,40 @@ def test_rule_message(value):
     with pytest.raises(DomainError) as info:
         require_positive("x", value)
     assert str(info.value) == f"x must be positive and finite, got {value}"
+
+
+#: An integer that no float holds: ``float(BEYOND_FLOAT)`` overflows.
+BEYOND_FLOAT = 10 ** 400
+#: One that ``str`` refuses too, past its default 4,300-digit limit.
+BEYOND_STR = 10 ** 5000
+
+#: Every guard above, plus fields only ``require_finite`` checks and a
+#: function that reaches ``require_positive`` through another.
+BEYOND_FLOAT_CALLS = [(name, call) for _, name, call in GUARDS] + [
+    ("seed", lambda v: NoiseSpec(seed=v)),
+    ("encoder_cpr", lambda v: NoiseSpec(encoder_cpr=v)),
+    ("approach", lambda v: EstimatorConfig(approach=v)),
+    ("phi_g", lambda v: TrajectoryParams(phi_g=v)),
+    ("guide_rise", lambda v: EncoderGeometry(guide_rise=v)),
+    ("counts_per_rev", lambda v: lineangle.angles_to_encoder(0.5, 0.1, EncoderGeometry(),
+                                                             counts_per_rev=v)),
+]
+
+
+@pytest.mark.parametrize("value", [BEYOND_FLOAT, BEYOND_STR], ids=["401-digits", "5001-digits"])
+@pytest.mark.parametrize("name, call", BEYOND_FLOAT_CALLS,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(BEYOND_FLOAT_CALLS)])
+def test_integer_beyond_float_range_rejected_by_name(name, call, value):
+    # The dataclasses run require_finite before require_positive.
+    with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be (positive and )?finite"):
+        call(value)
+
+
+def test_rule_message_beyond_float_range():
+    with pytest.raises(DomainError) as info:
+        require_positive("x", BEYOND_FLOAT)
+    assert str(info.value) == f"x must be positive and finite, got {BEYOND_FLOAT}"
+    with pytest.raises(DomainError) as info:
+        require_positive("x", BEYOND_STR)
+    assert str(info.value) == ("x must be positive and finite, "
+                               f"got an integer of more than {sys.get_int_max_str_digits()} digits")

@@ -6,6 +6,7 @@ import functools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,11 +317,53 @@ class TestCompareApproaches:
         with pytest.raises(DomainError, match="approach 1"):
             compare_approaches(LogData(frames, truth), [soft, stiff_radio])
 
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_configs_may_be_a_generator(self, with_truth):
+        # configs is read once, so a generator gives the same table.
+        frames, truth = small_record(duration=4.0)
+        log = LogData(frames, truth if with_truth else None)
+        got = compare_approaches(log, (config for config in default_configs()))
+        assert repr(got) == repr(compare_approaches(log, default_configs()))
+        assert len(got.rows) == 12
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("empty", [list, tuple, lambda: (c for c in ())],
+                             ids=["list", "tuple", "generator"])
+    def test_empty_configs_rejected(self, with_truth, empty):
+        frames, truth = small_record(duration=0.5)
+        log = LogData(frames, truth if with_truth else None)
+        with pytest.raises(DomainError, match="configs must hold at least one routing"):
+            compare_approaches(log, empty())
+
     def test_default_configs_tunings(self):
         configs = default_configs()
         assert [c.approach for c in configs] == [1, 2, 3]
         assert configs[0].ratios == (10.0, 10.0, 10.0)
         assert configs[2].ratios == (500.0, 500.0, 500.0)
+
+
+class TestComparePeakMemory:
+    """Each routing's run is kept as its error columns; keeping one output
+    per tick instead holds about 4.9 MB at once on this record."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def minute_record():
+        return synthesize(TrajectoryParams(duration=60.0), NoiseSpec(seed=3))
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_sixty_second_record_peak(self, with_truth):
+        frames, truth = self.minute_record()
+        assert len(frames) == 3000
+        log = LogData(frames, truth if with_truth else None)
+        compare_approaches(LogData(frames[:10], None))  # fill the gain cache first
+        tracemalloc.start()
+        try:
+            compare_approaches(log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
 
 class TestTruthPointDuckTyping:
