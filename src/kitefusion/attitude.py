@@ -154,3 +154,28 @@ def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, fl
             + (2.0 * (q1 * q1 + q4 * q4) - 1.0) * az)
     # rot_ned_to_g(phi_g) applied to them, with gravity restored.
     return cos_g * north + sin_g * east, sin_g * north - cos_g * east, GRAVITY - down
+
+
+def _inertial_accels(a_k: np.ndarray, q: np.ndarray, cos_g: float, sin_g: float):
+    """:func:`inertial_accel` of every row of the float stacks ``a_k``,
+    shape (n, 3), and ``q``, shape (n, 4), bit for bit, as three columns
+    ``(x, y, z)`` of n floats each.
+
+    The expression and its order of operations are :func:`inertial_accel`'s,
+    on columns; numpy's sums, products and square roots round like
+    Python floats.  The norm check is :func:`_check_unit`'s too, so a
+    ``DomainError`` carries the message it raises at the first bad row.
+    """
+    ax, ay, az = a_k.T
+    q1, q2, q3, q4 = q.T
+    norms = np.sqrt(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
+    if bad.size:
+        _check_unit(q[bad[0]].tolist())
+    north = ((2.0 * (q1 * q1 + q2 * q2) - 1.0) * ax + 2.0 * (q2 * q3 - q1 * q4) * ay
+             + 2.0 * (q2 * q4 + q1 * q3) * az)
+    east = (2.0 * (q2 * q3 + q1 * q4) * ax + (2.0 * (q1 * q1 + q3 * q3) - 1.0) * ay
+            + 2.0 * (q3 * q4 - q1 * q2) * az)
+    down = (2.0 * (q2 * q4 - q1 * q3) * ax + 2.0 * (q3 * q4 + q1 * q2) * ay
+            + (2.0 * (q1 * q1 + q4 * q4) - 1.0) * az)
+    return cos_g * north + sin_g * east, sin_g * north - cos_g * east, GRAVITY - down

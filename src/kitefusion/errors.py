@@ -7,11 +7,11 @@ The split mirrors how failures surface to a caller: bad values in
 to exit code 2 and the last one to exit code 3.  Bad numbers raise
 ``DomainError`` by name: :func:`require_finite` for dataclass fields,
 :func:`require_positive` for lengths, periods, ratios and counts.  Both
-count an integer beyond float range as not finite.
+count an integer beyond float range as not finite, and their messages
+show an integer of more than 30 digits by its digit count.
 """
 
 import math
-import sys
 from dataclasses import fields, is_dataclass
 
 
@@ -41,13 +41,30 @@ def _finite(value) -> bool:
         return False
 
 
+#: Integers longer than this many digits are shown by their digit count.
+_SHOWN_DIGITS = 30
+
+
+def _digits(value: int) -> int:
+    """Decimal digits of ``abs(value)``, counted without ``str``, which
+    refuses integers past its digit limit."""
+    value = abs(value)
+    # (bits - 1) * log10(2) never exceeds log10(value), so counting up
+    # from there stops at the exact count.
+    count = max(1, int((value.bit_length() - 1) * math.log10(2)))
+    while 10 ** count <= value:
+        count += 1
+    return count
+
+
 def _shown(value) -> str:
-    """``value`` as a message shows it; an integer too long for ``str``
-    by its length alone."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+    """``value`` as a message shows it: a tuple entry by entry, and an
+    integer of more than ``_SHOWN_DIGITS`` digits by its digit count."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_shown, value))})"
+    if isinstance(value, int) and abs(value) >= 10 ** _SHOWN_DIGITS:
+        return f"an integer of {_digits(value)} digits"
+    return str(value)
 
 
 def require_finite(spec) -> None:

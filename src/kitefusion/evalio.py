@@ -23,10 +23,15 @@ The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing
 estimators are usually compared: horizontal position, height and
 velocity angle against either recorded truth or, when the log carries
-none, against the line-angle routing as the reference.  Each routing is
-turned into its error columns while it runs: every tick's estimate goes
-straight into flat ``emitted``, ``p_hat`` and ``gamma_hat`` buffers, so
-no per-tick output outlives its tick.
+none, against the line-angle routing as the reference.  The inertial
+acceleration every routing integrates is the same for each of them, so
+it is computed once per record and distinct heading, as arrays, and
+each routing's pipeline is primed with it (see
+:func:`~kitefusion.pipelines._prime`); a record the per-tick path would
+refuse is not primed, so it fails as it would tick by tick.  Each
+routing is turned into its error columns while it runs: every tick's
+estimate goes straight into flat ``emitted``, ``p_hat`` and
+``gamma_hat`` buffers, so no per-tick output outlives its tick.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import numpy as np
 from .errors import DomainError, LogFormatError
 from .frames import wrap_angle
 from .lineangle import EncoderReading
-from .pipelines import EstimationPipeline, EstimatorConfig, SensorFrame
+from .pipelines import EstimationPipeline, EstimatorConfig, SensorFrame, _prime
 
 # The log layout per record, in column order: field, column names, and
 # the label of a channel group whose cells must be all present or all
@@ -359,8 +364,9 @@ def compare_approaches(log: LogData,
     edges = [float(e) for e in bin_edges]
     if not (edges and np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()):
         raise DomainError(f"bin edges must be finite and strictly increasing, got {bin_edges}")
-    runs = {config.approach: _stacked(map(EstimationPipeline(config).step, log.frames))
-            for config in configs}
+    pipelines = [EstimationPipeline(config) for config in configs]
+    _prime(pipelines, log.frames)
+    runs = {pipe.config.approach: _stacked(map(pipe.step, log.frames)) for pipe in pipelines}
 
     frames = log.frames
     n = len(frames)

@@ -15,9 +15,12 @@ the encoders read the wing angles directly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DegenerateInputError, DomainError, require_finite, require_positive
 
@@ -180,3 +183,54 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
     if counts_per_rev == 0:
         return EncoderReading(theta_b, phi_b)
     return quantize(theta_b, phi_b, counts_per_rev)
+
+
+def _libm(func, *columns) -> np.ndarray:
+    """``func`` of Python's ``math`` per element of the float ``columns``:
+    numpy's own trig can differ from libm in the last bit."""
+    return np.array(list(map(func, *(column.tolist() for column in columns))))
+
+
+def _angles_to_encoders(theta, phi, geometry: EncoderGeometry,
+                        counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> list[EncoderReading]:
+    """:func:`angles_to_encoder` of each pair ``(theta[k], phi[k])`` of two
+    float arrays, bit for bit, in one array pass.
+
+    The sums, products, quotients and square roots are numpy's, which
+    round like Python floats; sine, cosine, ``atan2`` and ``hypot`` are
+    libm's, element by element.  Where a pair is out of reach or an
+    angle is infinite, the pairs are replayed through
+    :func:`angles_to_encoder` one at a time, so the error is the one it
+    raises at the first pair it refuses.
+    """
+    g = geometry
+    try:
+        cos_t = _libm(math.cos, theta)
+        ux, uy = cos_t * _libm(math.cos, phi), cos_t * _libm(math.sin, phi)
+        uz = _libm(math.sin, theta)
+    except ValueError:  # math.sin/cos of an infinite angle
+        lam = None
+    else:
+        b = g.pivot_setback * ux - g.pivot_height * uz
+        disc = (b * b - g.pivot_setback * g.pivot_setback - g.pivot_height * g.pivot_height
+                + g.guide_rise * g.guide_rise + g.guide_reach * g.guide_reach)
+        reach = disc >= 0.0
+        lam = np.where(reach, -b + np.sqrt(np.where(reach, disc, 0.0)), -1.0)
+    if lam is None or (lam <= 0.0).any():
+        # Replayed one pair at a time, the first pair refused raises.
+        for pair in zip(theta.tolist(), phi.tolist()):
+            angles_to_encoder(*pair, geometry, counts_per_rev)
+    fwd = g.pivot_setback + lam * ux
+    side = lam * uy
+    up = lam * uz - g.pivot_height
+    theta_b = _libm(math.atan2, up, _libm(math.hypot, fwd, side)) + g.guide_angle
+    phi_b = _libm(math.atan2, side, fwd)
+    if counts_per_rev != 0:
+        # round() then a float product, as quantize: rint rounds half to
+        # even as round() does, and adding 0.0 turns the -0.0 that rint
+        # keeps into round()'s 0.
+        step = resolution(counts_per_rev)
+        theta_b = (np.rint(theta_b / step) + 0.0) * step
+        phi_b = (np.rint(phi_b / step) + 0.0) * step
+    return list(map(tuple.__new__, itertools.repeat(EncoderReading),
+                    zip(theta_b.tolist(), phi_b.tolist())))

@@ -16,10 +16,19 @@ is available.  The velocity angle of the wing is derived from the
 corrected state each sample and smoothed by a second-order tracking
 observer whose internal angle is kept unwrapped so figure-eight passes
 through +-pi do not glitch.
+
+One acceleration per record: the inertial acceleration depends only on
+the frame and the heading, so a caller that replays one record through
+several routings computes it once.  :func:`_prime` does so in one array
+pass per distinct heading and hands each pipeline the sequence, which
+:meth:`EstimationPipeline.step` then reads in place of its per-tick
+rotation, with the same bits.
 """
 
 from __future__ import annotations
 
+import array
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attitude import inertial_accel
+from .attitude import _inertial_accels, inertial_accel
 from .errors import (DegenerateInputError, DomainError, LogFormatError, require_finite,
                      require_positive)
 from .frames import TWO_PI, _elevation, _horizontal
@@ -218,7 +227,10 @@ class EstimationPipeline:
     sphere angles and the velocity angle and steps the observer, all in
     one straight-line pass on floats.  The heading of the ground frame
     enters only as its cosine and sine, computed once, and the routing's
-    measurement handler is chosen once.  A tick that raises
+    measurement handler is chosen once.  A pipeline primed by
+    :func:`_prime` reads each tick's inertial acceleration from its
+    primed sequence instead of rotating the frame's accelerometer
+    reading; the two agree bit for bit.  A tick that raises
     ``DomainError`` (a non-unit quaternion, a non-finite encoder reading)
     changes no filter state, though its time counts for the
     increasing-time check.
@@ -240,6 +252,8 @@ class EstimationPipeline:
         self._seeded = False
         self._px = self._py = self._pz = 0.0
         self._vx = self._vy = self._vz = 0.0
+        self._imu_per_tick = config.use_imu
+        self._accels = itertools.repeat((0.0, 0.0, 0.0))
         self._held_z: float | None = None
         self._obs_angle: float | None = None
         self._obs_rate = 0.0
@@ -263,11 +277,12 @@ class EstimationPipeline:
         self._last_t = t
         cfg = self.config
         ts = cfg.ts
-        if cfg.use_imu and frame.accel_k is not None and frame.quat is not None:
+        if self._imu_per_tick and frame.accel_k is not None and frame.quat is not None:
             ax, ay, az = inertial_accel(frame.accel_k.tolist(), frame.quat.tolist(),
                                         self._cos_g, self._sin_g)
         else:
-            ax = ay = az = 0.0
+            # The tick's entry of a primed record, or zeros.
+            ax, ay, az = next(self._accels)
         measured = self._fix(frame)
         if self._seeded:
             # Prediction, per axis: p += ts * v with the pre-update
@@ -405,3 +420,51 @@ class EstimationPipeline:
         ct = math.cos(theta)
         fix = (r * ct * math.cos(phi), r * ct * math.sin(phi), r * math.sin(theta))
         return fix, (fix, (0, 1, 2))
+
+
+def _imu_stacks(frames) -> tuple[np.ndarray, np.ndarray] | None:
+    """The accelerometer and attitude channels of ``frames`` as float
+    stacks of shape (n, 3) and (n, 4), or ``None`` unless every frame holds
+    both as a one-dimensional float ndarray of that length: only the
+    per-tick path handles, or refuses, any other record."""
+    stacks = []
+    for rows, width in (([f.accel_k for f in frames], 3), ([f.quat for f in frames], 4)):
+        if (not rows or set(map(type, rows)) != {np.ndarray}
+                or {row.shape for row in rows} != {(width,)}):
+            return None
+        stack = np.concatenate(rows)
+        if stack.dtype != np.float64:
+            return None
+        stacks.append(stack.reshape(-1, width))
+    return tuple(stacks)
+
+
+def _prime(pipelines, frames) -> None:
+    """Give each of ``pipelines`` that integrates the accelerometer the
+    inertial accelerations its :meth:`~EstimationPipeline.step` would
+    compute from ``frames``, one record pass per distinct heading, to be
+    read one tick at a time as ``frames`` are stepped in order.
+
+    A record with a frame that lacks either channel primes nothing, and
+    so does one that the per-tick path would refuse (a channel not a
+    float ndarray of its length, a non-unit quaternion): ``step`` then
+    raises the same error at the same tick.
+    """
+    pipelines = [pipe for pipe in pipelines if pipe.config.use_imu]
+    stacks = _imu_stacks(frames) if pipelines else None
+    if stacks is None:
+        return
+    columns = {}
+    for pipe in pipelines:
+        # Keyed by the bits, since -0.0 and 0.0 compare equal.
+        heading = (pipe._cos_g.hex(), pipe._sin_g.hex())
+        if heading not in columns:
+            try:
+                # Flat buffers that make each float as it is read: lists
+                # would hold three float objects per tick.
+                columns[heading] = [array.array("d", column.tobytes()) for column in
+                                    _inertial_accels(*stacks, pipe._cos_g, pipe._sin_g)]
+            except DomainError:
+                return
+        pipe._imu_per_tick = False
+        pipe._accels = zip(*columns[heading])

@@ -16,12 +16,18 @@ channel, delayed low-rate horizontal satellite fixes, a quantized
 barometric height at its own rate, and line-angle encoder readings
 obtained by inverting the ground-station geometry in closed form for
 every tick.  Every channel is evaluated over the whole time vector at
-once.  Faster flights come from a pure time dilation of the pattern, so
-one knob scales every speed and acceleration together.
+once: the encoder channel by the stacked form of
+:func:`~kitefusion.lineangle.angles_to_encoder`, the fixes from the
+positions alone (they need no attitude or velocity angle), and the
+per-tick frame and truth objects are built by ``map`` with no Python
+loop body.  Each output equals, bit for bit, what the tick-by-tick
+formulas give.  Faster flights come from a pure time dilation of the
+pattern, so one knob scales every speed and acceleration together.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -31,7 +37,7 @@ import numpy as np
 from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
 from .errors import DegenerateInputError, DomainError, require_finite, require_positive
 from .frames import rot_ned_to_g
-from .lineangle import EncoderGeometry, angles_to_encoder
+from .lineangle import EncoderGeometry, _angles_to_encoders
 from .pipelines import SensorFrame
 
 DEG = math.pi / 180.0
@@ -139,16 +145,30 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.array([value ** 2 for value in x.tolist()])
 
 
+def _position(r: float, th: np.ndarray, ph: np.ndarray):
+    """Points at elevations ``th`` and azimuths ``ph`` on the sphere of
+    radius ``r``, one row per angle pair, with the sines and cosines
+    ``(st, ct, sp, cp)`` of the angles."""
+    st, ct = np.sin(th), np.cos(th)
+    sp, cp = np.sin(ph), np.cos(ph)
+    return r * np.stack([ct * cp, ct * sp, st], axis=-1), (st, ct, sp, cp)
+
+
+def _fixes(params: TrajectoryParams, t: np.ndarray) -> np.ndarray:
+    """Wing positions at the times ``t``, one row per time: all that the
+    satellite and barometer fixes take from the truth."""
+    th, ph, *_ = _pattern_angles(params, t)
+    return _position(params.r, th, ph)[0]
+
+
 def _truth(params: TrajectoryParams, t: np.ndarray):
     """Position, velocity, acceleration, quaternion and velocity angle at
     the times ``t``, one row per time.  Raises ``DegenerateInputError``
     where the pattern velocity vanishes."""
     th, ph, thd, phd, thdd, phdd = _pattern_angles(params, t)
     r = params.r
-    st, ct = np.sin(th), np.cos(th)
-    sp, cp = np.sin(ph), np.cos(ph)
+    p, (st, ct, sp, cp) = _position(r, th, ph)
     thd2, phd2 = _square(thd), _square(phd)
-    p = r * np.stack([ct * cp, ct * sp, st], axis=-1)
     v = r * np.stack([-st * thd * cp - ct * sp * phd,
                       -st * thd * sp + ct * cp * phd,
                       ct * thd], axis=-1)
@@ -309,12 +329,12 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     gyro_bias = rng.uniform(-noise.gyro_bias_dps, noise.gyro_bias_dps, 3) * DEG
 
     gps_times, gps_ticks = _fix_schedule(noise.gps_rate, noise.gps_latency, ts, n)
-    gps_xy = (_truth(params, gps_times)[0][:, :2]
+    gps_xy = (_fixes(params, gps_times)[:, :2]
               + rng.normal(0.0, noise.gps_sigma_xy, (len(gps_times), 2)))
     gps_at = dict(zip(gps_ticks, gps_xy))
 
     baro_times, baro_ticks = _fix_schedule(noise.baro_rate, 0.0, ts, n)
-    baro_z = _truth(params, baro_times)[0][:, 2]
+    baro_z = _fixes(params, baro_times)[:, 2]
     if noise.baro_resolution > 0.0:
         baro_z = np.floor(baro_z / noise.baro_resolution + 0.5) * noise.baro_resolution
     baro_at = dict(zip(baro_ticks, baro_z.tolist()))
@@ -348,16 +368,12 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     if gyro_limit > 0.0:
         gyro = np.clip(gyro, -gyro_limit, gyro_limit)
     th, ph, *_ = _pattern_angles(params, t)
-    encoders = [angles_to_encoder(th_k, ph_k, geometry, noise.encoder_cpr)
-                for th_k, ph_k in zip(th.tolist(), ph.tolist())]
+    encoders = _angles_to_encoders(th, ph, geometry, noise.encoder_cpr)
 
     times = t.tolist()
-    truth = [TruthSample(*sample) for sample in zip(times, p, v, a, q, gamma.tolist())]
-    frames = [
-        SensorFrame(t=t_k, accel_k=accel_k, gyro_k=gyro_k, quat=quat_k,
-                    gps_xy=gps_at.get(k), baro_z=baro_at.get(k), encoder=encoder,
-                    wind_speed=params.speed_scale)
-        for k, (t_k, accel_k, gyro_k, quat_k, encoder)
-        in enumerate(zip(times, accel, gyro, quat, encoders))
-    ]
+    truth = list(map(tuple.__new__, itertools.repeat(TruthSample),
+                     zip(times, p, v, a, q, gamma.tolist())))
+    ticks = range(n)
+    frames = list(map(SensorFrame, times, accel, gyro, quat, map(gps_at.get, ticks),
+                      map(baro_at.get, ticks), encoders, itertools.repeat(params.speed_scale)))
     return frames, truth

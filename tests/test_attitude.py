@@ -344,3 +344,39 @@ class TestAccelToInertial:
     def test_nan_quaternion_rejected(self):
         with pytest.raises(DomainError, match="quaternion norm nan"):
             inertial_accel([0.0, 0.0, GRAVITY], [math.nan, 0.0, 0.0, 0.0], 1.0, 0.0)
+
+
+class TestStackedInertialAccel:
+    """The record-at-a-time rotation compare_approaches primes the
+    routings with reproduces inertial_accel row by row, bit for bit."""
+
+    @pytest.mark.parametrize("phi_g", [0.0, -0.0, 0.6, 2.5, -math.pi])
+    def test_bit_identical_rows(self, phi_g):
+        rng = np.random.default_rng(33)
+        q = np.array([random_unit_quat(rng) for _ in range(300)])
+        q[:10] = [1.0, 0.0, 0.0, 0.0]
+        q[10:20] = [0.0, 0.0, 0.0, -1.0]
+        a_k = rng.normal(0.0, 20.0, (300, 3))
+        a_k[:10] = [0.0, 0.0, GRAVITY]
+        a_k[20:25] = 0.0
+        cos_g, sin_g = math.cos(phi_g), math.sin(phi_g)
+        got = np.column_stack(attitude._inertial_accels(a_k, q, cos_g, sin_g))
+        want = np.array([inertial_accel(a.tolist(), qq.tolist(), cos_g, sin_g)
+                         for a, qq in zip(a_k, q)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.1, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0],
+                                     [1.0 + 2e-6, 0.0, 0.0, 0.0]],
+                             ids=["long", "nan", "just-past-tolerance"])
+    def test_same_error_as_first_bad_row(self, bad):
+        rng = np.random.default_rng(34)
+        q = np.array([random_unit_quat(rng) for _ in range(12)])
+        q[7] = bad
+        q[9] = [2.0, 0.0, 0.0, 0.0]
+        a_k = rng.normal(size=(12, 3))
+        with pytest.raises(DomainError) as want:
+            for a, qq in zip(a_k, q):
+                inertial_accel(a.tolist(), qq.tolist(), 1.0, 0.0)
+        with pytest.raises(DomainError) as got:
+            attitude._inertial_accels(a_k, q, 1.0, 0.0)
+        assert str(got.value) == str(want.value)

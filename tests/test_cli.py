@@ -120,6 +120,25 @@ class TestSimulate:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "e8960e767ea2388c45633a15ea2fa5309477ebdfe75cd60c280e5187ad2752f4")
 
+    @pytest.mark.parametrize("config, digest", [
+        # One full eight, so the azimuth changes sign and some readings
+        # round to a zero count from below: they must read 0.0, not -0.0.
+        ("duration = 6.5\nseed = 11\n",
+         "840113606823fd69c1b5d78165049b59a3032c46345e2fa8b50f88d5baf14ebe"),
+        # Ideal sensors (NoiseSpec.none()), turned heading, faster eights.
+        ("duration = 6.5\nspeed_scale = 2.0\nphi_g = 0.4\n"
+         + "".join(f"{key} = 0\n" for key in (
+             "accel_density_g", "accel_bias_g", "gyro_density_dps", "gyro_bias_dps",
+             "gps_sigma_xy", "gps_latency", "baro_resolution", "attitude_rms_deg",
+             "encoder_cpr")),
+         "8eb3160cf7d8565d0d6d3690c400de139b76c5acf360b896887d9360afaa4860"),
+    ], ids=["figure-eight", "noiseless"])
+    def test_full_eight_log_bytes_pinned(self, tmp_path, config, digest):
+        cfg = write(tmp_path / "c.cfg", config)
+        out = tmp_path / "pinned.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestEstimate:
     def test_output_layout_and_determinism(self, tmp_path, sim_log):
@@ -289,6 +308,8 @@ class TestConfigParsing:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "must be finite" in err[0]
+        # The value shows by its digit count, not as 401 digits.
+        assert "an integer of 401 digits" in err[0] and len(err[0]) < 80
         assert not out.exists()
 
     def test_inline_comments_and_bools(self, tmp_path, sim_log):

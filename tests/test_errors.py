@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kitefusion import attitude, estimator, frames, lineangle, pipelines, simkite
+from kitefusion import attitude, errors, estimator, frames, lineangle, pipelines, simkite
 from kitefusion.errors import DomainError, require_positive
 from kitefusion.lineangle import EncoderGeometry
 from kitefusion.pipelines import EstimatorConfig
@@ -130,8 +129,26 @@ def test_integer_beyond_float_range_rejected_by_name(name, call, value):
 def test_rule_message_beyond_float_range():
     with pytest.raises(DomainError) as info:
         require_positive("x", BEYOND_FLOAT)
-    assert str(info.value) == f"x must be positive and finite, got {BEYOND_FLOAT}"
+    assert str(info.value) == "x must be positive and finite, got an integer of 401 digits"
     with pytest.raises(DomainError) as info:
         require_positive("x", BEYOND_STR)
-    assert str(info.value) == ("x must be positive and finite, "
-                               f"got an integer of more than {sys.get_int_max_str_digits()} digits")
+    assert str(info.value) == "x must be positive and finite, got an integer of 5001 digits"
+    with pytest.raises(DomainError) as info:
+        EstimatorConfig(ratios=(1.0, -0.0, BEYOND_STR))
+    assert str(info.value) == "ratios must be finite, got (1.0, -0.0, an integer of 5001 digits)"
+
+
+@pytest.mark.parametrize("value, shown", [
+    (10 ** 30 - 1, str(10 ** 30 - 1)),
+    (-(10 ** 30 - 1), str(-(10 ** 30 - 1))),
+    (10 ** 30, "an integer of 31 digits"),
+    (-(10 ** 30), "an integer of 31 digits"),
+    (2 ** 1000, "an integer of 302 digits"),
+    (10 ** 400 - 1, "an integer of 400 digits"),
+    (True, "True"),
+    (1.5e300, "1.5e+300"),
+    ((), "()"),
+], ids=["30-digits", "minus-30-digits", "31-digits", "minus-31-digits", "2**1000",
+        "400-nines", "bool", "float", "empty-tuple"])
+def test_shown_by_digit_count_past_30_digits(value, shown):
+    assert errors._shown(value) == shown

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kitefusion import evalio, pipelines
+from kitefusion.attitude import inertial_accel
 from kitefusion.errors import DomainError, LogFormatError
 from kitefusion.evalio import (
     FRAME_COLUMNS,
@@ -30,7 +32,7 @@ from kitefusion.evalio import (
 )
 from kitefusion.frames import wrap_angle
 from kitefusion.lineangle import EncoderReading
-from kitefusion.pipelines import EstimationPipeline, SensorFrame
+from kitefusion.pipelines import EstimationPipeline, EstimatorConfig, SensorFrame
 from kitefusion.simkite import NoiseSpec, TrajectoryParams, synthesize
 
 
@@ -340,6 +342,115 @@ class TestCompareApproaches:
         assert [c.approach for c in configs] == [1, 2, 3]
         assert configs[0].ratios == (10.0, 10.0, 10.0)
         assert configs[2].ratios == (500.0, 500.0, 500.0)
+
+
+def run_counting_steps(monkeypatch, log, configs, primed):
+    """``repr`` of the report of ``compare_approaches`` (or the type and
+    message of what it raised), the routing of every ``step`` call made,
+    and the number of per-tick ``inertial_accel`` calls.  ``step`` is
+    replaced the way a timing probe replaces it, by a function of
+    ``(pipe, frame)``; ``primed=False`` turns the priming off."""
+    steps, per_tick = [], []
+    step, accel = EstimationPipeline.step, pipelines.inertial_accel
+
+    def counted_step(pipe, frame):
+        steps.append(pipe.config.approach)
+        return step(pipe, frame)
+
+    def counted_accel(*args):
+        per_tick.append(1)
+        return accel(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(EstimationPipeline, "step", counted_step)
+        m.setattr(pipelines, "inertial_accel", counted_accel)
+        if not primed:
+            m.setattr(evalio, "_prime", lambda pipes, frames: None)
+        try:
+            result = repr(compare_approaches(log, configs))
+        except Exception as exc:  # both paths must raise alike
+            result = (type(exc), str(exc))
+    return result, steps, len(per_tick)
+
+
+def _headings():
+    soft, mid, stiff = default_configs()
+    return (dataclasses.replace(soft, phi_g=-0.0), dataclasses.replace(mid, phi_g=2.5),
+            dataclasses.replace(stiff, phi_g=0.0))
+
+
+def _one_coasting():
+    soft, mid, stiff = default_configs()
+    return soft, dataclasses.replace(mid, use_imu=False), stiff
+
+
+class TestPrimedRoutings:
+    """compare_approaches computes a record's inertial accelerations once
+    per heading and primes the routings with them: the report, and any
+    error with the tick it comes from, are those of the per-tick path."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def record():
+        return synthesize(TrajectoryParams(duration=12.0, speed_scale=3.5, phi_g=0.4),
+                          NoiseSpec(seed=8))
+
+    @pytest.mark.parametrize("configs", [default_configs(), _headings(), _one_coasting()],
+                             ids=["default", "three-headings", "one-coasting"])
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_report_bit_identical(self, monkeypatch, configs, with_truth):
+        frames, truth = self.record()
+        log = LogData(frames, truth if with_truth else None)
+        primed = run_counting_steps(monkeypatch, log, configs, primed=True)
+        unprimed = run_counting_steps(monkeypatch, log, configs, primed=False)
+        assert primed[:2] == unprimed[:2]
+        # Priming replaces every per-tick rotation.
+        coasting = sum(not config.use_imu for config in configs)
+        assert (primed[2], unprimed[2]) == (0, (len(configs) - coasting) * len(frames))
+
+    def test_read_back_log_bit_identical(self, monkeypatch, tmp_path):
+        frames, truth = self.record()
+        write_log(frames, tmp_path / "log.csv", truth=truth)
+        log = read_log(tmp_path / "log.csv")
+        primed = run_counting_steps(monkeypatch, log, default_configs(), primed=True)
+        unprimed = run_counting_steps(monkeypatch, log, default_configs(), primed=False)
+        assert primed[:2] == unprimed[:2]
+        assert primed[2] == 0
+
+    def test_headings_told_apart_by_sign_of_zero(self):
+        # Zero specific force on the identity attitude makes every NED
+        # component -0.0, so the x component takes the sign of the zero
+        # sin(phi_g): 0.0 and -0.0 are two headings.
+        frames = [SensorFrame(t=0.02 * k, accel_k=np.array([-0.0, -0.0, -0.0]),
+                              quat=np.array([1.0, 0.0, 0.0, 0.0])) for k in range(3)]
+        pipes = [EstimationPipeline(EstimatorConfig(phi_g=phi_g)) for phi_g in (0.0, -0.0)]
+        pipelines._prime(pipes, frames)
+        got = [np.array(list(pipe._accels)).tobytes() for pipe in pipes]
+        want = [np.array([inertial_accel(f.accel_k.tolist(), f.quat.tolist(),
+                                         pipe._cos_g, pipe._sin_g) for f in frames]).tobytes()
+                for pipe in pipes]
+        assert got == want and want[0] != want[1]
+
+    @pytest.mark.parametrize("field, value, tick", [
+        ("quat", np.array([1.0, 0.1, 0.0, 0.0]), 57),
+        ("quat", np.array([math.nan, 0.0, 0.0, 0.0]), 300),
+        ("encoder", EncoderReading(math.inf, 0.1), 80),
+        ("t", 0.5, 30),
+        ("accel_k", [0.0, 0.0, 9.8], 10),
+        ("accel_k", np.zeros(4), 12),
+        ("quat", np.array([1, 0, 0, 0]), 5),
+        ("quat", None, 5),
+        ("accel_k", None, 400),
+    ], ids=["non-unit-quat", "nan-quat", "infinite-encoder", "time-stalls", "list-accel",
+            "long-accel", "integer-quat", "no-quat", "no-accel"])
+    def test_same_outcome_at_same_tick(self, monkeypatch, field, value, tick):
+        frames, truth = self.record()
+        frames = list(frames)
+        frames[tick] = dataclasses.replace(frames[tick], **{field: value})
+        log = LogData(frames, truth)
+        primed = run_counting_steps(monkeypatch, log, default_configs(), primed=True)
+        unprimed = run_counting_steps(monkeypatch, log, default_configs(), primed=False)
+        assert primed[:2] == unprimed[:2]
 
 
 class TestComparePeakMemory:

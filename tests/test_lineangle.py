@@ -146,3 +146,73 @@ class TestAnglesToEncoder:
                               pivot_height=5.0, pivot_setback=0.0)
         with pytest.raises(DomainError, match="reachable"):
             angles_to_encoder(0.0, 0.0, geo)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _error_of(call):
+    """``(type, message)`` of the exception ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # the test compares any error
+        return type(exc), str(exc)
+    return None
+
+
+TWO_ROOTS = EncoderGeometry(guide_rise=0.0, guide_reach=0.1,
+                            pivot_height=0.0, pivot_setback=0.15)
+
+
+class TestStackedAnglesToEncoder:
+    """The record-at-a-time inversion the synthesizer runs reproduces
+    angles_to_encoder reading by reading, bit for bit and error for error."""
+
+    @pytest.mark.parametrize("geometry", [EncoderGeometry(), BENCH, PASSTHROUGH, TWO_ROOTS],
+                             ids=["default", "bench", "passthrough", "two-roots"])
+    @pytest.mark.parametrize("counts_per_rev", [0, 400, 4096, 7.5])
+    def test_bit_identical_readings(self, geometry, counts_per_rev):
+        rng = np.random.default_rng(45)
+        if geometry is TWO_ROOTS:  # reachable only around phi = pi
+            theta = rng.uniform(0.0, 0.4, 500)
+            phi = rng.uniform(2.8, math.pi, 500)
+        else:
+            # Azimuths on both sides of zero, some within half a count of
+            # it, so that readings round to a zero count from below.
+            step = 2.0 * math.pi / 400
+            phi = np.concatenate([rng.uniform(-math.pi, math.pi, 400),
+                                  rng.uniform(-step / 2, step / 2, 100), [0.0, -0.0]])
+            theta = rng.uniform(0.2, 1.3, len(phi))
+        got = lineangle._angles_to_encoders(theta, phi, geometry, counts_per_rev)
+        want = [angles_to_encoder(th, ph, geometry, counts_per_rev)
+                for th, ph in zip(theta.tolist(), phi.tolist())]
+        assert all(type(reading) is EncoderReading for reading in got)
+        assert _bits(got) == _bits(want)
+
+    def test_empty_record(self):
+        assert lineangle._angles_to_encoders(np.empty(0), np.empty(0), BENCH) == []
+
+    @pytest.mark.parametrize("bad_at, theta, phi", [
+        (3, 0.5, 0.2),           # both crossings behind the origin
+        (0, 0.5, 0.2),
+        (5, math.nan, 3.0),      # no crossing at all
+        (2, math.inf, 3.0),      # math.cos(inf)
+        (4, 0.3, -math.inf),
+    ], ids=["behind-3", "behind-0", "nan-5", "inf-theta-2", "inf-phi-4"])
+    @pytest.mark.parametrize("counts_per_rev", [0, 400, -1])
+    def test_same_error_at_first_refused_reading(self, bad_at, theta, phi, counts_per_rev):
+        thetas = np.full(8, 0.3)
+        phis = np.full(8, 3.0)
+        thetas[bad_at], phis[bad_at] = theta, phi
+        # A second refused reading later on: the first one decides.
+        thetas[6], phis[6] = 0.5, 0.2
+
+        def one_at_a_time():
+            for th, ph in zip(thetas.tolist(), phis.tolist()):
+                angles_to_encoder(th, ph, TWO_ROOTS, counts_per_rev)
+
+        want = _error_of(one_at_a_time)
+        assert want is not None
+        assert _error_of(lambda: lineangle._angles_to_encoders(
+            thetas, phis, TWO_ROOTS, counts_per_rev)) == want

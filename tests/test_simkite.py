@@ -162,6 +162,7 @@ def reference_synthesize(params, noise, geometry=EncoderGeometry(), ts=TS):
 
 
 def assert_fields_equal(a, b):
+    """Every field equal bit for bit: by bytes, so that -0.0 and 0.0 differ."""
     a, b = (vars(x) if dataclasses.is_dataclass(x) else x._asdict() for x in (a, b))
     assert a.keys() == b.keys()
     for name in a:
@@ -169,7 +170,7 @@ def assert_fields_equal(a, b):
         if x is None or y is None:
             assert x is None and y is None, name
         else:
-            assert np.array_equal(x, y), name
+            assert np.asarray(x, float).tobytes() == np.asarray(y, float).tobytes(), name
 
 
 class TestTrajectoryParams:
