@@ -28,19 +28,17 @@ GRAVITY = 9.80665
 _UNIT_NORM_TOL = 1e-6
 
 
-def _check_unit(q) -> None:
-    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    if not abs(n - 1.0) <= _UNIT_NORM_TOL:
-        raise DomainError(f"quaternion norm {n} departs from 1 beyond {_UNIT_NORM_TOL}")
+def _norm_error(norm: float) -> DomainError:
+    """The error for a quaternion of norm ``norm``, more than 1e-6 from 1 or nan."""
+    return DomainError(f"quaternion norm {norm} departs from 1 beyond {_UNIT_NORM_TOL}")
 
 
 def _check_units(q: np.ndarray) -> None:
-    """:func:`_check_unit` for every row of an (n, 4) stack."""
+    """Refuse an (n, 4) stack with a row whose norm departs from 1."""
     norms = np.sqrt(np.sum(q * q, axis=-1))
     bad = ~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL)
     if bad.any():
-        raise DomainError(
-            f"quaternion norm {norms[bad][0]} departs from 1 beyond {_UNIT_NORM_TOL}")
+        raise _norm_error(norms[bad][0])
 
 
 def quats_to_rots(q: np.ndarray) -> np.ndarray:
@@ -142,9 +140,11 @@ def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, fl
     DomainError
         If the quaternion norm departs from 1 by more than 1e-6 or is nan.
     """
-    _check_unit(q)
-    ax, ay, az = a_k
     q1, q2, q3, q4 = q
+    n = math.sqrt(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)
+    if not abs(n - 1.0) <= _UNIT_NORM_TOL:
+        raise _norm_error(n)
+    ax, ay, az = a_k
     # The rows of quats_to_rots([q])[0] applied to a_k: NED components.
     north = ((2.0 * (q1 * q1 + q2 * q2) - 1.0) * ax + 2.0 * (q2 * q3 - q1 * q4) * ay
              + 2.0 * (q2 * q4 + q1 * q3) * az)
@@ -163,7 +163,7 @@ def _inertial_accels(a_k: np.ndarray, q: np.ndarray, cos_g: float, sin_g: float)
 
     The expression and its order of operations are :func:`inertial_accel`'s,
     on columns; numpy's sums, products and square roots round like
-    Python floats.  The norm check is :func:`_check_unit`'s too, so a
+    Python floats.  The norm check is :func:`inertial_accel`'s too, so a
     ``DomainError`` carries the message it raises at the first bad row.
     """
     ax, ay, az = a_k.T
@@ -171,7 +171,7 @@ def _inertial_accels(a_k: np.ndarray, q: np.ndarray, cos_g: float, sin_g: float)
     norms = np.sqrt(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
     if bad.size:
-        _check_unit(q[bad[0]].tolist())
+        raise _norm_error(float(norms[bad[0]]))
     north = ((2.0 * (q1 * q1 + q2 * q2) - 1.0) * ax + 2.0 * (q2 * q3 - q1 * q4) * ay
              + 2.0 * (q2 * q4 + q1 * q3) * az)
     east = (2.0 * (q2 * q3 + q1 * q4) * ax + (2.0 * (q1 * q1 + q3 * q3) - 1.0) * ay

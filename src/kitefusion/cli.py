@@ -130,6 +130,7 @@ def cmd_estimate(args) -> None:
     cfg = load_config(args.config)
     pipeline = EstimationPipeline(build_estimator_config(cfg))
     log = read_log(args.log)
+    pipeline.prime(log.frames)
     lines = [ESTIMATE_HEADER]
     for frame in log.frames:
         out = pipeline.step(frame)

@@ -114,14 +114,18 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
     Raises
     ------
     LogFormatError
-        If ``truth`` and ``frames`` differ in length, a channel value has
-        the wrong number of entries, or a present value is not finite,
-        which :func:`read_log` would refuse (that message names the frame
-        index and the column).  Nothing is written then.
+        If ``truth`` and ``frames`` differ in length, a ``meta`` line holds
+        a line break (``\\n`` or ``\\r``, which would end the comment early),
+        a channel value has the wrong number of entries, or a present value
+        is not finite, which :func:`read_log` would refuse (that message
+        names the frame index and the column).  Nothing is written then.
     """
     if truth is not None and len(truth) != len(frames):
         raise LogFormatError(
             f"truth length {len(truth)} does not match {len(frames)} frames")
+    for line in meta or ():
+        if "\n" in line or "\r" in line:
+            raise LogFormatError(f"meta line {line!r} holds a line break")
     records = [(frames, _FRAME_FIELDS)]
     header = FRAME_COLUMNS
     if truth is not None:

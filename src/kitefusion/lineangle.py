@@ -120,17 +120,34 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
         If the guide lands exactly on the vertical axis through the origin,
         where the azimuth is undefined.
     """
+    angles = _guide_angles(reading.theta_b, reading.phi_b, _mount(geometry))
+    if angles is None:
+        raise DegenerateInputError("tether direction is vertical, azimuth undefined")
+    return angles
+
+
+def _mount(geometry: EncoderGeometry) -> tuple[float, float, float, float]:
+    """The constants :func:`_guide_angles` reads: guide radius and angle,
+    pivot setback and height."""
     g = geometry
-    reach = g.guide_radius
-    elev = reading.theta_b - g.guide_angle
+    return g.guide_radius, g.guide_angle, g.pivot_setback, g.pivot_height
+
+
+def _guide_angles(theta_b: float, phi_b: float, mount) -> tuple[float, float] | None:
+    """:func:`encoder_to_angles` of the arm angles on the constants
+    ``mount`` of :func:`_mount`, which a caller stepping many readings
+    binds once; ``None`` where it raises ``DegenerateInputError``.  An
+    infinite angle raises math's ``ValueError``."""
+    reach, guide_angle, setback, pivot_height = mount
+    elev = theta_b - guide_angle
     up = reach * math.sin(elev)
     horiz = reach * math.cos(elev)
-    fwd = horiz * math.cos(reading.phi_b) - g.pivot_setback
-    side = horiz * math.sin(reading.phi_b)
+    fwd = horiz * math.cos(phi_b) - setback
+    side = horiz * math.sin(phi_b)
     ground = math.hypot(fwd, side)
     if ground == 0.0:
-        raise DegenerateInputError("tether direction is vertical, azimuth undefined")
-    return math.atan((up + g.pivot_height) / ground), math.atan2(side, fwd)
+        return None
+    return math.atan((up + pivot_height) / ground), math.atan2(side, fwd)
 
 
 def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,

@@ -8,7 +8,11 @@ Three measurement routings feed the same constant-gain position filter:
    XY fix so the measured point sits on the tether sphere before the XY
    correction is applied.
 3. The line-angle encoders give a full position fix every sample through
-   the tether-sphere geometry; no radio sensors are needed.
+   the tether-sphere geometry; no radio sensors are needed.  This is the
+   onboard loop, so :meth:`EstimationPipeline.step` computes the fix
+   itself, on geometry constants bound once:
+   :func:`~kitefusion.lineangle.encoder_to_angles`, then the point on
+   the sphere, with their bits and their errors.
 
 All three integrate the body accelerometer (rotated into the ground
 frame, gravity removed) between position fixes when an attitude estimate
@@ -22,7 +26,8 @@ the frame and the heading, so a caller that replays one record through
 several routings computes it once.  :func:`_prime` does so in one array
 pass per distinct heading and hands each pipeline the sequence, which
 :meth:`EstimationPipeline.step` then reads in place of its per-tick
-rotation, with the same bits.
+rotation, with the same bits; :meth:`EstimationPipeline.prime` does so
+for one pipeline.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .attitude import _inertial_accels, inertial_accel
 from .errors import (DegenerateInputError, DomainError, LogFormatError, require_finite,
                      require_positive)
 from .frames import TWO_PI, _elevation, _horizontal
-from .lineangle import EncoderGeometry, EncoderReading, encoder_to_angles
+from .lineangle import EncoderGeometry, EncoderReading, _guide_angles, _mount
 from .estimator import _unit_circle_magnitudes, axis_gain
 
 
@@ -150,6 +155,8 @@ class EstimateOutput(NamedTuple):
     gamma_dot_hat: float
 
 
+_HALF_PI = math.pi / 2.0
+
 # Builds an EstimateOutput from one tuple of its fields, skipping the
 # Python-level __new__ of the named tuple.
 _output = tuple.__new__
@@ -226,9 +233,11 @@ class EstimationPipeline:
     :func:`~kitefusion.estimator.axis_gain`, then derives the
     sphere angles and the velocity angle and steps the observer, all in
     one straight-line pass on floats.  The heading of the ground frame
-    enters only as its cosine and sine, computed once, and the routing's
-    measurement handler is chosen once.  A pipeline primed by
-    :func:`_prime` reads each tick's inertial acceleration from its
+    enters only as its cosine and sine, computed once.  Routings 1 and 2
+    reach their fixes through a measurement handler chosen once; routing
+    3 computes its fix in that pass, from the geometry constants
+    :func:`~kitefusion.lineangle.encoder_to_angles` reads, bound once.
+    A primed pipeline reads each tick's inertial acceleration from its
     primed sequence instead of rotating the frame's accelerometer
     reading; the two agree bit for bit.  A tick that raises
     ``DomainError`` (a non-unit quaternion, a non-finite encoder reading)
@@ -247,7 +256,10 @@ class EstimationPipeline:
         self.config = config
         self._gains = tuple(axis_gain(config.ts, ratio) for ratio in config.ratios)
         self._cos_g, self._sin_g = math.cos(config.phi_g), math.sin(config.phi_g)
-        self._fix = (self._radio_fix, self._sphere_fix, self._encoder_fix)[config.approach - 1]
+        if config.approach == 3:
+            self._fix, self._mount = None, _mount(config.geometry)
+        else:
+            self._fix, self._mount = (self._radio_fix, self._sphere_fix)[config.approach - 1], None
         self._seed = [None, None, None]
         self._seeded = False
         self._px = self._py = self._pz = 0.0
@@ -268,6 +280,13 @@ class EstimationPipeline:
         p_meas, axes = self._shown
         return np.array(p_meas), axes
 
+    def prime(self, frames) -> None:
+        """Compute the inertial accelerations of the record ``frames`` in
+        one array pass, for :meth:`step` to read as the frames are
+        stepped in order, with the bits of its per-tick rotation;
+        :func:`_prime` for this pipeline alone."""
+        _prime([self], frames)
+
     def step(self, frame: SensorFrame) -> EstimateOutput | None:
         t = frame.t
         if not math.isfinite(t):
@@ -283,7 +302,29 @@ class EstimationPipeline:
         else:
             # The tick's entry of a primed record, or zeros.
             ax, ay, az = next(self._accels)
-        measured = self._fix(frame)
+        mount = self._mount
+        if mount is None:
+            measured = self._fix(frame)
+        else:
+            # Routing 3: encoder_to_angles, then the point
+            # r (cos(theta) cos(phi), cos(theta) sin(phi), sin(theta)).
+            # No reading, or a vertical tether, gives no fix.
+            measured = angles = None
+            reading = frame.encoder
+            if reading is not None:
+                theta_b, phi_b = reading
+                try:
+                    angles = _guide_angles(theta_b, phi_b, mount)
+                except ValueError as exc:  # math.sin/cos of an infinite angle
+                    raise DomainError(f"encoder reading {reading} is not finite") from exc
+            if angles is not None:
+                theta, phi = angles
+                if not abs(theta) <= _HALF_PI:  # a NaN reading
+                    raise DomainError(f"elevation out of [-pi/2, pi/2]: {theta}")
+                r = cfg.r
+                rc = r * math.cos(theta)
+                z = (rc * math.cos(phi), rc * math.sin(phi), r * math.sin(theta))
+                measured = z, (z, (0, 1, 2))
         if self._seeded:
             # Prediction, per axis: p += ts * v with the pre-update
             # velocity, then v += ts * a.
@@ -330,7 +371,12 @@ class EstimationPipeline:
 
         # Sphere angles of the estimate; the azimuth holds on the zenith
         # axis, and a non-finite height gives a non-finite elevation.
-        theta = math.asin(min(max(pz / cfg.r, -1.0), 1.0))
+        sin_theta = pz / cfg.r
+        if sin_theta > 1.0:
+            sin_theta = 1.0
+        elif sin_theta < -1.0:
+            sin_theta = -1.0
+        theta = math.asin(sin_theta)
         if px == 0.0 and py == 0.0:
             phi = self._phi_prev
         else:
@@ -395,31 +441,6 @@ class EstimationPipeline:
         except (DomainError, DegenerateInputError):
             return measured
         return (corrected[0], corrected[1], height), (corrected, (0, 1))
-
-    def _encoder_fix(self, frame: SensorFrame):
-        """Routing 3: the point on the sphere that an encoder reading
-        gives, or ``None`` for a vertical tether.  Returns what
-        :meth:`_radio_fix` does.
-
-        Raises
-        ------
-        DomainError
-            If an angle is infinite or implies no elevation (NaN).
-        """
-        if frame.encoder is None:
-            return None
-        try:
-            theta, phi = encoder_to_angles(frame.encoder, self.config.geometry)
-        except DegenerateInputError:
-            return None
-        except ValueError as exc:  # math.sin/cos of an infinite angle
-            raise DomainError(f"encoder reading {frame.encoder} is not finite") from exc
-        if not abs(theta) <= math.pi / 2.0:
-            raise DomainError(f"elevation out of [-pi/2, pi/2]: {theta}")
-        r = self.config.r
-        ct = math.cos(theta)
-        fix = (r * ct * math.cos(phi), r * ct * math.sin(phi), r * math.sin(theta))
-        return fix, (fix, (0, 1, 2))
 
 
 def _imu_stacks(frames) -> tuple[np.ndarray, np.ndarray] | None:

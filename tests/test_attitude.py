@@ -21,7 +21,7 @@ from kitefusion.errors import DomainError
 
 def quat_derivative(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Quaternion time derivative ``0.5 * Omega(w) @ q`` for body rates ``w``."""
-    attitude._check_unit(q)
+    attitude._check_units(np.reshape(q, (1, 4)))
     q1, q2, q3, q4 = (float(c) for c in q)
     wx, wy, wz = (float(c) for c in w)
     return 0.5 * np.array([
@@ -36,7 +36,7 @@ def quat_propagate(q: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     """Propagate a unit quaternion over ``dt`` under constant body rates:
     ``q(t+dt) = (cos(a) I + sin(a)/|w| Omega(w)) q(t)`` with
     ``a = |w| dt / 2``, renormalised."""
-    attitude._check_unit(q)
+    attitude._check_units(np.reshape(q, (1, 4)))
     wx, wy, wz = (float(c) for c in w)
     n = math.sqrt(wx * wx + wy * wy + wz * wz)
     if n == 0.0:
@@ -72,7 +72,7 @@ def rates_between(q0, q1, dt) -> np.ndarray:
 def scalar_quat_to_rot(q) -> np.ndarray:
     """One quaternion's matrix, written out entry by entry: the scalar
     definition that ``quats_to_rots`` must reproduce bit for bit."""
-    attitude._check_unit(q)
+    attitude._check_units(np.reshape(q, (1, 4)))
     q1, q2, q3, q4 = (float(c) for c in q)
     return np.array([
         [2.0 * (q1 * q1 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q1 * q4), 2.0 * (q2 * q4 + q1 * q3)],

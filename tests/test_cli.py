@@ -8,9 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from kitefusion import cli
+from kitefusion import cli, pipelines
 from kitefusion.cli import CONFIG_KEYS, ESTIMATE_HEADER, build_estimator_config, load_config, main
-from kitefusion.evalio import read_log
+from kitefusion.evalio import read_log, write_log
 from kitefusion.lineangle import EncoderGeometry
 from kitefusion.pipelines import EstimationPipeline, EstimatorConfig
 from kitefusion.simkite import NoiseSpec, TrajectoryParams
@@ -171,6 +171,55 @@ class TestEstimate:
         assert main(["estimate", "--config", cfg, "--log", str(log), "--out", str(out)]) == 0
         config = build_estimator_config(load_config(cfg))
         assert out.read_bytes() == per_cell_estimate_csv(read_log(log), config).encode()
+
+    @staticmethod
+    def run_counting_rotations(monkeypatch, capsys, argv, out, primed):
+        """Exit code, output bytes (None when absent), stderr and the number
+        of per-tick ``inertial_accel`` calls of one ``estimate`` run;
+        ``primed=False`` turns the priming off."""
+        rotations = []
+        accel = pipelines.inertial_accel
+
+        def counted_accel(*args):
+            rotations.append(1)
+            return accel(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(pipelines, "inertial_accel", counted_accel)
+            if not primed:
+                m.setattr(EstimationPipeline, "prime", lambda pipe, frames: None)
+            code = main(argv)
+        written = out.read_bytes() if out.exists() else None
+        if written is not None:
+            out.unlink()
+        return code, written, capsys.readouterr().err, len(rotations)
+
+    @pytest.mark.parametrize("config", ["approach = 1\nlambda = 10\n", "approach = 2\n",
+                                        "", "phi_g = 2.5\n", "use_imu = false\n"])
+    def test_priming_keeps_bytes(self, monkeypatch, capsys, tmp_path, sim_log, config):
+        """The record's accelerations are computed in one array pass, with
+        the bytes of the per-tick rotation."""
+        out = tmp_path / "e.csv"
+        argv = ["estimate", "--config", write(tmp_path / "e.cfg", config),
+                "--log", str(sim_log), "--out", str(out)]
+        primed = self.run_counting_rotations(monkeypatch, capsys, argv, out, primed=True)
+        unprimed = self.run_counting_rotations(monkeypatch, capsys, argv, out, primed=False)
+        assert primed[:3] == unprimed[:3] and primed[0] == 0
+        ticks = len(read_log(sim_log).frames)
+        assert (primed[3], unprimed[3]) == (0, 0 if "use_imu" in config else ticks)
+
+    def test_non_unit_quaternion_exits_2_alike(self, monkeypatch, capsys, tmp_path, sim_log):
+        log = read_log(sim_log)
+        log.frames[40] = dataclasses.replace(log.frames[40], quat=1.01 * log.frames[40].quat)
+        bad = tmp_path / "bad.csv"
+        write_log(log.frames, bad)
+        out = tmp_path / "e.csv"
+        argv = ["estimate", "--log", str(bad), "--out", str(out)]
+        primed = self.run_counting_rotations(monkeypatch, capsys, argv, out, primed=True)
+        unprimed = self.run_counting_rotations(monkeypatch, capsys, argv, out, primed=False)
+        assert primed[:3] == unprimed[:3]
+        assert primed[:2] == (2, None)
+        assert primed[2].startswith("error: quaternion norm 1.01")
 
     def test_missing_log_exits_2(self, tmp_path, capsys):
         code = main(["estimate", "--log", str(tmp_path / "nope.csv"),

@@ -242,6 +242,20 @@ class TestWriteFiniteRule:
         with pytest.raises(LogFormatError, match="frame 0: .* in column gps_y"):
             write_log(frames[1:], tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize("line", ["a\nb", "seed=2\r", "\r\nsite: bench"])
+    def test_meta_line_break_rejected(self, tmp_path, line):
+        """A line break would end the ``#`` comment early and leave the
+        rest of the line where the reader expects the header."""
+        frames, _ = small_record(duration=0.1)
+        path = tmp_path / "bad.csv"
+        with pytest.raises(LogFormatError) as raised:
+            write_log(frames, path, meta=["site: bench", line])
+        assert str(raised.value) == f"meta line {line!r} holds a line break"
+        assert not path.exists()
+        # The same text without its line breaks is written and reads back.
+        write_log(frames, path, meta=["site: bench", line.replace("\n", " ").replace("\r", " ")])
+        assert len(read_log(path).frames) == len(frames)
+
 
 class TestCompareApproaches:
     def test_report_shape_and_binning(self, tmp_path):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from filter_reference import (
@@ -393,6 +395,89 @@ class TestPipelineLineAngle:
         pipe.step(SensorFrame(t=0.0))
         with pytest.raises(LogFormatError):
             pipe.step(SensorFrame(t=0.0))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+geometries = st.one_of(
+    st.just(PASSTHROUGH),
+    st.builds(EncoderGeometry, guide_rise=st.floats(0.0, 2.0), guide_reach=st.floats(0.01, 2.0),
+              pivot_height=st.floats(-1.0, 1.0), pivot_setback=st.floats(-1.0, 1.0)))
+readings = st.builds(EncoderReading, finite, finite)
+
+
+def sphere_point(reading, geometry, r):
+    """The routing-3 fix as the helpers compute it, or None for a
+    vertical tether."""
+    try:
+        return spherical_to_cartesian(*encoder_to_angles(reading, geometry), r)
+    except DegenerateInputError:
+        return None
+
+
+class TestEncoderFix:
+    """Routing 3's fix is encoder_to_angles followed by
+    spherical_to_cartesian, bit for bit, and it fails as they do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(geometry=geometries, r=st.floats(0.5, 2000.0), first=readings, second=readings)
+    def test_matches_helpers(self, geometry, r, first, second):
+        pipe = EstimationPipeline(EstimatorConfig(approach=3, r=r, geometry=geometry))
+        seed = sphere_point(first, geometry, r)
+        out = pipe.step(SensorFrame(t=0.0, encoder=first))
+        # The first fix seeds the position and is not shown as a correction.
+        assert pipe.last_measurement is None
+        if seed is None:
+            assert out is None
+            return
+        assert np.array(out.p_hat).tobytes() == seed.tobytes()
+        want = sphere_point(second, geometry, r)
+        pipe.step(SensorFrame(t=TS, encoder=second))
+        if want is None:
+            assert pipe.last_measurement is None
+        else:
+            p_meas, axes = pipe.last_measurement
+            assert p_meas.tobytes() == want.tobytes() and axes == (0, 1, 2)
+
+    VERTICAL = EncoderGeometry(guide_rise=0.0, guide_reach=1.0,
+                               pivot_height=0.0, pivot_setback=1.0)
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("reading, error, message", [
+        (EncoderReading(0.0, 0.0), None, None),
+        (EncoderReading(math.inf, 0.1), DomainError,
+         "encoder reading EncoderReading(theta_b=inf, phi_b=0.1) is not finite"),
+        (EncoderReading(0.3, -math.inf), DomainError,
+         "encoder reading EncoderReading(theta_b=0.3, phi_b=-inf) is not finite"),
+        (EncoderReading(math.nan, math.inf), DomainError,
+         "encoder reading EncoderReading(theta_b=nan, phi_b=inf) is not finite"),
+        (EncoderReading(math.nan, 0.2), DomainError, "elevation out of [-pi/2, pi/2]: nan"),
+        (EncoderReading(0.5, math.nan), DomainError, "elevation out of [-pi/2, pi/2]: nan"),
+    ], ids=["vertical", "inf-elevation", "inf-azimuth", "nan-then-inf", "nan-elevation",
+            "nan-azimuth"])
+    def test_bad_reading(self, seeded, reading, error, message):
+        """A vertical tether drops the fix; an infinite or NaN reading
+        raises, on the seeding tick and later, and changes no state."""
+        config = EstimatorConfig(approach=3, geometry=self.VERTICAL)
+        hit, clean = EstimationPipeline(config), EstimationPipeline(config)
+        ticks = [SensorFrame(t=k * TS, encoder=EncoderReading(0.2 + 0.01 * k, 0.3))
+                 for k in range(6)]
+        before = ticks[:3] if seeded else []
+        for frame in before:
+            hit.step(frame)
+            clean.step(frame)
+        bad = SensorFrame(t=len(before) * TS, encoder=reading)
+        if error is None:
+            got, want = hit.step(bad), clean.step(dataclasses.replace(bad, encoder=None))
+            assert got == want and hit.last_measurement is None
+        else:
+            with pytest.raises(error) as raised:
+                hit.step(bad)
+            assert str(raised.value) == message
+            if "not finite" in message:
+                assert isinstance(raised.value.__cause__, ValueError)
+        for frame in ticks[len(before) + 1:]:
+            assert hit.step(frame) == clean.step(frame)
+            assert repr(hit.last_measurement) == repr(clean.last_measurement)
 
 
 class TestPipelineRadio:
