@@ -87,7 +87,9 @@ def cartesian_to_spherical(p: np.ndarray, r: float) -> tuple[float, float]:
     Returns
     -------
     (theta, phi) : tuple of float
-        Elevation in [-pi/2, pi/2] and azimuth in (-pi, pi].
+        Elevation in [-pi/2, pi/2] and azimuth in [-pi, pi], as
+        ``atan2`` gives it: -pi for a point on the negative x axis with
+        ``p_y = -0.0`` or just below it.
 
     Raises
     ------

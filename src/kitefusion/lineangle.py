@@ -112,7 +112,8 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
     Returns
     -------
     (theta, phi) : tuple of float
-        Wing elevation and azimuth in rad, azimuth in (-pi, pi].
+        Wing elevation and azimuth in rad, azimuth in [-pi, pi] as
+        ``atan2`` gives it.
 
     Raises
     ------
@@ -171,7 +172,7 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
     counts_per_rev : int
         Encoder line count for the final rounding; ``0`` (ideal
         readings, as in ``NoiseSpec``) returns the unrounded solution,
-        azimuth in (-pi, pi].
+        azimuth in [-pi, pi] as ``atan2`` gives it.
 
     Raises
     ------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from filter_reference import velocity_angle
@@ -86,6 +88,17 @@ class TestCartesianToSpherical:
             theta2, phi2 = frames.cartesian_to_spherical(p, 30.0)
             assert abs(theta2 - theta) < 1e-12
             assert abs(frames.wrap_angle(phi2 - phi)) < 1e-12
+
+    @given(theta=st.floats(-math.pi / 2, math.pi / 2), phi=st.floats(-math.pi, math.pi),
+           r=st.floats(1e-3, 1e6))
+    def test_round_trip_property(self, theta, phi, r):
+        """The angles come back to rounding; the elevation's error grows
+        as 1/cos(theta) toward the zenith, where arcsin loses its slope,
+        and an azimuth error moves the point by cos(theta) times it."""
+        theta2, phi2 = frames.cartesian_to_spherical(frames.spherical_to_cartesian(theta, phi, r), r)
+        assert abs(theta2) <= math.pi / 2 and abs(phi2) <= math.pi
+        assert abs(theta2 - theta) * math.cos(theta) <= 1e-15
+        assert abs(frames.wrap_angle(phi2 - phi)) <= 1e-15
 
     def test_infinite_radius_rejected(self):
         # z / r would read elevation 0.0 for a point 5 m up.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kitefusion import frames, lineangle
@@ -125,6 +127,23 @@ class TestAnglesToEncoder:
             theta2, phi2 = encoder_to_angles(reading, geometry)
             assert abs(theta2 - theta) <= 1e-12
             assert abs(frames.wrap_angle(phi2 - phi)) <= 1e-12
+
+    @given(rise=st.floats(0.0, 2.0), reach=st.floats(0.01, 2.0),
+           setback=st.floats(-0.5, 0.5), height=st.floats(-0.5, 0.5),
+           theta=st.floats(-math.pi / 2, math.pi / 2), phi=st.floats(-math.pi, math.pi))
+    def test_unquantized_round_trip_property(self, rise, reach, setback, height, theta, phi):
+        """Over random geometries with the reference origin inside the
+        guide sphere (offsets at most half its radius, so every direction
+        is reachable), the inverse recovers the wing direction."""
+        radius = math.hypot(rise, reach)
+        geometry = EncoderGeometry(guide_rise=rise, guide_reach=reach,
+                                   pivot_height=height * radius, pivot_setback=setback * radius)
+        reading = angles_to_encoder(theta, phi, geometry, counts_per_rev=0)
+        theta2, phi2 = encoder_to_angles(reading, geometry)
+        assert abs(theta2) <= math.pi / 2 and abs(phi2) <= math.pi
+        # Compared as unit vectors: the azimuth is free on the zenith axis.
+        assert_allclose(frames.spherical_to_cartesian(theta2, phi2, 1.0),
+                        frames.spherical_to_cartesian(theta, phi, 1.0), rtol=0, atol=1e-12)
 
     def test_two_root_geometry_takes_far_root(self):
         # The reference origin lies outside the guide sphere, so a ray can

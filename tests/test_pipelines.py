@@ -18,6 +18,7 @@ from filter_reference import (
     time_update,
     velocity_angle,
 )
+from kitefusion import pipelines
 from kitefusion.attitude import GRAVITY, inertial_accel, quats_to_rots
 from kitefusion.errors import DegenerateInputError, DomainError, LogFormatError
 from kitefusion.estimator import axis_gain
@@ -152,6 +153,13 @@ class TestGeometricCorrection:
     def test_zero_xy_rejected(self):
         with pytest.raises(DegenerateInputError):
             geometric_correction(np.array([0.0, 0.0, 10.0]), 30.0)
+
+    @pytest.mark.parametrize("xy", [(0.0, 2.225073858507203e-309), (5e-324, -5e-324)])
+    def test_xy_too_small_to_scale_rejected(self, xy):
+        """r cos(elevation) / hypot(x, y) overflows: the zero component
+        would come out NaN, the subnormal ones infinite."""
+        with pytest.raises(DegenerateInputError, match="too small to scale"):
+            geometric_correction(np.array([*xy, 0.0]), 1.0)
 
     @pytest.mark.parametrize("xy", [(math.nan, 1.0), (20.0, math.nan), (math.inf, 1.0),
                                     (20.0, -math.inf)])
@@ -478,6 +486,222 @@ class TestEncoderFix:
         for frame in ticks[len(before) + 1:]:
             assert hit.step(frame) == clean.step(frame)
             assert repr(hit.last_measurement) == repr(clean.last_measurement)
+
+
+def shown_bits(pipe):
+    """``last_measurement`` of ``pipe`` as (bytes of p_meas, axes), or None."""
+    shown = pipe.last_measurement
+    return None if shown is None else (shown[0].tobytes(), shown[1])
+
+
+def oracle_bits(reading, geometry, r):
+    """What ``shown_bits`` reads after a seeded pipeline steps ``reading``
+    alone, from encoder_to_angles and spherical_to_cartesian."""
+    point = sphere_point(reading, geometry, r)
+    return None if point is None else (point.tobytes(), (0, 1, 2))
+
+
+class TestFixMemo:
+    """Each routing-3 pipeline holds the fix of every reading it has
+    inverted and looks it up when the reading comes back; every tick
+    still matches the per-reading inversion bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry=geometries, pool=st.lists(readings, min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 3), min_size=2, max_size=40))
+    def test_repeats_match_per_reading_oracle(self, geometry, pool, picks):
+        """Readings drawn from a small set, so most ticks look their fix
+        up, step like HelperPipeline, which inverts every reading."""
+        frames = [SensorFrame(t=k * TS, encoder=pool[pick % len(pool)])
+                  for k, pick in enumerate(picks)]
+        config = EstimatorConfig(approach=3, geometry=geometry, use_imu=False)
+        if all(sphere_point(frame.encoder, geometry, config.r) is None for frame in frames):
+            return  # nothing seeds, so nothing is emitted to compare
+        assert replay_against_helpers(config, frames) is None
+
+    def test_hit_ticks_show_fresh_arrays(self, monkeypatch):
+        frames = encoder_frames(40, with_imu=False)
+        loop = [EncoderReading(*map(float, f.encoder)) for f in frames[1:6]]
+        frames = [dataclasses.replace(f, encoder=loop[k % 5]) for k, f in enumerate(frames)]
+        pipe = EstimationPipeline(EstimatorConfig(approach=3))
+        ref = HelperPipeline(EstimatorConfig(approach=3))
+        inverted = []
+        invert = pipelines._guide_angles
+        monkeypatch.setattr(pipelines, "_guide_angles",
+                            lambda *args: inverted.append(args[:2]) or invert(*args))
+        for k, frame in enumerate(frames):
+            assert_same_tick(k, pipe, ref, pipe.step(frame), ref.step(frame))
+        assert inverted == loop  # every later tick was a lookup
+        assert len(pipe._fixes) == 5
+        first, again = pipe.last_measurement[0], pipe.last_measurement[0]
+        assert first is not again
+        first[:] = 0.0
+        assert pipe.last_measurement[0].tobytes() == again.tobytes()
+        assert again.tobytes() == oracle_bits(loop[39 % 5], EncoderGeometry(), R)[0]
+
+    # The reference origin sits ahead of the guide (forward < 0), so the
+    # sign of a zero azimuth reading turns atan2(+-0, forward) into +-pi;
+    # a pivot height of -0.0 carries the sign of a zero elevation reading.
+    SIGNED = EncoderGeometry(guide_rise=0.0, guide_reach=1.0,
+                             pivot_height=-0.0, pivot_setback=2.0)
+
+    @pytest.mark.parametrize("zero, signed", [
+        (EncoderReading(0.3, 0.0), EncoderReading(0.3, -0.0)),
+        (EncoderReading(0.0, 0.4), EncoderReading(-0.0, 0.4)),
+    ], ids=["azimuth", "elevation"])
+    def test_signed_zero_readings_inverted_apart(self, zero, signed):
+        assert oracle_bits(zero, self.SIGNED, R) != oracle_bits(signed, self.SIGNED, R)
+        pipe = EstimationPipeline(EstimatorConfig(approach=3, geometry=self.SIGNED))
+        pipe.step(SensorFrame(t=0.0, encoder=EncoderReading(0.5, 0.5)))
+        for k, reading in enumerate([zero, signed, zero, signed, signed, zero]):
+            pipe.step(SensorFrame(t=(k + 1) * TS, encoder=reading))
+            assert shown_bits(pipe) == oracle_bits(reading, self.SIGNED, R), k
+        assert list(pipe._fixes) == [(0.5, 0.5)]
+
+    def test_readings_not_of_floats_inverted_apart(self):
+        """A float32 reading equal to a float one computes in float32 and
+        is not looked up; a list reading is unpacked, and held when it
+        holds floats."""
+        pipe = EstimationPipeline(EstimatorConfig(approach=3))
+        single = np.float32(0.7), np.float32(0.3)
+        as_float = EncoderReading(float(single[0]), float(single[1]))
+        assert as_float == single
+        assert oracle_bits(as_float, EncoderGeometry(), R) != \
+            oracle_bits(EncoderReading(*single), EncoderGeometry(), R)
+        pipe.step(SensorFrame(t=0.0, encoder=as_float))
+        for k, reading in enumerate([as_float, single, list(single), [0.7, 0.3]]):
+            pipe.step(SensorFrame(t=(k + 1) * TS, encoder=reading))
+            assert shown_bits(pipe) == oracle_bits(EncoderReading(*reading),
+                                                   EncoderGeometry(), R), k
+        assert list(pipe._fixes) == [as_float, (0.7, 0.3)]
+
+    # Forward and side both vanish for a nonzero reading: the guide sits
+    # at exactly the setback, and the side offset underflows to zero.
+    SUBNORMAL_VERTICAL = (EncoderGeometry(guide_rise=0.0, guide_reach=1.0, pivot_height=0.0,
+                                          pivot_setback=math.cos(1.2)),
+                          EncoderReading(1.2, 5e-324))
+
+    @pytest.mark.parametrize("reading, error, message", [
+        (EncoderReading(math.inf, 0.1), DomainError,
+         "encoder reading EncoderReading(theta_b=inf, phi_b=0.1) is not finite"),
+        (EncoderReading(0.3, math.nan), DomainError, "elevation out of [-pi/2, pi/2]: nan"),
+        (EncoderReading(0.0, 0.0), None, None),
+        ("subnormal", None, None),
+    ], ids=["infinite", "nan", "vertical", "vertical-nonzero"])
+    def test_bad_readings_every_time(self, reading, error, message):
+        """An infinite or NaN reading raises each time it comes and is
+        never held; a vertical one drops the fix each time, held only as
+        that drop when no component is zero."""
+        geometry = TestEncoderFix.VERTICAL
+        if reading == "subnormal":
+            geometry, reading = self.SUBNORMAL_VERTICAL
+        if error is None:
+            assert sphere_point(reading, geometry, R) is None  # a vertical tether
+        config = EstimatorConfig(approach=3, geometry=geometry, use_imu=False)
+        hit, clean = EstimationPipeline(config), EstimationPipeline(config)
+        good = [EncoderReading(0.2, 0.3), EncoderReading(0.25, 0.35)]
+        for k in range(12):
+            frame = SensorFrame(t=k * TS, encoder=reading if k % 3 == 1 else good[k % 2])
+            if k % 3 != 1:
+                assert hit.step(frame) == clean.step(frame)
+                assert shown_bits(hit) == shown_bits(clean)
+            elif error is None:
+                assert hit.step(frame) == clean.step(dataclasses.replace(frame, encoder=None))
+                assert hit.last_measurement is None
+            else:
+                with pytest.raises(error) as raised:
+                    hit.step(frame)
+                assert str(raised.value) == message
+        held = dict(hit._fixes)
+        assert held.pop(tuple(good[0])) is not None and held.pop(tuple(good[1])) is not None
+        assert held == ({tuple(reading): None} if geometry is not TestEncoderFix.VERTICAL
+                        else {})
+
+    @staticmethod
+    def distinct_frames(count, repeat):
+        """``count`` distinct readings, each held for ``repeat`` ticks."""
+        return [SensorFrame(t=k * TS, encoder=EncoderReading(0.3 + 1e-4 * (k // repeat),
+                                                             0.2 - 1e-4 * (k // repeat)))
+                for k in range(count * repeat)]
+
+    def test_held_fixes_bounded(self):
+        """Readings that come back (each for three ticks) fill the held
+        fixes slowly: past ``_FIXES_HELD`` nothing more is held, held
+        readings are still looked up, and the readings past the bound
+        step like HelperPipeline."""
+        held = pipelines._FIXES_HELD
+        frames = self.distinct_frames(held + 50, 3)
+        frames += frames[:20] + frames[-20:]  # held readings, then readings past the bound
+        frames = [dataclasses.replace(f, t=k * TS) for k, f in enumerate(frames)]
+        config = EstimatorConfig(approach=3, use_imu=False)
+        pipe = EstimationPipeline(config)
+        for frame in frames:
+            pipe.step(frame)
+        assert list(pipe._fixes) == [tuple(f.encoder) for f in frames[:3 * held:3]]
+        assert replay_against_helpers(config, frames) is None
+
+    def test_readings_that_never_repeat_stop_the_lookup(self, monkeypatch):
+        """Unquantized readings fill the held fixes within twice as many
+        ticks; the pipeline then drops them and inverts every reading,
+        a held one too, still like HelperPipeline."""
+        held = pipelines._FIXES_HELD
+        frames = self.distinct_frames(held + 50, 1)
+        frames += [dataclasses.replace(f, t=(held + 50 + k) * TS) for k, f in enumerate(frames[:20])]
+        config = EstimatorConfig(approach=3, use_imu=False)
+        pipe = EstimationPipeline(config)
+        inverted = []
+        invert = pipelines._guide_angles
+        monkeypatch.setattr(pipelines, "_guide_angles",
+                            lambda *args: inverted.append(args[:2]) or invert(*args))
+        for frame in frames:
+            pipe.step(frame)
+        assert pipe._fixes is None and len(inverted) == len(frames)
+        assert replay_against_helpers(config, frames) is None
+
+
+def unit_quaternion(q):
+    norm = math.sqrt(sum(x * x for x in q))
+    return np.array([x / norm for x in q])
+
+
+def bounded(limit):
+    return st.floats(-limit, limit)
+
+
+frames_bounded = st.lists(st.fixed_dictionaries({
+    "accel_k": st.none() | st.lists(bounded(1e3), min_size=3, max_size=3).map(np.array),
+    "quat": st.none() | st.lists(bounded(1.0), min_size=4, max_size=4).filter(
+        lambda q: sum(x * x for x in q) > 0.01).map(unit_quaternion),
+    "gps_xy": st.none() | st.lists(bounded(1e4), min_size=2, max_size=2).map(np.array),
+    "baro_z": st.none() | bounded(1e4),
+    "encoder": st.none() | st.builds(EncoderReading, bounded(10.0), bounded(10.0)),
+}), min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(approach=st.sampled_from([1, 2, 3]), use_imu=st.booleans(),
+       phi_g=bounded(math.pi), r=st.floats(1.0, 1e3), geometry=geometries, channels=frames_bounded)
+def test_finite_frames_give_finite_outputs(approach, use_imu, phi_g, r, geometry, channels):
+    """On every routing, finite and bounded frames (unit quaternions)
+    step without raising, and every output field is finite."""
+    config = EstimatorConfig(approach=approach, use_imu=use_imu, phi_g=phi_g, r=r,
+                             geometry=geometry)
+    pipe = EstimationPipeline(config)
+    for k, fields in enumerate(channels):
+        out = pipe.step(SensorFrame(t=k * TS, **fields))
+        if out is not None:
+            values = (out.t, *out.p_hat, *out.v_hat, *out[3:])
+            assert all(map(math.isfinite, values)), (k, out)
+
+
+def test_xy_too_small_to_scale_dropped():
+    """Found by the test above: routing 2 dropped nothing here and
+    emitted a NaN position."""
+    pipe = EstimationPipeline(EstimatorConfig(approach=2, r=1.0, use_imu=False))
+    assert pipe.step(SensorFrame(t=0.0, gps_xy=np.array([0.0, 2.225073858507203e-309]),
+                                 baro_z=0.0)) is None
+    out = pipe.step(SensorFrame(t=TS, gps_xy=np.array([0.5, 0.5]), baro_z=0.0))
+    assert all(map(math.isfinite, (*out.p_hat, *out.v_hat, *out[3:])))
 
 
 class TestPipelineRadio:
