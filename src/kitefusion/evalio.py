@@ -7,17 +7,18 @@ comments (the writer uses them for provenance such as the noise seed)
 and are ignored by the reader.
 
 Both directions handle a log as one ``(n, width)`` float table.  The
-reader streams the file line by line, parses each data row with one
-``float`` per cell into a flat buffer next to an explicit empty-cell
-mask, and stops at the first line whose cells do not all parse to
-finite numbers.  It then reshapes the buffer once and runs the row
-checks (missing timestamp, time not increasing, partial channel group,
-incomplete truth row) as boolean array tests, so the line it reports
-and the message are those of a line-by-line check.  Each channel is
-copied out of the table once, and every frame takes its row of that
-copy.  The writer gathers the same table from the frames, refuses a
-non-finite present cell before it opens the file, and formats the table
-row by row.
+reader parses the file in blocks of ``_BLOCK_LINES`` lines, with one
+split and one ``float`` pass over each block's cells, into a flat buffer
+next to an explicit empty-cell mask; only a block that holds an
+irregular line is scanned line by line (see :func:`read_log`).  It then
+reshapes the buffer once and runs the row checks (missing timestamp,
+time not increasing, partial channel group, incomplete truth row) as
+boolean array tests, so the line it reports and the message are those
+of a line-by-line check.  Each channel is copied out of the table once,
+for the rows that hold it, and every frame takes its row of that copy.
+The writer gathers the same table from the frames, refuses a non-finite
+present cell before it opens the file, and formats the table row by
+row.
 
 The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing
@@ -82,6 +83,15 @@ FRAME_COLUMNS = tuple(col for _, cols, _ in _FRAME_LAYOUT for col in cols)
 TRUTH_COLUMNS = tuple(col for _, cols, _ in _TRUTH_LAYOUT for col in cols)
 _FRAME_FIELDS = _field_slices(_FRAME_LAYOUT)
 _TRUTH_FIELDS = _field_slices(_TRUTH_LAYOUT, start=len(FRAME_COLUMNS))
+
+# Data lines per block of the reader: enough to pay each C-level pass's
+# call once per few thousand cells, few enough that a block's cell
+# strings stay small.
+_BLOCK_LINES = 256
+
+# Builds a named tuple from one tuple of its fields, skipping its
+# Python-level __new__.
+_new_tuple = tuple.__new__
 
 RADIO_RATIOS = (10.0, 10.0, 10.0)
 LINE_ANGLE_RATIOS = (500.0, 500.0, 500.0)
@@ -158,12 +168,36 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
                       for row in table)
 
 
-def _floats(cells: list[str]) -> list[float] | None:
-    """Each cell as a float, 0.0 for an empty one; None if one does not parse."""
+def _present_values(cells: list[str]) -> np.ndarray | None:
+    """The non-empty cells as floats, or None unless each parses to a
+    finite number."""
     try:
-        return [float(cell) if cell else 0.0 for cell in cells]
+        # A list, then one array: building an array straight from the
+        # map measured about 10% slower.
+        values = np.array(list(map(float, filter(None, cells))), dtype=float)
     except ValueError:
         return None
+    return values if np.isfinite(values).all() else None
+
+
+def _regular_prefix(lines: list[str], linenos, width: int) -> tuple[list[str], int, str | None]:
+    """The line-by-line scan of a block that holds an irregular line.
+
+    Returns the cells of the lines before the first offending one, each
+    stripped (a whitespace-only cell is empty), how many lines that is,
+    and the offending line's message, or None if no line offends.
+    """
+    cells: list[str] = []
+    for kept, (lineno, line) in enumerate(zip(linenos, lines)):
+        row = line.split(",")
+        if len(row) != width:
+            return cells, kept, f"line {lineno}: expected {width} cells, got {len(row)}"
+        row = [cell.strip() for cell in row]
+        error = _cell_error(row, lineno)
+        if error is not None:
+            return cells, kept, error
+        cells += row
+    return cells, len(lines), None
 
 
 def _cell_error(cells: list[str], lineno: int) -> str | None:
@@ -214,19 +248,76 @@ def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool) -> tuple[i
 
 def _column(table: np.ndarray, empty: np.ndarray, name: str, cols: slice) -> list:
     """One field of every row: None where its cells are empty, otherwise a
-    float, an :class:`EncoderReading` or a row of one ``(n, k)`` copy."""
+    float, an :class:`EncoderReading` or a row of one ``(m, k)`` copy of
+    the ``m`` rows that hold the field."""
+    rows = np.flatnonzero(~empty[:, cols.start])
     if cols.stop - cols.start == 1:
-        values = table[:, cols.start].tolist()
+        items = table[rows, cols.start].tolist()
     elif name == "encoder":
-        values = list(map(EncoderReading, *table[:, cols].T.tolist()))
+        items = map(_new_tuple, itertools.repeat(EncoderReading),
+                    zip(*table[rows, cols].T.tolist()))
     else:
-        values = list(table[:, cols].copy())
-    present = (~empty[:, cols.start]).tolist()
-    return [value if here else None for value, here in zip(values, present)]
+        items = table[rows, cols]
+    if len(rows) == len(table):
+        return list(items)
+    values = [None] * len(table)
+    for row, item in zip(rows.tolist(), items):
+        values[row] = item
+    return values
+
+
+def _read_block(fh, first: int, width: int, values_buf: array.array,
+                empty_buf: bytearray, linenos: list[int]) -> tuple[int, str | None]:
+    """Read up to ``_BLOCK_LINES`` lines of ``fh``, the first of them line
+    ``first``, and append their data lines to the table: the cells to
+    ``values_buf``, nan where empty, the empty-cell mask to ``empty_buf``
+    and the line numbers to ``linenos``.  Blank and comment lines hold no
+    data.
+
+    Returns the number of lines read and the message of the first
+    offending line, or None; that line and the rest of the block are not
+    appended.  The block's strings live only as long as this call.
+    """
+    lines = list(map(str.strip, itertools.islice(fh, _BLOCK_LINES)))
+    read = len(lines)
+    numbers: Sequence[int] = range(first, first + read)
+    text = ",".join(lines)
+    # A comment line puts a "#" in the text; a "#" elsewhere is a bad cell.
+    if "" in lines or "#" in text:
+        kept = [(n, line) for n, line in zip(numbers, lines) if line and line[0] != "#"]
+        numbers = [n for n, _ in kept]
+        lines = [line for _, line in kept]
+        text = ",".join(lines)
+    cells = text.split(",")
+    values = error = None
+    if set(map(str.count, lines, itertools.repeat(","))) == {width - 1}:
+        values = _present_values(cells)
+    if values is None:
+        cells, kept_lines, error = _regular_prefix(lines, numbers, width)
+        numbers = numbers[:kept_lines]
+        values = _present_values(cells)
+    empty = bytearray(map(operator.not_, cells))
+    rows = np.full(len(cells), math.nan)
+    rows[~np.frombuffer(empty, dtype=bool)] = values
+    values_buf.frombytes(rows.tobytes())
+    empty_buf += empty
+    linenos += numbers
+    return read, error
 
 
 def read_log(path) -> LogData:
     """Parse a log written by :func:`write_log`.
+
+    The data lines are read in blocks of ``_BLOCK_LINES``.  Each block is
+    joined and split into cells once, each line's cell count is checked,
+    and its non-empty cells go through ``float`` in one pass into the
+    buffer the table is a view of.  Only a block that holds an irregular
+    line (a wrong cell count, a cell ``float`` refuses, a whitespace-only
+    cell, a non-finite value) is scanned line by line, with its cells
+    stripped: a whitespace-only cell then reads as empty, and the scan
+    stops at the first offending line.  The row checks then run on the
+    table of every line before it, so the line reported, and its
+    message, are those of a line-by-line reader.
 
     Raises
     ------
@@ -238,7 +329,6 @@ def read_log(path) -> LogData:
         line.
     """
     header: tuple[str, ...] | None = None
-    has_truth = False
     values_buf = array.array("d")
     empty_buf = bytearray()
     linenos: list[int] = []
@@ -246,36 +336,21 @@ def read_log(path) -> LogData:
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                cols = tuple(c.strip() for c in line.split(","))
-                if cols not in (FRAME_COLUMNS, FRAME_COLUMNS + TRUTH_COLUMNS):
-                    raise LogFormatError(f"line {lineno}: unrecognized header")
-                header, has_truth = cols, cols != FRAME_COLUMNS
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                cell_error = f"line {lineno}: expected {len(header)} cells, got {len(cells)}"
+            if line and not line.startswith("#"):
+                header = tuple(c.strip() for c in line.split(","))
                 break
-            values = _floats(cells)
-            if values is None:
-                # A whitespace-only cell is empty; anything else is a bad number.
-                cells = [cell.strip() for cell in cells]
-                values = _floats(cells)
-            # A non-finite sum flags a row that may hold a nan or inf cell.
-            if values is None or not math.isfinite(sum(values)):
-                cell_error = _cell_error(cells, lineno)
-                if cell_error is not None:
-                    break
-            values_buf.extend(values)
-            empty_buf.extend(map(operator.not_, cells))
-            linenos.append(lineno)
-    if header is None:
-        raise LogFormatError("no header line found")
-    table = np.frombuffer(values_buf).reshape(len(linenos), len(header))
+        if header is None:
+            raise LogFormatError("no header line found")
+        if header not in (FRAME_COLUMNS, FRAME_COLUMNS + TRUTH_COLUMNS):
+            raise LogFormatError(f"line {lineno}: unrecognized header")
+        width, has_truth = len(header), header != FRAME_COLUMNS
+        while cell_error is None:
+            read, cell_error = _read_block(fh, lineno + 1, width, values_buf, empty_buf, linenos)
+            if not read:
+                break
+            lineno += read
+    table = np.frombuffer(values_buf).reshape(-1, width)
     empty = np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
-    table[empty] = math.nan
     # Every row in the table comes before the line of a cell error.
     fault = _row_fault(table, empty, has_truth)
     if fault is not None:
@@ -284,11 +359,11 @@ def read_log(path) -> LogData:
     if cell_error is not None:
         raise LogFormatError(cell_error)
     columns = [_column(table, empty, name, cols) for name, cols, _ in _FRAME_FIELDS]
-    frames = [SensorFrame(*fields) for fields in zip(*columns)]
+    frames = list(map(SensorFrame, *columns))
     if not has_truth:
         return LogData(frames, None)
-    truth = [TruthPoint(*fields) for fields in zip(
-        columns[0], *(_column(table, empty, name, cols) for name, cols, _ in _TRUTH_FIELDS))]
+    truth = list(map(_new_tuple, itertools.repeat(TruthPoint), zip(
+        columns[0], *(_column(table, empty, name, cols) for name, cols, _ in _TRUTH_FIELDS))))
     return LogData(frames, truth)
 
 

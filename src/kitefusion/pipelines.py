@@ -269,9 +269,11 @@ class EstimationPipeline:
     A primed pipeline reads each tick's inertial acceleration from its
     primed sequence instead of rotating the frame's accelerometer
     reading; the two agree bit for bit.  A tick that raises
-    ``DomainError`` (a non-unit quaternion, a non-finite encoder reading)
-    changes no filter state, though its time counts for the
-    increasing-time check.
+    ``DomainError`` (a non-unit quaternion, a non-finite encoder reading,
+    XY fix or height) changes no filter state, though its time counts
+    for the increasing-time check.  Each routing checks the channels it
+    reads: routings 1 and 2 the XY fix and the height, routing 3 the
+    encoder.
 
     Attributes
     ----------
@@ -470,11 +472,12 @@ class EstimationPipeline:
         correction as :attr:`last_measurement` reports it.
         """
         gps, height = frame.gps_xy, frame.baro_z
-        if height is not None:
-            height = float(height)
+        if gps is None and height is None:
+            return None
+        gps, height = _radio_values(gps, height, frame.t)
         if gps is None:
-            return None if height is None else ((None, None, height), ((0.0, 0.0, height), (2,)))
-        x, y = float(gps[0]), float(gps[1])
+            return (None, None, height), ((0.0, 0.0, height), (2,))
+        x, y = gps
         if height is None:
             return (x, y, None), ((x, y, 0.0), (0, 1))
         return (x, y, height), ((0.0, 0.0, height), (2,))
@@ -483,19 +486,42 @@ class EstimationPipeline:
         """Routing 2: the height as it arrives, and each XY fix rescaled
         onto the sphere at the latest height, or dropped where that fails.
         Returns what :meth:`_radio_fix` does."""
-        height = frame.baro_z
+        gps, height = frame.gps_xy, frame.baro_z
+        if gps is None and height is None:
+            return None
+        gps, height = _radio_values(gps, height, frame.t)
         measured = None
         if height is not None:
-            height = self._held_z = float(height)
+            self._held_z = height
             measured = ((None, None, height), ((0.0, 0.0, height), (2,)))
-        if frame.gps_xy is None or self._held_z is None:
+        if gps is None or self._held_z is None:
             return measured
         try:
-            corrected = geometric_correction(
-                (frame.gps_xy[0], frame.gps_xy[1], self._held_z), self.config.r)
+            corrected = geometric_correction((*gps, self._held_z), self.config.r)
         except (DomainError, DegenerateInputError):
             return measured
         return (corrected[0], corrected[1], height), (corrected, (0, 1))
+
+
+def _radio_values(gps, height, t: float) -> tuple[tuple[float, float] | None, float | None]:
+    """The XY fix as two floats and the height as a float, ``None`` where
+    absent.
+
+    Raises
+    ------
+    DomainError
+        If a present one is not finite, naming the channel, its value and
+        the sample time ``t``.
+    """
+    if gps is not None:
+        gps = float(gps[0]), float(gps[1])
+        if not (math.isfinite(gps[0]) and math.isfinite(gps[1])):
+            raise DomainError(f"XY fix {gps} at t={t} is not finite")
+    if height is not None:
+        height = float(height)
+        if not math.isfinite(height):
+            raise DomainError(f"height {height} at t={t} is not finite")
+    return gps, height
 
 
 def _imu_stacks(frames) -> tuple[np.ndarray, np.ndarray] | None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -694,6 +695,53 @@ def test_finite_frames_give_finite_outputs(approach, use_imu, phi_g, r, geometry
             assert all(map(math.isfinite, values)), (k, out)
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+#: A finite value for each vector channel a frame may lack.
+FINITE_STANDIN = {"quat": (1.0, 0.0, 0.0, 0.0), "gps_xy": (3.0, 4.0), "encoder": (0.3, 0.2)}
+#: The channels each routing reads besides the time and, with the IMU
+#: on, the attitude.
+ROUTED = {1: ("gps_xy", "baro_z"), 2: ("gps_xy", "baro_z"), 3: ("encoder",)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(approach=st.sampled_from([1, 2, 3]), use_imu=st.booleans(), phi_g=bounded(math.pi),
+       r=st.floats(1.0, 1e3), geometry=geometries,
+       channels=frames_bounded.filter(lambda c: len(c) > 1), data=st.data())
+def test_non_finite_frame_rejected_without_trace(approach, use_imu, phi_g, r, geometry,
+                                                 channels, data):
+    """On every routing, a frame whose time, or a channel the routing
+    reads, is not finite raises LogFormatError or DomainError, and every
+    later output is that of a pipeline that never saw the frame."""
+    config = EstimatorConfig(approach=approach, use_imu=use_imu, phi_g=phi_g, r=r,
+                             geometry=geometry)
+    frames = [SensorFrame(t=k * TS, **fields) for k, fields in enumerate(channels)]
+    at = data.draw(st.integers(0, len(frames) - 2), label="at")
+    field = data.draw(st.sampled_from(("t", *("quat",) * use_imu, *ROUTED[approach])),
+                      label="field")
+    value = data.draw(NON_FINITE, label="value")
+    bad = frames[at]
+    if field in ("t", "baro_z"):
+        bad = dataclasses.replace(bad, **{field: value})
+    else:
+        entries = list(FINITE_STANDIN[field] if getattr(bad, field) is None
+                       else getattr(bad, field))
+        entries[data.draw(st.integers(0, len(entries) - 1), label="entry")] = value
+        bad = dataclasses.replace(bad, **{field: EncoderReading(*entries) if field == "encoder"
+                                          else np.array(entries)})
+        if field == "quat" and bad.accel_k is None:
+            # The attitude is read only with an acceleration.
+            bad = dataclasses.replace(bad, accel_k=np.zeros(3))
+    seen, clean = EstimationPipeline(config), EstimationPipeline(config)
+    for frame in frames[:at]:
+        seen.step(frame)
+        clean.step(frame)
+    with pytest.raises((LogFormatError, DomainError)):
+        seen.step(bad)
+    for frame in frames[at + 1:]:
+        assert repr(seen.step(frame)) == repr(clean.step(frame))
+        assert shown_bits(seen) == shown_bits(clean)
+
+
 def test_xy_too_small_to_scale_dropped():
     """Found by the test above: routing 2 dropped nothing here and
     emitted a NaN position."""
@@ -776,35 +824,37 @@ class TestPipelineRadio:
         out = pipe.step(SensorFrame(t=2 * TS, gps_xy=np.array([20.0, 1.0])))
         assert out is not None
 
-    def test_nan_fix_stays_on_its_axis(self):
+    def test_nan_fix_rejected(self):
         """A correction leaves every axis outside its own bit-unchanged,
-        so a non-finite x fix cannot spill into y and z."""
+        and a non-finite x fix is refused before it reaches any axis."""
         def last(x):
             pipe = EstimationPipeline(EstimatorConfig(approach=1))
             pipe.step(SensorFrame(t=0.0, gps_xy=np.array([20.0, 1.0]), baro_z=15.0))
             return pipe.step(SensorFrame(t=TS, gps_xy=np.array([x, 1.0])))
 
-        bad, good = last(math.nan), last(21.0)
-        assert math.isnan(bad.p_hat[0]) and math.isnan(bad.v_hat[0])
-        assert bad.p_hat[1:] == (1.0, 15.0)
-        assert np.array_equal(bad.p_hat[1:], good.p_hat[1:])
-        assert np.array_equal(bad.v_hat[1:], good.v_hat[1:])
+        far, good = last(1e3), last(21.0)
+        assert far.p_hat[1:] == good.p_hat[1:] == (1.0, 15.0)
+        assert far.v_hat[1:] == good.v_hat[1:]
+        with pytest.raises(DomainError, match=r"^XY fix \(nan, 1\.0\) at t=0\.02 is not finite$"):
+            last(math.nan)
 
     @pytest.mark.parametrize("xy", [(math.nan, 1.0), (20.0, math.inf)])
-    def test_sphere_routing_drops_non_finite_fix(self, xy):
-        """Routing 2 cannot rescale a fix with a non-finite component onto
-        the sphere, so it drops the fix instead of spreading NaN over both
-        horizontal axes: x and y are only predicted."""
+    def test_sphere_routing_rejects_non_finite_fix(self, xy):
+        """Routing 2 refuses a fix with a non-finite component rather than
+        dropping it unseen; the next tick is that of a run without it."""
         def run(fix):
             pipe = EstimationPipeline(EstimatorConfig(approach=2))
             pipe.step(SensorFrame(t=0.0, baro_z=15.0))
             pipe.step(SensorFrame(t=TS, gps_xy=np.array([20.0, 1.0])))
-            return pipe, pipe.step(SensorFrame(t=2 * TS, gps_xy=fix))
+            if fix is not None:
+                with pytest.raises(DomainError, match=r"^XY fix .* at t=0\.04 is not finite$"):
+                    pipe.step(SensorFrame(t=2 * TS, gps_xy=fix))
+            return pipe, pipe.step(SensorFrame(t=3 * TS))
 
         pipe, out = run(np.array(xy))
         assert pipe.last_measurement is None
         assert all(map(math.isfinite, (*out.p_hat, *out.v_hat)))
-        assert out == run(None)[1]
+        assert repr(out) == repr(run(None)[1])
 
 
 class TestNonFiniteTime:
@@ -1337,7 +1387,8 @@ class TestMatchesHelperPipeline:
 
 
 class TestNonFiniteHeight:
-    """A NaN height is not clamped into a finite answer."""
+    """A non-finite height or XY fix is neither clamped into a finite
+    answer nor filtered into the state."""
 
     def test_correction_rejects_nan_height(self):
         with pytest.raises(DomainError):
@@ -1345,35 +1396,32 @@ class TestNonFiniteHeight:
         with pytest.raises(DomainError):
             geometric_correction(np.array([20.0, 1.0, math.inf]), 30.0)
 
-    def test_sphere_routing_drops_fix_after_nan_height(self):
+    def test_sphere_routing_rejects_nan_height(self):
+        """The height is not held: a later XY fix still lands on the
+        sphere at the last finite height."""
         def run_to(baro):
             pipe = EstimationPipeline(EstimatorConfig(approach=2))
             pipe.step(SensorFrame(t=0.0, baro_z=15.0))
             pipe.step(SensorFrame(t=TS, gps_xy=np.array([20.0, 1.0])))
-            pipe.step(SensorFrame(t=2 * TS, baro_z=baro))
+            if baro is not None:
+                with pytest.raises(DomainError, match=r"^height nan at t=0\.04 is not finite$"):
+                    pipe.step(SensorFrame(t=2 * TS, baro_z=baro))
             return pipe, pipe.step(SensorFrame(t=3 * TS, gps_xy=np.array([20.0, 1.0])))
 
         pipe, out = run_to(math.nan)
-        assert pipe.last_measurement is None  # the fix was dropped
-        # x and y only predicted, as on a tick without a fix
-        quiet = EstimationPipeline(EstimatorConfig(approach=2))
-        quiet.step(SensorFrame(t=0.0, baro_z=15.0))
-        quiet.step(SensorFrame(t=TS, gps_xy=np.array([20.0, 1.0])))
-        quiet.step(SensorFrame(t=2 * TS, baro_z=14.0))
-        expected = quiet.step(SensorFrame(t=3 * TS))
-        assert out.p_hat[:2] == expected.p_hat[:2]
-        assert out.v_hat[:2] == expected.v_hat[:2]
-        assert math.isnan(out.p_hat[2]) and math.isnan(out.theta_hat)
-        # a finite height still lets the fix through
-        pipe, out = run_to(14.0)
         assert pipe.last_measurement[1] == (0, 1)
+        never, expected = run_to(None)
+        assert repr(out) == repr(expected)
+        assert repr(pipe.last_measurement) == repr(never.last_measurement)
 
     @pytest.mark.parametrize("approach", [1, 2])
-    def test_elevation_stays_nan(self, approach):
+    def test_nan_height_rejected(self, approach):
+        """Named by channel, value and time before any state changes, so
+        the elevation never turns NaN."""
         pipe = EstimationPipeline(EstimatorConfig(approach=approach))
         pipe.step(SensorFrame(t=0.0, baro_z=15.0))
         pipe.step(SensorFrame(t=TS, gps_xy=np.array([20.0, 1.0])))
-        out = pipe.step(SensorFrame(t=2 * TS, baro_z=math.nan))
-        assert math.isnan(out.p_hat[2])
-        assert math.isnan(out.theta_hat)
-        assert math.isfinite(out.phi_hat)
+        with pytest.raises(DomainError, match=r"^height nan at t=0\.04 is not finite$"):
+            pipe.step(SensorFrame(t=2 * TS, baro_z=math.nan))
+        out = pipe.step(SensorFrame(t=3 * TS, baro_z=14.0))
+        assert all(map(math.isfinite, (*out.p_hat, out.theta_hat, out.phi_hat)))
