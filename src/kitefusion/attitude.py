@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, require_positive
+from .frames import _libm
 
 #: Standard gravity in m/s^2 used to restore the gravitational acceleration
 #: that an accelerometer does not sense.
@@ -115,8 +116,7 @@ def body_rates_between(q0: np.ndarray, q1: np.ndarray, dt: float) -> np.ndarray:
     sin_a = np.sqrt(e[:, None, :] @ e[:, :, None])[:, 0, 0]
     scale = np.full(len(e), 2.0 / dt)
     turned = sin_a >= 1e-15
-    # math.atan2 per element: numpy's arctan2 can differ in the last bit.
-    a = np.array(list(map(math.atan2, sin_a[turned].tolist(), c[turned].tolist())))
+    a = _libm(math.atan2, sin_a[turned], c[turned])
     scale[turned] = 2.0 * a / (dt * sin_a[turned])
     return e * scale[:, None]
 
@@ -163,15 +163,13 @@ def _inertial_accels(a_k: np.ndarray, q: np.ndarray, cos_g: float, sin_g: float)
 
     The expression and its order of operations are :func:`inertial_accel`'s,
     on columns; numpy's sums, products and square roots round like
-    Python floats.  The norm check is :func:`inertial_accel`'s too, so a
-    ``DomainError`` carries the message it raises at the first bad row.
+    Python floats.  The norm check is :func:`_check_units`, so a
+    ``DomainError`` carries the message :func:`inertial_accel` raises at
+    the first bad row.
     """
+    _check_units(q)
     ax, ay, az = a_k.T
     q1, q2, q3, q4 = q.T
-    norms = np.sqrt(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
-    if bad.size:
-        raise _norm_error(float(norms[bad[0]]))
     north = ((2.0 * (q1 * q1 + q2 * q2) - 1.0) * ax + 2.0 * (q2 * q3 - q1 * q4) * ay
              + 2.0 * (q2 * q4 + q1 * q3) * az)
     east = (2.0 * (q2 * q3 + q1 * q4) * ax + (2.0 * (q1 * q1 + q3 * q3) - 1.0) * ay

@@ -29,6 +29,12 @@ Z_OVER_R_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
 
+def _libm(func, *columns) -> np.ndarray:
+    """``func`` of Python's ``math`` per element of the float ``columns``:
+    numpy's own trig and powers can differ from libm in the last bit."""
+    return np.array(list(map(func, *(column.tolist() for column in columns))))
+
+
 def wrap_angle(angle):
     """Wrap an angle (scalar or ndarray) to the interval (-pi, pi]."""
     # The isinstance test (true for numpy.float64 too) spares the per-tick

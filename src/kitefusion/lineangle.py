@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, require_finite, require_positive
+from .frames import _libm
 
 #: Encoder line count used when none is configured (resolution 2*pi/400).
 DEFAULT_COUNTS_PER_REV = 400
@@ -88,13 +89,6 @@ def resolution(counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> float:
     return 2.0 * math.pi / counts_per_rev
 
 
-def quantize(theta_b: float, phi_b: float,
-             counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> EncoderReading:
-    """Round arm angles to the nearest encoder count."""
-    step = resolution(counts_per_rev)
-    return EncoderReading(round(theta_b / step) * step, round(phi_b / step) * step)
-
-
 def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tuple[float, float]:
     """Wing elevation and azimuth from raw encoder angles.
 
@@ -105,7 +99,7 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
     Parameters
     ----------
     reading : EncoderReading
-        Arm elevation and azimuth in rad.
+        Arm elevation and azimuth in rad (any pair of floats).
     geometry : EncoderGeometry
         Mounting geometry of the mechanism.
 
@@ -117,11 +111,16 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
 
     Raises
     ------
+    DomainError
+        If an arm angle is not finite.
     DegenerateInputError
         If the guide lands exactly on the vertical axis through the origin,
         where the azimuth is undefined.
     """
-    angles = _guide_angles(reading.theta_b, reading.phi_b, _mount(geometry))
+    theta_b, phi_b = reading
+    if not (math.isfinite(theta_b) and math.isfinite(phi_b)):
+        raise DomainError(f"encoder reading {reading} is not finite")
+    angles = _guide_angles(theta_b, phi_b, _mount(geometry))
     if angles is None:
         raise DegenerateInputError("tether direction is vertical, azimuth undefined")
     return angles
@@ -177,77 +176,54 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
     Raises
     ------
     DomainError
-        If the ray misses the guide sphere or meets it only behind the
-        origin, i.e. the wing angles are outside the mechanism's
-        reachable set.
+        If ``counts_per_rev`` is neither 0 nor positive and finite, if an
+        angle is not finite, or if the ray misses the guide sphere or
+        meets it only behind the origin, i.e. the wing angles are outside
+        the mechanism's reachable set.
     """
-    g = geometry
-    cos_t = math.cos(theta)
-    ux, uy, uz = cos_t * math.cos(phi), cos_t * math.sin(phi), math.sin(theta)
-    # The reference origin sits at (pivot_setback, 0, -pivot_height) from
-    # the pivot; solve |origin + lam * u| = reach for the far root lam.
-    b = g.pivot_setback * ux - g.pivot_height * uz
-    disc = (b * b - g.pivot_setback * g.pivot_setback - g.pivot_height * g.pivot_height
-            + g.guide_rise * g.guide_rise + g.guide_reach * g.guide_reach)
-    lam = -b + math.sqrt(disc) if disc >= 0.0 else -1.0
-    if lam <= 0.0:
-        raise DomainError(
-            f"wing angles theta={theta}, phi={phi} are outside the reachable set")
-    fwd = g.pivot_setback + lam * ux
-    side = lam * uy
-    up = lam * uz - g.pivot_height
-    theta_b = math.atan2(up, math.hypot(fwd, side)) + g.guide_angle
-    phi_b = math.atan2(side, fwd)
-    if counts_per_rev == 0:
-        return EncoderReading(theta_b, phi_b)
-    return quantize(theta_b, phi_b, counts_per_rev)
-
-
-def _libm(func, *columns) -> np.ndarray:
-    """``func`` of Python's ``math`` per element of the float ``columns``:
-    numpy's own trig can differ from libm in the last bit."""
-    return np.array(list(map(func, *(column.tolist() for column in columns))))
+    return _angles_to_encoders(np.array([theta]), np.array([phi]), geometry, counts_per_rev)[0]
 
 
 def _angles_to_encoders(theta, phi, geometry: EncoderGeometry,
                         counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> list[EncoderReading]:
     """:func:`angles_to_encoder` of each pair ``(theta[k], phi[k])`` of two
-    float arrays, bit for bit, in one array pass.
+    float arrays, in one array pass.
 
     The sums, products, quotients and square roots are numpy's, which
     round like Python floats; sine, cosine, ``atan2`` and ``hypot`` are
-    libm's, element by element.  Where a pair is out of reach or an
-    angle is infinite, the pairs are replayed through
-    :func:`angles_to_encoder` one at a time, so the error is the one it
-    raises at the first pair it refuses.
+    libm's, element by element (:func:`~kitefusion.frames._libm`).  The
+    line count is checked before any pair; then the first pair refused
+    (an angle not finite, or out of reach) raises its ``DomainError``.
     """
     g = geometry
-    try:
-        cos_t = _libm(math.cos, theta)
-        ux, uy = cos_t * _libm(math.cos, phi), cos_t * _libm(math.sin, phi)
-        uz = _libm(math.sin, theta)
-    except ValueError:  # math.sin/cos of an infinite angle
-        lam = None
-    else:
-        b = g.pivot_setback * ux - g.pivot_height * uz
-        disc = (b * b - g.pivot_setback * g.pivot_setback - g.pivot_height * g.pivot_height
-                + g.guide_rise * g.guide_rise + g.guide_reach * g.guide_reach)
-        reach = disc >= 0.0
-        lam = np.where(reach, -b + np.sqrt(np.where(reach, disc, 0.0)), -1.0)
-    if lam is None or (lam <= 0.0).any():
-        # Replayed one pair at a time, the first pair refused raises.
-        for pair in zip(theta.tolist(), phi.tolist()):
-            angles_to_encoder(*pair, geometry, counts_per_rev)
+    step = None if counts_per_rev == 0 else resolution(counts_per_rev)
+    finite = np.isfinite(theta) & np.isfinite(phi)
+    # Refused pairs are zeroed, so that libm sees finite angles only.
+    theta_f, phi_f = np.where(finite, theta, 0.0), np.where(finite, phi, 0.0)
+    cos_t = _libm(math.cos, theta_f)
+    ux, uy = cos_t * _libm(math.cos, phi_f), cos_t * _libm(math.sin, phi_f)
+    uz = _libm(math.sin, theta_f)
+    # The reference origin sits at (pivot_setback, 0, -pivot_height) from
+    # the pivot; solve |origin + lam * u| = reach for the far root lam.
+    b = g.pivot_setback * ux - g.pivot_height * uz
+    disc = (b * b - g.pivot_setback * g.pivot_setback - g.pivot_height * g.pivot_height
+            + g.guide_rise * g.guide_rise + g.guide_reach * g.guide_reach)
+    reach = disc >= 0.0
+    lam = np.where(reach, -b + np.sqrt(np.where(reach, disc, 0.0)), -1.0)
+    refused = np.flatnonzero(~finite | ~(lam > 0.0))
+    if refused.size:
+        k = refused[0]
+        fault = "are outside the reachable set" if finite[k] else "are not finite"
+        raise DomainError(f"wing angles theta={theta[k]}, phi={phi[k]} {fault}")
     fwd = g.pivot_setback + lam * ux
     side = lam * uy
     up = lam * uz - g.pivot_height
     theta_b = _libm(math.atan2, up, _libm(math.hypot, fwd, side)) + g.guide_angle
     phi_b = _libm(math.atan2, side, fwd)
-    if counts_per_rev != 0:
-        # round() then a float product, as quantize: rint rounds half to
-        # even as round() does, and adding 0.0 turns the -0.0 that rint
-        # keeps into round()'s 0.
-        step = resolution(counts_per_rev)
+    if step is not None:
+        # round() then a float product: rint rounds half to even as
+        # round() does, and adding 0.0 turns the -0.0 that rint keeps
+        # into round()'s 0.
         theta_b = (np.rint(theta_b / step) + 0.0) * step
         phi_b = (np.rint(phi_b / step) + 0.0) * step
     return list(map(tuple.__new__, itertools.repeat(EncoderReading),

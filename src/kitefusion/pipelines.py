@@ -271,7 +271,10 @@ class EstimationPipeline:
     reading; the two agree bit for bit.  A tick that raises
     ``DomainError`` (a non-unit quaternion, a non-finite encoder reading,
     XY fix or height) changes no filter state, though its time counts
-    for the increasing-time check.  Each routing checks the channels it
+    for the increasing-time check; every tick that raises, ``LogFormatError``
+    for its time included, moves a primed pipeline past its acceleration,
+    so a caller that skips it gets the estimates of a run without that
+    frame, primed or not.  Each routing checks the channels it
     reads: routings 1 and 2 the XY fix and the height, routing 3 the
     encoder.
 
@@ -325,9 +328,13 @@ class EstimationPipeline:
 
     def step(self, frame: SensorFrame) -> EstimateOutput | None:
         t = frame.t
+        # A tick refused for its time consumes its primed acceleration,
+        # as every other tick that raises does.
         if not math.isfinite(t):
+            next(self._accels, None)
             raise LogFormatError(f"sample time must be finite, got {t}")
         if self._last_t is not None and not t > self._last_t:
+            next(self._accels, None)
             raise LogFormatError(f"sample times must increase: {t} after {self._last_t}")
         self._last_t = t
         cfg = self.config
@@ -369,7 +376,7 @@ class EstimationPipeline:
                     if angles is not None:
                         theta, phi = angles
                         if not abs(theta) <= _HALF_PI:  # a NaN reading
-                            raise DomainError(f"elevation out of [-pi/2, pi/2]: {theta}")
+                            raise DomainError(f"encoder reading {reading} is not finite")
                         r = cfg.r
                         rc = r * math.cos(theta)
                         z = (rc * math.cos(phi), rc * math.sin(phi), r * math.sin(theta))

@@ -16,9 +16,10 @@ channel, delayed low-rate horizontal satellite fixes, a quantized
 barometric height at its own rate, and line-angle encoder readings
 obtained by inverting the ground-station geometry in closed form for
 every tick.  Every channel is evaluated over the whole time vector at
-once: the encoder channel by the stacked form of
-:func:`~kitefusion.lineangle.angles_to_encoder`, the fixes from the
-positions alone (they need no attitude or velocity angle), and the
+once: the encoder channel by the one closed-form inversion, the array
+form that :func:`~kitefusion.lineangle.angles_to_encoder` calls on one
+row, rounding to the encoder grid included; the fixes from the
+positions alone (they need no attitude or velocity angle); and the
 per-tick frame and truth objects are built by ``map`` with no Python
 loop body.  Each output equals, bit for bit, what the tick-by-tick
 formulas give.  Faster flights come from a pure time dilation of the
@@ -36,7 +37,7 @@ import numpy as np
 
 from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
 from .errors import DegenerateInputError, DomainError, require_finite, require_positive
-from .frames import rot_ned_to_g
+from .frames import _libm, rot_ned_to_g
 from .lineangle import EncoderGeometry, _angles_to_encoders
 from .pipelines import SensorFrame
 
@@ -140,9 +141,9 @@ def _blocks(n: int):
 
 
 def _square(x: np.ndarray) -> np.ndarray:
-    """Element-wise ``x ** 2`` by Python's float power (libm ``pow``),
-    which can differ from numpy's squaring in the last bit."""
-    return np.array([value ** 2 for value in x.tolist()])
+    """Element-wise ``x ** 2`` by libm's ``pow``, which can differ from
+    numpy's squaring in the last bit."""
+    return _libm(math.pow, x, np.full_like(x, 2.0))
 
 
 def _position(r: float, th: np.ndarray, ph: np.ndarray):
@@ -192,7 +193,7 @@ def _truth(params: TrajectoryParams, t: np.ndarray):
     for rows in _blocks(len(t)):
         rot_k_to_g = np.stack([x_k[rows], y_k[rows], z_k[rows]], axis=-1)
         q[rows] = rot_to_quat(rot_n2g @ rot_k_to_g)
-    gamma = np.array(list(map(math.atan2, (ct * phd).tolist(), thd.tolist())))
+    gamma = _libm(math.atan2, ct * phd, thd)
     return p, v, a, q, gamma
 
 

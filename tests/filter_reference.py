@@ -7,6 +7,12 @@ local-frame and of a ground-frame velocity and the observer step.  The
 property tests check these copies, and the pipeline oracle in
 ``test_pipelines.py`` is built from them, so ``step`` must reproduce them
 bit for bit.
+
+Also a verbatim copy of the scalar, one-pair-at-a-time encoder inversion
+``angles_to_encoder`` and its rounding ``quantize``, from before the
+inversion became the one-row call of its array form: the array form, and
+the reference synthesizer in ``test_simkite.py``, are checked against it
+reading by reading.
 """
 
 from __future__ import annotations
@@ -14,8 +20,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from kitefusion.errors import DegenerateInputError
+from kitefusion.errors import DegenerateInputError, DomainError
 from kitefusion.frames import wrap_angle
+from kitefusion.lineangle import (
+    DEFAULT_COUNTS_PER_REV,
+    EncoderGeometry,
+    EncoderReading,
+    resolution,
+)
 
 
 class KinematicState(NamedTuple):
@@ -91,3 +103,40 @@ def luenberger_step(obs_state, gamma_meas: float,
     angle, rate = obs_state
     innovation = wrap_angle(gamma_meas - angle)
     return angle + ts * rate + k_gamma[0] * innovation, rate + k_gamma[1] * innovation
+
+
+def quantize(theta_b: float, phi_b: float,
+             counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> EncoderReading:
+    """Round arm angles to the nearest encoder count."""
+    step = resolution(counts_per_rev)
+    return EncoderReading(round(theta_b / step) * step, round(phi_b / step) * step)
+
+
+def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
+                      counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> EncoderReading:
+    """Arm angles that the mechanism shows for wing angles (theta, phi):
+    the far crossing of the ray of (theta, phi) from the reference origin
+    with the guide sphere about the pivot, rounded to the encoder grid
+    unless ``counts_per_rev`` is 0.  ``DomainError`` where the ray misses
+    the sphere or meets it only behind the origin (a NaN angle too); an
+    infinite angle raises math's ``ValueError``."""
+    g = geometry
+    cos_t = math.cos(theta)
+    ux, uy, uz = cos_t * math.cos(phi), cos_t * math.sin(phi), math.sin(theta)
+    # The reference origin sits at (pivot_setback, 0, -pivot_height) from
+    # the pivot; solve |origin + lam * u| = reach for the far root lam.
+    b = g.pivot_setback * ux - g.pivot_height * uz
+    disc = (b * b - g.pivot_setback * g.pivot_setback - g.pivot_height * g.pivot_height
+            + g.guide_rise * g.guide_rise + g.guide_reach * g.guide_reach)
+    lam = -b + math.sqrt(disc) if disc >= 0.0 else -1.0
+    if lam <= 0.0:
+        raise DomainError(
+            f"wing angles theta={theta}, phi={phi} are outside the reachable set")
+    fwd = g.pivot_setback + lam * ux
+    side = lam * uy
+    up = lam * uz - g.pivot_height
+    theta_b = math.atan2(up, math.hypot(fwd, side)) + g.guide_angle
+    phi_b = math.atan2(side, fwd)
+    if counts_per_rev == 0:
+        return EncoderReading(theta_b, phi_b)
+    return quantize(theta_b, phi_b, counts_per_rev)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from filter_reference import angles_to_encoder as reference_encoder
 from kitefusion import frames, lineangle
 from kitefusion.errors import DegenerateInputError, DomainError
 from kitefusion.lineangle import (
@@ -13,7 +14,6 @@ from kitefusion.lineangle import (
     EncoderReading,
     angles_to_encoder,
     encoder_to_angles,
-    quantize,
     resolution,
 )
 
@@ -31,6 +31,8 @@ class TestEncoderToAngles:
         theta, phi = encoder_to_angles(EncoderReading(0.5, 0.3), PASSTHROUGH)
         assert theta == pytest.approx(0.5, abs=1e-12)
         assert phi == pytest.approx(0.3, abs=1e-12)
+        # A plain pair reads as an EncoderReading, as EstimationPipeline.step reads it.
+        assert encoder_to_angles((0.5, 0.3), PASSTHROUGH) == (theta, phi)
 
     def test_bench_reference_point(self):
         # Reference values computed independently with 50-digit arithmetic
@@ -49,6 +51,18 @@ class TestEncoderToAngles:
                               pivot_height=0.0, pivot_setback=0.1)
         with pytest.raises(DegenerateInputError):
             encoder_to_angles(EncoderReading(0.0, 0.0), geo)
+
+    @pytest.mark.parametrize("reading", [(math.nan, 0.2), (0.5, math.nan),
+                                         (math.inf, 0.1), (0.3, -math.inf)],
+                             ids=["nan-elevation", "nan-azimuth", "inf-elevation",
+                                  "inf-azimuth"])
+    def test_non_finite_reading(self, reading):
+        """Refused by name, as ``EstimationPipeline.step`` refuses it,
+        rather than returning NaN or raising math's bare ValueError."""
+        reading = EncoderReading(*reading)
+        with pytest.raises(DomainError) as raised:
+            encoder_to_angles(reading, BENCH)
+        assert str(raised.value) == f"encoder reading {reading} is not finite"
 
     def test_geometry_validation(self):
         with pytest.raises(DomainError):
@@ -82,12 +96,14 @@ class TestEncoderToAngles:
 
 class TestQuantize:
     def test_grid_multiples(self):
+        """A reading is the unrounded solution rounded to the encoder grid."""
         step = resolution(400)
-        reading = quantize(0.5, -1.234, 400)
+        exact = angles_to_encoder(0.5, -1.234, BENCH, counts_per_rev=0)
+        reading = angles_to_encoder(0.5, -1.234, BENCH, 400)
         assert reading.theta_b / step == pytest.approx(round(reading.theta_b / step))
         assert reading.phi_b / step == pytest.approx(round(reading.phi_b / step))
-        assert abs(reading.theta_b - 0.5) <= step / 2
-        assert abs(reading.phi_b + 1.234) <= step / 2
+        assert abs(reading.theta_b - exact.theta_b) <= step / 2
+        assert abs(reading.phi_b - exact.phi_b) <= step / 2
 
     def test_resolution_value(self):
         assert resolution(400) == pytest.approx(2 * math.pi / 400)
@@ -166,6 +182,28 @@ class TestAnglesToEncoder:
         with pytest.raises(DomainError, match="reachable"):
             angles_to_encoder(0.0, 0.0, geo)
 
+    @pytest.mark.parametrize("theta, phi", [(math.inf, 0.1), (0.3, -math.inf),
+                                            (math.nan, 0.2), (0.4, math.nan)])
+    def test_non_finite_angles_fail(self, theta, phi):
+        with pytest.raises(DomainError) as raised:
+            angles_to_encoder(theta, phi, BENCH)
+        assert str(raised.value) == f"wing angles theta={theta}, phi={phi} are not finite"
+
+    def test_line_count_checked_before_the_angles(self):
+        with pytest.raises(DomainError, match="^counts_per_rev must be positive"):
+            angles_to_encoder(math.nan, 0.2, BENCH, counts_per_rev=-1)
+
+    @pytest.mark.parametrize("counts_per_rev", [0, 400])
+    def test_python_floats_as_the_reference(self, counts_per_rev):
+        """One reading of Python floats, the bits of the scalar reference
+        in ``filter_reference``."""
+        for theta, phi in [(0.5, 0.3), (0.9, -2.0), (0.2, -0.0), (1.1, 0.001)]:
+            reading = angles_to_encoder(theta, phi, BENCH, counts_per_rev)
+            assert type(reading) is EncoderReading
+            assert all(type(value) is float for value in reading)
+            assert _bits(reading) == _bits(reference_encoder(theta, phi, BENCH,
+                                                             counts_per_rev))
+
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
@@ -183,10 +221,15 @@ def _error_of(call):
 TWO_ROOTS = EncoderGeometry(guide_rise=0.0, guide_reach=0.1,
                             pivot_height=0.0, pivot_setback=0.15)
 
+#: Wing angles, finite or not, signed zeros included.
+ANGLES = st.one_of(st.floats(-4.0, 4.0),
+                   st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
 
 class TestStackedAnglesToEncoder:
-    """The record-at-a-time inversion the synthesizer runs reproduces
-    angles_to_encoder reading by reading, bit for bit and error for error."""
+    """The one inversion, which the synthesizer runs on a whole record,
+    reproduces the scalar reference in ``filter_reference`` reading by
+    reading, bit for bit, and raises the error of the first pair refused."""
 
     @pytest.mark.parametrize("geometry", [EncoderGeometry(), BENCH, PASSTHROUGH, TWO_ROOTS],
                              ids=["default", "bench", "passthrough", "two-roots"])
@@ -204,7 +247,7 @@ class TestStackedAnglesToEncoder:
                                   rng.uniform(-step / 2, step / 2, 100), [0.0, -0.0]])
             theta = rng.uniform(0.2, 1.3, len(phi))
         got = lineangle._angles_to_encoders(theta, phi, geometry, counts_per_rev)
-        want = [angles_to_encoder(th, ph, geometry, counts_per_rev)
+        want = [reference_encoder(th, ph, geometry, counts_per_rev)
                 for th, ph in zip(theta.tolist(), phi.tolist())]
         assert all(type(reading) is EncoderReading for reading in got)
         assert _bits(got) == _bits(want)
@@ -212,26 +255,63 @@ class TestStackedAnglesToEncoder:
     def test_empty_record(self):
         assert lineangle._angles_to_encoders(np.empty(0), np.empty(0), BENCH) == []
 
-    @pytest.mark.parametrize("bad_at, theta, phi", [
-        (3, 0.5, 0.2),           # both crossings behind the origin
-        (0, 0.5, 0.2),
-        (5, math.nan, 3.0),      # no crossing at all
-        (2, math.inf, 3.0),      # math.cos(inf)
-        (4, 0.3, -math.inf),
+    @pytest.mark.parametrize("bad_at, theta, phi, fault", [
+        (3, 0.5, 0.2, "are outside the reachable set"),  # both crossings behind
+        (0, 0.5, 0.2, "are outside the reachable set"),
+        (5, math.nan, 3.0, "are not finite"),
+        (2, math.inf, 3.0, "are not finite"),
+        (4, 0.3, -math.inf, "are not finite"),
     ], ids=["behind-3", "behind-0", "nan-5", "inf-theta-2", "inf-phi-4"])
     @pytest.mark.parametrize("counts_per_rev", [0, 400, -1])
-    def test_same_error_at_first_refused_reading(self, bad_at, theta, phi, counts_per_rev):
+    def test_same_error_at_first_refused_reading(self, bad_at, theta, phi, fault,
+                                                 counts_per_rev):
+        """The line count is checked before any pair; then the first pair
+        refused decides, as the scalar form raises it for that pair."""
         thetas = np.full(8, 0.3)
         phis = np.full(8, 3.0)
         thetas[bad_at], phis[bad_at] = theta, phi
         # A second refused reading later on: the first one decides.
         thetas[6], phis[6] = 0.5, 0.2
-
-        def one_at_a_time():
-            for th, ph in zip(thetas.tolist(), phis.tolist()):
-                angles_to_encoder(th, ph, TWO_ROOTS, counts_per_rev)
-
-        want = _error_of(one_at_a_time)
-        assert want is not None
+        if counts_per_rev == -1:
+            want = (DomainError, "counts_per_rev must be positive and finite, got -1")
+        else:
+            want = (DomainError, f"wing angles theta={theta}, phi={phi} {fault}")
+            assert _error_of(lambda: angles_to_encoder(theta, phi, TWO_ROOTS,
+                                                       counts_per_rev)) == want
         assert _error_of(lambda: lineangle._angles_to_encoders(
             thetas, phis, TWO_ROOTS, counts_per_rev)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(rise=st.floats(0.0, 2.0), reach=st.floats(0.01, 2.0),
+           setback=st.floats(-1.5, 1.5), height=st.floats(-1.5, 1.5),
+           pairs=st.lists(st.tuples(ANGLES, ANGLES), max_size=12),
+           counts_per_rev=st.sampled_from([0, 400]))
+    def test_reference_or_first_refusal_property(self, rise, reach, setback, height, pairs,
+                                                 counts_per_rev):
+        """Over random geometries, the origin inside the guide sphere or
+        outside it (two roots, some directions out of reach), and records
+        with refused pairs anywhere: the readings of the reference, bit
+        for bit, or the error of the first pair refused."""
+        radius = math.hypot(rise, reach)
+        geometry = EncoderGeometry(guide_rise=rise, guide_reach=reach,
+                                   pivot_height=height * radius, pivot_setback=setback * radius)
+        want, error = [], None
+        for theta, phi in pairs:
+            if not (math.isfinite(theta) and math.isfinite(phi)):
+                error = f"wing angles theta={theta}, phi={phi} are not finite"
+                break
+            try:
+                want.append(reference_encoder(theta, phi, geometry, counts_per_rev))
+            except DomainError as exc:
+                error = str(exc)
+                break
+        thetas = np.array([theta for theta, _ in pairs], dtype=float)
+        phis = np.array([phi for _, phi in pairs], dtype=float)
+
+        def call():
+            return lineangle._angles_to_encoders(thetas, phis, geometry, counts_per_rev)
+
+        if error is None:
+            assert _bits(call()) == _bits(want)
+        else:
+            assert _error_of(call) == (DomainError, error)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from filter_reference import angles_to_encoder as reference_encoder
 from filter_reference import velocity_angle
 from kitefusion import simkite
 from kitefusion.attitude import (
@@ -19,12 +20,7 @@ from kitefusion.attitude import (
 )
 from kitefusion.errors import DegenerateInputError, DomainError
 from kitefusion.frames import rot_g_to_l, rot_ned_to_g, wrap_angle
-from kitefusion.lineangle import (
-    EncoderGeometry,
-    angles_to_encoder,
-    encoder_to_angles,
-    resolution,
-)
+from kitefusion.lineangle import EncoderGeometry, encoder_to_angles, resolution
 from kitefusion.pipelines import SensorFrame
 from kitefusion.simkite import NoiseSpec, TrajectoryParams, TruthSample, synthesize
 
@@ -156,7 +152,7 @@ def reference_synthesize(params, noise, geometry=EncoderGeometry(), ts=TS):
         frames.append(SensorFrame(
             t=s.t, accel_k=accel, gyro_k=gyro, quat=rot_to_quat([rot_of(s.q) @ tilt])[0],
             gps_xy=gps_at.get(k), baro_z=baro_at.get(k),
-            encoder=angles_to_encoder(*angles[k], geometry, noise.encoder_cpr),
+            encoder=reference_encoder(*angles[k], geometry, noise.encoder_cpr),
             wind_speed=params.speed_scale))
     return frames, truth
 
