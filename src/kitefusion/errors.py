@@ -8,11 +8,13 @@ to exit code 2 and the last one to exit code 3.  Bad numbers raise
 ``DomainError`` by name: :func:`require_finite` for dataclass fields,
 :func:`require_positive` for lengths, periods, ratios and counts.  Both
 count an integer beyond float range as not finite, and their messages
-show an integer of more than 30 digits by its digit count.
+show an integer of more than 30 digits by its digit count;
+:func:`require_finite` also names a field that holds no number.
 """
 
 import math
 from dataclasses import fields, is_dataclass
+from numbers import Real
 
 
 class DomainError(ValueError):
@@ -58,24 +60,32 @@ def _digits(value: int) -> int:
 
 
 def _shown(value) -> str:
-    """``value`` as a message shows it: a tuple entry by entry, and an
-    integer of more than ``_SHOWN_DIGITS`` digits by its digit count."""
+    """``value`` as a message shows it: a tuple entry by entry, an integer
+    of more than ``_SHOWN_DIGITS`` digits by its digit count, and what is
+    not a number by its ``repr``."""
     if isinstance(value, tuple):
         return f"({', '.join(map(_shown, value))})"
     if isinstance(value, int) and abs(value) >= 10 ** _SHOWN_DIGITS:
         return f"an integer of {_digits(value)} digits"
-    return str(value)
+    return str(value) if isinstance(value, Real) else repr(value)
 
 
 def require_finite(spec) -> None:
     """Reject a dataclass instance with a nan, infinite or out-of-range
     field, by name; tuple fields entry by entry, nested dataclasses not
-    at all."""
+    at all.  A field that holds no number (a string, a list, an array),
+    or a tuple field that holds no tuple of numbers, is refused by name
+    as well."""
     for field in fields(spec):
         value = getattr(spec, field.name)
         if is_dataclass(value):
             continue
-        if not all(map(_finite, value if isinstance(value, tuple) else (value,))):
+        many = str(field.type).startswith("tuple")
+        entries = value if many and isinstance(value, tuple) else (value,)
+        if not all(isinstance(entry, Real) for entry in entries):
+            kind = "a tuple of finite numbers" if many else "a finite number"
+            raise DomainError(f"{field.name} must be {kind}, got {_shown(value)}")
+        if not all(map(_finite, entries)):
             raise DomainError(f"{field.name} must be finite, got {_shown(value)}")
 
 

@@ -10,6 +10,10 @@ takes the small geometry correction implemented here.
 
 With zero offsets (guide on the pivot axis, pivot on the reference origin)
 the encoders read the wing angles directly.
+
+The tether leaves the reference origin toward the guide, so the guide's
+position seen from the origin gives both :func:`encoder_to_angles` and,
+scaled to the tether length, routing 3's position fix.
 """
 
 from __future__ import annotations
@@ -93,8 +97,9 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
     """Wing elevation and azimuth from raw encoder angles.
 
     Locates the line guide in space from the arm angles, shifts it by the
-    mounting offsets and reads off the direction from the reference origin
-    to the guide, which is the direction of the departing tether.
+    mounting offsets (:func:`_guide_point`) and reads off the direction
+    from the reference origin to the guide, which is the direction of the
+    departing tether.
 
     Parameters
     ----------
@@ -120,34 +125,31 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
     theta_b, phi_b = reading
     if not (math.isfinite(theta_b) and math.isfinite(phi_b)):
         raise DomainError(f"encoder reading {reading} is not finite")
-    angles = _guide_angles(theta_b, phi_b, _mount(geometry))
-    if angles is None:
+    fwd, side, up = _guide_point(theta_b, phi_b, _mount(geometry))
+    ground = math.hypot(fwd, side)
+    if ground == 0.0:
         raise DegenerateInputError("tether direction is vertical, azimuth undefined")
-    return angles
+    return math.atan(up / ground), math.atan2(side, fwd)
 
 
 def _mount(geometry: EncoderGeometry) -> tuple[float, float, float, float]:
-    """The constants :func:`_guide_angles` reads: guide radius and angle,
+    """The constants :func:`_guide_point` reads: guide radius and angle,
     pivot setback and height."""
     g = geometry
     return g.guide_radius, g.guide_angle, g.pivot_setback, g.pivot_height
 
 
-def _guide_angles(theta_b: float, phi_b: float, mount) -> tuple[float, float] | None:
-    """:func:`encoder_to_angles` of the arm angles on the constants
-    ``mount`` of :func:`_mount`, which a caller stepping many readings
-    binds once; ``None`` where it raises ``DegenerateInputError``.  An
-    infinite angle raises math's ``ValueError``."""
+def _guide_point(theta_b: float, phi_b: float, mount) -> tuple[float, float, float]:
+    """The line guide seen from the reference origin, ``(fwd, side, up)``
+    in metres, for the arm angles on the constants ``mount`` of
+    :func:`_mount`, which a caller stepping many readings binds once.  The
+    tether leaves the origin along this vector.  An infinite angle raises
+    math's ``ValueError``; a NaN one gives NaN ``fwd`` and ``side``."""
     reach, guide_angle, setback, pivot_height = mount
     elev = theta_b - guide_angle
-    up = reach * math.sin(elev)
     horiz = reach * math.cos(elev)
-    fwd = horiz * math.cos(phi_b) - setback
-    side = horiz * math.sin(phi_b)
-    ground = math.hypot(fwd, side)
-    if ground == 0.0:
-        return None
-    return math.atan((up + pivot_height) / ground), math.atan2(side, fwd)
+    return (horiz * math.cos(phi_b) - setback, horiz * math.sin(phi_b),
+            reach * math.sin(elev) + pivot_height)
 
 
 def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,

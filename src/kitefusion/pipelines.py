@@ -10,18 +10,18 @@ Three measurement routings feed the same constant-gain position filter:
 3. The line-angle encoders give a full position fix every sample through
    the tether-sphere geometry; no radio sensors are needed.  This is the
    onboard loop, so :meth:`EstimationPipeline.step` computes the fix
-   itself, on geometry constants bound once:
-   :func:`~kitefusion.lineangle.encoder_to_angles`, then the point on
-   the sphere, with their bits and their errors.  Encoders count in
+   itself, on geometry constants bound once: the tether leaves the
+   reference origin toward the line guide, so the fix is the guide's
+   position (:func:`~kitefusion.lineangle._guide_point`) scaled to the
+   tether length, with the errors of
+   :func:`~kitefusion.lineangle.encoder_to_angles`.  Encoders count in
    whole steps and the wing flies closed paths, so a reading comes back
    loop after loop: each pipeline holds the fix of every reading it has
    inverted, keyed by the pair of floats, and looks it up on the next
-   visit.  A reading with a zero component, or one not made of Python
-   floats, is inverted every time, since equal keys must give equal
-   bits; a reading that raises is never held, so it raises again; past
-   ``_FIXES_HELD`` readings held, new ones are inverted every time, and
-   a pipeline whose readings mostly did not repeat while it filled its
-   holding (unquantized readings) stops looking them up.
+   visit.  Only fixes are held, of readings made of two nonzero Python
+   floats, since equal keys must give equal bits, and at most
+   ``_FIXES_HELD`` of them; every other reading, a vertical or a raising
+   one included, is inverted each time it comes.
 
 All three integrate the body accelerometer (rotated into the ground
 frame, gravity removed) between position fixes when an attitude estimate
@@ -54,7 +54,7 @@ from .attitude import _inertial_accels, inertial_accel
 from .errors import (DegenerateInputError, DomainError, LogFormatError, require_finite,
                      require_positive)
 from .frames import TWO_PI, _elevation, _horizontal
-from .lineangle import EncoderGeometry, EncoderReading, _guide_angles, _mount
+from .lineangle import EncoderGeometry, EncoderReading, _guide_point, _mount
 from .estimator import _unit_circle_magnitudes, axis_gain
 
 
@@ -164,22 +164,12 @@ class EstimateOutput(NamedTuple):
     gamma_dot_hat: float
 
 
-_HALF_PI = math.pi / 2.0
-
 #: Routing-3 fixes one pipeline holds; readings past them are inverted
 #: every time.  An encoder counting 400 steps per turn revisits a few
 #: hundred reading pairs on a closed flight path (at most 229 in two
 #: minutes of a figure-eight at speed scale 4.5).  Unquantized readings
-#: never repeat: without the bound each would stay held, and holding a
-#: fix costs about what one inversion does, so the holding stops at this
-#: size rather than starting over, which would pay that on every tick.
-#: A pipeline that held this many within twice as many sample periods
-#: found most readings new, and stops looking them up as well: a lookup
-#: that misses costs a few percent of a tick.
+#: never repeat, and without the bound each would stay held.
 _FIXES_HELD = 1024
-
-# The fix lookup's result for a reading not held.
-_UNSEEN = object()
 
 # Builds an EstimateOutput from one tuple of its fields, skipping the
 # Python-level __new__ of the named tuple.
@@ -263,9 +253,9 @@ class EstimationPipeline:
     one straight-line pass on floats.  The heading of the ground frame
     enters only as its cosine and sine, computed once.  Routings 1 and 2
     reach their fixes through a measurement handler chosen once; routing
-    3 computes its fix in that pass, from the geometry constants
-    :func:`~kitefusion.lineangle.encoder_to_angles` reads, bound once,
-    or looks up the fix of a reading it has stepped before.
+    3 computes its fix in that pass, the line guide's position scaled
+    onto the sphere from geometry constants bound once, or looks up the
+    fix of a reading it has stepped before.
     A primed pipeline reads each tick's inertial acceleration from its
     primed sequence instead of rotating the frame's accelerometer
     reading; the two agree bit for bit.  A tick that raises
@@ -292,11 +282,9 @@ class EstimationPipeline:
         self._cos_g, self._sin_g = math.cos(config.phi_g), math.sin(config.phi_g)
         if config.approach == 3:
             self._fix, self._mount = None, _mount(config.geometry)
-            # The fix of each encoder reading stepped, or None for a
-            # vertical tether; readings that raise are not held.  The
-            # dict becomes None when readings stop being looked up.
+            # The fix of each encoder reading stepped, up to _FIXES_HELD
+            # of them; vertical and raising readings are not held.
             self._fixes = {}
-            self._held_from = 0.0  # the time of the first reading held
         else:
             self._fix, self._mount = (self._radio_fix, self._sphere_fix)[config.approach - 1], None
         self._seed = [None, None, None]
@@ -349,46 +337,37 @@ class EstimationPipeline:
         if mount is None:
             measured = self._fix(frame)
         else:
-            # Routing 3: encoder_to_angles, then the point
-            # r (cos(theta) cos(phi), cos(theta) sin(phi), sin(theta)),
-            # looked up where this pair of floats was inverted before.
-            # No reading, or a vertical tether, gives no fix.
+            # Routing 3: the point r * g / |g| of the sphere, g the line
+            # guide seen from the reference origin, looked up where this
+            # pair of floats was inverted before.  No reading, or a guide
+            # on the vertical through the origin, gives no fix.
             measured = None
             reading = frame.encoder
             if reading is not None:
                 theta_b, phi_b = reading
-                fixes = self._fixes
                 # Keyed only by nonzero Python floats: -0.0 and 0.0 are
                 # one key but can give two fixes, and a float32 or a
                 # complex reading equal to a float one computes otherwise.
                 key = None
-                measured = _UNSEEN
-                if (fixes is not None and type(theta_b) is float and type(phi_b) is float
-                        and theta_b and phi_b):
+                if type(theta_b) is float and type(phi_b) is float and theta_b and phi_b:
                     key = theta_b, phi_b
-                    measured = fixes.get(key, _UNSEEN)
-                if measured is _UNSEEN:
+                    measured = self._fixes.get(key)
+                if measured is None:
                     try:
-                        angles = _guide_angles(theta_b, phi_b, mount)
+                        fwd, side, up = _guide_point(theta_b, phi_b, mount)
                     except ValueError as exc:  # math.sin/cos of an infinite angle
                         raise DomainError(f"encoder reading {reading} is not finite") from exc
-                    measured = None
-                    if angles is not None:
-                        theta, phi = angles
-                        if not abs(theta) <= _HALF_PI:  # a NaN reading
-                            raise DomainError(f"encoder reading {reading} is not finite")
+                    if fwd != fwd:  # a NaN reading
+                        raise DomainError(f"encoder reading {reading} is not finite")
+                    if fwd or side:
+                        # Each component over the norm first, so that a
+                        # guide a subnormal distance away cannot overflow.
+                        norm = math.hypot(fwd, side, up)
                         r = cfg.r
-                        rc = r * math.cos(theta)
-                        z = (rc * math.cos(phi), rc * math.sin(phi), r * math.sin(theta))
+                        z = (r * (fwd / norm), r * (side / norm), r * (up / norm))
                         measured = z, (z, (0, 1, 2))
-                    if key is not None and len(fixes) < _FIXES_HELD:
-                        if not fixes:
-                            self._held_from = t
-                        fixes[key] = measured
-                        if (len(fixes) == _FIXES_HELD
-                                and t - self._held_from < 2 * _FIXES_HELD * ts):
-                            # Most readings were new: stop looking them up.
-                            self._fixes = None
+                        if key is not None and len(self._fixes) < _FIXES_HELD:
+                            self._fixes[key] = measured
         if self._seeded:
             # Prediction, per axis: p += ts * v with the pre-update
             # velocity, then v += ts * a.

@@ -162,11 +162,12 @@ def _fixes(params: TrajectoryParams, t: np.ndarray) -> np.ndarray:
     return _position(params.r, th, ph)[0]
 
 
-def _truth(params: TrajectoryParams, t: np.ndarray):
+def _truth(params: TrajectoryParams, t: np.ndarray, angles):
     """Position, velocity, acceleration, quaternion and velocity angle at
-    the times ``t``, one row per time.  Raises ``DegenerateInputError``
-    where the pattern velocity vanishes."""
-    th, ph, thd, phd, thdd, phdd = _pattern_angles(params, t)
+    the times ``t``, one row per time, from their :func:`_pattern_angles`
+    ``angles``.  Raises ``DegenerateInputError`` where the pattern
+    velocity vanishes."""
+    th, ph, thd, phd, thdd, phdd = angles
     r = params.r
     p, (st, ct, sp, cp) = _position(r, th, ph)
     thd2, phd2 = _square(thd), _square(phd)
@@ -341,7 +342,8 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     baro_at = dict(zip(baro_ticks, baro_z.tolist()))
 
     t = np.arange(n) * ts
-    p, v, a, q, gamma = _truth(params, t)
+    angles = _pattern_angles(params, t)
+    p, v, a, q, gamma = _truth(params, t, angles)
     # Keep the quaternions sign-continuous: flip every one whose dot
     # product with its (already continuous) predecessor is negative.
     turns = np.cumsum((q[:-1, None, :] @ q[1:, :, None])[:, 0, 0] < 0.0) % 2
@@ -368,8 +370,7 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     gyro_limit = noise.gyro_range_dps * DEG
     if gyro_limit > 0.0:
         gyro = np.clip(gyro, -gyro_limit, gyro_limit)
-    th, ph, *_ = _pattern_angles(params, t)
-    encoders = _angles_to_encoders(th, ph, geometry, noise.encoder_cpr)
+    encoders = _angles_to_encoders(angles[0], angles[1], geometry, noise.encoder_cpr)
 
     times = t.tolist()
     truth = list(map(tuple.__new__, itertools.repeat(TruthSample),

@@ -13,12 +13,19 @@ Also a verbatim copy of the scalar, one-pair-at-a-time encoder inversion
 inversion became the one-row call of its array form: the array form, and
 the reference synthesizer in ``test_simkite.py``, are checked against it
 reading by reading.
+
+And routing 3's fix, the line guide seen from the reference origin and
+scaled onto the sphere, written from the ``EncoderGeometry`` fields
+alone: the pipeline oracle in ``test_pipelines.py`` runs it, so ``step``
+must reproduce it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from kitefusion.errors import DegenerateInputError, DomainError
 from kitefusion.frames import wrap_angle
@@ -140,3 +147,26 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
     if counts_per_rev == 0:
         return EncoderReading(theta_b, phi_b)
     return quantize(theta_b, phi_b, counts_per_rev)
+
+
+def encoder_fix(reading, geometry: EncoderGeometry, r: float) -> np.ndarray | None:
+    """Routing 3's fix for one encoder reading: ``r * g / |g|``, ``g`` the
+    line guide seen from the reference origin, the direction the tether
+    leaves along; ``None`` where ``g`` lies on the vertical through the
+    origin.  ``DomainError`` for a reading not finite, as
+    ``encoder_to_angles`` raises it."""
+    theta_b, phi_b = reading
+    if not (math.isfinite(theta_b) and math.isfinite(phi_b)):
+        raise DomainError(f"encoder reading {reading} is not finite")
+    g = geometry
+    reach = math.hypot(g.guide_rise, g.guide_reach)
+    # The guide's elevation about the pivot.
+    elev = theta_b - math.atan2(g.guide_rise, g.guide_reach)
+    horiz = reach * math.cos(elev)
+    fwd = horiz * math.cos(phi_b) - g.pivot_setback
+    side = horiz * math.sin(phi_b)
+    up = reach * math.sin(elev) + g.pivot_height
+    if fwd == 0.0 and side == 0.0:
+        return None
+    norm = math.hypot(fwd, side, up)
+    return np.array([r * (fwd / norm), r * (side / norm), r * (up / norm)])

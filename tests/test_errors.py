@@ -152,3 +152,33 @@ def test_rule_message_beyond_float_range():
         "400-nines", "bool", "float", "empty-tuple"])
 def test_shown_by_digit_count_past_30_digits(value, shown):
     assert errors._shown(value) == shown
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EstimatorConfig(ratios=[1.0, 2.0, 3.0]),
+     "ratios must be a tuple of finite numbers, got [1.0, 2.0, 3.0]"),
+    (lambda: EstimatorConfig(ratios=np.array([1.0, 2.0, 3.0])),
+     "ratios must be a tuple of finite numbers, got array([1., 2., 3.])"),
+    (lambda: EstimatorConfig(k_gamma=(0.4, "0.9")),
+     "k_gamma must be a tuple of finite numbers, got (0.4, '0.9')"),
+    (lambda: EstimatorConfig(k_gamma=(BEYOND_STR, None)),
+     "k_gamma must be a tuple of finite numbers, got (an integer of 5001 digits, None)"),
+    (lambda: EstimatorConfig(r=np.array([30.0])), "r must be a finite number, got array([30.])"),
+    (lambda: TrajectoryParams(r="30"), "r must be a finite number, got '30'"),
+    (lambda: NoiseSpec(seed=None), "seed must be a finite number, got None"),
+    (lambda: EncoderGeometry(guide_reach=[0.3]), "guide_reach must be a finite number, got [0.3]"),
+], ids=["list", "ndarray", "string-entry", "huge-entry", "ndarray-scalar-field", "string",
+        "none", "list-scalar-field"])
+def test_field_not_a_number_rejected_by_name(call, message):
+    """A field of the wrong kind raises ``DomainError`` naming it, not the
+    bare ``TypeError`` of ``math.isfinite``."""
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(2), 2, True],
+                         ids=["float64", "float32", "int64", "int", "bool"])
+def test_numbers_of_other_types_accepted(value):
+    assert EncoderGeometry(guide_rise=value).guide_rise == value
+    assert EstimatorConfig(ratios=(value, 1.0, 1.0)).ratios[0] == value

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from filter_reference import (
     KinematicState,
+    encoder_fix,
     gamma_unfiltered,
     luenberger_step,
     measurement_update,
@@ -412,6 +413,7 @@ geometries = st.one_of(
     st.builds(EncoderGeometry, guide_rise=st.floats(0.0, 2.0), guide_reach=st.floats(0.01, 2.0),
               pivot_height=st.floats(-1.0, 1.0), pivot_setback=st.floats(-1.0, 1.0)))
 readings = st.builds(EncoderReading, finite, finite)
+any_readings = st.builds(EncoderReading, st.floats(), st.floats())
 
 
 def sphere_point(reading, geometry, r):
@@ -424,28 +426,50 @@ def sphere_point(reading, geometry, r):
 
 
 class TestEncoderFix:
-    """Routing 3's fix is encoder_to_angles followed by
-    spherical_to_cartesian, bit for bit, and it fails as they do."""
+    """Routing 3's fix is the line guide's direction scaled to the tether
+    length: the point encoder_to_angles and spherical_to_cartesian give,
+    to rounding, and it fails as they do."""
 
     @settings(max_examples=300, deadline=None)
-    @given(geometry=geometries, r=st.floats(0.5, 2000.0), first=readings, second=readings)
-    def test_matches_helpers(self, geometry, r, first, second):
+    @given(geometry=geometries, r=st.floats(0.5, 2000.0),
+           pair=st.lists(readings | any_readings, min_size=2, max_size=2))
+    def test_matches_helpers(self, geometry, r, pair):
+        """Two readings, NaN and infinite ones among them: each is refused
+        with the helpers' message, dropped where they find a vertical
+        tether, or gives their point within 1e-12 * r, the first fix as
+        the seeded position and a later one as the shown correction."""
         pipe = EstimationPipeline(EstimatorConfig(approach=3, r=r, geometry=geometry))
-        seed = sphere_point(first, geometry, r)
-        out = pipe.step(SensorFrame(t=0.0, encoder=first))
-        # The first fix seeds the position and is not shown as a correction.
-        assert pipe.last_measurement is None
-        if seed is None:
-            assert out is None
-            return
-        assert np.array(out.p_hat).tobytes() == seed.tobytes()
-        want = sphere_point(second, geometry, r)
-        pipe.step(SensorFrame(t=TS, encoder=second))
-        if want is None:
-            assert pipe.last_measurement is None
-        else:
-            p_meas, axes = pipe.last_measurement
-            assert p_meas.tobytes() == want.tobytes() and axes == (0, 1, 2)
+        seeded = False
+        for k, reading in enumerate(pair):
+            frame = SensorFrame(t=k * TS, encoder=reading)
+            try:
+                want = sphere_point(reading, geometry, r)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as raised:
+                    pipe.step(frame)
+                assert str(raised.value) == str(exc)
+                continue
+            out = pipe.step(frame)
+            shown = pipe.last_measurement
+            if not seeded:
+                # The first fix seeds the position and is not shown.
+                assert shown is None
+                shown = None if out is None else (np.array(out.p_hat), (0, 1, 2))
+                seeded = out is not None
+            assert (shown is None) == (want is None)
+            if want is not None:
+                assert shown[1] == (0, 1, 2)
+                assert np.max(np.abs(shown[0] - want)) <= 1e-12 * r, (shown[0], want)
+
+    def test_guide_a_subnormal_distance_away(self):
+        """A guide so close to the origin that r / |g| overflows still
+        gives the helpers' point on the sphere."""
+        geometry = EncoderGeometry(guide_rise=0.0, guide_reach=5e-324,
+                                   pivot_height=0.0, pivot_setback=0.0)
+        reading = EncoderReading(0.5, 0.5)
+        out = EstimationPipeline(EstimatorConfig(approach=3, geometry=geometry)).step(
+            SensorFrame(t=0.0, encoder=reading))
+        assert out.p_hat == tuple(sphere_point(reading, geometry, R)) == (R, 0.0, 0.0)
 
     VERTICAL = EncoderGeometry(guide_rise=0.0, guide_reach=1.0,
                                pivot_height=0.0, pivot_setback=1.0)
@@ -499,8 +523,8 @@ def shown_bits(pipe):
 
 def oracle_bits(reading, geometry, r):
     """What ``shown_bits`` reads after a seeded pipeline steps ``reading``
-    alone, from encoder_to_angles and spherical_to_cartesian."""
-    point = sphere_point(reading, geometry, r)
+    alone, from the reference copy of the fix."""
+    point = encoder_fix(reading, geometry, r)
     return None if point is None else (point.tobytes(), (0, 1, 2))
 
 
@@ -518,7 +542,7 @@ class TestFixMemo:
         frames = [SensorFrame(t=k * TS, encoder=pool[pick % len(pool)])
                   for k, pick in enumerate(picks)]
         config = EstimatorConfig(approach=3, geometry=geometry, use_imu=False)
-        if all(sphere_point(frame.encoder, geometry, config.r) is None for frame in frames):
+        if all(encoder_fix(frame.encoder, geometry, config.r) is None for frame in frames):
             return  # nothing seeds, so nothing is emitted to compare
         assert replay_against_helpers(config, frames) is None
 
@@ -529,8 +553,8 @@ class TestFixMemo:
         pipe = EstimationPipeline(EstimatorConfig(approach=3))
         ref = HelperPipeline(EstimatorConfig(approach=3))
         inverted = []
-        invert = pipelines._guide_angles
-        monkeypatch.setattr(pipelines, "_guide_angles",
+        invert = pipelines._guide_point
+        monkeypatch.setattr(pipelines, "_guide_point",
                             lambda *args: inverted.append(args[:2]) or invert(*args))
         for k, frame in enumerate(frames):
             assert_same_tick(k, pipe, ref, pipe.step(frame), ref.step(frame))
@@ -542,9 +566,9 @@ class TestFixMemo:
         assert pipe.last_measurement[0].tobytes() == again.tobytes()
         assert again.tobytes() == oracle_bits(loop[39 % 5], EncoderGeometry(), R)[0]
 
-    # The reference origin sits ahead of the guide (forward < 0), so the
-    # sign of a zero azimuth reading turns atan2(+-0, forward) into +-pi;
-    # a pivot height of -0.0 carries the sign of a zero elevation reading.
+    # The sign of a zero azimuth reading carries into the side of the
+    # fix, and with a pivot height of -0.0 the sign of a zero elevation
+    # reading carries into its height.
     SIGNED = EncoderGeometry(guide_rise=0.0, guide_reach=1.0,
                              pivot_height=-0.0, pivot_setback=2.0)
 
@@ -593,14 +617,13 @@ class TestFixMemo:
         ("subnormal", None, None),
     ], ids=["infinite", "nan", "vertical", "vertical-nonzero"])
     def test_bad_readings_every_time(self, reading, error, message):
-        """An infinite or NaN reading raises each time it comes and is
-        never held; a vertical one drops the fix each time, held only as
-        that drop when no component is zero."""
+        """An infinite or NaN reading raises each time it comes, and a
+        vertical one drops the fix each time; neither is held."""
         geometry = TestEncoderFix.VERTICAL
         if reading == "subnormal":
             geometry, reading = self.SUBNORMAL_VERTICAL
         if error is None:
-            assert sphere_point(reading, geometry, R) is None  # a vertical tether
+            assert encoder_fix(reading, geometry, R) is None  # a vertical tether
         config = EstimatorConfig(approach=3, geometry=geometry, use_imu=False)
         hit, clean = EstimationPipeline(config), EstimationPipeline(config)
         good = [EncoderReading(0.2, 0.3), EncoderReading(0.25, 0.35)]
@@ -616,10 +639,7 @@ class TestFixMemo:
                 with pytest.raises(error) as raised:
                     hit.step(frame)
                 assert str(raised.value) == message
-        held = dict(hit._fixes)
-        assert held.pop(tuple(good[0])) is not None and held.pop(tuple(good[1])) is not None
-        assert held == ({tuple(reading): None} if geometry is not TestEncoderFix.VERTICAL
-                        else {})
+        assert list(hit._fixes) == [tuple(good[0]), tuple(good[1])]
 
     @staticmethod
     def distinct_frames(count, repeat):
@@ -642,24 +662,6 @@ class TestFixMemo:
         for frame in frames:
             pipe.step(frame)
         assert list(pipe._fixes) == [tuple(f.encoder) for f in frames[:3 * held:3]]
-        assert replay_against_helpers(config, frames) is None
-
-    def test_readings_that_never_repeat_stop_the_lookup(self, monkeypatch):
-        """Unquantized readings fill the held fixes within twice as many
-        ticks; the pipeline then drops them and inverts every reading,
-        a held one too, still like HelperPipeline."""
-        held = pipelines._FIXES_HELD
-        frames = self.distinct_frames(held + 50, 1)
-        frames += [dataclasses.replace(f, t=(held + 50 + k) * TS) for k, f in enumerate(frames[:20])]
-        config = EstimatorConfig(approach=3, use_imu=False)
-        pipe = EstimationPipeline(config)
-        inverted = []
-        invert = pipelines._guide_angles
-        monkeypatch.setattr(pipelines, "_guide_angles",
-                            lambda *args: inverted.append(args[:2]) or invert(*args))
-        for frame in frames:
-            pipe.step(frame)
-        assert pipe._fixes is None and len(inverted) == len(frames)
         assert replay_against_helpers(config, frames) is None
 
 
@@ -1137,9 +1139,10 @@ class TestMatchesArrayPipeline:
 
 class HelperPipeline:
     """The previous EstimationPipeline: float state in a KinematicState,
-    one helper call per stage, ndarray outputs.  It clamps a non-finite
-    height into an elevation of -pi/2, which the pipeline no longer does
-    (see TestNonFiniteHeight)."""
+    one helper call per stage, ndarray outputs, and routing 3's fix from
+    the reference copy ``encoder_fix``.  It clamps a non-finite height
+    into an elevation of -pi/2, which the pipeline no longer does (see
+    TestNonFiniteHeight)."""
 
     def __init__(self, config):
         self.config = config
@@ -1203,11 +1206,9 @@ class HelperPipeline:
                 self._correct(corrected, (0, 1))
         else:
             if frame.encoder is not None:
-                try:
-                    theta, phi = encoder_to_angles(frame.encoder, cfg.geometry)
-                except DegenerateInputError:
-                    return
-                self._correct(spherical_to_cartesian(theta, phi, cfg.r), (0, 1, 2))
+                fix = encoder_fix(frame.encoder, cfg.geometry, cfg.r)
+                if fix is not None:
+                    self._correct(fix, (0, 1, 2))
 
     def _emit(self, t):
         cfg = self.config

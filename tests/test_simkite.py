@@ -36,7 +36,8 @@ def rot_of(q) -> np.ndarray:
 def truth_at(params, t) -> TruthSample:
     """Exact trajectory state at time ``t``: one row of the synthesizer's
     own truth channel, at any time rather than on the sample grid."""
-    p, v, a, q, gamma = simkite._truth(params, np.array([t], dtype=float))
+    times = np.array([t], dtype=float)
+    p, v, a, q, gamma = simkite._truth(params, times, simkite._pattern_angles(params, times))
     return TruthSample(t, p[0], v[0], a[0], q[0], float(gamma[0]))
 
 
