@@ -23,6 +23,10 @@ Three measurement routings feed the same constant-gain position filter:
    ``_FIXES_HELD`` of them; every other reading, a vertical or a raising
    one included, is inverted each time it comes.
 
+Each routing only decides which measurement reaches which axis: a tick
+yields one value, the measured position per axis (``None`` on an axis it
+does not measure), and the filter corrects every measured axis with it.
+
 All three integrate the body accelerometer (rotated into the ground
 frame, gravity removed) between position fixes when an attitude estimate
 is available.  The velocity angle of the wing is derived from the
@@ -33,10 +37,11 @@ through +-pi do not glitch.
 One acceleration per record: the inertial acceleration depends only on
 the frame and the heading, so a caller that replays one record through
 several routings computes it once.  :func:`_prime` does so in one array
-pass per distinct heading and hands each pipeline the sequence, which
-:meth:`EstimationPipeline.step` then reads in place of its per-tick
-rotation, with the same bits; :meth:`EstimationPipeline.prime` does so
-for one pipeline.
+pass per distinct heading and hands each pipeline the sequence, each
+entry held with its frame, which :meth:`EstimationPipeline.step` then
+reads in place of its per-tick rotation, with the same bits, on the frame
+the entry belongs to; :meth:`EstimationPipeline.prime` does so for one
+pipeline.
 """
 
 from __future__ import annotations
@@ -123,6 +128,7 @@ class EstimatorConfig:
         the prediction step uses zero acceleration.
 
     A ``DomainError`` names the first field not finite, then the first not positive.
+    The real fields are kept as Python floats, whatever real type was given.
     """
 
     r: float = 30.0
@@ -136,6 +142,10 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        for name in ("r", "phi_g", "ts"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("ratios", "k_gamma"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         require_positive("r", self.r)
         require_positive("ts", self.ts)
         if len(self.ratios) != 3:
@@ -170,6 +180,11 @@ class EstimateOutput(NamedTuple):
 #: minutes of a figure-eight at speed scale 4.5).  Unquantized readings
 #: never repeat, and without the bound each would stay held.
 _FIXES_HELD = 1024
+
+#: Read in place of a rotation: zeros, of no frame, unless primed; a primed
+#: pipeline reads ``(frame, ax, ay, az)``, then ``_PAST_END`` past its record.
+_ZEROS = itertools.repeat((None, 0.0, 0.0, 0.0))
+_PAST_END = (False, 0.0, 0.0, 0.0)
 
 # Builds an EstimateOutput from one tuple of its fields, skipping the
 # Python-level __new__ of the named tuple.
@@ -252,60 +267,64 @@ class EstimationPipeline:
     sphere angles and the velocity angle and steps the observer, all in
     one straight-line pass on floats.  The heading of the ground frame
     enters only as its cosine and sine, computed once.  Routings 1 and 2
-    reach their fixes through a measurement handler chosen once; routing
-    3 computes its fix in that pass, the line guide's position scaled
-    onto the sphere from geometry constants bound once, or looks up the
-    fix of a reading it has stepped before.
+    share one handler for the radio fixes; routing 3 computes its fix in
+    that pass, the line guide's position scaled onto the sphere from
+    geometry constants bound once, or looks up the fix of a reading it
+    has stepped before.
     A primed pipeline reads each tick's inertial acceleration from its
     primed sequence instead of rotating the frame's accelerometer
-    reading; the two agree bit for bit.  A tick that raises
-    ``DomainError`` (a non-unit quaternion, a non-finite encoder reading,
-    XY fix or height) changes no filter state, though its time counts
-    for the increasing-time check; every tick that raises, ``LogFormatError``
-    for its time included, moves a primed pipeline past its acceleration,
-    so a caller that skips it gets the estimates of a run without that
-    frame, primed or not.  Each routing checks the channels it
-    reads: routings 1 and 2 the XY fix and the height, routing 3 the
-    encoder.
+    reading; the two agree bit for bit.  On a frame the sequence does not
+    hold next (past its end, or after a refused tick) it drops the
+    priming and rotates per tick.  A tick that raises ``DomainError`` (a
+    non-unit quaternion, a non-finite acceleration, encoder reading, XY
+    fix or height) changes no filter state, though its time counts for
+    the increasing-time check, so a caller that skips it gets the
+    estimates of a run without that frame, primed or not.  Each routing
+    checks the channels it reads: with the IMU on, the acceleration and
+    the attitude; routings 1 and 2 the XY fix and the height, routing 3
+    the encoder.
 
     Attributes
     ----------
     last_measurement : tuple or None
-        ``(p_meas, axes)`` of the final position correction applied in
-        the most recent step, ``p_meas`` a new ndarray of shape (3,) built
-        when the attribute is read; ``None`` if that step applied none.
+        ``(p_meas, axes)`` of the most recent step's position correction:
+        ``axes`` lists every axis it corrected, in order, and ``p_meas``
+        is a new ndarray of shape (3,), built when the attribute is read,
+        holding the measured value on those axes and 0.0 on the others;
+        ``None`` if that step corrected none (the seeding tick included).
     """
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
         self._gains = tuple(axis_gain(config.ts, ratio) for ratio in config.ratios)
         self._cos_g, self._sin_g = math.cos(config.phi_g), math.sin(config.phi_g)
-        if config.approach == 3:
-            self._fix, self._mount = None, _mount(config.geometry)
-            # The fix of each encoder reading stepped, up to _FIXES_HELD
-            # of them; vertical and raising readings are not held.
-            self._fixes = {}
-        else:
-            self._fix, self._mount = (self._radio_fix, self._sphere_fix)[config.approach - 1], None
+        # Routing 3's geometry constants and the fix of each encoder
+        # reading stepped, up to _FIXES_HELD of them; vertical and raising
+        # readings are not held.
+        self._mount = _mount(config.geometry) if config.approach == 3 else None
+        self._fixes = {}
         self._seed = [None, None, None]
         self._seeded = False
         self._px = self._py = self._pz = 0.0
         self._vx = self._vy = self._vz = 0.0
         self._imu_per_tick = config.use_imu
-        self._accels = itertools.repeat((0.0, 0.0, 0.0))
-        self._held_z: float | None = None
+        self._accels = _ZEROS
+        # The latest height, at which routing 2 rescales an XY fix; NaN,
+        # which the rescaling refuses, until the first one arrives.
+        self._held_z = math.nan
         self._obs_angle: float | None = None
         self._obs_rate = 0.0
         self._phi_prev = 0.0
         self._last_t: float | None = None
-        self._shown = None
+        self._measured = None
 
     @property
     def last_measurement(self) -> tuple[np.ndarray, tuple[int, ...]] | None:
-        if self._shown is None:
+        measured = self._measured
+        if measured is None:
             return None
-        p_meas, axes = self._shown
-        return np.array(p_meas), axes
+        return (np.array([0.0 if z is None else z for z in measured]),
+                tuple(axis for axis, z in enumerate(measured) if z is not None))
 
     def prime(self, frames) -> None:
         """Compute the inertial accelerations of the record ``frames`` in
@@ -316,13 +335,9 @@ class EstimationPipeline:
 
     def step(self, frame: SensorFrame) -> EstimateOutput | None:
         t = frame.t
-        # A tick refused for its time consumes its primed acceleration,
-        # as every other tick that raises does.
         if not math.isfinite(t):
-            next(self._accels, None)
             raise LogFormatError(f"sample time must be finite, got {t}")
         if self._last_t is not None and not t > self._last_t:
-            next(self._accels, None)
             raise LogFormatError(f"sample times must increase: {t} after {self._last_t}")
         self._last_t = t
         cfg = self.config
@@ -331,11 +346,22 @@ class EstimationPipeline:
             ax, ay, az = inertial_accel(frame.accel_k.tolist(), frame.quat.tolist(),
                                         self._cos_g, self._sin_g)
         else:
-            # The tick's entry of a primed record, or zeros.
-            ax, ay, az = next(self._accels)
+            # The tick's entry of a primed record, or zeros (of no frame).
+            owner, ax, ay, az = next(self._accels, _PAST_END)
+            if owner is not frame and owner is not None:
+                # Not the primed record's next frame: drop the priming and
+                # rotate per tick from this tick on.
+                self._imu_per_tick, self._accels = True, _ZEROS
+                ax = ay = az = 0.0
+                if frame.accel_k is not None and frame.quat is not None:
+                    ax, ay, az = inertial_accel(frame.accel_k.tolist(), frame.quat.tolist(),
+                                                self._cos_g, self._sin_g)
+        if az - az:  # NaN: a non-finite reading rotates to a non-finite height
+            raise DomainError(f"accelerometer reading {tuple(frame.accel_k.tolist())} at t={t}"
+                              " is not finite")
         mount = self._mount
         if mount is None:
-            measured = self._fix(frame)
+            measured = self._radio_fix(frame)
         else:
             # Routing 3: the point r * g / |g| of the sphere, g the line
             # guide seen from the reference origin, looked up where this
@@ -364,8 +390,7 @@ class EstimationPipeline:
                         # guide a subnormal distance away cannot overflow.
                         norm = math.hypot(fwd, side, up)
                         r = cfg.r
-                        z = (r * (fwd / norm), r * (side / norm), r * (up / norm))
-                        measured = z, (z, (0, 1, 2))
+                        measured = (r * (fwd / norm), r * (side / norm), r * (up / norm))
                         if key is not None and len(self._fixes) < _FIXES_HELD:
                             self._fixes[key] = measured
         if self._seeded:
@@ -378,11 +403,11 @@ class EstimationPipeline:
             vx += ts * ax
             vy += ts * ay
             vz += ts * az
-            shown = None
+            self._measured = measured
             if measured is not None:
                 # Correction of each measured axis on its own: e = z - p,
                 # p += k1 * e, v += k2 * e.
-                (zx, zy, zz), shown = measured
+                zx, zy, zz = measured
                 (k1x, k2x), (k1y, k2y), (k1z, k2z) = self._gains
                 if zx is not None:
                     e = zx - px
@@ -398,9 +423,8 @@ class EstimationPipeline:
                     vz += k2z * e
         else:
             # Warming up: fixes seed their axes until all three are known.
-            shown = None
             if measured is not None:
-                for axis, z in enumerate(measured[0]):
+                for axis, z in enumerate(measured):
                     if z is not None:
                         self._seed[axis] = z
             if None in self._seed:
@@ -410,7 +434,6 @@ class EstimationPipeline:
             vx = vy = vz = 0.0
         self._px, self._py, self._pz = px, py, pz
         self._vx, self._vy, self._vz = vx, vy, vz
-        self._shown = shown
 
         # Sphere angles of the estimate; the azimuth holds on the zenith
         # axis, and a non-finite height gives a non-finite elevation.
@@ -451,63 +474,37 @@ class EstimationPipeline:
                                         math.pi - (math.pi - angle) % TWO_PI, rate))
 
     def _radio_fix(self, frame: SensorFrame):
-        """Routing 1: the XY fix and the height, each as it arrives.
+        """Routings 1 and 2: the XY fix and the height as they arrive, as
+        ``(x, y, z)`` with ``None`` on each axis the tick does not measure,
+        or ``None`` where it measures none.  Routing 2 rescales the XY fix
+        onto the sphere at the latest height, and drops it where no height
+        has arrived yet or the rescaling fails.
 
-        Returns ``None`` or ``(z, shown)``: ``z`` holds the measured value
-        of each axis (``None`` where absent) and ``shown`` is the final
-        correction as :attr:`last_measurement` reports it.
+        Raises
+        ------
+        DomainError
+            If a present channel is not finite, naming it, its value and
+            the sample time.
         """
         gps, height = frame.gps_xy, frame.baro_z
-        if gps is None and height is None:
-            return None
-        gps, height = _radio_values(gps, height, frame.t)
-        if gps is None:
-            return (None, None, height), ((0.0, 0.0, height), (2,))
-        x, y = gps
-        if height is None:
-            return (x, y, None), ((x, y, 0.0), (0, 1))
-        return (x, y, height), ((0.0, 0.0, height), (2,))
-
-    def _sphere_fix(self, frame: SensorFrame):
-        """Routing 2: the height as it arrives, and each XY fix rescaled
-        onto the sphere at the latest height, or dropped where that fails.
-        Returns what :meth:`_radio_fix` does."""
-        gps, height = frame.gps_xy, frame.baro_z
-        if gps is None and height is None:
-            return None
-        gps, height = _radio_values(gps, height, frame.t)
-        measured = None
+        x = y = None
+        if gps is not None:
+            x, y = float(gps[0]), float(gps[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DomainError(f"XY fix {(x, y)} at t={frame.t} is not finite")
         if height is not None:
+            height = float(height)
+            if not math.isfinite(height):
+                raise DomainError(f"height {height} at t={frame.t} is not finite")
             self._held_z = height
-            measured = ((None, None, height), ((0.0, 0.0, height), (2,)))
-        if gps is None or self._held_z is None:
-            return measured
-        try:
-            corrected = geometric_correction((*gps, self._held_z), self.config.r)
-        except (DomainError, DegenerateInputError):
-            return measured
-        return (corrected[0], corrected[1], height), (corrected, (0, 1))
-
-
-def _radio_values(gps, height, t: float) -> tuple[tuple[float, float] | None, float | None]:
-    """The XY fix as two floats and the height as a float, ``None`` where
-    absent.
-
-    Raises
-    ------
-    DomainError
-        If a present one is not finite, naming the channel, its value and
-        the sample time ``t``.
-    """
-    if gps is not None:
-        gps = float(gps[0]), float(gps[1])
-        if not (math.isfinite(gps[0]) and math.isfinite(gps[1])):
-            raise DomainError(f"XY fix {gps} at t={t} is not finite")
-    if height is not None:
-        height = float(height)
-        if not math.isfinite(height):
-            raise DomainError(f"height {height} at t={t} is not finite")
-    return gps, height
+        if x is not None and self.config.approach == 2:
+            try:
+                x, y, _ = geometric_correction((x, y, self._held_z), self.config.r)
+            except (DomainError, DegenerateInputError):
+                x = y = None
+        if x is None and height is None:
+            return None
+        return x, y, height
 
 
 def _imu_stacks(frames) -> tuple[np.ndarray, np.ndarray] | None:
@@ -530,17 +527,18 @@ def _imu_stacks(frames) -> tuple[np.ndarray, np.ndarray] | None:
 def _prime(pipelines, frames) -> None:
     """Give each of ``pipelines`` that integrates the accelerometer the
     inertial accelerations its :meth:`~EstimationPipeline.step` would
-    compute from ``frames``, one record pass per distinct heading, to be
-    read one tick at a time as ``frames`` are stepped in order.
+    compute from ``frames``, one record pass per distinct heading, each
+    held with its frame, to be read one tick at a time as ``frames`` are
+    stepped in order.
 
     A record with a frame that lacks either channel primes nothing, and
     so does one that the per-tick path would refuse (a channel not a
-    float ndarray of its length, a non-unit quaternion): ``step`` then
-    raises the same error at the same tick.
+    float ndarray of its length, a non-unit quaternion, an acceleration
+    not finite): ``step`` then raises the same error at the same tick.
     """
     pipelines = [pipe for pipe in pipelines if pipe.config.use_imu]
     stacks = _imu_stacks(frames) if pipelines else None
-    if stacks is None:
+    if stacks is None or not np.isfinite(stacks[0]).all():
         return
     columns = {}
     for pipe in pipelines:
@@ -555,4 +553,4 @@ def _prime(pipelines, frames) -> None:
             except DomainError:
                 return
         pipe._imu_per_tick = False
-        pipe._accels = zip(*columns[heading])
+        pipe._accels = zip(frames, *columns[heading])

@@ -10,7 +10,7 @@ import pytest
 
 from kitefusion import cli, pipelines
 from kitefusion.cli import CONFIG_KEYS, ESTIMATE_HEADER, build_estimator_config, load_config, main
-from kitefusion.evalio import read_log, write_log
+from kitefusion.evalio import compare_approaches, read_log, write_log
 from kitefusion.lineangle import EncoderGeometry
 from kitefusion.pipelines import EstimationPipeline, EstimatorConfig
 from kitefusion.simkite import NoiseSpec, TrajectoryParams
@@ -233,6 +233,45 @@ class TestEstimate:
         code = main(["estimate", "--log", str(bad), "--out", str(tmp_path / "e.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestStepCallContract:
+    """A timing probe replaces ``EstimationPipeline.step`` on the class with
+    a function of ``(pipe, frame)``: ``compare_approaches`` and
+    ``estimate`` must call ``step`` with the frame alone, once per frame
+    and routing, and give the outputs they give without the probe."""
+
+    @staticmethod
+    def probe(monkeypatch):
+        """Install the probe; returns the routing of each call made."""
+        calls = []
+        original = EstimationPipeline.step
+
+        def step(pipe, frame):
+            calls.append(pipe.config.approach)
+            return original(pipe, frame)
+
+        monkeypatch.setattr(EstimationPipeline, "step", step)
+        return calls
+
+    def test_compare_approaches(self, monkeypatch, sim_log):
+        log = read_log(sim_log)
+        want = repr(compare_approaches(log))
+        calls = self.probe(monkeypatch)
+        assert repr(compare_approaches(log)) == want
+        assert sorted(calls) == sorted([1, 2, 3] * len(log.frames))
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_estimate(self, monkeypatch, tmp_path, sim_log, approach):
+        out = tmp_path / "e.csv"
+        argv = ["estimate", "--config", write(tmp_path / "e.cfg", f"approach = {approach}\n"),
+                "--log", str(sim_log), "--out", str(out)]
+        assert main(argv) == 0
+        want = out.read_bytes()
+        calls = self.probe(monkeypatch)
+        assert main(argv) == 0
+        assert out.read_bytes() == want
+        assert calls == [approach] * len(read_log(sim_log).frames)
 
 
 class TestEvaluate:

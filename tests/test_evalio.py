@@ -439,7 +439,11 @@ class TestPrimedRoutings:
                               quat=np.array([1.0, 0.0, 0.0, 0.0])) for k in range(3)]
         pipes = [EstimationPipeline(EstimatorConfig(phi_g=phi_g)) for phi_g in (0.0, -0.0)]
         pipelines._prime(pipes, frames)
-        got = [np.array(list(pipe._accels)).tobytes() for pipe in pipes]
+        entries = [list(pipe._accels) for pipe in pipes]
+        for held in entries:
+            assert len(held) == len(frames)
+            assert all(owner is frame for (owner, *_), frame in zip(held, frames))
+        got = [np.array([accel for _, *accel in held]).tobytes() for held in entries]
         want = [np.array([inertial_accel(f.accel_k.tolist(), f.quat.tolist(),
                                          pipe._cos_g, pipe._sin_g) for f in frames]).tobytes()
                 for pipe in pipes]
@@ -455,8 +459,10 @@ class TestPrimedRoutings:
         ("quat", np.array([1, 0, 0, 0]), 5),
         ("quat", None, 5),
         ("accel_k", None, 400),
+        ("accel_k", np.array([0.0, math.nan, 9.8]), 70),
+        ("accel_k", np.array([math.inf, 0.0, 9.8]), 200),
     ], ids=["non-unit-quat", "nan-quat", "infinite-encoder", "time-stalls", "list-accel",
-            "long-accel", "integer-quat", "no-quat", "no-accel"])
+            "long-accel", "integer-quat", "no-quat", "no-accel", "nan-accel", "infinite-accel"])
     def test_same_outcome_at_same_tick(self, monkeypatch, field, value, tick):
         frames, truth = self.record()
         frames = list(frames)

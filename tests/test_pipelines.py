@@ -311,6 +311,31 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             EstimatorConfig(**{field: value})
 
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_real_fields_kept_as_floats(self, approach):
+        """Fields given as float32 or int are kept as Python floats, so
+        every output field is a float, equal to the outputs of the config
+        given the same values as floats."""
+        given = {"r": np.float32(30.0), "phi_g": np.float32(0.3), "ts": np.float32(0.02),
+                 "ratios": (np.float32(400.0), 500, np.float64(600.0)),
+                 "k_gamma": (np.float32(0.4), 0.9)}
+        as_floats = {name: tuple(map(float, value)) if isinstance(value, tuple) else float(value)
+                     for name, value in given.items()}
+        config = EstimatorConfig(approach=approach, **given)
+        assert config == EstimatorConfig(approach=approach, **as_floats)
+        assert all(type(x) is float for x in (config.r, config.phi_g, config.ts,
+                                               *config.ratios, *config.k_gamma))
+        frames = [dataclasses.replace(f, gps_xy=pattern(f.t)[2][:2] if k % 6 == 0 else None,
+                                      baro_z=float(pattern(f.t)[2][2]) if k % 3 == 0 else None)
+                  for k, f in enumerate(encoder_frames(100))]
+        got = run(EstimationPipeline(config), frames)
+        want = run(EstimationPipeline(EstimatorConfig(approach=approach, **as_floats)), frames)
+        assert got[-1] is not None
+        for out, expected in zip(got, want):
+            if out is not None:
+                assert all(type(x) is float for x in (out.t, *out.p_hat, *out.v_hat, *out[3:]))
+            assert repr(out) == repr(expected)
+
 
 def run(pipeline, frames):
     return [pipeline.step(f) for f in frames]
@@ -702,9 +727,10 @@ def test_finite_frames_give_finite_outputs(approach, use_imu, phi_g, r, geometry
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 #: A finite value for each vector channel a frame may lack.
-FINITE_STANDIN = {"quat": (1.0, 0.0, 0.0, 0.0), "gps_xy": (3.0, 4.0), "encoder": (0.3, 0.2)}
+FINITE_STANDIN = {"accel_k": (0.0, 0.0, 9.8), "quat": (1.0, 0.0, 0.0, 0.0), "gps_xy": (3.0, 4.0),
+                  "encoder": (0.3, 0.2)}
 #: The channels each routing reads besides the time and, with the IMU
-#: on, the attitude.
+#: on, the acceleration and the attitude.
 ROUTED = {1: ("gps_xy", "baro_z"), 2: ("gps_xy", "baro_z"), 3: ("encoder",)}
 
 
@@ -721,7 +747,7 @@ def test_non_finite_frame_rejected_without_trace(approach, use_imu, phi_g, r, ge
                              geometry=geometry)
     frames = [SensorFrame(t=k * TS, **fields) for k, fields in enumerate(channels)]
     at = data.draw(st.integers(0, len(frames) - 2), label="at")
-    field = data.draw(st.sampled_from(("t", *("quat",) * use_imu, *ROUTED[approach])),
+    field = data.draw(st.sampled_from(("t", *("accel_k", "quat") * use_imu, *ROUTED[approach])),
                       label="field")
     value = data.draw(NON_FINITE, label="value")
     bad = frames[at]
@@ -733,9 +759,11 @@ def test_non_finite_frame_rejected_without_trace(approach, use_imu, phi_g, r, ge
         entries[data.draw(st.integers(0, len(entries) - 1), label="entry")] = value
         bad = dataclasses.replace(bad, **{field: EncoderReading(*entries) if field == "encoder"
                                           else np.array(entries)})
+        # The acceleration and the attitude are read only together.
         if field == "quat" and bad.accel_k is None:
-            # The attitude is read only with an acceleration.
             bad = dataclasses.replace(bad, accel_k=np.zeros(3))
+        if field == "accel_k" and bad.quat is None:
+            bad = dataclasses.replace(bad, quat=np.array(FINITE_STANDIN["quat"]))
     seen, clean = EstimationPipeline(config), EstimationPipeline(config)
     for frame in frames[:at]:
         seen.step(frame)
@@ -829,6 +857,23 @@ class TestPipelineRadio:
         out = pipe.step(SensorFrame(t=2 * TS, gps_xy=np.array([20.0, 1.0])))
         assert out is not None
 
+    @pytest.mark.parametrize("approach", [1, 2])
+    def test_fixes_of_one_tick_shown_together(self, approach):
+        """``last_measurement`` shows every axis a tick corrects, 0.0 on
+        the others: an XY fix and a height together, or the XY fix alone
+        (routing 2: rescaled onto the sphere at the latest height)."""
+        pipe = EstimationPipeline(EstimatorConfig(approach=approach))
+        pipe.step(SensorFrame(t=0.0, gps_xy=np.array([20.0, 1.0]), baro_z=15.0))
+        pipe.step(SensorFrame(t=TS, gps_xy=np.array([21.0, 1.5]), baro_z=14.5))
+        x, y = 21.0, 1.5
+        if approach == 2:
+            x, y, _ = geometric_correction((x, y, 14.5), R)
+        p_meas, axes = pipe.last_measurement
+        assert (p_meas.tolist(), axes) == ([x, y, 14.5], (0, 1, 2))
+        pipe.step(SensorFrame(t=2 * TS, gps_xy=np.array([21.0, 1.5])))
+        p_meas, axes = pipe.last_measurement
+        assert (p_meas.tolist(), axes) == ([x, y, 0.0], (0, 1))
+
     def test_nan_fix_rejected(self):
         """A correction leaves every axis outside its own bit-unchanged,
         and a non-finite x fix is refused before it reaches any axis."""
@@ -879,10 +924,10 @@ class TestNonFiniteTime:
     @pytest.mark.parametrize("approach", [1, 2, 3])
     @pytest.mark.parametrize("bad", ["nan", "repeat"])
     def test_primed_pipeline_passes_a_refused_tick(self, approach, bad):
-        """A tick refused for its time moves a primed pipeline past its
-        acceleration, as any other tick that raises does: stepped on
-        after the caught error, primed and unprimed pipelines agree tick
-        by tick, bit for bit."""
+        """Stepped on after a tick refused for its time, primed and
+        unprimed pipelines agree tick by tick, bit for bit: the next
+        frame is not the one the primed entries expect, so the primed
+        pipeline rotates per tick from there on."""
         frames, _ = synthesize(TrajectoryParams(duration=1.0), NoiseSpec(seed=1))
         frames[20] = dataclasses.replace(frames[20],
                                          t=math.nan if bad == "nan" else frames[19].t)
@@ -897,6 +942,64 @@ class TestNonFiniteTime:
                         pipe.step(frame)
                 continue
             assert repr(primed.step(frame)) == repr(unprimed.step(frame)), k
+
+
+class TestPrimedRecord:
+    """A primed pipeline reads a primed acceleration only on the frame it
+    was computed from; stepped on any other frame, it drops the priming
+    and rotates per tick, so its outputs are the unprimed ones."""
+
+    @staticmethod
+    def record(seed):
+        frames, _ = synthesize(TrajectoryParams(duration=2.0), NoiseSpec(seed=seed))
+        return frames
+
+    @staticmethod
+    def primed_and_unprimed(approach, primed_on, stepped):
+        config = default_configs()[approach - 1]
+        primed = EstimationPipeline(config)
+        primed.prime(primed_on)
+        return (list(map(primed.step, stepped)),
+                list(map(EstimationPipeline(config).step, stepped)))
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_stepped_past_its_record(self, approach):
+        frames = self.record(1)
+        got, want = self.primed_and_unprimed(approach, frames[:50], frames)
+        assert len(got) == len(frames)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    @pytest.mark.parametrize("stepped", ["another", "copies"])
+    def test_stepped_on_another_record(self, approach, stepped):
+        frames = self.record(1)
+        other = (self.record(2) if stepped == "another"
+                 else [dataclasses.replace(frame) for frame in frames])
+        got, want = self.primed_and_unprimed(approach, frames, other)
+        assert repr(got) == repr(want)
+
+
+class TestNonFiniteAcceleration:
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    @pytest.mark.parametrize("primed", [False, True])
+    @pytest.mark.parametrize("reading", [(math.nan, 0.0, 9.8), (0.0, -math.inf, 9.8)])
+    def test_rejected_by_name(self, approach, primed, reading):
+        """Named by channel, value and time at its tick, primed or not,
+        and every later output is that of a run without the frame."""
+        frames = TestPrimedRecord.record(1)
+        frames[60] = dataclasses.replace(frames[60], accel_k=np.array(reading))
+        config = default_configs()[approach - 1]
+        pipe, clean = EstimationPipeline(config), EstimationPipeline(config)
+        if primed:
+            pipe.prime(frames)
+        for frame in frames[:60]:
+            assert repr(pipe.step(frame)) == repr(clean.step(frame))
+        message = f"accelerometer reading {reading} at t={frames[60].t} is not finite"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            pipe.step(frames[60])
+        for frame in frames[61:]:
+            assert repr(pipe.step(frame)) == repr(clean.step(frame))
+        assert all(map(math.isfinite, pipe.step(SensorFrame(t=3.0)).p_hat))
 
 
 # ----------------------------------------------------------------------
@@ -931,6 +1034,18 @@ def ref_luenberger_step(obs, gamma_meas, k_gamma, ts):
     innovation = wrap_angle(gamma_meas - obs[0])
     return np.array([obs[0] + ts * obs[1] + k_gamma[0] * innovation,
                      obs[1] + k_gamma[1] * innovation])
+
+
+def with_correction(shown, p_meas, axes):
+    """``last_measurement`` once a tick whose earlier corrections show as
+    ``shown`` corrects ``axes`` to ``p_meas`` too: the measured value on
+    every axis corrected on the tick, 0.0 on the others, and those axes
+    in order."""
+    p, seen = (np.zeros(3), ()) if shown is None else shown
+    p = p.copy()
+    for axis in axes:
+        p[axis] = p_meas[axis]
+    return p, tuple(sorted(seen + tuple(axes)))
 
 
 class ArrayPipeline:
@@ -970,7 +1085,7 @@ class ArrayPipeline:
     def _correct(self, p_meas, axes):
         if self._state is not None:
             self._state = ref_measurement_update(*self._state, p_meas, self.gain, axes)
-            self.last_measurement = (np.asarray(p_meas, dtype=float).copy(), axes)
+            self.last_measurement = with_correction(self.last_measurement, p_meas, axes)
         else:
             for axis in axes:
                 self._seed[axis] = float(p_meas[axis])
@@ -1181,7 +1296,7 @@ class HelperPipeline:
     def _correct(self, p_meas, axes):
         if self._state is not None:
             measurement_update(self._state, p_meas.tolist(), self._gains, axes)
-            self.last_measurement = (p_meas, axes)
+            self.last_measurement = with_correction(self.last_measurement, p_meas, axes)
         else:
             for axis in axes:
                 self._seed[axis] = float(p_meas[axis])
