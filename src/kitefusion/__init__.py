@@ -15,12 +15,11 @@ from .errors import (
     NonConvergenceError,
 )
 from .estimator import (
-    KalmanGain,
-    KfTuning,
     axis_gain,
     build_system,
     kalman_gain,
     kf_frequency_response,
+    lo_frequency_response,
     solve_dare,
 )
 from .evalio import (
@@ -51,7 +50,6 @@ from .pipelines import (
     EstimatorConfig,
     SensorFrame,
     geometric_correction,
-    lo_frequency_response,
 )
 from .simkite import NoiseSpec, TrajectoryParams, TruthSample, synthesize
 
@@ -62,12 +60,11 @@ __all__ = [
     "DomainError",
     "LogFormatError",
     "NonConvergenceError",
-    "KalmanGain",
-    "KfTuning",
     "axis_gain",
     "build_system",
     "kalman_gain",
     "kf_frequency_response",
+    "lo_frequency_response",
     "solve_dare",
     "LogData",
     "RmseReport",
@@ -90,7 +87,6 @@ __all__ = [
     "EstimatorConfig",
     "SensorFrame",
     "geometric_correction",
-    "lo_frequency_response",
     "NoiseSpec",
     "TrajectoryParams",
     "TruthSample",

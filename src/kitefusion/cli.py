@@ -25,10 +25,10 @@ import typing
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, LogFormatError, NonConvergenceError
-from .estimator import KfTuning, kf_frequency_response
+from .estimator import axis_gain, kf_frequency_response, lo_frequency_response
 from .evalio import compare_approaches, default_configs, read_log, write_log
 from .lineangle import EncoderGeometry
-from .pipelines import EstimationPipeline, EstimatorConfig, lo_frequency_response
+from .pipelines import EstimationPipeline, EstimatorConfig
 from .simkite import NoiseSpec, TrajectoryParams, synthesize
 
 
@@ -164,8 +164,8 @@ def cmd_bode(args) -> None:
     if args.points < 1:
         raise DomainError(f"need at least one point, got {args.points}")
     freqs = np.geomspace(args.f_min, args.f_max, args.points)
-    kf_fu, kf_fy = kf_frequency_response(
-        KfTuning(estimator.ts, estimator.ratios), args.axis, freqs)
+    gains = axis_gain(estimator.ts, estimator.ratios[args.axis])
+    kf_fu, kf_fy = kf_frequency_response(gains, estimator.ts, freqs)
     lo_fy1, lo_fy2 = lo_frequency_response(estimator.k_gamma, estimator.ts, freqs)
     lines = ["f_hz,kf_fu_mag,kf_fy_mag,lo_fy1_mag,lo_fy2_mag"]
     for row in zip(freqs, kf_fu, kf_fy, lo_fy1, lo_fy2):

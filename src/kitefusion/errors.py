@@ -9,7 +9,8 @@ to exit code 2 and the last one to exit code 3.  Bad numbers raise
 :func:`require_positive` for lengths, periods, ratios and counts.  Both
 count an integer beyond float range as not finite, and their messages
 show an integer of more than 30 digits by its digit count;
-:func:`require_finite` also names a field that holds no number.
+:func:`require_finite` also names a field that holds no number, and
+stores the real fields of a config it passes as Python floats.
 """
 
 import math
@@ -75,7 +76,12 @@ def require_finite(spec) -> None:
     field, by name; tuple fields entry by entry, nested dataclasses not
     at all.  A field that holds no number (a string, a list, an array),
     or a tuple field that holds no tuple of numbers, is refused by name
-    as well."""
+    as well.
+
+    A field that passes is stored as a Python float if annotated
+    ``float``, and as a tuple of Python floats if a tuple, so a numpy
+    scalar given to a config reaches no result in its own precision;
+    ``int`` and ``bool`` fields keep what was given."""
     for field in fields(spec):
         value = getattr(spec, field.name)
         if is_dataclass(value):
@@ -87,6 +93,10 @@ def require_finite(spec) -> None:
             raise DomainError(f"{field.name} must be {kind}, got {_shown(value)}")
         if not all(map(_finite, entries)):
             raise DomainError(f"{field.name} must be finite, got {_shown(value)}")
+        if many:
+            object.__setattr__(spec, field.name, tuple(map(float, value)))
+        elif field.type == "float":
+            object.__setattr__(spec, field.name, float(value))
 
 
 def require_positive(name: str, value) -> None:

@@ -14,33 +14,17 @@ trust the position sensor up to higher frequencies, small ratios lean on
 the accelerometer path.  The three axes are decoupled, so the six-state
 problem splits into three independent two-state problems: :func:`axis_gain`
 solves one 2x2 fixed point, and :class:`~kitefusion.pipelines.EstimationPipeline`
-runs the recursion per axis on plain floats with those gains.
+runs the recursion per axis on plain floats with those gains.  The frequency
+responses take plain gains and ``ts``: one axis's, or the angle observer's.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, require_positive
-
-
-class KfTuning(NamedTuple):
-    """Sample time in s and per-axis process/measurement variance ratios."""
-
-    ts: float
-    ratios: tuple[float, float, float]
-
-
-class KalmanGain(NamedTuple):
-    """Constant correction gain with the steady-state prediction covariance
-    it was derived from, sized by the system given to :func:`kalman_gain`."""
-
-    gain: np.ndarray
-    covariance: np.ndarray
 
 
 def build_system(ts: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,7 +110,7 @@ def solve_dare(A: np.ndarray, B: np.ndarray, C: np.ndarray,
         f"Riccati fixed point not converged after {DARE_MAX_ITERATIONS} iterations")
 
 
-def kalman_gain(P: np.ndarray, A: np.ndarray, C: np.ndarray, R: np.ndarray) -> KalmanGain:
+def kalman_gain(P: np.ndarray, A: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Constant correction gain ``K = A P C' (C P C' + R)^-1``.
 
     Raises
@@ -144,7 +128,7 @@ def kalman_gain(P: np.ndarray, A: np.ndarray, C: np.ndarray, R: np.ndarray) -> K
     closed_loop = (np.eye(A.shape[0]) - K @ C) @ A
     if max(abs(np.linalg.eigvals(closed_loop))) >= 1.0:
         raise DomainError("closed loop is not strictly stable")
-    return KalmanGain(K, np.asarray(P, dtype=float))
+    return K
 
 
 @functools.lru_cache(maxsize=64)
@@ -153,71 +137,87 @@ def axis_gain(ts: float, ratio: float) -> tuple[float, float]:
     to measurement noise variance ``ratio``: a position error ``e``
     corrects the axis as ``p += k1 * e``, ``v += k2 * e``.  Cached, since
     one 2x2 Riccati solve takes up to tens of milliseconds.  Raises
-    ``DomainError`` unless ``ts`` and ``ratio`` are positive and finite."""
+    ``DomainError`` unless ``ts`` and ``ratio`` are positive and finite.
+
+    The gain is the predictor form that the pipeline applies after its
+    prediction, and that loop is strictly stable only for ratios below
+    ``16 / (3 ts**4)`` (about 3.33e7 at ``ts = 0.02``); past it, and for
+    ratios so small that the solve stops with the loop on the unit circle
+    (below about 2.5e-10 at ``ts = 0.02``), a ``DomainError`` names the
+    ratio and ``ts``."""
     require_positive("ts", ts)
     require_positive("ratio", ratio)
     A = np.array([[1.0, ts], [0.0, 1.0]])
     B = np.array([[0.0], [ts]])
     C = np.array([[1.0, 0.0]])
     P = solve_dare(A, B, C, np.array([[ratio]]), np.array([[1.0]]))
-    K = kalman_gain(P, A, C, np.array([[1.0]])).gain
+    try:
+        K = kalman_gain(P, A, C, np.array([[1.0]]))
+    except DomainError as exc:
+        raise DomainError(f"ratio {ratio} at ts {ts}: {exc}") from exc
     return float(K[0, 0]), float(K[1, 0])
 
 
 def _unit_circle_magnitudes(ts: float, freqs, response) -> tuple[np.ndarray, np.ndarray]:
-    """``|h_1|, |h_2|`` of ``response(z) = (h_1, h_2)`` at ``z = exp(j 2 pi f ts)``
-    for each ``f`` in Hz in (0, Nyquist), with ``ts`` positive and finite."""
+    """``|h_1|, |h_2|`` of ``response(z) = (h_1, h_2)``, evaluated on the
+    array ``z = exp(j 2 pi f ts)`` of every ``f`` in Hz in (0, Nyquist),
+    with ``ts`` positive and finite."""
     require_positive("ts", ts)
     freqs = np.asarray(freqs, dtype=float)
     nyquist = 0.5 / ts
     if not np.all((freqs > 0.0) & (freqs < nyquist)):
         raise DomainError(f"frequencies must lie in (0, {nyquist}) Hz")
-    mag_1 = np.empty_like(freqs)
-    mag_2 = np.empty_like(freqs)
-    for i, f in enumerate(freqs):
-        z = complex(math.cos(2 * math.pi * f * ts), math.sin(2 * math.pi * f * ts))
-        mag_1[i], mag_2[i] = map(abs, response(z))
-    return mag_1, mag_2
+    h_1, h_2 = response(np.exp(2j * np.pi * freqs * ts))
+    return np.abs(h_1), np.abs(h_2)
 
 
-def kf_frequency_response(tuning: KfTuning, axis: int,
+def kf_frequency_response(gains: tuple[float, float], ts: float,
                           freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitudes of the filter's two input channels for one axis.
+    """Magnitude responses of one axis of the position filter.
 
-    The corrected estimate obeys
+    With the axis's gains ``(k1, k2)``, as :func:`axis_gain` returns them,
+    the corrected estimate obeys
 
         xhat(k) = (I - K C) A xhat(k-1) + (I - K C) B a(k) + K y(k)
 
     and this returns ``(|F_a|, |F_y|)``, the magnitude responses from the
     acceleration input and from the position measurement to the position
-    estimate, evaluated at ``z = exp(j 2 pi f Ts)``.
-
-    Parameters
-    ----------
-    tuning : KfTuning
-        Sample time and noise ratios.
-    axis : int
-        Axis index 0..2.
-    freqs : array_like
-        Frequencies in Hz, each in (0, 1/(2 Ts)).
+    estimate, evaluated at ``z = exp(j 2 pi f ts)``.
 
     Raises
     ------
     DomainError
-        If the axis is not 0, 1 or 2, or a frequency lies outside the
-        open interval up to Nyquist.
+        If ``ts`` is not positive and finite, or a frequency not in (0, Nyquist).
     """
-    if axis not in (0, 1, 2):
-        raise DomainError(f"axis must be 0, 1 or 2, got {axis}")
-    ts = float(tuning.ts)
-    k1, k2 = axis_gain(ts, float(tuning.ratios[axis]))
-    # (I - K C) A and (I - K C) B for the single axis.
+    k1, k2 = gains
+    # (I - K C) A for the single axis; (I - K C) B is (0, ts).
     a00, a01 = 1.0 - k1, (1.0 - k1) * ts
     a10, a11 = -k2, 1.0 - k2 * ts
-    bu0, bu1 = 0.0, ts
 
     def response(z):
         det = (z - a00) * (z - a11) - a01 * a10
-        return z * ((z - a11) * bu0 + a01 * bu1) / det, z * ((z - a11) * k1 + a01 * k2) / det
+        return z * (a01 * ts) / det, z * ((z - a11) * k1 + a01 * k2) / det
+
+    return _unit_circle_magnitudes(ts, freqs, response)
+
+
+def lo_frequency_response(k_gamma: tuple[float, float], ts: float,
+                          freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude responses of the velocity-angle observer.
+
+    Returns ``(|F_angle|, |F_rate|)``: the responses from the measured
+    angle to the emitted angle and rate estimates.  The emitted state is
+    the prediction, so both channels are strictly proper.
+
+    Raises
+    ------
+    DomainError
+        If ``ts`` is not positive and finite, or a frequency not in (0, Nyquist).
+    """
+    k1, k2 = k_gamma
+
+    def response(z):
+        det = (z - 1.0 + k1) * (z - 1.0) + ts * k2
+        return ((z - 1.0) * k1 + ts * k2) / det, k2 * (z - 1.0) / det
 
     return _unit_circle_magnitudes(ts, freqs, response)

@@ -51,6 +51,7 @@ class EncoderGeometry:
     The defaults are plausible bench values for a small ground unit; they
     are placeholders to be replaced by measurements of the actual build.
     Every field must be finite; a ``DomainError`` names one that is not.
+    The fields are kept as Python floats, whatever real type was given.
     The pivot offsets are kept small relative to the arm length so that
     one encoder count maps to at most about one count of wing-angle
     error; large offsets amplify the quantization.

@@ -60,7 +60,7 @@ from .errors import (DegenerateInputError, DomainError, LogFormatError, require_
                      require_positive)
 from .frames import TWO_PI, _elevation, _horizontal
 from .lineangle import EncoderGeometry, EncoderReading, _guide_point, _mount
-from .estimator import _unit_circle_magnitudes, axis_gain
+from .estimator import axis_gain
 
 
 @dataclass
@@ -142,10 +142,6 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        for name in ("r", "phi_g", "ts"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("ratios", "k_gamma"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         require_positive("r", self.r)
         require_positive("ts", self.ts)
         if len(self.ratios) != 3:
@@ -221,28 +217,6 @@ def geometric_correction(p_tilde, r: float) -> tuple[float, float, float]:
     if scale == math.inf:
         raise DegenerateInputError(f"XY components {x}, {y} too small to scale onto the sphere")
     return x * scale, y * scale, z
-
-
-def lo_frequency_response(k_gamma: tuple[float, float], ts: float,
-                          freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude responses of the velocity-angle observer.
-
-    Returns ``(|F_angle|, |F_rate|)``: the responses from the measured
-    angle to the emitted angle and rate estimates.  The emitted state is
-    the prediction, so both channels are strictly proper.
-
-    Raises
-    ------
-    DomainError
-        If ``ts`` is not positive and finite, or a frequency not in (0, Nyquist).
-    """
-    k1, k2 = k_gamma
-
-    def response(z):
-        det = (z - 1.0 + k1) * (z - 1.0) + ts * k2
-        return ((z - 1.0) * k1 + ts * k2) / det, k2 * (z - 1.0) / det
-
-    return _unit_circle_magnitudes(ts, freqs, response)
 
 
 class EstimationPipeline:

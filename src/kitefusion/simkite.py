@@ -60,6 +60,7 @@ class TrajectoryParams:
     with ``s`` the speed scale.  ``f_loop`` is the azimuth frequency at
     unit speed scale, i.e. full eights per second.  Every field must be
     finite, the marked ones positive; a ``DomainError`` names the first that is not.
+    The fields are kept as Python floats, whatever real type was given.
 
     Attributes
     ----------
@@ -207,7 +208,8 @@ class NoiseSpec:
     width of a uniform draw made once per record.  A rate of zero removes
     the channel entirely; a zero resolution or line count disables the
     corresponding quantization.  Every field must be finite and not
-    negative; a ``DomainError`` names the first one that is not.
+    negative; a ``DomainError`` names the first one that is not.  The
+    real fields are kept as Python floats, whatever real type was given.
 
     Attributes
     ----------

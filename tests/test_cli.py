@@ -329,6 +329,35 @@ class TestBode:
         assert code == 2
         capsys.readouterr()
 
+    def test_axis_picks_its_ratio(self, tmp_path):
+        """``--axis 2`` tabulates the third ratio: its ``kf_*`` columns are
+        those of axis 0 tuned to the same ratio."""
+        mixed = write(tmp_path / "mixed.cfg", "lambda = 500, 500, 10\n")
+        soft = write(tmp_path / "soft.cfg", "lambda = 10\n")
+        tables = []
+        for cfg, axis in ((mixed, "2"), (soft, "0")):
+            out = tmp_path / f"axis{axis}.csv"
+            assert main(["bode", "--config", cfg, "--out", str(out), "--points", "50",
+                         "--axis", axis]) == 0
+            tables.append([line.split(",")[:3] for line in out.read_text().splitlines()])
+        assert len(tables[0]) == 51
+        assert tables[0] == tables[1]
+
+    def test_axis_outside_0_to_2_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bode", "--out", str(tmp_path / "x.csv"), "--axis", "3"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_ratio_past_the_stable_loop_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", "lambda = 1e8\n")
+        out = tmp_path / "x.csv"
+        assert main(["bode", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ratio 100000000.0 at ts 0.02: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestConfigParsing:
     def test_unknown_key_exits_2(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ finite."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from unittest import mock
@@ -182,3 +183,30 @@ def test_field_not_a_number_rejected_by_name(call, message):
 def test_numbers_of_other_types_accepted(value):
     assert EncoderGeometry(guide_rise=value).guide_rise == value
     assert EstimatorConfig(ratios=(value, 1.0, 1.0)).ratios[0] == value
+
+
+@pytest.mark.parametrize("cls", [EncoderGeometry, EstimatorConfig, TrajectoryParams, NoiseSpec],
+                         ids=lambda cls: cls.__name__)
+def test_real_fields_stored_as_python_floats(cls):
+    """Every ``float`` field given a float32 holds the Python float of its
+    value, and every tuple field a tuple of Python floats; ``int`` and
+    ``bool`` fields keep what was given."""
+    defaults = cls()
+    given, kept = {}, {}
+    for field in dataclasses.fields(cls):
+        value = getattr(defaults, field.name)
+        if field.type == "float" or field.type.startswith("tuple"):
+            given[field.name] = (tuple(map(np.float32, value)) if isinstance(value, tuple)
+                                 else np.float32(value))
+        elif field.type in ("int", "bool"):
+            given[field.name] = kept[field.name] = np.int64(value)
+    spec = cls(**given)
+    for name, value in given.items():
+        stored = getattr(spec, name)
+        if name in kept:
+            assert stored is value, name
+        elif isinstance(value, tuple):
+            assert type(stored) is tuple and stored == tuple(map(float, value)), name
+            assert {type(entry) for entry in stored} == {float}, name
+        else:
+            assert type(stored) is float and stored == float(value), name

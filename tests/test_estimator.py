@@ -10,11 +10,11 @@ from numpy.testing import assert_allclose
 from filter_reference import KinematicState, measurement_update, time_update
 from kitefusion.errors import DomainError
 from kitefusion.estimator import (
-    KfTuning,
     axis_gain,
     build_system,
     kalman_gain,
     kf_frequency_response,
+    lo_frequency_response,
     solve_dare,
 )
 
@@ -124,7 +124,7 @@ class TestSolveDare:
         R = np.eye(3)
         for lam in (1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6):
             P = solve_dare(A, B, C, lam * np.eye(3), R)
-            K = kalman_gain(P, A, C, R).gain
+            K = kalman_gain(P, A, C, R)
             rho = max(abs(np.linalg.eigvals((np.eye(6) - K @ C) @ A)))
             assert rho < 1.0
 
@@ -169,7 +169,7 @@ class TestSteadyStateGain:
         A, B, C = build_system(TS)
         full = kalman_gain(solve_dare(A, B, C, np.diag(ratios), np.eye(3)), A, C, np.eye(3))
         for axis, (k1, k2) in enumerate(axis_gains(ratios)):
-            assert_allclose((full.gain[axis, axis], full.gain[axis + 3, axis]), (k1, k2),
+            assert_allclose((full[axis, axis], full[axis + 3, axis]), (k1, k2),
                             atol=1e-10)
 
     def test_gain_sparsity(self):
@@ -177,7 +177,7 @@ class TestSteadyStateGain:
         axis be solved on its own."""
         A, B, C = build_system(TS)
         gain = kalman_gain(solve_dare(A, B, C, np.diag([10.0, 500.0, 2.0]), np.eye(3)),
-                           A, C, np.eye(3)).gain
+                           A, C, np.eye(3))
         mask = np.zeros((6, 3), dtype=bool)
         for axis in range(3):
             mask[axis, axis] = mask[axis + 3, axis] = True
@@ -205,6 +205,14 @@ class TestSteadyStateGain:
     def test_bad_sample_time_rejected(self, ts):
         with pytest.raises(DomainError, match="ts must be positive and finite"):
             axis_gain(ts, 500.0)
+
+    def test_ratio_past_the_stable_loop_refused_by_name(self):
+        # The predictor-form loop is strictly stable only while
+        # ratio * ts**4 < 16/3, about 3.33e7 at ts = 0.02.
+        with pytest.raises(DomainError, match=r"^ratio 100000000\.0 at ts 0\.02: closed loop"):
+            axis_gain(TS, 1e8)
+        k1, k2 = axis_gain(TS, 3e7)
+        assert 0.0 < k1 < 2.0 and k2 > 0.0
 
 
 class TestRecursions:
@@ -259,7 +267,7 @@ class TestRecursions:
         ratios = (10.0, 500.0, 2.0)
         gains = axis_gains(ratios)
         A, B, C = build_system(TS)
-        K = kalman_gain(solve_dare(A, B, C, np.diag(ratios), np.eye(3)), A, C, np.eye(3)).gain
+        K = kalman_gain(solve_dare(A, B, C, np.diag(ratios), np.eye(3)), A, C, np.eye(3))
         rng = np.random.default_rng(11)
         state = KinematicState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         x = np.zeros(6)
@@ -291,17 +299,15 @@ class TestRecursions:
 
 class TestFrequencyResponse:
     def test_passes_low_frequency_position_unchanged(self):
-        t = KfTuning(TS, (500.0, 500.0, 500.0))
-        _, mag_y = kf_frequency_response(t, 0, np.array([1e-4]))
+        _, mag_y = kf_frequency_response(axis_gain(TS, 500.0), TS, np.array([1e-4]))
         assert_allclose(mag_y[0], 1.0, atol=1e-6)
 
     def test_matches_time_domain_sinusoid(self):
         """Drive the actual recursion with a single tone on each input and
         read the steady-state amplitude off the position estimate."""
-        t = KfTuning(TS, (500.0, 500.0, 500.0))
-        gains = axis_gains(t.ratios)
+        gains = axis_gains((500.0, 500.0, 500.0))
         f = 0.5
-        mag_u, mag_y = kf_frequency_response(t, 0, np.array([f]))
+        mag_u, mag_y = kf_frequency_response(gains[0], TS, np.array([f]))
         n_settle, n_meas = 3000, 4000  # 4000 samples = 40 whole periods
         for channel, expected in (("u", mag_u[0]), ("y", mag_y[0])):
             state = KinematicState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
@@ -319,8 +325,8 @@ class TestFrequencyResponse:
 
     def test_larger_ratio_tracks_to_higher_frequency(self):
         freqs = np.linspace(0.01, 5.0, 2000)
-        _, y_hi = kf_frequency_response(KfTuning(TS, (500.0,) * 3), 0, freqs)
-        _, y_lo = kf_frequency_response(KfTuning(TS, (10.0,) * 3), 0, freqs)
+        _, y_hi = kf_frequency_response(axis_gain(TS, 500.0), TS, freqs)
+        _, y_lo = kf_frequency_response(axis_gain(TS, 10.0), TS, freqs)
         cross_hi = freqs[np.argmax(y_hi < 1.0 / np.sqrt(2.0))]
         cross_lo = freqs[np.argmax(y_lo < 1.0 / np.sqrt(2.0))]
         assert cross_hi > cross_lo
@@ -328,18 +334,38 @@ class TestFrequencyResponse:
         assert_allclose(cross_hi, 1.5577, atol=0.01)
         assert_allclose(cross_lo, 0.5841, atol=0.01)
 
-    def test_rejects_frequencies_outside_band(self):
-        t = KfTuning(TS, (500.0, 500.0, 500.0))
-        with pytest.raises(DomainError):
-            kf_frequency_response(t, 0, np.array([0.0]))
-        with pytest.raises(DomainError):
-            kf_frequency_response(t, 0, np.array([25.0]))
-        with pytest.raises(DomainError):
-            kf_frequency_response(t, 0, np.array([-1.0]))
-        with pytest.raises(DomainError):
-            kf_frequency_response(t, 0, np.array([0.5, math.nan]))
+    @pytest.mark.parametrize("which", ["kf", "lo"])
+    def test_array_evaluation_matches_per_frequency_state_space(self, which):
+        """Every frequency of the one-array evaluation against the loop of
+        the state-space form ``z (zI - M)^-1 g``, solved one frequency at
+        a time: the filter's ``M = (I - K C) A`` driven by ``(I - K C) B``
+        and by ``K``, the observer's ``M = A - L C`` driven by ``L``."""
+        freqs = np.geomspace(1e-3, 24.9, 300)
+        if which == "kf":
+            k1, k2 = axis_gain(TS, 500.0)
+            mags = kf_frequency_response((k1, k2), TS, freqs)
+            M = np.array([[1.0 - k1, (1.0 - k1) * TS], [-k2, 1.0 - k2 * TS]])
+            drives, rows, lead = ([0.0, TS], [k1, k2]), ([1.0, 0.0], [1.0, 0.0]), True
+        else:
+            k1, k2 = 0.4, 0.9
+            mags = lo_frequency_response((k1, k2), TS, freqs)
+            M = np.array([[1.0 - k1, TS], [-k2, 1.0]])
+            drives, rows, lead = ([k1, k2], [k1, k2]), ([1.0, 0.0], [0.0, 1.0]), False
+        for mag, drive, row in zip(mags, drives, rows):
+            want = []
+            for f in freqs:
+                z = complex(math.cos(2 * math.pi * f * TS), math.sin(2 * math.pi * f * TS))
+                h = np.array(row) @ np.linalg.solve(z * np.eye(2) - M, np.array(drive))
+                want.append(abs(z * h if lead else h))
+            assert_allclose(mag, want, rtol=1e-12)
 
-    @pytest.mark.parametrize("axis", [-1, 3])
-    def test_rejects_axis_outside_0_to_2(self, axis):
-        with pytest.raises(DomainError, match="axis"):
-            kf_frequency_response(KfTuning(TS, (500.0, 10.0, 2.0)), axis, np.array([0.5]))
+    def test_rejects_frequencies_outside_band(self):
+        gains = axis_gain(TS, 500.0)
+        with pytest.raises(DomainError):
+            kf_frequency_response(gains, TS, np.array([0.0]))
+        with pytest.raises(DomainError):
+            kf_frequency_response(gains, TS, np.array([25.0]))
+        with pytest.raises(DomainError):
+            kf_frequency_response(gains, TS, np.array([-1.0]))
+        with pytest.raises(DomainError):
+            kf_frequency_response(gains, TS, np.array([0.5, math.nan]))

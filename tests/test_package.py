@@ -1,7 +1,7 @@
 """The package's public names."""
 
 import kitefusion
-from kitefusion import attitude, estimator, evalio, frames, simkite
+from kitefusion import attitude, estimator, evalio, frames, pipelines, simkite
 from kitefusion.pipelines import EstimationPipeline, EstimatorConfig
 
 
@@ -14,11 +14,12 @@ def test_every_export_resolves():
 def test_removed_names_are_gone():
     """One per-axis gain path, and no public function that nothing in the
     package calls."""
-    gone = {estimator: ("steady_state_gain",), simkite: ("truth_at",),
+    gone = {estimator: ("steady_state_gain", "KfTuning", "KalmanGain"), simkite: ("truth_at",),
             attitude: ("quat_to_rot",), frames: ("velocity_angle",), evalio: ("rmse",)}
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
             assert name not in kitefusion.__all__ and not hasattr(kitefusion, name)
-    assert not hasattr(estimator.KalmanGain, "axis_gains")
+    assert not hasattr(pipelines, "lo_frequency_response")
+    assert kitefusion.lo_frequency_response is estimator.lo_frequency_response
     assert not hasattr(EstimationPipeline(EstimatorConfig()), "gain")

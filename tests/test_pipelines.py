@@ -23,7 +23,7 @@ from filter_reference import (
 from kitefusion import pipelines
 from kitefusion.attitude import GRAVITY, inertial_accel, quats_to_rots
 from kitefusion.errors import DegenerateInputError, DomainError, LogFormatError
-from kitefusion.estimator import axis_gain
+from kitefusion.estimator import axis_gain, lo_frequency_response
 from kitefusion.evalio import default_configs
 from kitefusion.frames import (
     Z_OVER_R_TOL,
@@ -40,7 +40,6 @@ from kitefusion.pipelines import (
     EstimatorConfig,
     SensorFrame,
     geometric_correction,
-    lo_frequency_response,
 )
 from kitefusion.simkite import NoiseSpec, TrajectoryParams, synthesize
 
@@ -313,14 +312,17 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("approach", [1, 2, 3])
     def test_real_fields_kept_as_floats(self, approach):
-        """Fields given as float32 or int are kept as Python floats, so
-        every output field is a float, equal to the outputs of the config
-        given the same values as floats."""
+        """Fields given as float32 or int, the geometry's included, are
+        kept as Python floats, so every output field is a float, equal to
+        the outputs of the config given the same values as floats."""
         given = {"r": np.float32(30.0), "phi_g": np.float32(0.3), "ts": np.float32(0.02),
                  "ratios": (np.float32(400.0), 500, np.float64(600.0)),
                  "k_gamma": (np.float32(0.4), 0.9)}
         as_floats = {name: tuple(map(float, value)) if isinstance(value, tuple) else float(value)
                      for name, value in given.items()}
+        offsets = {"guide_reach": np.float32(0.5), "pivot_height": np.float32(0.2)}
+        given["geometry"] = EncoderGeometry(**offsets)
+        as_floats["geometry"] = EncoderGeometry(**{k: float(v) for k, v in offsets.items()})
         config = EstimatorConfig(approach=approach, **given)
         assert config == EstimatorConfig(approach=approach, **as_floats)
         assert all(type(x) is float for x in (config.r, config.phi_g, config.ts,

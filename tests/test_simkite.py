@@ -187,6 +187,20 @@ class TestTrajectoryParams:
         with pytest.raises(DomainError):
             TrajectoryParams(**kwargs)
 
+    def test_float32_params_give_the_float_record(self):
+        """A float32 speed scale is stored as the Python float of its
+        value, so the pattern runs in float64 and the record is that of
+        the float, bit for bit, wind speed included."""
+        scale = np.float32(2.5)
+        noise = NoiseSpec(seed=3)
+        got = synthesize(TrajectoryParams(speed_scale=scale, duration=10.0), noise)
+        want = synthesize(TrajectoryParams(speed_scale=float(scale), duration=10.0), noise)
+        for got_part, want_part in zip(got, want):
+            assert len(got_part) == len(want_part)
+            for a, b in zip(got_part, want_part):
+                assert_fields_equal(a, b)
+        assert {type(frame.wind_speed) for frame in got[0]} == {float}
+
     @pytest.mark.parametrize("cls, field, value", [
         (TrajectoryParams, "phi0", math.nan),
         (TrajectoryParams, "speed_scale", math.inf),
