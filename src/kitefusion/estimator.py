@@ -141,12 +141,16 @@ def axis_gain(ts: float, ratio: float) -> tuple[float, float]:
 
     The gain is the predictor form that the pipeline applies after its
     prediction, and that loop is strictly stable only for ratios below
-    ``16 / (3 ts**4)`` (about 3.33e7 at ``ts = 0.02``); past it, and for
-    ratios so small that the solve stops with the loop on the unit circle
-    (below about 2.5e-10 at ``ts = 0.02``), a ``DomainError`` names the
-    ratio and ``ts``."""
+    ``16 / (3 ts**4)`` (about 3.33e7 at ``ts = 0.02``).  Past it a
+    ``DomainError`` names the ratio and ``ts`` before any solve (whose
+    iteration would overflow from about 1e154 at ``ts = 0.02``), and so
+    does the eigenvalue check of :func:`kalman_gain` for ratios so small
+    that the solve stops with the loop on the unit circle (below about
+    2.5e-10 at ``ts = 0.02``)."""
     require_positive("ts", ts)
     require_positive("ratio", ratio)
+    if ratio * ts * ts * ts * ts >= 16.0 / 3.0:
+        raise DomainError(f"ratio {ratio} at ts {ts}: closed loop is not strictly stable")
     A = np.array([[1.0, ts], [0.0, 1.0]])
     B = np.array([[0.0], [ts]])
     C = np.array([[1.0, 0.0]])

@@ -14,8 +14,11 @@ irregular line is scanned line by line (see :func:`read_log`).  It then
 reshapes the buffer once and runs the row checks (missing timestamp,
 time not increasing, partial channel group, incomplete truth row) as
 boolean array tests, so the line it reports and the message are those
-of a line-by-line check.  Each channel is copied out of the table once,
-for the rows that hold it, and every frame takes its row of that copy.
+of a line-by-line check.  Each channel is read out of the table once,
+for the rows that hold it, as Python floats: every frame takes a float or
+a tuple of floats per channel (and makes its encoder pair an
+``EncoderReading``), and every truth point a row of one copy of each
+truth vector.
 The writer gathers the same table from the frames, refuses a non-finite
 present cell before it opens the file, and formats the table row by
 row.
@@ -48,8 +51,7 @@ import numpy as np
 
 from .errors import DomainError, LogFormatError
 from .frames import wrap_angle
-from .lineangle import EncoderReading
-from .pipelines import EstimationPipeline, EstimatorConfig, SensorFrame, _prime
+from .pipelines import EstimationPipeline, EstimatorConfig, SensorFrame, _prime, _tuple_rows
 
 # The log layout per record, in column order: field, column names, and
 # the label of a channel group whose cells must be all present or all
@@ -246,18 +248,14 @@ def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool) -> tuple[i
     return row, message
 
 
-def _column(table: np.ndarray, empty: np.ndarray, name: str, cols: slice) -> list:
-    """One field of every row: None where its cells are empty, otherwise a
-    float, an :class:`EncoderReading` or a row of one ``(m, k)`` copy of
-    the ``m`` rows that hold the field."""
+def _column(table: np.ndarray, empty: np.ndarray, cols: slice) -> list:
+    """One frame field of every row: None where its cells are empty,
+    otherwise a float, or a tuple of floats for a field of several cells."""
     rows = np.flatnonzero(~empty[:, cols.start])
     if cols.stop - cols.start == 1:
         items = table[rows, cols.start].tolist()
-    elif name == "encoder":
-        items = map(_new_tuple, itertools.repeat(EncoderReading),
-                    zip(*table[rows, cols].T.tolist()))
     else:
-        items = table[rows, cols]
+        items = _tuple_rows(table[rows, cols])
     if len(rows) == len(table):
         return list(items)
     values = [None] * len(table)
@@ -358,12 +356,14 @@ def read_log(path) -> LogData:
         raise LogFormatError(f"line {linenos[row]}: {message}")
     if cell_error is not None:
         raise LogFormatError(cell_error)
-    columns = [_column(table, empty, name, cols) for name, cols, _ in _FRAME_FIELDS]
+    columns = [_column(table, empty, cols) for _, cols, _ in _FRAME_FIELDS]
     frames = list(map(SensorFrame, *columns))
     if not has_truth:
         return LogData(frames, None)
+    # Every row holds truth; its vectors are rows of one copy per field.
+    (_, p, _), (_, v, _), (_, gamma, _) = _TRUTH_FIELDS
     truth = list(map(_new_tuple, itertools.repeat(TruthPoint), zip(
-        columns[0], *(_column(table, empty, name, cols) for name, cols, _ in _TRUTH_FIELDS))))
+        columns[0], table[:, p].copy(), table[:, v].copy(), table[:, gamma.start].tolist())))
     return LogData(frames, truth)
 
 

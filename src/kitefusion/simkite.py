@@ -39,7 +39,7 @@ from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
 from .errors import DegenerateInputError, DomainError, require_finite, require_positive
 from .frames import _libm, rot_ned_to_g
 from .lineangle import EncoderGeometry, _angles_to_encoders
-from .pipelines import SensorFrame
+from .pipelines import SensorFrame, _tuple_rows
 
 DEG = math.pi / 180.0
 
@@ -335,7 +335,7 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     gps_times, gps_ticks = _fix_schedule(noise.gps_rate, noise.gps_latency, ts, n)
     gps_xy = (_fixes(params, gps_times)[:, :2]
               + rng.normal(0.0, noise.gps_sigma_xy, (len(gps_times), 2)))
-    gps_at = dict(zip(gps_ticks, gps_xy))
+    gps_at = dict(zip(gps_ticks, _tuple_rows(gps_xy)))
 
     baro_times, baro_ticks = _fix_schedule(noise.baro_rate, 0.0, ts, n)
     baro_z = _fixes(params, baro_times)[:, 2]
@@ -378,6 +378,7 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     truth = list(map(tuple.__new__, itertools.repeat(TruthSample),
                      zip(times, p, v, a, q, gamma.tolist())))
     ticks = range(n)
-    frames = list(map(SensorFrame, times, accel, gyro, quat, map(gps_at.get, ticks),
+    frames = list(map(SensorFrame, times, _tuple_rows(accel), _tuple_rows(gyro),
+                      _tuple_rows(quat), map(gps_at.get, ticks),
                       map(baro_at.get, ticks), encoders, itertools.repeat(params.speed_scale)))
     return frames, truth

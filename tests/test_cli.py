@@ -210,7 +210,8 @@ class TestEstimate:
 
     def test_non_unit_quaternion_exits_2_alike(self, monkeypatch, capsys, tmp_path, sim_log):
         log = read_log(sim_log)
-        log.frames[40] = dataclasses.replace(log.frames[40], quat=1.01 * log.frames[40].quat)
+        log.frames[40] = dataclasses.replace(log.frames[40],
+                                             quat=1.01 * np.array(log.frames[40].quat))
         bad = tmp_path / "bad.csv"
         write_log(log.frames, bad)
         out = tmp_path / "e.csv"

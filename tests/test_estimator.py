@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +215,17 @@ class TestSteadyStateGain:
             axis_gain(TS, 1e8)
         k1, k2 = axis_gain(TS, 3e7)
         assert 0.0 < k1 < 2.0 and k2 > 0.0
+
+    @pytest.mark.parametrize("ratio", [1e200, 1.7e308, 16.0 / 3.0 / TS ** 4])
+    def test_ratio_past_the_stable_loop_refused_before_the_solve(self, ratio):
+        """Refused by the closed form of the stability limit, ``16/3`` at
+        the limit itself, before a Riccati iteration that would overflow
+        from about 1e154 with a RuntimeWarning."""
+        message = f"ratio {ratio} at ts 0.02: closed loop is not strictly stable"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                axis_gain(TS, ratio)
 
 
 class TestRecursions:
