@@ -9,17 +9,14 @@ and are ignored by the reader.
 Both directions handle a log as one ``(n, width)`` float table.  The
 reader parses the file in blocks of ``_BLOCK_LINES`` lines, with one
 split and one ``float`` pass over each block's cells, into a flat buffer
-next to an explicit empty-cell mask; only a block that holds an
-irregular line is scanned line by line (see :func:`read_log`).  It then
-reshapes the buffer once and runs the row checks (missing timestamp,
-time not increasing, partial channel group, incomplete truth row) as
-boolean array tests, so the line it reports and the message are those
-of a line-by-line check.  Each channel is read out of the table once,
-for the rows that hold it, as Python floats: every frame takes a float or
-a tuple of floats per channel (and makes its encoder pair an
-``EncoderReading``), and every truth point a row of one copy of each
-truth vector.
-The writer gathers the same table from the frames, refuses a non-finite
+next to an explicit empty-cell mask, and runs the row checks as boolean
+array tests.  That pass only accepts: a log it cannot take whole is
+read again line by line by :func:`_read_lines`, the one place that
+names a log fault (see :func:`read_log`).  Each channel is read out of
+the table once, for the rows that hold it, as Python floats: every frame
+takes a float or a tuple of floats per channel (and makes its encoder
+pair an ``EncoderReading``), and every truth point a row of one copy of
+each truth vector.  The writer gathers the same table from the frames, refuses a non-finite
 present cell before it opens the file, and formats the table row by
 row.
 
@@ -42,6 +39,7 @@ from __future__ import annotations
 
 import array
 import dataclasses
+import io
 import itertools
 import math
 import operator
@@ -170,82 +168,19 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
                       for row in table)
 
 
-def _present_values(cells: list[str]) -> np.ndarray | None:
-    """The non-empty cells as floats, or None unless each parses to a
-    finite number."""
-    try:
-        # A list, then one array: building an array straight from the
-        # map measured about 10% slower.
-        values = np.array(list(map(float, filter(None, cells))), dtype=float)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
-
-
-def _regular_prefix(lines: list[str], linenos, width: int) -> tuple[list[str], int, str | None]:
-    """The line-by-line scan of a block that holds an irregular line.
-
-    Returns the cells of the lines before the first offending one, each
-    stripped (a whitespace-only cell is empty), how many lines that is,
-    and the offending line's message, or None if no line offends.
-    """
-    cells: list[str] = []
-    for kept, (lineno, line) in enumerate(zip(linenos, lines)):
-        row = line.split(",")
-        if len(row) != width:
-            return cells, kept, f"line {lineno}: expected {width} cells, got {len(row)}"
-        row = [cell.strip() for cell in row]
-        error = _cell_error(row, lineno)
-        if error is not None:
-            return cells, kept, error
-        cells += row
-    return cells, len(lines), None
-
-
-def _cell_error(cells: list[str], lineno: int) -> str | None:
-    """The message for the leftmost cell that is neither empty nor a
-    finite number, or None if there is none."""
-    for cell in cells:
-        cell = cell.strip()
-        if not cell:
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            return f"line {lineno}: bad number {cell!r}"
-        if not math.isfinite(value):
-            return f"line {lineno}: non-finite number {cell!r}"
-    return None
-
-
-def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool) -> tuple[int, str] | None:
-    """The index and message of the first row that fails a row check.
-
-    A row's checks are tried in the order a line-by-line reader applies
-    them: timestamp present, time increasing past the previous row,
-    each channel group whole, truth complete.
-    """
+def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool) -> bool:
+    """Whether a row of the table fails a row check: timestamp missing,
+    time not increasing past the previous row, a channel group partly
+    present, truth incomplete."""
     t = table[:, 0]
-    stalled = np.zeros(len(t), dtype=bool)
-    stalled[1:] = t[1:] <= t[:-1]
-    faults, messages = [empty[:, 0], stalled], ["missing timestamp", None]
+    if empty[:, 0].any() or (t[1:] <= t[:-1]).any():
+        return True
     for _, cols, group in _FRAME_FIELDS:
         if group is not None:
             absent = empty[:, cols]
-            faults.append(absent.any(axis=1) & ~absent.all(axis=1))
-            messages.append(f"partial {group} sample")
-    if has_truth:
-        faults.append(empty[:, len(FRAME_COLUMNS):].any(axis=1))
-        messages.append("incomplete truth row")
-    faulty = np.vstack(faults)
-    rows = np.flatnonzero(faulty.any(axis=0))
-    if rows.size == 0:
-        return None
-    row = int(rows[0])
-    message = messages[int(np.argmax(faulty[:, row]))]
-    if message is None:
-        message = f"time {float(t[row])} does not increase past {float(t[row - 1])}"
-    return row, message
+            if (absent.any(axis=1) != absent.all(axis=1)).any():
+                return True
+    return has_truth and bool(empty[:, len(FRAME_COLUMNS):].any())
 
 
 def _column(table: np.ndarray, empty: np.ndarray, cols: slice) -> list:
@@ -264,43 +199,90 @@ def _column(table: np.ndarray, empty: np.ndarray, cols: slice) -> list:
     return values
 
 
-def _read_block(fh, first: int, width: int, values_buf: array.array,
-                empty_buf: bytearray, linenos: list[int]) -> tuple[int, str | None]:
-    """Read up to ``_BLOCK_LINES`` lines of ``fh``, the first of them line
-    ``first``, and append their data lines to the table: the cells to
-    ``values_buf``, nan where empty, the empty-cell mask to ``empty_buf``
-    and the line numbers to ``linenos``.  Blank and comment lines hold no
+def _read_block(fh, width: int, values_buf: array.array, empty_buf: bytearray) -> int | None:
+    """Read up to ``_BLOCK_LINES`` lines of ``fh`` and append their data
+    lines to the table: the cells to ``values_buf``, nan where empty, and
+    the empty-cell mask to ``empty_buf``.  Blank and comment lines hold no
     data.
 
-    Returns the number of lines read and the message of the first
-    offending line, or None; that line and the rest of the block are not
-    appended.  The block's strings live only as long as this call.
+    Returns the number of lines read, or None, with nothing appended, if
+    the block holds a line this pass cannot take: a wrong cell count, a
+    cell ``float`` refuses (a whitespace-only cell among them) or a
+    non-finite value.  The block's strings live only as long as this call.
     """
     lines = list(map(str.strip, itertools.islice(fh, _BLOCK_LINES)))
     read = len(lines)
-    numbers: Sequence[int] = range(first, first + read)
     text = ",".join(lines)
     # A comment line puts a "#" in the text; a "#" elsewhere is a bad cell.
     if "" in lines or "#" in text:
-        kept = [(n, line) for n, line in zip(numbers, lines) if line and line[0] != "#"]
-        numbers = [n for n, _ in kept]
-        lines = [line for _, line in kept]
+        lines = [line for line in lines if line and line[0] != "#"]
         text = ",".join(lines)
+    if not lines:
+        return read
+    if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+        return None
     cells = text.split(",")
-    values = error = None
-    if set(map(str.count, lines, itertools.repeat(","))) == {width - 1}:
-        values = _present_values(cells)
-    if values is None:
-        cells, kept_lines, error = _regular_prefix(lines, numbers, width)
-        numbers = numbers[:kept_lines]
-        values = _present_values(cells)
+    try:
+        # A list, then one array: building an array straight from the
+        # map measured about 10% slower.
+        values = np.array(list(map(float, filter(None, cells))), dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
     empty = bytearray(map(operator.not_, cells))
     rows = np.full(len(cells), math.nan)
     rows[~np.frombuffer(empty, dtype=bool)] = values
     values_buf.frombytes(rows.tobytes())
     empty_buf += empty
-    linenos += numbers
-    return read, error
+    return read
+
+
+def _read_lines(fh, header: int, width: int, has_truth: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The table and empty-cell mask of the data lines of ``fh`` past its
+    header, line ``header``, read one line at a time with each cell
+    stripped, so a whitespace-only cell reads as empty.
+
+    Raises ``LogFormatError`` naming the first offending line and, within
+    it, the first of: wrong cell count, then each cell from left to right
+    (a cell that is not a number, a non-finite number), then the row
+    checks in :func:`_row_fault`'s order.
+    """
+    values_buf, empty_buf = array.array("d"), bytearray()
+    last_t = None
+    lines = map(str.strip, itertools.islice(fh, header, None))
+    for lineno, line in enumerate(lines, start=header + 1):
+        if not line or line[0] == "#":
+            continue
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) != width:
+            raise LogFormatError(f"line {lineno}: expected {width} cells, got {len(cells)}")
+        row = [math.nan] * width
+        for i, cell in enumerate(cells):
+            if cell:
+                try:
+                    row[i] = value = float(cell)
+                except ValueError:
+                    raise LogFormatError(f"line {lineno}: bad number {cell!r}") from None
+                if not math.isfinite(value):
+                    raise LogFormatError(f"line {lineno}: non-finite number {cell!r}")
+        empty = list(map(operator.not_, cells))
+        if empty[0]:
+            fault = "missing timestamp"
+        elif last_t is not None and row[0] <= last_t:
+            fault = f"time {row[0]} does not increase past {last_t}"
+        else:
+            fault = next((f"partial {group} sample" for _, cols, group in _FRAME_FIELDS
+                          if group is not None and any(empty[cols]) != all(empty[cols])), None)
+            if fault is None and has_truth and any(empty[len(FRAME_COLUMNS):]):
+                fault = "incomplete truth row"
+        if fault is not None:
+            raise LogFormatError(f"line {lineno}: {fault}")
+        last_t = row[0]
+        values_buf.extend(row)
+        empty_buf.extend(empty)
+    table = np.frombuffer(values_buf).reshape(-1, width)
+    return table, np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
 
 
 def read_log(path) -> LogData:
@@ -309,13 +291,14 @@ def read_log(path) -> LogData:
     The data lines are read in blocks of ``_BLOCK_LINES``.  Each block is
     joined and split into cells once, each line's cell count is checked,
     and its non-empty cells go through ``float`` in one pass into the
-    buffer the table is a view of.  Only a block that holds an irregular
-    line (a wrong cell count, a cell ``float`` refuses, a whitespace-only
-    cell, a non-finite value) is scanned line by line, with its cells
-    stripped: a whitespace-only cell then reads as empty, and the scan
-    stops at the first offending line.  The row checks then run on the
-    table of every line before it, so the line reported, and its
-    message, are those of a line-by-line reader.
+    buffer the table is a view of; the row checks then run on the whole
+    table as boolean array tests.  This pass only accepts: a log it
+    cannot take whole (a wrong cell count, a cell ``float`` refuses, a
+    whitespace-only cell, a non-finite value, or a row that fails a row
+    check) is read again from its header, one line at a time, by
+    :func:`_read_lines`, which reads a whitespace-only cell as empty and
+    names the first fault.  Such a log is read twice; a pipe, which
+    cannot be read again, is read into memory first.
 
     Raises
     ------
@@ -327,11 +310,10 @@ def read_log(path) -> LogData:
         line.
     """
     header: tuple[str, ...] | None = None
-    values_buf = array.array("d")
-    empty_buf = bytearray()
-    linenos: list[int] = []
-    cell_error = None
+    values_buf, empty_buf = array.array("d"), bytearray()
     with open(path) as fh:
+        # A pipe cannot be read again from its header, so its text is held.
+        fh = fh if fh.seekable() else io.StringIO(fh.read())
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line and not line.startswith("#"):
@@ -342,20 +324,13 @@ def read_log(path) -> LogData:
         if header not in (FRAME_COLUMNS, FRAME_COLUMNS + TRUTH_COLUMNS):
             raise LogFormatError(f"line {lineno}: unrecognized header")
         width, has_truth = len(header), header != FRAME_COLUMNS
-        while cell_error is None:
-            read, cell_error = _read_block(fh, lineno + 1, width, values_buf, empty_buf, linenos)
-            if not read:
-                break
-            lineno += read
-    table = np.frombuffer(values_buf).reshape(-1, width)
-    empty = np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
-    # Every row in the table comes before the line of a cell error.
-    fault = _row_fault(table, empty, has_truth)
-    if fault is not None:
-        row, message = fault
-        raise LogFormatError(f"line {linenos[row]}: {message}")
-    if cell_error is not None:
-        raise LogFormatError(cell_error)
+        while read := _read_block(fh, width, values_buf, empty_buf):
+            pass
+        table = np.frombuffer(values_buf).reshape(-1, width)
+        empty = np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
+        if read is None or _row_fault(table, empty, has_truth):
+            fh.seek(0)
+            table, empty = _read_lines(fh, lineno, width, has_truth)
     columns = [_column(table, empty, cols) for _, cols, _ in _FRAME_FIELDS]
     frames = list(map(SensorFrame, *columns))
     if not has_truth:

@@ -51,12 +51,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .attitude import _inertial_accels, inertial_accel
-from .errors import (DegenerateInputError, DomainError, LogFormatError, require_finite,
+from .errors import (DegenerateInputError, DomainError, LogFormatError, _shown, require_finite,
                      require_positive)
 from .frames import TWO_PI, _elevation, _horizontal
 from .lineangle import EncoderGeometry, EncoderReading, _guide_point, _mount
@@ -85,7 +86,10 @@ class SensorFrame:
     Attributes
     ----------
     t : float
-        Sample time in s.
+        Sample time in s, held as a Python float.  Any other value (an
+        int, a numpy scalar) is converted with ``float()`` when the frame
+        is built, and a value ``float()`` refuses raises ``DomainError``
+        naming ``t``.
     accel_k : tuple of 3 floats or None
         Specific force in the body frame, m/s^2.
     gyro_k : tuple of 3 floats or None
@@ -99,8 +103,9 @@ class SensorFrame:
         Barometric height in the ground frame, m.
     encoder : EncoderReading or None
         Line-angle encoder reading at the ground station, rad.  Any other
-        pair is made an :class:`EncoderReading` with its two items kept as
-        given (routing 3 computes a float32 reading in float32).
+        pair of real numbers is made an :class:`EncoderReading` with its
+        two items kept as given (routing 3 computes a float32 reading in
+        float32); anything else raises ``DomainError`` naming ``encoder``.
     wind_speed : float or None
         Reference wind speed, m/s.  Only used for result binning.
     """
@@ -116,8 +121,14 @@ class SensorFrame:
 
     def __post_init__(self) -> None:
         # Every frame of a record passes here, so the tests are spelled out
-        # per channel; a producer's channels are tuples of floats already
-        # and pass them unconverted.
+        # per channel; a producer's time is a float and its channels are
+        # tuples of floats already, and pass them unconverted.
+        v = self.t
+        if type(v) is not float:
+            try:
+                self.t = float(v)
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"t must be a real number, got {_shown(v)}") from None
         v = self.accel_k
         if v is not None and not (type(v) is tuple and len(v) == 3
                                   and type(v[0]) is type(v[1]) is type(v[2]) is float):
@@ -151,13 +162,16 @@ def _tuple_rows(array: np.ndarray):
 
 
 def _reading(value) -> EncoderReading:
-    """The pair ``value`` as an :class:`EncoderReading` of its two items as
-    given, or a ``DomainError``."""
+    """The pair ``value`` as an :class:`EncoderReading` of its two real
+    items as given, or a ``DomainError``."""
     try:
         pair = tuple(value)
     except TypeError:
         pair = ()
-    if len(pair) != 2:
+    # Every read_log row passes here: a pair of floats skips the
+    # isinstance tests.
+    if len(pair) != 2 or not (type(pair[0]) is type(pair[1]) is float
+                              or isinstance(pair[0], Real) and isinstance(pair[1], Real)):
         raise DomainError(f"encoder must hold 2 angles, got {value!r}")
     return tuple.__new__(EncoderReading, pair)
 
@@ -167,7 +181,7 @@ def _floats(name: str, value, width: int) -> tuple[float, ...]:
     per element, or a ``DomainError`` naming the field ``name``."""
     try:
         floats = tuple(map(float, value))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         floats = None
     if floats is None or len(floats) != width:
         raise DomainError(f"{name} must hold {width} real numbers, got {value!r}")

@@ -132,7 +132,10 @@ class TestSimulate:
              "gps_sigma_xy", "gps_latency", "baro_resolution", "attitude_rms_deg",
              "encoder_cpr")),
          "8eb3160cf7d8565d0d6d3690c400de139b76c5acf360b896887d9360afaa4860"),
-    ], ids=["figure-eight", "noiseless"])
+        # 1,200 rows, past the 512 ticks the synthesizer draws per block.
+        ("duration = 24.0\nseed = 11\n",
+         "7bf8263045abf57ae8d82c09c0ed8383d8ec78b4f6ff99fff6828771da1ca0f7"),
+    ], ids=["figure-eight", "noiseless", "several-blocks"])
     def test_full_eight_log_bytes_pinned(self, tmp_path, config, digest):
         cfg = write(tmp_path / "c.cfg", config)
         out = tmp_path / "pinned.csv"

@@ -4,8 +4,10 @@ import bisect
 import dataclasses
 import functools
 import math
+import os
 import random
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -873,6 +875,50 @@ class TestTableReaderMatchesLineByLine:
         message = outcome(read_log, path)
         assert message.startswith(f"line {row + 1}: time ")
         assert message == outcome(line_by_line_read_log, path)
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_clean_logs_stay_on_the_array_pass(self, tmp_path, monkeypatch, long_logs,
+                                               with_truth):
+        """What write_log writes, with meta comments above the header and
+        blank and comment lines among its data lines, is read without the
+        line-by-line pass, which would read every such log twice."""
+        block = evalio._BLOCK_LINES
+        lines = list(long_logs[with_truth])
+        assert lines[0].startswith("# ")
+        for at, inserted in ((2 + 3 * block + 9, ["# late"]), (2 + block - 1, ["", "   "]),
+                             (40, ["#", "# note", ""])):
+            lines[at:at] = inserted
+        path = tmp_path / "annotated.csv"
+        path.write_text("\n".join(lines) + "\n")
+        expected = outcome(line_by_line_read_log, path)
+        assert len(expected[0]) == 1000
+
+        def refused(*args):
+            raise AssertionError("a clean log was read line by line")
+
+        monkeypatch.setattr(evalio, "_read_lines", refused)
+        assert log_bits(read_log(path)) == expected
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_reads_as_its_file(self, tmp_path, long_logs):
+        """A log from a pipe, which cannot be read twice, reads as the
+        same file does, with a fault or with a whitespace-only cell."""
+        lines = list(long_logs[True])
+        row = 2 + 3 * evalio._BLOCK_LINES + 7
+        path, pipe = tmp_path / "log.csv", tmp_path / "pipe"
+        os.mkfifo(pipe)
+        for cell in (" ", "nan"):
+            cells = lines[row].split(",")
+            cells[FRAME_COLUMNS.index("wind")] = cell
+            text = "\n".join(lines[:row] + [",".join(cells)] + lines[row + 1:]) + "\n"
+            path.write_text(text)
+            writer = threading.Thread(target=pipe.write_text, args=(text,))
+            writer.start()
+            try:
+                got = outcome(read_log, pipe)
+            finally:
+                writer.join()
+            assert got == outcome(read_log, path) == outcome(line_by_line_read_log, path)
 
     @pytest.mark.parametrize("cell", [" ", "\t", " \t "])
     def test_whitespace_cell_in_late_block_reads_empty(self, tmp_path, long_logs, cell):

@@ -1038,50 +1038,52 @@ class TestFrameChannels:
 
     @staticmethod
     def float32_record():
-        """A 4 s record whose vector channels hold float32 values, as
-        tuples of the Python floats of those values."""
+        """A 4 s record whose times and vector channels hold float32
+        values, as Python floats and tuples of them."""
         frames, _ = synthesize(TrajectoryParams(duration=4.0, speed_scale=3.5),
                                NoiseSpec(seed=5))
-        return [dataclasses.replace(frame, **{
+        return [dataclasses.replace(frame, t=float(np.float32(frame.t)), **{
             name: tuple(np.array(getattr(frame, name), dtype=np.float32).tolist())
             for name in VECTOR_CHANNELS if getattr(frame, name) is not None})
             for frame in frames]
 
     @staticmethod
     def integer_record():
-        """The record with every vector channel rounded to integers, the
-        attitude to the signed unit axis nearest it, as float tuples."""
+        """The record with its times made the tick counts and every vector
+        channel rounded to integers, the attitude to the signed unit axis
+        nearest it, as floats and float tuples."""
         frames, _ = synthesize(TrajectoryParams(duration=4.0, speed_scale=3.5),
                                NoiseSpec(seed=5))
         record = []
-        for frame in frames:
+        for tick, frame in enumerate(frames):
             axis = int(np.argmax(np.abs(frame.quat)))
             quat = [0.0] * 4
             quat[axis] = math.copysign(1.0, frame.quat[axis])
             record.append(dataclasses.replace(
-                frame, accel_k=tuple(map(float, map(round, frame.accel_k))),
+                frame, t=float(tick), accel_k=tuple(map(float, map(round, frame.accel_k))),
                 gyro_k=tuple(map(float, map(round, frame.gyro_k))), quat=tuple(quat),
                 gps_xy=None if frame.gps_xy is None
                 else tuple(map(float, map(round, frame.gps_xy)))))
         return record
 
+    # The record, how its vector channels are given, and how its times.
     GIVEN_AS = {
-        "float32-array": ("float32", lambda v: np.array(v, dtype=np.float32)),
-        "float64-array": ("float32", np.array),
-        "list": ("float32", list),
-        "float32-scalars": ("float32", lambda v: tuple(map(np.float32, v))),
-        "int-tuple": ("integer", lambda v: tuple(map(int, v))),
-        "int64-array": ("integer", lambda v: np.array(v, dtype=np.int64)),
-        "int-list": ("integer", lambda v: list(map(int, v))),
+        "float32-array": ("float32", lambda v: np.array(v, dtype=np.float32), np.float32),
+        "float64-array": ("float32", np.array, np.float64),
+        "list": ("float32", list, float),
+        "float32-scalars": ("float32", lambda v: tuple(map(np.float32, v)), np.float32),
+        "int-tuple": ("integer", lambda v: tuple(map(int, v)), int),
+        "int64-array": ("integer", lambda v: np.array(v, dtype=np.int64), np.int64),
+        "int-list": ("integer", lambda v: list(map(int, v)), int),
     }
 
     @pytest.mark.parametrize("given_as", list(GIVEN_AS))
     @pytest.mark.parametrize("primed", [False, True])
     @pytest.mark.parametrize("approach", [1, 2, 3])
     def test_estimates_of_the_exact_values(self, approach, primed, given_as):
-        record_name, convert = self.GIVEN_AS[given_as]
+        record_name, convert, time = self.GIVEN_AS[given_as]
         exact = getattr(self, f"{record_name}_record")()
-        given = [SensorFrame(frame.t, **{
+        given = [SensorFrame(time(frame.t), **{
             name: None if getattr(frame, name) is None else convert(getattr(frame, name))
             for name in VECTOR_CHANNELS}, baro_z=frame.baro_z, encoder=frame.encoder,
             wind_speed=frame.wind_speed) for frame in exact]
@@ -1113,12 +1115,19 @@ class TestFrameChannels:
         ("gps_xy", np.zeros(3)),
         ("gps_xy", 3.0),
         ("gps_xy", (1.0, 2j)),
+        ("accel_k", (10 ** 400, 0.0, 9.8)),
     ], ids=["short-array", "long-list", "text", "short-tuple", "short-quat", "row-of-rows",
-            "long-gps", "scalar", "complex"])
+            "long-gps", "scalar", "complex", "huge-int"])
     def test_wrong_channel_refused_by_name(self, field, value):
         width = VECTOR_CHANNELS[field]
         with pytest.raises(DomainError, match=f"^{field} must hold {width} real numbers, got "):
             SensorFrame(t=0.0, **{field: value})
+
+    @pytest.mark.parametrize("value", [None, "noon", 2j, 10 ** 400],
+                             ids=["none", "text", "complex", "huge-int"])
+    def test_wrong_time_refused_by_name(self, value):
+        with pytest.raises(DomainError, match="^t must be a real number, got "):
+            SensorFrame(t=value)
 
     @pytest.mark.parametrize("value", [(0.4, 0.2), [0.4, 0.2], np.array([0.4, 0.2])],
                              ids=["tuple", "list", "array"])
@@ -1127,8 +1136,8 @@ class TestFrameChannels:
         assert type(frame.encoder) is EncoderReading
         assert frame.encoder == EncoderReading(0.4, 0.2)
 
-    @pytest.mark.parametrize("value", [(0.4,), (0.4, 0.2, 0.0), 0.4],
-                             ids=["short", "long", "scalar"])
+    @pytest.mark.parametrize("value", [(0.4,), (0.4, 0.2, 0.0), 0.4, ("a", "b"), (0.4, 2j)],
+                             ids=["short", "long", "scalar", "text", "complex"])
     def test_encoder_not_a_pair_refused_by_name(self, value):
         with pytest.raises(DomainError, match="^encoder must hold 2 angles, got "):
             SensorFrame(t=0.0, encoder=value)
