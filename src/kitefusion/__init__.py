@@ -40,7 +40,6 @@ from .frames import (
 )
 from .lineangle import (
     EncoderGeometry,
-    EncoderReading,
     angles_to_encoder,
     encoder_to_angles,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "spherical_to_cartesian",
     "wrap_angle",
     "EncoderGeometry",
-    "EncoderReading",
     "angles_to_encoder",
     "encoder_to_angles",
     "EstimateOutput",

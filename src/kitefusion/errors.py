@@ -9,13 +9,14 @@ to exit code 2 and the last one to exit code 3.  Bad numbers raise
 :func:`require_positive` for lengths, periods, ratios and counts.  Both
 count an integer beyond float range as not finite, and their messages
 show an integer of more than 30 digits by its digit count;
-:func:`require_finite` also names a field that holds no number, and
-stores the real fields of a config it passes as Python floats.
+:func:`require_finite` also names a field that holds no number, or no
+integer where the field is an ``int``, and stores the real fields of a
+config it passes as Python floats.
 """
 
 import math
 from dataclasses import fields, is_dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 
 class DomainError(ValueError):
@@ -61,11 +62,14 @@ def _digits(value: int) -> int:
 
 
 def _shown(value) -> str:
-    """``value`` as a message shows it: a tuple entry by entry, an integer
-    of more than ``_SHOWN_DIGITS`` digits by its digit count, and what is
-    not a number by its ``repr``."""
-    if isinstance(value, tuple):
-        return f"({', '.join(map(_shown, value))})"
+    """``value`` as a message shows it: a tuple or a list entry by entry,
+    an integer of more than ``_SHOWN_DIGITS`` digits by its digit count,
+    and what is not a number by its ``repr``."""
+    if isinstance(value, (tuple, list)):
+        entries = ", ".join(map(_shown, value))
+        if isinstance(value, list):
+            return f"[{entries}]"
+        return f"({entries},)" if len(value) == 1 else f"({entries})"
     if isinstance(value, int) and abs(value) >= 10 ** _SHOWN_DIGITS:
         return f"an integer of {_digits(value)} digits"
     return str(value) if isinstance(value, Real) else repr(value)
@@ -78,10 +82,12 @@ def require_finite(spec) -> None:
     or a tuple field that holds no tuple of numbers, is refused by name
     as well.
 
-    A field that passes is stored as a Python float if annotated
-    ``float``, and as a tuple of Python floats if a tuple, so a numpy
-    scalar given to a config reaches no result in its own precision;
-    ``int`` and ``bool`` fields keep what was given."""
+    A field annotated ``int`` must hold an integer (a ``bool`` is not
+    one) and is refused by name otherwise.  A field that passes is stored
+    as a Python float if annotated ``float``, and as a tuple of Python
+    floats if a tuple, so a numpy scalar given to a config reaches no
+    result in its own precision; ``int`` and ``bool`` fields keep what
+    was given."""
     for field in fields(spec):
         value = getattr(spec, field.name)
         if is_dataclass(value):
@@ -93,6 +99,8 @@ def require_finite(spec) -> None:
             raise DomainError(f"{field.name} must be {kind}, got {_shown(value)}")
         if not all(map(_finite, entries)):
             raise DomainError(f"{field.name} must be finite, got {_shown(value)}")
+        if field.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise DomainError(f"{field.name} must be an integer, got {_shown(value)}")
         if many:
             object.__setattr__(spec, field.name, tuple(map(float, value)))
         elif field.type == "float":

@@ -14,11 +14,11 @@ array tests.  That pass only accepts: a log it cannot take whole is
 read again line by line by :func:`_read_lines`, the one place that
 names a log fault (see :func:`read_log`).  Each channel is read out of
 the table once, for the rows that hold it, as Python floats: every frame
-takes a float or a tuple of floats per channel (and makes its encoder
-pair an ``EncoderReading``), and every truth point a row of one copy of
-each truth vector.  The writer gathers the same table from the frames, refuses a non-finite
-present cell before it opens the file, and formats the table row by
-row.
+takes a float or a tuple of floats per channel, its encoder pair
+included, as it holds them, and every truth point a row of one copy of
+each truth vector.  The writer gathers the same table from the frames,
+refuses a non-finite present cell before it opens the file, and formats
+the table row by row.
 
 The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing

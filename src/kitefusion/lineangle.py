@@ -11,6 +11,10 @@ takes the small geometry correction implemented here.
 With zero offsets (guide on the pivot axis, pivot on the reference origin)
 the encoders read the wing angles directly.
 
+A reading is the pair ``(theta_b, phi_b)`` of arm angles in rad, a tuple
+of two Python floats as :func:`angles_to_encoder` returns it and a
+frame's ``encoder`` channel holds it.
+
 The tether leaves the reference origin toward the guide, so the guide's
 position seen from the origin gives both :func:`encoder_to_angles` and,
 scaled to the tether length, routing 3's position fix.
@@ -19,10 +23,8 @@ scaled to the tether length, routing 3's position fix.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,21 +82,14 @@ class EncoderGeometry:
         return math.atan2(self.guide_rise, self.guide_reach)
 
 
-class EncoderReading(NamedTuple):
-    """Raw encoder angles in rad (integer multiples of the resolution when
-    produced by hardware or by :func:`angles_to_encoder`)."""
-
-    theta_b: float
-    phi_b: float
-
-
 def resolution(counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> float:
     """Angular size of one encoder count in rad, for a positive, finite count."""
     require_positive("counts_per_rev", counts_per_rev)
     return 2.0 * math.pi / counts_per_rev
 
 
-def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tuple[float, float]:
+def encoder_to_angles(reading: tuple[float, float],
+                      geometry: EncoderGeometry) -> tuple[float, float]:
     """Wing elevation and azimuth from raw encoder angles.
 
     Locates the line guide in space from the arm angles, shifts it by the
@@ -104,8 +99,8 @@ def encoder_to_angles(reading: EncoderReading, geometry: EncoderGeometry) -> tup
 
     Parameters
     ----------
-    reading : EncoderReading
-        Arm elevation and azimuth in rad (any pair of floats).
+    reading : pair of float
+        Arm elevation and azimuth ``(theta_b, phi_b)`` in rad.
     geometry : EncoderGeometry
         Mounting geometry of the mechanism.
 
@@ -154,8 +149,9 @@ def _guide_point(theta_b: float, phi_b: float, mount) -> tuple[float, float, flo
 
 
 def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
-                      counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> EncoderReading:
-    """Arm angles that the mechanism shows for wing angles (theta, phi).
+                      counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> tuple[float, float]:
+    """Arm angles ``(theta_b, phi_b)`` in rad, as Python floats, that the
+    mechanism shows for wing angles (theta, phi).
 
     Inverts :func:`encoder_to_angles` in closed form.  The line guide
     lies on a sphere of radius ``hypot(guide_rise, guide_reach)`` about
@@ -188,7 +184,7 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
 
 
 def _angles_to_encoders(theta, phi, geometry: EncoderGeometry,
-                        counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> list[EncoderReading]:
+                        counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> list[tuple[float, float]]:
     """:func:`angles_to_encoder` of each pair ``(theta[k], phi[k])`` of two
     float arrays, in one array pass.
 
@@ -229,5 +225,4 @@ def _angles_to_encoders(theta, phi, geometry: EncoderGeometry,
         # into round()'s 0.
         theta_b = (np.rint(theta_b / step) + 0.0) * step
         phi_b = (np.rint(phi_b / step) + 0.0) * step
-    return list(map(tuple.__new__, itertools.repeat(EncoderReading),
-                    zip(theta_b.tolist(), phi_b.tolist())))
+    return list(zip(theta_b.tolist(), phi_b.tolist()))

@@ -18,8 +18,8 @@ Three measurement routings feed the same constant-gain position filter:
    whole steps and the wing flies closed paths, so a reading comes back
    loop after loop: each pipeline holds the fix of every reading it has
    inverted, keyed by the pair of floats, and looks it up on the next
-   visit.  Only fixes are held, of readings made of two nonzero Python
-   floats, since equal keys must give equal bits, and at most
+   visit.  Only fixes are held, of readings of two nonzero angles, since
+   -0.0 and 0.0 are one key but can give two fixes, and at most
    ``_FIXES_HELD`` of them; every other reading, a vertical or a raising
    one included, is inverted each time it comes.
 
@@ -50,8 +50,6 @@ import array
 import itertools
 import math
 from dataclasses import dataclass, field
-
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +58,7 @@ from .attitude import _inertial_accels, inertial_accel
 from .errors import (DegenerateInputError, DomainError, LogFormatError, _shown, require_finite,
                      require_positive)
 from .frames import TWO_PI, _elevation, _horizontal
-from .lineangle import EncoderGeometry, EncoderReading, _guide_point, _mount
+from .lineangle import EncoderGeometry, _guide_point, _mount
 from .estimator import axis_gain
 
 
@@ -72,24 +70,22 @@ class SensorFrame:
     sensors run slower than the base rate and entire channels disappear
     when a sensor is not fitted.
 
-    Each vector channel (``accel_k``, ``gyro_k``, ``quat``, ``gps_xy``) is
-    held as a tuple of Python floats of its length.  A tuple of Python
-    floats of that length is kept as given; any other sequence (an
-    ndarray of any dtype, a list, a tuple holding ints or numpy scalars)
-    is converted once, when the frame is built, with ``float()`` per
-    element, as ``ndarray.tolist()`` converts a float array, so a float32
-    or integer channel gives the estimates of the same values as float64.
-    A channel of the wrong length, or with an element ``float()`` refuses,
-    raises ``DomainError`` naming the field.  Assigning a channel after
-    the frame is built is not checked.
+    Each vector channel (``accel_k``, ``gyro_k``, ``quat``, ``gps_xy``,
+    ``encoder``) is held as a tuple of Python floats of its length, and
+    each scalar channel (``t``, ``baro_z``, ``wind_speed``) as a Python
+    float.  A channel of that form is kept as given; any other value (an
+    ndarray of any dtype, a list, a tuple holding ints or numpy scalars,
+    an int or a numpy scalar) is converted once, when the frame is built,
+    with ``float()`` per element, as ``ndarray.tolist()`` converts a float
+    array, so a float32 or integer channel gives the estimates of the same
+    values as float64.  A vector channel of the wrong length, or a value
+    ``float()`` refuses, raises ``DomainError`` naming the field.
+    Assigning a channel after the frame is built is not checked.
 
     Attributes
     ----------
     t : float
-        Sample time in s, held as a Python float.  Any other value (an
-        int, a numpy scalar) is converted with ``float()`` when the frame
-        is built, and a value ``float()`` refuses raises ``DomainError``
-        naming ``t``.
+        Sample time in s.
     accel_k : tuple of 3 floats or None
         Specific force in the body frame, m/s^2.
     gyro_k : tuple of 3 floats or None
@@ -101,11 +97,9 @@ class SensorFrame:
         Horizontal position fix in the ground frame, m.
     baro_z : float or None
         Barometric height in the ground frame, m.
-    encoder : EncoderReading or None
-        Line-angle encoder reading at the ground station, rad.  Any other
-        pair of real numbers is made an :class:`EncoderReading` with its
-        two items kept as given (routing 3 computes a float32 reading in
-        float32); anything else raises ``DomainError`` naming ``encoder``.
+    encoder : tuple of 2 floats or None
+        Line-angle encoder reading ``(theta_b, phi_b)`` at the ground
+        station, rad.
     wind_speed : float or None
         Reference wind speed, m/s.  Only used for result binning.
     """
@@ -116,19 +110,16 @@ class SensorFrame:
     quat: tuple[float, float, float, float] | None = None
     gps_xy: tuple[float, float] | None = None
     baro_z: float | None = None
-    encoder: EncoderReading | None = None
+    encoder: tuple[float, float] | None = None
     wind_speed: float | None = None
 
     def __post_init__(self) -> None:
         # Every frame of a record passes here, so the tests are spelled out
-        # per channel; a producer's time is a float and its channels are
-        # tuples of floats already, and pass them unconverted.
+        # per channel; a producer's channels are floats and tuples of
+        # floats already, and pass them unconverted.
         v = self.t
         if type(v) is not float:
-            try:
-                self.t = float(v)
-            except (TypeError, ValueError, OverflowError):
-                raise DomainError(f"t must be a real number, got {_shown(v)}") from None
+            self.t = _float("t", v)
         v = self.accel_k
         if v is not None and not (type(v) is tuple and len(v) == 3
                                   and type(v[0]) is type(v[1]) is type(v[2]) is float):
@@ -146,9 +137,16 @@ class SensorFrame:
         if v is not None and not (type(v) is tuple and len(v) == 2
                                   and type(v[0]) is type(v[1]) is float):
             self.gps_xy = _floats("gps_xy", v, 2)
+        v = self.baro_z
+        if v is not None and type(v) is not float:
+            self.baro_z = _float("baro_z", v)
         v = self.encoder
-        if v is not None and type(v) is not EncoderReading:
-            self.encoder = _reading(v)
+        if v is not None and not (type(v) is tuple and len(v) == 2
+                                  and type(v[0]) is type(v[1]) is float):
+            self.encoder = _floats("encoder", v, 2)
+        v = self.wind_speed
+        if v is not None and type(v) is not float:
+            self.wind_speed = _float("wind_speed", v)
 
 
 def _tuple_rows(array: np.ndarray):
@@ -161,19 +159,12 @@ def _tuple_rows(array: np.ndarray):
     return zip(*[iter(array.ravel().tolist())] * array.shape[1])
 
 
-def _reading(value) -> EncoderReading:
-    """The pair ``value`` as an :class:`EncoderReading` of its two real
-    items as given, or a ``DomainError``."""
+def _float(name: str, value) -> float:
+    """``float(value)``, or a ``DomainError`` naming the field ``name``."""
     try:
-        pair = tuple(value)
-    except TypeError:
-        pair = ()
-    # Every read_log row passes here: a pair of floats skips the
-    # isinstance tests.
-    if len(pair) != 2 or not (type(pair[0]) is type(pair[1]) is float
-                              or isinstance(pair[0], Real) and isinstance(pair[1], Real)):
-        raise DomainError(f"encoder must hold 2 angles, got {value!r}")
-    return tuple.__new__(EncoderReading, pair)
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number, got {_shown(value)}") from None
 
 
 def _floats(name: str, value, width: int) -> tuple[float, ...]:
@@ -184,7 +175,7 @@ def _floats(name: str, value, width: int) -> tuple[float, ...]:
     except (TypeError, ValueError, OverflowError):
         floats = None
     if floats is None or len(floats) != width:
-        raise DomainError(f"{name} must hold {width} real numbers, got {value!r}")
+        raise DomainError(f"{name} must hold {width} real numbers, got {_shown(value)}")
     return floats
 
 
@@ -429,11 +420,10 @@ class EstimationPipeline:
             reading = frame.encoder
             if reading is not None:
                 theta_b, phi_b = reading
-                # Keyed only by nonzero Python floats: -0.0 and 0.0 are
-                # one key but can give two fixes, and a float32 or a
-                # complex reading equal to a float one computes otherwise.
+                # Keyed only by nonzero angles: -0.0 and 0.0 are one key
+                # but can give two fixes.
                 key = None
-                if type(theta_b) is float and type(phi_b) is float and theta_b and phi_b:
+                if theta_b and phi_b:
                     key = theta_b, phi_b
                     measured = self._fixes.get(key)
                 if measured is None:
@@ -551,7 +541,6 @@ class EstimationPipeline:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DomainError(f"XY fix {(x, y)} at t={frame.t} is not finite")
         if height is not None:
-            height = float(height)
             if not math.isfinite(height):
                 raise DomainError(f"height {height} at t={frame.t} is not finite")
             self._held_z = height

@@ -32,7 +32,6 @@ from kitefusion.frames import wrap_angle
 from kitefusion.lineangle import (
     DEFAULT_COUNTS_PER_REV,
     EncoderGeometry,
-    EncoderReading,
     resolution,
 )
 
@@ -113,14 +112,14 @@ def luenberger_step(obs_state, gamma_meas: float,
 
 
 def quantize(theta_b: float, phi_b: float,
-             counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> EncoderReading:
+             counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> tuple[float, float]:
     """Round arm angles to the nearest encoder count."""
     step = resolution(counts_per_rev)
-    return EncoderReading(round(theta_b / step) * step, round(phi_b / step) * step)
+    return round(theta_b / step) * step, round(phi_b / step) * step
 
 
 def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
-                      counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> EncoderReading:
+                      counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> tuple[float, float]:
     """Arm angles that the mechanism shows for wing angles (theta, phi):
     the far crossing of the ray of (theta, phi) from the reference origin
     with the guide sphere about the pivot, rounded to the encoder grid
@@ -145,7 +144,7 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
     theta_b = math.atan2(up, math.hypot(fwd, side)) + g.guide_angle
     phi_b = math.atan2(side, fwd)
     if counts_per_rev == 0:
-        return EncoderReading(theta_b, phi_b)
+        return theta_b, phi_b
     return quantize(theta_b, phi_b, counts_per_rev)
 
 

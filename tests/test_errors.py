@@ -149,8 +149,10 @@ def test_rule_message_beyond_float_range():
     (True, "True"),
     (1.5e300, "1.5e+300"),
     ((), "()"),
+    ((0.4,), "(0.4,)"),
+    ([BEYOND_STR, "a"], "[an integer of 5001 digits, 'a']"),
 ], ids=["30-digits", "minus-30-digits", "31-digits", "minus-31-digits", "2**1000",
-        "400-nines", "bool", "float", "empty-tuple"])
+        "400-nines", "bool", "float", "empty-tuple", "one-tuple", "list"])
 def test_shown_by_digit_count_past_30_digits(value, shown):
     assert errors._shown(value) == shown
 
@@ -176,6 +178,30 @@ def test_field_not_a_number_rejected_by_name(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NoiseSpec(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: NoiseSpec(seed=np.float64(3.0)), "seed must be an integer, got 3.0"),
+    (lambda: NoiseSpec(encoder_cpr=2.5), "encoder_cpr must be an integer, got 2.5"),
+    (lambda: NoiseSpec(encoder_cpr=False), "encoder_cpr must be an integer, got False"),
+    (lambda: EstimatorConfig(approach=True), "approach must be an integer, got True"),
+    (lambda: EstimatorConfig(approach=2.0), "approach must be an integer, got 2.0"),
+], ids=["fractional-seed", "float-seed", "fractional-count", "bool-count", "bool-approach",
+        "float-approach"])
+def test_integer_field_refuses_non_integers(call, message):
+    """An ``int`` field refuses a float, however whole, and a ``bool`` by
+    name, rather than failing in numpy, rounding readings to a fractional
+    count, or running ``True`` as routing 1."""
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.int32(2)], ids=["int", "int64", "int32"])
+def test_integer_field_keeps_any_integer(value):
+    assert NoiseSpec(seed=value).seed is value
+    assert EstimatorConfig(approach=value).approach is value
 
 
 @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(2), 2, True],

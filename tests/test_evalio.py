@@ -33,7 +33,6 @@ from kitefusion.evalio import (
     write_log,
 )
 from kitefusion.frames import wrap_angle
-from kitefusion.lineangle import EncoderReading
 from kitefusion.pipelines import EstimationPipeline, EstimatorConfig, SensorFrame
 from kitefusion.simkite import NoiseSpec, TrajectoryParams, synthesize
 
@@ -238,7 +237,7 @@ class TestWriteFiniteRule:
         # A frame refuses a channel of the wrong length when it is built;
         # one assigned afterwards reaches the writer.
         assigned(SensorFrame(t=0.0), accel_k=np.array([1.0, 2.0])),
-        SensorFrame(t=0.0, baro_z="twelve"),
+        assigned(SensorFrame(t=0.0), baro_z="twelve"),
     ])
     def test_malformed_channel_rejected(self, tmp_path, frame):
         path = tmp_path / "bad.csv"
@@ -464,7 +463,7 @@ class TestPrimedRoutings:
     @pytest.mark.parametrize("field, value, tick", [
         ("quat", np.array([1.0, 0.1, 0.0, 0.0]), 57),
         ("quat", np.array([math.nan, 0.0, 0.0, 0.0]), 300),
-        ("encoder", EncoderReading(math.inf, 0.1), 80),
+        ("encoder", (math.inf, 0.1), 80),
         ("t", 0.5, 30),
         ("accel_k", [0.0, 0.0, 9.8], 10),
         ("accel_k", np.zeros(4), 12),
@@ -692,7 +691,7 @@ def line_by_line_read_log(path) -> LogData:
                 quat=None if quat is None else np.array(quat),
                 gps_xy=None if gps is None else np.array(gps),
                 baro_z=baro,
-                encoder=None if enc is None else EncoderReading(*enc),
+                encoder=None if enc is None else tuple(enc),
                 wind_speed=wind,
             ))
             if has_truth:
@@ -708,11 +707,9 @@ def line_by_line_read_log(path) -> LogData:
 
 def _bits(value):
     """A value as its exact bits and type: a Python float, a tuple of
-    them, a float64 array, an encoder reading, or None."""
+    them, a float64 array, or None."""
     if value is None:
         return None
-    if isinstance(value, EncoderReading):
-        return ("encoder", _bits(value.theta_b), _bits(value.phi_b))
     if type(value) is tuple:
         return ("tuple", *map(_bits, value))
     if isinstance(value, np.ndarray):
@@ -961,7 +958,7 @@ def recorded_logs(draw):
     frames = [SensorFrame(
         t=t, accel_k=draw(vectors(3)), gyro_k=draw(vectors(3)), quat=draw(vectors(4)),
         gps_xy=draw(vectors(2)), baro_z=draw(st.none() | finite),
-        encoder=draw(st.none() | st.builds(EncoderReading, finite, finite)),
+        encoder=draw(st.none() | st.tuples(finite, finite)),
         wind_speed=draw(st.none() | finite)) for t in times]
     truth = None
     if draw(st.booleans()):

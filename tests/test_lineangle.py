@@ -11,7 +11,6 @@ from kitefusion import frames, lineangle
 from kitefusion.errors import DegenerateInputError, DomainError
 from kitefusion.lineangle import (
     EncoderGeometry,
-    EncoderReading,
     angles_to_encoder,
     encoder_to_angles,
     resolution,
@@ -28,21 +27,22 @@ BENCH = EncoderGeometry(guide_rise=0.1, guide_reach=0.3,
 
 class TestEncoderToAngles:
     def test_passthrough_geometry(self):
-        theta, phi = encoder_to_angles(EncoderReading(0.5, 0.3), PASSTHROUGH)
+        theta, phi = encoder_to_angles((0.5, 0.3), PASSTHROUGH)
         assert theta == pytest.approx(0.5, abs=1e-12)
         assert phi == pytest.approx(0.3, abs=1e-12)
-        # A plain pair reads as an EncoderReading, as EstimationPipeline.step reads it.
-        assert encoder_to_angles((0.5, 0.3), PASSTHROUGH) == (theta, phi)
+        # Any pair reads as the tuple of its floats.
+        assert encoder_to_angles([0.5, 0.3], PASSTHROUGH) == (theta, phi)
+        assert encoder_to_angles(np.array([0.5, 0.3]), PASSTHROUGH) == (theta, phi)
 
     def test_bench_reference_point(self):
         # Reference values computed independently with 50-digit arithmetic
         # (mpmath) for theta_b=0.5, phi_b=0 on the BENCH geometry.
-        theta, phi = encoder_to_angles(EncoderReading(0.5, 0.0), BENCH)
+        theta, phi = encoder_to_angles((0.5, 0.0), BENCH)
         assert theta == pytest.approx(0.38571792893616741, abs=1e-12)
         assert phi == 0.0
 
     def test_elevation_monotone_in_arm_angle(self):
-        thetas = [encoder_to_angles(EncoderReading(tb, 0.2), BENCH)[0]
+        thetas = [encoder_to_angles((tb, 0.2), BENCH)[0]
                   for tb in np.linspace(0.1, 1.2, 40)]
         assert np.all(np.diff(thetas) > 0)
 
@@ -50,7 +50,7 @@ class TestEncoderToAngles:
         geo = EncoderGeometry(guide_rise=0.0, guide_reach=0.1,
                               pivot_height=0.0, pivot_setback=0.1)
         with pytest.raises(DegenerateInputError):
-            encoder_to_angles(EncoderReading(0.0, 0.0), geo)
+            encoder_to_angles((0.0, 0.0), geo)
 
     @pytest.mark.parametrize("reading", [(math.nan, 0.2), (0.5, math.nan),
                                          (math.inf, 0.1), (0.3, -math.inf)],
@@ -59,7 +59,6 @@ class TestEncoderToAngles:
     def test_non_finite_reading(self, reading):
         """Refused by name, as ``EstimationPipeline.step`` refuses it,
         rather than returning NaN or raising math's bare ValueError."""
-        reading = EncoderReading(*reading)
         with pytest.raises(DomainError) as raised:
             encoder_to_angles(reading, BENCH)
         assert str(raised.value) == f"encoder reading {reading} is not finite"
@@ -100,10 +99,9 @@ class TestQuantize:
         step = resolution(400)
         exact = angles_to_encoder(0.5, -1.234, BENCH, counts_per_rev=0)
         reading = angles_to_encoder(0.5, -1.234, BENCH, 400)
-        assert reading.theta_b / step == pytest.approx(round(reading.theta_b / step))
-        assert reading.phi_b / step == pytest.approx(round(reading.phi_b / step))
-        assert abs(reading.theta_b - exact.theta_b) <= step / 2
-        assert abs(reading.phi_b - exact.phi_b) <= step / 2
+        for angle, unrounded in zip(reading, exact):
+            assert angle / step == pytest.approx(round(angle / step))
+            assert abs(angle - unrounded) <= step / 2
 
     def test_resolution_value(self):
         assert resolution(400) == pytest.approx(2 * math.pi / 400)
@@ -113,14 +111,14 @@ class TestQuantize:
 
 class TestAnglesToEncoder:
     def test_passthrough_unquantized(self):
-        reading = angles_to_encoder(0.5, 0.3, PASSTHROUGH, counts_per_rev=0)
-        assert reading.theta_b == pytest.approx(0.5, abs=1e-9)
-        assert reading.phi_b == pytest.approx(0.3, abs=1e-9)
+        theta_b, phi_b = angles_to_encoder(0.5, 0.3, PASSTHROUGH, counts_per_rev=0)
+        assert theta_b == pytest.approx(0.5, abs=1e-9)
+        assert phi_b == pytest.approx(0.3, abs=1e-9)
 
     def test_bench_inverse_unquantized(self):
-        reading = angles_to_encoder(0.38571792893616741, 0.0, BENCH, counts_per_rev=0)
-        assert reading.theta_b == pytest.approx(0.5, abs=1e-9)
-        assert reading.phi_b == pytest.approx(0.0, abs=1e-9)
+        theta_b, phi_b = angles_to_encoder(0.38571792893616741, 0.0, BENCH, counts_per_rev=0)
+        assert theta_b == pytest.approx(0.5, abs=1e-9)
+        assert phi_b == pytest.approx(0.0, abs=1e-9)
 
     def test_round_trip_within_one_count(self):
         rng = np.random.default_rng(43)
@@ -167,9 +165,9 @@ class TestAnglesToEncoder:
         # settles on when started from the wing angles.
         geo = EncoderGeometry(guide_rise=0.0, guide_reach=0.1,
                               pivot_height=0.0, pivot_setback=0.15)
-        reading = angles_to_encoder(0.3, 3.0, geo, counts_per_rev=0)
-        assert reading.theta_b == pytest.approx(0.744105430, abs=1e-9)
-        assert reading.phi_b == pytest.approx(2.708146019, abs=1e-9)
+        theta_b, phi_b = angles_to_encoder(0.3, 3.0, geo, counts_per_rev=0)
+        assert theta_b == pytest.approx(0.744105430, abs=1e-9)
+        assert phi_b == pytest.approx(2.708146019, abs=1e-9)
         # Pointing away from the sphere: both crossings lie behind the origin.
         with pytest.raises(DomainError):
             angles_to_encoder(0.5, 0.2, geo)
@@ -199,7 +197,7 @@ class TestAnglesToEncoder:
         in ``filter_reference``."""
         for theta, phi in [(0.5, 0.3), (0.9, -2.0), (0.2, -0.0), (1.1, 0.001)]:
             reading = angles_to_encoder(theta, phi, BENCH, counts_per_rev)
-            assert type(reading) is EncoderReading
+            assert type(reading) is tuple
             assert all(type(value) is float for value in reading)
             assert _bits(reading) == _bits(reference_encoder(theta, phi, BENCH,
                                                              counts_per_rev))
@@ -249,7 +247,7 @@ class TestStackedAnglesToEncoder:
         got = lineangle._angles_to_encoders(theta, phi, geometry, counts_per_rev)
         want = [reference_encoder(th, ph, geometry, counts_per_rev)
                 for th, ph in zip(theta.tolist(), phi.tolist())]
-        assert all(type(reading) is EncoderReading for reading in got)
+        assert all(type(reading) is tuple for reading in got)
         assert _bits(got) == _bits(want)
 
     def test_empty_record(self):

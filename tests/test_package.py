@@ -1,7 +1,7 @@
 """The package's public names."""
 
 import kitefusion
-from kitefusion import attitude, estimator, evalio, frames, pipelines, simkite
+from kitefusion import attitude, estimator, evalio, frames, lineangle, pipelines, simkite
 from kitefusion.pipelines import EstimationPipeline, EstimatorConfig
 
 
@@ -12,10 +12,11 @@ def test_every_export_resolves():
 
 
 def test_removed_names_are_gone():
-    """One per-axis gain path, and no public function that nothing in the
-    package calls."""
+    """One per-axis gain path, no public function that nothing in the
+    package calls, and an encoder reading that is a plain pair."""
     gone = {estimator: ("steady_state_gain", "KfTuning", "KalmanGain"), simkite: ("truth_at",),
-            attitude: ("quat_to_rot",), frames: ("velocity_angle",), evalio: ("rmse",)}
+            attitude: ("quat_to_rot",), frames: ("velocity_angle",), evalio: ("rmse",),
+            lineangle: ("EncoderReading",)}
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
