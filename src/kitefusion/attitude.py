@@ -42,6 +42,14 @@ def _check_units(q: np.ndarray) -> None:
         raise _norm_error(norms[bad][0])
 
 
+def _rotation_entries(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The body-to-NED rotations of the (n, 4) stack ``q`` as nine columns, row by row."""
+    q1, q2, q3, q4 = q.T
+    return (2.0 * (q1 * q1 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q1 * q4), 2.0 * (q2 * q4 + q1 * q3),
+            2.0 * (q2 * q3 + q1 * q4), 2.0 * (q1 * q1 + q3 * q3) - 1.0, 2.0 * (q3 * q4 - q1 * q2),
+            2.0 * (q2 * q4 - q1 * q3), 2.0 * (q3 * q4 + q1 * q2), 2.0 * (q1 * q1 + q4 * q4) - 1.0)
+
+
 def quats_to_rots(q: np.ndarray) -> np.ndarray:
     """Rotation matrices from body to NED coordinates, shape (n, 3, 3), of
     unit quaternions (scalar first) stacked as shape (n, 4); the columns
@@ -49,12 +57,7 @@ def quats_to_rots(q: np.ndarray) -> np.ndarray:
     from 1 by more than 1e-6 or is nan."""
     q = np.asarray(q, dtype=float)
     _check_units(q)
-    q1, q2, q3, q4 = q.T
-    return np.stack([
-        2.0 * (q1 * q1 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q1 * q4), 2.0 * (q2 * q4 + q1 * q3),
-        2.0 * (q2 * q3 + q1 * q4), 2.0 * (q1 * q1 + q3 * q3) - 1.0, 2.0 * (q3 * q4 - q1 * q2),
-        2.0 * (q2 * q4 - q1 * q3), 2.0 * (q3 * q4 + q1 * q2), 2.0 * (q1 * q1 + q4 * q4) - 1.0,
-    ], axis=-1).reshape(-1, 3, 3)
+    return np.stack(_rotation_entries(q), axis=-1).reshape(-1, 3, 3)
 
 
 def rot_to_quat(R: np.ndarray) -> np.ndarray:
@@ -159,21 +162,14 @@ def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, fl
 def _inertial_accels(a_k: np.ndarray, q: np.ndarray, cos_g: float, sin_g: float):
     """:func:`inertial_accel` of every row of the float stacks ``a_k``,
     shape (n, 3), and ``q``, shape (n, 4), bit for bit, as three columns
-    ``(x, y, z)`` of n floats each.
-
-    The expression and its order of operations are :func:`inertial_accel`'s,
-    on columns; numpy's sums, products and square roots round like
-    Python floats.  The norm check is :func:`_check_units`, so a
-    ``DomainError`` carries the message :func:`inertial_accel` raises at
-    the first bad row.
-    """
+    ``(x, y, z)`` of n floats each: its terms in its order, on columns,
+    which numpy rounds like Python floats.  The norm check is
+    :func:`_check_units`, so a ``DomainError`` carries the message
+    :func:`inertial_accel` raises at the first bad row."""
     _check_units(q)
     ax, ay, az = a_k.T
-    q1, q2, q3, q4 = q.T
-    north = ((2.0 * (q1 * q1 + q2 * q2) - 1.0) * ax + 2.0 * (q2 * q3 - q1 * q4) * ay
-             + 2.0 * (q2 * q4 + q1 * q3) * az)
-    east = (2.0 * (q2 * q3 + q1 * q4) * ax + (2.0 * (q1 * q1 + q3 * q3) - 1.0) * ay
-            + 2.0 * (q3 * q4 - q1 * q2) * az)
-    down = (2.0 * (q2 * q4 - q1 * q3) * ax + 2.0 * (q3 * q4 + q1 * q2) * ay
-            + (2.0 * (q1 * q1 + q4 * q4) - 1.0) * az)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = _rotation_entries(q)
+    north = r00 * ax + r01 * ay + r02 * az
+    east = r10 * ax + r11 * ay + r12 * az
+    down = r20 * ax + r21 * ay + r22 * az
     return cos_g * north + sin_g * east, sin_g * north - cos_g * east, GRAVITY - down

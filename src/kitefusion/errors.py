@@ -9,14 +9,18 @@ to exit code 2 and the last one to exit code 3.  Bad numbers raise
 :func:`require_positive` for lengths, periods, ratios and counts.  Both
 count an integer beyond float range as not finite, and their messages
 show an integer of more than 30 digits by its digit count;
-:func:`require_finite` also names a field that holds no number, or no
-integer where the field is an ``int``, and stores the real fields of a
-config it passes as Python floats.
+:func:`require_finite` also names a field that holds no value of its
+annotated kind, and stores the real fields of a config it passes as
+Python floats.
 """
 
+import functools
 import math
 from dataclasses import fields, is_dataclass
 from numbers import Integral, Real
+from typing import get_origin, get_type_hints
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -75,35 +79,42 @@ def _shown(value) -> str:
     return str(value) if isinstance(value, Real) else repr(value)
 
 
+_field_types = functools.cache(get_type_hints)  # resolved once per dataclass
+
+
 def require_finite(spec) -> None:
     """Reject a dataclass instance with a nan, infinite or out-of-range
-    field, by name; tuple fields entry by entry, nested dataclasses not
-    at all.  A field that holds no number (a string, a list, an array),
-    or a tuple field that holds no tuple of numbers, is refused by name
-    as well.
+    field, by name; tuple fields entry by entry.  A field that holds no
+    number (a string, a list, an array), or a tuple field that holds no
+    tuple of numbers, is refused by name as well, and so is an ``int``
+    field without an integer (a ``bool`` is not one), a ``bool`` field
+    without a Python or numpy bool, and a field annotated with a
+    dataclass without an instance of it, which is not checked further.
 
-    A field annotated ``int`` must hold an integer (a ``bool`` is not
-    one) and is refused by name otherwise.  A field that passes is stored
-    as a Python float if annotated ``float``, and as a tuple of Python
-    floats if a tuple, so a numpy scalar given to a config reaches no
-    result in its own precision; ``int`` and ``bool`` fields keep what
-    was given."""
+    A field that passes is stored as a Python float if annotated
+    ``float``, and as a tuple of Python floats if a tuple, so a numpy
+    scalar given to a config reaches no result in its own precision;
+    ``int`` and ``bool`` fields keep what was given."""
+    types = _field_types(type(spec))
     for field in fields(spec):
-        value = getattr(spec, field.name)
-        if is_dataclass(value):
+        value, kind = getattr(spec, field.name), types[field.name]
+        if kind is bool or is_dataclass(kind):
+            if not isinstance(value, (bool, np.bool_) if kind is bool else kind):
+                raise DomainError(
+                    f"{field.name} must be of type {kind.__name__}, got {_shown(value)}")
             continue
-        many = str(field.type).startswith("tuple")
+        many = get_origin(kind) is tuple
         entries = value if many and isinstance(value, tuple) else (value,)
         if not all(isinstance(entry, Real) for entry in entries):
-            kind = "a tuple of finite numbers" if many else "a finite number"
-            raise DomainError(f"{field.name} must be {kind}, got {_shown(value)}")
+            what = "a tuple of finite numbers" if many else "a finite number"
+            raise DomainError(f"{field.name} must be {what}, got {_shown(value)}")
         if not all(map(_finite, entries)):
             raise DomainError(f"{field.name} must be finite, got {_shown(value)}")
-        if field.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+        if kind is int and (isinstance(value, bool) or not isinstance(value, Integral)):
             raise DomainError(f"{field.name} must be an integer, got {_shown(value)}")
         if many:
             object.__setattr__(spec, field.name, tuple(map(float, value)))
-        elif field.type == "float":
+        elif kind is float:
             object.__setattr__(spec, field.name, float(value))
 
 

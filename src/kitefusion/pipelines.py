@@ -16,16 +16,13 @@ Three measurement routings feed the same constant-gain position filter:
    tether length, with the errors of
    :func:`~kitefusion.lineangle.encoder_to_angles`.  Encoders count in
    whole steps and the wing flies closed paths, so a reading comes back
-   loop after loop: each pipeline holds the fix of every reading it has
-   inverted, keyed by the pair of floats, and looks it up on the next
-   visit.  Only fixes are held, of readings of two nonzero angles, since
-   -0.0 and 0.0 are one key but can give two fixes, and at most
-   ``_FIXES_HELD`` of them; every other reading, a vertical or a raising
-   one included, is inverted each time it comes.
+   loop after loop, and each pipeline holds the fixes it has computed
+   (up to ``_FIXES_HELD``) to look them up on the next visit.
 
 Each routing only decides which measurement reaches which axis: a tick
 yields one value, the measured position per axis (``None`` on an axis it
-does not measure), and the filter corrects every measured axis with it.
+does not measure), and the filter corrects every measured axis with it;
+:attr:`EstimationPipeline.last_measurement` holds that value.
 
 All three integrate the body accelerometer (rotated into the ground
 frame, gravity removed) between position fixes when an attitude estimate
@@ -35,13 +32,10 @@ observer whose internal angle is kept unwrapped so figure-eight passes
 through +-pi do not glitch.
 
 One acceleration per record: the inertial acceleration depends only on
-the frame and the heading, so a caller that replays one record through
-several routings computes it once.  :func:`_prime` does so in one array
-pass per distinct heading and hands each pipeline the sequence, each
-entry held with its frame, which :meth:`EstimationPipeline.step` then
-reads in place of its per-tick rotation, with the same bits, on the frame
-the entry belongs to; :meth:`EstimationPipeline.prime` does so for one
-pipeline.
+the frame and the heading, so :func:`_prime` computes a record's in one
+array pass per distinct heading, for :meth:`EstimationPipeline.step` to
+read on each frame in place of its per-tick rotation, with the same
+bits; :meth:`EstimationPipeline.prime` does so for one pipeline.
 """
 
 from __future__ import annotations
@@ -78,9 +72,10 @@ class SensorFrame:
     an int or a numpy scalar) is converted once, when the frame is built,
     with ``float()`` per element, as ``ndarray.tolist()`` converts a float
     array, so a float32 or integer channel gives the estimates of the same
-    values as float64.  A vector channel of the wrong length, or a value
-    ``float()`` refuses, raises ``DomainError`` naming the field.
-    Assigning a channel after the frame is built is not checked.
+    values as float64.  A vector channel of the wrong length, a value
+    ``float()`` refuses, or text (``str``, ``bytes`` or ``bytearray``,
+    whole or as an element) raises ``DomainError`` naming the field;
+    assigning a channel after the frame is built is not checked.
 
     Attributes
     ----------
@@ -159,19 +154,29 @@ def _tuple_rows(array: np.ndarray):
     return zip(*[iter(array.ravel().tolist())] * array.shape[1])
 
 
+_TEXT = (str, bytes, bytearray)  # what float() would parse, and a frame refuses
+
+
+def _real(value) -> float:
+    """``float(value)``, or ``TypeError`` for text."""
+    if isinstance(value, _TEXT):
+        raise TypeError(value)
+    return float(value)
+
+
 def _float(name: str, value) -> float:
-    """``float(value)``, or a ``DomainError`` naming the field ``name``."""
+    """``_real(value)``, or a ``DomainError`` naming the field ``name``."""
     try:
-        return float(value)
+        return _real(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a real number, got {_shown(value)}") from None
 
 
 def _floats(name: str, value, width: int) -> tuple[float, ...]:
-    """``value`` as a tuple of ``width`` Python floats, one ``float()``
-    per element, or a ``DomainError`` naming the field ``name``."""
+    """``value``, not text, as a tuple of ``width`` Python floats, one
+    ``_real`` per element, or a ``DomainError`` naming the field ``name``."""
     try:
-        floats = tuple(map(float, value))
+        floats = None if isinstance(value, _TEXT) else tuple(map(_real, value))
     except (TypeError, ValueError, OverflowError):
         floats = None
     if floats is None or len(floats) != width:
@@ -338,11 +343,11 @@ class EstimationPipeline:
     Attributes
     ----------
     last_measurement : tuple or None
-        ``(p_meas, axes)`` of the most recent step's position correction:
-        ``axes`` lists every axis it corrected, in order, and ``p_meas``
-        is a new ndarray of shape (3,), built when the attribute is read,
-        holding the measured value on those axes and 0.0 on the others;
-        ``None`` if that step corrected none (the seeding tick included).
+        ``(zx, zy, zz)``, the measured position per axis that the most
+        recent seeded step corrected with: a float on each axis it
+        corrected and ``None`` on the others, or ``None`` where it
+        corrected none.  ``None`` through warm-up, the seeding tick
+        included; a step that raises leaves it as it was.
     """
 
     def __init__(self, config: EstimatorConfig):
@@ -367,21 +372,11 @@ class EstimationPipeline:
         self._obs_rate = 0.0
         self._phi_prev = 0.0
         self._last_t: float | None = None
-        self._measured = None
-
-    @property
-    def last_measurement(self) -> tuple[np.ndarray, tuple[int, ...]] | None:
-        measured = self._measured
-        if measured is None:
-            return None
-        return (np.array([0.0 if z is None else z for z in measured]),
-                tuple(axis for axis, z in enumerate(measured) if z is not None))
+        self.last_measurement: tuple[float | None, float | None, float | None] | None = None
 
     def prime(self, frames) -> None:
-        """Compute the inertial accelerations of the record ``frames`` in
-        one array pass, for :meth:`step` to read as the frames are
-        stepped in order, with the bits of its per-tick rotation;
-        :func:`_prime` for this pipeline alone."""
+        """:func:`_prime` for this pipeline alone: the inertial accelerations
+        of the record ``frames``, for :meth:`step` to read in order."""
         _prime([self], frames)
 
     def step(self, frame: SensorFrame) -> EstimateOutput | None:
@@ -451,7 +446,7 @@ class EstimationPipeline:
             vx += ts * ax
             vy += ts * ay
             vz += ts * az
-            self._measured = measured
+            self.last_measurement = measured
             if measured is not None:
                 # Correction of each measured axis on its own: e = z - p,
                 # p += k1 * e, v += k2 * e.
@@ -554,20 +549,6 @@ class EstimationPipeline:
         return x, y, height
 
 
-def _imu_stacks(frames) -> tuple[np.ndarray, np.ndarray] | None:
-    """The accelerometer and attitude channels of ``frames`` as float
-    stacks of shape (n, 3) and (n, 4), or ``None`` unless every frame holds
-    both: only the per-tick path handles a record without them."""
-    try:
-        stacks = (np.array([f.accel_k for f in frames], dtype=float),
-                  np.array([f.quat for f in frames], dtype=float))
-    except (TypeError, ValueError):  # some frames hold a channel, others do not
-        return None
-    if stacks[0].shape != (len(frames), 3) or stacks[1].shape != (len(frames), 4):
-        return None
-    return stacks
-
-
 def _prime(pipelines, frames) -> None:
     """Give each of ``pipelines`` that integrates the accelerometer the
     inertial accelerations its :meth:`~EstimationPipeline.step` would
@@ -578,11 +559,21 @@ def _prime(pipelines, frames) -> None:
     A record with a frame that lacks either channel primes nothing, and
     so does one that the per-tick path would refuse (a non-unit
     quaternion, an acceleration not finite): ``step`` then raises the
-    same error at the same tick.
+    same error at the same tick.  ``frames`` with no length, such as an
+    iterator, raise ``DomainError`` before any frame is read.
     """
+    if not hasattr(frames, "__len__"):
+        raise DomainError(f"frames must be a sequence, got {type(frames).__name__}")
     pipelines = [pipe for pipe in pipelines if pipe.config.use_imu]
-    stacks = _imu_stacks(frames) if pipelines else None
-    if stacks is None or not np.isfinite(stacks[0]).all():
+    if not pipelines:
+        return
+    try:
+        accels = np.array([f.accel_k for f in frames], dtype=float)
+        quats = np.array([f.quat for f in frames], dtype=float)
+    except (TypeError, ValueError):  # some frames hold a channel, others do not
+        return
+    if (accels.shape != (len(frames), 3) or quats.shape != (len(frames), 4)
+            or not np.isfinite(accels).all()):
         return
     columns = {}
     for pipe in pipelines:
@@ -593,7 +584,7 @@ def _prime(pipelines, frames) -> None:
                 # Flat buffers that make each float as it is read: lists
                 # would hold three float objects per tick.
                 columns[heading] = [array.array("d", column.tobytes()) for column in
-                                    _inertial_accels(*stacks, pipe._cos_g, pipe._sin_g)]
+                                    _inertial_accels(accels, quats, pipe._cos_g, pipe._sin_g)]
             except DomainError:
                 return
         pipe._imu_per_tick = False

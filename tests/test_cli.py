@@ -100,6 +100,16 @@ class TestSimulate:
         assert "non-finite value" in err and "column gps_" in err
         assert not out.exists()
 
+    def test_vanishing_pattern_velocity_exits_2_without_a_log(self, tmp_path, capsys):
+        """A pattern of zero amplitudes stands still, so the wing has no
+        velocity angle: one error line naming the first such time, no
+        traceback, and no file."""
+        cfg = write(tmp_path / "c.cfg", BASE_CONFIG + "a_theta = 0.0\na_phi = 0.0\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: pattern velocity vanishes at t=0.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, config", [
         (["--seed", "-1"], BASE_CONFIG),
         ([], BASE_CONFIG + "gps_sigma_xy = -1\n"),

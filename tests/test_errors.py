@@ -170,11 +170,20 @@ def test_shown_by_digit_count_past_30_digits(value, shown):
     (lambda: TrajectoryParams(r="30"), "r must be a finite number, got '30'"),
     (lambda: NoiseSpec(seed=None), "seed must be a finite number, got None"),
     (lambda: EncoderGeometry(guide_reach=[0.3]), "guide_reach must be a finite number, got [0.3]"),
+    (lambda: EstimatorConfig(use_imu=2.5), "use_imu must be of type bool, got 2.5"),
+    (lambda: EstimatorConfig(use_imu=np.int64(0)), "use_imu must be of type bool, got 0"),
+    (lambda: EstimatorConfig(use_imu="yes"), "use_imu must be of type bool, got 'yes'"),
+    (lambda: EstimatorConfig(geometry=NoiseSpec()),
+     f"geometry must be of type EncoderGeometry, got {NoiseSpec()!r}"),
+    (lambda: EstimatorConfig(geometry=0.3), "geometry must be of type EncoderGeometry, got 0.3"),
 ], ids=["list", "ndarray", "string-entry", "huge-entry", "ndarray-scalar-field", "string",
-        "none", "list-scalar-field"])
+        "none", "list-scalar-field", "fraction-bool", "int64-bool", "string-bool",
+        "other-dataclass", "number-dataclass"])
 def test_field_not_a_number_rejected_by_name(call, message):
     """A field of the wrong kind raises ``DomainError`` naming it, not the
-    bare ``TypeError`` of ``math.isfinite``."""
+    bare ``TypeError`` of ``math.isfinite``, nor a bare error when a
+    pipeline reads it; a ``bool`` field refuses anything but a Python or
+    numpy bool, rather than running 2.5 as True."""
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
@@ -224,8 +233,10 @@ def test_real_fields_stored_as_python_floats(cls):
         if field.type == "float" or field.type.startswith("tuple"):
             given[field.name] = (tuple(map(np.float32, value)) if isinstance(value, tuple)
                                  else np.float32(value))
-        elif field.type in ("int", "bool"):
+        elif field.type == "int":
             given[field.name] = kept[field.name] = np.int64(value)
+        elif field.type == "bool":
+            given[field.name] = kept[field.name] = np.bool_(value)
     spec = cls(**given)
     for name, value in given.items():
         stored = getattr(spec, name)

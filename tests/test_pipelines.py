@@ -481,12 +481,12 @@ class TestEncoderFix:
             if not seeded:
                 # The first fix seeds the position and is not shown.
                 assert shown is None
-                shown = None if out is None else (np.array(out.p_hat), (0, 1, 2))
+                shown = None if out is None else out.p_hat
                 seeded = out is not None
             assert (shown is None) == (want is None)
             if want is not None:
-                assert shown[1] == (0, 1, 2)
-                assert np.max(np.abs(shown[0] - want)) <= 1e-12 * r, (shown[0], want)
+                assert all(type(z) is float for z in shown), shown
+                assert np.max(np.abs(np.array(shown) - want)) <= 1e-12 * r, (shown, want)
 
     def test_guide_a_subnormal_distance_away(self):
         """A guide so close to the origin that r / |g| overflows still
@@ -538,16 +538,17 @@ class TestEncoderFix:
 
 
 def shown_bits(pipe):
-    """``last_measurement`` of ``pipe`` as (bytes of p_meas, axes), or None."""
+    """``last_measurement`` of ``pipe`` as the ``float.hex`` of each
+    measured axis, None on the others, or None."""
     shown = pipe.last_measurement
-    return None if shown is None else (shown[0].tobytes(), shown[1])
+    return None if shown is None else tuple(None if z is None else z.hex() for z in shown)
 
 
 def oracle_bits(reading, geometry, r):
     """What ``shown_bits`` reads after a seeded pipeline steps ``reading``
     alone, from the reference copy of the fix."""
     point = encoder_fix(reading, geometry, r)
-    return None if point is None else (point.tobytes(), (0, 1, 2))
+    return None if point is None else tuple(map(float.hex, point.tolist()))
 
 
 class TestFixMemo:
@@ -568,7 +569,9 @@ class TestFixMemo:
             return  # nothing seeds, so nothing is emitted to compare
         assert replay_against_helpers(config, frames) is None
 
-    def test_hit_ticks_show_fresh_arrays(self, monkeypatch):
+    def test_hit_ticks_show_the_held_fix(self, monkeypatch):
+        """A tick that looks its fix up shows the held tuple itself, which
+        a caller cannot change."""
         frames = encoder_frames(40, with_imu=False)
         loop = [f.encoder for f in frames[1:6]]
         frames = [dataclasses.replace(f, encoder=loop[k % 5]) for k, f in enumerate(frames)]
@@ -582,11 +585,9 @@ class TestFixMemo:
             assert_same_tick(k, pipe, ref, pipe.step(frame), ref.step(frame))
         assert inverted == loop  # every later tick was a lookup
         assert len(pipe._fixes) == 5
-        first, again = pipe.last_measurement[0], pipe.last_measurement[0]
-        assert first is not again
-        first[:] = 0.0
-        assert pipe.last_measurement[0].tobytes() == again.tobytes()
-        assert again.tobytes() == oracle_bits(loop[39 % 5], EncoderGeometry(), R)[0]
+        assert type(pipe.last_measurement) is tuple
+        assert pipe.last_measurement is pipe._fixes[loop[39 % 5]]
+        assert shown_bits(pipe) == oracle_bits(loop[39 % 5], EncoderGeometry(), R)
 
     # The sign of a zero azimuth reading carries into the side of the
     # fix, and with a pivot height of -0.0 the sign of a zero elevation
@@ -859,7 +860,7 @@ class TestPipelineRadio:
 
     @pytest.mark.parametrize("approach", [1, 2])
     def test_fixes_of_one_tick_shown_together(self, approach):
-        """``last_measurement`` shows every axis a tick corrects, 0.0 on
+        """``last_measurement`` shows every axis a tick corrects, None on
         the others: an XY fix and a height together, or the XY fix alone
         (routing 2: rescaled onto the sphere at the latest height)."""
         pipe = EstimationPipeline(EstimatorConfig(approach=approach))
@@ -868,11 +869,9 @@ class TestPipelineRadio:
         x, y = 21.0, 1.5
         if approach == 2:
             x, y, _ = geometric_correction((x, y, 14.5), R)
-        p_meas, axes = pipe.last_measurement
-        assert (p_meas.tolist(), axes) == ([x, y, 14.5], (0, 1, 2))
+        assert pipe.last_measurement == (x, y, 14.5)
         pipe.step(SensorFrame(t=2 * TS, gps_xy=np.array([21.0, 1.5])))
-        p_meas, axes = pipe.last_measurement
-        assert (p_meas.tolist(), axes) == ([x, y, 0.0], (0, 1))
+        assert pipe.last_measurement == (x, y, None)
 
     def test_nan_fix_rejected(self):
         """A correction leaves every axis outside its own bit-unchanged,
@@ -977,6 +976,19 @@ class TestPrimedRecord:
                  else [dataclasses.replace(frame) for frame in frames])
         got, want = self.primed_and_unprimed(approach, frames, other)
         assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("use_imu", [True, False])
+    def test_frames_without_a_length_refused_by_name(self, use_imu):
+        """Priming reads the whole record before it is stepped, so an
+        iterator is refused before any frame is read, and the caller
+        still has every frame to step."""
+        frames = self.record(1)
+        stream = iter(frames)
+        config = dataclasses.replace(default_configs()[0], use_imu=use_imu)
+        with pytest.raises(DomainError) as raised:
+            EstimationPipeline(config).prime(stream)
+        assert str(raised.value) == "frames must be a sequence, got list_iterator"
+        assert next(stream) is frames[0]
 
 
 class TestNonFiniteAcceleration:
@@ -1123,22 +1135,32 @@ class TestFrameChannels:
         ("gps_xy", (1.0, 2j)),
         ("accel_k", (10 ** 400, 0.0, 9.8)),
         ("encoder", [0.4, None]),
+        ("gps_xy", "12"),
+        ("encoder", b"34"),
+        ("encoder", bytearray(b"34")),
+        ("quat", "1234"),
+        ("accel_k", ["1", "2", "3"]),
+        ("gyro_k", (0.1, b"2", 0.3)),
+        ("gps_xy", np.array(["1", "2"])),
     ], ids=["short-array", "long-list", "text", "short-tuple", "short-quat", "row-of-rows",
-            "long-gps", "scalar", "complex", "huge-int", "encoder-none-entry"])
+            "long-gps", "scalar", "complex", "huge-int", "encoder-none-entry", "digits",
+            "bytes", "bytearray", "digits-quat", "digit-entries", "bytes-entry", "digit-array"])
     def test_wrong_channel_refused_by_name(self, field, value):
+        """Text is refused, whole or as an entry, where ``float()`` would
+        read its digits or a channel its byte values."""
         width = VECTOR_CHANNELS[field]
         with pytest.raises(DomainError, match=f"^{field} must hold {width} real numbers, got "):
             SensorFrame(t=0.0, **{field: value})
 
-    @pytest.mark.parametrize("value", [None, "noon", 2j, 10 ** 400],
-                             ids=["none", "text", "complex", "huge-int"])
+    @pytest.mark.parametrize("value", [None, "noon", 2j, 10 ** 400, "1.5"],
+                             ids=["none", "text", "complex", "huge-int", "digits"])
     def test_wrong_time_refused_by_name(self, value):
         with pytest.raises(DomainError, match="^t must be a real number, got "):
             SensorFrame(t=value)
 
     @pytest.mark.parametrize("field", SCALAR_CHANNELS)
-    @pytest.mark.parametrize("value", ["abc", [1.0], 2j, 10 ** 400],
-                             ids=["text", "list", "complex", "huge-int"])
+    @pytest.mark.parametrize("value", ["abc", [1.0], 2j, 10 ** 400, " 12 ", b"7"],
+                             ids=["text", "list", "complex", "huge-int", "digits", "bytes"])
     def test_wrong_scalar_refused_by_name(self, field, value):
         """As the time is, when the frame is built, rather than by a bare
         error on a routing-1 tick or in ``compare_approaches``."""
@@ -1223,13 +1245,17 @@ def ref_luenberger_step(obs, gamma_meas, k_gamma, ts):
 def with_correction(shown, p_meas, axes):
     """``last_measurement`` once a tick whose earlier corrections show as
     ``shown`` corrects ``axes`` to ``p_meas`` too: the measured value on
-    every axis corrected on the tick, 0.0 on the others, and those axes
-    in order."""
-    p, seen = (np.zeros(3), ()) if shown is None else shown
-    p = p.copy()
+    every axis corrected on the tick, None on the others."""
+    p = [None, None, None] if shown is None else list(shown)
     for axis in axes:
-        p[axis] = p_meas[axis]
-    return p, tuple(sorted(seen + tuple(axes)))
+        p[axis] = float(p_meas[axis])
+    return tuple(p)
+
+
+def measured(shown):
+    """The axes ``last_measurement`` ``shown`` measures, and their values."""
+    axes = tuple(axis for axis, z in enumerate(shown) if z is not None)
+    return axes, [shown[axis] for axis in axes]
 
 
 class ArrayPipeline:
@@ -1350,11 +1376,14 @@ def replay_against_reference(config, frames):
             return k
         out = new.step(frame)
         assert (out is None) == (expected is None), k
-        assert (new.last_measurement is None) == (ref.last_measurement is None), k
-        if ref.last_measurement is not None:
-            assert new.last_measurement[1] == ref.last_measurement[1]
-            assert isinstance(new.last_measurement[0], np.ndarray)
-            assert_close(new.last_measurement[0], ref.last_measurement[0], (k, "p_meas"))
+        shown, ref_shown = new.last_measurement, ref.last_measurement
+        assert (shown is None) == (ref_shown is None), k
+        if ref_shown is not None:
+            (axes, values), (ref_axes, ref_values) = measured(shown), measured(ref_shown)
+            assert axes == ref_axes, k
+            assert type(shown) is tuple and len(shown) == 3
+            assert all(type(z) is float for z in values), (k, shown)
+            assert_close(values, ref_values, (k, "p_meas"))
         if expected is None:
             continue
         if first_output is None:
@@ -1552,9 +1581,11 @@ def assert_same_tick(k, new, ref, out, expected):
     shown, ref_shown = new.last_measurement, ref.last_measurement
     assert (shown is None) == (ref_shown is None), k
     if ref_shown is not None:
-        assert shown[1] == ref_shown[1], k
-        assert isinstance(shown[0], np.ndarray) and shown[0].shape == (3,)
-        assert all(map(same, shown[0].tolist(), ref_shown[0].tolist())), (k, shown, ref_shown)
+        (axes, values), (ref_axes, ref_values) = measured(shown), measured(ref_shown)
+        assert axes == ref_axes, k
+        assert type(shown) is tuple and len(shown) == 3
+        assert all(type(z) is float for z in values), (k, shown)
+        assert all(map(same, values, ref_values)), (k, shown, ref_shown)
     if expected is None:
         return
     assert type(out) is EstimateOutput
@@ -1734,7 +1765,7 @@ class TestNonFiniteHeight:
             return pipe, pipe.step(SensorFrame(t=3 * TS, gps_xy=np.array([20.0, 1.0])))
 
         pipe, out = run_to(math.nan)
-        assert pipe.last_measurement[1] == (0, 1)
+        assert measured(pipe.last_measurement)[0] == (0, 1)
         never, expected = run_to(None)
         assert repr(out) == repr(expected)
         assert repr(pipe.last_measurement) == repr(never.last_measurement)
