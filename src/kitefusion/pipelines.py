@@ -549,6 +549,21 @@ class EstimationPipeline:
         return x, y, height
 
 
+def _stack(rows: list, width: int) -> np.ndarray | None:
+    """The channel ``rows`` of a record as one (n, ``width``) float array,
+    or None unless every row holds ``width`` numbers.  Each row's length
+    is checked first: ``fromiter`` with a count would stop early at a
+    longer row, and a frame's channel may be reassigned after it was
+    built."""
+    try:
+        if set(map(len, rows)) - {width}:
+            return None
+        flat = np.fromiter(itertools.chain.from_iterable(rows), float, width * len(rows))
+    except (TypeError, ValueError, OverflowError):  # a row absent, or not of numbers
+        return None
+    return flat.reshape(len(rows), width)
+
+
 def _prime(pipelines, frames) -> None:
     """Give each of ``pipelines`` that integrates the accelerometer the
     inertial accelerations its :meth:`~EstimationPipeline.step` would
@@ -567,13 +582,9 @@ def _prime(pipelines, frames) -> None:
     pipelines = [pipe for pipe in pipelines if pipe.config.use_imu]
     if not pipelines:
         return
-    try:
-        accels = np.array([f.accel_k for f in frames], dtype=float)
-        quats = np.array([f.quat for f in frames], dtype=float)
-    except (TypeError, ValueError):  # some frames hold a channel, others do not
-        return
-    if (accels.shape != (len(frames), 3) or quats.shape != (len(frames), 4)
-            or not np.isfinite(accels).all()):
+    accels = _stack([f.accel_k for f in frames], 3)
+    quats = _stack([f.quat for f in frames], 4)
+    if accels is None or quats is None or not np.isfinite(accels).all():
         return
     columns = {}
     for pipe in pipelines:

@@ -24,19 +24,30 @@ per-tick frame and truth objects are built by ``map`` with no Python
 loop body.  Each output equals, bit for bit, what the tick-by-tick
 formulas give.  Faster flights come from a pure time dilation of the
 pattern, so one knob scales every speed and acceleration together.
+
+Only the sensor noise depends on the seed, so the noise-free flight (the
+truth, the body rates, the specific force and the encoder readings) is
+computed once per pattern and shared by every seed's record: up to four
+flights are held, one per speed bin of the default report, as read-only
+float arrays only, about 0.35 MB for a 40 s flight at 50 Hz.  A record
+from a held flight is the one a fresh process would synthesize, bit for
+bit, and its truth arrays are its own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
-from .errors import DegenerateInputError, DomainError, require_finite, require_positive
+from .errors import (DegenerateInputError, DomainError, _shown, require_finite,
+                     require_positive)
 from .frames import _libm, rot_ned_to_g
 from .lineangle import EncoderGeometry, _angles_to_encoders
 from .pipelines import SensorFrame, _tuple_rows
@@ -300,6 +311,68 @@ def _fix_schedule(rate: float, latency: float, ts: float, n: int):
     return times[keep], ticks[keep].astype(int).tolist()
 
 
+class _Flight(NamedTuple):
+    """What a record takes from its pattern alone, one row per tick, every
+    array read-only: the truth ``p``, ``v``, ``a``, sign-continuous ``q``
+    and ``gamma``; the body ``rates`` before bias, noise and clipping; the
+    body-frame specific ``force``; and the ``encoders`` readings
+    ``(theta_b, phi_b)``."""
+
+    p: np.ndarray
+    v: np.ndarray
+    a: np.ndarray
+    q: np.ndarray
+    gamma: np.ndarray
+    rates: np.ndarray
+    force: np.ndarray
+    encoders: np.ndarray
+
+
+def _bits(*specs) -> tuple[str, ...]:
+    """The exact bits of every field of the float dataclasses ``specs``,
+    which tell -0.0 from 0.0 where the fields compare equal."""
+    return tuple(getattr(spec, f.name).hex() for spec in specs for f in fields(spec))
+
+
+# One flight per speed bin of the default report; a 40 s flight at 50 Hz
+# takes about 0.35 MB.
+@functools.lru_cache(maxsize=4)
+def _flight(bits: tuple[str, ...], params: TrajectoryParams, geometry: EncoderGeometry,
+            ts: float, counts_per_rev: int) -> _Flight:
+    """The :class:`_Flight` of ``params`` and ``geometry`` at the tick
+    period ``ts`` and encoder line count ``counts_per_rev``, held for the
+    next record of the same pattern: ``bits``, their :func:`_bits`, keeps
+    patterns that differ in a signed zero apart (a positive ``ts`` has no
+    other float of its value).  A flight that raises is not held."""
+    n = int(round(params.duration / ts))
+    t = np.arange(n) * ts
+    angles = _pattern_angles(params, t)
+    p, v, a, q, gamma = _truth(params, t, angles)
+    # Keep the quaternions sign-continuous: flip every one whose dot
+    # product with its (already continuous) predecessor is negative.
+    turns = np.cumsum((q[:-1, None, :] @ q[1:, :, None])[:, 0, 0] < 0.0) % 2
+    q[1:][turns == 1] *= -1.0
+
+    rates = np.zeros((n, 3))
+    if n > 1:
+        rates[1:] = body_rates_between(q[:-1], q[1:], ts)
+        rates[0] = rates[1]
+
+    rot_n2g = rot_ned_to_g(params.phi_g)
+    gravity_g = np.array([0.0, 0.0, GRAVITY])
+    force = np.empty((n, 3))
+    for rows in _blocks(n):
+        rot_k_to_ned = quats_to_rots(q[rows])
+        force[rows] = (rot_k_to_ned.transpose(0, 2, 1)
+                       @ (rot_n2g @ (a[rows] - gravity_g)[:, :, None]))[:, :, 0]
+    encoders = np.array(_angles_to_encoders(angles[0], angles[1], geometry, counts_per_rev),
+                        dtype=float).reshape(n, 2)
+    flight = _Flight(p, v, a, q, gamma, rates, force, encoders)
+    for column in flight:
+        column.flags.writeable = False
+    return flight
+
+
 def synthesize(params: TrajectoryParams = TrajectoryParams(),
                noise: NoiseSpec = NoiseSpec(),
                geometry: EncoderGeometry = EncoderGeometry(),
@@ -311,6 +384,7 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     fix was taken but appear in the stream only after the configured
     latency; no channel is ever backdated.  Truth quaternions are kept
     sign-continuous from tick to tick so consumers can difference them.
+    Each call returns arrays of its own, which the caller may write.
 
     Parameters
     ----------
@@ -321,9 +395,14 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     geometry : EncoderGeometry
         Ground-station mechanism for the encoder channel.
     ts : float
-        Tick period, s.
+        Tick period, s, positive; any real number is converted once with
+        ``float()``, so ``np.float32(0.02)`` gives the record of
+        ``float(np.float32(0.02))``, and anything else raises ``DomainError``.
     """
+    if not isinstance(ts, Real):
+        raise DomainError(f"ts must be a real number, got {_shown(ts)}")
     require_positive("ts", ts)
+    ts = float(ts)
     n = int(round(params.duration / ts))
     rng = np.random.default_rng(noise.seed)
     bandwidth = 0.5 / ts
@@ -343,42 +422,26 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
         baro_z = np.floor(baro_z / noise.baro_resolution + 0.5) * noise.baro_resolution
     baro_at = dict(zip(baro_ticks, baro_z.tolist()))
 
-    t = np.arange(n) * ts
-    angles = _pattern_angles(params, t)
-    p, v, a, q, gamma = _truth(params, t, angles)
-    # Keep the quaternions sign-continuous: flip every one whose dot
-    # product with its (already continuous) predecessor is negative.
-    turns = np.cumsum((q[:-1, None, :] @ q[1:, :, None])[:, 0, 0] < 0.0) % 2
-    q[1:][turns == 1] *= -1.0
-
-    rates = np.zeros((n, 3))
-    if n > 1:
-        rates[1:] = body_rates_between(q[:-1], q[1:], ts)
-        rates[0] = rates[1]
-
+    flight = _flight(_bits(params, geometry), params, geometry, ts, noise.encoder_cpr)
     # Per tick, in draw order: accelerometer, gyro and attitude-tilt noise.
     sigmas = np.repeat([sigma_accel, sigma_gyro, noise.attitude_rms_deg * DEG], 3)
     draws = rng.normal(0.0, sigmas, (n, 9))
-    rot_n2g = rot_ned_to_g(params.phi_g)
-    gravity_g = np.array([0.0, 0.0, GRAVITY])
-    accel = np.empty((n, 3))
+    accel = flight.force + accel_bias + draws[:, 0:3]
     quat = np.empty((n, 4))
     for rows in _blocks(n):
-        rot_k_to_ned = quats_to_rots(q[rows])
-        force = rot_k_to_ned.transpose(0, 2, 1) @ (rot_n2g @ (a[rows] - gravity_g)[:, :, None])
-        accel[rows] = force[:, :, 0] + accel_bias + draws[rows, 0:3]
+        rot_k_to_ned = quats_to_rots(flight.q[rows])
         quat[rows] = rot_to_quat(rot_k_to_ned @ _small_rotations(draws[rows, 6:9]))
-    gyro = rates + gyro_bias + draws[:, 3:6]
+    gyro = flight.rates + gyro_bias + draws[:, 3:6]
     gyro_limit = noise.gyro_range_dps * DEG
     if gyro_limit > 0.0:
         gyro = np.clip(gyro, -gyro_limit, gyro_limit)
-    encoders = _angles_to_encoders(angles[0], angles[1], geometry, noise.encoder_cpr)
 
-    times = t.tolist()
+    times = (np.arange(n) * ts).tolist()
     truth = list(map(tuple.__new__, itertools.repeat(TruthSample),
-                     zip(times, p, v, a, q, gamma.tolist())))
+                     zip(times, flight.p.copy(), flight.v.copy(), flight.a.copy(),
+                         flight.q.copy(), flight.gamma.tolist())))
     ticks = range(n)
     frames = list(map(SensorFrame, times, _tuple_rows(accel), _tuple_rows(gyro),
-                      _tuple_rows(quat), map(gps_at.get, ticks),
-                      map(baro_at.get, ticks), encoders, itertools.repeat(params.speed_scale)))
+                      _tuple_rows(quat), map(gps_at.get, ticks), map(baro_at.get, ticks),
+                      _tuple_rows(flight.encoders), itertools.repeat(params.speed_scale)))
     return frames, truth

@@ -977,6 +977,34 @@ class TestPrimedRecord:
         got, want = self.primed_and_unprimed(approach, frames, other)
         assert repr(got) == repr(want)
 
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [
+        {60: (0.0, 9.8)},
+        {60: (0.0, 0.0, 9.8, 1.0)},
+        {60: (0.0, 9.8), 61: (0.0, 0.0, 9.8, 1.0)},
+        {60: (10 ** 400, 0.0, 9.8)},
+    ], ids=["2-wide", "4-wide", "2-then-4-wide", "beyond-float"])
+    def test_reassigned_accelerometer_row_primes_nothing(self, approach, rows):
+        """A row reassigned after its frame was built is not checked by the
+        frame; priming refuses the record, so the primed pipeline raises
+        what the unprimed one raises, at the same ticks, and agrees with it
+        on every other tick, bit for bit."""
+        frames = self.record(1)
+        for k, row in rows.items():
+            frames[k].accel_k = row
+        config = default_configs()[approach - 1]
+        primed, unprimed = EstimationPipeline(config), EstimationPipeline(config)
+        primed.prime(frames)
+        for k, frame in enumerate(frames):
+            got, want = [], []
+            for pipe, outcome in ((primed, got), (unprimed, want)):
+                try:
+                    outcome.append(repr(pipe.step(frame)))
+                except (ValueError, OverflowError) as exc:
+                    outcome.append((type(exc), str(exc)))
+            assert got == want, k
+            assert isinstance(got[0], tuple) == (k in rows), k
+
     @pytest.mark.parametrize("use_imu", [True, False])
     def test_frames_without_a_length_refused_by_name(self, use_imu):
         """Priming reads the whole record before it is stepped, so an

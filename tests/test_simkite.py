@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -19,6 +20,7 @@ from kitefusion.attitude import (
     rot_to_quat,
 )
 from kitefusion.errors import DegenerateInputError, DomainError
+from kitefusion.evalio import write_log
 from kitefusion.frames import rot_g_to_l, rot_ned_to_g, wrap_angle
 from kitefusion.lineangle import EncoderGeometry, encoder_to_angles, resolution
 from kitefusion.pipelines import SensorFrame
@@ -223,6 +225,31 @@ class TestTrajectoryParams:
         # The fix schedule's floor(rate * n * ts) has no value for inf.
         with pytest.raises(DomainError, match="ts must be positive and finite"):
             synthesize(TrajectoryParams(duration=0.2), NoiseSpec.none(), ts=math.inf)
+
+    @pytest.mark.parametrize("ts, twin", [
+        (np.float32(0.02), float(np.float32(0.02))),
+        (np.float64(0.01), 0.01),
+        (1, 1.0),
+        (np.int64(1), 1.0),
+    ], ids=["float32", "float64", "int", "int64"])
+    def test_tick_period_converted_to_float(self, ts, twin):
+        """Any real tick period gives the record of its Python float, bit
+        for bit: a float32 one no longer computes in float32."""
+        params = TrajectoryParams(duration=12.0, speed_scale=2.5)
+        got = synthesize(params, NoiseSpec(seed=3), ts=ts)
+        want = synthesize(params, NoiseSpec(seed=3), ts=twin)
+        for got_part, want_part in zip(got, want):
+            assert len(got_part) == len(want_part) > 0
+            for a, b in zip(got_part, want_part):
+                assert_fields_equal(a, b)
+        assert {type(s.t) for s in got[1]} == {float}
+
+    @pytest.mark.parametrize("ts, shown", [("0.02", "'0.02'"), (b"0.02", "b'0.02'"),
+                                           (None, "None"), ([0.02], "[0.02]")])
+    def test_tick_period_without_a_number_refused_by_name(self, ts, shown):
+        with pytest.raises(DomainError) as raised:
+            synthesize(TrajectoryParams(duration=0.2), NoiseSpec.none(), ts=ts)
+        assert str(raised.value) == f"ts must be a real number, got {shown}"
 
     def test_finite_extremes_still_accepted(self):
         # The rule is about nan and inf only; range checks stay as they were.
@@ -502,3 +529,110 @@ class TestNoiseBudget:
         a, _ = synthesize(TrajectoryParams(duration=2.0), NoiseSpec(seed=11))
         b, _ = synthesize(TrajectoryParams(duration=2.0), NoiseSpec(seed=12))
         assert not np.array_equal(a[0].accel_k, b[0].accel_k)
+
+
+@pytest.fixture
+def cold():
+    """An empty memo of noise-free flights, so the next record is built
+    from scratch."""
+    simkite._flight.cache_clear()
+    yield
+    simkite._flight.cache_clear()
+
+
+def held() -> int:
+    return simkite._flight.cache_info().currsize
+
+
+def built() -> int:
+    return simkite._flight.cache_info().misses
+
+
+def assert_records_equal(got, want, tmp_path):
+    """Every frame and truth field equal bit for bit, and the logs
+    written from them equal byte for byte."""
+    for got_part, want_part in zip(got, want):
+        assert len(got_part) == len(want_part)
+        for a, b in zip(got_part, want_part):
+            assert_fields_equal(a, b)
+    for name, (frames, truth) in (("got.csv", got), ("want.csv", want)):
+        write_log(frames, tmp_path / name, truth=truth)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestFlightMemo:
+    """A record's noise-free flight is computed once per pattern and
+    reused by the next record of that pattern; every record is the one a
+    cold process would synthesize, bit for bit."""
+
+    # Four patterns, the most the memo holds: three speeds and an empty record.
+    PATTERNS = [TrajectoryParams(duration=6.0, speed_scale=s) for s in (1.5, 3.5, 4.5)] + [
+        TrajectoryParams(duration=0.005)]
+
+    @pytest.mark.parametrize("cpr", [400, 0])
+    def test_hit_equals_cold_miss(self, cold, tmp_path, cpr):
+        noises = [NoiseSpec(seed=1, encoder_cpr=cpr),
+                  dataclasses.replace(NoiseSpec.none(), encoder_cpr=cpr),
+                  NoiseSpec(seed=2, encoder_cpr=cpr)]
+        records = {}
+        for params, noise in itertools.product(self.PATTERNS, noises):
+            simkite._flight.cache_clear()
+            records[params, noise] = synthesize(params, noise)
+        for params in self.PATTERNS:
+            synthesize(params, NoiseSpec(seed=9, encoder_cpr=cpr))
+        misses = built()
+        # Seeds interleaved across the speeds, each pattern's flight held.
+        for noise, params in itertools.product(reversed(noises), self.PATTERNS):
+            assert_records_equal(synthesize(params, noise), records[params, noise], tmp_path)
+        assert built() == misses
+
+    def test_signed_zero_has_its_own_flight(self, cold, tmp_path):
+        """With no azimuth swing the velocity angle takes the sign of the
+        amplitude's zero, so the two patterns give two records."""
+        plus, minus = (TrajectoryParams(duration=2.0, a_phi=z) for z in (0.0, -0.0))
+        want = synthesize(minus, NoiseSpec.none())
+        simkite._flight.cache_clear()
+        synthesize(plus, NoiseSpec.none())
+        got = synthesize(minus, NoiseSpec.none())
+        assert held() == 2
+        assert math.copysign(1.0, got[1][1].gamma) == -1.0
+        assert_records_equal(got, want, tmp_path)
+
+    @pytest.mark.parametrize("params, geometry, error, message", [
+        (TrajectoryParams(duration=2.0, a_theta=0.0, a_phi=0.0), EncoderGeometry(),
+         DegenerateInputError, "pattern velocity vanishes at t=0.0"),
+        (TrajectoryParams(duration=2.0), EncoderGeometry(pivot_height=10.0),
+         DomainError, "are outside the reachable set"),
+    ], ids=["still", "unreachable"])
+    def test_failure_not_held(self, cold, params, geometry, error, message):
+        for _ in range(3):
+            with pytest.raises(error, match=message):
+                synthesize(params, NoiseSpec(seed=4), geometry)
+            assert held() == 0
+
+    def test_written_truth_leaves_the_next_record(self, cold, tmp_path):
+        params = TrajectoryParams(duration=2.0, speed_scale=2.5)
+        want = copy.deepcopy(synthesize(params, NoiseSpec(seed=5)))
+        _, truth = synthesize(params, NoiseSpec(seed=5))
+        for sample in truth:
+            for array in sample[1:5]:
+                array[:] = 7.0
+        assert_records_equal(synthesize(params, NoiseSpec(seed=5)), want, tmp_path)
+
+    def test_holds_at_most_four_flights(self, cold):
+        def record(speed):
+            synthesize(TrajectoryParams(duration=0.2, speed_scale=speed), NoiseSpec.none())
+            assert held() <= 4
+
+        for speed in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
+            record(speed)
+        assert held() == 4
+        # The least recently used flight goes first: a hit keeps its own.
+        record(2.0)
+        record(4.0)
+        misses = built()
+        for speed in (2.0, 3.0, 3.5, 4.0):
+            record(speed)
+        assert built() == misses
+        record(2.5)
+        assert built() == misses + 1
