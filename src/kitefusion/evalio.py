@@ -15,10 +15,11 @@ read again line by line by :func:`_read_lines`, the one place that
 names a log fault (see :func:`read_log`).  Each channel is read out of
 the table once, for the rows that hold it, as Python floats: every frame
 takes a float or a tuple of floats per channel, its encoder pair
-included, as it holds them, and every truth point a row of one copy of
-each truth vector.  The writer gathers the same table from the frames,
-refuses a non-finite present cell before it opens the file, and formats
-the table row by row.
+included, as it holds them, made by :func:`~kitefusion.pipelines._frames`
+without the frame check, which such channels would pass unconverted;
+every truth point takes a row of one copy of each truth vector.  The
+writer gathers the same table from the frames, refuses a non-finite
+present cell before it opens the file, and formats the table row by row.
 
 The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing
@@ -31,8 +32,9 @@ each routing's pipeline is primed with it (see
 :func:`~kitefusion.pipelines._prime`); a record the per-tick path would
 refuse is not primed, so it fails as it would tick by tick.  Each
 routing is turned into its error columns while it runs: every tick's
-estimate goes straight into flat ``emitted``, ``p_hat`` and
-``gamma_hat`` buffers, so no per-tick output outlives its tick.
+estimate leaves its floats in lists that are moved into flat ``p_hat``
+and ``gamma_hat`` buffers a block of ``_BLOCK_LINES`` ticks at a time,
+next to an ``emitted`` mask, so no per-tick output outlives its tick.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ import numpy as np
 
 from .errors import DomainError, LogFormatError
 from .frames import wrap_angle
-from .pipelines import EstimationPipeline, EstimatorConfig, SensorFrame, _prime, _tuple_rows
+from .pipelines import (EstimationPipeline, EstimatorConfig, SensorFrame, _frames, _prime,
+                        _tuple_rows)
 
 # The log layout per record, in column order: field, column names, and
 # the label of a channel group whose cells must be all present or all
@@ -332,7 +335,7 @@ def read_log(path) -> LogData:
             fh.seek(0)
             table, empty = _read_lines(fh, lineno, width, has_truth)
     columns = [_column(table, empty, cols) for _, cols, _ in _FRAME_FIELDS]
-    frames = list(map(SensorFrame, *columns))
+    frames = _frames(*columns)
     if not has_truth:
         return LogData(frames, None)
     # Every row holds truth; its vectors are rows of one copy per field.
@@ -389,7 +392,11 @@ def compare_approaches(log: LogData,
     """Replay one log through each routing and tabulate RMS errors.
 
     Samples earlier than ``settle`` seconds after the start of the log
-    are discarded so initialization transients do not dominate.  Each remaining sample lands in the wind-speed bin of its
+    are discarded.  That drops routing 3's start-up transient, which
+    ends within a fraction of a second, but not that of routings 1 and
+    2: each seeds its velocity at zero and corrects it only on the XY
+    fixes, so its error decays over tens of seconds and shows in their
+    rows.  Each remaining sample lands in the wind-speed bin of its
     frame; rows without a wind-speed cell are skipped.  When the log has
     no truth columns the routing-3 estimate serves as the reference (its
     own rows then report the residual against itself, i.e. zero).
@@ -464,21 +471,30 @@ def _stacked(outputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which ticks of a run emitted, with its ``p_hat`` rows, shape (n, 3),
     and ``gamma_hat``, nan where it emitted nothing.
 
-    Consumes ``outputs`` one tick at a time into flat buffers, so no
-    output is kept past its tick.
+    Consumes ``outputs`` one tick at a time, so no output is kept past
+    its tick: each tick's floats go to two lists, which are moved into
+    flat buffers with one ``fromlist`` each per block of ``_BLOCK_LINES``
+    ticks.
     """
     emitted = bytearray()
     p_hat = array.array("d")
     gamma_hat = array.array("d")
-    for out in outputs:
-        if out is None:
-            emitted.append(False)
-            p_hat.extend(_NO_POSITION)
-            gamma_hat.append(math.nan)
-        else:
-            emitted.append(True)
-            p_hat.extend(out.p_hat)
-            gamma_hat.append(out.gamma_hat)
+    outputs = iter(outputs)
+    while True:
+        positions, gammas = [], []
+        for out in itertools.islice(outputs, _BLOCK_LINES):
+            if out is None:
+                emitted.append(False)
+                positions += _NO_POSITION
+                gammas.append(math.nan)
+            else:
+                emitted.append(True)
+                positions += out.p_hat
+                gammas.append(out.gamma_hat)
+        if not gammas:
+            break
+        p_hat.fromlist(positions)
+        gamma_hat.fromlist(gammas)
     return (np.frombuffer(emitted, dtype=bool), np.frombuffer(p_hat).reshape(-1, 3),
             np.frombuffer(gamma_hat))
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import array
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -75,7 +76,11 @@ class SensorFrame:
     values as float64.  A vector channel of the wrong length, a value
     ``float()`` refuses, or text (``str``, ``bytes`` or ``bytearray``,
     whole or as an element) raises ``DomainError`` naming the field;
-    assigning a channel after the frame is built is not checked.
+    assigning a channel after the frame is built is not checked.  The
+    package's own producers, :func:`~kitefusion.simkite.synthesize` and
+    :func:`~kitefusion.evalio.read_log`, build every channel in this form
+    from ``ndarray.tolist()``, and make their frames through
+    :func:`_frames`, which skips the check.
 
     Attributes
     ----------
@@ -109,9 +114,9 @@ class SensorFrame:
     wind_speed: float | None = None
 
     def __post_init__(self) -> None:
-        # Every frame of a record passes here, so the tests are spelled out
-        # per channel; a producer's channels are floats and tuples of
-        # floats already, and pass them unconverted.
+        # Every frame built by a caller passes here, so the tests are
+        # spelled out per channel; channels of floats and tuples of floats
+        # pass them unconverted.
         v = self.t
         if type(v) is not float:
             self.t = _float("t", v)
@@ -142,6 +147,29 @@ class SensorFrame:
         v = self.wind_speed
         if v is not None and type(v) is not float:
             self.wind_speed = _float("wind_speed", v)
+
+
+def _frames(*columns) -> list[SensorFrame]:
+    """The frames of ``columns``, one iterable per field in field order,
+    made without :meth:`SensorFrame.__post_init__`: each frame is
+    ``object.__new__`` and eight attribute stores in field order.  Every
+    value must already be in the frame's form (a Python float, a tuple of
+    Python floats of the channel's length, or ``None``), as the producers'
+    ``ndarray.tolist()`` values are; nothing is checked."""
+    frames = []
+    append, new = frames.append, object.__new__
+    for t, accel_k, gyro_k, quat, gps_xy, baro_z, encoder, wind_speed in zip(*columns):
+        frame = new(SensorFrame)
+        frame.t = t
+        frame.accel_k = accel_k
+        frame.gyro_k = gyro_k
+        frame.quat = quat
+        frame.gps_xy = gps_xy
+        frame.baro_z = baro_z
+        frame.encoder = encoder
+        frame.wind_speed = wind_speed
+        append(frame)
+    return frames
 
 
 def _tuple_rows(array: np.ndarray):
@@ -550,18 +578,21 @@ class EstimationPipeline:
 
 
 def _stack(rows: list, width: int) -> np.ndarray | None:
-    """The channel ``rows`` of a record as one (n, ``width``) float array,
-    or None unless every row holds ``width`` numbers.  Each row's length
-    is checked first: ``fromiter`` with a count would stop early at a
-    longer row, and a frame's channel may be reassigned after it was
-    built."""
+    """The channel ``rows`` of a record as one read-only (n, ``width``)
+    float array, or None unless every row holds ``width`` numbers.  Each
+    row's length is checked first, since a frame's channel may be
+    reassigned after it was built: the entries are packed in one run, in
+    which a longer row and a shorter one would make up the count.  They
+    are packed as C doubles, which take what ``float()`` takes except
+    text: ``np.fromiter`` or ``np.array`` would parse ``'1.5'`` as a
+    number, where :meth:`EstimationPipeline.step` raises on it."""
     try:
         if set(map(len, rows)) - {width}:
             return None
-        flat = np.fromiter(itertools.chain.from_iterable(rows), float, width * len(rows))
-    except (TypeError, ValueError, OverflowError):  # a row absent, or not of numbers
+        packed = struct.pack(f"{width * len(rows)}d", *itertools.chain.from_iterable(rows))
+    except (TypeError, struct.error):  # a row absent, or not of numbers
         return None
-    return flat.reshape(len(rows), width)
+    return np.frombuffer(packed).reshape(len(rows), width)
 
 
 def _prime(pipelines, frames) -> None:

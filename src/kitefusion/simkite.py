@@ -19,11 +19,14 @@ every tick.  Every channel is evaluated over the whole time vector at
 once: the encoder channel by the one closed-form inversion, the array
 form that :func:`~kitefusion.lineangle.angles_to_encoder` calls on one
 row, rounding to the encoder grid included; the fixes from the
-positions alone (they need no attitude or velocity angle); and the
-per-tick frame and truth objects are built by ``map`` with no Python
-loop body.  Each output equals, bit for bit, what the tick-by-tick
-formulas give.  Faster flights come from a pure time dilation of the
-pattern, so one knob scales every speed and acceleration together.
+positions alone (they need no attitude or velocity angle).  The
+per-tick truth objects are built by ``map`` with no Python loop body,
+and the frames by :func:`~kitefusion.pipelines._frames`, without the
+frame check, from channels of Python floats made by ``tolist()``, which
+the check would keep unconverted.  Each output equals, bit for bit,
+what the tick-by-tick formulas give.  Faster flights come from a pure
+time dilation of the pattern, so one knob scales every speed and
+acceleration together.
 
 Only the sensor noise depends on the seed, so the noise-free flight (the
 truth, the body rates, the specific force and the encoder readings) is
@@ -50,7 +53,7 @@ from .errors import (DegenerateInputError, DomainError, _shown, require_finite,
                      require_positive)
 from .frames import _libm, rot_ned_to_g
 from .lineangle import EncoderGeometry, _angles_to_encoders
-from .pipelines import SensorFrame, _tuple_rows
+from .pipelines import SensorFrame, _frames, _tuple_rows
 
 DEG = math.pi / 180.0
 
@@ -441,7 +444,7 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
                      zip(times, flight.p.copy(), flight.v.copy(), flight.a.copy(),
                          flight.q.copy(), flight.gamma.tolist())))
     ticks = range(n)
-    frames = list(map(SensorFrame, times, _tuple_rows(accel), _tuple_rows(gyro),
-                      _tuple_rows(quat), map(gps_at.get, ticks), map(baro_at.get, ticks),
-                      _tuple_rows(flight.encoders), itertools.repeat(params.speed_scale)))
+    frames = _frames(times, _tuple_rows(accel), _tuple_rows(gyro), _tuple_rows(quat),
+                     map(gps_at.get, ticks), map(baro_at.get, ticks),
+                     _tuple_rows(flight.encoders), itertools.repeat(params.speed_scale))
     return frames, truth

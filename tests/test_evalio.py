@@ -513,6 +513,56 @@ class TestComparePeakMemory:
         assert peak <= 1.5e6
 
 
+class TestStackedBlockEdges:
+    """A run's columns fill a block of ``_BLOCK_LINES`` ticks at a time;
+    at every block edge they are the columns of the run's outputs taken
+    from a list, bit for bit."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def record():
+        frames, _ = synthesize(TrajectoryParams(duration=11.0, speed_scale=2.5),
+                               NoiseSpec(seed=4))
+        return frames
+
+    @staticmethod
+    def listed(outputs):
+        outputs = list(outputs)
+        emitted = np.array([out is not None for out in outputs], dtype=bool)
+        p_hat = np.array([(math.nan,) * 3 if out is None else out.p_hat for out in outputs],
+                         dtype=float).reshape(-1, 3)
+        gamma_hat = np.array([math.nan if out is None else out.gamma_hat for out in outputs],
+                             dtype=float)
+        return emitted, p_hat, gamma_hat
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip(got, want, strict=True):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("ticks", [0, 1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_columns_of_listed_outputs(self, ticks, approach):
+        assert evalio._BLOCK_LINES == 256
+        frames = self.record()[:ticks]
+        config = default_configs()[approach - 1]
+        got = evalio._stacked(map(EstimationPipeline(config).step, frames))
+        want = self.listed(map(EstimationPipeline(config).step, frames))
+        self.assert_same(got, want)
+        if approach == 2 and ticks >= 255:
+            # Routing 2 warms up until a height is followed by an XY fix.
+            assert not got[0][0] and got[0][-1]
+
+    def test_run_that_never_emits(self):
+        # Routing 1 without XY fixes never learns its horizontal axes.
+        frames = [dataclasses.replace(frame, gps_xy=None) for frame in self.record()[:513]]
+        config = default_configs()[0]
+        got = evalio._stacked(map(EstimationPipeline(config).step, frames))
+        self.assert_same(got, self.listed(map(EstimationPipeline(config).step, frames)))
+        assert not got[0].any() and np.isnan(got[1]).all() and np.isnan(got[2]).all()
+
+
 class TestReadPeakMemory:
     """The reader parses a block of lines at a time, so its strings stay
     small and the peak is set by the frames it returns.  On Python 3.11

@@ -1005,6 +1005,36 @@ class TestPrimedRecord:
             assert got == want, k
             assert isinstance(got[0], tuple) == (k in rows), k
 
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    @pytest.mark.parametrize("field, value", [
+        ("accel_k", ("1.5", 0.0, 9.8)),
+        ("accel_k", (0.0, b"1", 9.8)),
+        ("quat", (1.0, 0.0, 0.0, bytearray(b"0"))),
+        ("quat", ("1.0", "0.0", "0.0", "0.0")),
+    ], ids=["str-accel", "bytes-accel", "bytearray-quat", "str-quat"])
+    def test_reassigned_text_entry_primes_nothing(self, approach, field, value):
+        """Text reassigned into a channel is not parsed as a number by the
+        priming: the primed pipeline raises the unprimed one's exception,
+        of the same type, at the same tick."""
+        frames = self.record(1)
+        setattr(frames[60], field, value)
+        config = default_configs()[approach - 1]
+        primed, unprimed = EstimationPipeline(config), EstimationPipeline(config)
+        primed.prime(frames)
+        assert primed._accels is pipelines._ZEROS
+        raised = []
+        for k, frame in enumerate(frames):
+            got, want = [], []
+            for pipe, outcome in ((primed, got), (unprimed, want)):
+                try:
+                    outcome.append(repr(pipe.step(frame)))
+                except Exception as exc:  # both paths must raise alike
+                    outcome.append((type(exc), str(exc)))
+            assert got == want, k
+            if isinstance(got[0], tuple):
+                raised.append((k, got[0][0]))
+        assert raised == [(60, TypeError)]
+
     @pytest.mark.parametrize("use_imu", [True, False])
     def test_frames_without_a_length_refused_by_name(self, use_imu):
         """Priming reads the whole record before it is stepped, so an
@@ -1235,6 +1265,81 @@ class TestFrameChannels:
         assert all(type(angle) is float for frame in log.frames for angle in frame.encoder)
         # Truth stays arrays, which criterion 5a subtracts.
         assert all(type(point.p) is np.ndarray is type(point.v) for point in log.truth)
+
+
+def synthesized(case):
+    params = TrajectoryParams(duration=2.0, speed_scale=3.5)
+    noise = NoiseSpec(seed=5)
+    if case == "noiseless":
+        noise = NoiseSpec.none(seed=5)
+    elif case == "ideal-encoders":
+        noise = NoiseSpec(encoder_cpr=0, seed=5)
+    elif case == "float32-speed":
+        params = TrajectoryParams(duration=2.0, speed_scale=np.float32(2.5))
+    return synthesize(params, noise)
+
+
+def logged(path, case):
+    """Write a noisy 2 s record to ``path`` as ``case`` asks, and return
+    what ``read_log`` reads of it."""
+    frames, truth = synthesized("noisy")
+    write_log(frames, path, truth=None if case == "no-truth" else truth)
+    lines = path.read_text().splitlines(keepends=True)
+    if case == "comment":
+        lines.insert(40, "# hand note\n")
+    elif case == "whitespace-cell":
+        # A blank wind cell, which only the line-by-line pass reads.
+        cells = lines[60].split(",")
+        cells[16] = " "
+        lines[60] = ",".join(cells)
+    path.write_text("".join(lines))
+    return read_log(path).frames
+
+
+class TestProducerFrames:
+    """``synthesize`` and ``read_log`` make their frames without the frame
+    check, so every frame they return must be the one the checked
+    constructor keeps, and neither may run the check."""
+
+    @staticmethod
+    def produce(tmp_path, producer, case):
+        if producer == "synthesize":
+            return synthesized(case)[0]
+        return logged(tmp_path / "flight.csv", case)
+
+    CASES = ([("synthesize", case) for case in
+              ("noisy", "noiseless", "ideal-encoders", "float32-speed")]
+             + [("read_log", case) for case in
+                ("truth", "no-truth", "comment", "whitespace-cell")])
+
+    @pytest.mark.parametrize("producer, case", CASES)
+    def test_frames_are_what_the_constructor_keeps(self, tmp_path, producer, case):
+        frames = self.produce(tmp_path, producer, case)
+        assert len(frames) == 100
+        for frame in frames:
+            assert type(frame) is SensorFrame
+            assert type(frame.t) is float and plain_channels(frame), frame
+            assert SensorFrame(**vars(frame)) == frame
+            assert list(vars(frame)) == [f.name for f in dataclasses.fields(SensorFrame)]
+        assert any(frame.gps_xy is not None for frame in frames)
+        assert any(frame.baro_z is not None for frame in frames)
+        if case == "whitespace-cell":
+            assert frames[59].wind_speed is None
+
+    @pytest.mark.parametrize("producer, case", CASES)
+    def test_producers_skip_the_check(self, monkeypatch, tmp_path, producer, case):
+        calls = []
+        check = SensorFrame.__post_init__
+
+        def counted(frame):
+            calls.append(frame)
+            check(frame)
+
+        monkeypatch.setattr(SensorFrame, "__post_init__", counted)
+        frames = self.produce(tmp_path, producer, case)
+        assert len(calls) == 0
+        SensorFrame(**vars(frames[0]))
+        assert len(calls) == 1
 
 # ----------------------------------------------------------------------
 # Reference: the array-form pipeline that EstimationPipeline replaced.
