@@ -75,8 +75,10 @@ class SensorFrame:
     array, so a float32 or integer channel gives the estimates of the same
     values as float64.  A vector channel of the wrong length, a value
     ``float()`` refuses, or text (``str``, ``bytes`` or ``bytearray``,
-    whole or as an element) raises ``DomainError`` naming the field;
-    assigning a channel after the frame is built is not checked.  The
+    whole or as an element) raises ``DomainError`` naming the field.  A
+    channel assigned after the frame is built is not checked, and must
+    hold Python floats: a ``Decimal`` or numpy ``float32`` entry can prime
+    a record whose per-tick path raises or computes in that type.  The
     package's own producers, :func:`~kitefusion.simkite.synthesize` and
     :func:`~kitefusion.evalio.read_log`, build every channel in this form
     from ``ndarray.tolist()``, and make their frames through

@@ -1,23 +1,35 @@
-"""Reference recursion for the estimator tests.
+"""Reference pipelines for the estimator tests, and the helpers they run.
 
-Verbatim copies of the per-tick helpers that ``EstimationPipeline.step``
-used to call before it did their arithmetic inline: the per-axis time and
-measurement updates on a ``KinematicState``, the velocity angle of a
-local-frame and of a ground-frame velocity and the observer step.  The
-property tests check these copies, and the pipeline oracle in
-``test_pipelines.py`` is built from them, so ``step`` must reproduce them
-bit for bit.
+:class:`ReferencePipeline` is the tick policy of
+``EstimationPipeline.step``, written once: the time checks; the
+acceleration, rotated where the IMU is on and the reading and attitude are
+present, zeros otherwise, refused where its height is not finite; each
+routing's measured value per axis, ``None`` on an axis not measured, with
+its drop rules (routing 2's held height and refused rescaling, routing
+3's vertical reading); seeding through warm-up, then predict and correct;
+``last_measurement``; the sphere angles, the azimuth held on the zenith
+axis; and the observer's start, update and coast.  Every refusal comes
+before any state changes.
 
-Also a verbatim copy of the scalar, one-pair-at-a-time encoder inversion
+Each stage's arithmetic (rotation, state, predict, correct, routing-3
+fix, velocity angle, observer step) is a method of two subclasses.
+:class:`HelperPipeline` calls the straight-line float helpers below, whose
+arithmetic ``step`` does inline in their order, so the tests compare it
+with ``step`` bit for bit.  :class:`ArrayPipeline` uses numpy matrices
+(3x3 rotations, the stacked 6x3 gain), which sum in another order, so the
+tests compare it within 1e-12.  A deliberate change to ``step``'s policy
+is one edit in :class:`ReferencePipeline`; one to its arithmetic, one
+edit in each subclass.
+
+The helpers: the per-axis time and measurement updates on a
+``KinematicState``, the velocity angle of a local-frame and of a
+ground-frame velocity, the observer step, and routing 3's fix, the line
+guide seen from the reference origin scaled onto the sphere, from the
+``EncoderGeometry`` fields alone.  Also the scalar encoder inversion
 ``angles_to_encoder`` and its rounding ``quantize``, from before the
-inversion became the one-row call of its array form: the array form, and
-the reference synthesizer in ``test_simkite.py``, are checked against it
-reading by reading.
-
-And routing 3's fix, the line guide seen from the reference origin and
-scaled onto the sphere, written from the ``EncoderGeometry`` fields
-alone: the pipeline oracle in ``test_pipelines.py`` runs it, so ``step``
-must reproduce it bit for bit.
+inversion became the one-row call of its array form, against which the
+array form and the reference synthesizer in ``test_simkite.py`` are
+checked reading by reading.
 """
 
 from __future__ import annotations
@@ -27,13 +39,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from kitefusion.errors import DegenerateInputError, DomainError
-from kitefusion.frames import wrap_angle
+from kitefusion.attitude import GRAVITY, inertial_accel, quats_to_rots
+from kitefusion.errors import DegenerateInputError, DomainError, LogFormatError
+from kitefusion.estimator import axis_gain
+from kitefusion.frames import rot_g_to_l, rot_ned_to_g, spherical_to_cartesian, wrap_angle
 from kitefusion.lineangle import (
     DEFAULT_COUNTS_PER_REV,
     EncoderGeometry,
+    encoder_to_angles,
     resolution,
 )
+from kitefusion.pipelines import EstimateOutput, geometric_correction
 
 
 class KinematicState(NamedTuple):
@@ -148,7 +164,8 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
     return quantize(theta_b, phi_b, counts_per_rev)
 
 
-def encoder_fix(reading, geometry: EncoderGeometry, r: float) -> np.ndarray | None:
+def encoder_fix(reading, geometry: EncoderGeometry,
+                r: float) -> tuple[float, float, float] | None:
     """Routing 3's fix for one encoder reading: ``r * g / |g|``, ``g`` the
     line guide seen from the reference origin, the direction the tether
     leaves along; ``None`` where ``g`` lies on the vertical through the
@@ -168,4 +185,183 @@ def encoder_fix(reading, geometry: EncoderGeometry, r: float) -> np.ndarray | No
     if fwd == 0.0 and side == 0.0:
         return None
     norm = math.hypot(fwd, side, up)
-    return np.array([r * (fwd / norm), r * (side / norm), r * (up / norm)])
+    return r * (fwd / norm), r * (side / norm), r * (up / norm)
+
+
+def sphere_point(reading, geometry: EncoderGeometry,
+                 r: float) -> tuple[float, float, float] | None:
+    """Routing 3's fix through ``encoder_to_angles`` and
+    ``spherical_to_cartesian``, or ``None`` for a vertical tether."""
+    try:
+        return tuple(spherical_to_cartesian(*encoder_to_angles(reading, geometry), r))
+    except DegenerateInputError:
+        return None
+
+
+class ReferencePipeline:
+    """The tick policy of ``EstimationPipeline.step``, stepped and read like
+    it; a subclass fills the arithmetic of each stage."""
+
+    def __init__(self, config):
+        self.config = config
+        self._state = None
+        self._seed = [None, None, None]
+        # The latest height, at which routing 2 rescales an XY fix; NaN,
+        # which the rescaling refuses, until the first one arrives.
+        self._held_z = math.nan
+        self._obs = None
+        self._phi_prev = 0.0
+        self._last_t = None
+        self.last_measurement = None
+
+    def step(self, frame):
+        t = frame.t
+        if not math.isfinite(t):
+            raise LogFormatError(f"sample time must be finite, got {t}")
+        if self._last_t is not None and not t > self._last_t:
+            raise LogFormatError(f"sample times must increase: {t} after {self._last_t}")
+        self._last_t = t
+        cfg = self.config
+        a_g = (0.0, 0.0, 0.0)
+        if cfg.use_imu and frame.accel_k is not None and frame.quat is not None:
+            a_g = self.rotate(frame.accel_k, frame.quat)
+            if not math.isfinite(a_g[2]):
+                raise DomainError(f"accelerometer reading {frame.accel_k} at t={t} is not finite")
+        if cfg.approach < 3:
+            measured = self._radio_fix(frame)
+        else:  # routing 3: no reading, or a vertical tether, gives no fix
+            measured = None if frame.encoder is None else self.fix(frame.encoder)
+        if self._state is None:
+            # Warming up: fixes seed their axes until all three are known.
+            for axis, z in enumerate(measured or ()):
+                if z is not None:
+                    self._seed[axis] = z
+            if None in self._seed:
+                return None
+            self._state = self.state(self._seed, (0.0, 0.0, 0.0))
+        else:
+            self._state = self.predict(self._state, a_g)
+            self.last_measurement = measured
+            if measured is not None:
+                axes = [axis for axis, z in enumerate(measured) if z is not None]
+                self._state = self.correct(self._state, measured, axes)
+        p, v = self._state
+        # Sphere angles of the estimate, the azimuth held on the zenith axis.
+        sin_theta = p[2] / cfg.r
+        theta = math.asin(1.0 if sin_theta > 1.0 else -1.0 if sin_theta < -1.0 else sin_theta)
+        if p[0] == 0.0 and p[1] == 0.0:
+            phi = self._phi_prev
+        else:
+            phi = self._phi_prev = math.atan2(p[1], p[0])
+        try:
+            gamma_meas = self.gamma_measurement(v, theta, phi)
+        except DegenerateInputError:
+            gamma_meas = None
+        # The observer starts at the first velocity angle, and coasts on
+        # its rate where the angle is undefined.
+        if self._obs is None and gamma_meas is not None:
+            self._obs = (gamma_meas, 0.0)
+        gamma_out = gamma_dot_out = 0.0
+        if self._obs is not None:
+            angle, gamma_dot_out = self._obs
+            gamma_out = wrap_angle(angle)
+            self._obs = ((angle + cfg.ts * gamma_dot_out, gamma_dot_out) if gamma_meas is None
+                         else self.observe(self._obs, gamma_meas))
+        return EstimateOutput(t, tuple(p), tuple(v), theta, phi, gamma_out, gamma_dot_out)
+
+    def _radio_fix(self, frame):
+        """Routings 1 and 2: the XY fix and the height as they arrive,
+        routing 2's fix rescaled onto the sphere at the latest height and
+        dropped where that fails."""
+        gps, height = frame.gps_xy, frame.baro_z
+        x = y = None
+        if gps is not None:
+            x, y = gps
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DomainError(f"XY fix {(x, y)} at t={frame.t} is not finite")
+        if height is not None:
+            if not math.isfinite(height):
+                raise DomainError(f"height {height} at t={frame.t} is not finite")
+            self._held_z = height
+        if x is not None and self.config.approach == 2:
+            try:
+                x, y, _ = geometric_correction((x, y, self._held_z), self.config.r)
+            except (DomainError, DegenerateInputError):
+                x = y = None
+        return None if x is None and height is None else (x, y, height)
+
+
+class HelperPipeline(ReferencePipeline):
+    """The stages on the float helpers above, the state a
+    ``KinematicState`` and the rotation ``inertial_accel``."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self._gains = tuple(axis_gain(config.ts, ratio) for ratio in config.ratios)
+        self._heading = (math.cos(config.phi_g), math.sin(config.phi_g))
+
+    def rotate(self, accel_k, quat):
+        return inertial_accel(accel_k, quat, *self._heading)
+
+    def state(self, p, v):
+        return KinematicState(list(p), list(v))
+
+    def predict(self, state, a_g):
+        time_update(state, a_g, self.config.ts)
+        return state
+
+    def correct(self, state, measured, axes):
+        measurement_update(state, measured, self._gains, axes)
+        return state
+
+    def fix(self, reading):
+        return encoder_fix(reading, self.config.geometry, self.config.r)
+
+    def gamma_measurement(self, v, theta, phi):
+        return gamma_unfiltered(v, theta, phi)
+
+    def observe(self, obs, gamma_meas):
+        return luenberger_step(obs, gamma_meas, self.config.k_gamma, self.config.ts)
+
+
+class ArrayPipeline(ReferencePipeline):
+    """The stages in numpy: 3x3 rotation matrices, the stacked 6x3 gain,
+    and routing 3's fix through ``encoder_to_angles``."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        # Column ``axis`` holds k1 in row ``axis`` and k2 in row ``axis + 3``.
+        self._gain = np.zeros((6, 3))
+        for axis, ratio in enumerate(config.ratios):
+            self._gain[axis, axis], self._gain[axis + 3, axis] = axis_gain(config.ts, ratio)
+        self._ned_to_g = rot_ned_to_g(config.phi_g)
+
+    def rotate(self, accel_k, quat):
+        with np.errstate(invalid="ignore"):  # a non-finite reading, which the policy refuses
+            a_g = self._ned_to_g @ (quats_to_rots([quat])[0] @ np.asarray(accel_k, dtype=float))
+        a_g[2] += GRAVITY
+        return a_g
+
+    def state(self, p, v):
+        return np.array(p, dtype=float), np.array(v, dtype=float)
+
+    def predict(self, state, a_g):
+        p, v = state
+        return p + self.config.ts * v, v + self.config.ts * np.asarray(a_g)
+
+    def correct(self, state, measured, axes):
+        p, v = state
+        dx = self._gain[:, axes] @ (np.array([measured[axis] for axis in axes]) - p[axes])
+        return p + dx[:3], v + dx[3:]
+
+    def fix(self, reading):
+        return sphere_point(reading, self.config.geometry, self.config.r)
+
+    def gamma_measurement(self, v, theta, phi):
+        return velocity_angle(rot_g_to_l(theta, phi) @ v)
+
+    def observe(self, obs, gamma_meas):
+        angle, rate = obs
+        innovation = wrap_angle(gamma_meas - angle)
+        k1, k2 = self.config.k_gamma
+        return np.array([angle + self.config.ts * rate + k1 * innovation, rate + k2 * innovation])

@@ -12,28 +12,27 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from filter_reference import (
-    KinematicState,
+    ArrayPipeline,
+    HelperPipeline,
     encoder_fix,
     gamma_unfiltered,
     luenberger_step,
-    measurement_update,
-    time_update,
+    sphere_point,
     velocity_angle,
 )
 from kitefusion import pipelines
-from kitefusion.attitude import GRAVITY, inertial_accel, quats_to_rots
+from kitefusion.attitude import GRAVITY
 from kitefusion.errors import DegenerateInputError, DomainError, LogFormatError
-from kitefusion.estimator import axis_gain, lo_frequency_response
+from kitefusion.estimator import lo_frequency_response
 from kitefusion.evalio import default_configs, read_log, write_log
 from kitefusion.frames import (
     Z_OVER_R_TOL,
     cartesian_to_spherical,
     rot_g_to_l,
     rot_ned_to_g,
-    spherical_to_cartesian,
     wrap_angle,
 )
-from kitefusion.lineangle import EncoderGeometry, encoder_to_angles
+from kitefusion.lineangle import EncoderGeometry
 from kitefusion.pipelines import (
     EstimateOutput,
     EstimationPipeline,
@@ -443,15 +442,6 @@ readings = st.tuples(finite, finite)
 any_readings = st.tuples(st.floats(), st.floats())
 
 
-def sphere_point(reading, geometry, r):
-    """The routing-3 fix as the helpers compute it, or None for a
-    vertical tether."""
-    try:
-        return spherical_to_cartesian(*encoder_to_angles(reading, geometry), r)
-    except DegenerateInputError:
-        return None
-
-
 class TestEncoderFix:
     """Routing 3's fix is the line guide's direction scaled to the tether
     length: the point encoder_to_angles and spherical_to_cartesian give,
@@ -496,7 +486,7 @@ class TestEncoderFix:
         reading = (0.5, 0.5)
         out = EstimationPipeline(EstimatorConfig(approach=3, geometry=geometry)).step(
             SensorFrame(t=0.0, encoder=reading))
-        assert out.p_hat == tuple(sphere_point(reading, geometry, R)) == (R, 0.0, 0.0)
+        assert out.p_hat == sphere_point(reading, geometry, R) == (R, 0.0, 0.0)
 
     VERTICAL = EncoderGeometry(guide_rise=0.0, guide_reach=1.0,
                                pivot_height=0.0, pivot_setback=1.0)
@@ -548,7 +538,7 @@ def oracle_bits(reading, geometry, r):
     """What ``shown_bits`` reads after a seeded pipeline steps ``reading``
     alone, from the reference copy of the fix."""
     point = encoder_fix(reading, geometry, r)
-    return None if point is None else tuple(map(float.hex, point.tolist()))
+    return None if point is None else tuple(map(float.hex, point))
 
 
 class TestFixMemo:
@@ -567,7 +557,7 @@ class TestFixMemo:
         config = EstimatorConfig(approach=3, geometry=geometry, use_imu=False)
         if all(encoder_fix(frame.encoder, geometry, config.r) is None for frame in frames):
             return  # nothing seeds, so nothing is emitted to compare
-        assert replay_against_helpers(config, frames) is None
+        assert replay(HelperPipeline, assert_same, config, frames) == {}
 
     def test_hit_ticks_show_the_held_fix(self, monkeypatch):
         """A tick that looks its fix up shows the held tuple itself, which
@@ -575,14 +565,13 @@ class TestFixMemo:
         frames = encoder_frames(40, with_imu=False)
         loop = [f.encoder for f in frames[1:6]]
         frames = [dataclasses.replace(f, encoder=loop[k % 5]) for k, f in enumerate(frames)]
-        pipe = EstimationPipeline(EstimatorConfig(approach=3))
-        ref = HelperPipeline(EstimatorConfig(approach=3))
+        config = EstimatorConfig(approach=3)
+        pipe = EstimationPipeline(config)
         inverted = []
         invert = pipelines._guide_point
         monkeypatch.setattr(pipelines, "_guide_point",
                             lambda *args: inverted.append(args[:2]) or invert(*args))
-        for k, frame in enumerate(frames):
-            assert_same_tick(k, pipe, ref, pipe.step(frame), ref.step(frame))
+        assert replay(HelperPipeline, assert_same, config, frames, pipe=pipe) == {}
         assert inverted == loop  # every later tick was a lookup
         assert len(pipe._fixes) == 5
         assert type(pipe.last_measurement) is tuple
@@ -686,10 +675,8 @@ class TestFixMemo:
         frames = [dataclasses.replace(f, t=k * TS) for k, f in enumerate(frames)]
         config = EstimatorConfig(approach=3, use_imu=False)
         pipe = EstimationPipeline(config)
-        for frame in frames:
-            pipe.step(frame)
+        assert replay(HelperPipeline, assert_same, config, frames, pipe=pipe) == {}
         assert list(pipe._fixes) == [f.encoder for f in frames[:3 * held:3]]
-        assert replay_against_helpers(config, frames) is None
 
 
 def unit_quaternion(q):
@@ -1342,147 +1329,15 @@ class TestProducerFrames:
         assert len(calls) == 1
 
 # ----------------------------------------------------------------------
-# Reference: the array-form pipeline that EstimationPipeline replaced.
-# Each tick runs the stacked 6x3 gain and the 3x3 rotation matrices
-# through numpy; the float pipeline must agree with it on every output.
+# The pipeline against the reference pipelines of filter_reference: one
+# tick policy, in float helpers compared bit for bit and in numpy matrices
+# compared within 1e-12.
 
 
-def ref_accel_to_inertial(a_k, q, phi_g):
-    a_g = rot_ned_to_g(phi_g) @ (quats_to_rots([q])[0] @ np.asarray(a_k, dtype=float))
-    a_g[2] += GRAVITY
-    return a_g
-
-
-def stacked_gain(config):
-    """The 6x3 gain of the stacked filter, assembled from the per-axis
-    ``(k1, k2)``: column ``axis`` holds ``k1`` in row ``axis`` and ``k2``
-    in row ``axis + 3``, zeros elsewhere."""
-    K = np.zeros((6, 3))
-    for axis, ratio in enumerate(config.ratios):
-        K[axis, axis], K[axis + 3, axis] = axis_gain(config.ts, ratio)
-    return K
-
-
-def ref_measurement_update(p, v, p_meas, gain, axes):
-    cols = list(axes)
-    dx = gain[:, cols] @ (np.asarray(p_meas, dtype=float)[cols] - p[cols])
-    return p + dx[:3], v + dx[3:]
-
-
-def ref_luenberger_step(obs, gamma_meas, k_gamma, ts):
-    innovation = wrap_angle(gamma_meas - obs[0])
-    return np.array([obs[0] + ts * obs[1] + k_gamma[0] * innovation,
-                     obs[1] + k_gamma[1] * innovation])
-
-
-def with_correction(shown, p_meas, axes):
-    """``last_measurement`` once a tick whose earlier corrections show as
-    ``shown`` corrects ``axes`` to ``p_meas`` too: the measured value on
-    every axis corrected on the tick, None on the others."""
-    p = [None, None, None] if shown is None else list(shown)
-    for axis in axes:
-        p[axis] = float(p_meas[axis])
-    return tuple(p)
-
-
-def measured(shown):
-    """The axes ``last_measurement`` ``shown`` measures, and their values."""
-    axes = tuple(axis for axis, z in enumerate(shown) if z is not None)
-    return axes, [shown[axis] for axis in axes]
-
-
-class ArrayPipeline:
-    """The previous EstimationPipeline, numpy arrays throughout."""
-
-    def __init__(self, config):
-        self.config = config
-        self.gain = stacked_gain(config)
-        self._state = None
-        self._seed = [None, None, None]
-        self._held_z = None
-        self._obs = None
-        self._phi_prev = 0.0
-        self._last_t = None
-        self.last_measurement = None
-
-    def step(self, frame):
-        if self._last_t is not None and frame.t <= self._last_t:
-            raise LogFormatError(f"sample times must increase: {frame.t} after {self._last_t}")
-        self._last_t = frame.t
-        cfg = self.config
-        if cfg.use_imu and frame.accel_k is not None and frame.quat is not None:
-            a_g = ref_accel_to_inertial(frame.accel_k, frame.quat, cfg.phi_g)
-        else:
-            a_g = np.zeros(3)
-        if self._state is not None:
-            p, v = self._state
-            self._state = (p + cfg.ts * v, v + cfg.ts * a_g)
-        self.last_measurement = None
-        self._route_measurements(frame)
-        if self._state is None and all(s is not None for s in self._seed):
-            self._state = (np.array(self._seed, dtype=float), np.zeros(3))
-        if self._state is None:
-            return None
-        return self._emit(frame.t)
-
-    def _correct(self, p_meas, axes):
-        if self._state is not None:
-            self._state = ref_measurement_update(*self._state, p_meas, self.gain, axes)
-            self.last_measurement = with_correction(self.last_measurement, p_meas, axes)
-        else:
-            for axis in axes:
-                self._seed[axis] = float(p_meas[axis])
-
-    def _route_measurements(self, frame):
-        cfg = self.config
-        if cfg.approach == 1:
-            if frame.gps_xy is not None:
-                self._correct(np.array([frame.gps_xy[0], frame.gps_xy[1], 0.0]), (0, 1))
-            if frame.baro_z is not None:
-                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
-        elif cfg.approach == 2:
-            if frame.baro_z is not None:
-                self._held_z = float(frame.baro_z)
-                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
-            if frame.gps_xy is not None and self._held_z is not None:
-                raw = np.array([frame.gps_xy[0], frame.gps_xy[1], self._held_z])
-                try:
-                    corrected = geometric_correction(raw, cfg.r)
-                except (DomainError, DegenerateInputError):
-                    return
-                self._correct(corrected, (0, 1))
-        elif frame.encoder is not None:
-            try:
-                theta, phi = encoder_to_angles(frame.encoder, cfg.geometry)
-            except DegenerateInputError:
-                return
-            self._correct(spherical_to_cartesian(theta, phi, cfg.r), (0, 1, 2))
-
-    def _emit(self, t):
-        cfg = self.config
-        p, v = self._state
-        theta = math.asin(min(1.0, max(-1.0, p[2] / cfg.r)))
-        if p[0] == 0.0 and p[1] == 0.0:
-            phi = self._phi_prev
-        else:
-            phi = math.atan2(p[1], p[0])
-        self._phi_prev = phi
-        try:
-            gamma_meas = velocity_angle(rot_g_to_l(theta, phi) @ v)
-        except DegenerateInputError:
-            gamma_meas = None
-        if self._obs is None and gamma_meas is not None:
-            self._obs = np.array([gamma_meas, 0.0])
-        if self._obs is None:
-            gamma_out, gamma_dot_out = 0.0, 0.0
-        else:
-            gamma_out = float(wrap_angle(self._obs[0]))
-            gamma_dot_out = float(self._obs[1])
-            if gamma_meas is not None:
-                self._obs = ref_luenberger_step(self._obs, gamma_meas, cfg.k_gamma, cfg.ts)
-            else:
-                self._obs = np.array([self._obs[0] + cfg.ts * self._obs[1], self._obs[1]])
-        return EstimateOutput(t, p.copy(), v.copy(), theta, phi, gamma_out, gamma_dot_out)
+def assert_same(actual, expected, what):
+    """Bit for bit, the sign of zero too and NaN equal to NaN: ``step``
+    does the helpers' arithmetic in their order."""
+    assert list(map(float.hex, actual)) == list(map(float.hex, expected)), (what, actual, expected)
 
 
 def assert_close(actual, expected, what):
@@ -1493,40 +1348,52 @@ def assert_close(actual, expected, what):
     assert np.all(np.abs(actual - expected) <= bound), (what, actual, expected)
 
 
-def replay_against_reference(config, frames):
-    """Step both pipelines through ``frames`` and compare every tick.
+def assert_tick(compare, k, pipe, ref, out, expected):
+    """Tick ``k`` of the pipeline ``pipe`` against the reference ``ref``:
+    whether each emits and which axes each shows measured, then with
+    ``compare`` every EstimateOutput field and ``last_measurement``, the
+    pipeline's each a Python float and its vectors tuples."""
+    assert (out is None) == (expected is None), k
+    shown, ref_shown = pipe.last_measurement, ref.last_measurement
+    assert (shown is None) == (ref_shown is None), k
+    if ref_shown is not None:
+        assert type(shown) is tuple and len(shown) == 3
+        assert [z is None for z in shown] == [z is None for z in ref_shown], (k, shown)
+        values = [z for z in shown if z is not None]
+        assert all(type(z) is float for z in values), (k, shown)
+        compare(values, [z for z in ref_shown if z is not None], (k, "last_measurement"))
+    if expected is not None:
+        assert type(out) is EstimateOutput
+        assert type(out.p_hat) is tuple and type(out.v_hat) is tuple
+        got = (out.t, *out.p_hat, *out.v_hat, *out[3:])
+        assert all(type(x) is float for x in got), (k, got)
+        compare(got, (expected.t, *expected.p_hat, *expected.v_hat, *expected[3:]), k)
 
-    Returns the index of the tick where both raised ``DomainError``, or
-    None when the whole stream ran."""
-    new, ref = EstimationPipeline(config), ArrayPipeline(config)
-    first_output = None
+
+def replay(oracle, compare, config, frames, pipe=None):
+    """Step the pipeline (``pipe``, or a new one for ``config``) and
+    ``oracle(config)`` through ``frames``, comparing each tick with
+    ``compare``.  Where the oracle raises, the pipeline must raise the
+    same exception with the same message at the same tick, and both step
+    on.
+
+    Returns the message of each tick that raised, by tick."""
+    pipe = EstimationPipeline(config) if pipe is None else pipe
+    ref = oracle(config)
+    raised, emitted = {}, 0
     for k, frame in enumerate(frames):
         try:
             expected = ref.step(frame)
-        except DomainError:
-            with pytest.raises(DomainError):
-                new.step(frame)
-            return k
-        out = new.step(frame)
-        assert (out is None) == (expected is None), k
-        shown, ref_shown = new.last_measurement, ref.last_measurement
-        assert (shown is None) == (ref_shown is None), k
-        if ref_shown is not None:
-            (axes, values), (ref_axes, ref_values) = measured(shown), measured(ref_shown)
-            assert axes == ref_axes, k
-            assert type(shown) is tuple and len(shown) == 3
-            assert all(type(z) is float for z in values), (k, shown)
-            assert_close(values, ref_values, (k, "p_meas"))
-        if expected is None:
+        except (DomainError, LogFormatError) as exc:
+            with pytest.raises(type(exc)) as got:
+                pipe.step(frame)
+            assert str(got.value) == str(exc), k
+            raised[k] = str(exc)
             continue
-        if first_output is None:
-            first_output = k
-        assert all(type(x) is float for x in (*out.p_hat, *out.v_hat))
-        assert type(out.p_hat) is tuple and type(out.v_hat) is tuple
-        for name, a, b in zip(EstimateOutput._fields, out, expected):
-            assert_close(a, b, (k, name))
-    assert first_output is not None
-    return None
+        assert_tick(compare, k, pipe, ref, pipe.step(frame), expected)
+        emitted += expected is not None
+    assert emitted > 0
+    return raised
 
 
 @functools.lru_cache(maxsize=None)
@@ -1536,7 +1403,27 @@ def reference_record(noisy, phi_g):
     return tuple(frames)
 
 
-class TestMatchesArrayPipeline:
+def edited(ticks, frames=None, **changes):
+    """``frames``, the noisy reference record unless given, with the fields
+    ``changes`` replaced at ``ticks``."""
+    frames = reference_record(True, 0.0) if frames is None else frames
+    return [dataclasses.replace(f, **changes) if k in ticks else f for k, f in enumerate(frames)]
+
+
+def scaled_quaternion(tick):
+    """The noisy reference record with a quaternion of norm 1.01 at ``tick``."""
+    return edited((tick,), quat=1.01 * np.array(reference_record(True, 0.0)[tick].quat))
+
+
+class ReplayCases:
+    """Every replay case, against the reference pipeline ``oracle`` and
+    compared with ``compare``, which a subclass names."""
+
+    oracle = compare = None
+
+    def replay(self, config, frames, **kwargs):
+        return replay(self.oracle, self.compare, config, frames, **kwargs)
+
     @pytest.mark.parametrize("approach", [1, 2, 3])
     @pytest.mark.parametrize("noisy", [True, False])
     @pytest.mark.parametrize("use_imu", [True, False])
@@ -1544,22 +1431,19 @@ class TestMatchesArrayPipeline:
     def test_synthesized_records(self, approach, noisy, use_imu, phi_g):
         config = dataclasses.replace(default_configs()[approach - 1],
                                      use_imu=use_imu, phi_g=phi_g)
-        assert replay_against_reference(config, reference_record(noisy, phi_g)) is None
+        assert self.replay(config, reference_record(noisy, phi_g)) == {}
 
     def test_encoder_gap(self):
-        frames = [dataclasses.replace(f, encoder=None) if 60 <= k < 100 else f
-                  for k, f in enumerate(reference_record(True, 0.0))]
-        assert replay_against_reference(default_configs()[2], frames) is None
+        assert self.replay(default_configs()[2], edited(range(60, 100), encoder=None)) == {}
 
     def test_vertical_encoder_reading_dropped(self):
-        # With the pivot set back by the full guide reach, arm angles
-        # (0, 0) put the guide on the vertical through the origin.
-        geometry = EncoderGeometry(guide_rise=0.0, guide_reach=1.0,
-                                   pivot_height=0.0, pivot_setback=1.0)
-        frames = [dataclasses.replace(f, encoder=(0.0, 0.0)) if k in (0, 90) else f
-                  for k, f in enumerate(reference_record(True, 0.0))]
-        config = dataclasses.replace(default_configs()[2], geometry=geometry)
-        assert replay_against_reference(config, frames) is None
+        config = dataclasses.replace(default_configs()[2], geometry=TestEncoderFix.VERTICAL)
+        assert self.replay(config, edited((0, 90), encoder=(0.0, 0.0))) == {}
+
+    def test_encoder_gap_and_vertical_reading(self):
+        frames = edited((0, 130), edited(range(60, 100), encoder=None), encoder=(0.0, 0.0))
+        config = dataclasses.replace(default_configs()[2], geometry=TestEncoderFix.VERTICAL)
+        assert self.replay(config, frames) == {}
 
     @pytest.mark.parametrize("changes", [
         {"gps_xy": np.array([0.0, 0.0])},
@@ -1568,210 +1452,7 @@ class TestMatchesArrayPipeline:
     def test_sphere_correction_drops(self, changes):
         """XY at zero and a height above the sphere are dropped, both
         while warming up and once filtering."""
-        frames = list(reference_record(True, 0.0))
-        for k in (0, 1, 120):
-            frames[k] = dataclasses.replace(frames[k], **changes)
-        assert replay_against_reference(default_configs()[1], frames) is None
-
-    @pytest.mark.parametrize("approach", [1, 2, 3])
-    def test_nan_quaternion_raises_at_its_tick(self, approach):
-        """A nan attitude fails the unit-norm check like a non-unit one,
-        instead of turning every later estimate into nan."""
-        frames, _ = synthesize(TrajectoryParams(duration=1.0), NoiseSpec(seed=1))
-        frames[10] = dataclasses.replace(frames[10], quat=np.array([math.nan, 0.0, 0.0, 0.0]))
-        pipeline = EstimationPipeline(default_configs()[approach - 1])
-        for frame in frames[:10]:
-            pipeline.step(frame)
-        with pytest.raises(DomainError, match="quaternion norm nan"):
-            pipeline.step(frames[10])
-
-    @pytest.mark.parametrize("approach", [1, 2, 3])
-    def test_non_unit_quaternion_raises_at_same_tick(self, approach):
-        frames = list(reference_record(True, 0.0))
-        frames[77] = dataclasses.replace(frames[77], quat=1.01 * np.array(frames[77].quat))
-        assert replay_against_reference(default_configs()[approach - 1], frames) == 77
-
-
-# ----------------------------------------------------------------------
-# Reference: the step that called the helpers in filter_reference.
-# EstimationPipeline.step does their arithmetic inline, in the same
-# order, so it must agree with this one bit for bit on finite input.
-
-
-class HelperPipeline:
-    """The previous EstimationPipeline: float state in a KinematicState,
-    one helper call per stage, ndarray outputs, and routing 3's fix from
-    the reference copy ``encoder_fix``.  It clamps a non-finite height
-    into an elevation of -pi/2, which the pipeline no longer does (see
-    TestNonFiniteHeight)."""
-
-    def __init__(self, config):
-        self.config = config
-        self._gains = tuple(axis_gain(config.ts, ratio) for ratio in config.ratios)
-        self._heading = (math.cos(config.phi_g), math.sin(config.phi_g))
-        self._state = None
-        self._seed = [None, None, None]
-        self._held_z = None
-        self._obs = None
-        self._phi_prev = 0.0
-        self._last_t = None
-        self.last_measurement = None
-
-    def step(self, frame):
-        t = frame.t
-        if not math.isfinite(t):
-            raise LogFormatError(f"sample time must be finite, got {t}")
-        if self._last_t is not None and not t > self._last_t:
-            raise LogFormatError(f"sample times must increase: {t} after {self._last_t}")
-        self._last_t = t
-        cfg = self.config
-        if cfg.use_imu and frame.accel_k is not None and frame.quat is not None:
-            a_g = inertial_accel(frame.accel_k, frame.quat, *self._heading)
-        else:
-            a_g = (0.0, 0.0, 0.0)
-        if self._state is not None:
-            time_update(self._state, a_g, cfg.ts)
-        self.last_measurement = None
-        self._route_measurements(frame)
-        if self._state is None and None not in self._seed:
-            self._state = KinematicState(list(self._seed), [0.0, 0.0, 0.0])
-        if self._state is None:
-            return None
-        return self._emit(t)
-
-    def _correct(self, p_meas, axes):
-        if self._state is not None:
-            measurement_update(self._state, p_meas.tolist(), self._gains, axes)
-            self.last_measurement = with_correction(self.last_measurement, p_meas, axes)
-        else:
-            for axis in axes:
-                self._seed[axis] = float(p_meas[axis])
-
-    def _route_measurements(self, frame):
-        cfg = self.config
-        if cfg.approach == 1:
-            if frame.gps_xy is not None:
-                self._correct(np.array([frame.gps_xy[0], frame.gps_xy[1], 0.0]), (0, 1))
-            if frame.baro_z is not None:
-                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
-        elif cfg.approach == 2:
-            if frame.baro_z is not None:
-                self._held_z = float(frame.baro_z)
-                self._correct(np.array([0.0, 0.0, frame.baro_z]), (2,))
-            if frame.gps_xy is not None and self._held_z is not None:
-                raw = np.array([frame.gps_xy[0], frame.gps_xy[1], self._held_z])
-                try:
-                    corrected = np.array(geometric_correction(raw, cfg.r))
-                except (DomainError, DegenerateInputError):
-                    return
-                self._correct(corrected, (0, 1))
-        else:
-            if frame.encoder is not None:
-                fix = encoder_fix(frame.encoder, cfg.geometry, cfg.r)
-                if fix is not None:
-                    self._correct(fix, (0, 1, 2))
-
-    def _emit(self, t):
-        cfg = self.config
-        p, v = self._state
-        theta = math.asin(min(1.0, max(-1.0, p[2] / cfg.r)))
-        if p[0] == 0.0 and p[1] == 0.0:
-            phi = self._phi_prev
-        else:
-            phi = math.atan2(p[1], p[0])
-        self._phi_prev = phi
-        try:
-            gamma_meas = gamma_unfiltered(v, theta, phi)
-        except DegenerateInputError:
-            gamma_meas = None
-        if self._obs is None and gamma_meas is not None:
-            self._obs = (gamma_meas, 0.0)
-        if self._obs is None:
-            gamma_out, gamma_dot_out = 0.0, 0.0
-        else:
-            angle, gamma_dot_out = self._obs
-            gamma_out = wrap_angle(angle)
-            if gamma_meas is not None:
-                self._obs = luenberger_step(self._obs, gamma_meas, cfg.k_gamma, cfg.ts)
-            else:
-                self._obs = (angle + cfg.ts * gamma_dot_out, gamma_dot_out)
-        return EstimateOutput(t, np.array(p), np.array(v), theta, phi, gamma_out, gamma_dot_out)
-
-
-def same(a, b):
-    """``a == b`` for floats, with the sign of zero compared too and NaN
-    equal to NaN."""
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
-def assert_same_tick(k, new, ref, out, expected):
-    """One tick of the pipeline ``new`` against HelperPipeline ``ref``:
-    each EstimateOutput field with ``==`` and its type, and
-    ``last_measurement``."""
-    assert (out is None) == (expected is None), k
-    shown, ref_shown = new.last_measurement, ref.last_measurement
-    assert (shown is None) == (ref_shown is None), k
-    if ref_shown is not None:
-        (axes, values), (ref_axes, ref_values) = measured(shown), measured(ref_shown)
-        assert axes == ref_axes, k
-        assert type(shown) is tuple and len(shown) == 3
-        assert all(type(z) is float for z in values), (k, shown)
-        assert all(map(same, values, ref_values)), (k, shown, ref_shown)
-    if expected is None:
-        return
-    assert type(out) is EstimateOutput
-    assert type(out.p_hat) is tuple and type(out.v_hat) is tuple
-    got = (out.t, *out.p_hat, *out.v_hat, *out[3:])
-    want = (expected.t, *expected.p_hat.tolist(), *expected.v_hat.tolist(), *expected[3:])
-    assert all(type(x) is float for x in got), (k, got)
-    assert all(map(same, got, want)), (k, got, want)
-
-
-def replay_against_helpers(config, frames):
-    """Step the pipeline and HelperPipeline through ``frames`` and compare
-    every tick.  Where the reference raises, the pipeline must raise the
-    same exception with the same message at the same tick.
-
-    Returns the index of that tick, or None when the whole stream ran."""
-    new, ref = EstimationPipeline(config), HelperPipeline(config)
-    emitted = 0
-    for k, frame in enumerate(frames):
-        try:
-            expected = ref.step(frame)
-        except (DomainError, LogFormatError) as exc:
-            with pytest.raises(type(exc)) as raised:
-                new.step(frame)
-            assert str(raised.value) == str(exc)
-            return k
-        out = new.step(frame)
-        assert_same_tick(k, new, ref, out, expected)
-        emitted += expected is not None
-    assert emitted > 0
-    return None
-
-
-class TestMatchesHelperPipeline:
-    @pytest.mark.parametrize("approach", [1, 2, 3])
-    @pytest.mark.parametrize("noisy", [True, False])
-    @pytest.mark.parametrize("use_imu", [True, False])
-    @pytest.mark.parametrize("phi_g", [0.0, 0.6])
-    def test_synthesized_records(self, approach, noisy, use_imu, phi_g):
-        config = dataclasses.replace(default_configs()[approach - 1],
-                                     use_imu=use_imu, phi_g=phi_g)
-        assert replay_against_helpers(config, reference_record(noisy, phi_g)) is None
-
-    def test_encoder_gap_and_vertical_reading(self):
-        geometry = EncoderGeometry(guide_rise=0.0, guide_reach=1.0,
-                                   pivot_height=0.0, pivot_setback=1.0)
-        frames = list(reference_record(True, 0.0))
-        for k in range(60, 100):
-            frames[k] = dataclasses.replace(frames[k], encoder=None)
-        for k in (0, 130):
-            frames[k] = dataclasses.replace(frames[k], encoder=(0.0, 0.0))
-        config = dataclasses.replace(default_configs()[2], geometry=geometry)
-        assert replay_against_helpers(config, frames) is None
+        assert self.replay(default_configs()[1], edited((0, 1, 120), **changes)) == {}
 
     @pytest.mark.parametrize("approach", [1, 2])
     @pytest.mark.parametrize("changes", [
@@ -1783,62 +1464,72 @@ class TestMatchesHelperPipeline:
     def test_radio_channels_and_drops(self, approach, changes):
         """Fixes alone, together, at XY zero and above the sphere, both
         while warming up and once filtering."""
-        frames = list(reference_record(True, 0.0))
-        for k in (0, 1, 120, 121):
-            frames[k] = dataclasses.replace(frames[k], **changes)
-        assert replay_against_helpers(default_configs()[approach - 1], frames) is None
+        frames = edited((0, 1, 120, 121), **changes)
+        assert self.replay(default_configs()[approach - 1], frames) == {}
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_nan_quaternion_raises_at_its_tick(self, approach):
+        """A nan attitude fails the unit-norm check like a non-unit one,
+        instead of turning every later estimate into nan."""
+        frames, _ = synthesize(TrajectoryParams(duration=1.0), NoiseSpec(seed=1))
+        frames[10] = dataclasses.replace(frames[10], quat=np.array([math.nan, 0.0, 0.0, 0.0]))
+        raised = self.replay(default_configs()[approach - 1], frames)
+        assert list(raised) == [10] and raised[10].startswith("quaternion norm nan")
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_non_unit_quaternion_raises_at_same_tick(self, approach):
+        """Primed: the record primes nothing, and the tick raises."""
+        config, frames = default_configs()[approach - 1], scaled_quaternion(77)
+        pipe = EstimationPipeline(config)
+        pipe.prime(frames)
+        assert list(self.replay(config, frames, pipe=pipe)) == [77]
 
     @pytest.mark.parametrize("approach", [1, 2, 3])
     @pytest.mark.parametrize("tick", [0, 77])
     def test_non_unit_quaternion(self, approach, tick):
         """Raised before the state has seeded (tick 0) and after."""
-        frames = list(reference_record(True, 0.0))
-        frames[tick] = dataclasses.replace(frames[tick], quat=1.01 * np.array(frames[tick].quat))
-        assert replay_against_helpers(default_configs()[approach - 1], frames) == tick
+        assert list(self.replay(default_configs()[approach - 1], scaled_quaternion(tick))) == [tick]
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    @pytest.mark.parametrize("tick", [0, 77])
+    def test_non_finite_acceleration(self, approach, tick):
+        frames = edited((tick,), accel_k=(0.0, math.inf, 9.8))
+        message = f"accelerometer reading (0.0, inf, 9.8) at t={frames[tick].t} is not finite"
+        assert self.replay(default_configs()[approach - 1], frames) == {tick: message}
 
     @pytest.mark.parametrize("reading", [(math.nan, 0.2), (0.5, math.nan)])
     @pytest.mark.parametrize("tick", [0, 50])
     def test_nan_encoder_reading(self, reading, tick):
-        frames = list(reference_record(True, 0.0))
-        frames[tick] = dataclasses.replace(frames[tick], encoder=reading)
-        assert replay_against_helpers(default_configs()[2], frames) == tick
+        assert list(self.replay(default_configs()[2], edited((tick,), encoder=reading))) == [tick]
 
     @pytest.mark.parametrize("reading", [(math.inf, 0.1), (0.8, math.inf),
                                          (-math.inf, math.nan)])
     @pytest.mark.parametrize("tick", [0, 50])
     def test_infinite_encoder_reading(self, reading, tick):
         """``DomainError`` naming the reading, as for NaN, and no state
-        change: the ticks after it come out as if it had not been fed."""
-        frames = reference_record(True, 0.0)
-        hit, clean = (EstimationPipeline(default_configs()[2]) for _ in range(2))
-        for frame in frames[:tick]:
-            hit.step(frame)
-            clean.step(frame)
-        bad = dataclasses.replace(frames[tick], encoder=reading)
-        with pytest.raises(DomainError, match=r"encoder reading \(.*inf"):
-            hit.step(bad)
-        for frame in frames[tick + 1:tick + 30]:
-            assert hit.step(frame) == clean.step(frame)
+        change: every later tick still steps as the reference's does."""
+        raised = self.replay(default_configs()[2], edited((tick,), encoder=reading))
+        assert list(raised) == [tick] and re.match(r"encoder reading \(.*inf", raised[tick])
 
     @pytest.mark.parametrize("approach", [1, 2, 3])
     @pytest.mark.parametrize("t", [math.nan, math.inf, "repeat"])
     def test_bad_time(self, approach, t):
-        frames = list(reference_record(False, 0.0))
-        frames[40] = dataclasses.replace(frames[40], t=frames[39].t if t == "repeat" else t)
-        assert replay_against_helpers(default_configs()[approach - 1], frames) == 40
+        frames = reference_record(False, 0.0)
+        frames = edited((40,), frames, t=frames[39].t if t == "repeat" else t)
+        assert list(self.replay(default_configs()[approach - 1], frames)) == [40]
 
-    @staticmethod
-    def drive(config, fixes):
-        """Feed both pipelines XY fixes (height 15 with the first); each
-        fix is a function of the previous output, and ``None`` skips."""
-        new, ref = EstimationPipeline(config), HelperPipeline(config)
+    def drive(self, config, fixes):
+        """Feed the pipeline and the reference XY fixes (height 15 with the
+        first); each fix is a function of the previous output, and
+        ``None`` skips."""
+        new, ref = EstimationPipeline(config), self.oracle(config)
         out = None
         outputs = []
         for k, fix in enumerate(fixes):
-            xy = None if fix is None else np.array(fix(out), dtype=float)
-            frame = SensorFrame(t=k * TS, gps_xy=xy, baro_z=15.0 if k == 0 else None)
+            frame = SensorFrame(t=k * TS, gps_xy=None if fix is None else fix(out),
+                                baro_z=15.0 if k == 0 else None)
             out = new.step(frame)
-            assert_same_tick(k, new, ref, out, ref.step(frame))
+            assert_tick(self.compare, k, new, ref, out, ref.step(frame))
             outputs.append(out)
         return outputs
 
@@ -1867,12 +1558,29 @@ class TestMatchesHelperPipeline:
 
     def test_lists_of_readings(self):
         """Fix channels given as plain sequences are read like arrays."""
-        pipe, ref = EstimationPipeline(default_configs()[0]), HelperPipeline(default_configs()[0])
-        for k, (xy, z) in enumerate([([20, 1], 15), ((21.0, 1.5), None), (None, 14)]):
-            frame = SensorFrame(t=k * TS, gps_xy=xy, baro_z=z)
-            out, expected = pipe.step(frame), ref.step(frame)
-            assert out.p_hat == tuple(expected.p_hat.tolist())
-            assert out.v_hat == tuple(expected.v_hat.tolist())
+        frames = [SensorFrame(t=k * TS, gps_xy=xy, baro_z=z)
+                  for k, (xy, z) in enumerate([([20, 1], 15), ((21.0, 1.5), None), (None, 14)])]
+        assert self.replay(default_configs()[0], frames) == {}
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_comparison_is_live(self, approach):
+        """One axis's gains scaled by 1 + 1e-6 fail the replay, so a driver
+        that stopped comparing could not pass."""
+        config = default_configs()[approach - 1]
+        pipe = EstimationPipeline(config)
+        gains = list(pipe._gains)
+        gains[approach - 1] = tuple(k * (1.0 + 1e-6) for k in gains[approach - 1])
+        pipe._gains = tuple(gains)
+        with pytest.raises(AssertionError):
+            self.replay(config, reference_record(True, 0.0), pipe=pipe)
+
+
+class TestMatchesHelperPipeline(ReplayCases):
+    oracle, compare = HelperPipeline, staticmethod(assert_same)
+
+
+class TestMatchesArrayPipeline(ReplayCases):
+    oracle, compare = ArrayPipeline, staticmethod(assert_close)
 
 
 class TestNonFiniteHeight:
@@ -1898,7 +1606,7 @@ class TestNonFiniteHeight:
             return pipe, pipe.step(SensorFrame(t=3 * TS, gps_xy=np.array([20.0, 1.0])))
 
         pipe, out = run_to(math.nan)
-        assert measured(pipe.last_measurement)[0] == (0, 1)
+        assert [z is not None for z in pipe.last_measurement] == [True, True, False]
         never, expected = run_to(None)
         assert repr(out) == repr(expected)
         assert repr(pipe.last_measurement) == repr(never.last_measurement)
@@ -1914,3 +1622,75 @@ class TestNonFiniteHeight:
             pipe.step(SensorFrame(t=2 * TS, baro_z=math.nan))
         out = pipe.step(SensorFrame(t=3 * TS, baro_z=14.0))
         assert all(map(math.isfinite, (*out.p_hat, out.theta_hat, out.phi_hat)))
+
+
+@functools.lru_cache(maxsize=4)
+def law_record(seed, noisy, phi_g=0.0, a_phi=TrajectoryParams().a_phi):
+    """A 20 s record at speed scale 3.5 and its truth."""
+    noise = NoiseSpec(seed=seed) if noisy else NoiseSpec.none(seed=seed)
+    params = TrajectoryParams(duration=20.0, speed_scale=3.5, phi_g=phi_g, a_phi=a_phi)
+    return synthesize(params, noise)
+
+
+def law_estimates(config, frames):
+    """The estimates of ``frames`` from a pipeline primed on them, then
+    from one not primed."""
+    primed = EstimationPipeline(config)
+    primed.prime(frames)
+    return [list(map(pipe.step, frames)) for pipe in (primed, EstimationPipeline(config))]
+
+
+def bits(values):
+    return [np.asarray(value, dtype=float).tobytes() for value in values]
+
+
+class TestKinematicLaws:
+    """The filters rely only on kinematic laws, so turning the ground
+    frame's heading, or mirroring the pattern across the downwind axis,
+    moves the estimates only as it moves the flight."""
+
+    @pytest.mark.parametrize("phi_g", [0.7, 2.5, -1.9])
+    @pytest.mark.parametrize("noisy", [True, False])
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_heading(self, seed, noisy, phi_g):
+        """Only the attitude channel carries the heading: the ground-frame
+        truth is bit-identical (the attitude, body to NED, turns with it),
+        and so are the ticks that emit.  The rotations round apart, so the
+        estimates agree within 2e-14 r per component (measured 5.7e-15 r)
+        and the velocity angle within 1e-13 rad (measured 2.7e-14)."""
+        frames, truth = law_record(seed, noisy, phi_g=phi_g)
+        level_frames, level_truth = law_record(seed, noisy)
+        for sample, level in zip(truth, level_truth):
+            assert bits(sample[:4] + sample[5:]) == bits(level[:4] + level[5:]), sample.t
+        for config in default_configs():
+            turned = law_estimates(dataclasses.replace(config, phi_g=phi_g), frames)
+            for got, want in zip(turned, law_estimates(config, level_frames)):
+                assert [out is None for out in got] == [out is None for out in want]
+                got, want = [out for out in got if out], [out for out in want if out]
+                states = np.array([(*out.p_hat, *out.v_hat) for out in got + want])
+                assert np.abs(states[:len(got)] - states[len(got):]).max() <= 2e-14 * config.r
+                gammas = np.array([out.gamma_hat for out in got + want])
+                assert np.abs(wrap_angle(gammas[:len(got)] - gammas[len(got):])).max() <= 1e-13
+
+    @pytest.mark.parametrize("approach", [1, 2, 3])
+    def test_mirror(self, approach):
+        """With ``a_phi`` negated, truth y is negated exactly and x and z
+        are bit-identical; so are the estimates' on every tick, primed or
+        not (a zero y keeps its sign, as the truth's at t = 0 does), and the
+        velocity angle is negated within 1e-14 rad (measured 2.7e-15).
+        Noiseless, since ``synthesize`` offers no mirrored noise draw."""
+        frames, truth = law_record(3, False, a_phi=-TrajectoryParams().a_phi)
+        plain_frames, plain_truth = law_record(3, False)
+        for sample, plain in zip(truth, plain_truth):
+            for mirrored, vector in zip(sample[1:4], plain[1:4]):
+                assert bits(mirrored[::2]) == bits(vector[::2]) and mirrored[1] == -vector[1]
+        config = default_configs()[approach - 1]
+        for got, want in zip(law_estimates(config, frames), law_estimates(config, plain_frames)):
+            assert [out is None for out in got] == [out is None for out in want]
+            for out, plain in zip(got, want):
+                if plain is None:
+                    continue
+                for mirrored, vector in ((out.p_hat, plain.p_hat), (out.v_hat, plain.v_hat)):
+                    assert bits(mirrored[::2]) == bits(vector[::2]), out.t
+                    assert mirrored[1] == -vector[1], out.t
+                assert abs(wrap_angle(out.gamma_hat + plain.gamma_hat)) <= 1e-14, out.t
