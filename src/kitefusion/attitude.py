@@ -42,14 +42,6 @@ def _check_units(q: np.ndarray) -> None:
         raise _norm_error(norms[bad][0])
 
 
-def _rotation_entries(q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The body-to-NED rotations of the (n, 4) stack ``q`` as nine columns, row by row."""
-    q1, q2, q3, q4 = q.T
-    return (2.0 * (q1 * q1 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q1 * q4), 2.0 * (q2 * q4 + q1 * q3),
-            2.0 * (q2 * q3 + q1 * q4), 2.0 * (q1 * q1 + q3 * q3) - 1.0, 2.0 * (q3 * q4 - q1 * q2),
-            2.0 * (q2 * q4 - q1 * q3), 2.0 * (q3 * q4 + q1 * q2), 2.0 * (q1 * q1 + q4 * q4) - 1.0)
-
-
 def quats_to_rots(q: np.ndarray) -> np.ndarray:
     """Rotation matrices from body to NED coordinates, shape (n, 3, 3), of
     unit quaternions (scalar first) stacked as shape (n, 4); the columns
@@ -57,7 +49,12 @@ def quats_to_rots(q: np.ndarray) -> np.ndarray:
     from 1 by more than 1e-6 or is nan."""
     q = np.asarray(q, dtype=float)
     _check_units(q)
-    return np.stack(_rotation_entries(q), axis=-1).reshape(-1, 3, 3)
+    q1, q2, q3, q4 = q.T
+    return np.stack((
+        2.0 * (q1 * q1 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q1 * q4), 2.0 * (q2 * q4 + q1 * q3),
+        2.0 * (q2 * q3 + q1 * q4), 2.0 * (q1 * q1 + q3 * q3) - 1.0, 2.0 * (q3 * q4 - q1 * q2),
+        2.0 * (q2 * q4 - q1 * q3), 2.0 * (q3 * q4 + q1 * q2), 2.0 * (q1 * q1 + q4 * q4) - 1.0,
+    ), axis=-1).reshape(-1, 3, 3)
 
 
 def rot_to_quat(R: np.ndarray) -> np.ndarray:
@@ -133,10 +130,14 @@ def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, fl
     downwind axis from north is given by its cosine and sine, so that a
     caller with a fixed heading computes them once.
 
-    ``a_k`` and ``q`` are sequences of 3 and 4 floats.  The rotations are
-    summed term by term, so the result can differ from the matrix
-    products of :func:`quats_to_rots` and :func:`~kitefusion.frames.rot_ned_to_g`
-    in the last bits.
+    ``a_k`` and ``q`` are sequences of 3 and 4 floats.  The rotation to
+    NED is taken in quaternion form, ``R(q) a = (2 q1^2 - 1) a +
+    2 (u . a) u + 2 q1 (u x a)`` with ``u = (q2, q3, q4)``: 33 float
+    operations where the nine entries of :func:`quats_to_rots` and their
+    products take 54.  The identity holds term by term for any ``q``, unit
+    or not, so the result equals ``quats_to_rots([q])[0] @ a_k`` turned by
+    :func:`~kitefusion.frames.rot_ned_to_g` up to rounding, in the last
+    bits.
 
     Raises
     ------
@@ -148,13 +149,13 @@ def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, fl
     if not abs(n - 1.0) <= _UNIT_NORM_TOL:
         raise _norm_error(n)
     ax, ay, az = a_k
-    # The rows of quats_to_rots([q])[0] applied to a_k: NED components.
-    north = ((2.0 * (q1 * q1 + q2 * q2) - 1.0) * ax + 2.0 * (q2 * q3 - q1 * q4) * ay
-             + 2.0 * (q2 * q4 + q1 * q3) * az)
-    east = (2.0 * (q2 * q3 + q1 * q4) * ax + (2.0 * (q1 * q1 + q3 * q3) - 1.0) * ay
-            + 2.0 * (q3 * q4 - q1 * q2) * az)
-    down = (2.0 * (q2 * q4 - q1 * q3) * ax + 2.0 * (q3 * q4 + q1 * q2) * ay
-            + (2.0 * (q1 * q1 + q4 * q4) - 1.0) * az)
+    # NED components: c a + d u + w (u x a), c = 2 q1^2 - 1, d = 2 (u . a), w = 2 q1.
+    w = q1 + q1
+    c = w * q1 - 1.0
+    d = 2.0 * (q2 * ax + q3 * ay + q4 * az)
+    north = c * ax + d * q2 + w * (q3 * az - q4 * ay)
+    east = c * ay + d * q3 + w * (q4 * ax - q2 * az)
+    down = c * az + d * q4 + w * (q2 * ay - q3 * ax)
     # rot_ned_to_g(phi_g) applied to them, with gravity restored.
     return cos_g * north + sin_g * east, sin_g * north - cos_g * east, GRAVITY - down
 
@@ -162,14 +163,17 @@ def inertial_accel(a_k, q, cos_g: float, sin_g: float) -> tuple[float, float, fl
 def _inertial_accels(a_k: np.ndarray, q: np.ndarray, cos_g: float, sin_g: float):
     """:func:`inertial_accel` of every row of the float stacks ``a_k``,
     shape (n, 3), and ``q``, shape (n, 4), bit for bit, as three columns
-    ``(x, y, z)`` of n floats each: its terms in its order, on columns,
-    which numpy rounds like Python floats.  The norm check is
-    :func:`_check_units`, so a ``DomainError`` carries the message
-    :func:`inertial_accel` raises at the first bad row."""
+    ``(x, y, z)`` of n floats each: its quaternion-form expression in its
+    order, on columns, which numpy rounds like Python floats.  The norm
+    check is :func:`_check_units`, so a ``DomainError`` carries the
+    message :func:`inertial_accel` raises at the first bad row."""
     _check_units(q)
+    q1, q2, q3, q4 = q.T
     ax, ay, az = a_k.T
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = _rotation_entries(q)
-    north = r00 * ax + r01 * ay + r02 * az
-    east = r10 * ax + r11 * ay + r12 * az
-    down = r20 * ax + r21 * ay + r22 * az
+    w = q1 + q1
+    c = w * q1 - 1.0
+    d = 2.0 * (q2 * ax + q3 * ay + q4 * az)
+    north = c * ax + d * q2 + w * (q3 * az - q4 * ay)
+    east = c * ay + d * q3 + w * (q4 * ax - q2 * az)
+    down = c * az + d * q4 + w * (q2 * ay - q3 * ax)
     return cos_g * north + sin_g * east, sin_g * north - cos_g * east, GRAVITY - down

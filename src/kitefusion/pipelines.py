@@ -346,9 +346,10 @@ class EstimationPipeline:
     samples that cannot be used (sphere-correction degeneracies, vertical
     tether readings) are dropped rather than aborting the run.
 
-    The filter state is six float attributes, position and velocity per
-    axis.  Each tick runs three decoupled two-state recursions on them
-    with the per-axis gains ``(k1, k2)`` read once from
+    The filter state is two tuples of three floats, position and velocity,
+    which each output shares as ``p_hat`` and ``v_hat``.  Each tick runs
+    three decoupled two-state recursions on their floats with the per-axis
+    gains ``(k1, k2)`` read once from
     :func:`~kitefusion.estimator.axis_gain`, then derives the
     sphere angles and the velocity angle and steps the observer, all in
     one straight-line pass on floats.  The heading of the ground frame
@@ -391,8 +392,10 @@ class EstimationPipeline:
         self._fixes = {}
         self._seed = [None, None, None]
         self._seeded = False
-        self._px = self._py = self._pz = 0.0
-        self._vx = self._vy = self._vz = 0.0
+        # The filter state, position and velocity, each a tuple of three
+        # floats that the tick's output shares.
+        self._p = self._v = (0.0, 0.0, 0.0)
+        self._ts, self._r, self._k_gamma = config.ts, config.r, config.k_gamma
         self._imu_per_tick = config.use_imu
         self._accels = _ZEROS
         # The latest height, at which routing 2 rescales an XY fix; NaN,
@@ -401,7 +404,7 @@ class EstimationPipeline:
         self._obs_angle: float | None = None
         self._obs_rate = 0.0
         self._phi_prev = 0.0
-        self._last_t: float | None = None
+        self._last_t = -math.inf
         self.last_measurement: tuple[float | None, float | None, float | None] | None = None
 
     def prime(self, frames) -> None:
@@ -411,13 +414,12 @@ class EstimationPipeline:
 
     def step(self, frame: SensorFrame) -> EstimateOutput | None:
         t = frame.t
-        if not math.isfinite(t):
-            raise LogFormatError(f"sample time must be finite, got {t}")
-        if self._last_t is not None and not t > self._last_t:
+        if not self._last_t < t < math.inf:
+            if not math.isfinite(t):
+                raise LogFormatError(f"sample time must be finite, got {t}")
             raise LogFormatError(f"sample times must increase: {t} after {self._last_t}")
         self._last_t = t
-        cfg = self.config
-        ts = cfg.ts
+        ts = self._ts
         if self._imu_per_tick and frame.accel_k is not None and frame.quat is not None:
             ax, ay, az = inertial_accel(frame.accel_k, frame.quat, self._cos_g, self._sin_g)
         else:
@@ -462,17 +464,18 @@ class EstimationPipeline:
                         # Each component over the norm first, so that a
                         # guide a subnormal distance away cannot overflow.
                         norm = math.hypot(fwd, side, up)
-                        r = cfg.r
+                        r = self._r
                         measured = (r * (fwd / norm), r * (side / norm), r * (up / norm))
                         if key is not None and len(self._fixes) < _FIXES_HELD:
                             self._fixes[key] = measured
         if self._seeded:
             # Prediction, per axis: p += ts * v with the pre-update
             # velocity, then v += ts * a.
-            vx, vy, vz = self._vx, self._vy, self._vz
-            px = self._px + ts * vx
-            py = self._py + ts * vy
-            pz = self._pz + ts * vz
+            px, py, pz = self._p
+            vx, vy, vz = self._v
+            px += ts * vx
+            py += ts * vy
+            pz += ts * vz
             vx += ts * ax
             vy += ts * ay
             vz += ts * az
@@ -505,12 +508,12 @@ class EstimationPipeline:
             self._seeded = True
             px, py, pz = self._seed
             vx = vy = vz = 0.0
-        self._px, self._py, self._pz = px, py, pz
-        self._vx, self._vy, self._vz = vx, vy, vz
+        p = self._p = px, py, pz
+        v = self._v = vx, vy, vz
 
         # Sphere angles of the estimate; the azimuth holds on the zenith
         # axis, and a non-finite height gives a non-finite elevation.
-        sin_theta = pz / cfg.r
+        sin_theta = pz / self._r
         if sin_theta > 1.0:
             sin_theta = 1.0
         elif sin_theta < -1.0:
@@ -530,8 +533,7 @@ class EstimationPipeline:
         if v_north == 0.0 and v_east == 0.0:
             # Undefined velocity angle: the observer coasts, or waits.
             if angle is None:
-                return _output(EstimateOutput, (t, (px, py, pz), (vx, vy, vz),
-                                                theta, phi, 0.0, 0.0))
+                return _output(EstimateOutput, (t, p, v, theta, phi, 0.0, 0.0))
             self._obs_angle = angle + ts * rate
         else:
             gamma_meas = math.atan2(v_east, v_north)
@@ -540,10 +542,10 @@ class EstimationPipeline:
             # Predictor-form observer step: the angle integrates unwrapped
             # while the innovation is wrapped to (-pi, pi].
             innovation = math.pi - (math.pi - (gamma_meas - angle)) % TWO_PI
-            k1, k2 = cfg.k_gamma
+            k1, k2 = self._k_gamma
             self._obs_angle = angle + ts * rate + k1 * innovation
             self._obs_rate = rate + k2 * innovation
-        return _output(EstimateOutput, (t, (px, py, pz), (vx, vy, vz), theta, phi,
+        return _output(EstimateOutput, (t, p, v, theta, phi,
                                         math.pi - (math.pi - angle) % TWO_PI, rate))
 
     def _radio_fix(self, frame: SensorFrame):

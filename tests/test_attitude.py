@@ -13,6 +13,7 @@ from kitefusion.attitude import (
     rot_to_quat,
 )
 from kitefusion.errors import DomainError
+from kitefusion.frames import rot_ned_to_g
 
 
 # Propagation under constant body rates, the relation body_rates_between
@@ -337,6 +338,23 @@ class TestAccelToInertial:
                - np.array([0.0, 0.0, GRAVITY]))
         assert_allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 9e-7, 1.0 - 9e-7])
+    def test_matches_rotation_matrix(self, scale):
+        """The quaternion form equals the matrix of ``quats_to_rots``
+        applied to the reading, turned by the heading, with gravity
+        restored, within 1e-12 max(1, |a|), unit or off unit inside the
+        tolerance."""
+        rng = np.random.default_rng(35)
+        for _ in range(200):
+            q = scale * random_unit_quat(rng)
+            a_k = rng.normal(0.0, 30.0, 3)
+            phi_g = rng.uniform(-math.pi, math.pi)
+            want = rot_ned_to_g(phi_g) @ (quats_to_rots([q])[0] @ a_k)
+            want[2] += GRAVITY
+            got = inertial_accel(a_k.tolist(), q.tolist(), math.cos(phi_g), math.sin(phi_g))
+            bound = 1e-12 * max(1.0, float(np.linalg.norm(a_k)))
+            assert np.abs(np.array(got) - want).max() <= bound
+
     def test_non_unit_rejected(self):
         with pytest.raises(DomainError):
             inertial_accel([0.0, 0.0, GRAVITY], [1.0, 0.1, 0.0, 0.0], 1.0, 0.0)
@@ -356,6 +374,10 @@ class TestStackedInertialAccel:
         q = np.array([random_unit_quat(rng) for _ in range(300)])
         q[:10] = [1.0, 0.0, 0.0, 0.0]
         q[10:20] = [0.0, 0.0, 0.0, -1.0]
+        # Rows off unit by up to 9e-7, inside the tolerance: the quaternion
+        # form is an identity of the matrix for any q, not only a unit one.
+        q[30:40] *= 1.0 + 9e-7
+        q[40:50] *= 1.0 - 9e-7
         a_k = rng.normal(0.0, 20.0, (300, 3))
         a_k[:10] = [0.0, 0.0, GRAVITY]
         a_k[20:25] = 0.0

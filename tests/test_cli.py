@@ -207,19 +207,37 @@ class TestEstimate:
             out.unlink()
         return code, written, capsys.readouterr().err, len(rotations)
 
-    @pytest.mark.parametrize("config", ["approach = 1\nlambda = 10\n", "approach = 2\n",
-                                        "", "phi_g = 2.5\n", "use_imu = false\n"])
-    def test_priming_keeps_bytes(self, monkeypatch, capsys, tmp_path, sim_log, config):
-        """The record's accelerations are computed in one array pass, with
-        the bytes of the per-tick rotation."""
+    PRIMING_CONFIGS = ["approach = 1\nlambda = 10\n", "approach = 2\n", "", "phi_g = 2.5\n",
+                       "use_imu = false\n"]
+
+    def assert_priming_keeps_bytes(self, monkeypatch, capsys, tmp_path, log, config):
         out = tmp_path / "e.csv"
         argv = ["estimate", "--config", write(tmp_path / "e.cfg", config),
-                "--log", str(sim_log), "--out", str(out)]
+                "--log", str(log), "--out", str(out)]
         primed = self.run_counting_rotations(monkeypatch, capsys, argv, out, primed=True)
         unprimed = self.run_counting_rotations(monkeypatch, capsys, argv, out, primed=False)
         assert primed[:3] == unprimed[:3] and primed[0] == 0
-        ticks = len(read_log(sim_log).frames)
+        ticks = len(read_log(log).frames)
         assert (primed[3], unprimed[3]) == (0, 0 if "use_imu" in config else ticks)
+
+    @pytest.mark.parametrize("config", PRIMING_CONFIGS)
+    def test_priming_keeps_bytes(self, monkeypatch, capsys, tmp_path, sim_log, config):
+        """The record's accelerations are computed in one array pass, with
+        the bytes of the per-tick rotation."""
+        self.assert_priming_keeps_bytes(monkeypatch, capsys, tmp_path, sim_log, config)
+
+    @pytest.mark.parametrize("config", PRIMING_CONFIGS)
+    def test_priming_keeps_bytes_off_unit(self, monkeypatch, capsys, tmp_path, sim_log, config):
+        """As above on a log whose quaternions are off unit by 9e-7, inside
+        the tolerance, alternately long and short."""
+        log = read_log(sim_log)
+        frames = [dataclasses.replace(frame, quat=tuple((1.0 + (-1) ** k * 9e-7) * c
+                                                        for c in frame.quat))
+                  for k, frame in enumerate(log.frames)]
+        off_unit = tmp_path / "off_unit.csv"
+        write_log(frames, off_unit, truth=log.truth)
+        assert read_log(off_unit).frames[1].quat == frames[1].quat
+        self.assert_priming_keeps_bytes(monkeypatch, capsys, tmp_path, off_unit, config)
 
     def test_non_unit_quaternion_exits_2_alike(self, monkeypatch, capsys, tmp_path, sim_log):
         log = read_log(sim_log)
