@@ -11,14 +11,17 @@ count an integer beyond float range as not finite, and their messages
 show an integer of more than 30 digits by its digit count;
 :func:`require_finite` also names a field that holds no value of its
 annotated kind, and stores the real fields of a config it passes as
-Python floats.
+Python floats.  A tuple field's length is read off its annotation by
+:func:`_tuple_width`, so ``ratios: tuple[float, float, float]`` refuses a
+pair by name.
 """
 
 import functools
 import math
+import types
 from dataclasses import fields, is_dataclass
 from numbers import Integral, Real
-from typing import get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -79,25 +82,43 @@ def _shown(value) -> str:
     return str(value) if isinstance(value, Real) else repr(value)
 
 
+def _tuple_width(hint) -> int | None:
+    """The number of entries a ``tuple[...]`` annotation declares, reading
+    ``X | None`` as ``X``; ``None`` for any other annotation, and for
+    ``tuple[X, ...]``.  Only a union is unwrapped, since a bare tuple's
+    arguments are its entries."""
+    if get_origin(hint) in (Union, types.UnionType):
+        hint = Union[tuple(arg for arg in get_args(hint) if arg is not type(None))]
+    entries = get_args(hint)
+    return len(entries) if get_origin(hint) is tuple and Ellipsis not in entries else None
+
+
 _field_types = functools.cache(get_type_hints)  # resolved once per dataclass
+
+
+@functools.cache
+def _field_widths(cls) -> dict[str, int | None]:
+    """Each field of the dataclass ``cls`` and its :func:`_tuple_width`."""
+    return {name: _tuple_width(hint) for name, hint in _field_types(cls).items()}
 
 
 def require_finite(spec) -> None:
     """Reject a dataclass instance with a nan, infinite or out-of-range
-    field, by name; tuple fields entry by entry.  A field that holds no
-    number (a string, a list, an array), or a tuple field that holds no
-    tuple of numbers, is refused by name as well, and so is an ``int``
-    field without an integer (a ``bool`` is not one), a ``bool`` field
-    without a Python or numpy bool, and a field annotated with a
-    dataclass without an instance of it, which is not checked further.
+    field, by name; tuple fields entry by entry, then by the length their
+    annotation declares.  A field that holds no number (a string, a list,
+    an array), or a tuple field that holds no tuple of numbers, is refused
+    by name as well, and so is an ``int`` field without an integer (a
+    ``bool`` is not one), a ``bool`` field without a Python or numpy bool,
+    and a field annotated with a dataclass without an instance of it, which
+    is not checked further.
 
     A field that passes is stored as a Python float if annotated
     ``float``, and as a tuple of Python floats if a tuple, so a numpy
     scalar given to a config reaches no result in its own precision;
     ``int`` and ``bool`` fields keep what was given."""
-    types = _field_types(type(spec))
+    kinds, widths = _field_types(type(spec)), _field_widths(type(spec))
     for field in fields(spec):
-        value, kind = getattr(spec, field.name), types[field.name]
+        value, kind = getattr(spec, field.name), kinds[field.name]
         if kind is bool or is_dataclass(kind):
             if not isinstance(value, (bool, np.bool_) if kind is bool else kind):
                 raise DomainError(
@@ -112,6 +133,10 @@ def require_finite(spec) -> None:
             raise DomainError(f"{field.name} must be finite, got {_shown(value)}")
         if kind is int and (isinstance(value, bool) or not isinstance(value, Integral)):
             raise DomainError(f"{field.name} must be an integer, got {_shown(value)}")
+        width = widths[field.name]
+        if width is not None and len(value) != width:
+            raise DomainError(
+                f"{field.name} must hold {width} finite numbers, got {_shown(value)}")
         if many:
             object.__setattr__(spec, field.name, tuple(map(float, value)))
         elif kind is float:

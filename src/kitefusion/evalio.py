@@ -13,13 +13,13 @@ next to an explicit empty-cell mask, and runs the row checks as boolean
 array tests.  That pass only accepts: a log it cannot take whole is
 read again line by line by :func:`_read_lines`, the one place that
 names a log fault (see :func:`read_log`).  Each channel is read out of
-the table once, for the rows that hold it, as Python floats: every frame
-takes a float or a tuple of floats per channel, its encoder pair
-included, as it holds them, made by :func:`~kitefusion.pipelines._frames`
-without the frame check, which such channels would pass unconverted;
-every truth point takes a row of one copy of each truth vector.  The
-writer gathers the same table from the frames, refuses a non-finite
-present cell before it opens the file, and formats the table row by row.
+the table once, for the rows that hold it, as Python floats in the form
+of :class:`~kitefusion.pipelines.SensorFrame`'s frame rule, so the
+frames are made by :func:`~kitefusion.pipelines._frames` without the
+frame check; every truth point takes a row of one copy of each truth
+vector.  The writer gathers the same table from the frames, refuses a
+non-finite present cell before it opens the file, and formats the table
+row by row.
 
 The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing
@@ -51,8 +51,8 @@ import numpy as np
 
 from .errors import DomainError, LogFormatError
 from .frames import wrap_angle
-from .pipelines import (EstimationPipeline, EstimatorConfig, SensorFrame, _frames, _prime,
-                        _tuple_rows)
+from .pipelines import (EstimationPipeline, EstimatorConfig, SensorFrame, _float, _frames,
+                        _prime, _tuple_rows)
 
 # The log layout per record, in column order: field, column names, and
 # the label of a channel group whose cells must be all present or all
@@ -116,6 +116,13 @@ class LogData(NamedTuple):
     truth: list[TruthPoint] | None
 
 
+def _require_truth_fits(truth, frames) -> None:
+    """``LogFormatError`` unless ``truth`` is ``None`` or holds one point
+    per frame."""
+    if truth is not None and len(truth) != len(frames):
+        raise LogFormatError(f"truth length {len(truth)} does not match {len(frames)} frames")
+
+
 def write_log(frames: Sequence[SensorFrame], path, truth=None,
               meta: Sequence[str] | None = None) -> None:
     """Write a sensor stream (optionally with truth columns) as CSV.
@@ -133,9 +140,7 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
         is not finite, which :func:`read_log` would refuse (that message
         names the frame index and the column).  Nothing is written then.
     """
-    if truth is not None and len(truth) != len(frames):
-        raise LogFormatError(
-            f"truth length {len(truth)} does not match {len(frames)} frames")
+    _require_truth_fits(truth, frames)
     for line in meta or ():
         if "\n" in line or "\r" in line:
             raise LogFormatError(f"meta line {line!r} holds a line break")
@@ -410,8 +415,11 @@ def compare_approaches(log: LogData,
     ------
     DomainError
         If ``configs`` is empty, two configs share an approach,
-        ``settle`` or a bin edge is not finite, or the bin edges do not
-        strictly increase.
+        ``settle`` or a bin edge is not a finite real number (text is
+        refused, as a frame refuses it), or the bin edges do not strictly
+        increase.
+    LogFormatError
+        If ``log.truth`` and ``log.frames`` differ in length.
     """
     configs = default_configs() if configs is None else tuple(configs)
     if not configs:
@@ -420,11 +428,13 @@ def compare_approaches(log: LogData,
     for approach in approaches:
         if approaches.count(approach) > 1:
             raise DomainError(f"approach {approach} appears more than once in configs")
+    settle = _float("settle", settle)
     if not math.isfinite(settle):
         raise DomainError(f"settle must be finite, got {settle}")
-    edges = [float(e) for e in bin_edges]
+    edges = [_float("bin edge", edge) for edge in bin_edges]
     if not (edges and np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()):
         raise DomainError(f"bin edges must be finite and strictly increasing, got {bin_edges}")
+    _require_truth_fits(log.truth, log.frames)
     pipelines = [EstimationPipeline(config) for config in configs]
     _prime(pipelines, log.frames)
     runs = {pipe.config.approach: _stacked(map(pipe.step, log.frames)) for pipe in pipelines}

@@ -37,9 +37,7 @@ def _libm(func, *columns) -> np.ndarray:
 
 def wrap_angle(angle):
     """Wrap an angle (scalar or ndarray) to the interval (-pi, pi]."""
-    # The isinstance test (true for numpy.float64 too) spares the per-tick
-    # callers the cost of np.ndim.
-    if isinstance(angle, float) or np.ndim(angle) == 0:
+    if np.ndim(angle) == 0:
         return math.pi - (math.pi - float(angle)) % TWO_PI
     return math.pi - np.mod(math.pi - np.asarray(angle, dtype=float), TWO_PI)
 

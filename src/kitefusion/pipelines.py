@@ -50,8 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attitude import _inertial_accels, inertial_accel
-from .errors import (DegenerateInputError, DomainError, LogFormatError, _shown, require_finite,
-                     require_positive)
+from .errors import (DegenerateInputError, DomainError, LogFormatError, _field_widths, _shown,
+                     require_finite, require_positive)
 from .frames import TWO_PI, _elevation, _horizontal
 from .lineangle import EncoderGeometry, _guide_point, _mount
 from .estimator import axis_gain
@@ -65,21 +65,22 @@ class SensorFrame:
     sensors run slower than the base rate and entire channels disappear
     when a sensor is not fitted.
 
-    Each vector channel (``accel_k``, ``gyro_k``, ``quat``, ``gps_xy``,
-    ``encoder``) is held as a tuple of Python floats of its length, and
-    each scalar channel (``t``, ``baro_z``, ``wind_speed``) as a Python
-    float.  A channel of that form is kept as given; any other value (an
-    ndarray of any dtype, a list, a tuple holding ints or numpy scalars,
-    an int or a numpy scalar) is converted once, when the frame is built,
-    with ``float()`` per element, as ``ndarray.tolist()`` converts a float
-    array, so a float32 or integer channel gives the estimates of the same
-    values as float64.  A vector channel of the wrong length, a value
-    ``float()`` refuses, or text (``str``, ``bytes`` or ``bytearray``,
-    whole or as an element) raises ``DomainError`` naming the field.  A
-    channel assigned after the frame is built is not checked, and must
-    hold Python floats: a ``Decimal`` or numpy ``float32`` entry can prime
-    a record whose per-tick path raises or computes in that type.  The
-    package's own producers, :func:`~kitefusion.simkite.synthesize` and
+    The frame rule: each vector channel (``accel_k``, ``gyro_k``,
+    ``quat``, ``gps_xy``, ``encoder``) is held as a tuple of Python floats
+    of the width its annotation declares, and each scalar channel (``t``,
+    ``baro_z``, ``wind_speed``) as a Python float.  A channel of that form
+    is kept as given, the same object.  Any other value (an ndarray of any
+    dtype, a list, a tuple holding ints or numpy scalars, an int or a numpy
+    scalar) is converted once, when the frame is built, with ``float()``
+    per element, as ``ndarray.tolist()`` converts a float array, so a
+    float32 or integer channel gives the estimates of the same values as
+    float64.  A vector channel of the wrong length, a value ``float()``
+    refuses, or text (``str``, ``bytes`` or ``bytearray``, whole or as an
+    element) raises ``DomainError`` naming the field.  A channel assigned
+    after the frame is built is not checked, and must hold Python floats:
+    a ``Decimal`` or numpy ``float32`` entry can prime a record whose
+    per-tick path raises or computes in that type.  The package's own
+    producers, :func:`~kitefusion.simkite.synthesize` and
     :func:`~kitefusion.evalio.read_log`, build every channel in this form
     from ``ndarray.tolist()``, and make their frames through
     :func:`_frames`, which skips the check.
@@ -116,48 +117,30 @@ class SensorFrame:
     wind_speed: float | None = None
 
     def __post_init__(self) -> None:
-        # Every frame built by a caller passes here, so the tests are
-        # spelled out per channel; channels of floats and tuples of floats
-        # pass them unconverted.
-        v = self.t
-        if type(v) is not float:
-            self.t = _float("t", v)
-        v = self.accel_k
-        if v is not None and not (type(v) is tuple and len(v) == 3
-                                  and type(v[0]) is type(v[1]) is type(v[2]) is float):
-            self.accel_k = _floats("accel_k", v, 3)
-        v = self.gyro_k
-        if v is not None and not (type(v) is tuple and len(v) == 3
-                                  and type(v[0]) is type(v[1]) is type(v[2]) is float):
-            self.gyro_k = _floats("gyro_k", v, 3)
-        v = self.quat
-        if v is not None and not (type(v) is tuple and len(v) == 4
-                                  and type(v[0]) is type(v[1]) is type(v[2]) is type(v[3])
-                                  is float):
-            self.quat = _floats("quat", v, 4)
-        v = self.gps_xy
-        if v is not None and not (type(v) is tuple and len(v) == 2
-                                  and type(v[0]) is type(v[1]) is float):
-            self.gps_xy = _floats("gps_xy", v, 2)
-        v = self.baro_z
-        if v is not None and type(v) is not float:
-            self.baro_z = _float("baro_z", v)
-        v = self.encoder
-        if v is not None and not (type(v) is tuple and len(v) == 2
-                                  and type(v[0]) is type(v[1]) is float):
-            self.encoder = _floats("encoder", v, 2)
-        v = self.wind_speed
-        if v is not None and type(v) is not float:
-            self.wind_speed = _float("wind_speed", v)
+        for name, width in _CHANNELS:
+            value = getattr(self, name)
+            if value is None and name != "t":
+                continue
+            if width is None:
+                if type(value) is not float:
+                    setattr(self, name, _float(name, value))
+            elif not (type(value) is tuple and len(value) == width
+                      and all(type(entry) is float for entry in value)):
+                setattr(self, name, _floats(name, value, width))
+
+
+#: Each field of a frame and its width: the entries of a vector channel,
+#: ``None`` for a scalar one, read off the annotations.
+_CHANNELS = tuple(_field_widths(SensorFrame).items())
 
 
 def _frames(*columns) -> list[SensorFrame]:
     """The frames of ``columns``, one iterable per field in field order,
     made without :meth:`SensorFrame.__post_init__`: each frame is
     ``object.__new__`` and eight attribute stores in field order.  Every
-    value must already be in the frame's form (a Python float, a tuple of
-    Python floats of the channel's length, or ``None``), as the producers'
-    ``ndarray.tolist()`` values are; nothing is checked."""
+    value must already follow :class:`SensorFrame`'s frame rule, or be
+    ``None``, as the producers' ``ndarray.tolist()`` values are; nothing
+    is checked."""
     frames = []
     append, new = frames.append, object.__new__
     for t, accel_k, gyro_k, quat, gps_xy, baro_z, encoder, wind_speed in zip(*columns):
@@ -239,7 +222,8 @@ class EstimatorConfig:
         Integrate the accelerometer between fixes when True; with False
         the prediction step uses zero acceleration.
 
-    A ``DomainError`` names the first field not finite, then the first not positive.
+    A ``DomainError`` names the first field not finite or, for a tuple, of
+    the wrong length, then the first not positive.
     The real fields are kept as Python floats, whatever real type was given.
     """
 
@@ -256,13 +240,9 @@ class EstimatorConfig:
         require_finite(self)
         require_positive("r", self.r)
         require_positive("ts", self.ts)
-        if len(self.ratios) != 3:
-            raise DomainError(f"need three variance ratios, got {len(self.ratios)}")
         require_positive("ratios", min(self.ratios))
         if self.approach not in (1, 2, 3):
             raise DomainError(f"approach must be 1, 2 or 3, got {self.approach}")
-        if len(self.k_gamma) != 2:
-            raise DomainError(f"need two velocity-angle observer gains, got {len(self.k_gamma)}")
         k1, k2 = self.k_gamma
         closed_loop = np.array([[1.0 - k1, self.ts], [-k2, 1.0]])
         if max(abs(np.linalg.eigvals(closed_loop))) >= 1.0:

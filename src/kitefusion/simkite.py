@@ -22,11 +22,11 @@ row, rounding to the encoder grid included; the fixes from the
 positions alone (they need no attitude or velocity angle).  The
 per-tick truth objects are built by ``map`` with no Python loop body,
 and the frames by :func:`~kitefusion.pipelines._frames`, without the
-frame check, from channels of Python floats made by ``tolist()``, which
-the check would keep unconverted.  Each output equals, bit for bit,
-what the tick-by-tick formulas give.  Faster flights come from a pure
-time dilation of the pattern, so one knob scales every speed and
-acceleration together.
+frame check, from channels made by ``tolist()`` in the form of
+:class:`~kitefusion.pipelines.SensorFrame`'s frame rule.  Each output
+equals, bit for bit, what the tick-by-tick formulas give.  Faster
+flights come from a pure time dilation of the pattern, so one knob
+scales every speed and acceleration together.
 
 Only the sensor noise depends on the seed, so the noise-free flight (the
 truth, the body rates, the specific force and the encoder readings) is

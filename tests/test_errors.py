@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from typing import Optional, Union
 from unittest import mock
 
 import numpy as np
@@ -247,3 +248,21 @@ def test_real_fields_stored_as_python_floats(cls):
             assert {type(entry) for entry in stored} == {float}, name
         else:
             assert type(stored) is float and stored == float(value), name
+
+
+@pytest.mark.parametrize("hint, width", [
+    (tuple[float, float, float], 3),
+    (tuple[float, float] | None, 2),
+    (Optional[tuple[float, float, float, float]], 4),
+    (tuple[float | None, float], 2),
+    (tuple[float, ...], None),
+    (float, None),
+    (float | None, None),
+    (Union[tuple[float, float], int], None),
+    (int, None),
+], ids=["tuple", "optional", "typing-optional", "union-entry", "variadic", "float",
+        "optional-float", "union", "int"])
+def test_tuple_width(hint, width):
+    """Only a union is unwrapped: a bare tuple's arguments are its
+    entries, an optional entry included."""
+    assert errors._tuple_width(hint) == width

@@ -335,6 +335,36 @@ class TestCompareApproaches:
         with pytest.raises(DomainError, match="settle must be finite"):
             compare_approaches(LogData(frames, truth), settle=settle)
 
+    @pytest.mark.parametrize("value", ["2", None, 2j], ids=["text", "none", "complex"])
+    def test_settle_not_a_real_number_refused(self, value):
+        frames, truth = small_record(duration=0.5)
+        with pytest.raises(DomainError, match="^settle must be a real number, got "):
+            compare_approaches(LogData(frames, truth), settle=value)
+
+    @pytest.mark.parametrize("bin_edges", [["2", "3"], [None, 3.0], [2.0, 3j]],
+                             ids=["text", "none", "complex"])
+    def test_bin_edge_not_a_real_number_refused(self, bin_edges):
+        # float() would read text as its digits.
+        frames, truth = small_record(duration=0.5)
+        with pytest.raises(DomainError, match="^bin edge must be a real number, got "):
+            compare_approaches(LogData(frames, truth), bin_edges=bin_edges)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_truth_of_another_length_refused(self, monkeypatch, extra):
+        """A short truth list would fail on a bare IndexError, and a long
+        one would be scored against its first rows; both are refused with
+        write_log's message before any pipeline runs."""
+        frames, truth = small_record(duration=4.0)
+        truth = truth[:extra] if extra < 0 else truth + truth[:extra]
+
+        def no_pipeline(config):
+            raise AssertionError("a pipeline was built")
+
+        monkeypatch.setattr(evalio, "EstimationPipeline", no_pipeline)
+        with pytest.raises(LogFormatError, match=(
+                f"^truth length {len(frames) + extra} does not match {len(frames)} frames$")):
+            compare_approaches(LogData(frames, truth))
+
     def test_repeated_approach_rejected(self):
         # Two tunings of one routing would share a run key, and both rows
         # would report the second run.

@@ -301,6 +301,18 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             EstimatorConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value, width", [
+        ("ratios", (500.0, 500.0), 3),
+        ("ratios", (500.0, 500.0, 500.0, 500.0), 3),
+        ("k_gamma", (0.4,), 2),
+        ("k_gamma", (0.4, 0.9, 1.0), 2),
+    ], ids=["ratios-pair", "ratios-four", "k_gamma-one", "k_gamma-three"])
+    def test_tuple_of_wrong_length_named(self, field, value, width):
+        """The length is the one the field's annotation declares."""
+        with pytest.raises(DomainError) as raised:
+            EstimatorConfig(**{field: value})
+        assert str(raised.value) == f"{field} must hold {width} finite numbers, got {value}"
+
     @pytest.mark.parametrize("field, value", [
         ("r", math.nan), ("phi_g", -math.inf), ("ts", math.inf),
         ("ratios", (500.0, math.inf, 500.0)), ("k_gamma", (math.nan, 0.9)),
@@ -1276,6 +1288,31 @@ class TestFrameChannels:
         with pytest.raises(DomainError, match="^encoder must hold 2 real numbers, got "):
             SensorFrame(t=0.0, encoder=value)
 
+    def test_channel_table_read_off_the_annotations(self):
+        assert pipelines._CHANNELS == (
+            ("t", None), ("accel_k", 3), ("gyro_k", 3), ("quat", 4), ("gps_xy", 2),
+            ("baro_z", None), ("encoder", 2), ("wind_speed", None))
+
+    # A channel of each field in the frame's form.
+    PLAIN = {"t": 1.5, "accel_k": (0.1, -0.2, 9.8), "gyro_k": (0.3, 0.0, -0.1),
+             "quat": (1.0, 0.0, 0.0, 0.0), "gps_xy": (3.0, 4.0), "baro_z": 12.5,
+             "encoder": (0.7, 0.2), "wind_speed": 6.0}
+
+    @pytest.mark.parametrize("field", list(PLAIN))
+    def test_plain_channel_kept_by_identity(self, field):
+        value = self.PLAIN[field]
+        frame = SensorFrame(**{"t": 0.0, field: value})
+        assert getattr(frame, field) is value
+
+    @pytest.mark.parametrize("convert", [list, np.array, lambda v: tuple(map(round, v))],
+                             ids=["list", "array", "int-tuple"])
+    @pytest.mark.parametrize("field", list(VECTOR_CHANNELS))
+    def test_other_vector_channel_converted(self, field, convert):
+        given = convert(self.PLAIN[field])
+        kept = getattr(SensorFrame(t=0.0, **{field: given}), field)
+        assert kept is not given and type(kept) is tuple
+        assert list(map(float.hex, kept)) == [float(x).hex() for x in given]
+
     def test_producers_give_plain_channels(self, tmp_path):
         frames, truth = synthesize(TrajectoryParams(duration=2.0), NoiseSpec(seed=5))
         assert all(map(plain_channels, frames))
@@ -1342,7 +1379,11 @@ class TestProducerFrames:
         for frame in frames:
             assert type(frame) is SensorFrame
             assert type(frame.t) is float and plain_channels(frame), frame
-            assert SensorFrame(**vars(frame)) == frame
+            rebuilt = SensorFrame(**vars(frame))
+            assert rebuilt == frame
+            # Kept by identity: the bypass rests on the check keeping
+            # these channels as given.
+            assert all(getattr(rebuilt, name) is value for name, value in vars(frame).items())
             assert list(vars(frame)) == [f.name for f in dataclasses.fields(SensorFrame)]
         assert any(frame.gps_xy is not None for frame in frames)
         assert any(frame.baro_z is not None for frame in frames)
