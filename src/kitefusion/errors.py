@@ -45,10 +45,11 @@ class NonConvergenceError(RuntimeError):
 
 def _finite(value) -> bool:
     """Whether ``value`` is a finite float; an integer beyond float range
-    is not, since no float holds it."""
+    is not, since no float holds it, and neither is what is not a real
+    number (text, ``None``)."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
@@ -145,6 +146,6 @@ def require_finite(spec) -> None:
 
 def require_positive(name: str, value) -> None:
     """``DomainError`` naming ``name`` unless ``value`` is a finite float
-    above 0 (nan and an integer beyond float range fail)."""
+    above 0 (nan, an integer beyond float range, text and ``None`` fail)."""
     if not (_finite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")

@@ -7,11 +7,11 @@ comments (the writer uses them for provenance such as the noise seed)
 and are ignored by the reader.
 
 Both directions handle a log as one ``(n, width)`` float table.  The
-reader parses the file in blocks of ``_BLOCK_LINES`` lines, with one
-split and one ``float`` pass over each block's cells, into a flat buffer
-next to an explicit empty-cell mask, and runs the row checks as boolean
-array tests.  That pass only accepts: a log it cannot take whole is
-read again line by line by :func:`_read_lines`, the one place that
+reader reads the file once, in blocks of ``_BLOCK_LINES`` lines, with
+one split and one ``float`` pass over each block's cells and the row
+checks as boolean array tests, into a flat buffer next to an explicit
+empty-cell mask.  That pass only accepts: a block it cannot take is
+parsed again, line by line, by :func:`_read_lines`, the one place that
 names a log fault (see :func:`read_log`).  Each channel is read out of
 the table once, for the rows that hold it, as Python floats in the form
 of :class:`~kitefusion.pipelines.SensorFrame`'s frame rule, so the
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import array
 import dataclasses
-import io
 import itertools
 import math
 import operator
@@ -176,12 +175,12 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
                       for row in table)
 
 
-def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool) -> bool:
+def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool, last_t: float) -> bool:
     """Whether a row of the table fails a row check: timestamp missing,
-    time not increasing past the previous row, a channel group partly
-    present, truth incomplete."""
+    time not increasing past the previous row (past ``last_t`` for the
+    first), a channel group partly present, truth incomplete."""
     t = table[:, 0]
-    if empty[:, 0].any() or (t[1:] <= t[:-1]).any():
+    if empty[:, 0].any() or t[0] <= last_t or (t[1:] <= t[:-1]).any():
         return True
     for _, cols, group in _FRAME_FIELDS:
         if group is not None:
@@ -207,59 +206,60 @@ def _column(table: np.ndarray, empty: np.ndarray, cols: slice) -> list:
     return values
 
 
-def _read_block(fh, width: int, values_buf: array.array, empty_buf: bytearray) -> int | None:
-    """Read up to ``_BLOCK_LINES`` lines of ``fh`` and append their data
-    lines to the table: the cells to ``values_buf``, nan where empty, and
-    the empty-cell mask to ``empty_buf``.  Blank and comment lines hold no
-    data.
+def _read_block(lines: list[str], width: int, has_truth: bool, last_t: float,
+                values_buf: array.array, empty_buf: bytearray) -> bool:
+    """Append the data lines among ``lines``, stripped lines of a log, to
+    the table: the cells to ``values_buf``, nan where empty, and the
+    empty-cell mask to ``empty_buf``.  Blank and comment lines hold no
+    data; ``last_t`` is the time of the table's last row.
 
-    Returns the number of lines read, or None, with nothing appended, if
-    the block holds a line this pass cannot take: a wrong cell count, a
-    cell ``float`` refuses (a whitespace-only cell among them) or a
-    non-finite value.  The block's strings live only as long as this call.
+    Returns False, with nothing appended, if a line is one this pass
+    cannot take: a wrong cell count, a cell ``float`` refuses (a
+    whitespace-only cell among them), a non-finite value, or a row that
+    fails a row check (see :func:`_row_fault`).
     """
-    lines = list(map(str.strip, itertools.islice(fh, _BLOCK_LINES)))
-    read = len(lines)
     text = ",".join(lines)
     # A comment line puts a "#" in the text; a "#" elsewhere is a bad cell.
     if "" in lines or "#" in text:
         lines = [line for line in lines if line and line[0] != "#"]
         text = ",".join(lines)
     if not lines:
-        return read
+        return True
     if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
-        return None
+        return False
     cells = text.split(",")
     try:
         # A list, then one array: building an array straight from the
         # map measured about 10% slower.
         values = np.array(list(map(float, filter(None, cells))), dtype=float)
     except ValueError:
-        return None
+        return False
     if not np.isfinite(values).all():
-        return None
+        return False
     empty = bytearray(map(operator.not_, cells))
+    absent = np.frombuffer(empty, dtype=bool)
     rows = np.full(len(cells), math.nan)
-    rows[~np.frombuffer(empty, dtype=bool)] = values
+    rows[~absent] = values
+    if _row_fault(rows.reshape(-1, width), absent.reshape(-1, width), has_truth, last_t):
+        return False
     values_buf.frombytes(rows.tobytes())
     empty_buf += empty
-    return read
+    return True
 
 
-def _read_lines(fh, header: int, width: int, has_truth: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The table and empty-cell mask of the data lines of ``fh`` past its
-    header, line ``header``, read one line at a time with each cell
-    stripped, so a whitespace-only cell reads as empty.
+def _read_lines(lines: list[str], first_lineno: int, width: int, has_truth: bool,
+                last_t: float, values_buf: array.array, empty_buf: bytearray) -> None:
+    """Append the data lines among ``lines``, stripped lines of a log from
+    line ``first_lineno`` on, to the table as :func:`_read_block` does,
+    one line at a time with each cell stripped, so a whitespace-only cell
+    reads as empty.
 
     Raises ``LogFormatError`` naming the first offending line and, within
     it, the first of: wrong cell count, then each cell from left to right
     (a cell that is not a number, a non-finite number), then the row
     checks in :func:`_row_fault`'s order.
     """
-    values_buf, empty_buf = array.array("d"), bytearray()
-    last_t = None
-    lines = map(str.strip, itertools.islice(fh, header, None))
-    for lineno, line in enumerate(lines, start=header + 1):
+    for lineno, line in enumerate(lines, start=first_lineno):
         if not line or line[0] == "#":
             continue
         cells = [cell.strip() for cell in line.split(",")]
@@ -277,7 +277,7 @@ def _read_lines(fh, header: int, width: int, has_truth: bool) -> tuple[np.ndarra
         empty = list(map(operator.not_, cells))
         if empty[0]:
             fault = "missing timestamp"
-        elif last_t is not None and row[0] <= last_t:
+        elif row[0] <= last_t:
             fault = f"time {row[0]} does not increase past {last_t}"
         else:
             fault = next((f"partial {group} sample" for _, cols, group in _FRAME_FIELDS
@@ -289,24 +289,21 @@ def _read_lines(fh, header: int, width: int, has_truth: bool) -> tuple[np.ndarra
         last_t = row[0]
         values_buf.extend(row)
         empty_buf.extend(empty)
-    table = np.frombuffer(values_buf).reshape(-1, width)
-    return table, np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
 
 
 def read_log(path) -> LogData:
     """Parse a log written by :func:`write_log`.
 
-    The data lines are read in blocks of ``_BLOCK_LINES``.  Each block is
-    joined and split into cells once, each line's cell count is checked,
-    and its non-empty cells go through ``float`` in one pass into the
-    buffer the table is a view of; the row checks then run on the whole
-    table as boolean array tests.  This pass only accepts: a log it
-    cannot take whole (a wrong cell count, a cell ``float`` refuses, a
-    whitespace-only cell, a non-finite value, or a row that fails a row
-    check) is read again from its header, one line at a time, by
+    The file is read once, in blocks of ``_BLOCK_LINES`` lines.  Each
+    block is joined and split into cells once, each line's cell count is
+    checked, its non-empty cells go through ``float`` in one pass, and the
+    row checks run on the block as boolean array tests; an accepted block
+    is appended to the buffer the table is a view of.  That pass only
+    accepts: a block it cannot take (a wrong cell count, a cell ``float``
+    refuses, a whitespace-only cell, a non-finite value, or a row that
+    fails a row check) is read again from its own lines, one at a time, by
     :func:`_read_lines`, which reads a whitespace-only cell as empty and
-    names the first fault.  Such a log is read twice; a pipe, which
-    cannot be read again, is read into memory first.
+    names the first fault.
 
     Raises
     ------
@@ -320,8 +317,6 @@ def read_log(path) -> LogData:
     header: tuple[str, ...] | None = None
     values_buf, empty_buf = array.array("d"), bytearray()
     with open(path) as fh:
-        # A pipe cannot be read again from its header, so its text is held.
-        fh = fh if fh.seekable() else io.StringIO(fh.read())
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line and not line.startswith("#"):
@@ -332,13 +327,16 @@ def read_log(path) -> LogData:
         if header not in (FRAME_COLUMNS, FRAME_COLUMNS + TRUTH_COLUMNS):
             raise LogFormatError(f"line {lineno}: unrecognized header")
         width, has_truth = len(header), header != FRAME_COLUMNS
-        while read := _read_block(fh, width, values_buf, empty_buf):
-            pass
-        table = np.frombuffer(values_buf).reshape(-1, width)
-        empty = np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
-        if read is None or _row_fault(table, empty, has_truth):
-            fh.seek(0)
-            table, empty = _read_lines(fh, lineno, width, has_truth)
+        # The time of the table's last row (-inf before it has one).
+        last_t = -math.inf
+        while lines := list(map(str.strip, itertools.islice(fh, _BLOCK_LINES))):
+            if not _read_block(lines, width, has_truth, last_t, values_buf, empty_buf):
+                _read_lines(lines, lineno + 1, width, has_truth, last_t, values_buf, empty_buf)
+            lineno += len(lines)
+            if values_buf:
+                last_t = values_buf[-width]
+    table = np.frombuffer(values_buf).reshape(-1, width)
+    empty = np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
     columns = [_column(table, empty, cols) for _, cols, _ in _FRAME_FIELDS]
     frames = _frames(*columns)
     if not has_truth:
@@ -414,10 +412,11 @@ def compare_approaches(log: LogData,
     Raises
     ------
     DomainError
-        If ``configs`` is empty, two configs share an approach,
-        ``settle`` or a bin edge is not a finite real number (text is
-        refused, as a frame refuses it), or the bin edges do not strictly
-        increase.
+        If ``configs`` is empty, two configs share an approach, the log
+        has no truth and no config of routing 3 to reference, ``settle``
+        or a bin edge is not a finite real number (text is refused, as a
+        frame refuses it), ``bin_edges`` is not a sequence of them, or the
+        bin edges do not strictly increase.
     LogFormatError
         If ``log.truth`` and ``log.frames`` differ in length.
     """
@@ -431,10 +430,14 @@ def compare_approaches(log: LogData,
     settle = _float("settle", settle)
     if not math.isfinite(settle):
         raise DomainError(f"settle must be finite, got {settle}")
+    if isinstance(bin_edges, (str, bytes)) or not np.iterable(bin_edges):
+        raise DomainError(f"bin_edges must be a sequence of real numbers, got {bin_edges!r}")
     edges = [_float("bin edge", edge) for edge in bin_edges]
     if not (edges and np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()):
         raise DomainError(f"bin edges must be finite and strictly increasing, got {bin_edges}")
     _require_truth_fits(log.truth, log.frames)
+    if log.truth is None and 3 not in approaches:
+        raise DomainError("log has no truth and no routing-3 run to reference")
     pipelines = [EstimationPipeline(config) for config in configs]
     _prime(pipelines, log.frames)
     runs = {pipe.config.approach: _stacked(map(pipe.step, log.frames)) for pipe in pipelines}
@@ -446,8 +449,6 @@ def compare_approaches(log: LogData,
         ref_gamma = np.array([s.gamma for s in log.truth], dtype=float)
         has_ref = np.ones(n, dtype=bool)
     else:
-        if 3 not in runs:
-            raise DomainError("log has no truth and no routing-3 run to reference")
         has_ref, ref_p, ref_gamma = runs[3]
 
     t = np.array([f.t for f in frames], dtype=float)

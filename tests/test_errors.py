@@ -48,7 +48,7 @@ IDS = [f"{module.__name__.split('.')[-1]}-{name}-{i}"
        for i, (module, name, _) in enumerate(GUARDS)]
 
 not_positive = st.one_of(
-    st.sampled_from([0, 0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.sampled_from([0, 0.0, -0.0, math.nan, math.inf, -math.inf, "1", None]),
     st.floats(max_value=0.0, allow_nan=False),
     st.integers(min_value=-2 ** 53, max_value=0),
 )
@@ -98,7 +98,7 @@ def test_rule_accepts_positive_finite(value):
 def test_rule_message(value):
     with pytest.raises(DomainError) as info:
         require_positive("x", value)
-    assert str(info.value) == f"x must be positive and finite, got {value}"
+    assert str(info.value) == f"x must be positive and finite, got {value!r}"
 
 
 #: An integer that no float holds: ``float(BEYOND_FLOAT)`` overflows.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
+import io
 import math
 import os
 import random
@@ -364,6 +365,26 @@ class TestCompareApproaches:
         with pytest.raises(LogFormatError, match=(
                 f"^truth length {len(frames) + extra} does not match {len(frames)} frames$")):
             compare_approaches(LogData(frames, truth))
+
+    @pytest.mark.parametrize("bin_edges", [None, 2.0, "23"], ids=["none", "number", "text"])
+    def test_bin_edges_not_a_sequence_refused(self, bin_edges):
+        # Text would be read character by character, as edges '2' and '3'.
+        frames, truth = small_record(duration=0.5)
+        with pytest.raises(DomainError, match=(
+                f"^bin_edges must be a sequence of real numbers, got {re.escape(repr(bin_edges))}$")):
+            compare_approaches(LogData(frames, truth), bin_edges=bin_edges)
+
+    def test_no_reference_refused_before_any_pipeline(self, monkeypatch):
+        """A log without truth, compared without routing 3, has nothing to
+        score against; that is refused before any routing runs over it."""
+        frames, _ = small_record(duration=4.0)
+
+        def no_pipeline(config):
+            raise AssertionError("a pipeline was built")
+
+        monkeypatch.setattr(evalio, "EstimationPipeline", no_pipeline)
+        with pytest.raises(DomainError, match="^log has no truth and no routing-3 run"):
+            compare_approaches(LogData(frames, None), default_configs()[:2])
 
     def test_repeated_approach_rejected(self):
         # Two tunings of one routing would share a run key, and both rows
@@ -958,7 +979,7 @@ class TestTableReaderMatchesLineByLine:
                                                with_truth):
         """What write_log writes, with meta comments above the header and
         blank and comment lines among its data lines, is read without the
-        line-by-line pass, which would read every such log twice."""
+        line-by-line pass, which would parse a block's lines a second time."""
         block = evalio._BLOCK_LINES
         lines = list(long_logs[with_truth])
         assert lines[0].startswith("# ")
@@ -975,6 +996,59 @@ class TestTableReaderMatchesLineByLine:
 
         monkeypatch.setattr(evalio, "_read_lines", refused)
         assert log_bits(read_log(path)) == expected
+
+    def test_refused_block_alone_read_line_by_line(self, tmp_path, monkeypatch, long_logs):
+        """A whitespace-only cell in the third of four blocks sends only
+        that block, with its own first line number, to the line-by-line
+        pass; the blocks around it stay on the array pass."""
+        block = evalio._BLOCK_LINES
+        lines = list(long_logs[True])
+        row = 2 + 2 * block + 11
+        cells = lines[row].split(",")
+        cells[FRAME_COLUMNS.index("baro_z")] = " "
+        lines[row] = ",".join(cells)
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        read_lines = evalio._read_lines
+
+        def recorded(block_lines, first_lineno, *args):
+            calls.append((list(block_lines), first_lineno))
+            return read_lines(block_lines, first_lineno, *args)
+
+        monkeypatch.setattr(evalio, "_read_lines", recorded)
+        opened = count_lines_taken(monkeypatch)
+        got = outcome(read_log, path)
+        assert calls == [([line.strip() for line in lines[2 + 2 * block:2 + 3 * block]],
+                          3 + 2 * block)]
+        assert [fh.taken for fh in opened] == [len(lines)]
+        assert got == outcome(line_by_line_read_log, path)
+
+    def test_fault_ends_the_read(self, tmp_path, monkeypatch, long_logs):
+        """A fault in the first of four blocks is raised once that block
+        is read: no later block is taken from the file, and no line twice."""
+        block = evalio._BLOCK_LINES
+        lines = list(long_logs[False])
+        assert len(lines) - 2 > 3 * block
+        cells = lines[12].split(",")
+        cells[FRAME_COLUMNS.index("ax")] = "nan"
+        lines[12] = ",".join(cells)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        read_block = evalio._read_block
+
+        def counted(*args):
+            calls.append(args)
+            return read_block(*args)
+
+        monkeypatch.setattr(evalio, "_read_block", counted)
+        opened = count_lines_taken(monkeypatch)
+        with pytest.raises(LogFormatError, match="^line 13: non-finite number 'nan'$"):
+            read_log(path)
+        assert len(calls) == 1
+        assert [fh.taken for fh in opened] == [2 + block]
+        assert outcome(read_log, path) == outcome(line_by_line_read_log, path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_reads_as_its_file(self, tmp_path, long_logs):
@@ -1011,6 +1085,30 @@ class TestTableReaderMatchesLineByLine:
         frame = log.frames[row - 2]
         assert frame.baro_z is None and frame.wind_speed is None
         assert log_bits(log) == outcome(line_by_line_read_log, path)
+
+
+class _CountingText(io.TextIOWrapper):
+    """A text file that counts the lines taken from it."""
+
+    taken = 0
+
+    def __next__(self):
+        line = super().__next__()
+        self.taken += 1
+        return line
+
+
+def count_lines_taken(monkeypatch) -> list[_CountingText]:
+    """Make ``evalio`` open files that count the lines taken from them;
+    returns the list of the files it opens."""
+    opened = []
+
+    def counting_open(path):
+        opened.append(_CountingText(io.open(path, "rb")))
+        return opened[-1]
+
+    monkeypatch.setattr(evalio, "open", counting_open, raising=False)
+    return opened
 
 
 @pytest.fixture(scope="module")
