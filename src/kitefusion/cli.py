@@ -70,25 +70,33 @@ CONFIG_KEYS = _config_keys()
 
 
 def load_config(path: str | None) -> dict[str, object]:
-    """Parse a flat config file into typed values by key."""
+    """Parse a flat config file into typed values by key.
+
+    Raises ``LogFormatError`` naming the file if it is not text, and
+    naming the line of an unknown key or a malformed value.
+    """
     if path is None:
         return {}
     cfg: dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise LogFormatError(f"{path} line {lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise LogFormatError(f"{path} line {lineno}: unknown key {key!r}")
-            try:
-                cfg[key] = CONFIG_KEYS[key](value)
-            except ValueError:
-                raise LogFormatError(
-                    f"{path} line {lineno}: bad value {value!r} for key {key!r}") from None
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"{path}: not {exc.encoding} text") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise LogFormatError(f"{path} line {lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise LogFormatError(f"{path} line {lineno}: unknown key {key!r}")
+        try:
+            cfg[key] = CONFIG_KEYS[key](value)
+        except ValueError:
+            raise LogFormatError(
+                f"{path} line {lineno}: bad value {value!r} for key {key!r}") from None
     return cfg
 
 

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import DomainError, LogFormatError
 from .frames import wrap_angle
 from .pipelines import (EstimationPipeline, EstimatorConfig, SensorFrame, _float, _frames,
-                        _prime, _tuple_rows)
+                        _prime, _require_sized, _tuple_rows)
 
 # The log layout per record, in column order: field, column names, and
 # the label of a channel group whose cells must be all present or all
@@ -132,6 +132,10 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
 
     Raises
     ------
+    DomainError
+        If ``meta`` is one ``str`` or ``bytes``, which would be written a
+        character at a time, is not a sequence, or holds a line that is not
+        a ``str``.
     LogFormatError
         If ``truth`` and ``frames`` differ in length, a ``meta`` line holds
         a line break (``\\n`` or ``\\r``, which would end the comment early),
@@ -140,7 +144,13 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
         names the frame index and the column).  Nothing is written then.
     """
     _require_truth_fits(truth, frames)
-    for line in meta or ():
+    meta = () if meta is None else meta
+    if isinstance(meta, (str, bytes)) or not np.iterable(meta):
+        raise DomainError(f"meta must be a sequence of lines, got {meta!r}")
+    meta = tuple(meta)
+    for line in meta:
+        if not isinstance(line, str):
+            raise DomainError(f"meta lines must be str, got {line!r}")
         if "\n" in line or "\r" in line:
             raise LogFormatError(f"meta line {line!r} holds a line break")
     records = [(frames, _FRAME_FIELDS)]
@@ -167,7 +177,7 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
         raise LogFormatError(
             f"frame {i}: non-finite value {float(table[i, j])!r} in column {header[j]}")
     with open(path, "w") as fh:
-        fh.writelines(f"# {line}\n" for line in meta or ())
+        fh.writelines(f"# {line}\n" for line in meta)
         fh.write(",".join(header) + "\n")
         # Every nan left in the table is an absent cell, and no finite
         # float's repr contains "nan", so blanking "nan" empties exactly those.
@@ -308,33 +318,37 @@ def read_log(path) -> LogData:
     Raises
     ------
     LogFormatError
-        On an unrecognized header, a malformed row, a non-finite cell
-        (``nan``, ``inf``, an overflowing ``1e999``), a partially present
-        channel group, or timestamps that do not strictly increase.  The
-        message carries the 1-based line number of the earliest offending
-        line.
+        On a file that is not text in the locale's encoding (UTF-8),
+        which the message names by its path; or on an unrecognized header,
+        a malformed row, a non-finite cell (``nan``, ``inf``, an
+        overflowing ``1e999``), a partially present channel group, or
+        timestamps that do not strictly increase, where the message carries
+        the 1-based line number of the earliest offending line.
     """
     header: tuple[str, ...] | None = None
     values_buf, empty_buf = array.array("d"), bytearray()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                header = tuple(c.strip() for c in line.split(","))
-                break
-        if header is None:
-            raise LogFormatError("no header line found")
-        if header not in (FRAME_COLUMNS, FRAME_COLUMNS + TRUTH_COLUMNS):
-            raise LogFormatError(f"line {lineno}: unrecognized header")
-        width, has_truth = len(header), header != FRAME_COLUMNS
-        # The time of the table's last row (-inf before it has one).
-        last_t = -math.inf
-        while lines := list(map(str.strip, itertools.islice(fh, _BLOCK_LINES))):
-            if not _read_block(lines, width, has_truth, last_t, values_buf, empty_buf):
-                _read_lines(lines, lineno + 1, width, has_truth, last_t, values_buf, empty_buf)
-            lineno += len(lines)
-            if values_buf:
-                last_t = values_buf[-width]
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    header = tuple(c.strip() for c in line.split(","))
+                    break
+            if header is None:
+                raise LogFormatError("no header line found")
+            if header not in (FRAME_COLUMNS, FRAME_COLUMNS + TRUTH_COLUMNS):
+                raise LogFormatError(f"line {lineno}: unrecognized header")
+            width, has_truth = len(header), header != FRAME_COLUMNS
+            # The time of the table's last row (-inf before it has one).
+            last_t = -math.inf
+            while lines := list(map(str.strip, itertools.islice(fh, _BLOCK_LINES))):
+                if not _read_block(lines, width, has_truth, last_t, values_buf, empty_buf):
+                    _read_lines(lines, lineno + 1, width, has_truth, last_t, values_buf, empty_buf)
+                lineno += len(lines)
+                if values_buf:
+                    last_t = values_buf[-width]
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"{path}: not {exc.encoding} text") from None
     table = np.frombuffer(values_buf).reshape(-1, width)
     empty = np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
     columns = [_column(table, empty, cols) for _, cols, _ in _FRAME_FIELDS]
@@ -412,15 +426,24 @@ def compare_approaches(log: LogData,
     Raises
     ------
     DomainError
-        If ``configs`` is empty, two configs share an approach, the log
-        has no truth and no config of routing 3 to reference, ``settle``
-        or a bin edge is not a finite real number (text is refused, as a
-        frame refuses it), ``bin_edges`` is not a sequence of them, or the
-        bin edges do not strictly increase.
+        If ``configs`` is not a sequence of :class:`EstimatorConfig` or is
+        empty, two configs share an approach, the log has no truth and no
+        config of routing 3 to reference, ``settle`` or a bin edge is not a
+        finite real number (text is refused, as a frame refuses it),
+        ``bin_edges`` is not a sequence of them, the bin edges do not
+        strictly increase, or ``log.frames`` has no length (an iterator).
     LogFormatError
         If ``log.truth`` and ``log.frames`` differ in length.
     """
-    configs = default_configs() if configs is None else tuple(configs)
+    if configs is None:
+        configs = default_configs()
+    elif not np.iterable(configs):
+        raise DomainError("configs must be a sequence of EstimatorConfig, "
+                          f"got {type(configs).__name__}")
+    configs = tuple(configs)
+    for config in configs:
+        if not isinstance(config, EstimatorConfig):
+            raise DomainError(f"configs must hold only EstimatorConfig, got {config!r}")
     if not configs:
         raise DomainError("configs must hold at least one routing")
     approaches = [config.approach for config in configs]
@@ -435,6 +458,7 @@ def compare_approaches(log: LogData,
     edges = [_float("bin edge", edge) for edge in bin_edges]
     if not (edges and np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()):
         raise DomainError(f"bin edges must be finite and strictly increasing, got {bin_edges}")
+    _require_sized(log.frames)
     _require_truth_fits(log.truth, log.frames)
     if log.truth is None and 3 not in approaches:
         raise DomainError("log has no truth and no routing-3 run to reference")

@@ -579,6 +579,12 @@ def _stack(rows: list, width: int) -> np.ndarray | None:
     return np.frombuffer(packed).reshape(len(rows), width)
 
 
+def _require_sized(frames) -> None:
+    """``DomainError`` unless ``frames`` has a length, as an iterator has not."""
+    if not hasattr(frames, "__len__"):
+        raise DomainError(f"frames must be a sequence, got {type(frames).__name__}")
+
+
 def _prime(pipelines, frames) -> None:
     """Give each of ``pipelines`` that integrates the accelerometer the
     inertial accelerations its :meth:`~EstimationPipeline.step` would
@@ -592,8 +598,7 @@ def _prime(pipelines, frames) -> None:
     same error at the same tick.  ``frames`` with no length, such as an
     iterator, raise ``DomainError`` before any frame is read.
     """
-    if not hasattr(frames, "__len__"):
-        raise DomainError(f"frames must be a sequence, got {type(frames).__name__}")
+    _require_sized(frames)
     pipelines = [pipe for pipe in pipelines if pipe.config.use_imu]
     if not pipelines:
         return

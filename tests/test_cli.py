@@ -314,6 +314,19 @@ class TestEvaluate:
         assert lines[0] == "quantity,approach,<2,2-3,3-4,>4"
         assert len(lines) == 13
 
+    def test_report_without_truth(self, tmp_path):
+        """Without truth columns routing 3 is the reference, so its rows
+        read zero once the 2 s settle has passed, and the others do not."""
+        cfg = write(tmp_path / "bare.cfg", "duration = 4.0\nseed = 7\n")
+        log, out = tmp_path / "bare.csv", tmp_path / "report.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(log), "--no-truth"]) == 0
+        assert main(["evaluate", "--config", cfg, "--log", str(log), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        scored = {approach: {float(v) for row in rows if row[1] == approach
+                             for v in row[2:] if v != "nan"} for approach in "123"}
+        assert len(rows) == 12 and scored["3"] == {0.0}
+        assert min(scored["1"]) > 0.0 and min(scored["2"]) > 0.0
+
     def test_custom_bins_and_settle(self, tmp_path, sim_log):
         cfg = write(tmp_path / "ev.cfg", "speed_bins = 0.5,1.5\nsettle = 0.5\n")
         out = tmp_path / "report.csv"
@@ -459,6 +472,16 @@ class TestConfigParsing:
         assert "must be finite" in err[0]
         # The value shows by its digit count, not as 401 digits.
         assert "an integer of 401 digits" in err[0] and len(err[0]) < 80
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, bad", [("estimate", "--log"), ("evaluate", "--log"),
+                                           ("bode", "--config")])
+    def test_file_not_utf8_text_exits_2_naming_it(self, tmp_path, sim_log, capsys, verb, bad):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe" + sim_log.read_bytes())
+        out = tmp_path / "x.csv"
+        assert main([verb, bad, str(binary), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {binary}: not utf-8 text\n"
         assert not out.exists()
 
     def test_inline_comments_and_bools(self, tmp_path, sim_log):

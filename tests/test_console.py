@@ -1,0 +1,128 @@
+"""The command line in new interpreters, for what an in-process ``main``
+call cannot show: a cold process, a real pipe on stdin, warnings raised as
+errors, and everything a refusal writes to stderr.
+
+Each check runs ``python -m kitefusion.cli`` with this checkout's ``src``
+first on ``PYTHONPATH``, so nothing need be installed.  The verbs'
+behaviour is tested in process in ``test_cli.py``; a new interpreter costs
+far more than a call, so only checks that need one are here.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from kitefusion.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+RUN_CONFIG = "duration = 2.0\nseed = 7\n"
+
+
+def kitefusion(cwd, *argv: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run the command line in a new interpreter in ``cwd``, with every
+    warning raised as an error and ``stdin`` written to its stdin pipe."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error")
+    return subprocess.run([sys.executable, "-m", "kitefusion.cli", *argv], cwd=cwd, env=env,
+                          input=stdin, capture_output=True, text=True, timeout=120)
+
+
+def assert_refused(result: subprocess.CompletedProcess, out: Path, line: str) -> None:
+    """Exit 2 with ``line`` alone on stderr (so no traceback and no
+    warning), nothing on stdout, and no output file."""
+    assert (result.returncode, result.stderr, result.stdout) == (2, line + "\n", "")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def flight(tmp_path_factory) -> Path:
+    """A directory holding ``run.cfg``, the 2 s log ``flight.csv`` it
+    simulates and ``estimate.csv``, all written in process."""
+    home = tmp_path_factory.mktemp("flight")
+    cfg = home / "run.cfg"
+    cfg.write_text(RUN_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(home / "flight.csv")]) == 0
+    assert main(["estimate", "--config", str(cfg), "--log", str(home / "flight.csv"),
+                 "--out", str(home / "estimate.csv")]) == 0
+    return home
+
+
+def test_cold_processes_write_the_same_log(flight, tmp_path):
+    """Two new interpreters, each with its own string-hash seed and no
+    flight held, write the bytes of the in-process run."""
+    for name in ("a.csv", "b.csv"):
+        result = kitefusion(tmp_path, "simulate", "--config", str(flight / "run.cfg"),
+                            "--out", name)
+        assert (result.returncode, result.stderr) == (0, "")
+    want = (flight / "flight.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == want
+    assert (tmp_path / "b.csv").read_bytes() == want
+
+
+def edited(flight: Path, case: str) -> str:
+    """The text of ``flight.csv``, as is or with one edit by ``case``."""
+    lines = (flight / "flight.csv").read_text().splitlines(keepends=True)
+
+    def set_cell(lineno: int, column: int, cell: str) -> None:
+        cells = lines[lineno - 1].split(",")
+        cells[column] = cell
+        lines[lineno - 1] = ",".join(cells)
+
+    if case == "noted":
+        # A whitespace-only wind cell and a comment: each sends its block
+        # to the line-by-line pass.
+        set_cell(60, 16, " ")
+        lines.insert(49, "# hand note\n")
+    elif case == "nan":
+        set_cell(100, 1, "nan")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("case", ["clean", "noted"])
+def test_estimate_reads_a_pipe(flight, tmp_path, case):
+    """``--log /dev/stdin`` on a pipe, which cannot be rewound, writes the
+    estimate of the log file; a refused block is parsed again from the
+    lines the reader already took."""
+    result = kitefusion(tmp_path, "estimate", "--config", str(flight / "run.cfg"),
+                        "--log", "/dev/stdin", "--out", "estimate.csv",
+                        stdin=edited(flight, case))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "estimate.csv").read_bytes() == (flight / "estimate.csv").read_bytes()
+
+
+def test_pipe_fault_exits_2_naming_its_line(flight, tmp_path):
+    result = kitefusion(tmp_path, "estimate", "--config", str(flight / "run.cfg"),
+                        "--log", "/dev/stdin", "--out", "estimate.csv",
+                        stdin=edited(flight, "nan"))
+    assert_refused(result, tmp_path / "estimate.csv", "error: line 100: non-finite number 'nan'")
+
+
+@pytest.mark.parametrize("argv, config, line", [
+    (["bode", "--points", "0"], None, "error: need at least one point, got 0"),
+    (["simulate", "--seed", "-1"], None, "error: seed must not be negative, got -1"),
+    # An integer beyond float range.
+    (["simulate", "--seed", str(10 ** 400)], None,
+     "error: seed must be finite, got an integer of 401 digits"),
+    # A pattern of zero amplitudes has no velocity to take an angle of.
+    (["simulate"], b"duration = 2.0\na_theta = 0.0\na_phi = 0.0\n",
+     "error: pattern velocity vanishes at t=0.0"),
+    # Past the stable filter loop (about 3.33e7 at ts = 0.02), and far past
+    # it, where the Riccati iteration would overflow if it ran.
+    (["bode"], b"lambda = 1e8\n",
+     "error: ratio 100000000.0 at ts 0.02: closed loop is not strictly stable"),
+    (["bode"], b"lambda = 1e200\n",
+     "error: ratio 1e+200 at ts 0.02: closed loop is not strictly stable"),
+    (["bode"], b"\xfflambda = 10\n", "error: bad.cfg: not utf-8 text"),
+], ids=["points-0", "negative-seed", "401-digit-seed", "still-pattern", "ratio-1e8",
+        "ratio-1e200", "config-not-utf8"])
+def test_bad_input_exits_2_with_one_line(tmp_path, argv, config, line):
+    if config is not None:
+        (tmp_path / "bad.cfg").write_bytes(config)
+        argv = [*argv, "--config", "bad.cfg"]
+    result = kitefusion(tmp_path, *argv, "--out", "out.csv")
+    assert_refused(result, tmp_path / "out.csv", line)

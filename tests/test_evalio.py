@@ -268,8 +268,39 @@ class TestWriteFiniteRule:
         write_log(frames, path, meta=["site: bench", line.replace("\n", " ").replace("\r", " ")])
         assert len(read_log(path).frames) == len(frames)
 
+    @pytest.mark.parametrize("meta, message", [
+        ("abc", "meta must be a sequence of lines, got 'abc'"),
+        (b"abc", "meta must be a sequence of lines, got b'abc'"),
+        (7, "meta must be a sequence of lines, got 7"),
+        ([1], "meta lines must be str, got 1"),
+        (["site: bench", None], "meta lines must be str, got None"),
+    ], ids=["str", "bytes", "number", "int-line", "none-line"])
+    def test_meta_not_lines_refused(self, tmp_path, meta, message):
+        # One string would be written a character a line: "# a", "# b", "# c".
+        frames, _ = small_record(duration=0.1)
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DomainError) as raised:
+            write_log(frames, path, meta=meta)
+        assert str(raised.value) == message
+        assert not path.exists()
+
+    def test_meta_may_be_a_generator(self, tmp_path):
+        # Read once: the line check must not use up what is written.
+        frames, _ = small_record(duration=0.1)
+        path = tmp_path / "meta.csv"
+        write_log(frames, path, meta=(line for line in ["seed 2", "site: bench"]))
+        assert path.read_text().splitlines()[:2] == ["# seed 2", "# site: bench"]
+
 
 class TestCompareApproaches:
+    @pytest.fixture
+    def no_pipeline(self, monkeypatch):
+        """Fail the test if ``compare_approaches`` builds a pipeline."""
+        def built(config):
+            raise AssertionError("a pipeline was built")
+
+        monkeypatch.setattr(evalio, "EstimationPipeline", built)
+
     def test_report_shape_and_binning(self, tmp_path):
         frames, truth = synthesize(
             TrajectoryParams(duration=8.0, speed_scale=2.5), NoiseSpec(seed=1))
@@ -351,17 +382,12 @@ class TestCompareApproaches:
             compare_approaches(LogData(frames, truth), bin_edges=bin_edges)
 
     @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
-    def test_truth_of_another_length_refused(self, monkeypatch, extra):
+    def test_truth_of_another_length_refused(self, no_pipeline, extra):
         """A short truth list would fail on a bare IndexError, and a long
         one would be scored against its first rows; both are refused with
         write_log's message before any pipeline runs."""
         frames, truth = small_record(duration=4.0)
         truth = truth[:extra] if extra < 0 else truth + truth[:extra]
-
-        def no_pipeline(config):
-            raise AssertionError("a pipeline was built")
-
-        monkeypatch.setattr(evalio, "EstimationPipeline", no_pipeline)
         with pytest.raises(LogFormatError, match=(
                 f"^truth length {len(frames) + extra} does not match {len(frames)} frames$")):
             compare_approaches(LogData(frames, truth))
@@ -374,17 +400,33 @@ class TestCompareApproaches:
                 f"^bin_edges must be a sequence of real numbers, got {re.escape(repr(bin_edges))}$")):
             compare_approaches(LogData(frames, truth), bin_edges=bin_edges)
 
-    def test_no_reference_refused_before_any_pipeline(self, monkeypatch):
+    def test_no_reference_refused_before_any_pipeline(self, no_pipeline):
         """A log without truth, compared without routing 3, has nothing to
         score against; that is refused before any routing runs over it."""
         frames, _ = small_record(duration=4.0)
-
-        def no_pipeline(config):
-            raise AssertionError("a pipeline was built")
-
-        monkeypatch.setattr(evalio, "EstimationPipeline", no_pipeline)
         with pytest.raises(DomainError, match="^log has no truth and no routing-3 run"):
             compare_approaches(LogData(frames, None), default_configs()[:2])
+
+    @pytest.mark.parametrize("configs, message", [
+        (EstimatorConfig(), "configs must be a sequence of EstimatorConfig, got EstimatorConfig"),
+        (3, "configs must be a sequence of EstimatorConfig, got int"),
+        ([None], "configs must hold only EstimatorConfig, got None"),
+        (["x"], "configs must hold only EstimatorConfig, got 'x'"),
+        ([EstimatorConfig(), 3], "configs must hold only EstimatorConfig, got 3"),
+    ], ids=["one-config", "number", "none", "text", "number-among-configs"])
+    def test_configs_not_of_estimator_configs_refused(self, no_pipeline, configs, message):
+        frames, truth = small_record(duration=0.5)
+        with pytest.raises(DomainError) as raised:
+            compare_approaches(LogData(frames, truth), configs)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_frames_without_length_refused(self, no_pipeline, with_truth):
+        # With truth, the length check would fail on a bare TypeError;
+        # without, the pipelines would be built before _prime refused it.
+        frames, truth = small_record(duration=0.5)
+        with pytest.raises(DomainError, match="^frames must be a sequence, got list_iterator$"):
+            compare_approaches(LogData(iter(frames), truth if with_truth else None))
 
     def test_repeated_approach_rejected(self):
         # Two tunings of one routing would share a run key, and both rows

@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names, and the README's example."""
+
+import re
+from pathlib import Path
 
 import kitefusion
 from kitefusion import attitude, estimator, evalio, frames, lineangle, pipelines, simkite
@@ -24,3 +27,13 @@ def test_removed_names_are_gone():
     assert not hasattr(pipelines, "lo_frequency_response")
     assert kitefusion.lo_frequency_response is estimator.lo_frequency_response
     assert not hasattr(EstimationPipeline(EstimatorConfig()), "gain")
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's python example runs as written and prints its report."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    exec(compile("".join(blocks), "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed and all(re.match(r"t=\d+\.\d\d  \|p error\|=", line) for line in printed)
