@@ -10,8 +10,10 @@ field.  Each value is parsed as the file is read; an unknown key or a
 malformed or non-finite value is rejected with its line number.  Missing
 keys take the library defaults, so an empty or absent config is valid.
 
-Exit codes: 0 on success, 2 for domain, input or format errors, 3 when
-the Riccati solve for the filter gain fails to converge.
+``main`` reads the config once and hands it to the verb with the parsed
+options.  Exit codes: 0 on success, 2 for domain, input or format
+errors, 3 when the Riccati solve for the filter gain fails to converge;
+either failure prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import argparse
 import dataclasses
 import math
 import sys
-import typing
+from typing import Callable, get_origin
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, LogFormatError, NonConvergenceError
+from .errors import (DegenerateInputError, DomainError, LogFormatError, NonConvergenceError,
+                     _field_types)
 from .estimator import axis_gain, kf_frequency_response, lo_frequency_response
 from .evalio import compare_approaches, default_configs, read_log, write_log
 from .lineangle import EncoderGeometry
@@ -52,17 +55,15 @@ def _bool(text: str) -> bool:
     raise ValueError(text)
 
 
-def _config_keys() -> dict[str, typing.Callable[[str], object]]:
+def _config_keys() -> dict[str, Callable[[str], object]]:
     """Every config key and the parser of its value, chosen by field type."""
     parsers = {float: _float, int: int, bool: _bool, tuple: _floats}
     keys = {"lambda": _floats, "speed_bins": _floats, "settle": _float}
     for cls in (EncoderGeometry, EstimatorConfig, TrajectoryParams, NoiseSpec):
-        hints = typing.get_type_hints(cls)
-        for field in dataclasses.fields(cls):
-            hint = hints[field.name]
-            parse = parsers.get(typing.get_origin(hint) or hint)
-            if parse is not None and field.name != "ratios":  # set through ``lambda``
-                keys[field.name] = parse
+        for name, kind in _field_types(cls).items():
+            parse = parsers.get(get_origin(kind) or kind)
+            if parse is not None and name != "ratios":  # set through ``lambda``
+                keys[name] = parse
     return keys
 
 
@@ -119,8 +120,16 @@ def _given(cfg: dict[str, object], **keys: str) -> dict[str, object]:
     return {name: cfg[key] for name, key in keys.items() if key in cfg}
 
 
-def cmd_simulate(args) -> None:
-    cfg = load_config(args.config)
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one line per row of floats, each by its
+    ``repr``.  Every row is formatted before the file is opened, so a row
+    that raises leaves no file."""
+    lines = [header, *(",".join(map(repr, row)) for row in rows), ""]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+
+
+def cmd_simulate(args, cfg: dict[str, object]) -> None:
     if args.seed is not None:
         cfg["seed"] = args.seed
     noise = _build(NoiseSpec, cfg)
@@ -134,25 +143,18 @@ def cmd_simulate(args) -> None:
 ESTIMATE_HEADER = "t,px,py,pz,vx,vy,vz,theta,phi,gamma,gamma_dot"
 
 
-def cmd_estimate(args) -> None:
-    cfg = load_config(args.config)
+def cmd_estimate(args, cfg: dict[str, object]) -> None:
     pipeline = EstimationPipeline(build_estimator_config(cfg))
     log = read_log(args.log)
     pipeline.prime(log.frames)
-    lines = [ESTIMATE_HEADER]
-    for frame in log.frames:
-        out = pipeline.step(frame)
-        if out is None:
-            continue
-        row = [out.t, *out.p_hat, *out.v_hat,
-               out.theta_hat, out.phi_hat, out.gamma_hat, out.gamma_dot_hat]
-        lines.append(",".join(map(repr, row)))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    outputs = filter(None, map(pipeline.step, log.frames))  # None: no estimate this tick
+    _write_csv(args.out, ESTIMATE_HEADER,
+               ((out.t, *out.p_hat, *out.v_hat,
+                 out.theta_hat, out.phi_hat, out.gamma_hat, out.gamma_dot_hat)
+                for out in outputs))
 
 
-def cmd_evaluate(args) -> None:
-    cfg = load_config(args.config)
+def cmd_evaluate(args, cfg: dict[str, object]) -> None:
     base = build_estimator_config(cfg)
     if "lambda" in cfg:
         configs = tuple(dataclasses.replace(base, approach=i) for i in (1, 2, 3))
@@ -164,8 +166,7 @@ def cmd_evaluate(args) -> None:
         fh.write(report.to_csv())
 
 
-def cmd_bode(args) -> None:
-    cfg = load_config(args.config)
+def cmd_bode(args, cfg: dict[str, object]) -> None:
     estimator = build_estimator_config(cfg)
     if not 0.0 < args.f_min < args.f_max:
         raise DomainError("need 0 < f-min < f-max")
@@ -175,11 +176,20 @@ def cmd_bode(args) -> None:
     gains = axis_gain(estimator.ts, estimator.ratios[args.axis])
     kf_fu, kf_fy = kf_frequency_response(gains, estimator.ts, freqs)
     lo_fy1, lo_fy2 = lo_frequency_response(estimator.k_gamma, estimator.ts, freqs)
-    lines = ["f_hz,kf_fu_mag,kf_fy_mag,lo_fy1_mag,lo_fy2_mag"]
-    for row in zip(freqs, kf_fu, kf_fy, lo_fy1, lo_fy2):
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.out, "f_hz,kf_fu_mag,kf_fy_mag,lo_fy1_mag,lo_fy2_mag",
+               np.column_stack((freqs, kf_fu, kf_fy, lo_fy1, lo_fy2)).tolist())
+
+
+def _verb(sub, name: str, func, help: str, out: str, log: bool = False):
+    """The subparser of one verb with the options every verb shares:
+    ``--config``, ``--out`` (described by ``out``) and, if ``log``, ``--log``."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--config", help="flat key=value config file")
+    if log:
+        p.add_argument("--log", required=True, help="input log CSV")
+    p.add_argument("--out", required=True, help=out)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,47 +198,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tethered-wing state estimation tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="synthesize a flight log")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", required=True, help="log CSV to write")
+    p = _verb(sub, "simulate", cmd_simulate, "synthesize a flight log", "log CSV to write")
     p.add_argument("--seed", type=int, help="override the noise seed")
-    p.add_argument("--no-truth", action="store_true",
-                   help="omit the truth columns")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("estimate", help="run one pipeline over a log")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--log", required=True, help="input log CSV")
-    p.add_argument("--out", required=True, help="estimate CSV to write")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("evaluate", help="compare the three routings on a log")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--log", required=True, help="input log CSV")
-    p.add_argument("--out", required=True, help="report CSV to write")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("bode", help="tabulate filter frequency responses")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", required=True, help="response CSV to write")
+    p.add_argument("--no-truth", action="store_true", help="omit the truth columns")
+    _verb(sub, "estimate", cmd_estimate, "run one pipeline over a log",
+          "estimate CSV to write", log=True)
+    _verb(sub, "evaluate", cmd_evaluate, "compare the three routings on a log",
+          "report CSV to write", log=True)
+    p = _verb(sub, "bode", cmd_bode, "tabulate filter frequency responses",
+              "response CSV to write")
     p.add_argument("--f-min", type=float, default=0.01)
     p.add_argument("--f-max", type=float, default=24.0)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--axis", type=int, default=0, choices=(0, 1, 2))
-    p.set_defaults(func=cmd_bode)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except (DomainError, DegenerateInputError, LogFormatError, OSError) as exc:
+        args.func(args, load_config(args.config))
+    except (DomainError, DegenerateInputError, LogFormatError, OSError,
+            NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NonConvergenceError) else 2
     return 0
 
 

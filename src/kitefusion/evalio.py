@@ -18,8 +18,8 @@ of :class:`~kitefusion.pipelines.SensorFrame`'s frame rule, so the
 frames are made by :func:`~kitefusion.pipelines._frames` without the
 frame check; every truth point takes a row of one copy of each truth
 vector.  The writer gathers the same table from the frames, refuses a
-non-finite present cell before it opens the file, and formats the table
-row by row.
+non-finite present cell, a time and a truth row the reader would refuse
+before it opens the file, and formats the table row by row.
 
 The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing
@@ -133,16 +133,23 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
     Raises
     ------
     DomainError
-        If ``meta`` is one ``str`` or ``bytes``, which would be written a
-        character at a time, is not a sequence, or holds a line that is not
-        a ``str``.
+        If ``frames`` or a given ``truth`` has no length, such as an
+        iterator, or ``meta`` is one ``str`` or ``bytes``, which would be
+        written a character at a time, is not a sequence, or holds a line
+        that is not a ``str``.
     LogFormatError
         If ``truth`` and ``frames`` differ in length, a ``meta`` line holds
         a line break (``\\n`` or ``\\r``, which would end the comment early),
-        a channel value has the wrong number of entries, or a present value
-        is not finite, which :func:`read_log` would refuse (that message
-        names the frame index and the column).  Nothing is written then.
+        or a channel value has the wrong number of entries; or on what
+        :func:`read_log` would refuse: a present value that is not finite
+        (that message names the frame index and the column), a missing
+        timestamp, a time that does not increase past the previous frame's,
+        or a truth point with a field missing (each naming the frame index,
+        the earliest fault first).  Nothing is written then.
     """
+    _require_sized(frames)
+    if truth is not None:
+        _require_sized(truth, "truth")
     _require_truth_fits(truth, frames)
     meta = () if meta is None else meta
     if isinstance(meta, (str, bytes)) or not np.iterable(meta):
@@ -172,10 +179,23 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
                 raise LogFormatError(f"every {name} value must hold {width} numbers") from None
             present[rows, cols] = True
     bad = present & ~np.isfinite(table)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise LogFormatError(
-            f"frame {i}: non-finite value {float(table[i, j])!r} in column {header[j]}")
+    t = table[:, 0]
+    # The reader's row rules: a time present and past the previous frame's,
+    # and truth whole (no truth columns: nothing to miss).
+    late = ~present[:, 0] | (t <= np.concatenate(([-math.inf], t[:-1])))
+    faults = bad.any(axis=1) | late | ~present[:, len(FRAME_COLUMNS):].all(axis=1)
+    if faults.any():
+        i = int(faults.argmax())
+        if bad[i].any():
+            j = int(bad[i].argmax())
+            fault = f"non-finite value {float(table[i, j])!r} in column {header[j]}"
+        elif not present[i, 0]:
+            fault = "missing timestamp"
+        elif late[i]:
+            fault = f"time {float(t[i])} does not increase past {float(t[i - 1])}"
+        else:
+            fault = "incomplete truth row"
+        raise LogFormatError(f"frame {i}: {fault}")
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in meta)
         fh.write(",".join(header) + "\n")

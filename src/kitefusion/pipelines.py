@@ -579,10 +579,11 @@ def _stack(rows: list, width: int) -> np.ndarray | None:
     return np.frombuffer(packed).reshape(len(rows), width)
 
 
-def _require_sized(frames) -> None:
-    """``DomainError`` unless ``frames`` has a length, as an iterator has not."""
-    if not hasattr(frames, "__len__"):
-        raise DomainError(f"frames must be a sequence, got {type(frames).__name__}")
+def _require_sized(items, name: str = "frames") -> None:
+    """``DomainError`` naming ``name`` unless ``items`` has a length, as an
+    iterator has not."""
+    if not hasattr(items, "__len__"):
+        raise DomainError(f"{name} must be a sequence, got {type(items).__name__}")
 
 
 def _prime(pipelines, frames) -> None:

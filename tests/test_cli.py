@@ -10,6 +10,8 @@ import pytest
 
 from kitefusion import cli, pipelines
 from kitefusion.cli import CONFIG_KEYS, ESTIMATE_HEADER, build_estimator_config, load_config, main
+from kitefusion.errors import NonConvergenceError
+from kitefusion.estimator import axis_gain, kf_frequency_response, lo_frequency_response
 from kitefusion.evalio import compare_approaches, read_log, write_log
 from kitefusion.lineangle import EncoderGeometry
 from kitefusion.pipelines import EstimationPipeline, EstimatorConfig
@@ -49,6 +51,18 @@ def per_cell_estimate_csv(log, config) -> str:
         cells += [repr(out.theta_hat), repr(out.phi_hat),
                   repr(out.gamma_hat), repr(out.gamma_dot_hat)]
         lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_bode_csv(config, axis=0, f_min=0.01, f_max=24.0, points=200) -> str:
+    """The ``bode`` table from the two frequency responses, one ``repr``
+    per value."""
+    freqs = np.geomspace(f_min, f_max, points)
+    kf = kf_frequency_response(axis_gain(config.ts, config.ratios[axis]), config.ts, freqs)
+    lo = lo_frequency_response(config.k_gamma, config.ts, freqs)
+    lines = ["f_hz,kf_fu_mag,kf_fy_mag,lo_fy1_mag,lo_fy2_mag"]
+    for k in range(points):
+        lines.append(",".join(repr(float(column[k])) for column in (freqs, *kf, *lo)))
     return "\n".join(lines) + "\n"
 
 
@@ -350,6 +364,31 @@ class TestBode:
         assert first[0] == pytest.approx(0.01)
         assert first[2] == pytest.approx(1.0, abs=0.01)  # position passband
 
+    @pytest.mark.parametrize("config, argv, table", [
+        (None, [], {}),
+        ("lambda = 500, 200, 10\nk_gamma = 0.6, 0.7\n",
+         ["--axis", "2", "--f-min", "0.1", "--f-max", "3", "--points", "7"],
+         {"axis": 2, "f_min": 0.1, "f_max": 3.0, "points": 7}),
+    ], ids=["defaults", "axis-2-band"])
+    def test_bytes_match_per_cell_formatter(self, tmp_path, config, argv, table):
+        cfg = None if config is None else write(tmp_path / "c.cfg", config)
+        out = tmp_path / "bode.csv"
+        assert main(["bode", "--out", str(out), *argv,
+                     *([] if cfg is None else ["--config", cfg])]) == 0
+        expected = per_cell_bode_csv(build_estimator_config(load_config(cfg)), **table)
+        assert out.read_bytes() == expected.encode()
+
+    def test_gain_not_converging_exits_3(self, monkeypatch, tmp_path, capsys):
+        def not_converging(ts, ratio):
+            raise NonConvergenceError(f"ratio {ratio}: no fixed point after 10000 iterations")
+
+        monkeypatch.setattr(cli, "axis_gain", not_converging)
+        out = tmp_path / "x.csv"
+        assert main(["bode", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: ratio 500.0: no fixed point after 10000 iterations\n")
+        assert not out.exists()
+
     def test_lambda_moves_crossover(self, tmp_path):
         soft = tmp_path / "soft.csv"
         stiff = tmp_path / "stiff.csv"
@@ -402,6 +441,50 @@ class TestBode:
         assert err.startswith("error: ratio 100000000.0 at ts 0.02: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+VERBS = ["simulate", "estimate", "evaluate", "bode"]
+
+
+class TestSharedOptions:
+    """``--config`` and ``--out`` for every verb, ``--log`` for the two
+    that read a log."""
+
+    @staticmethod
+    def log_options(verb, log):
+        return ["--log", str(log)] if verb in ("estimate", "evaluate") else []
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_config_read(self, tmp_path, sim_log, capsys, verb):
+        out = tmp_path / "out.csv"
+        argv = [verb, *self.log_options(verb, sim_log), "--out", str(out), "--config"]
+        assert main([*argv, write(tmp_path / "c.cfg", BASE_CONFIG)]) == 0
+        assert out.exists()
+        out.unlink()
+        bad = write(tmp_path / "bad.cfg", "tether = 30\n")
+        assert main([*argv, bad]) == 2
+        assert capsys.readouterr().err == f"error: {bad} line 1: unknown key 'tether'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_out_required(self, sim_log, capsys, verb):
+        with pytest.raises(SystemExit) as info:
+            main([verb, *self.log_options(verb, sim_log)])
+        assert info.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_log_required_by_the_verbs_that_read_one(self, tmp_path, sim_log, capsys, verb):
+        out = ["--out", str(tmp_path / "out.csv")]
+        reads_log = verb in ("estimate", "evaluate")
+        with pytest.raises(SystemExit) as info:
+            main([verb, *out, *([] if reads_log else ["--log", str(sim_log)])])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        if reads_log:
+            assert "the following arguments are required: --log" in err
+        else:
+            assert "unrecognized arguments: --log" in err
 
 
 class TestConfigParsing:

@@ -284,6 +284,40 @@ class TestWriteFiniteRule:
         assert str(raised.value) == message
         assert not path.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ("repeat", "frame 3: time 0.04 does not increase past 0.04"),
+        ("reverse", "frame 3: time 0.02 does not increase past 0.04"),
+        ("missing", "frame 1: missing timestamp"),
+        # The earliest fault is named, as the reader names the earliest line.
+        ("missing-then-repeat", "frame 1: missing timestamp"),
+        ("truth-gamma", "frame 2: incomplete truth row"),
+    ], ids=["repeat", "reverse", "missing", "missing-then-repeat", "truth-gamma"])
+    def test_row_the_reader_refuses_rejected(self, tmp_path, edit, message):
+        frames, truth = small_record(duration=0.2)
+        if edit in ("repeat", "missing-then-repeat"):
+            frames[3] = dataclasses.replace(frames[3], t=frames[2].t)
+        if edit == "reverse":
+            frames[3] = dataclasses.replace(frames[3], t=frames[1].t)
+        if edit.startswith("missing"):
+            assigned(frames[1], t=None)
+        if edit == "truth-gamma":
+            truth[2] = truth[2]._replace(gamma=None)
+        path = tmp_path / "bad.csv"
+        with pytest.raises(LogFormatError) as raised:
+            write_log(frames, path, truth=truth)
+        assert str(raised.value) == message
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argument", ["frames", "truth"])
+    def test_iterator_refused_by_name(self, tmp_path, argument):
+        record = dict(zip(("frames", "truth"), small_record(duration=0.2)))
+        record[argument] = iter(record[argument])
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DomainError) as raised:
+            write_log(record["frames"], path, truth=record["truth"])
+        assert str(raised.value) == f"{argument} must be a sequence, got list_iterator"
+        assert not path.exists()
+
     def test_meta_may_be_a_generator(self, tmp_path):
         # Read once: the line check must not use up what is written.
         frames, _ = small_record(duration=0.1)
