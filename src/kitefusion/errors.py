@@ -7,6 +7,7 @@ The split mirrors how failures surface to a caller: bad values in
 to exit code 2 and the last one to exit code 3.  Bad numbers raise
 ``DomainError`` by name: :func:`require_finite` for dataclass fields,
 :func:`require_positive` for lengths, periods, ratios and counts.  Both
+refuse what is not a ``numbers.Real`` (text, ``None``, a ``Decimal``),
 count an integer beyond float range as not finite, and their messages
 show an integer of more than 30 digits by its digit count;
 :func:`require_finite` also names a field that holds no value of its
@@ -43,13 +44,12 @@ class NonConvergenceError(RuntimeError):
     """An iterative solver exhausted its budget without converging."""
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a finite float; an integer beyond float range
-    is not, since no float holds it, and neither is what is not a real
-    number (text, ``None``)."""
+def _finite(value: Real) -> bool:
+    """Whether the real number ``value`` is a finite float; an integer
+    beyond float range is not, since no float holds it."""
     try:
         return math.isfinite(value)
-    except (OverflowError, TypeError):
+    except OverflowError:
         return False
 
 
@@ -145,7 +145,8 @@ def require_finite(spec) -> None:
 
 
 def require_positive(name: str, value) -> None:
-    """``DomainError`` naming ``name`` unless ``value`` is a finite float
-    above 0 (nan, an integer beyond float range, text and ``None`` fail)."""
-    if not (_finite(value) and value > 0.0):
+    """``DomainError`` naming ``name`` unless ``value`` is a real number,
+    finite as a float, above 0 (nan, an integer beyond float range, text,
+    ``None`` and a ``Decimal``, which is not a ``numbers.Real``, fail)."""
+    if not (isinstance(value, Real) and _finite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")

@@ -194,11 +194,12 @@ def kf_frequency_response(gains: tuple[float, float], ts: float,
         If ``ts`` is not positive and finite, or a frequency not in (0, Nyquist).
     """
     k1, k2 = gains
-    # (I - K C) A for the single axis; (I - K C) B is (0, ts).
-    a00, a01 = 1.0 - k1, (1.0 - k1) * ts
-    a10, a11 = -k2, 1.0 - k2 * ts
 
     def response(z):
+        # (I - K C) A for the single axis; (I - K C) B is (0, ts).  Worked
+        # out here, once ``ts`` has passed its guard.
+        a00, a01 = 1.0 - k1, (1.0 - k1) * ts
+        a10, a11 = -k2, 1.0 - k2 * ts
         det = (z - a00) * (z - a11) - a01 * a10
         return z * (a01 * ts) / det, z * ((z - a11) * k1 + a01 * k2) / det
 

@@ -6,20 +6,35 @@ a written log reads back bit for bit.  Lines starting with ``#`` are
 comments (the writer uses them for provenance such as the noise seed)
 and are ignored by the reader.
 
-Both directions handle a log as one ``(n, width)`` float table.  The
-reader reads the file once, in blocks of ``_BLOCK_LINES`` lines, with
-one split and one ``float`` pass over each block's cells and the row
-checks as boolean array tests, into a flat buffer next to an explicit
-empty-cell mask.  That pass only accepts: a block it cannot take is
-parsed again, line by line, by :func:`_read_lines`, the one place that
-names a log fault (see :func:`read_log`).  Each channel is read out of
-the table once, for the rows that hold it, as Python floats in the form
-of :class:`~kitefusion.pipelines.SensorFrame`'s frame rule, so the
-frames are made by :func:`~kitefusion.pipelines._frames` without the
-frame check; every truth point takes a row of one copy of each truth
-vector.  The writer gathers the same table from the frames, refuses a
-non-finite present cell, a time and a truth row the reader would refuse
-before it opens the file, and formats the table row by row.
+A log's rows follow five rules, checked in this order within a row, and
+the earliest row that breaks one is named:
+
+1. every present cell is finite;
+2. the timestamp is present;
+3. the time increases past the previous row's;
+4. each channel group (accelerometer, gyro, attitude, XY fix, encoder)
+   is all present or all absent, in that order;
+5. a log with truth columns has every truth cell present.
+
+:func:`_row_fault` is the one statement of them, and the reader and the
+writer both call it.  The reader meets a non-finite cell already as it
+parses the cell, and names it by its text.
+
+Both directions handle a log as one ``(n, width)`` float table, nan
+where a cell is empty.  The reader reads the file once, in blocks of
+``_BLOCK_LINES`` lines, with one split and one ``float`` pass over each
+block's cells.  That pass only accepts: a block it cannot parse is
+parsed again, line by line, by :func:`_read_lines`, which names the
+first cell fault.  Either way the block's rows then go through the row
+rules before they are appended to a flat buffer (see :func:`read_log`).
+Each channel is read out of the table once, for the rows that hold it,
+as Python floats in the form of
+:class:`~kitefusion.pipelines.SensorFrame`'s frame rule, so the frames
+are made by :func:`~kitefusion.pipelines._frames` without the frame
+check; every truth point takes a row of one copy of each truth vector.
+The writer gathers the same table from the frames, checks it against
+the row rules before it opens the file, and formats the table row by
+row.
 
 The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing
@@ -43,7 +58,6 @@ import array
 import dataclasses
 import itertools
 import math
-import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -134,18 +148,19 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
     ------
     DomainError
         If ``frames`` or a given ``truth`` has no length, such as an
-        iterator, or ``meta`` is one ``str`` or ``bytes``, which would be
-        written a character at a time, is not a sequence, or holds a line
-        that is not a ``str``.
+        iterator, or an entry of either lacks a field the log holds (the
+        message names the argument and the index); or if ``meta`` is one
+        ``str`` or ``bytes``, which would be written a character at a time,
+        is not a sequence, or holds a line that is not a ``str``.
     LogFormatError
         If ``truth`` and ``frames`` differ in length, a ``meta`` line holds
         a line break (``\\n`` or ``\\r``, which would end the comment early),
-        or a channel value has the wrong number of entries; or on what
-        :func:`read_log` would refuse: a present value that is not finite
-        (that message names the frame index and the column), a missing
-        timestamp, a time that does not increase past the previous frame's,
-        or a truth point with a field missing (each naming the frame index,
-        the earliest fault first).  Nothing is written then.
+        or a channel value has the wrong number of entries; or on a frame
+        that breaks a row rule of this module's docstring (a present value
+        that is not finite, whose message also names the column, a missing
+        timestamp, a time that does not increase past the previous
+        frame's, a truth point with a field missing), naming the frame
+        index of the earliest.  Nothing is written then.
     """
     _require_sized(frames)
     if truth is not None:
@@ -160,16 +175,20 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
             raise DomainError(f"meta lines must be str, got {line!r}")
         if "\n" in line or "\r" in line:
             raise LogFormatError(f"meta line {line!r} holds a line break")
-    records = [(frames, _FRAME_FIELDS)]
+    records = [("frames", frames, _FRAME_FIELDS)]
     header = FRAME_COLUMNS
     if truth is not None:
-        records.append((truth, _TRUTH_FIELDS))
+        records.append(("truth", truth, _TRUTH_FIELDS))
         header += TRUTH_COLUMNS
     table = np.full((len(frames), len(header)), math.nan)
     present = np.zeros(table.shape, dtype=bool)
-    for items, record_fields in records:
+    for what, items, record_fields in records:
         for name, cols, _ in record_fields:
-            values = [getattr(item, name) for item in items]
+            try:
+                values = [getattr(item, name) for item in items]
+            except AttributeError:
+                i = next(i for i, item in enumerate(items) if not hasattr(item, name))
+                raise DomainError(f"{what}[{i}] has no {name}, got {items[i]!r}") from None
             rows = [i for i, value in enumerate(values) if value is not None]
             width = cols.stop - cols.start
             try:
@@ -178,24 +197,8 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
             except ValueError:
                 raise LogFormatError(f"every {name} value must hold {width} numbers") from None
             present[rows, cols] = True
-    bad = present & ~np.isfinite(table)
-    t = table[:, 0]
-    # The reader's row rules: a time present and past the previous frame's,
-    # and truth whole (no truth columns: nothing to miss).
-    late = ~present[:, 0] | (t <= np.concatenate(([-math.inf], t[:-1])))
-    faults = bad.any(axis=1) | late | ~present[:, len(FRAME_COLUMNS):].all(axis=1)
-    if faults.any():
-        i = int(faults.argmax())
-        if bad[i].any():
-            j = int(bad[i].argmax())
-            fault = f"non-finite value {float(table[i, j])!r} in column {header[j]}"
-        elif not present[i, 0]:
-            fault = "missing timestamp"
-        elif late[i]:
-            fault = f"time {float(t[i])} does not increase past {float(t[i - 1])}"
-        else:
-            fault = "incomplete truth row"
-        raise LogFormatError(f"frame {i}: {fault}")
+    if fault := _row_fault(table, ~present, truth is not None, -math.inf):
+        raise LogFormatError("frame %d: %s" % fault)
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in meta)
         fh.write(",".join(header) + "\n")
@@ -205,19 +208,34 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
                       for row in table)
 
 
-def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool, last_t: float) -> bool:
-    """Whether a row of the table fails a row check: timestamp missing,
-    time not increasing past the previous row (past ``last_t`` for the
-    first), a channel group partly present, truth incomplete."""
+def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool,
+               last_t: float) -> tuple[int, str] | None:
+    """The first row of a log table that breaks a row rule, as ``(row,
+    fault)``, or None if none does; ``empty`` marks the absent cells and
+    ``last_t`` is the time before the first row.  The rules of the module
+    docstring are checked in their order within a row."""
     t = table[:, 0]
-    if empty[:, 0].any() or t[0] <= last_t or (t[1:] <= t[:-1]).any():
-        return True
+    before = np.concatenate(([last_t], t[:-1]))
+    bad = ~(empty | np.isfinite(table))
+    rules = {"non-finite": bad.any(axis=1), "missing timestamp": empty[:, 0], "time": t <= before}
     for _, cols, group in _FRAME_FIELDS:
         if group is not None:
             absent = empty[:, cols]
-            if (absent.any(axis=1) != absent.all(axis=1)).any():
-                return True
-    return has_truth and bool(empty[:, len(FRAME_COLUMNS):].any())
+            rules[f"partial {group} sample"] = absent.any(axis=1) != absent.all(axis=1)
+    if has_truth:
+        rules["incomplete truth row"] = empty[:, len(FRAME_COLUMNS):].any(axis=1)
+    broken = np.logical_or.reduce(list(rules.values()))
+    if not broken.any():
+        return None
+    row = int(broken.argmax())
+    fault = next(rule for rule, rows in rules.items() if rows[row])
+    if fault == "non-finite":
+        col = int(bad[row].argmax())
+        fault = (f"non-finite value {float(table[row, col])!r} "
+                 f"in column {(FRAME_COLUMNS + TRUTH_COLUMNS)[col]}")
+    elif fault == "time":
+        fault = f"time {float(t[row])} does not increase past {float(before[row])}"
+    return row, fault
 
 
 def _column(table: np.ndarray, empty: np.ndarray, cols: slice) -> list:
@@ -236,17 +254,14 @@ def _column(table: np.ndarray, empty: np.ndarray, cols: slice) -> list:
     return values
 
 
-def _read_block(lines: list[str], width: int, has_truth: bool, last_t: float,
-                values_buf: array.array, empty_buf: bytearray) -> bool:
-    """Append the data lines among ``lines``, stripped lines of a log, to
-    the table: the cells to ``values_buf``, nan where empty, and the
-    empty-cell mask to ``empty_buf``.  Blank and comment lines hold no
-    data; ``last_t`` is the time of the table's last row.
+def _read_block(lines: list[str], width: int) -> np.ndarray | None:
+    """The data lines among ``lines``, stripped lines of a log, as a
+    ``(rows, width)`` table, nan where a cell is empty; blank and comment
+    lines hold no data.
 
-    Returns False, with nothing appended, if a line is one this pass
-    cannot take: a wrong cell count, a cell ``float`` refuses (a
-    whitespace-only cell among them), a non-finite value, or a row that
-    fails a row check (see :func:`_row_fault`).
+    Returns None if a line is one this pass cannot take: a wrong cell
+    count, a cell ``float`` refuses (a whitespace-only cell among them),
+    or a non-finite value.  No row rule is checked here.
     """
     text = ",".join(lines)
     # A comment line puts a "#" in the text; a "#" elsewhere is a bad cell.
@@ -254,71 +269,58 @@ def _read_block(lines: list[str], width: int, has_truth: bool, last_t: float,
         lines = [line for line in lines if line and line[0] != "#"]
         text = ",".join(lines)
     if not lines:
-        return True
+        return np.empty((0, width))
     if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
-        return False
+        return None
     cells = text.split(",")
     try:
         # A list, then one array: building an array straight from the
         # map measured about 10% slower.
         values = np.array(list(map(float, filter(None, cells))), dtype=float)
     except ValueError:
-        return False
+        return None
     if not np.isfinite(values).all():
-        return False
-    empty = bytearray(map(operator.not_, cells))
-    absent = np.frombuffer(empty, dtype=bool)
+        return None
     rows = np.full(len(cells), math.nan)
-    rows[~absent] = values
-    if _row_fault(rows.reshape(-1, width), absent.reshape(-1, width), has_truth, last_t):
-        return False
-    values_buf.frombytes(rows.tobytes())
-    empty_buf += empty
-    return True
+    rows[np.frombuffer(bytearray(map(bool, cells)), dtype=bool)] = values
+    return rows.reshape(-1, width)
 
 
-def _read_lines(lines: list[str], first_lineno: int, width: int, has_truth: bool,
-                last_t: float, values_buf: array.array, empty_buf: bytearray) -> None:
-    """Append the data lines among ``lines``, stripped lines of a log from
-    line ``first_lineno`` on, to the table as :func:`_read_block` does,
-    one line at a time with each cell stripped, so a whitespace-only cell
-    reads as empty.
+def _read_lines(lines: list[str], first_lineno: int,
+                width: int) -> tuple[np.ndarray, str | None]:
+    """The data lines among ``lines``, stripped lines of a log from line
+    ``first_lineno`` on, as :func:`_read_block`'s table, parsed one line at
+    a time with each cell stripped, so a whitespace-only cell reads as
+    empty.
 
-    Raises ``LogFormatError`` naming the first offending line and, within
-    it, the first of: wrong cell count, then each cell from left to right
-    (a cell that is not a number, a non-finite number), then the row
-    checks in :func:`_row_fault`'s order.
+    Returns the table of the lines before the first cell fault, and that
+    fault's message naming its line (None if no line has one): within a
+    line, a wrong cell count, then each cell from left to right (a cell
+    that is not a number, a non-finite number).  No row rule is checked
+    here.
     """
+    rows, fault = [], None
     for lineno, line in enumerate(lines, start=first_lineno):
         if not line or line[0] == "#":
             continue
         cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != width:
-            raise LogFormatError(f"line {lineno}: expected {width} cells, got {len(cells)}")
-        row = [math.nan] * width
-        for i, cell in enumerate(cells):
-            if cell:
-                try:
-                    row[i] = value = float(cell)
-                except ValueError:
-                    raise LogFormatError(f"line {lineno}: bad number {cell!r}") from None
-                if not math.isfinite(value):
-                    raise LogFormatError(f"line {lineno}: non-finite number {cell!r}")
-        empty = list(map(operator.not_, cells))
-        if empty[0]:
-            fault = "missing timestamp"
-        elif row[0] <= last_t:
-            fault = f"time {row[0]} does not increase past {last_t}"
-        else:
-            fault = next((f"partial {group} sample" for _, cols, group in _FRAME_FIELDS
-                          if group is not None and any(empty[cols]) != all(empty[cols])), None)
-            if fault is None and has_truth and any(empty[len(FRAME_COLUMNS):]):
-                fault = "incomplete truth row"
+            fault = f"line {lineno}: expected {width} cells, got {len(cells)}"
+            break
+        row = []
+        for cell in cells:
+            try:
+                row.append(float(cell) if cell else math.nan)
+            except ValueError:
+                fault = f"line {lineno}: bad number {cell!r}"
+                break
+            if cell and not math.isfinite(row[-1]):
+                fault = f"line {lineno}: non-finite number {cell!r}"
+                break
         if fault is not None:
-            raise LogFormatError(f"line {lineno}: {fault}")
-        last_t = row[0]
-        values_buf.extend(row)
-        empty_buf.extend(empty)
+            break
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, width), fault
 
 
 def read_log(path) -> LogData:
@@ -326,27 +328,28 @@ def read_log(path) -> LogData:
 
     The file is read once, in blocks of ``_BLOCK_LINES`` lines.  Each
     block is joined and split into cells once, each line's cell count is
-    checked, its non-empty cells go through ``float`` in one pass, and the
-    row checks run on the block as boolean array tests; an accepted block
-    is appended to the buffer the table is a view of.  That pass only
-    accepts: a block it cannot take (a wrong cell count, a cell ``float``
-    refuses, a whitespace-only cell, a non-finite value, or a row that
-    fails a row check) is read again from its own lines, one at a time, by
+    checked, and its non-empty cells go through ``float`` in one pass.
+    That pass only accepts: a block it cannot parse (a wrong cell count, a
+    cell ``float`` refuses, a whitespace-only cell, a non-finite value) is
+    parsed again from its own lines, one at a time, by
     :func:`_read_lines`, which reads a whitespace-only cell as empty and
-    names the first fault.
+    stops at the first cell fault.  The rows either pass parsed are then
+    checked against the row rules, once per block, and appended to the
+    buffer the table is a view of.
 
     Raises
     ------
     LogFormatError
         On a file that is not text in the locale's encoding (UTF-8),
-        which the message names by its path; or on an unrecognized header,
-        a malformed row, a non-finite cell (``nan``, ``inf``, an
-        overflowing ``1e999``), a partially present channel group, or
-        timestamps that do not strictly increase, where the message carries
-        the 1-based line number of the earliest offending line.
+        which the message names by its path; on an unrecognized header;
+        or, with the 1-based line number of the earliest offending line,
+        on a line of the wrong cell count, a cell that is not a number or
+        not finite (``nan``, ``inf``, an overflowing ``1e999``), or a row
+        that breaks a row rule of this module's docstring.  Within a line,
+        a cell fault is named before a row rule.
     """
     header: tuple[str, ...] | None = None
-    values_buf, empty_buf = array.array("d"), bytearray()
+    values_buf = array.array("d")
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -362,15 +365,24 @@ def read_log(path) -> LogData:
             # The time of the table's last row (-inf before it has one).
             last_t = -math.inf
             while lines := list(map(str.strip, itertools.islice(fh, _BLOCK_LINES))):
-                if not _read_block(lines, width, has_truth, last_t, values_buf, empty_buf):
-                    _read_lines(lines, lineno + 1, width, has_truth, last_t, values_buf, empty_buf)
+                block, fault = _read_block(lines, width), None
+                if block is None:
+                    block, fault = _read_lines(lines, lineno + 1, width)
+                # Every nan in a parsed block is an empty cell.
+                if broken := _row_fault(block, np.isnan(block), has_truth, last_t):
+                    data = [n for n, line in enumerate(lines, start=lineno + 1)
+                            if line and line[0] != "#"]
+                    fault = "line %d: %s" % (data[broken[0]], broken[1])
+                if fault is not None:
+                    raise LogFormatError(fault)
+                values_buf.frombytes(block.tobytes())
                 lineno += len(lines)
                 if values_buf:
                     last_t = values_buf[-width]
     except UnicodeDecodeError as exc:
         raise LogFormatError(f"{path}: not {exc.encoding} text") from None
     table = np.frombuffer(values_buf).reshape(-1, width)
-    empty = np.frombuffer(empty_buf, dtype=bool).reshape(table.shape)
+    empty = np.isnan(table)
     columns = [_column(table, empty, cols) for _, cols, _ in _FRAME_FIELDS]
     frames = _frames(*columns)
     if not has_truth:
@@ -384,8 +396,12 @@ def read_log(path) -> LogData:
 
 def default_configs(base: EstimatorConfig | None = None) -> tuple[EstimatorConfig, ...]:
     """The three canonical pipelines: radio routings with the soft
-    tuning, line-angle routing with the stiff one."""
+    tuning, line-angle routing with the stiff one, each a copy of
+    ``base`` (the default config if None); a ``base`` that is not an
+    :class:`EstimatorConfig` raises ``DomainError``."""
     base = base if base is not None else EstimatorConfig()
+    if not isinstance(base, EstimatorConfig):
+        raise DomainError(f"base must be an EstimatorConfig, got {base!r}")
     return tuple(
         dataclasses.replace(base, approach=approach,
                             ratios=LINE_ANGLE_RATIOS if approach == 3 else RADIO_RATIOS)

@@ -43,14 +43,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
-from .errors import (DegenerateInputError, DomainError, _shown, require_finite,
-                     require_positive)
+from .errors import DegenerateInputError, DomainError, require_finite, require_positive
 from .frames import _libm, rot_ned_to_g
 from .lineangle import EncoderGeometry, _angles_to_encoders
 from .pipelines import SensorFrame, _frames, _tuple_rows
@@ -402,8 +400,6 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
         ``float()``, so ``np.float32(0.02)`` gives the record of
         ``float(np.float32(0.02))``, and anything else raises ``DomainError``.
     """
-    if not isinstance(ts, Real):
-        raise DomainError(f"ts must be a real number, got {_shown(ts)}")
     require_positive("ts", ts)
     ts = float(ts)
     n = int(round(params.duration / ts))

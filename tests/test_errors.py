@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from decimal import Decimal
 from typing import Optional, Union
 from unittest import mock
 
@@ -138,6 +139,27 @@ def test_rule_message_beyond_float_range():
     with pytest.raises(DomainError) as info:
         EstimatorConfig(ratios=(1.0, -0.0, BEYOND_STR))
     assert str(info.value) == "ratios must be finite, got (1.0, -0.0, an integer of 5001 digits)"
+
+
+#: Every guard above, plus functions that reach ``require_positive``
+#: through another.
+DECIMAL_CALLS = [(name, call) for _, name, call in GUARDS] + [
+    ("r", lambda v: frames.cartesian_to_spherical(np.array([3.0, 4.0, 29.0]), v)),
+    ("r", lambda v: pipelines.geometric_correction((3.0, 4.0, 29.0), v)),
+    ("ts", lambda v: estimator.kf_frequency_response((0.5, 0.1), v, [1.0])),
+    ("counts_per_rev", lambda v: lineangle.angles_to_encoder(0.5, 0.1, EncoderGeometry(),
+                                                             counts_per_rev=v)),
+]
+
+
+@pytest.mark.parametrize("name, call", DECIMAL_CALLS,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(DECIMAL_CALLS)])
+def test_decimal_rejected_by_name(name, call):
+    """A ``Decimal`` passes ``math.isfinite`` and ``> 0.0`` but is not a
+    ``numbers.Real``: it is refused by name, not by a bare ``TypeError``
+    from float arithmetic further in."""
+    with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be .*Decimal\('30'\)"):
+        call(Decimal("30"))
 
 
 @pytest.mark.parametrize("value, shown", [

@@ -318,6 +318,30 @@ class TestWriteFiniteRule:
         assert str(raised.value) == f"{argument} must be a sequence, got list_iterator"
         assert not path.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ("ints", "frames[0] has no t, got 1"),
+        ("frame", "frames[2] has no t, got 7"),
+        ("truth", "truth[2] has no p, got None"),
+        ("all-truth", "truth[0] has no p, got None"),
+    ], ids=["ints", "frame", "truth", "all-truth"])
+    def test_entry_without_fields_refused_by_name(self, tmp_path, edit, message):
+        """An entry without the fields the log holds is named by its
+        argument and index, not by a bare ``AttributeError``."""
+        frames, truth = small_record(duration=0.1)
+        if edit == "ints":
+            frames, truth = [1, 2], None
+        elif edit == "frame":
+            frames[2] = 7
+        elif edit == "truth":
+            truth[2] = None
+        else:
+            truth = [None] * len(frames)
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DomainError) as raised:
+            write_log(frames, path, truth=truth)
+        assert str(raised.value) == message
+        assert not path.exists()
+
     def test_meta_may_be_a_generator(self, tmp_path):
         # Read once: the line check must not use up what is written.
         frames, _ = small_record(duration=0.1)
@@ -494,6 +518,12 @@ class TestCompareApproaches:
         assert [c.approach for c in configs] == [1, 2, 3]
         assert configs[0].ratios == (10.0, 10.0, 10.0)
         assert configs[2].ratios == (500.0, 500.0, 500.0)
+
+    @pytest.mark.parametrize("base", ["x", 30.0, NoiseSpec()], ids=["str", "float", "spec"])
+    def test_default_configs_base_not_a_config_refused(self, base):
+        with pytest.raises(DomainError) as raised:
+            default_configs(base)
+        assert str(raised.value) == f"base must be an EstimatorConfig, got {base!r}"
 
 
 def run_counting_steps(monkeypatch, log, configs, primed):
@@ -1099,6 +1129,32 @@ class TestTableReaderMatchesLineByLine:
                           3 + 2 * block)]
         assert [fh.taken for fh in opened] == [len(lines)]
         assert got == outcome(line_by_line_read_log, path)
+
+    def test_row_fault_named_from_the_array_pass(self, tmp_path, monkeypatch, long_logs):
+        """A repeated timestamp in the third of four blocks, whose cells
+        all parse, is named without the line-by-line pass: the read takes
+        each line of the first three blocks once and stops there."""
+        block = evalio._BLOCK_LINES
+        lines = list(long_logs[True])
+        assert len(lines) - 2 > 3 * block
+        row = 2 + 2 * block + 11
+        cells = lines[row].split(",")
+        cells[0] = lines[row - 1].split(",")[0]
+        lines[row] = ",".join(cells)
+        path = tmp_path / "repeated.csv"
+        path.write_text("\n".join(lines) + "\n")
+        expected = outcome(line_by_line_read_log, path)
+
+        def refused(*args):
+            raise AssertionError("a block whose cells parse was read line by line")
+
+        monkeypatch.setattr(evalio, "_read_lines", refused)
+        opened = count_lines_taken(monkeypatch)
+        with pytest.raises(LogFormatError, match=rf"^line {row + 1}: time \S+ does not "
+                                                 rf"increase past \S+$") as raised:
+            read_log(path)
+        assert str(raised.value) == expected
+        assert [fh.taken for fh in opened] == [2 + 3 * block]
 
     def test_fault_ends_the_read(self, tmp_path, monkeypatch, long_logs):
         """A fault in the first of four blocks is raised once that block

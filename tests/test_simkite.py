@@ -249,7 +249,7 @@ class TestTrajectoryParams:
     def test_tick_period_without_a_number_refused_by_name(self, ts, shown):
         with pytest.raises(DomainError) as raised:
             synthesize(TrajectoryParams(duration=0.2), NoiseSpec.none(), ts=ts)
-        assert str(raised.value) == f"ts must be a real number, got {shown}"
+        assert str(raised.value) == f"ts must be positive and finite, got {shown}"
 
     def test_finite_extremes_still_accepted(self):
         # The rule is about nan and inf only; range checks stay as they were.
