@@ -27,7 +27,7 @@ from typing import Callable, get_origin
 import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, LogFormatError, NonConvergenceError,
-                     _field_types)
+                     _field_types, require_positive)
 from .estimator import axis_gain, kf_frequency_response, lo_frequency_response
 from .evalio import compare_approaches, default_configs, read_log, write_log
 from .lineangle import EncoderGeometry
@@ -168,7 +168,9 @@ def cmd_evaluate(args, cfg: dict[str, object]) -> None:
 
 def cmd_bode(args, cfg: dict[str, object]) -> None:
     estimator = build_estimator_config(cfg)
-    if not 0.0 < args.f_min < args.f_max:
+    require_positive("f-min", args.f_min)
+    require_positive("f-max", args.f_max)
+    if not args.f_min < args.f_max:
         raise DomainError("need 0 < f-min < f-max")
     if args.points < 1:
         raise DomainError(f"need at least one point, got {args.points}")

@@ -4,17 +4,27 @@ The split mirrors how failures surface to a caller: bad values in
 (``DomainError``, ``DegenerateInputError``), bad files in
 (``LogFormatError``) and iterative algorithms giving up
 (``NonConvergenceError``).  The command line tool maps the first three
-to exit code 2 and the last one to exit code 3.  Bad numbers raise
-``DomainError`` by name: :func:`require_finite` for dataclass fields,
-:func:`require_positive` for lengths, periods, ratios and counts.  Both
-refuse what is not a ``numbers.Real`` (text, ``None``, a ``Decimal``),
-count an integer beyond float range as not finite, and their messages
-show an integer of more than 30 digits by its digit count;
-:func:`require_finite` also names a field that holds no value of its
-annotated kind, and stores the real fields of a config it passes as
-Python floats.  A tuple field's length is read off its annotation by
-:func:`_tuple_width`, so ``ratios: tuple[float, float, float]`` refuses a
-pair by name.
+to exit code 2 and the last one to exit code 3.
+
+One rule says what a real number from a caller is, :func:`is_real`: a
+``numbers.Real`` that is not a ``bool``.  A Python or numpy float or
+integer is one; text, ``None``, a ``Decimal``, a complex number, a Python
+``bool`` and a numpy ``bool_`` are not, so ``True`` never runs as 1.
+Every number a caller hands the package is checked against it and, when
+refused, raises ``DomainError`` naming the argument or field:
+:func:`as_real` and :func:`as_reals` return a scalar or a fixed-width
+vector as Python floats, :func:`require_finite` checks the fields of a
+config dataclass, and :func:`require_positive` the lengths, periods,
+ratios and counts.  The last two count an integer beyond float range as
+not finite, and every message shows an integer of more than 30 digits by
+its digit count.  :func:`require_finite` also names a field that holds
+no value of its annotated kind, and stores the real fields of a config
+it passes as Python floats.  A tuple field's length is read off its
+annotation by :func:`_tuple_width`, so ``ratios: tuple[float, float,
+float]`` refuses a pair by name.  The package's own producers,
+:func:`~kitefusion.simkite.synthesize` and
+:func:`~kitefusion.evalio.read_log`, build frames from float arrays and
+skip the check.
 """
 
 import functools
@@ -42,6 +52,13 @@ class LogFormatError(ValueError):
 
 class NonConvergenceError(RuntimeError):
     """An iterative solver exhausted its budget without converging."""
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: a ``numbers.Real`` that is not
+    a ``bool``.  A Python float is answered first, without the slower
+    abstract-class check."""
+    return type(value) is float or isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _finite(value: Real) -> bool:
@@ -83,6 +100,30 @@ def _shown(value) -> str:
     return str(value) if isinstance(value, Real) else repr(value)
 
 
+def as_real(name: str, value) -> float:
+    """``value`` as a Python float (a Python float is returned as itself),
+    or a ``DomainError`` naming ``name`` unless it is a real number that a
+    float holds; nan and infinities pass."""
+    try:
+        if is_real(value):
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise DomainError(f"{name} must be a real number, got {_shown(value)}")
+
+
+def as_reals(name: str, value, width: int) -> tuple[float, ...]:
+    """``value``, a tuple, list or 1-D array of ``width`` real numbers, as
+    a tuple of Python floats, or a ``DomainError`` naming ``name``."""
+    try:
+        if (isinstance(value, (tuple, list, np.ndarray)) and len(value) == width
+                and all(map(is_real, value))):
+            return tuple(map(float, value))
+    except (TypeError, OverflowError):  # a 0-d array; an integer beyond float range
+        pass
+    raise DomainError(f"{name} must hold {width} real numbers, got {_shown(value)}")
+
+
 def _tuple_width(hint) -> int | None:
     """The number of entries a ``tuple[...]`` annotation declares, reading
     ``X | None`` as ``X``; ``None`` for any other annotation, and for
@@ -106,12 +147,12 @@ def _field_widths(cls) -> dict[str, int | None]:
 def require_finite(spec) -> None:
     """Reject a dataclass instance with a nan, infinite or out-of-range
     field, by name; tuple fields entry by entry, then by the length their
-    annotation declares.  A field that holds no number (a string, a list,
-    an array), or a tuple field that holds no tuple of numbers, is refused
-    by name as well, and so is an ``int`` field without an integer (a
-    ``bool`` is not one), a ``bool`` field without a Python or numpy bool,
-    and a field annotated with a dataclass without an instance of it, which
-    is not checked further.
+    annotation declares.  A field that holds no real number (a string, a
+    ``bool``, a list, an array), or a tuple field that holds no tuple of
+    them, is refused by name as well, and so is an ``int`` field without an
+    integer (a ``bool`` is not one), a ``bool`` field without a Python or
+    numpy bool, and a field annotated with a dataclass without an instance
+    of it, which is not checked further.
 
     A field that passes is stored as a Python float if annotated
     ``float``, and as a tuple of Python floats if a tuple, so a numpy
@@ -127,7 +168,8 @@ def require_finite(spec) -> None:
             continue
         many = get_origin(kind) is tuple
         entries = value if many and isinstance(value, tuple) else (value,)
-        if not all(isinstance(entry, Real) for entry in entries):
+        # A bool in an int field is named as no integer, below.
+        if not (all(map(is_real, entries)) or kind is int and isinstance(value, bool)):
             what = "a tuple of finite numbers" if many else "a finite number"
             raise DomainError(f"{field.name} must be {what}, got {_shown(value)}")
         if not all(map(_finite, entries)):
@@ -145,8 +187,8 @@ def require_finite(spec) -> None:
 
 
 def require_positive(name: str, value) -> None:
-    """``DomainError`` naming ``name`` unless ``value`` is a real number,
-    finite as a float, above 0 (nan, an integer beyond float range, text,
-    ``None`` and a ``Decimal``, which is not a ``numbers.Real``, fail)."""
-    if not (isinstance(value, Real) and _finite(value) and value > 0.0):
+    """``DomainError`` naming ``name`` unless ``value`` is a real number
+    (:func:`is_real`), finite as a float, above 0; nan and an integer
+    beyond float range fail."""
+    if not (is_real(value) and _finite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")

@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, require_positive
+from .errors import DomainError, NonConvergenceError, as_reals, require_positive
 
 
 def build_system(ts: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,9 +191,10 @@ def kf_frequency_response(gains: tuple[float, float], ts: float,
     Raises
     ------
     DomainError
-        If ``ts`` is not positive and finite, or a frequency not in (0, Nyquist).
+        If ``gains`` is not two real numbers, ``ts`` is not positive and
+        finite, or a frequency not in (0, Nyquist).
     """
-    k1, k2 = gains
+    k1, k2 = as_reals("gains", gains, 2)
 
     def response(z):
         # (I - K C) A for the single axis; (I - K C) B is (0, ts).  Worked
@@ -217,9 +218,10 @@ def lo_frequency_response(k_gamma: tuple[float, float], ts: float,
     Raises
     ------
     DomainError
-        If ``ts`` is not positive and finite, or a frequency not in (0, Nyquist).
+        If ``k_gamma`` is not two real numbers, ``ts`` is not positive and
+        finite, or a frequency not in (0, Nyquist).
     """
-    k1, k2 = k_gamma
+    k1, k2 = as_reals("k_gamma", k_gamma, 2)
 
     def response(z):
         det = (z - 1.0 + k1) * (z - 1.0) + ts * k2

@@ -62,10 +62,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, LogFormatError
+from .errors import DomainError, LogFormatError, as_real
 from .frames import wrap_angle
-from .pipelines import (EstimationPipeline, EstimatorConfig, SensorFrame, _float, _frames,
-                        _prime, _require_sized, _tuple_rows)
+from .pipelines import (EstimationPipeline, EstimatorConfig, SensorFrame, _frames, _prime,
+                        _require_sized, _tuple_rows)
 
 # The log layout per record, in column order: field, column names, and
 # the label of a channel group whose cells must be all present or all
@@ -465,7 +465,9 @@ def compare_approaches(log: LogData,
         If ``configs`` is not a sequence of :class:`EstimatorConfig` or is
         empty, two configs share an approach, the log has no truth and no
         config of routing 3 to reference, ``settle`` or a bin edge is not a
-        finite real number (text is refused, as a frame refuses it),
+        finite real number (:func:`~kitefusion.errors.is_real`: text,
+        ``None``, a ``Decimal`` and a ``bool`` are refused, as a frame
+        refuses them),
         ``bin_edges`` is not a sequence of them, the bin edges do not
         strictly increase, or ``log.frames`` has no length (an iterator).
     LogFormatError
@@ -486,12 +488,12 @@ def compare_approaches(log: LogData,
     for approach in approaches:
         if approaches.count(approach) > 1:
             raise DomainError(f"approach {approach} appears more than once in configs")
-    settle = _float("settle", settle)
+    settle = as_real("settle", settle)
     if not math.isfinite(settle):
         raise DomainError(f"settle must be finite, got {settle}")
     if isinstance(bin_edges, (str, bytes)) or not np.iterable(bin_edges):
         raise DomainError(f"bin_edges must be a sequence of real numbers, got {bin_edges!r}")
-    edges = [_float("bin edge", edge) for edge in bin_edges]
+    edges = [as_real("bin edge", edge) for edge in bin_edges]
     if not (edges and np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()):
         raise DomainError(f"bin edges must be finite and strictly increasing, got {bin_edges}")
     _require_sized(log.frames)

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, require_positive
+from .errors import DegenerateInputError, DomainError, as_real, as_reals, require_positive
 
 # Relative slack on |p_z| <= r before an elevation is considered out of
 # domain; admits floating-point excursions of on-sphere points.
@@ -36,9 +36,12 @@ def _libm(func, *columns) -> np.ndarray:
 
 
 def wrap_angle(angle):
-    """Wrap an angle (scalar or ndarray) to the interval (-pi, pi]."""
+    """Wrap an angle (scalar or ndarray) to the interval (-pi, pi].  A
+    scalar, a real number or a 0-d array holding one, comes back as a
+    Python float; ``DomainError`` names any other scalar."""
     if np.ndim(angle) == 0:
-        return math.pi - (math.pi - float(angle)) % TWO_PI
+        angle = as_real("angle", angle[()] if isinstance(angle, np.ndarray) else angle)
+        return math.pi - (math.pi - angle) % TWO_PI
     return math.pi - np.mod(math.pi - np.asarray(angle, dtype=float), TWO_PI)
 
 
@@ -62,10 +65,12 @@ def spherical_to_cartesian(theta: float, phi: float, r: float) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``r`` is not positive and finite, ``theta`` lies outside
-        [-pi/2, pi/2] or ``phi`` is not finite.
+        If ``r`` is not positive and finite, ``theta`` or ``phi`` is not
+        a real number, ``theta`` lies outside [-pi/2, pi/2] or ``phi`` is
+        not finite.
     """
     require_positive("r", r)
+    theta, phi = as_real("theta", theta), as_real("phi", phi)
     if not abs(theta) <= math.pi / 2.0:
         raise DomainError(f"elevation out of [-pi/2, pi/2]: {theta}")
     if not math.isfinite(phi):
@@ -83,7 +88,7 @@ def cartesian_to_spherical(p: np.ndarray, r: float) -> tuple[float, float]:
 
     Parameters
     ----------
-    p : array_like, shape (3,)
+    p : tuple, list or array of three floats
         Position in ``G`` in m.
     r : float
         Sphere radius in m, positive and finite.
@@ -98,12 +103,13 @@ def cartesian_to_spherical(p: np.ndarray, r: float) -> tuple[float, float]:
     Raises
     ------
     DomainError
-        If ``r`` is not positive and finite, ``|p_z|`` exceeds ``r`` beyond
-        the relative tolerance ``Z_OVER_R_TOL`` or a component is not finite.
+        If ``p`` is not three real numbers, ``r`` is not positive and
+        finite, ``|p_z|`` exceeds ``r`` beyond the relative tolerance
+        ``Z_OVER_R_TOL`` or a component is not finite.
     DegenerateInputError
         If ``p_x = p_y = 0`` (azimuth undefined on the zenith axis).
     """
-    px, py, pz = float(p[0]), float(p[1]), float(p[2])
+    px, py, pz = as_reals("p", p, 3)
     theta = _elevation(pz, r)
     _horizontal(px, py)
     return theta, math.atan2(py, px)

@@ -25,10 +25,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, require_finite, require_positive
+from .errors import (DegenerateInputError, DomainError, as_real, as_reals, is_real,
+                     require_finite, require_positive)
 from .frames import _libm
 
 #: Encoder line count used when none is configured (resolution 2*pi/400).
@@ -83,8 +85,11 @@ class EncoderGeometry:
 
 
 def resolution(counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> float:
-    """Angular size of one encoder count in rad, for a positive, finite count."""
+    """Angular size of one encoder count in rad, for a positive integer
+    count (a numpy integer included); ``DomainError`` names any other."""
     require_positive("counts_per_rev", counts_per_rev)
+    if not isinstance(counts_per_rev, Integral):
+        raise DomainError(f"counts_per_rev must be an integer, got {counts_per_rev}")
     return 2.0 * math.pi / counts_per_rev
 
 
@@ -113,12 +118,13 @@ def encoder_to_angles(reading: tuple[float, float],
     Raises
     ------
     DomainError
-        If an arm angle is not finite.
+        If ``reading`` is not two real numbers or an arm angle is not
+        finite.
     DegenerateInputError
         If the guide lands exactly on the vertical axis through the origin,
         where the azimuth is undefined.
     """
-    theta_b, phi_b = reading
+    theta_b, phi_b = as_reals("reading", reading, 2)
     if not (math.isfinite(theta_b) and math.isfinite(phi_b)):
         raise DomainError(f"encoder reading {reading} is not finite")
     fwd, side, up = _guide_point(theta_b, phi_b, _mount(geometry))
@@ -168,18 +174,19 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
     geometry : EncoderGeometry
         Mounting geometry of the mechanism.
     counts_per_rev : int
-        Encoder line count for the final rounding; ``0`` (ideal
+        Encoder line count for the final rounding; the integer ``0`` (ideal
         readings, as in ``NoiseSpec``) returns the unrounded solution,
         azimuth in [-pi, pi] as ``atan2`` gives it.
 
     Raises
     ------
     DomainError
-        If ``counts_per_rev`` is neither 0 nor positive and finite, if an
-        angle is not finite, or if the ray misses the guide sphere or
-        meets it only behind the origin, i.e. the wing angles are outside
-        the mechanism's reachable set.
+        If ``counts_per_rev`` is neither 0 nor a positive integer, if an
+        angle is not a finite real number, or if the ray misses the guide
+        sphere or meets it only behind the origin, i.e. the wing angles are
+        outside the mechanism's reachable set.
     """
+    theta, phi = as_real("theta", theta), as_real("phi", phi)
     return _angles_to_encoders(np.array([theta]), np.array([phi]), geometry, counts_per_rev)[0]
 
 
@@ -195,7 +202,9 @@ def _angles_to_encoders(theta, phi, geometry: EncoderGeometry,
     (an angle not finite, or out of reach) raises its ``DomainError``.
     """
     g = geometry
-    step = None if counts_per_rev == 0 else resolution(counts_per_rev)
+    # Only an integer 0 asks for ideal readings: 0.0 and False are refused.
+    ideal = isinstance(counts_per_rev, Integral) and is_real(counts_per_rev) and not counts_per_rev
+    step = None if ideal else resolution(counts_per_rev)
     finite = np.isfinite(theta) & np.isfinite(phi)
     # Refused pairs are zeroed, so that libm sees finite angles only.
     theta_f, phi_f = np.where(finite, theta, 0.0), np.where(finite, phi, 0.0)

@@ -50,8 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attitude import _inertial_accels, inertial_accel
-from .errors import (DegenerateInputError, DomainError, LogFormatError, _field_widths, _shown,
-                     require_finite, require_positive)
+from .errors import (DegenerateInputError, DomainError, LogFormatError, _field_widths, as_real,
+                     as_reals, require_finite, require_positive)
 from .frames import TWO_PI, _elevation, _horizontal
 from .lineangle import EncoderGeometry, _guide_point, _mount
 from .estimator import axis_gain
@@ -69,14 +69,16 @@ class SensorFrame:
     ``quat``, ``gps_xy``, ``encoder``) is held as a tuple of Python floats
     of the width its annotation declares, and each scalar channel (``t``,
     ``baro_z``, ``wind_speed``) as a Python float.  A channel of that form
-    is kept as given, the same object.  Any other value (an ndarray of any
-    dtype, a list, a tuple holding ints or numpy scalars, an int or a numpy
-    scalar) is converted once, when the frame is built, with ``float()``
-    per element, as ``ndarray.tolist()`` converts a float array, so a
-    float32 or integer channel gives the estimates of the same values as
-    float64.  A vector channel of the wrong length, a value ``float()``
-    refuses, or text (``str``, ``bytes`` or ``bytearray``, whole or as an
-    element) raises ``DomainError`` naming the field.  A channel assigned
+    is kept as given, the same object.  Any other real number, or a tuple,
+    list or 1-D ndarray of them (ints, numpy scalars, float32), is
+    converted once, when the frame is built, with ``float()`` per element,
+    as ``ndarray.tolist()`` converts a float array, so a float32 or integer
+    channel gives the estimates of the same values as float64.  What is not
+    a real number by :func:`~kitefusion.errors.is_real` is refused, not
+    converted: a vector channel of the wrong length or of another kind
+    (text, ``bytes``, an iterator), or a value or entry that is text,
+    ``None``, a ``Decimal``, a complex number or a Python or numpy
+    ``bool``, raises ``DomainError`` naming the field.  A channel assigned
     after the frame is built is not checked, and must hold Python floats:
     a ``Decimal`` or numpy ``float32`` entry can prime a record whose
     per-tick path raises or computes in that type.  The package's own
@@ -121,12 +123,11 @@ class SensorFrame:
             value = getattr(self, name)
             if value is None and name != "t":
                 continue
-            if width is None:
-                if type(value) is not float:
-                    setattr(self, name, _float(name, value))
+            if width is None:  # a float comes back as itself
+                setattr(self, name, as_real(name, value))
             elif not (type(value) is tuple and len(value) == width
                       and all(type(entry) is float for entry in value)):
-                setattr(self, name, _floats(name, value, width))
+                setattr(self, name, as_reals(name, value, width))
 
 
 #: Each field of a frame and its width: the entries of a vector channel,
@@ -165,36 +166,6 @@ def _tuple_rows(array: np.ndarray):
     column lists, and the routing-3 tick ran about 1.6% faster on it (in
     process, 121 of 200 alternating pairs)."""
     return zip(*[iter(array.ravel().tolist())] * array.shape[1])
-
-
-_TEXT = (str, bytes, bytearray)  # what float() would parse, and a frame refuses
-
-
-def _real(value) -> float:
-    """``float(value)``, or ``TypeError`` for text."""
-    if isinstance(value, _TEXT):
-        raise TypeError(value)
-    return float(value)
-
-
-def _float(name: str, value) -> float:
-    """``_real(value)``, or a ``DomainError`` naming the field ``name``."""
-    try:
-        return _real(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a real number, got {_shown(value)}") from None
-
-
-def _floats(name: str, value, width: int) -> tuple[float, ...]:
-    """``value``, not text, as a tuple of ``width`` Python floats, one
-    ``_real`` per element, or a ``DomainError`` naming the field ``name``."""
-    try:
-        floats = None if isinstance(value, _TEXT) else tuple(map(_real, value))
-    except (TypeError, ValueError, OverflowError):
-        floats = None
-    if floats is None or len(floats) != width:
-        raise DomainError(f"{name} must hold {width} real numbers, got {_shown(value)}")
-    return floats
 
 
 @dataclass(frozen=True)
@@ -289,7 +260,7 @@ def geometric_correction(p_tilde, r: float) -> tuple[float, float, float]:
 
     Parameters
     ----------
-    p_tilde : sequence of three floats
+    p_tilde : tuple, list or array of three floats
         Measured position, m.
     r : float
         Sphere radius (tether length), m.
@@ -297,14 +268,15 @@ def geometric_correction(p_tilde, r: float) -> tuple[float, float, float]:
     Raises
     ------
     DomainError
-        If ``|p_tilde[2]| > r`` or the height is not finite (no elevation
-        angle exists), or an XY component is not finite.
+        If ``p_tilde`` is not three real numbers, ``|p_tilde[2]| > r`` or
+        the height is not finite (no elevation angle exists), or an XY
+        component is not finite.
     DegenerateInputError
         If the XY components are both exactly zero (no direction to keep),
         or so close to zero that the scale overflows (it would turn a zero
         component into NaN).
     """
-    x, y, z = float(p_tilde[0]), float(p_tilde[1]), float(p_tilde[2])
+    x, y, z = as_reals("p_tilde", p_tilde, 3)
     scale = r * math.cos(_elevation(z, r)) / _horizontal(x, y)
     if scale == math.inf:
         raise DegenerateInputError(f"XY components {x}, {y} too small to scale onto the sphere")

@@ -73,6 +73,9 @@ class TrajectoryParams:
     unit speed scale, i.e. full eights per second.  Every field must be
     finite, the marked ones positive; a ``DomainError`` names the first that is not.
     The fields are kept as Python floats, whatever real type was given.
+    A pattern whose peak speed squared or peak acceleration, bounded from
+    ``r``, the amplitudes, ``f_loop`` and ``speed_scale``, overflows
+    float64 is refused by name too, before any array is built.
 
     Attributes
     ----------
@@ -116,6 +119,23 @@ class TrajectoryParams:
             raise DomainError(
                 "pattern must stay strictly inside the upwind hemisphere: "
                 f"elevation sweeps [{lo}, {hi}]")
+        # Bounds on the pattern's peak speed and acceleration, as products,
+        # which reach inf where ``**`` raises OverflowError.  The angles'
+        # rates, and the elevation's squared frequency 4 w**2 on its own,
+        # are computed before ``r`` scales them, so ``r`` counts as 1 at
+        # least.  The synthesizer sums three products of each peak (the
+        # speed's dot product, the rows of the rotated acceleration), so
+        # three times each must be finite.
+        w = 2.0 * math.pi * self.f_loop * self.speed_scale  # azimuth, rad/s
+        rate = (2.0 * abs(self.a_theta) + abs(self.a_phi)) * w
+        scale = max(self.r, 1.0)
+        speed = scale * rate
+        accel = scale * (rate * rate + (4.0 * abs(self.a_theta) + abs(self.a_phi) + 4.0) * w * w)
+        for what, peak in (("speed", speed * speed), ("acceleration", accel)):
+            if not math.isfinite(3.0 * peak):
+                raise DomainError(
+                    f"pattern {what} overflows float64: r={self.r}, a_theta={self.a_theta}, "
+                    f"a_phi={self.a_phi}, f_loop={self.f_loop}, speed_scale={self.speed_scale}")
 
 
 class TruthSample(NamedTuple):
@@ -396,7 +416,8 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     geometry : EncoderGeometry
         Ground-station mechanism for the encoder channel.
     ts : float
-        Tick period, s, positive; any real number is converted once with
+        Tick period, s, positive; any real number (not a ``bool``, see
+        :func:`~kitefusion.errors.is_real`) is converted once with
         ``float()``, so ``np.float32(0.02)`` gives the record of
         ``float(np.float32(0.02))``, and anything else raises ``DomainError``.
     """

@@ -118,8 +118,20 @@ def test_pipe_fault_exits_2_naming_its_line(flight, tmp_path):
     (["bode"], b"lambda = 1e200\n",
      "error: ratio 1e+200 at ts 0.02: closed loop is not strictly stable"),
     (["bode"], b"\xfflambda = 10\n", "error: bad.cfg: not utf-8 text"),
+    # numpy's geomspace would warn, then the grid fail.
+    (["bode", "--f-max", "inf"], None, "error: f-max must be positive and finite, got inf"),
+    (["bode", "--f-min", "inf"], None, "error: f-min must be positive and finite, got inf"),
+    # A pattern whose speed overflows float64: an OverflowError, or a log
+    # written after numpy's overflow warning.
+    (["simulate"], b"duration = 0.2\nspeed_scale = 1e200\n",
+     "error: pattern speed overflows float64: r=30.0, a_theta=0.15, a_phi=0.75, f_loop=0.16, "
+     "speed_scale=1e+200"),
+    (["simulate"], b"duration = 0.2\nr = 1e300\n",
+     "error: pattern speed overflows float64: r=1e+300, a_theta=0.15, a_phi=0.75, f_loop=0.16, "
+     "speed_scale=1.0"),
 ], ids=["points-0", "negative-seed", "401-digit-seed", "still-pattern", "ratio-1e8",
-        "ratio-1e200", "config-not-utf8"])
+        "ratio-1e200", "config-not-utf8", "f-max-inf", "f-min-inf", "speed-scale-1e200",
+        "r-1e300"])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config, line):
     if config is not None:
         (tmp_path / "bad.cfg").write_bytes(config)

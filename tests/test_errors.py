@@ -1,4 +1,6 @@
-"""The positive-and-finite rule: every length, period, ratio and count the
+"""The real-number rule and the positive-and-finite rule: every number a
+caller hands the package is a ``numbers.Real`` that is not a ``bool``
+(``errors.is_real``), and every length, period, ratio and count the
 package checks goes through ``errors.require_positive``.  Both that rule
 and ``errors.require_finite`` count an integer beyond float range as not
 finite."""
@@ -49,7 +51,7 @@ IDS = [f"{module.__name__.split('.')[-1]}-{name}-{i}"
        for i, (module, name, _) in enumerate(GUARDS)]
 
 not_positive = st.one_of(
-    st.sampled_from([0, 0.0, -0.0, math.nan, math.inf, -math.inf, "1", None]),
+    st.sampled_from([0, 0.0, -0.0, math.nan, math.inf, -math.inf, "1", None, True]),
     st.floats(max_value=0.0, allow_nan=False),
     st.integers(min_value=-2 ** 53, max_value=0),
 )
@@ -236,11 +238,82 @@ def test_integer_field_keeps_any_integer(value):
     assert EstimatorConfig(approach=value).approach is value
 
 
-@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(2), 2, True],
-                         ids=["float64", "float32", "int64", "int", "bool"])
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(2), 2],
+                         ids=["float64", "float32", "int64", "int"])
 def test_numbers_of_other_types_accepted(value):
     assert EncoderGeometry(guide_rise=value).guide_rise == value
     assert EstimatorConfig(ratios=(value, 1.0, 1.0)).ratios[0] == value
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EncoderGeometry(guide_rise=True), "guide_rise must be a finite number, got True"),
+    (lambda: EstimatorConfig(ratios=(True, 1.0, 1.0)),
+     "ratios must be a tuple of finite numbers, got (True, 1.0, 1.0)"),
+    (lambda: EstimatorConfig(r=True), "r must be a finite number, got True"),
+    (lambda: simkite.synthesize(TrajectoryParams(duration=0.1), NoiseSpec.none(), ts=True),
+     "ts must be positive and finite, got True"),
+    (lambda: lineangle.resolution(True), "counts_per_rev must be positive and finite, got True"),
+    (lambda: EstimatorConfig(ratios=(np.True_, 1.0, 1.0)),
+     "ratios must be a tuple of finite numbers, got (np.True_, 1.0, 1.0)"),
+], ids=["float-field", "tuple-field", "length-field", "tick-period", "line-count",
+        "numpy-bool"])
+def test_bool_refused_by_name(call, message):
+    """A ``bool`` is not a number: ``True`` does not run as 1, as a length,
+    a period, a ratio or a line count."""
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, real", [
+    (1.5, True), (-2, True), (np.float32(0.5), True), (np.int64(3), True), (math.nan, True),
+    (10 ** 400, True), (True, False), (np.True_, False), (Decimal("1.5"), False),
+    ("1.5", False), (None, False), (2j, False), (np.array(1.5), False),
+], ids=["float", "int", "float32", "int64", "nan", "huge-int", "bool", "numpy-bool",
+        "decimal", "text", "none", "complex", "0-d-array"])
+def test_one_rule_for_a_real_number(value, real):
+    assert errors.is_real(value) is real
+
+
+#: (argument named, call with the value as one of its numbers), for each
+#: public function that takes a number from its caller directly.
+TAKES_A_NUMBER = [
+    ("p_tilde", lambda v: pipelines.geometric_correction((3.0, 4.0, v), 30.0)),
+    ("p", lambda v: frames.cartesian_to_spherical((3.0, 4.0, v), 30.0)),
+    ("angle", lambda v: frames.wrap_angle(v)),
+    ("theta", lambda v: frames.spherical_to_cartesian(v, 0.1, 30.0)),
+    ("phi", lambda v: frames.spherical_to_cartesian(0.5, v, 30.0)),
+    ("reading", lambda v: lineangle.encoder_to_angles((v, 0.1), EncoderGeometry())),
+    ("theta", lambda v: lineangle.angles_to_encoder(v, 0.1, EncoderGeometry())),
+    ("phi", lambda v: lineangle.angles_to_encoder(0.5, v, EncoderGeometry())),
+    ("gains", lambda v: estimator.kf_frequency_response((v, 2.0), 0.02, [1.0])),
+    ("k_gamma", lambda v: estimator.lo_frequency_response((v, 2.0), 0.02, [1.0])),
+]
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True, Decimal("0.5")],
+                         ids=["text", "none", "bool", "decimal"])
+@pytest.mark.parametrize("name, call", TAKES_A_NUMBER,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(TAKES_A_NUMBER)])
+def test_number_from_a_caller_refused_by_name(name, call, value):
+    """Text is not read as a number, and nothing raises a bare
+    ``TypeError`` or numpy's ``UFuncTypeError`` further in."""
+    with pytest.raises(DomainError,
+                       match=rf"^{name} must (be a real number|hold \d real numbers), got "):
+        call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pipelines.geometric_correction(("3", "4", "5"), 30.0),
+     "p_tilde must hold 3 real numbers, got ('3', '4', '5')"),
+    (lambda: frames.wrap_angle("4"), "angle must be a real number, got '4'"),
+    (lambda: estimator.kf_frequency_response(("0.5", "2"), 0.02, [1.0]),
+     "gains must hold 2 real numbers, got ('0.5', '2')"),
+], ids=["position", "angle", "gains"])
+def test_refusal_shows_the_value(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("cls", [EncoderGeometry, EstimatorConfig, TrajectoryParams, NoiseSpec],

@@ -10,6 +10,7 @@ import random
 import re
 import threading
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -425,14 +426,16 @@ class TestCompareApproaches:
         with pytest.raises(DomainError, match="settle must be finite"):
             compare_approaches(LogData(frames, truth), settle=settle)
 
-    @pytest.mark.parametrize("value", ["2", None, 2j], ids=["text", "none", "complex"])
+    @pytest.mark.parametrize("value", ["2", None, 2j, True, np.True_, Decimal("1.5")],
+                             ids=["text", "none", "complex", "bool", "numpy-bool", "decimal"])
     def test_settle_not_a_real_number_refused(self, value):
         frames, truth = small_record(duration=0.5)
         with pytest.raises(DomainError, match="^settle must be a real number, got "):
             compare_approaches(LogData(frames, truth), settle=value)
 
-    @pytest.mark.parametrize("bin_edges", [["2", "3"], [None, 3.0], [2.0, 3j]],
-                             ids=["text", "none", "complex"])
+    @pytest.mark.parametrize("bin_edges", [["2", "3"], [None, 3.0], [2.0, 3j], [True, 3.0],
+                                           [2.0, np.True_], [Decimal("1.5"), 3.0]],
+                             ids=["text", "none", "complex", "bool", "numpy-bool", "decimal"])
     def test_bin_edge_not_a_real_number_refused(self, bin_edges):
         # float() would read text as its digits.
         frames, truth = small_record(duration=0.5)

@@ -105,8 +105,30 @@ class TestQuantize:
 
     def test_resolution_value(self):
         assert resolution(400) == pytest.approx(2 * math.pi / 400)
+        assert resolution(np.int64(400)) == resolution(np.int32(400)) == resolution(400)
         with pytest.raises(DomainError):
             resolution(0)
+
+    @pytest.mark.parametrize("call", [
+        lambda count: resolution(count),
+        lambda count: angles_to_encoder(0.5, 0.1, BENCH, counts_per_rev=count),
+    ], ids=["resolution", "angles-to-encoder"])
+    @pytest.mark.parametrize("count", [400.5, 400.0, np.float64(400.0)],
+                             ids=["fraction", "whole-float", "float64"])
+    def test_line_count_not_an_integer_refused(self, call, count):
+        """A line count is a whole number of steps: 400.5 would round
+        readings to a grid of 2 pi / 400.5, as ``NoiseSpec`` refuses it."""
+        with pytest.raises(DomainError) as raised:
+            call(count)
+        assert str(raised.value) == f"counts_per_rev must be an integer, got {count}"
+
+    @pytest.mark.parametrize("count", [0.0, False], ids=["float", "bool"])
+    def test_only_an_integer_zero_reads_ideal(self, count):
+        ideal = angles_to_encoder(0.5, 0.1, BENCH, counts_per_rev=0)
+        assert angles_to_encoder(0.5, 0.1, BENCH, counts_per_rev=np.int64(0)) == ideal
+        with pytest.raises(DomainError) as raised:
+            angles_to_encoder(0.5, 0.1, BENCH, counts_per_rev=count)
+        assert str(raised.value) == f"counts_per_rev must be positive and finite, got {count}"
 
 
 class TestAnglesToEncoder:
@@ -231,7 +253,7 @@ class TestStackedAnglesToEncoder:
 
     @pytest.mark.parametrize("geometry", [EncoderGeometry(), BENCH, PASSTHROUGH, TWO_ROOTS],
                              ids=["default", "bench", "passthrough", "two-roots"])
-    @pytest.mark.parametrize("counts_per_rev", [0, 400, 4096, 7.5])
+    @pytest.mark.parametrize("counts_per_rev", [0, 400, 4096, 7, 7.5])
     def test_bit_identical_readings(self, geometry, counts_per_rev):
         rng = np.random.default_rng(45)
         if geometry is TWO_ROOTS:  # reachable only around phi = pi
@@ -244,6 +266,14 @@ class TestStackedAnglesToEncoder:
             phi = np.concatenate([rng.uniform(-math.pi, math.pi, 400),
                                   rng.uniform(-step / 2, step / 2, 100), [0.0, -0.0]])
             theta = rng.uniform(0.2, 1.3, len(phi))
+        if counts_per_rev == 7.5:
+            # Not a line count: refused before any pair, as the reference
+            # refuses it.
+            want = (DomainError, "counts_per_rev must be an integer, got 7.5")
+            assert _error_of(lambda: reference_encoder(theta[0], phi[0], geometry, 7.5)) == want
+            assert _error_of(lambda: lineangle._angles_to_encoders(theta, phi, geometry,
+                                                                    7.5)) == want
+            return
         got = lineangle._angles_to_encoders(theta, phi, geometry, counts_per_rev)
         want = [reference_encoder(th, ph, geometry, counts_per_rev)
                 for th, ph in zip(theta.tolist(), phi.tolist())]

@@ -16,10 +16,11 @@ def test_every_export_resolves():
 
 def test_removed_names_are_gone():
     """One per-axis gain path, no public function that nothing in the
-    package calls, and an encoder reading that is a plain pair."""
+    package calls, an encoder reading that is a plain pair, and no number
+    parser in ``pipelines``: ``errors`` holds the one real-number rule."""
     gone = {estimator: ("steady_state_gain", "KfTuning", "KalmanGain"), simkite: ("truth_at",),
             attitude: ("quat_to_rot",), frames: ("velocity_angle",), evalio: ("rmse",),
-            lineangle: ("EncoderReading",)}
+            lineangle: ("EncoderReading",), pipelines: ("_TEXT", "_real", "_float", "_floats")}
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)

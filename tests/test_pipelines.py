@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -1235,25 +1236,35 @@ class TestFrameChannels:
         ("accel_k", ["1", "2", "3"]),
         ("gyro_k", (0.1, b"2", 0.3)),
         ("gps_xy", np.array(["1", "2"])),
+        ("accel_k", (True, 0.0, 9.8)),
+        ("quat", np.array([True, False, False, False])),
+        ("gps_xy", (Decimal("1.5"), 2.0)),
+        ("encoder", iter([0.4, 0.2])),
     ], ids=["short-array", "long-list", "text", "short-tuple", "short-quat", "row-of-rows",
             "long-gps", "scalar", "complex", "huge-int", "encoder-none-entry", "digits",
-            "bytes", "bytearray", "digits-quat", "digit-entries", "bytes-entry", "digit-array"])
+            "bytes", "bytearray", "digits-quat", "digit-entries", "bytes-entry", "digit-array",
+            "bool-entry", "bool-array", "decimal-entry", "iterator"])
     def test_wrong_channel_refused_by_name(self, field, value):
         """Text is refused, whole or as an entry, where ``float()`` would
-        read its digits or a channel its byte values."""
+        read its digits or a channel its byte values; so are a ``bool`` and
+        a ``Decimal`` entry, which ``float()`` would convert."""
         width = VECTOR_CHANNELS[field]
         with pytest.raises(DomainError, match=f"^{field} must hold {width} real numbers, got "):
             SensorFrame(t=0.0, **{field: value})
 
-    @pytest.mark.parametrize("value", [None, "noon", 2j, 10 ** 400, "1.5"],
-                             ids=["none", "text", "complex", "huge-int", "digits"])
+    @pytest.mark.parametrize("value", [None, "noon", 2j, 10 ** 400, "1.5", True, np.True_,
+                                       Decimal("1.5")],
+                             ids=["none", "text", "complex", "huge-int", "digits", "bool",
+                                  "numpy-bool", "decimal"])
     def test_wrong_time_refused_by_name(self, value):
         with pytest.raises(DomainError, match="^t must be a real number, got "):
             SensorFrame(t=value)
 
     @pytest.mark.parametrize("field", SCALAR_CHANNELS)
-    @pytest.mark.parametrize("value", ["abc", [1.0], 2j, 10 ** 400, " 12 ", b"7"],
-                             ids=["text", "list", "complex", "huge-int", "digits", "bytes"])
+    @pytest.mark.parametrize("value", ["abc", [1.0], 2j, 10 ** 400, " 12 ", b"7", True,
+                                       np.True_, Decimal("1.5")],
+                             ids=["text", "list", "complex", "huge-int", "digits", "bytes",
+                                  "bool", "numpy-bool", "decimal"])
     def test_wrong_scalar_refused_by_name(self, field, value):
         """As the time is, when the frame is built, rather than by a bare
         error on a routing-1 tick or in ``compare_approaches``."""

@@ -245,11 +245,36 @@ class TestTrajectoryParams:
         assert {type(s.t) for s in got[1]} == {float}
 
     @pytest.mark.parametrize("ts, shown", [("0.02", "'0.02'"), (b"0.02", "b'0.02'"),
-                                           (None, "None"), ([0.02], "[0.02]")])
+                                           (None, "None"), ([0.02], "[0.02]"),
+                                           (True, "True"), (np.True_, "np.True_")])
     def test_tick_period_without_a_number_refused_by_name(self, ts, shown):
         with pytest.raises(DomainError) as raised:
             synthesize(TrajectoryParams(duration=0.2), NoiseSpec.none(), ts=ts)
         assert str(raised.value) == f"ts must be positive and finite, got {shown}"
+
+    # Each pair: a pattern just inside float64, and one just past it.
+    EDGES = [
+        ({"r": 7.3e153}, {"r": 7.4e153}, "speed"),
+        ({"speed_scale": 2.4e152}, {"speed_scale": 2.5e152}, "speed"),
+        ({"a_phi": 2.5e152}, {"a_phi": 2.6e152}, "speed"),
+        # A tiny tether: the angular rates overflow before r scales them.
+        ({"r": 1e-300, "speed_scale": 3.0e153}, {"r": 1e-300, "speed_scale": 3.1e153},
+         "acceleration"),
+    ]
+
+    @pytest.mark.parametrize("inside, past, what", EDGES,
+                             ids=["r", "speed-scale", "azimuth-amplitude", "tiny-tether"])
+    def test_overflowing_pattern_refused_by_name(self, inside, past, what):
+        """A pattern whose speed or acceleration overflows float64 is
+        refused when it is made, naming its fields, rather than by an
+        ``OverflowError`` in the synthesizer or a log written after
+        numpy's overflow warning; one just inside synthesizes without a
+        warning (each is an error here) and with finite channels."""
+        with pytest.raises(DomainError, match=f"^pattern {what} overflows float64: r="):
+            TrajectoryParams(duration=0.2, **past)
+        frames, truth = synthesize(TrajectoryParams(duration=0.2, **inside), NoiseSpec(seed=1))
+        assert np.isfinite([frame.accel_k for frame in frames]).all()
+        assert np.isfinite([np.r_[s.p, s.v, s.a] for s in truth]).all()
 
     def test_finite_extremes_still_accepted(self):
         # The rule is about nan and inf only; range checks stay as they were.
