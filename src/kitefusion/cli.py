@@ -10,6 +10,18 @@ field.  Each value is parsed as the file is read; an unknown key or a
 malformed or non-finite value is rejected with its line number.  Missing
 keys take the library defaults, so an empty or absent config is valid.
 
+No verb holds a whole record as objects.  ``simulate`` writes the
+synthesizer's channel arrays through the one table writer without
+making frames.  ``estimate`` and ``evaluate`` take the log a block of
+256 lines at a time from the one reader: ``estimate`` primes, steps and
+formats each block and holds only the formatted rows, which it writes
+once the log is done; ``evaluate`` holds the error columns of the
+replay.  ``evaluate`` checks the configs, ``speed_bins`` and ``settle``
+before it opens the log, and whether the header has truth or the
+configs a routing 3 before it reads a row; after that, in both verbs,
+the first fault in log order is named, a bad line or a refused tick.
+Either way no output file is written.
+
 ``main`` reads the config once and hands it to the verb with the parsed
 options.  Exit codes: 0 on success, 2 for domain, input or format
 errors, 3 when the Riccati solve for the filter gain fails to converge;
@@ -29,10 +41,10 @@ import numpy as np
 from .errors import (DegenerateInputError, DomainError, LogFormatError, NonConvergenceError,
                      _field_types, require_positive)
 from .estimator import axis_gain, kf_frequency_response, lo_frequency_response
-from .evalio import compare_approaches, default_configs, read_log, write_log
+from .evalio import _log_blocks, _replay, _report_args, _write_table, default_configs
 from .lineangle import EncoderGeometry
 from .pipelines import EstimationPipeline, EstimatorConfig
-from .simkite import NoiseSpec, TrajectoryParams, synthesize
+from .simkite import NoiseSpec, TrajectoryParams, _record
 
 
 def _float(text: str) -> float:
@@ -120,24 +132,28 @@ def _given(cfg: dict[str, object], **keys: str) -> dict[str, object]:
     return {name: cfg[key] for name, key in keys.items() if key in cfg}
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """Write ``header`` and one line per row of floats, each by its
-    ``repr``.  Every row is formatted before the file is opened, so a row
-    that raises leaves no file."""
-    lines = [header, *(",".join(map(repr, row)) for row in rows), ""]
+def _csv_line(row) -> str:
+    """One line of floats, each by its ``repr``, with its line break."""
+    return ",".join(map(repr, row)) + "\n"
+
+
+def _write_csv(path, header: str, lines: list[str]) -> None:
+    """Write ``header`` and the :func:`_csv_line` ``lines``.  The callers
+    format every line before the file is opened, so a row that raises
+    leaves no file."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
 def cmd_simulate(args, cfg: dict[str, object]) -> None:
     if args.seed is not None:
         cfg["seed"] = args.seed
     noise = _build(NoiseSpec, cfg)
-    frames, truth = synthesize(_build(TrajectoryParams, cfg), noise,
-                               _build(EncoderGeometry, cfg), **_given(cfg, ts="ts"))
-    write_log(frames, args.out,
-              truth=None if args.no_truth else truth,
-              meta=[f"rng: numpy-PCG64 seed={noise.seed}"])
+    record = _record(_build(TrajectoryParams, cfg), noise, _build(EncoderGeometry, cfg),
+                     **_given(cfg, ts="ts"))
+    _write_table(args.out, len(record.t), record.columns(truth=not args.no_truth),
+                 [f"rng: numpy-PCG64 seed={noise.seed}"])
 
 
 ESTIMATE_HEADER = "t,px,py,pz,vx,vy,vz,theta,phi,gamma,gamma_dot"
@@ -145,13 +161,13 @@ ESTIMATE_HEADER = "t,px,py,pz,vx,vy,vz,theta,phi,gamma,gamma_dot"
 
 def cmd_estimate(args, cfg: dict[str, object]) -> None:
     pipeline = EstimationPipeline(build_estimator_config(cfg))
-    log = read_log(args.log)
-    pipeline.prime(log.frames)
-    outputs = filter(None, map(pipeline.step, log.frames))  # None: no estimate this tick
-    _write_csv(args.out, ESTIMATE_HEADER,
-               ((out.t, *out.p_hat, *out.v_hat,
-                 out.theta_hat, out.phi_hat, out.gamma_hat, out.gamma_dot_hat)
-                for out in outputs))
+    lines = []
+    for frames, _ in _log_blocks(args.log):
+        pipeline.prime(frames)
+        outputs = filter(None, map(pipeline.step, frames))  # None: no estimate this tick
+        lines += [_csv_line((out.t, *out.p_hat, *out.v_hat, out.theta_hat, out.phi_hat,
+                             out.gamma_hat, out.gamma_dot_hat)) for out in outputs]
+    _write_csv(args.out, ESTIMATE_HEADER, lines)
 
 
 def cmd_evaluate(args, cfg: dict[str, object]) -> None:
@@ -160,8 +176,8 @@ def cmd_evaluate(args, cfg: dict[str, object]) -> None:
         configs = tuple(dataclasses.replace(base, approach=i) for i in (1, 2, 3))
     else:
         configs = default_configs(base)
-    report = compare_approaches(read_log(args.log), configs,
-                                **_given(cfg, bin_edges="speed_bins", settle="settle"))
+    checked = _report_args(configs, **_given(cfg, bin_edges="speed_bins", settle="settle"))
+    report = _replay(_log_blocks(args.log), *checked)
     with open(args.out, "w") as fh:
         fh.write(report.to_csv())
 
@@ -178,8 +194,9 @@ def cmd_bode(args, cfg: dict[str, object]) -> None:
     gains = axis_gain(estimator.ts, estimator.ratios[args.axis])
     kf_fu, kf_fy = kf_frequency_response(gains, estimator.ts, freqs)
     lo_fy1, lo_fy2 = lo_frequency_response(estimator.k_gamma, estimator.ts, freqs)
+    table = np.column_stack((freqs, kf_fu, kf_fy, lo_fy1, lo_fy2)).tolist()
     _write_csv(args.out, "f_hz,kf_fu_mag,kf_fy_mag,lo_fy1_mag,lo_fy2_mag",
-               np.column_stack((freqs, kf_fu, kf_fy, lo_fy1, lo_fy2)).tolist())
+               list(map(_csv_line, table)))
 
 
 def _verb(sub, name: str, func, help: str, out: str, log: bool = False):

@@ -13,9 +13,10 @@ integer is one; text, ``None``, a ``Decimal``, a complex number, a Python
 Every number a caller hands the package is checked against it and, when
 refused, raises ``DomainError`` naming the argument or field:
 :func:`as_real` and :func:`as_reals` return a scalar or a fixed-width
-vector as Python floats, :func:`require_finite` checks the fields of a
-config dataclass, and :func:`require_positive` the lengths, periods,
-ratios and counts.  The last two count an integer beyond float range as
+vector as Python floats, :func:`as_real_array` an array of floats (an
+array passes by its integer or float dtype), :func:`require_finite`
+checks the fields of a config dataclass, and :func:`require_positive`
+the lengths, periods, ratios and counts.  The last two count an integer beyond float range as
 not finite, and every message shows an integer of more than 30 digits by
 its digit count.  :func:`require_finite` also names a field that holds
 no value of its annotated kind, and stores the real fields of a config
@@ -122,6 +123,26 @@ def as_reals(name: str, value, width: int) -> tuple[float, ...]:
     except (TypeError, OverflowError):  # a 0-d array; an integer beyond float range
         pass
     raise DomainError(f"{name} must hold {width} real numbers, got {_shown(value)}")
+
+
+def as_real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, the array counterpart of
+    :func:`as_real`, or a ``DomainError`` naming ``name``: an array must
+    have an integer or float dtype (a ``bool``, text, complex or object
+    array is refused), and any other value must be a real number or a
+    sequence, nested or not, of them by :func:`is_real`."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf":
+            return np.asarray(value, dtype=float)
+        raise DomainError(f"{name} must hold real numbers, got an array of {value.dtype}")
+    entries = np.asarray(value, dtype=object).ravel()
+    refused = [entry for entry in entries if not is_real(entry)]
+    if not refused:
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            refused = [entry for entry in entries if not _finite(entry)]
+    raise DomainError(f"{name} must hold real numbers, got {_shown(refused[0])}")
 
 
 def _tuple_width(hint) -> int | None:

@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, as_reals, require_positive
+from .errors import DomainError, NonConvergenceError, as_real_array, as_reals, require_positive
 
 
 def build_system(ts: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,7 +167,7 @@ def _unit_circle_magnitudes(ts: float, freqs, response) -> tuple[np.ndarray, np.
     array ``z = exp(j 2 pi f ts)`` of every ``f`` in Hz in (0, Nyquist),
     with ``ts`` positive and finite."""
     require_positive("ts", ts)
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = as_real_array("freqs", freqs)
     nyquist = 0.5 / ts
     if not np.all((freqs > 0.0) & (freqs < nyquist)):
         raise DomainError(f"frequencies must lie in (0, {nyquist}) Hz")
@@ -192,7 +192,9 @@ def kf_frequency_response(gains: tuple[float, float], ts: float,
     ------
     DomainError
         If ``gains`` is not two real numbers, ``ts`` is not positive and
-        finite, or a frequency not in (0, Nyquist).
+        finite, ``freqs`` holds anything but real numbers
+        (:func:`~kitefusion.errors.as_real_array`), or a frequency not in
+        (0, Nyquist).
     """
     k1, k2 = as_reals("gains", gains, 2)
 
@@ -219,7 +221,9 @@ def lo_frequency_response(k_gamma: tuple[float, float], ts: float,
     ------
     DomainError
         If ``k_gamma`` is not two real numbers, ``ts`` is not positive and
-        finite, or a frequency not in (0, Nyquist).
+        finite, ``freqs`` holds anything but real numbers
+        (:func:`~kitefusion.errors.as_real_array`), or a frequency not in
+        (0, Nyquist).
     """
     k1, k2 = as_reals("k_gamma", k_gamma, 2)
 

@@ -20,36 +20,41 @@ the earliest row that breaks one is named:
 writer both call it.  The reader meets a non-finite cell already as it
 parses the cell, and names it by its text.
 
-Both directions handle a log as one ``(n, width)`` float table, nan
-where a cell is empty.  The reader reads the file once, in blocks of
-``_BLOCK_LINES`` lines, with one split and one ``float`` pass over each
-block's cells.  That pass only accepts: a block it cannot parse is
-parsed again, line by line, by :func:`_read_lines`, which names the
-first cell fault.  Either way the block's rows then go through the row
-rules before they are appended to a flat buffer (see :func:`read_log`).
-Each channel is read out of the table once, for the rows that hold it,
-as Python floats in the form of
-:class:`~kitefusion.pipelines.SensorFrame`'s frame rule, so the frames
-are made by :func:`~kitefusion.pipelines._frames` without the frame
-check; every truth point takes a row of one copy of each truth vector.
-The writer gathers the same table from the frames, checks it against
-the row rules before it opens the file, and formats the table row by
-row.
+Both directions handle a log as ``(n, width)`` float tables, nan where
+a cell is empty.  The reader, :func:`_log_blocks`, reads the file once,
+in blocks of ``_BLOCK_LINES`` lines, with one split and one ``float``
+pass over each block's cells.  That pass only accepts: a block it cannot
+parse is parsed again, line by line, by :func:`_read_lines`, which names
+the first cell fault.  Either way the block's rows then go through the
+row rules, and the block is yielded as frames (and truth) before the next
+is read; :func:`read_log` collects the blocks.  Each channel is read out
+of a block's table once, for the rows that hold it, as Python floats in
+the form of :class:`~kitefusion.pipelines.SensorFrame`'s frame rule, so
+the frames are made by :func:`~kitefusion.pipelines._frames` without the
+frame check; every truth point takes a row of one copy of each truth
+vector.  The writer, :func:`_write_table`, takes the log's columns as
+arrays, builds the whole table, checks it against the row rules before it
+opens the file, and formats the table row by row; :func:`write_log`
+gathers the columns from the frames, and ``kitefusion simulate`` hands it
+the synthesizer's arrays without making frames.
 
 The report side replays one log through the three measurement routings
 and tabulates RMS errors per wind-speed bin, mirroring how tethered-wing
 estimators are usually compared: horizontal position, height and
 velocity angle against either recorded truth or, when the log carries
-none, against the line-angle routing as the reference.  The inertial
-acceleration every routing integrates is the same for each of them, so
-it is computed once per record and distinct heading, as arrays, and
-each routing's pipeline is primed with it (see
-:func:`~kitefusion.pipelines._prime`); a record the per-tick path would
+none, against the line-angle routing as the reference.  The one replay,
+:func:`_replay`, takes the log as consecutive blocks: one block for
+:func:`compare_approaches`, the reader's blocks for ``kitefusion
+evaluate``.  The inertial acceleration every routing integrates is the
+same for each of them, so it is computed once per block and distinct
+heading, as arrays, and each routing's pipeline is primed with it (see
+:func:`~kitefusion.pipelines._prime`); a block the per-tick path would
 refuse is not primed, so it fails as it would tick by tick.  Each
 routing is turned into its error columns while it runs: every tick's
 estimate leaves its floats in lists that are moved into flat ``p_hat``
 and ``gamma_hat`` buffers a block of ``_BLOCK_LINES`` ticks at a time,
-next to an ``emitted`` mask, so no per-tick output outlives its tick.
+next to an ``emitted`` mask, so no per-tick output outlives its tick,
+and no frame outlives its block.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import array
 import dataclasses
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,6 +114,10 @@ _BLOCK_LINES = 256
 # Python-level __new__.
 _new_tuple = tuple.__new__
 
+# The report's default wind-speed bin edges, m/s, and settling time, s.
+_BIN_EDGES = (2.0, 3.0, 4.0)
+_SETTLE = 2.0
+
 RADIO_RATIOS = (10.0, 10.0, 10.0)
 LINE_ANGLE_RATIOS = (500.0, 500.0, 500.0)
 
@@ -143,6 +152,8 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
     ``truth`` entries only need ``p``, ``v`` and ``gamma`` attributes, so
     both simulator truth samples and re-read :class:`TruthPoint` rows
     work.  ``meta`` lines are written as ``#`` comments above the header.
+    The frames' and truth's fields are gathered into columns, which
+    :func:`_write_table` writes.
 
     Raises
     ------
@@ -176,12 +187,9 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
         if "\n" in line or "\r" in line:
             raise LogFormatError(f"meta line {line!r} holds a line break")
     records = [("frames", frames, _FRAME_FIELDS)]
-    header = FRAME_COLUMNS
     if truth is not None:
         records.append(("truth", truth, _TRUTH_FIELDS))
-        header += TRUTH_COLUMNS
-    table = np.full((len(frames), len(header)), math.nan)
-    present = np.zeros(table.shape, dtype=bool)
+    columns = {}
     for what, items, record_fields in records:
         for name, cols, _ in record_fields:
             try:
@@ -192,12 +200,37 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
             rows = [i for i, value in enumerate(values) if value is not None]
             width = cols.stop - cols.start
             try:
-                table[rows, cols] = np.array([values[i] for i in rows],
-                                             dtype=float).reshape(len(rows), width)
+                columns[name] = rows, np.array([values[i] for i in rows],
+                                               dtype=float).reshape(len(rows), width)
             except ValueError:
                 raise LogFormatError(f"every {name} value must hold {width} numbers") from None
-            present[rows, cols] = True
-    if fault := _row_fault(table, ~present, truth is not None, -math.inf):
+    _write_table(path, len(frames), columns, meta)
+
+
+def _write_table(path, n: int, columns, meta: Sequence[str]) -> None:
+    """Write a log of ``n`` rows, with the lines ``meta`` as ``#`` comments
+    above the header: the one table writer, which :func:`write_log` and
+    ``kitefusion simulate`` both call.
+
+    ``columns`` maps each frame field (a :class:`SensorFrame` field name)
+    and, for a log with truth, each truth field (``p``, ``v``, ``gamma``)
+    to a pair ``(rows, values)``: the rows that hold the field, an index
+    sequence or ``slice(None)`` for every row, and its float values there,
+    one row of them per row held; every other cell is empty.  The table is
+    checked against the row rules before the file is opened, and a
+    ``LogFormatError`` names the frame index of the earliest row that
+    breaks one.
+    """
+    has_truth = "p" in columns
+    fields = _FRAME_FIELDS + (_TRUTH_FIELDS if has_truth else ())
+    header = FRAME_COLUMNS + (TRUTH_COLUMNS if has_truth else ())
+    table = np.full((n, len(header)), math.nan)
+    empty = np.ones(table.shape, dtype=bool)
+    for name, cols, _ in fields:
+        rows, values = columns[name]
+        table[rows, cols] = np.reshape(values, (-1, cols.stop - cols.start))
+        empty[rows, cols] = False
+    if fault := _row_fault(table, empty, has_truth, -math.inf):
         raise LogFormatError("frame %d: %s" % fault)
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in meta)
@@ -216,7 +249,9 @@ def _row_fault(table: np.ndarray, empty: np.ndarray, has_truth: bool,
     docstring are checked in their order within a row."""
     t = table[:, 0]
     before = np.concatenate(([last_t], t[:-1]))
-    bad = ~(empty | np.isfinite(table))
+    bad = np.isfinite(table)
+    bad |= empty
+    bad = np.logical_not(bad, out=bad)
     rules = {"non-finite": bad.any(axis=1), "missing timestamp": empty[:, 0], "time": t <= before}
     for _, cols, group in _FRAME_FIELDS:
         if group is not None:
@@ -324,7 +359,8 @@ def _read_lines(lines: list[str], first_lineno: int,
 
 
 def read_log(path) -> LogData:
-    """Parse a log written by :func:`write_log`.
+    """Parse a log written by :func:`write_log`: the blocks of
+    :func:`_log_blocks`, collected.
 
     The file is read once, in blocks of ``_BLOCK_LINES`` lines.  Each
     block is joined and split into cells once, each line's cell count is
@@ -334,8 +370,8 @@ def read_log(path) -> LogData:
     parsed again from its own lines, one at a time, by
     :func:`_read_lines`, which reads a whitespace-only cell as empty and
     stops at the first cell fault.  The rows either pass parsed are then
-    checked against the row rules, once per block, and appended to the
-    buffer the table is a view of.
+    checked against the row rules, once per block, and made into frames
+    (and truth).
 
     Raises
     ------
@@ -348,10 +384,26 @@ def read_log(path) -> LogData:
         that breaks a row rule of this module's docstring.  Within a line,
         a cell fault is named before a row rule.
     """
-    header: tuple[str, ...] | None = None
-    values_buf = array.array("d")
+    blocks = _log_blocks(path)
+    frames, truth = next(blocks)
+    for block in blocks:
+        frames += block.frames
+        if truth is not None:
+            truth += block.truth
+    return LogData(frames, truth)
+
+
+def _log_blocks(path) -> Iterator[LogData]:
+    """The log at ``path`` as :class:`LogData` blocks, the one reader of
+    logs: first a block of no rows once the header is read, whose truth
+    is a list only if the log has truth columns, then the frames (and
+    truth) of each block of ``_BLOCK_LINES`` lines that holds data, as
+    each is read and checked (see :func:`read_log`).  A fault raises
+    ``LogFormatError`` when its block is reached, after the blocks before
+    it were yielded."""
     try:
         with open(path) as fh:
+            header: tuple[str, ...] | None = None
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if line and not line.startswith("#"):
@@ -362,7 +414,8 @@ def read_log(path) -> LogData:
             if header not in (FRAME_COLUMNS, FRAME_COLUMNS + TRUTH_COLUMNS):
                 raise LogFormatError(f"line {lineno}: unrecognized header")
             width, has_truth = len(header), header != FRAME_COLUMNS
-            # The time of the table's last row (-inf before it has one).
+            yield LogData([], [] if has_truth else None)
+            # The time of the last row read (-inf before there is one).
             last_t = -math.inf
             while lines := list(map(str.strip, itertools.islice(fh, _BLOCK_LINES))):
                 block, fault = _read_block(lines, width), None
@@ -375,13 +428,16 @@ def read_log(path) -> LogData:
                     fault = "line %d: %s" % (data[broken[0]], broken[1])
                 if fault is not None:
                     raise LogFormatError(fault)
-                values_buf.frombytes(block.tobytes())
                 lineno += len(lines)
-                if values_buf:
-                    last_t = values_buf[-width]
+                if len(block):
+                    last_t = float(block[-1, 0])
+                    yield _log_data(block, has_truth)
     except UnicodeDecodeError as exc:
         raise LogFormatError(f"{path}: not {exc.encoding} text") from None
-    table = np.frombuffer(values_buf).reshape(-1, width)
+
+
+def _log_data(table: np.ndarray, has_truth: bool) -> LogData:
+    """The frames (and truth) of the rows of a checked log table."""
     empty = np.isnan(table)
     columns = [_column(table, empty, cols) for _, cols, _ in _FRAME_FIELDS]
     frames = _frames(*columns)
@@ -440,8 +496,8 @@ def _bin_labels(edges: Sequence[float]) -> tuple[str, ...]:
 
 def compare_approaches(log: LogData,
                        configs: Sequence[EstimatorConfig] | None = None,
-                       bin_edges: Sequence[float] = (2.0, 3.0, 4.0),
-                       settle: float = 2.0) -> RmseReport:
+                       bin_edges: Sequence[float] = _BIN_EDGES,
+                       settle: float = _SETTLE) -> RmseReport:
     """Replay one log through each routing and tabulate RMS errors.
 
     Samples earlier than ``settle`` seconds after the start of the log
@@ -453,6 +509,7 @@ def compare_approaches(log: LogData,
     frame; rows without a wind-speed cell are skipped.  When the log has
     no truth columns the routing-3 estimate serves as the reference (its
     own rows then report the residual against itself, i.e. zero).
+    The log is replayed by :func:`_replay` as one block.
 
     Returns
     -------
@@ -473,6 +530,19 @@ def compare_approaches(log: LogData,
     LogFormatError
         If ``log.truth`` and ``log.frames`` differ in length.
     """
+    configs, edges, settle = _report_args(configs, bin_edges, settle)
+    _require_sized(log.frames)
+    _require_truth_fits(log.truth, log.frames)
+    return _replay([log], configs, edges, settle)
+
+
+def _report_args(configs: Sequence[EstimatorConfig] | None = None,
+                 bin_edges: Sequence[float] = _BIN_EDGES, settle: float = _SETTLE
+                 ) -> tuple[tuple[EstimatorConfig, ...], list[float], float]:
+    """The arguments of :func:`compare_approaches` that need no log,
+    checked as it documents: the configs as a tuple (the three of
+    :func:`default_configs` if None), the bin edges as a list of floats
+    and ``settle`` as a float."""
     if configs is None:
         configs = default_configs()
     elif not np.iterable(configs):
@@ -496,27 +566,56 @@ def compare_approaches(log: LogData,
     edges = [as_real("bin edge", edge) for edge in bin_edges]
     if not (edges and np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()):
         raise DomainError(f"bin edges must be finite and strictly increasing, got {bin_edges}")
-    _require_sized(log.frames)
-    _require_truth_fits(log.truth, log.frames)
-    if log.truth is None and 3 not in approaches:
+    return configs, edges, settle
+
+
+def _replay(blocks: Iterable[LogData], configs: tuple[EstimatorConfig, ...],
+            edges: list[float], settle: float) -> RmseReport:
+    """The report of a log given as consecutive :class:`LogData` blocks, the
+    one replay: :func:`compare_approaches` gives its log as one block and
+    ``kitefusion evaluate`` the blocks of :func:`_log_blocks`, whose first
+    holds no rows.  The arguments are :func:`_report_args`' results.
+
+    The first block's truth tells whether the log has truth; without it
+    and without a config of routing 3, ``DomainError`` is raised before
+    any pipeline is built.  Each block primes the routings and is stepped
+    through each of them, and only columns are kept past it: per routing,
+    :func:`_stacked`'s ``emitted``, ``p_hat`` and ``gamma_hat``, and per
+    tick the time, the wind speed and the truth ``p`` and ``gamma``.  The
+    tabulation then runs on the whole log's columns, so each RMS sums its
+    residuals in log order."""
+    blocks = iter(blocks)
+    first = next(blocks)
+    has_truth = first.truth is not None
+    approaches = [config.approach for config in configs]
+    if not has_truth and 3 not in approaches:
         raise DomainError("log has no truth and no routing-3 run to reference")
     pipelines = [EstimationPipeline(config) for config in configs]
-    _prime(pipelines, log.frames)
-    runs = {pipe.config.approach: _stacked(map(pipe.step, log.frames)) for pipe in pipelines}
-
-    frames = log.frames
-    n = len(frames)
-    if log.truth is not None:
-        ref_p = np.array([s.p for s in log.truth], dtype=float).reshape(-1, 3)
-        ref_gamma = np.array([s.gamma for s in log.truth], dtype=float)
-        has_ref = np.ones(n, dtype=bool)
+    # Each routing's run and the log's columns, a part per block, joined
+    # once the log is read.
+    runs = {approach: [] for approach in approaches}
+    parts = []
+    for frames, truth in itertools.chain([first], blocks):
+        _prime(pipelines, frames)
+        for pipe in pipelines:
+            runs[pipe.config.approach].append(_stacked(map(pipe.step, frames)))
+        part = [np.array([f.t for f in frames], dtype=float),
+                np.array([f.wind_speed is not None for f in frames], dtype=bool),
+                np.array([0.0 if f.wind_speed is None else f.wind_speed for f in frames],
+                         dtype=float)]
+        if has_truth:
+            part += [np.array([s.p for s in truth], dtype=float).reshape(-1, 3),
+                     np.array([s.gamma for s in truth], dtype=float)]
+        parts.append(part)
+    runs = {approach: tuple(map(np.concatenate, zip(*run))) for approach, run in runs.items()}
+    t, has_wind, wind, *truth_columns = map(np.concatenate, zip(*parts))
+    if has_truth:
+        ref_p, ref_gamma = truth_columns
+        has_ref = np.ones(len(t), dtype=bool)
     else:
         has_ref, ref_p, ref_gamma = runs[3]
 
-    t = np.array([f.t for f in frames], dtype=float)
-    t0 = frames[0].t if frames else 0.0
-    has_wind = np.array([f.wind_speed is not None for f in frames], dtype=bool)
-    wind = np.array([0.0 if f.wind_speed is None else f.wind_speed for f in frames], dtype=float)
+    t0 = t[0] if len(t) else 0.0
     # A speed equal to an edge belongs to the bin above it.
     bins = np.searchsorted(edges, wind, side="right")
     usable = has_ref & has_wind & ~(t - t0 < settle)

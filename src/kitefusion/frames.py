@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, as_real, as_reals, require_positive
+from .errors import (DegenerateInputError, DomainError, as_real, as_real_array, as_reals,
+                     require_positive)
 
 # Relative slack on |p_z| <= r before an elevation is considered out of
 # domain; admits floating-point excursions of on-sphere points.
@@ -38,11 +39,13 @@ def _libm(func, *columns) -> np.ndarray:
 def wrap_angle(angle):
     """Wrap an angle (scalar or ndarray) to the interval (-pi, pi].  A
     scalar, a real number or a 0-d array holding one, comes back as a
-    Python float; ``DomainError`` names any other scalar."""
+    Python float, and anything else as a float array; ``DomainError``
+    names ``angle`` unless it holds only real numbers
+    (:func:`~kitefusion.errors.as_real_array` for arrays and sequences)."""
     if np.ndim(angle) == 0:
         angle = as_real("angle", angle[()] if isinstance(angle, np.ndarray) else angle)
         return math.pi - (math.pi - angle) % TWO_PI
-    return math.pi - np.mod(math.pi - np.asarray(angle, dtype=float), TWO_PI)
+    return math.pi - np.mod(math.pi - as_real_array("angle", angle), TWO_PI)
 
 
 def spherical_to_cartesian(theta: float, phi: float, r: float) -> np.ndarray:

@@ -19,8 +19,11 @@ every tick.  Every channel is evaluated over the whole time vector at
 once: the encoder channel by the one closed-form inversion, the array
 form that :func:`~kitefusion.lineangle.angles_to_encoder` calls on one
 row, rounding to the encoder grid included; the fixes from the
-positions alone (they need no attitude or velocity angle).  The
-per-tick truth objects are built by ``map`` with no Python loop body,
+positions alone (they need no attitude or velocity angle).  The noise
+pass, :func:`_record`, leaves the record as channel arrays, which
+``kitefusion simulate`` writes without making frames.  For
+:func:`synthesize`, the per-tick truth objects are built from them by
+``map`` with no Python loop body,
 and the frames by :func:`~kitefusion.pipelines._frames`, without the
 frame check, from channels made by ``tolist()`` in the form of
 :class:`~kitefusion.pipelines.SensorFrame`'s frame rule.  Each output
@@ -42,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -54,6 +58,9 @@ from .lineangle import EncoderGeometry, _angles_to_encoders
 from .pipelines import SensorFrame, _frames, _tuple_rows
 
 DEG = math.pi / 180.0
+
+#: The default tick period, s.
+_TS = 0.02
 
 #: Ticks per stacked-matrix stage: bounds the (n, 3, 3) temporaries of
 #: long records to a few tens of kilobytes each.
@@ -75,7 +82,9 @@ class TrajectoryParams:
     The fields are kept as Python floats, whatever real type was given.
     A pattern whose peak speed squared or peak acceleration, bounded from
     ``r``, the amplitudes, ``f_loop`` and ``speed_scale``, overflows
-    float64 is refused by name too, before any array is built.
+    float64 is refused by name too, before any array is built, and so is
+    a moving pattern (a nonzero amplitude) whose peak speed squared falls
+    below the smallest normal float, which would read as standing still.
 
     Attributes
     ----------
@@ -131,11 +140,16 @@ class TrajectoryParams:
         scale = max(self.r, 1.0)
         speed = scale * rate
         accel = scale * (rate * rate + (4.0 * abs(self.a_theta) + abs(self.a_phi) + 4.0) * w * w)
+        named = (f"r={self.r}, a_theta={self.a_theta}, a_phi={self.a_phi}, "
+                 f"f_loop={self.f_loop}, speed_scale={self.speed_scale}")
         for what, peak in (("speed", speed * speed), ("acceleration", accel)):
             if not math.isfinite(3.0 * peak):
-                raise DomainError(
-                    f"pattern {what} overflows float64: r={self.r}, a_theta={self.a_theta}, "
-                    f"a_phi={self.a_phi}, f_loop={self.f_loop}, speed_scale={self.speed_scale}")
+                raise DomainError(f"pattern {what} overflows float64: {named}")
+        # A pattern that moves, but whose peak speed squared, bounded from
+        # the actual ``r``, falls below the smallest normal float, would
+        # read as standing still: its velocity's squares underflow.
+        if (self.a_theta or self.a_phi) and not (self.r * rate) ** 2 >= sys.float_info.min:
+            raise DomainError(f"pattern speed underflows float64: {named}")
 
 
 class TruthSample(NamedTuple):
@@ -394,10 +408,97 @@ def _flight(bits: tuple[str, ...], params: TrajectoryParams, geometry: EncoderGe
     return flight
 
 
+class _Record(NamedTuple):
+    """A synthesized record as the noise pass leaves it, every channel a
+    float array: per tick (one row each) the times ``t``, the readings
+    ``accel_k``, ``gyro_k``, ``quat`` and ``encoder``; the XY fixes
+    ``gps_xy`` and heights ``baro_z``, one row per tick in ``gps_ticks``
+    and ``baro_ticks`` that a sample arrives on (the last of several that
+    arrive on one tick); the ``wind_speed`` of every tick; and the
+    noise-free ``flight`` whose truth the record carries."""
+
+    t: np.ndarray
+    accel_k: np.ndarray
+    gyro_k: np.ndarray
+    quat: np.ndarray
+    gps_ticks: np.ndarray
+    gps_xy: np.ndarray
+    baro_ticks: np.ndarray
+    baro_z: np.ndarray
+    encoder: np.ndarray
+    wind_speed: float
+    flight: _Flight
+
+    def columns(self, truth: bool) -> dict[str, tuple]:
+        """The record as :func:`~kitefusion.evalio._write_table` takes it,
+        with the truth ``p``, ``v`` and ``gamma`` if ``truth``."""
+        every = slice(None)
+        columns = {"t": (every, self.t), "accel_k": (every, self.accel_k),
+                   "gyro_k": (every, self.gyro_k), "quat": (every, self.quat),
+                   "gps_xy": (self.gps_ticks, self.gps_xy),
+                   "baro_z": (self.baro_ticks, self.baro_z),
+                   "encoder": (every, self.encoder),
+                   "wind_speed": (every, np.full(len(self.t), self.wind_speed))}
+        if truth:
+            columns.update(p=(every, self.flight.p), v=(every, self.flight.v),
+                           gamma=(every, self.flight.gamma))
+        return columns
+
+
+def _last_per_tick(ticks: list[int], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ticks`` (in increasing order) and the rows of ``values`` of the
+    samples that are the last to arrive on their tick."""
+    ticks = np.array(ticks, dtype=int)
+    last = np.ones(len(ticks), dtype=bool)
+    last[:-1] = ticks[1:] != ticks[:-1]
+    return ticks[last], values[last]
+
+
+def _record(params: TrajectoryParams, noise: NoiseSpec, geometry: EncoderGeometry,
+            ts: float = _TS) -> _Record:
+    """The noise pass: the :class:`_Record` of one flight, whose arguments
+    :func:`synthesize` documents."""
+    require_positive("ts", ts)
+    ts = float(ts)
+    n = int(round(params.duration / ts))
+    rng = np.random.default_rng(noise.seed)
+    bandwidth = 0.5 / ts
+    sigma_accel = noise.accel_density_g * math.sqrt(bandwidth) * GRAVITY
+    sigma_gyro = noise.gyro_density_dps * math.sqrt(bandwidth) * DEG
+    accel_bias = rng.uniform(-noise.accel_bias_g, noise.accel_bias_g, 3) * GRAVITY
+    gyro_bias = rng.uniform(-noise.gyro_bias_dps, noise.gyro_bias_dps, 3) * DEG
+
+    gps_times, gps_ticks = _fix_schedule(noise.gps_rate, noise.gps_latency, ts, n)
+    gps_xy = (_fixes(params, gps_times)[:, :2]
+              + rng.normal(0.0, noise.gps_sigma_xy, (len(gps_times), 2)))
+
+    baro_times, baro_ticks = _fix_schedule(noise.baro_rate, 0.0, ts, n)
+    baro_z = _fixes(params, baro_times)[:, 2]
+    if noise.baro_resolution > 0.0:
+        baro_z = np.floor(baro_z / noise.baro_resolution + 0.5) * noise.baro_resolution
+
+    flight = _flight(_bits(params, geometry), params, geometry, ts, noise.encoder_cpr)
+    # Per tick, in draw order: accelerometer, gyro and attitude-tilt noise.
+    sigmas = np.repeat([sigma_accel, sigma_gyro, noise.attitude_rms_deg * DEG], 3)
+    draws = rng.normal(0.0, sigmas, (n, 9))
+    accel = flight.force + accel_bias + draws[:, 0:3]
+    quat = np.empty((n, 4))
+    for rows in _blocks(n):
+        rot_k_to_ned = quats_to_rots(flight.q[rows])
+        quat[rows] = rot_to_quat(rot_k_to_ned @ _small_rotations(draws[rows, 6:9]))
+    gyro = flight.rates + gyro_bias + draws[:, 3:6]
+    gyro_limit = noise.gyro_range_dps * DEG
+    if gyro_limit > 0.0:
+        gyro = np.clip(gyro, -gyro_limit, gyro_limit)
+    return _Record(np.arange(n) * ts, accel, gyro, quat,
+                   *_last_per_tick(gps_ticks, gps_xy), *_last_per_tick(baro_ticks, baro_z),
+                   flight.encoders, params.speed_scale, flight)
+
+
 def synthesize(params: TrajectoryParams = TrajectoryParams(),
                noise: NoiseSpec = NoiseSpec(),
                geometry: EncoderGeometry = EncoderGeometry(),
-               ts: float = 0.02) -> tuple[list[SensorFrame], list[TruthSample]]:
+               ts: float = _TS) -> tuple[list[SensorFrame], list[TruthSample]]:
     """Generate one flight record.
 
     Returns the sensor stream and the matching truth sequence, one entry
@@ -406,6 +507,8 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     latency; no channel is ever backdated.  Truth quaternions are kept
     sign-continuous from tick to tick so consumers can difference them.
     Each call returns arrays of its own, which the caller may write.
+    The frames and truth are made from the channel arrays of one noise
+    pass, which ``kitefusion simulate`` writes without making them.
 
     Parameters
     ----------
@@ -421,47 +524,16 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
         ``float()``, so ``np.float32(0.02)`` gives the record of
         ``float(np.float32(0.02))``, and anything else raises ``DomainError``.
     """
-    require_positive("ts", ts)
-    ts = float(ts)
-    n = int(round(params.duration / ts))
-    rng = np.random.default_rng(noise.seed)
-    bandwidth = 0.5 / ts
-    sigma_accel = noise.accel_density_g * math.sqrt(bandwidth) * GRAVITY
-    sigma_gyro = noise.gyro_density_dps * math.sqrt(bandwidth) * DEG
-    accel_bias = rng.uniform(-noise.accel_bias_g, noise.accel_bias_g, 3) * GRAVITY
-    gyro_bias = rng.uniform(-noise.gyro_bias_dps, noise.gyro_bias_dps, 3) * DEG
-
-    gps_times, gps_ticks = _fix_schedule(noise.gps_rate, noise.gps_latency, ts, n)
-    gps_xy = (_fixes(params, gps_times)[:, :2]
-              + rng.normal(0.0, noise.gps_sigma_xy, (len(gps_times), 2)))
-    gps_at = dict(zip(gps_ticks, _tuple_rows(gps_xy)))
-
-    baro_times, baro_ticks = _fix_schedule(noise.baro_rate, 0.0, ts, n)
-    baro_z = _fixes(params, baro_times)[:, 2]
-    if noise.baro_resolution > 0.0:
-        baro_z = np.floor(baro_z / noise.baro_resolution + 0.5) * noise.baro_resolution
-    baro_at = dict(zip(baro_ticks, baro_z.tolist()))
-
-    flight = _flight(_bits(params, geometry), params, geometry, ts, noise.encoder_cpr)
-    # Per tick, in draw order: accelerometer, gyro and attitude-tilt noise.
-    sigmas = np.repeat([sigma_accel, sigma_gyro, noise.attitude_rms_deg * DEG], 3)
-    draws = rng.normal(0.0, sigmas, (n, 9))
-    accel = flight.force + accel_bias + draws[:, 0:3]
-    quat = np.empty((n, 4))
-    for rows in _blocks(n):
-        rot_k_to_ned = quats_to_rots(flight.q[rows])
-        quat[rows] = rot_to_quat(rot_k_to_ned @ _small_rotations(draws[rows, 6:9]))
-    gyro = flight.rates + gyro_bias + draws[:, 3:6]
-    gyro_limit = noise.gyro_range_dps * DEG
-    if gyro_limit > 0.0:
-        gyro = np.clip(gyro, -gyro_limit, gyro_limit)
-
-    times = (np.arange(n) * ts).tolist()
+    record = _record(params, noise, geometry, ts)
+    flight = record.flight
+    times = record.t.tolist()
     truth = list(map(tuple.__new__, itertools.repeat(TruthSample),
                      zip(times, flight.p.copy(), flight.v.copy(), flight.a.copy(),
                          flight.q.copy(), flight.gamma.tolist())))
-    ticks = range(n)
-    frames = _frames(times, _tuple_rows(accel), _tuple_rows(gyro), _tuple_rows(quat),
-                     map(gps_at.get, ticks), map(baro_at.get, ticks),
-                     _tuple_rows(flight.encoders), itertools.repeat(params.speed_scale))
+    gps_at = dict(zip(record.gps_ticks.tolist(), _tuple_rows(record.gps_xy)))
+    baro_at = dict(zip(record.baro_ticks.tolist(), record.baro_z.tolist()))
+    ticks = range(len(times))
+    frames = _frames(times, _tuple_rows(record.accel_k), _tuple_rows(record.gyro_k),
+                     _tuple_rows(record.quat), map(gps_at.get, ticks), map(baro_at.get, ticks),
+                     _tuple_rows(record.encoder), itertools.repeat(record.wind_speed))
     return frames, truth

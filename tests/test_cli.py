@@ -8,14 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from kitefusion import cli, pipelines
+from kitefusion import cli, evalio, pipelines
 from kitefusion.cli import CONFIG_KEYS, ESTIMATE_HEADER, build_estimator_config, load_config, main
-from kitefusion.errors import NonConvergenceError
+from kitefusion.errors import LogFormatError, NonConvergenceError
 from kitefusion.estimator import axis_gain, kf_frequency_response, lo_frequency_response
-from kitefusion.evalio import compare_approaches, read_log, write_log
+from kitefusion.evalio import FRAME_COLUMNS, compare_approaches, read_log, write_log
 from kitefusion.lineangle import EncoderGeometry
 from kitefusion.pipelines import EstimationPipeline, EstimatorConfig
-from kitefusion.simkite import NoiseSpec, TrajectoryParams
+from kitefusion.simkite import NoiseSpec, TrajectoryParams, synthesize
 
 BASE_CONFIG = """\
 # short bench flight
@@ -34,6 +34,17 @@ def sim_log(tmp_path):
     cfg = write(tmp_path / "sim.cfg", BASE_CONFIG)
     log = tmp_path / "flight.csv"
     assert main(["simulate", "--config", cfg, "--out", str(log)]) == 0
+    return log
+
+
+@pytest.fixture(scope="module")
+def long_log(tmp_path_factory):
+    """A 12 s log of 600 rows, which spans three blocks of the reader."""
+    home = tmp_path_factory.mktemp("long")
+    cfg = write(home / "long.cfg", "duration = 12.0\nseed = 7\n")
+    log = home / "flight.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(log)]) == 0
+    assert len(read_log(log).frames) == 600 > 2 * evalio._BLOCK_LINES
     return log
 
 
@@ -241,6 +252,13 @@ class TestEstimate:
         self.assert_priming_keeps_bytes(monkeypatch, capsys, tmp_path, sim_log, config)
 
     @pytest.mark.parametrize("config", PRIMING_CONFIGS)
+    def test_priming_keeps_bytes_across_blocks(self, monkeypatch, capsys, tmp_path, long_log,
+                                               config):
+        """Each block of the log primes the pipeline before it is stepped,
+        and hands over to the next without a per-tick rotation."""
+        self.assert_priming_keeps_bytes(monkeypatch, capsys, tmp_path, long_log, config)
+
+    @pytest.mark.parametrize("config", PRIMING_CONFIGS)
     def test_priming_keeps_bytes_off_unit(self, monkeypatch, capsys, tmp_path, sim_log, config):
         """As above on a log whose quaternions are off unit by 9e-7, inside
         the tolerance, alternately long and short."""
@@ -351,6 +369,101 @@ class TestEvaluate:
         row = lines[1].split(",")
         assert row[2] == "nan" and row[4] == "nan"
         assert not math.isnan(float(row[3]))  # unit speed lands in 0.5-1.5
+
+
+def edited_log(log, tmp_path, *edits) -> tuple:
+    """A copy of ``log`` with each ``(lineno, column, cell)`` of ``edits``
+    set, and the message ``read_log`` refuses it with."""
+    lines = log.read_text().splitlines(keepends=True)
+    for lineno, column, cell in edits:
+        cells = lines[lineno - 1].split(",")
+        cells[column] = cell
+        lines[lineno - 1] = ",".join(cells)
+    path = tmp_path / "edited.csv"
+    path.write_text("".join(lines))
+    with pytest.raises(LogFormatError) as raised:
+        read_log(path)
+    return path, str(raised.value)
+
+
+class TestBlocks:
+    """The verbs on a log of three blocks of the reader: each holds a block
+    at a time and writes what the whole-log functions give."""
+
+    # The first line of the third block: a seed comment and the header
+    # come before the data lines.
+    THIRD_BLOCK = 3 + 2 * evalio._BLOCK_LINES
+
+    @pytest.mark.parametrize("verb", ["estimate", "evaluate"])
+    @pytest.mark.parametrize("column, cell, fault", [
+        (1, "nan", "non-finite number 'nan'"), (0, "0.1", "time 0.1 does not increase past "),
+        (2, "", "partial accelerometer sample"),
+    ], ids=["nan", "time", "partial"])
+    def test_fault_in_third_block_exits_2_naming_its_line(self, tmp_path, capsys, long_log,
+                                                          verb, column, cell, fault):
+        lineno = self.THIRD_BLOCK + 40
+        bad, message = edited_log(long_log, tmp_path, (lineno, column, cell))
+        assert message.startswith(f"line {lineno}: {fault}")
+        out = tmp_path / "out.csv"
+        assert main([verb, "--log", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_first_fault_in_log_order_wins(self, tmp_path, capsys, long_log):
+        """A refused tick before a bad line is named, and a bad line before
+        a refused tick; either way no estimate is written."""
+        out = tmp_path / "e.csv"
+        early, late = 3 + 40, self.THIRD_BLOCK + 40
+        nan, off_unit = (1, "nan"), (FRAME_COLUMNS.index("q1"), "1.5")
+        for tick_line, bad_line in ((early, late), (late, early)):
+            bad, message = edited_log(long_log, tmp_path, (tick_line, *off_unit),
+                                      (bad_line, *nan))
+            assert message == f"line {bad_line}: non-finite number 'nan'"
+            assert main(["estimate", "--log", str(bad), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            if tick_line < bad_line:
+                assert err.startswith("error: quaternion norm ")
+            else:
+                assert err == f"error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("config", ["duration = 12.0\nseed = 7\n",
+                                        "duration = 6.0\nseed = 4\ngps_rate = 120\n"
+                                        "baro_rate = 75\ngps_latency = 0.0\nphi_g = 0.4\n"],
+                             ids=["three-blocks", "fixes-sharing-a-tick"])
+    @pytest.mark.parametrize("truth", [True, False], ids=["truth", "no-truth"])
+    def test_simulate_writes_the_synthesized_log(self, tmp_path, config, truth):
+        """``simulate`` writes the channel arrays without making frames: the
+        bytes of ``write_log`` of what ``synthesize`` returns."""
+        path = write(tmp_path / "c.cfg", config)
+        cfg = load_config(path)
+        out, want = tmp_path / "out.csv", tmp_path / "want.csv"
+        assert main(["simulate", "--config", path, "--out", str(out),
+                     *([] if truth else ["--no-truth"])]) == 0
+        frames, samples = synthesize(cli._build(TrajectoryParams, cfg), cli._build(NoiseSpec, cfg))
+        write_log(frames, want, truth=samples if truth else None,
+                  meta=[f"rng: numpy-PCG64 seed={cfg['seed']}"])
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("truth", [True, False], ids=["truth", "no-truth"])
+    def test_evaluate_reports_compare_approaches(self, tmp_path, long_log, truth):
+        log = long_log
+        if not truth:
+            log = tmp_path / "bare.csv"
+            write_log(read_log(long_log).frames, log)
+        out = tmp_path / "report.csv"
+        assert main(["evaluate", "--log", str(log), "--out", str(out)]) == 0
+        assert out.read_text() == compare_approaches(read_log(log)).to_csv()
+
+    def test_evaluate_checks_its_arguments_before_the_log(self, tmp_path, capsys):
+        """Bin edges that do not increase are refused before the log is
+        opened, so a missing log is not named."""
+        cfg = write(tmp_path / "c.cfg", "speed_bins = 3.0, 2.0\n")
+        out = tmp_path / "report.csv"
+        assert main(["evaluate", "--config", cfg, "--log", str(tmp_path / "missing.csv"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bin edges must be finite and strictly")
+        assert not out.exists()
 
 
 class TestBode:

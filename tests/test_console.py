@@ -23,13 +23,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 RUN_CONFIG = "duration = 2.0\nseed = 7\n"
 
 
-def kitefusion(cwd, *argv: str, stdin: str = "") -> subprocess.CompletedProcess:
-    """Run the command line in a new interpreter in ``cwd``, with every
-    warning raised as an error and ``stdin`` written to its stdin pipe."""
+def python(cwd, *args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args`` in ``cwd``, with every warning
+    raised as an error and ``stdin`` written to its stdin pipe."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error")
-    return subprocess.run([sys.executable, "-m", "kitefusion.cli", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           input=stdin, capture_output=True, text=True, timeout=120)
+
+
+def kitefusion(cwd, *argv: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run the command line in a new interpreter in ``cwd``, as
+    :func:`python` does."""
+    return python(cwd, "-m", "kitefusion.cli", *argv, stdin=stdin)
 
 
 def assert_refused(result: subprocess.CompletedProcess, out: Path, line: str) -> None:
@@ -129,12 +135,54 @@ def test_pipe_fault_exits_2_naming_its_line(flight, tmp_path):
     (["simulate"], b"duration = 0.2\nr = 1e300\n",
      "error: pattern speed overflows float64: r=1e+300, a_theta=0.15, a_phi=0.75, f_loop=0.16, "
      "speed_scale=1.0"),
+    # A moving pattern whose velocity's squares underflow, not a still one.
+    (["simulate"],
+     b"r = 1e-300\na_theta = 1e-300\na_phi = 1e-300\nf_loop = 1e10\nduration = 0.1\n",
+     "error: pattern speed underflows float64: r=1e-300, a_theta=1e-300, a_phi=1e-300, "
+     "f_loop=10000000000.0, speed_scale=1.0"),
 ], ids=["points-0", "negative-seed", "401-digit-seed", "still-pattern", "ratio-1e8",
         "ratio-1e200", "config-not-utf8", "f-max-inf", "f-min-inf", "speed-scale-1e200",
-        "r-1e300"])
+        "r-1e300", "underflowing-pattern"])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config, line):
     if config is not None:
         (tmp_path / "bad.cfg").write_bytes(config)
         argv = [*argv, "--config", "bad.cfg"]
     result = kitefusion(tmp_path, *argv, "--out", "out.csv")
     assert_refused(result, tmp_path / "out.csv", line)
+
+
+# Runs the command line, then prints the peak resident size of the new
+# interpreter's address space, in KiB.  Its ru_maxrss would not do: Linux
+# carries the forking process's peak (the test process's, which is larger)
+# across exec into it.
+PEAK_RSS = """\
+import sys
+from kitefusion.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_peak_memory_grows_less_than_1_kib_per_tick(tmp_path):
+    """Each verb holds arrays and a block of the log, not one object per
+    tick: from a 20 s log to a 200 s one (9,000 ticks more), the peak
+    resident size of a new interpreter grows by at most 1 KiB per tick.
+    Holding the whole record as frames, truth points or estimates grew by
+    1.65-2.25 KiB per tick."""
+    peaks = {}
+    for seconds in (20, 200):
+        (tmp_path / "run.cfg").write_text(f"duration = {seconds}.0\nseed = 7\n")
+        log = f"flight{seconds}.csv"
+        for verb, argv in (("simulate", ["--out", log]),
+                           ("estimate", ["--log", log, "--out", "estimate.csv"]),
+                           ("evaluate", ["--log", log, "--out", "report.csv"])):
+            result = python(tmp_path, "-c", PEAK_RSS, verb, "--config", "run.cfg", *argv)
+            assert (result.returncode, result.stderr) == (0, "")
+            peaks[verb, seconds] = int(result.stdout)
+    added_ticks = (200 - 20) * 50
+    growth = {verb: (peaks[verb, 200] - peaks[verb, 20]) / added_ticks
+              for verb in ("simulate", "estimate", "evaluate")}
+    assert max(growth.values()) <= 1.0, growth  # KiB per tick

@@ -316,6 +316,48 @@ def test_refusal_shows_the_value(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: frames.wrap_angle(["4", "7"]), "angle must hold real numbers, got '4'"),
+    (lambda: estimator.kf_frequency_response((0.5, 2.0), 0.02, ["1.0", True]),
+     "freqs must hold real numbers, got '1.0'"),
+    (lambda: estimator.lo_frequency_response((0.4, 0.9), 0.02, ["2.0"]),
+     "freqs must hold real numbers, got '2.0'"),
+], ids=["wrap-angle", "kf-response", "lo-response"])
+def test_array_of_text_refused_by_name(call, message):
+    """Text in an array argument is not parsed into numbers, as numpy's
+    float conversion would."""
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, shown", [
+    ([1.0, True], "True"), ([0.5, np.True_], "np.True_"),
+    ([[0.5, 1.0], [Decimal("2"), 3.0]], "Decimal('2')"),
+    ([0.5, None], "None"), ([0.5, 1j], "1j"), ([1.0, 10 ** 400], "an integer of 401 digits"),
+    (np.array([True, False]), "an array of bool"), (np.array(["1.0"]), "an array of <U3"),
+    (np.array([1.0, 2.0], dtype=object), "an array of object"),
+    (np.array([1.0 + 0j]), "an array of complex128"), ((x for x in [1.0]), "<generator"),
+], ids=["bool", "numpy-bool", "nested-decimal", "none", "complex", "huge-int", "bool-array",
+        "text-array", "object-array", "complex-array", "generator"])
+def test_array_rule_refuses_by_name(value, shown):
+    message = rf"^freqs must hold real numbers, got {re.escape(shown)}"
+    with pytest.raises(DomainError, match=message):
+        errors.as_real_array("freqs", value)
+
+
+@pytest.mark.parametrize("value", [
+    [0.5, 2], (np.float32(0.5), np.int64(2)), np.array([0.5, 2.0], dtype=np.float32),
+    np.array([1, 2], dtype=np.uint8), [[0.5], [2.0]], 0.5, [],
+], ids=["list", "numpy-scalars", "float32-array", "uint8-array", "nested", "scalar", "empty"])
+def test_array_rule_passes_real_numbers(value):
+    """Real numbers pass as the float array numpy's conversion gives."""
+    got = errors.as_real_array("freqs", value)
+    want = np.asarray(value, dtype=float)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("cls", [EncoderGeometry, EstimatorConfig, TrajectoryParams, NoiseSpec],
                          ids=lambda cls: cls.__name__)
 def test_real_fields_stored_as_python_floats(cls):

@@ -276,6 +276,34 @@ class TestTrajectoryParams:
         assert np.isfinite([frame.accel_k for frame in frames]).all()
         assert np.isfinite([np.r_[s.p, s.v, s.a] for s in truth]).all()
 
+    # Each pair: a moving pattern just inside float64's normal range, whose
+    # peak speed squared is normal, and one just past it.
+    UNDERFLOW_EDGES = [
+        ({"r": 1.5e-154}, {"r": 1.4e-154}),
+        ({"a_theta": 0.0, "a_phi": 5e-156}, {"a_theta": 0.0, "a_phi": 4.9e-156}),
+        ({"r": 1e-100, "a_theta": 1e-100, "a_phi": 1e-100, "f_loop": 1e45},
+         {"r": 1e-100, "a_theta": 1e-100, "a_phi": 1e-100, "f_loop": 5e44}),
+        ({"r": 1e-150, "speed_scale": 1e-3}, {"r": 1e-150, "speed_scale": 1e-4}),
+    ]
+
+    @pytest.mark.parametrize("inside, past", UNDERFLOW_EDGES,
+                             ids=["r", "azimuth-amplitude", "f-loop", "speed-scale"])
+    def test_underflowing_pattern_refused_by_name(self, inside, past):
+        """A moving pattern whose velocity's squares underflow is refused
+        when it is made, naming its fields, rather than reported as one
+        standing still; one just inside synthesizes with finite channels
+        and a velocity angle on every tick."""
+        with pytest.raises(DomainError, match="^pattern speed underflows float64: r="):
+            TrajectoryParams(duration=0.2, **past)
+        frames, truth = synthesize(TrajectoryParams(duration=0.2, **inside), NoiseSpec(seed=1))
+        assert np.isfinite([frame.accel_k for frame in frames]).all()
+        assert np.isfinite([[s.gamma, *s.q] for s in truth]).all()
+
+    def test_still_pattern_keeps_its_message(self):
+        still = TrajectoryParams(duration=0.2, a_theta=0.0, a_phi=0.0)
+        with pytest.raises(DegenerateInputError, match=r"^pattern velocity vanishes at t=0\.0$"):
+            synthesize(still, NoiseSpec(seed=1))
+
     def test_finite_extremes_still_accepted(self):
         # The rule is about nan and inf only; range checks stay as they were.
         assert NoiseSpec(gps_sigma_xy=1e308).gps_sigma_xy == 1e308
