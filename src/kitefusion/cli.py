@@ -11,16 +11,16 @@ malformed or non-finite value is rejected with its line number.  Missing
 keys take the library defaults, so an empty or absent config is valid.
 
 No verb holds a whole record as objects.  ``simulate`` writes the
-synthesizer's channel arrays through the one table writer without
-making frames.  ``estimate`` and ``evaluate`` take the log a block of
-256 lines at a time from the one reader: ``estimate`` primes, steps and
-formats each block and holds only the formatted rows, which it writes
-once the log is done; ``evaluate`` holds the error columns of the
-replay.  ``evaluate`` checks the configs, ``speed_bins`` and ``settle``
-before it opens the log, and whether the header has truth or the
-configs a routing 3 before it reads a row; after that, in both verbs,
-the first fault in log order is named, a bad line or a refused tick.
-Either way no output file is written.
+synthesizer's log table (without its truth columns for ``--no-truth``)
+through the one table writer without making frames.  ``estimate`` and
+``evaluate`` take the log a block of 256 lines at a time from the one
+reader: ``estimate`` primes, steps and formats each block and holds only
+the formatted rows, which it writes once the log is done; ``evaluate``
+holds the error columns of the replay.  ``evaluate`` checks the configs,
+``speed_bins`` and ``settle`` before it opens the log, and whether the
+header has truth or the configs a routing 3 before it reads a row; after
+that, in both verbs, the first fault in log order is named, a bad line
+or a refused tick.  Either way no output file is written.
 
 ``main`` reads the config once and hands it to the verb with the parsed
 options.  Exit codes: 0 on success, 2 for domain, input or format
@@ -41,7 +41,8 @@ import numpy as np
 from .errors import (DegenerateInputError, DomainError, LogFormatError, NonConvergenceError,
                      _field_types, require_positive)
 from .estimator import axis_gain, kf_frequency_response, lo_frequency_response
-from .evalio import _log_blocks, _replay, _report_args, _write_table, default_configs
+from .evalio import (FRAME_COLUMNS, _log_blocks, _replay, _report_args, _write_table,
+                     default_configs)
 from .lineangle import EncoderGeometry
 from .pipelines import EstimationPipeline, EstimatorConfig
 from .simkite import NoiseSpec, TrajectoryParams, _record
@@ -150,10 +151,10 @@ def cmd_simulate(args, cfg: dict[str, object]) -> None:
     if args.seed is not None:
         cfg["seed"] = args.seed
     noise = _build(NoiseSpec, cfg)
-    record = _record(_build(TrajectoryParams, cfg), noise, _build(EncoderGeometry, cfg),
-                     **_given(cfg, ts="ts"))
-    _write_table(args.out, len(record.t), record.columns(truth=not args.no_truth),
-                 [f"rng: numpy-PCG64 seed={noise.seed}"])
+    table, empty, _ = _record(_build(TrajectoryParams, cfg), noise, _build(EncoderGeometry, cfg),
+                              **_given(cfg, ts="ts"))
+    cols = slice(len(FRAME_COLUMNS) if args.no_truth else None)
+    _write_table(args.out, table[:, cols], empty[:, cols], [f"rng: numpy-PCG64 seed={noise.seed}"])
 
 
 ESTIMATE_HEADER = "t,px,py,pz,vx,vy,vz,theta,phi,gamma,gamma_dot"

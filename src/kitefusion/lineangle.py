@@ -187,13 +187,15 @@ def angles_to_encoder(theta: float, phi: float, geometry: EncoderGeometry,
         outside the mechanism's reachable set.
     """
     theta, phi = as_real("theta", theta), as_real("phi", phi)
-    return _angles_to_encoders(np.array([theta]), np.array([phi]), geometry, counts_per_rev)[0]
+    row = _angles_to_encoders(np.array([theta]), np.array([phi]), geometry, counts_per_rev)[0]
+    return tuple(row.tolist())
 
 
 def _angles_to_encoders(theta, phi, geometry: EncoderGeometry,
-                        counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> list[tuple[float, float]]:
+                        counts_per_rev: int = DEFAULT_COUNTS_PER_REV) -> np.ndarray:
     """:func:`angles_to_encoder` of each pair ``(theta[k], phi[k])`` of two
-    float arrays, in one array pass.
+    float arrays, in one array pass, as a float array of shape (n, 2)
+    whose row ``k`` is the reading ``(theta_b, phi_b)`` of pair ``k``.
 
     The sums, products, quotients and square roots are numpy's, which
     round like Python floats; sine, cosine, ``atan2`` and ``hypot`` are
@@ -234,4 +236,4 @@ def _angles_to_encoders(theta, phi, geometry: EncoderGeometry,
         # into round()'s 0.
         theta_b = (np.rint(theta_b / step) + 0.0) * step
         phi_b = (np.rint(phi_b / step) + 0.0) * step
-    return list(zip(theta_b.tolist(), phi_b.tolist()))
+    return np.stack([theta_b, phi_b], axis=-1)

@@ -83,8 +83,9 @@ class SensorFrame:
     a ``Decimal`` or numpy ``float32`` entry can prime a record whose
     per-tick path raises or computes in that type.  The package's own
     producers, :func:`~kitefusion.simkite.synthesize` and
-    :func:`~kitefusion.evalio.read_log`, build every channel in this form
-    from ``ndarray.tolist()``, and make their frames through
+    :func:`~kitefusion.evalio.read_log`, make their frames from a log
+    table by one function, :func:`~kitefusion.evalio._log_data`, which
+    builds every channel in this form from ``ndarray.tolist()`` and calls
     :func:`_frames`, which skips the check.
 
     Attributes

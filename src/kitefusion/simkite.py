@@ -20,14 +20,14 @@ once: the encoder channel by the one closed-form inversion, the array
 form that :func:`~kitefusion.lineangle.angles_to_encoder` calls on one
 row, rounding to the encoder grid included; the fixes from the
 positions alone (they need no attitude or velocity angle).  The noise
-pass, :func:`_record`, leaves the record as channel arrays, which
-``kitefusion simulate`` writes without making frames.  For
-:func:`synthesize`, the per-tick truth objects are built from them by
-``map`` with no Python loop body,
-and the frames by :func:`~kitefusion.pipelines._frames`, without the
-frame check, from channels made by ``tolist()`` in the form of
-:class:`~kitefusion.pipelines.SensorFrame`'s frame rule.  Each output
-equals, bit for bit, what the tick-by-tick formulas give.  Faster
+pass, :func:`_record`, fills the record's one form, the log table of
+:mod:`~kitefusion.evalio` with its empty-cell mask, field by field; of
+several fixes that arrive on one tick, the last is kept.  ``kitefusion
+simulate`` writes that table without making frames, and
+:func:`synthesize` makes its frames from it by the reader's frame maker,
+:func:`~kitefusion.evalio._log_data`, and its per-tick truth objects from
+the flight by ``map`` with no Python loop body.  Each output equals, bit
+for bit, what the tick-by-tick formulas give.  Faster
 flights come from a pure time dilation of the pattern, so one knob
 scales every speed and acceleration together.
 
@@ -53,9 +53,10 @@ import numpy as np
 
 from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
 from .errors import DegenerateInputError, DomainError, require_finite, require_positive
+from .evalio import _blank_table, _fill, _log_data
 from .frames import _libm, rot_ned_to_g
 from .lineangle import EncoderGeometry, _angles_to_encoders
-from .pipelines import SensorFrame, _frames, _tuple_rows
+from .pipelines import SensorFrame
 
 DEG = math.pi / 180.0
 
@@ -232,15 +233,14 @@ def _truth(params: TrajectoryParams, t: np.ndarray, angles):
     stopped = np.flatnonzero(speed == 0.0)
     if stopped.size:
         raise DegenerateInputError(f"pattern velocity vanishes at t={t[stopped[0]]}")
-    # body x along the velocity, body z down the tether; y completes
-    x_k = v / speed
-    z_k = -p / r
-    y_k = np.cross(z_k, x_k)
     rot_n2g = rot_ned_to_g(params.phi_g)  # self-inverse map
     q = np.empty((len(t), 4))
     for rows in _blocks(len(t)):
-        rot_k_to_g = np.stack([x_k[rows], y_k[rows], z_k[rows]], axis=-1)
-        q[rows] = rot_to_quat(rot_n2g @ rot_k_to_g)
+        # body x along the velocity, body z down the tether; y completes
+        x_k = v[rows] / speed[rows]
+        z_k = -p[rows] / r
+        y_k = np.cross(z_k, x_k)
+        q[rows] = rot_to_quat(rot_n2g @ np.stack([x_k, y_k, z_k], axis=-1))
     gamma = _libm(math.atan2, ct * phd, thd)
     return p, v, a, q, gamma
 
@@ -400,64 +400,28 @@ def _flight(bits: tuple[str, ...], params: TrajectoryParams, geometry: EncoderGe
         rot_k_to_ned = quats_to_rots(q[rows])
         force[rows] = (rot_k_to_ned.transpose(0, 2, 1)
                        @ (rot_n2g @ (a[rows] - gravity_g)[:, :, None]))[:, :, 0]
-    encoders = np.array(_angles_to_encoders(angles[0], angles[1], geometry, counts_per_rev),
-                        dtype=float).reshape(n, 2)
+    encoders = _angles_to_encoders(angles[0], angles[1], geometry, counts_per_rev)
     flight = _Flight(p, v, a, q, gamma, rates, force, encoders)
     for column in flight:
         column.flags.writeable = False
     return flight
 
 
-class _Record(NamedTuple):
-    """A synthesized record as the noise pass leaves it, every channel a
-    float array: per tick (one row each) the times ``t``, the readings
-    ``accel_k``, ``gyro_k``, ``quat`` and ``encoder``; the XY fixes
-    ``gps_xy`` and heights ``baro_z``, one row per tick in ``gps_ticks``
-    and ``baro_ticks`` that a sample arrives on (the last of several that
-    arrive on one tick); the ``wind_speed`` of every tick; and the
-    noise-free ``flight`` whose truth the record carries."""
-
-    t: np.ndarray
-    accel_k: np.ndarray
-    gyro_k: np.ndarray
-    quat: np.ndarray
-    gps_ticks: np.ndarray
-    gps_xy: np.ndarray
-    baro_ticks: np.ndarray
-    baro_z: np.ndarray
-    encoder: np.ndarray
-    wind_speed: float
-    flight: _Flight
-
-    def columns(self, truth: bool) -> dict[str, tuple]:
-        """The record as :func:`~kitefusion.evalio._write_table` takes it,
-        with the truth ``p``, ``v`` and ``gamma`` if ``truth``."""
-        every = slice(None)
-        columns = {"t": (every, self.t), "accel_k": (every, self.accel_k),
-                   "gyro_k": (every, self.gyro_k), "quat": (every, self.quat),
-                   "gps_xy": (self.gps_ticks, self.gps_xy),
-                   "baro_z": (self.baro_ticks, self.baro_z),
-                   "encoder": (every, self.encoder),
-                   "wind_speed": (every, np.full(len(self.t), self.wind_speed))}
-        if truth:
-            columns.update(p=(every, self.flight.p), v=(every, self.flight.v),
-                           gamma=(every, self.flight.gamma))
-        return columns
-
-
 def _last_per_tick(ticks: list[int], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``ticks`` (in increasing order) and the rows of ``values`` of the
+    """The rows of ``values`` and the ``ticks`` (in increasing order) of the
     samples that are the last to arrive on their tick."""
     ticks = np.array(ticks, dtype=int)
     last = np.ones(len(ticks), dtype=bool)
     last[:-1] = ticks[1:] != ticks[:-1]
-    return ticks[last], values[last]
+    return values[last], ticks[last]
 
 
 def _record(params: TrajectoryParams, noise: NoiseSpec, geometry: EncoderGeometry,
-            ts: float = _TS) -> _Record:
-    """The noise pass: the :class:`_Record` of one flight, whose arguments
-    :func:`synthesize` documents."""
+            ts: float = _TS) -> tuple[np.ndarray, np.ndarray, _Flight]:
+    """The noise pass: the log table of one flight with truth, its mask of
+    empty cells (see :func:`~kitefusion.evalio._write_table`) and the
+    noise-free :class:`_Flight` whose truth it carries.  The arguments are
+    :func:`synthesize`'s."""
     require_positive("ts", ts)
     ts = float(ts)
     n = int(round(params.duration / ts))
@@ -467,32 +431,41 @@ def _record(params: TrajectoryParams, noise: NoiseSpec, geometry: EncoderGeometr
     sigma_gyro = noise.gyro_density_dps * math.sqrt(bandwidth) * DEG
     accel_bias = rng.uniform(-noise.accel_bias_g, noise.accel_bias_g, 3) * GRAVITY
     gyro_bias = rng.uniform(-noise.gyro_bias_dps, noise.gyro_bias_dps, 3) * DEG
+    flight = _flight(_bits(params, geometry), params, geometry, ts, noise.encoder_cpr)
+    # The table is made after the flight, so that the flight's temporaries
+    # are freed before it takes its memory.
+    table, empty = _blank_table(n, has_truth=True)
+    fill = functools.partial(_fill, table, empty)
 
     gps_times, gps_ticks = _fix_schedule(noise.gps_rate, noise.gps_latency, ts, n)
     gps_xy = (_fixes(params, gps_times)[:, :2]
               + rng.normal(0.0, noise.gps_sigma_xy, (len(gps_times), 2)))
+    fill("gps_xy", *_last_per_tick(gps_ticks, gps_xy))
 
     baro_times, baro_ticks = _fix_schedule(noise.baro_rate, 0.0, ts, n)
     baro_z = _fixes(params, baro_times)[:, 2]
     if noise.baro_resolution > 0.0:
         baro_z = np.floor(baro_z / noise.baro_resolution + 0.5) * noise.baro_resolution
+    fill("baro_z", *_last_per_tick(baro_ticks, baro_z))
 
-    flight = _flight(_bits(params, geometry), params, geometry, ts, noise.encoder_cpr)
     # Per tick, in draw order: accelerometer, gyro and attitude-tilt noise.
     sigmas = np.repeat([sigma_accel, sigma_gyro, noise.attitude_rms_deg * DEG], 3)
     draws = rng.normal(0.0, sigmas, (n, 9))
-    accel = flight.force + accel_bias + draws[:, 0:3]
-    quat = np.empty((n, 4))
-    for rows in _blocks(n):
-        rot_k_to_ned = quats_to_rots(flight.q[rows])
-        quat[rows] = rot_to_quat(rot_k_to_ned @ _small_rotations(draws[rows, 6:9]))
+    fill("t", np.arange(n) * ts)
+    fill("accel_k", flight.force + accel_bias + draws[:, 0:3])
     gyro = flight.rates + gyro_bias + draws[:, 3:6]
     gyro_limit = noise.gyro_range_dps * DEG
     if gyro_limit > 0.0:
         gyro = np.clip(gyro, -gyro_limit, gyro_limit)
-    return _Record(np.arange(n) * ts, accel, gyro, quat,
-                   *_last_per_tick(gps_ticks, gps_xy), *_last_per_tick(baro_ticks, baro_z),
-                   flight.encoders, params.speed_scale, flight)
+    fill("gyro_k", gyro)
+    for rows in _blocks(n):
+        rot_k_to_ned = quats_to_rots(flight.q[rows])
+        fill("quat", rot_to_quat(rot_k_to_ned @ _small_rotations(draws[rows, 6:9])), rows)
+    fill("encoder", flight.encoders)
+    fill("wind_speed", params.speed_scale)
+    for name in ("p", "v", "gamma"):
+        fill(name, getattr(flight, name))
+    return table, empty, flight
 
 
 def synthesize(params: TrajectoryParams = TrajectoryParams(),
@@ -507,8 +480,9 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
     latency; no channel is ever backdated.  Truth quaternions are kept
     sign-continuous from tick to tick so consumers can difference them.
     Each call returns arrays of its own, which the caller may write.
-    The frames and truth are made from the channel arrays of one noise
-    pass, which ``kitefusion simulate`` writes without making them.
+    The frames are made from the log table of one noise pass, which
+    ``kitefusion simulate`` writes without making them, by the reader's
+    frame maker; the truth from the noise-free flight.
 
     Parameters
     ----------
@@ -524,16 +498,9 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
         ``float()``, so ``np.float32(0.02)`` gives the record of
         ``float(np.float32(0.02))``, and anything else raises ``DomainError``.
     """
-    record = _record(params, noise, geometry, ts)
-    flight = record.flight
-    times = record.t.tolist()
+    table, empty, flight = _record(params, noise, geometry, ts)
+    frames, _ = _log_data(table, empty, has_truth=False)
     truth = list(map(tuple.__new__, itertools.repeat(TruthSample),
-                     zip(times, flight.p.copy(), flight.v.copy(), flight.a.copy(),
+                     zip(table[:, 0].tolist(), flight.p.copy(), flight.v.copy(), flight.a.copy(),
                          flight.q.copy(), flight.gamma.tolist())))
-    gps_at = dict(zip(record.gps_ticks.tolist(), _tuple_rows(record.gps_xy)))
-    baro_at = dict(zip(record.baro_ticks.tolist(), record.baro_z.tolist()))
-    ticks = range(len(times))
-    frames = _frames(times, _tuple_rows(record.accel_k), _tuple_rows(record.gyro_k),
-                     _tuple_rows(record.quat), map(gps_at.get, ticks), map(baro_at.get, ticks),
-                     _tuple_rows(record.encoder), itertools.repeat(record.wind_speed))
     return frames, truth

@@ -433,8 +433,8 @@ class TestBlocks:
                              ids=["three-blocks", "fixes-sharing-a-tick"])
     @pytest.mark.parametrize("truth", [True, False], ids=["truth", "no-truth"])
     def test_simulate_writes_the_synthesized_log(self, tmp_path, config, truth):
-        """``simulate`` writes the channel arrays without making frames: the
-        bytes of ``write_log`` of what ``synthesize`` returns."""
+        """``simulate`` writes the synthesizer's log table without making
+        frames: the bytes of ``write_log`` of what ``synthesize`` returns."""
         path = write(tmp_path / "c.cfg", config)
         cfg = load_config(path)
         out, want = tmp_path / "out.csv", tmp_path / "want.csv"

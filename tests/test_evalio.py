@@ -227,6 +227,25 @@ class TestWriteFiniteRule:
             write_log(frames, path, truth=truth)
         assert not path.exists()
 
+    def test_mask_decides_absence(self, tmp_path):
+        """In a table, the empty-cell mask, not the nan, tells an absent
+        cell: a present nan becomes a nan value of the frame, which the
+        writer refuses by its column, and an empty cell a ``None``."""
+        quat = slice(FRAME_COLUMNS.index("q1"), FRAME_COLUMNS.index("q4") + 1)
+        table = np.full((2, len(FRAME_COLUMNS)), math.nan)
+        table[:, 0] = [0.0, 0.02]
+        table[1, quat] = [math.nan, 0.0, 0.0, 1.0]
+        empty = np.isnan(table)
+        empty[1, quat] = False
+        frames, truth = evalio._log_data(table, empty, has_truth=False)
+        assert truth is None
+        assert frames[0].quat is None and frames[1].gps_xy is None
+        assert math.isnan(frames[1].quat[0]) and frames[1].quat[1:] == (0.0, 0.0, 1.0)
+        path = tmp_path / "bad.csv"
+        with pytest.raises(LogFormatError, match="frame 1: non-finite value nan in column q1"):
+            write_log(frames, path)
+        assert not path.exists()
+
     def test_infinite_truth_rejected(self, tmp_path):
         frames, truth = small_record(duration=0.2)
         truth[5] = truth[5]._replace(gamma=-math.inf)

@@ -277,11 +277,11 @@ class TestStackedAnglesToEncoder:
         got = lineangle._angles_to_encoders(theta, phi, geometry, counts_per_rev)
         want = [reference_encoder(th, ph, geometry, counts_per_rev)
                 for th, ph in zip(theta.tolist(), phi.tolist())]
-        assert all(type(reading) is tuple for reading in got)
+        assert got.shape == (len(want), 2)
         assert _bits(got) == _bits(want)
 
     def test_empty_record(self):
-        assert lineangle._angles_to_encoders(np.empty(0), np.empty(0), BENCH) == []
+        assert lineangle._angles_to_encoders(np.empty(0), np.empty(0), BENCH).shape == (0, 2)
 
     @pytest.mark.parametrize("bad_at, theta, phi, fault", [
         (3, 0.5, 0.2, "are outside the reachable set"),  # both crossings behind

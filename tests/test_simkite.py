@@ -387,7 +387,11 @@ class TestMatchesTickByTickReference:
         (TrajectoryParams(duration=0.005), NoiseSpec(seed=23)),
         (TrajectoryParams(duration=0.02), NoiseSpec(seed=24)),
         (TrajectoryParams(duration=0.04), NoiseSpec(seed=25)),
-    ], ids=["clipped-noisy", "noiseless", "no-gps-no-tilt", "n0", "n1", "n2"])
+        # Several fixes arrive on one tick: the last of them is kept.
+        (TrajectoryParams(duration=6.0, phi_g=0.4),
+         dataclasses.replace(NoiseSpec(seed=4), gps_rate=120, baro_rate=75, gps_latency=0)),
+    ], ids=["clipped-noisy", "noiseless", "no-gps-no-tilt", "n0", "n1", "n2",
+            "fixes-sharing-a-tick"])
     def test_every_field_identical(self, params, noise):
         frames, truth = synthesize(params, noise)
         ref_frames, ref_truth = reference_synthesize(params, noise)
