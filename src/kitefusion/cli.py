@@ -11,7 +11,7 @@ malformed or non-finite value is rejected with its line number.  Missing
 keys take the library defaults, so an empty or absent config is valid.
 
 No verb holds a whole record as objects.  ``simulate`` writes the
-synthesizer's log table (without its truth columns for ``--no-truth``)
+synthesizer's log table (which has no truth columns for ``--no-truth``)
 through the one table writer without making frames.  ``estimate`` and
 ``evaluate`` take the log a block of 256 lines at a time from the one
 reader: ``estimate`` primes, steps and formats each block and holds only
@@ -34,15 +34,14 @@ import argparse
 import dataclasses
 import math
 import sys
-from typing import Callable, get_origin
+from typing import Callable
 
 import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, LogFormatError, NonConvergenceError,
-                     _field_types, require_positive)
+                     _fields, require_positive)
 from .estimator import axis_gain, kf_frequency_response, lo_frequency_response
-from .evalio import (FRAME_COLUMNS, _log_blocks, _replay, _report_args, _write_table,
-                     default_configs)
+from .evalio import _log_blocks, _replay, _report_args, _write_table, default_configs
 from .lineangle import EncoderGeometry
 from .pipelines import EstimationPipeline, EstimatorConfig
 from .simkite import NoiseSpec, TrajectoryParams, _record
@@ -73,10 +72,10 @@ def _config_keys() -> dict[str, Callable[[str], object]]:
     parsers = {float: _float, int: int, bool: _bool, tuple: _floats}
     keys = {"lambda": _floats, "speed_bins": _floats, "settle": _float}
     for cls in (EncoderGeometry, EstimatorConfig, TrajectoryParams, NoiseSpec):
-        for name, kind in _field_types(cls).items():
-            parse = parsers.get(get_origin(kind) or kind)
-            if parse is not None and name != "ratios":  # set through ``lambda``
-                keys[name] = parse
+        for field in _fields(cls):
+            parse = parsers.get(tuple if field.many else field.kind)
+            if parse is not None and field.name != "ratios":  # set through ``lambda``
+                keys[field.name] = parse
     return keys
 
 
@@ -152,9 +151,8 @@ def cmd_simulate(args, cfg: dict[str, object]) -> None:
         cfg["seed"] = args.seed
     noise = _build(NoiseSpec, cfg)
     table, empty, _ = _record(_build(TrajectoryParams, cfg), noise, _build(EncoderGeometry, cfg),
-                              **_given(cfg, ts="ts"))
-    cols = slice(len(FRAME_COLUMNS) if args.no_truth else None)
-    _write_table(args.out, table[:, cols], empty[:, cols], [f"rng: numpy-PCG64 seed={noise.seed}"])
+                              **_given(cfg, ts="ts"), has_truth=not args.no_truth)
+    _write_table(args.out, table, empty, [f"rng: numpy-PCG64 seed={noise.seed}"])
 
 
 ESTIMATE_HEADER = "t,px,py,pz,vx,vy,vz,theta,phi,gamma,gamma_dot"

@@ -22,18 +22,28 @@ its digit count.  :func:`require_finite` also names a field that holds
 no value of its annotated kind, and stores the real fields of a config
 it passes as Python floats.  A tuple field's length is read off its
 annotation by :func:`_tuple_width`, so ``ratios: tuple[float, float,
-float]`` refuses a pair by name.  The package's own producers,
-:func:`~kitefusion.simkite.synthesize` and
+float]`` refuses a pair by name.
+
+Each config field declares its :class:`Domain` beside it, in its
+annotation: ``r: Annotated[float, Domain.POSITIVE]``.  A field declares
+none when every finite value is in its domain.  :func:`require_finite`
+checks the declarations once every field holds a finite number of its
+kind, so a config's classes state only their rules across fields.  The
+synthesizer's own limits, which follow from its arithmetic, are checked
+where that arithmetic runs (see :mod:`~kitefusion.simkite`).
+
+The package's own producers, :func:`~kitefusion.simkite.synthesize` and
 :func:`~kitefusion.evalio.read_log`, build frames from float arrays and
 skip the check.
 """
 
+import enum
 import functools
 import math
 import types
 from dataclasses import fields, is_dataclass
 from numbers import Integral, Real
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Annotated, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -156,13 +166,45 @@ def _tuple_width(hint) -> int | None:
     return len(entries) if get_origin(hint) is tuple and Ellipsis not in entries else None
 
 
-_field_types = functools.cache(get_type_hints)  # resolved once per dataclass
+class Domain(enum.Enum):
+    """The values a number of a config field must take besides being
+    finite, declared as the field's ``Annotated[kind, domain]``; a tuple
+    field's least entry must take them.  Each value is the README's word
+    for its domain."""
+
+    POSITIVE = "positive"
+    NOT_NEGATIVE = "not negative"
+    ROUTING = "1, 2 or 3"
+
+
+class _Field(NamedTuple):
+    """What :func:`require_finite` reads off one field's annotation: the
+    field's kind with ``Annotated`` stripped, the class a ``bool`` or
+    dataclass field must hold (``None`` for a number), whether it is a
+    tuple and its :func:`_tuple_width`, and its declared :class:`Domain`."""
+
+    name: str
+    kind: object
+    typed: tuple[type, ...] | type | None
+    many: bool
+    width: int | None
+    domain: Domain | None
 
 
 @functools.cache
-def _field_widths(cls) -> dict[str, int | None]:
-    """Each field of the dataclass ``cls`` and its :func:`_tuple_width`."""
-    return {name: _tuple_width(hint) for name, hint in _field_types(cls).items()}
+def _fields(cls) -> tuple[_Field, ...]:
+    """The :class:`_Field` of each field of the dataclass ``cls``, in field
+    order, read once per class."""
+    hints = get_type_hints(cls, include_extras=True)
+    plan = []
+    for field in fields(cls):
+        hint = hints[field.name]
+        kind, *declared = get_args(hint) if get_origin(hint) is Annotated else (hint,)
+        typed = (bool, np.bool_) if kind is bool else kind if is_dataclass(kind) else None
+        domain = next((arg for arg in declared if isinstance(arg, Domain)), None)
+        plan.append(_Field(field.name, kind, typed, get_origin(kind) is tuple,
+                           _tuple_width(kind), domain))
+    return tuple(plan)
 
 
 def require_finite(spec) -> None:
@@ -178,33 +220,42 @@ def require_finite(spec) -> None:
     A field that passes is stored as a Python float if annotated
     ``float``, and as a tuple of Python floats if a tuple, so a numpy
     scalar given to a config reaches no result in its own precision;
-    ``int`` and ``bool`` fields keep what was given."""
-    kinds, widths = _field_types(type(spec)), _field_widths(type(spec))
-    for field in fields(spec):
-        value, kind = getattr(spec, field.name), kinds[field.name]
-        if kind is bool or is_dataclass(kind):
-            if not isinstance(value, (bool, np.bool_) if kind is bool else kind):
-                raise DomainError(
-                    f"{field.name} must be of type {kind.__name__}, got {_shown(value)}")
+    ``int`` and ``bool`` fields keep what was given.  Once every field
+    has passed, each field's declared :class:`Domain` is checked, in field
+    order: a positive one by :func:`require_positive`."""
+    plan = _fields(type(spec))
+    for name, kind, typed, many, width, _ in plan:
+        value = getattr(spec, name)
+        if typed is not None:
+            if not isinstance(value, typed):
+                raise DomainError(f"{name} must be of type {kind.__name__}, got {_shown(value)}")
             continue
-        many = get_origin(kind) is tuple
         entries = value if many and isinstance(value, tuple) else (value,)
         # A bool in an int field is named as no integer, below.
         if not (all(map(is_real, entries)) or kind is int and isinstance(value, bool)):
             what = "a tuple of finite numbers" if many else "a finite number"
-            raise DomainError(f"{field.name} must be {what}, got {_shown(value)}")
+            raise DomainError(f"{name} must be {what}, got {_shown(value)}")
         if not all(map(_finite, entries)):
-            raise DomainError(f"{field.name} must be finite, got {_shown(value)}")
+            raise DomainError(f"{name} must be finite, got {_shown(value)}")
         if kind is int and (isinstance(value, bool) or not isinstance(value, Integral)):
-            raise DomainError(f"{field.name} must be an integer, got {_shown(value)}")
-        width = widths[field.name]
+            raise DomainError(f"{name} must be an integer, got {_shown(value)}")
         if width is not None and len(value) != width:
-            raise DomainError(
-                f"{field.name} must hold {width} finite numbers, got {_shown(value)}")
+            raise DomainError(f"{name} must hold {width} finite numbers, got {_shown(value)}")
         if many:
-            object.__setattr__(spec, field.name, tuple(map(float, value)))
+            object.__setattr__(spec, name, tuple(map(float, value)))
         elif kind is float:
-            object.__setattr__(spec, field.name, float(value))
+            object.__setattr__(spec, name, float(value))
+    for name, *_, domain in plan:
+        if domain is None:
+            continue
+        value = getattr(spec, name)
+        value = min(value) if isinstance(value, tuple) else value
+        if domain is Domain.POSITIVE:
+            require_positive(name, value)
+        elif domain is Domain.NOT_NEGATIVE and value < 0:
+            raise DomainError(f"{name} must not be negative, got {_shown(value)}")
+        elif domain is Domain.ROUTING and value not in (1, 2, 3):
+            raise DomainError(f"{name} must be 1, 2 or 3, got {_shown(value)}")
 
 
 def require_positive(name: str, value) -> None:

@@ -26,10 +26,11 @@ import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
+from typing import Annotated
 
 import numpy as np
 
-from .errors import (DegenerateInputError, DomainError, as_real, as_reals, is_real,
+from .errors import (DegenerateInputError, Domain, DomainError, as_real, as_reals, is_real,
                      require_finite, require_positive)
 from .frames import _libm
 
@@ -54,22 +55,23 @@ class EncoderGeometry:
 
     The defaults are plausible bench values for a small ground unit; they
     are placeholders to be replaced by measurements of the actual build.
-    Every field must be finite; a ``DomainError`` names one that is not.
-    The fields are kept as Python floats, whatever real type was given.
+    Every field must be finite, and the guide offsets not negative, as
+    their annotations declare (see
+    :func:`~kitefusion.errors.require_finite`); a ``DomainError`` names
+    the first field that is not, and then a guide on the pivot.  The
+    fields are kept as Python floats, whatever real type was given.
     The pivot offsets are kept small relative to the arm length so that
     one encoder count maps to at most about one count of wing-angle
     error; large offsets amplify the quantization.
     """
 
-    guide_rise: float = 0.10
-    guide_reach: float = 0.30
+    guide_rise: Annotated[float, Domain.NOT_NEGATIVE] = 0.10
+    guide_reach: Annotated[float, Domain.NOT_NEGATIVE] = 0.30
     pivot_height: float = 0.02
     pivot_setback: float = 0.02
 
     def __post_init__(self):
         require_finite(self)
-        if self.guide_rise < 0.0 or self.guide_reach < 0.0:
-            raise DomainError("guide offsets must be non-negative")
         if self.guide_rise == 0.0 and self.guide_reach == 0.0:
             raise DomainError("line guide cannot sit on the elevation pivot")
 

@@ -45,13 +45,13 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from .attitude import _inertial_accels, inertial_accel
-from .errors import (DegenerateInputError, DomainError, LogFormatError, _field_widths, as_real,
-                     as_reals, require_finite, require_positive)
+from .errors import (DegenerateInputError, Domain, DomainError, LogFormatError, _fields, as_real,
+                     as_reals, require_finite)
 from .frames import TWO_PI, _elevation, _horizontal
 from .lineangle import EncoderGeometry, _guide_point, _mount
 from .estimator import axis_gain
@@ -133,7 +133,7 @@ class SensorFrame:
 
 #: Each field of a frame and its width: the entries of a vector channel,
 #: ``None`` for a scalar one, read off the annotations.
-_CHANNELS = tuple(_field_widths(SensorFrame).items())
+_CHANNELS = tuple((field.name, field.width) for field in _fields(SensorFrame))
 
 
 def _frames(*columns) -> list[SensorFrame]:
@@ -195,26 +195,23 @@ class EstimatorConfig:
         the prediction step uses zero acceleration.
 
     A ``DomainError`` names the first field not finite or, for a tuple, of
-    the wrong length, then the first not positive.
+    the wrong length, then the first outside the domain its annotation
+    declares (see :func:`~kitefusion.errors.require_finite`), then gains
+    that do not stabilize the observer.
     The real fields are kept as Python floats, whatever real type was given.
     """
 
-    r: float = 30.0
+    r: Annotated[float, Domain.POSITIVE] = 30.0
     phi_g: float = 0.0
-    ts: float = 0.02
-    ratios: tuple[float, float, float] = (500.0, 500.0, 500.0)
+    ts: Annotated[float, Domain.POSITIVE] = 0.02
+    ratios: Annotated[tuple[float, float, float], Domain.POSITIVE] = (500.0, 500.0, 500.0)
     k_gamma: tuple[float, float] = (0.4, 0.9)
     geometry: EncoderGeometry = field(default_factory=EncoderGeometry)
-    approach: int = 3
+    approach: Annotated[int, Domain.ROUTING] = 3
     use_imu: bool = True
 
     def __post_init__(self) -> None:
         require_finite(self)
-        require_positive("r", self.r)
-        require_positive("ts", self.ts)
-        require_positive("ratios", min(self.ratios))
-        if self.approach not in (1, 2, 3):
-            raise DomainError(f"approach must be 1, 2 or 3, got {self.approach}")
         k1, k2 = self.k_gamma
         closed_loop = np.array([[1.0 - k1, self.ts], [-k2, 1.0]])
         if max(abs(np.linalg.eigvals(closed_loop))) >= 1.0:

@@ -22,7 +22,8 @@ row, rounding to the encoder grid included; the fixes from the
 positions alone (they need no attitude or velocity angle).  The noise
 pass, :func:`_record`, fills the record's one form, the log table of
 :mod:`~kitefusion.evalio` with its empty-cell mask, field by field; of
-several fixes that arrive on one tick, the last is kept.  ``kitefusion
+several fixes that arrive on one tick, the last is kept, and the truth
+columns are filled only for a caller that keeps them.  ``kitefusion
 simulate`` writes that table without making frames, and
 :func:`synthesize` makes its frames from it by the reader's frame maker,
 :func:`~kitefusion.evalio._log_data`, and its per-tick truth objects from
@@ -31,9 +32,17 @@ for bit, what the tick-by-tick formulas give.  Faster
 flights come from a pure time dilation of the pattern, so one knob
 scales every speed and acceleration together.
 
+A record the synthesizer's arithmetic cannot make is refused before any
+array is made, with a ``DomainError`` naming its fields
+(:func:`_require_fits`): more ticks or fixes than an array holds, or a
+bias, attitude noise, guide geometry or height resolution whose products
+overflow float64.  These limits bind only the synthesizer, so an
+``EncoderGeometry`` past them still serves an estimator.
+
 Only the sensor noise depends on the seed, so the noise-free flight (the
 truth, the body rates, the specific force and the encoder readings) is
-computed once per pattern and shared by every seed's record: up to four
+computed once per pattern, ``_BLOCK`` ticks at a time past the pattern
+angles, and shared by every seed's record: up to four
 flights are held, one per speed bin of the default report, as read-only
 float arrays only, about 0.35 MB for a 40 s flight at 50 Hz.  A record
 from a held flight is the one a fresh process would synthesize, bit for
@@ -47,13 +56,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from .attitude import GRAVITY, body_rates_between, quats_to_rots, rot_to_quat
-from .errors import DegenerateInputError, DomainError, require_finite, require_positive
-from .evalio import _blank_table, _fill, _log_data
+from .errors import DegenerateInputError, Domain, DomainError, require_finite, require_positive
+from .evalio import FRAME_COLUMNS, TRUTH_COLUMNS, _blank_table, _fill, _log_data
 from .frames import _libm, rot_ned_to_g
 from .lineangle import EncoderGeometry, _angles_to_encoders
 from .pipelines import SensorFrame
@@ -79,7 +88,10 @@ class TrajectoryParams:
 
     with ``s`` the speed scale.  ``f_loop`` is the azimuth frequency at
     unit speed scale, i.e. full eights per second.  Every field must be
-    finite, the marked ones positive; a ``DomainError`` names the first that is not.
+    finite, and ``r``, ``f_loop``, ``speed_scale`` and ``duration``
+    positive, as their annotations declare (see
+    :func:`~kitefusion.errors.require_finite`); a ``DomainError`` names
+    the first that is not.
     The fields are kept as Python floats, whatever real type was given.
     A pattern whose peak speed squared or peak acceleration, bounded from
     ``r``, the amplitudes, ``f_loop`` and ``speed_scale``, overflows
@@ -108,21 +120,19 @@ class TrajectoryParams:
         crossing eight; pi/2 degenerates the pattern into an arc.
     """
 
-    r: float = 30.0
+    r: Annotated[float, Domain.POSITIVE] = 30.0
     theta0: float = 0.7
     phi0: float = 0.0
     a_theta: float = 0.15
     a_phi: float = 0.75
-    f_loop: float = 0.16
-    speed_scale: float = 1.0
-    duration: float = 60.0
+    f_loop: Annotated[float, Domain.POSITIVE] = 0.16
+    speed_scale: Annotated[float, Domain.POSITIVE] = 1.0
+    duration: Annotated[float, Domain.POSITIVE] = 60.0
     phi_g: float = 0.0
     theta_phase: float = 0.0
 
     def __post_init__(self) -> None:
         require_finite(self)
-        for name in ("r", "f_loop", "speed_scale", "duration"):
-            require_positive(name, getattr(self, name))
         lo = self.theta0 - abs(self.a_theta)
         hi = self.theta0 + abs(self.a_theta)
         if not (0.0 < lo and hi < math.pi / 2.0):
@@ -213,35 +223,38 @@ def _fixes(params: TrajectoryParams, t: np.ndarray) -> np.ndarray:
 def _truth(params: TrajectoryParams, t: np.ndarray, angles):
     """Position, velocity, acceleration, quaternion and velocity angle at
     the times ``t``, one row per time, from their :func:`_pattern_angles`
-    ``angles``.  Raises ``DegenerateInputError`` where the pattern
-    velocity vanishes."""
-    th, ph, thd, phd, thdd, phdd = angles
+    ``angles``, computed ``_BLOCK`` ticks at a time.  Raises
+    ``DegenerateInputError`` at the first time the pattern velocity
+    vanishes."""
     r = params.r
-    p, (st, ct, sp, cp) = _position(r, th, ph)
-    thd2, phd2 = _square(thd), _square(phd)
-    v = r * np.stack([-st * thd * cp - ct * sp * phd,
-                      -st * thd * sp + ct * cp * phd,
-                      ct * thd], axis=-1)
-    a = r * np.stack([
-        -ct * cp * (thd2 + phd2) - st * cp * thdd
-        + 2.0 * st * sp * thd * phd - ct * sp * phdd,
-        -ct * sp * (thd2 + phd2) - st * sp * thdd
-        - 2.0 * st * cp * thd * phd + ct * cp * phdd,
-        -st * thd2 + ct * thdd,
-    ], axis=-1)
-    speed = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
-    stopped = np.flatnonzero(speed == 0.0)
-    if stopped.size:
-        raise DegenerateInputError(f"pattern velocity vanishes at t={t[stopped[0]]}")
     rot_n2g = rot_ned_to_g(params.phi_g)  # self-inverse map
-    q = np.empty((len(t), 4))
-    for rows in _blocks(len(t)):
+    n = len(t)
+    p, v, a, q = (np.empty((n, width)) for width in (3, 3, 3, 4))
+    gamma = np.empty(n)
+    for rows in _blocks(n):
+        th, ph, thd, phd, thdd, phdd = (angle[rows] for angle in angles)
+        p[rows], (st, ct, sp, cp) = _position(r, th, ph)
+        thd2, phd2 = _square(thd), _square(phd)
+        v[rows] = r * np.stack([-st * thd * cp - ct * sp * phd,
+                                -st * thd * sp + ct * cp * phd,
+                                ct * thd], axis=-1)
+        a[rows] = r * np.stack([
+            -ct * cp * (thd2 + phd2) - st * cp * thdd
+            + 2.0 * st * sp * thd * phd - ct * sp * phdd,
+            -ct * sp * (thd2 + phd2) - st * sp * thdd
+            - 2.0 * st * cp * thd * phd + ct * cp * phdd,
+            -st * thd2 + ct * thdd,
+        ], axis=-1)
+        speed = np.sqrt(v[rows, None, :] @ v[rows, :, None])[:, 0]
+        stopped = np.flatnonzero(speed == 0.0)
+        if stopped.size:
+            raise DegenerateInputError(f"pattern velocity vanishes at t={t[rows][stopped[0]]}")
         # body x along the velocity, body z down the tether; y completes
-        x_k = v[rows] / speed[rows]
+        x_k = v[rows] / speed
         z_k = -p[rows] / r
         y_k = np.cross(z_k, x_k)
         q[rows] = rot_to_quat(rot_n2g @ np.stack([x_k, y_k, z_k], axis=-1))
-    gamma = _libm(math.atan2, ct * phd, thd)
+        gamma[rows] = _libm(math.atan2, ct * phd, thd)
     return p, v, a, q, gamma
 
 
@@ -253,9 +266,13 @@ class NoiseSpec:
     sampling bandwidth (half the tick rate).  Bias limits are the half
     width of a uniform draw made once per record.  A rate of zero removes
     the channel entirely; a zero resolution or line count disables the
-    corresponding quantization.  Every field must be finite and not
-    negative; a ``DomainError`` names the first one that is not.  The
-    real fields are kept as Python floats, whatever real type was given.
+    corresponding quantization.  Every field must be finite and, as its
+    annotation declares, not negative (see
+    :func:`~kitefusion.errors.require_finite`); a ``DomainError`` names
+    the first one that is not.  The real fields are kept as Python
+    floats, whatever real type was given.  The limits that the
+    synthesizer's arithmetic sets are checked when a record is made (see
+    :func:`_require_fits`).
 
     Attributes
     ----------
@@ -287,26 +304,22 @@ class NoiseSpec:
         Seed of the generator used for every random draw.
     """
 
-    accel_density_g: float = 2.5e-4
-    accel_bias_g: float = 4e-3
-    gyro_density_dps: float = 5e-2
-    gyro_bias_dps: float = 0.1
-    gyro_range_dps: float = 300.0
-    gps_sigma_xy: float = 2.5
-    gps_rate: float = 4.0
-    gps_latency: float = 0.2
-    baro_resolution: float = 0.2
-    baro_rate: float = 9.0
-    attitude_rms_deg: float = 1.0
-    encoder_cpr: int = 400
-    seed: int = 0
+    accel_density_g: Annotated[float, Domain.NOT_NEGATIVE] = 2.5e-4
+    accel_bias_g: Annotated[float, Domain.NOT_NEGATIVE] = 4e-3
+    gyro_density_dps: Annotated[float, Domain.NOT_NEGATIVE] = 5e-2
+    gyro_bias_dps: Annotated[float, Domain.NOT_NEGATIVE] = 0.1
+    gyro_range_dps: Annotated[float, Domain.NOT_NEGATIVE] = 300.0
+    gps_sigma_xy: Annotated[float, Domain.NOT_NEGATIVE] = 2.5
+    gps_rate: Annotated[float, Domain.NOT_NEGATIVE] = 4.0
+    gps_latency: Annotated[float, Domain.NOT_NEGATIVE] = 0.2
+    baro_resolution: Annotated[float, Domain.NOT_NEGATIVE] = 0.2
+    baro_rate: Annotated[float, Domain.NOT_NEGATIVE] = 9.0
+    attitude_rms_deg: Annotated[float, Domain.NOT_NEGATIVE] = 1.0
+    encoder_cpr: Annotated[int, Domain.NOT_NEGATIVE] = 400
+    seed: Annotated[int, Domain.NOT_NEGATIVE] = 0
 
     def __post_init__(self) -> None:
         require_finite(self)
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value < 0:
-                raise DomainError(f"{field.name} must not be negative, got {value}")
 
     @classmethod
     def none(cls, seed: int = 0) -> "NoiseSpec":
@@ -333,14 +346,16 @@ def _small_rotations(delta: np.ndarray) -> np.ndarray:
 
 def _fix_schedule(rate: float, latency: float, ts: float, n: int):
     """Times and arrival ticks of the samples a channel at ``rate`` Hz
-    delivers within ``n`` ticks; none when ``rate`` is zero.  Sample ``k``,
+    delivers within ``n`` ticks; none when ``rate`` is zero or ``latency``
+    reaches past the record.  Sample ``k``,
     taken at ``k / rate``, arrives on the first tick not before
     ``k / rate + latency``."""
-    if not rate > 0.0:
+    # With a non-negative latency, a sample taken after n * ts, or any
+    # sample once the latency reaches n * ts, arrives too late; so no
+    # sample past those is computed, and every time and tick stays finite.
+    if not (rate > 0.0 and latency < n * ts):
         return np.empty(0), []
-    # The last sample is taken after n * ts, so with a non-negative
-    # latency it arrives too late: the range holds every sample kept.
-    times = np.arange(math.floor(rate * n * ts) + 2) / rate
+    times = np.arange(math.floor(rate * n * ts) + 1) / rate
     ticks = np.ceil((times + latency) / ts - 1e-9)
     keep = ticks < n
     return times[keep], ticks[keep].astype(int).tolist()
@@ -389,18 +404,20 @@ def _flight(bits: tuple[str, ...], params: TrajectoryParams, geometry: EncoderGe
     q[1:][turns == 1] *= -1.0
 
     rates = np.zeros((n, 3))
+    for rows in _blocks(n - 1):  # tick k + 1's rates carry q[k] to q[k + 1]
+        rates[1:][rows] = body_rates_between(q[:-1][rows], q[1:][rows], ts)
     if n > 1:
-        rates[1:] = body_rates_between(q[:-1], q[1:], ts)
         rates[0] = rates[1]
 
     rot_n2g = rot_ned_to_g(params.phi_g)
     gravity_g = np.array([0.0, 0.0, GRAVITY])
-    force = np.empty((n, 3))
+    force, encoders = np.empty((n, 3)), np.empty((n, 2))
     for rows in _blocks(n):
         rot_k_to_ned = quats_to_rots(q[rows])
         force[rows] = (rot_k_to_ned.transpose(0, 2, 1)
                        @ (rot_n2g @ (a[rows] - gravity_g)[:, :, None]))[:, :, 0]
-    encoders = _angles_to_encoders(angles[0], angles[1], geometry, counts_per_rev)
+        encoders[rows] = _angles_to_encoders(angles[0][rows], angles[1][rows], geometry,
+                                             counts_per_rev)
     flight = _Flight(p, v, a, q, gamma, rates, force, encoders)
     for column in flight:
         column.flags.writeable = False
@@ -416,14 +433,65 @@ def _last_per_tick(ticks: list[int], values: np.ndarray) -> tuple[np.ndarray, np
     return values[last], ticks[last]
 
 
+#: The most rows an array of the log's width holds: numpy refuses an array
+#: of more than ``sys.maxsize`` bytes.
+_MAX_ROWS = sys.maxsize // (8 * len(FRAME_COLUMNS + TRUTH_COLUMNS))
+
+#: How many deviations from its mean a draw of numpy's normal generator
+#: can lie, with a margin: its ziggurat sampler's tail ends at 13.71.
+_NORMAL_REACH = 16.0
+
+
+def _require_fits(params: TrajectoryParams, noise: NoiseSpec, geometry: EncoderGeometry,
+                  ts: float) -> None:
+    """``DomainError`` naming the fields of a record the synthesizer's
+    arithmetic cannot make, before anything is drawn or allocated: more
+    ticks ``duration / ts`` or fixes ``duration * rate`` than an array
+    holds (``_MAX_ROWS``), a bias whose uniform draw (of range twice the
+    bias) or scaling to SI units overflows, an attitude noise whose
+    squared rotation angle (of three draws) can overflow, a guide
+    geometry whose products in the encoder inversion overflow, or a
+    height resolution that quantizes heights up to ``r`` to infinity."""
+    duration = params.duration
+    if not duration / ts <= _MAX_ROWS:
+        raise DomainError(f"record of {duration / ts:g} ticks does not fit an array: "
+                          f"duration={duration}, ts={ts}")
+    for name in ("gps_rate", "baro_rate"):
+        rate = getattr(noise, name)
+        if not duration * rate <= _MAX_ROWS:
+            raise DomainError(f"record of {duration * rate:g} fixes does not fit an array: "
+                              f"duration={duration}, {name}={rate}")
+    for name, scale in (("accel_bias_g", GRAVITY), ("gyro_bias_dps", DEG)):
+        bias = getattr(noise, name)
+        if not (math.isfinite(2.0 * bias) and math.isfinite(bias * scale)):
+            raise DomainError(f"bias draw overflows float64: {name}={bias}")
+    reach = _NORMAL_REACH * noise.attitude_rms_deg * DEG
+    if not math.isfinite(3.0 * reach * reach):
+        raise DomainError("attitude noise overflows the squared rotation angle: "
+                          f"attitude_rms_deg={noise.attitude_rms_deg}")
+    # Every product in the inversion's discriminant is at most 8 times the
+    # largest offset squared.
+    offsets = {f.name: getattr(geometry, f.name) for f in fields(geometry)}
+    largest = max(map(abs, offsets.values()))
+    if not math.isfinite(8.0 * largest * largest):
+        raise DomainError("guide geometry overflows the encoder inversion: "
+                          + ", ".join(f"{name}={value}" for name, value in offsets.items()))
+    if noise.baro_resolution > 0.0 and not math.isfinite(params.r / noise.baro_resolution):
+        raise DomainError("height quantization overflows float64: "
+                          f"baro_resolution={noise.baro_resolution}, r={params.r}")
+
+
 def _record(params: TrajectoryParams, noise: NoiseSpec, geometry: EncoderGeometry,
-            ts: float = _TS) -> tuple[np.ndarray, np.ndarray, _Flight]:
-    """The noise pass: the log table of one flight with truth, its mask of
-    empty cells (see :func:`~kitefusion.evalio._write_table`) and the
-    noise-free :class:`_Flight` whose truth it carries.  The arguments are
-    :func:`synthesize`'s."""
+            ts: float = _TS, has_truth: bool = False) -> tuple[np.ndarray, np.ndarray, _Flight]:
+    """The noise pass: the log table of one flight, with its truth columns
+    filled if ``has_truth``, its mask of empty cells (see
+    :func:`~kitefusion.evalio._write_table`) and the noise-free
+    :class:`_Flight` whose truth it carries.  The other arguments are
+    :func:`synthesize`'s, checked by :func:`_require_fits` before any
+    array is made."""
     require_positive("ts", ts)
     ts = float(ts)
+    _require_fits(params, noise, geometry, ts)
     n = int(round(params.duration / ts))
     rng = np.random.default_rng(noise.seed)
     bandwidth = 0.5 / ts
@@ -434,7 +502,7 @@ def _record(params: TrajectoryParams, noise: NoiseSpec, geometry: EncoderGeometr
     flight = _flight(_bits(params, geometry), params, geometry, ts, noise.encoder_cpr)
     # The table is made after the flight, so that the flight's temporaries
     # are freed before it takes its memory.
-    table, empty = _blank_table(n, has_truth=True)
+    table, empty = _blank_table(n, has_truth)
     fill = functools.partial(_fill, table, empty)
 
     gps_times, gps_ticks = _fix_schedule(noise.gps_rate, noise.gps_latency, ts, n)
@@ -463,8 +531,9 @@ def _record(params: TrajectoryParams, noise: NoiseSpec, geometry: EncoderGeometr
         fill("quat", rot_to_quat(rot_k_to_ned @ _small_rotations(draws[rows, 6:9])), rows)
     fill("encoder", flight.encoders)
     fill("wind_speed", params.speed_scale)
-    for name in ("p", "v", "gamma"):
-        fill(name, getattr(flight, name))
+    if has_truth:
+        for name in ("p", "v", "gamma"):
+            fill(name, getattr(flight, name))
     return table, empty, flight
 
 
@@ -497,6 +566,9 @@ def synthesize(params: TrajectoryParams = TrajectoryParams(),
         :func:`~kitefusion.errors.is_real`) is converted once with
         ``float()``, so ``np.float32(0.02)`` gives the record of
         ``float(np.float32(0.02))``, and anything else raises ``DomainError``.
+
+    A record past the synthesizer's limits raises ``DomainError`` naming
+    its fields before any array is made (see :func:`_require_fits`).
     """
     table, empty, flight = _record(params, noise, geometry, ts)
     frames, _ = _log_data(table, empty, has_truth=False)

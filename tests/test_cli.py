@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kitefusion import cli, evalio, pipelines
+from kitefusion import cli, errors, evalio, pipelines
 from kitefusion.cli import CONFIG_KEYS, ESTIMATE_HEADER, build_estimator_config, load_config, main
 from kitefusion.errors import LogFormatError, NonConvergenceError
 from kitefusion.estimator import axis_gain, kf_frequency_response, lo_frequency_response
@@ -780,3 +783,147 @@ class TestConfigSchema:
                 assert getattr(want, field.name) != getattr(default, field.name), field.name
                 assert type(getattr(got, field.name)) is type(getattr(want, field.name))
         assert cfg["speed_bins"] == (1.0, 2.0) and cfg["settle"] == 0.5
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TABLE_HEADER = "| key | type | default | domain | synthesizer limit |"
+
+
+def readme_config_rows() -> list[list[str]]:
+    """The rows of the README's config table, each a list of its cells
+    with the key's backquotes stripped."""
+    lines = README.read_text().splitlines()
+    body = lines[lines.index(TABLE_HEADER) + 2:]  # past the header and its rule
+    rows = [[cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+            for line in itertools.takewhile(lambda line: line.startswith("|"), body)]
+    assert all(len(row) == 5 for row in rows)
+    return rows
+
+
+def config_text(value) -> str:
+    """A value as a config file writes it."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+def field_row(cls, name: str) -> tuple[str, str, str]:
+    """Type, default and domain of the field ``name`` of ``cls``, as the
+    README's table states them."""
+    field = next(field for field in errors._fields(cls) if field.name == name)
+    default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+    kind = f"{field.width} floats" if field.many else field.kind.__name__
+    if field.domain is not None:
+        return kind, config_text(default), field.domain.value
+    return kind, config_text(default), "true or false" if field.kind is bool else "finite"
+
+
+def code_config_row(key: str) -> tuple[str, str, str]:
+    """Type, default and domain of the config key ``key``, from the code:
+    every dataclass with the field must agree."""
+    if key == "lambda":
+        return ("1 or 3 floats",) + field_row(EstimatorConfig, "ratios")[1:]
+    if key == "speed_bins":
+        return "floats", config_text(evalio._BIN_EDGES), "finite, increasing"
+    if key == "settle":
+        return "float", config_text(evalio._SETTLE), "finite"
+    rows = {field_row(cls, key) for cls in CONFIGURED
+            if key in {field.name for field in dataclasses.fields(cls)}}
+    assert len(rows) == 1, (key, rows)
+    return rows.pop()
+
+
+class TestReadmeConfigTable:
+    def test_one_row_per_config_key(self):
+        keys = [row[0] for row in readme_config_rows()]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(CONFIG_KEYS)
+
+    def test_type_default_and_domain_are_the_code(self):
+        for key, *cells, _ in readme_config_rows():
+            assert tuple(cells) == code_config_row(key), key
+
+
+#: The edge values each real config key is set to; an integer key takes 0
+#: and -1 only.
+EDGES = (1e308, -1e308, 1e-308, 5e-324, 0.0, -1.0, 1e300, 1e-300, 1e20)
+
+
+def edge_configs():
+    """``(case, config text)`` for every config key but ``use_imu`` at each
+    edge value: ``k_gamma`` with both entries set, ``lambda`` and
+    ``speed_bins`` with one value, ``duration`` alone and every other key
+    beside ``duration = 0.3``."""
+    for key, parse in CONFIG_KEYS.items():
+        if key == "use_imu":
+            continue
+        for value in (0, -1) if parse is int else EDGES:
+            line = f"{key} = " + (f"{value!r}, {value!r}" if key == "k_gamma" else repr(value))
+            yield line, line + "\n" if key == "duration" else f"duration = 0.3\n{line}\n"
+
+
+def csv_cells(path, skip: int = 0) -> np.ndarray:
+    """The cells of a CSV after its header line and its first ``skip``
+    columns, as a float table."""
+    rows = path.read_text().splitlines()[1:]
+    return np.array([[float(cell) for cell in row.split(",")[skip:]] for row in rows])
+
+
+class TestEdgeGrid:
+    """The config contract, over every key at the edges of float range
+    (:func:`edge_configs`): ``simulate``, then ``estimate`` and ``evaluate``
+    on its log (or on a default 0.3 s log where it wrote none): each verb
+    either refuses the config, with exit 2, one ``error:`` line and no
+    file, or exits 0 with a log that reads back, finite estimates and
+    report cells that are finite or, for an empty speed bin, nan.  A
+    warning is raised as an error, so one counts as a fault."""
+
+    @staticmethod
+    def fault(capsys, argv, out) -> str | None:
+        """What is wrong with one run of ``main(argv)`` writing ``out``,
+        or None; the caller checks what an exit-0 run wrote."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+        except Exception as exc:  # a traceback at the command line
+            capsys.readouterr()
+            return f"raised {type(exc).__name__}: {exc}"
+        std = capsys.readouterr()
+        if code == 2:
+            lines = std.err.splitlines()
+            if len(lines) != 1 or not lines[0].startswith("error: ") or std.out or out.exists():
+                return f"exit 2 with {std.err!r}, out exists: {out.exists()}"
+            return None
+        if code != 0 or std.err or std.out or not out.exists():
+            return f"exit {code} with {std.err!r}, out exists: {out.exists()}"
+        return None
+
+    def test_every_key_at_each_edge(self, tmp_path, capsys):
+        default_log = tmp_path / "default.csv"
+        assert main(["simulate", "--config", write(tmp_path / "d.cfg", "duration = 0.3\n"),
+                     "--out", str(default_log)]) == 0
+        faults = []
+        for case, config in edge_configs():
+            cfg = write(tmp_path / "edge.cfg", config)
+            log, estimate, report = (tmp_path / name for name in ("log.csv", "e.csv", "r.csv"))
+            for path in (log, estimate, report):
+                path.unlink(missing_ok=True)
+            fault = self.fault(capsys, ["simulate", "--config", cfg, "--out", str(log)], log)
+            if log.exists():  # exit 0: the log must read back
+                read_log(log)
+            source = log if log.exists() else default_log
+            verbs = {"simulate": fault}
+            for verb, out in (("estimate", estimate), ("evaluate", report)):
+                argv = [verb, "--config", cfg, "--log", str(source), "--out", str(out)]
+                verbs[verb] = self.fault(capsys, argv, out)
+            if verbs["estimate"] is None and estimate.exists():
+                if not np.isfinite(csv_cells(estimate)).all():
+                    verbs["estimate"] = "non-finite estimates"
+            if verbs["evaluate"] is None and report.exists():
+                cells = csv_cells(report, skip=2)  # past quantity and approach
+                empty = np.isnan(cells).all(axis=0)
+                if not np.isfinite(cells[:, ~empty]).all():
+                    verbs["evaluate"] = "non-finite report cells"
+            faults += [f"{case}: {verb} {fault}" for verb, fault in verbs.items() if fault]
+        assert not faults, "\n".join(faults)

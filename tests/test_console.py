@@ -140,9 +140,22 @@ def test_pipe_fault_exits_2_naming_its_line(flight, tmp_path):
      b"r = 1e-300\na_theta = 1e-300\na_phi = 1e-300\nf_loop = 1e10\nduration = 0.1\n",
      "error: pattern speed underflows float64: r=1e-300, a_theta=1e-300, a_phi=1e-300, "
      "f_loop=10000000000.0, speed_scale=1.0"),
+    # Limits the synthesizer's arithmetic sets, checked before any array is
+    # made: each value raised an OverflowError, numpy's "Maximum allowed
+    # size exceeded" or an overflow warning instead.
+    (["simulate"], b"duration = 0.2\nts = 1e-300\n",
+     "error: record of 2e+299 ticks does not fit an array: duration=0.2, ts=1e-300"),
+    (["simulate"], b"duration = 0.2\naccel_bias_g = 1e308\n",
+     "error: bias draw overflows float64: accel_bias_g=1e+308"),
+    (["simulate"], b"duration = 0.2\nguide_rise = 1e300\n",
+     "error: guide geometry overflows the encoder inversion: guide_rise=1e+300, "
+     "guide_reach=0.3, pivot_height=0.02, pivot_setback=0.02"),
+    (["simulate"], b"duration = 0.2\nattitude_rms_deg = 1e308\n",
+     "error: attitude noise overflows the squared rotation angle: attitude_rms_deg=1e+308"),
 ], ids=["points-0", "negative-seed", "401-digit-seed", "still-pattern", "ratio-1e8",
         "ratio-1e200", "config-not-utf8", "f-max-inf", "f-min-inf", "speed-scale-1e200",
-        "r-1e300", "underflowing-pattern"])
+        "r-1e300", "underflowing-pattern", "ts-1e-300", "accel-bias-1e308", "guide-rise-1e300",
+        "attitude-noise-1e308"])
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, config, line):
     if config is not None:
         (tmp_path / "bad.cfg").write_bytes(config)

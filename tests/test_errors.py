@@ -27,7 +27,9 @@ from kitefusion.simkite import NoiseSpec, TrajectoryParams
 
 UNIT = np.array([1.0, 0.0, 0.0, 0.0])
 
-#: (module that runs the guard, parameter it names, call with the value).
+#: (module that declares the guard, parameter it names, call with the
+#: value).  A function's guard is run by its module's ``require_positive``,
+#: a dataclass field's declared domain by ``errors.require_finite``.
 GUARDS = [
     (attitude, "dt", lambda v: attitude.body_rates_between(UNIT, UNIT, v)),
     (estimator, "ts", lambda v: estimator.build_system(v)),
@@ -87,7 +89,9 @@ def test_guard_rejects_by_name(module, name, call, value):
 def test_guard_passes_positive_finite(module, name, call, value):
     # The guarded bodies are stopped right after the guard, so a tiny
     # ts never asks synthesize for billions of ticks.
-    with mock.patch.object(module, "require_positive", _stop_after(name)):
+    stop = _stop_after(name)
+    with mock.patch.dict(vars(module), require_positive=stop), \
+            mock.patch.object(errors, "require_positive", stop):
         with pytest.raises(_PastGuard):
             call(value)
 

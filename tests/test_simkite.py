@@ -486,6 +486,17 @@ class TestFixSchedule:
             assert times.dtype == ref_times.dtype and times.tobytes() == ref_times.tobytes()
             assert ticks == ref_ticks and all(type(k) is int for k in ticks)
 
+    @pytest.mark.parametrize("rate, latency, want", [
+        (1e-308, 0.2, [10]), (5e-324, 0.0, [0]), (4.0, 1e308, []), (4.0, 0.3, [])],
+        ids=["rate-1e-308", "rate-5e-324", "latency-1e308", "latency-at-the-end"])
+    def test_extreme_rate_or_latency_stays_finite(self, rate, latency, want):
+        """A rate so low that only its first sample falls in the record, or
+        a latency that reaches past it, gives the first samples the
+        reference loop gives, without computing a sample past the record
+        (whose time or tick overflowed, with a warning, an error here)."""
+        times, ticks = simkite._fix_schedule(rate, latency, 0.02, 15)
+        assert ticks == want and times.tolist() == [0.0] * len(want)
+
 
 class TestLatencyAndQuantization:
     def test_fix_arrives_after_latency(self):
