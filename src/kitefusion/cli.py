@@ -14,9 +14,11 @@ No verb holds a whole record as objects.  ``simulate`` writes the
 synthesizer's log table (which has no truth columns for ``--no-truth``)
 through the one table writer without making frames.  ``estimate`` and
 ``evaluate`` take the log a block of 256 lines at a time from the one
-reader: ``estimate`` primes, steps and formats each block and holds only
-the formatted rows, which it writes once the log is done; ``evaluate``
-holds the error columns of the replay.  ``evaluate`` checks the configs,
+reader, and each block is primed and stepped by one function,
+:func:`~kitefusion.pipelines._run`, as in ``compare_approaches``:
+``estimate`` formats each block's outputs and holds only the formatted
+rows, which it writes once the log is done; ``evaluate`` holds the error
+columns of the replay.  ``evaluate`` checks the configs,
 ``speed_bins`` and ``settle`` before it opens the log, and whether the
 header has truth or the configs a routing 3 before it reads a row; after
 that, in both verbs, the first fault in log order is named, a bad line
@@ -24,8 +26,9 @@ or a refused tick.  Either way no output file is written.
 
 ``main`` reads the config once and hands it to the verb with the parsed
 options.  Exit codes: 0 on success, 2 for domain, input or format
-errors, 3 when the Riccati solve for the filter gain fails to converge;
-either failure prints one ``error:`` line on stderr.
+errors (among them an input whose arrays no memory holds), 3 when the
+Riccati solve for the filter gain fails to converge; either failure
+prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (DegenerateInputError, DomainError, LogFormatError, NonConve
 from .estimator import axis_gain, kf_frequency_response, lo_frequency_response
 from .evalio import _log_blocks, _replay, _report_args, _write_table, default_configs
 from .lineangle import EncoderGeometry
-from .pipelines import EstimationPipeline, EstimatorConfig
+from .pipelines import EstimationPipeline, EstimatorConfig, _run
 from .simkite import NoiseSpec, TrajectoryParams, _record
 
 
@@ -162,10 +165,10 @@ def cmd_estimate(args, cfg: dict[str, object]) -> None:
     pipeline = EstimationPipeline(build_estimator_config(cfg))
     lines = []
     for frames, _ in _log_blocks(args.log):
-        pipeline.prime(frames)
-        outputs = filter(None, map(pipeline.step, frames))  # None: no estimate this tick
+        outputs, = _run([pipeline], frames)
         lines += [_csv_line((out.t, *out.p_hat, *out.v_hat, out.theta_hat, out.phi_hat,
-                             out.gamma_hat, out.gamma_dot_hat)) for out in outputs]
+                             out.gamma_hat, out.gamma_dot_hat))
+                  for out in filter(None, outputs)]  # None: no estimate this tick
     _write_csv(args.out, ESTIMATE_HEADER, lines)
 
 
@@ -237,8 +240,8 @@ def main(argv=None) -> int:
     try:
         args.func(args, load_config(args.config))
     except (DomainError, DegenerateInputError, LogFormatError, OSError,
-            NonConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            NonConvergenceError, MemoryError) as exc:  # MemoryError: arrays no memory holds
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3 if isinstance(exc, NonConvergenceError) else 2
     return 0
 

@@ -51,11 +51,12 @@ velocity angle against either recorded truth or, when the log carries
 none, against the line-angle routing as the reference.  The one replay,
 :func:`_replay`, takes the log as consecutive blocks: one block for
 :func:`compare_approaches`, the reader's blocks for ``kitefusion
-evaluate``.  The inertial acceleration every routing integrates is the
-same for each of them, so it is computed once per block and distinct
-heading, as arrays, and each routing's pipeline is primed with it (see
-:func:`~kitefusion.pipelines._prime`); a block the per-tick path would
-refuse is not primed, so it fails as it would tick by tick.  Each
+evaluate``.  Each block goes through :func:`~kitefusion.pipelines._run`,
+the one function that primes and steps a block for every replay
+(``kitefusion estimate`` included): the inertial acceleration every
+routing integrates is the same for each of them, so it is computed once
+per block and distinct heading, as arrays; a block the per-tick path
+would refuse is not primed, so it fails as it would tick by tick.  Each
 routing is turned into its error columns while it runs: every tick's
 estimate leaves its floats in lists that are moved into flat ``p_hat``
 and ``gamma_hat`` buffers a block of ``_BLOCK_LINES`` ticks at a time,
@@ -75,8 +76,7 @@ import numpy as np
 
 from .errors import DomainError, LogFormatError, as_real
 from .frames import wrap_angle
-from .pipelines import (EstimationPipeline, EstimatorConfig, SensorFrame, _frames, _prime,
-                        _require_sized, _tuple_rows)
+from .pipelines import EstimationPipeline, EstimatorConfig, SensorFrame, _frames, _run, _tuple_rows
 
 # The log layout per record, in column order: field, column names, and
 # the label of a channel group whose cells must be all present or all
@@ -143,6 +143,13 @@ class LogData(NamedTuple):
 
     frames: list[SensorFrame]
     truth: list[TruthPoint] | None
+
+
+def _require_sized(items, name: str = "frames") -> None:
+    """``DomainError`` naming ``name`` unless ``items`` has a length, as an
+    iterator has not."""
+    if not hasattr(items, "__len__"):
+        raise DomainError(f"{name} must be a sequence, got {type(items).__name__}")
 
 
 def _require_truth_fits(truth, frames) -> None:
@@ -598,8 +605,9 @@ def _replay(blocks: Iterable[LogData], configs: tuple[EstimatorConfig, ...],
 
     The first block's truth tells whether the log has truth; without it
     and without a config of routing 3, ``DomainError`` is raised before
-    any pipeline is built.  Each block primes the routings and is stepped
-    through each of them, and only columns are kept past it: per routing,
+    any pipeline is built.  Each block is primed and stepped through the
+    routings by :func:`~kitefusion.pipelines._run`, routing by routing,
+    and only columns are kept past it: per routing,
     :func:`_stacked`'s ``emitted``, ``p_hat`` and ``gamma_hat``, and per
     tick the time, the wind speed and the truth ``p`` and ``gamma``.  The
     tabulation then runs on the whole log's columns, so each RMS sums its
@@ -616,9 +624,8 @@ def _replay(blocks: Iterable[LogData], configs: tuple[EstimatorConfig, ...],
     runs = {approach: [] for approach in approaches}
     parts = []
     for frames, truth in itertools.chain([first], blocks):
-        _prime(pipelines, frames)
-        for pipe in pipelines:
-            runs[pipe.config.approach].append(_stacked(map(pipe.step, frames)))
+        for pipe, outputs in zip(pipelines, _run(pipelines, frames)):
+            runs[pipe.config.approach].append(_stacked(outputs))
         part = [np.array([f.t for f in frames], dtype=float),
                 np.array([f.wind_speed is not None for f in frames], dtype=bool),
                 np.array([0.0 if f.wind_speed is None else f.wind_speed for f in frames],

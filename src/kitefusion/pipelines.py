@@ -31,11 +31,14 @@ corrected state each sample and smoothed by a second-order tracking
 observer whose internal angle is kept unwrapped so figure-eight passes
 through +-pi do not glitch.
 
-One acceleration per record: the inertial acceleration depends only on
-the frame and the heading, so :func:`_prime` computes a record's in one
+One acceleration per block: the inertial acceleration depends only on
+the frame and the heading, so :func:`_prime` computes a block's in one
 array pass per distinct heading, for :meth:`EstimationPipeline.step` to
-read on each frame in place of its per-tick rotation, with the same
-bits; :meth:`EstimationPipeline.prime` does so for one pipeline.
+read in lockstep with the block's frames in place of its per-tick
+rotation, with the same bits.  :func:`_run` is the one place that primes
+and steps: every replay (``kitefusion estimate``, ``kitefusion evaluate``
+and :func:`~kitefusion.evalio.compare_approaches`) hands it each block
+and consumes the iterators of outputs it returns.
 """
 
 from __future__ import annotations
@@ -238,10 +241,9 @@ class EstimateOutput(NamedTuple):
 #: never repeat, and without the bound each would stay held.
 _FIXES_HELD = 1024
 
-#: Read in place of a rotation: zeros, of no frame, unless primed; a primed
-#: pipeline reads ``(frame, ax, ay, az)``, then ``_PAST_END`` past its record.
-_ZEROS = itertools.repeat((None, 0.0, 0.0, 0.0))
-_PAST_END = (False, 0.0, 0.0, 0.0)
+#: Read in place of a rotation where none is made: zeros.  A primed
+#: pipeline reads its block's ``(ax, ay, az)`` instead.
+_ZEROS = itertools.repeat((0.0, 0.0, 0.0))
 
 # Builds an EstimateOutput from one tuple of its fields, skipping the
 # Python-level __new__ of the named tuple.
@@ -308,15 +310,15 @@ class EstimationPipeline:
     that pass, the line guide's position scaled onto the sphere from
     geometry constants bound once, or looks up the fix of a reading it
     has stepped before.
-    A primed pipeline reads each tick's inertial acceleration from its
-    primed sequence instead of rotating the frame's accelerometer
-    reading; the two agree bit for bit.  On a frame the sequence does not
-    hold next (past its end, or after a refused tick) it drops the
-    priming and rotates per tick.  A tick that raises ``DomainError`` (a
+    A pipeline primed by :func:`_run` reads its block's inertial
+    accelerations in lockstep with the block's frames, one per step,
+    instead of rotating each frame's accelerometer reading; the two agree
+    bit for bit.  Only :func:`_run` primes, and its caller steps exactly
+    the frames it primed, in order.  A tick that raises ``DomainError`` (a
     non-unit quaternion, a non-finite acceleration, encoder reading, XY
     fix or height) changes no filter state, though its time counts for
     the increasing-time check, so a caller that skips it gets the
-    estimates of a run without that frame, primed or not.  Each routing
+    estimates of a run without that frame.  Each routing
     checks the channels it reads: with the IMU on, the acceleration and
     the attitude; routings 1 and 2 the XY fix and the height, routing 3
     the encoder.
@@ -357,11 +359,6 @@ class EstimationPipeline:
         self._last_t = -math.inf
         self.last_measurement: tuple[float | None, float | None, float | None] | None = None
 
-    def prime(self, frames) -> None:
-        """:func:`_prime` for this pipeline alone: the inertial accelerations
-        of the record ``frames``, for :meth:`step` to read in order."""
-        _prime([self], frames)
-
     def step(self, frame: SensorFrame) -> EstimateOutput | None:
         t = frame.t
         if not self._last_t < t < math.inf:
@@ -373,16 +370,8 @@ class EstimationPipeline:
         if self._imu_per_tick and frame.accel_k is not None and frame.quat is not None:
             ax, ay, az = inertial_accel(frame.accel_k, frame.quat, self._cos_g, self._sin_g)
         else:
-            # The tick's entry of a primed record, or zeros (of no frame).
-            owner, ax, ay, az = next(self._accels, _PAST_END)
-            if owner is not frame and owner is not None:
-                # Not the primed record's next frame: drop the priming and
-                # rotate per tick from this tick on.
-                self._imu_per_tick, self._accels = True, _ZEROS
-                ax = ay = az = 0.0
-                if frame.accel_k is not None and frame.quat is not None:
-                    ax, ay, az = inertial_accel(frame.accel_k, frame.quat,
-                                                self._cos_g, self._sin_g)
+            # The tick's entry of a primed block, or zeros.
+            ax, ay, az = next(self._accels)
         if az - az:  # NaN: a non-finite reading rotates to a non-finite height
             raise DomainError(f"accelerometer reading {frame.accel_k} at t={t} is not finite")
         mount = self._mount
@@ -549,28 +538,24 @@ def _stack(rows: list, width: int) -> np.ndarray | None:
     return np.frombuffer(packed).reshape(len(rows), width)
 
 
-def _require_sized(items, name: str = "frames") -> None:
-    """``DomainError`` naming ``name`` unless ``items`` has a length, as an
-    iterator has not."""
-    if not hasattr(items, "__len__"):
-        raise DomainError(f"{name} must be a sequence, got {type(items).__name__}")
-
-
 def _prime(pipelines, frames) -> None:
-    """Give each of ``pipelines`` that integrates the accelerometer the
-    inertial accelerations its :meth:`~EstimationPipeline.step` would
-    compute from ``frames``, one record pass per distinct heading, each
-    held with its frame, to be read one tick at a time as ``frames`` are
-    stepped in order.
+    """Put each of ``pipelines`` that integrates the accelerometer back on
+    its per-tick rotation, then, where the block ``frames`` allows, give
+    it the inertial accelerations its :meth:`~EstimationPipeline.step`
+    would compute from ``frames``, one block pass per distinct heading,
+    to be read one tick at a time as ``frames`` are stepped in order.
+    Only :func:`_run` calls it.
 
-    A record with a frame that lacks either channel primes nothing, and
+    A block with a frame that lacks either channel primes nothing, and
     so does one that the per-tick path would refuse (a non-unit
     quaternion, an acceleration not finite): ``step`` then raises the
-    same error at the same tick.  ``frames`` with no length, such as an
-    iterator, raise ``DomainError`` before any frame is read.
+    same error at the same tick.
     """
-    _require_sized(frames)
     pipelines = [pipe for pipe in pipelines if pipe.config.use_imu]
+    # A block primed before is spent: without this, a block that primes
+    # nothing would read past its end and end the run early.
+    for pipe in pipelines:
+        pipe._imu_per_tick, pipe._accels = True, _ZEROS
     if not pipelines:
         return
     accels = _stack([f.accel_k for f in frames], 3)
@@ -590,4 +575,13 @@ def _prime(pipelines, frames) -> None:
             except DomainError:
                 return
         pipe._imu_per_tick = False
-        pipe._accels = zip(frames, *columns[heading])
+        pipe._accels = zip(*columns[heading])
+
+
+def _run(pipelines, frames) -> list:
+    """One lazy iterator of outputs per pipeline of ``pipelines``, each
+    stepping it over the block ``frames``: the one place that primes
+    (:func:`_prime`), for every replay.  Each iterator must be consumed
+    in full, routing by routing or tick by tick, before the next call."""
+    _prime(pipelines, frames)
+    return [map(pipe.step, frames) for pipe in pipelines]

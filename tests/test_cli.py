@@ -51,6 +51,18 @@ def long_log(tmp_path_factory):
     return log
 
 
+@pytest.fixture(scope="module")
+def gap_log(tmp_path_factory):
+    """A 16 s log of 800 rows, four blocks of the reader, without attitude
+    on frame 300, in its second block."""
+    frames, truth = synthesize(TrajectoryParams(duration=16.0), NoiseSpec(seed=5))
+    frames[300] = dataclasses.replace(frames[300], quat=None)
+    log = tmp_path_factory.mktemp("gap") / "gap.csv"
+    write_log(frames, log, truth=truth)
+    assert evalio._BLOCK_LINES < 300 < 2 * evalio._BLOCK_LINES < len(frames)
+    return log
+
+
 def per_cell_estimate_csv(log, config) -> str:
     """The previous ``estimate`` row writer: one ``repr`` per cell."""
     pipeline = EstimationPipeline(config)
@@ -228,7 +240,7 @@ class TestEstimate:
         with monkeypatch.context() as m:
             m.setattr(pipelines, "inertial_accel", counted_accel)
             if not primed:
-                m.setattr(EstimationPipeline, "prime", lambda pipe, frames: None)
+                m.setattr(pipelines, "_prime", lambda pipes, frames: None)
             code = main(argv)
         written = out.read_bytes() if out.exists() else None
         if written is not None:
@@ -304,9 +316,9 @@ class TestEstimate:
 
 class TestStepCallContract:
     """A timing probe replaces ``EstimationPipeline.step`` on the class with
-    a function of ``(pipe, frame)``: ``compare_approaches`` and
-    ``estimate`` must call ``step`` with the frame alone, once per frame
-    and routing, and give the outputs they give without the probe."""
+    a function of ``(pipe, frame)``: ``compare_approaches``, ``estimate``
+    and ``evaluate`` must call ``step`` with the frame alone, once per
+    frame and routing, and give the outputs they give without the probe."""
 
     @staticmethod
     def probe(monkeypatch):
@@ -339,6 +351,53 @@ class TestStepCallContract:
         assert main(argv) == 0
         assert out.read_bytes() == want
         assert calls == [approach] * len(read_log(sim_log).frames)
+
+    def test_evaluate(self, monkeypatch, tmp_path, long_log):
+        out = tmp_path / "report.csv"
+        argv = ["evaluate", "--log", str(long_log), "--out", str(out)]
+        assert main(argv) == 0
+        want = out.read_bytes()
+        calls = self.probe(monkeypatch)
+        assert main(argv) == 0
+        assert out.read_bytes() == want
+        assert sorted(calls) == sorted([1, 2, 3] * len(read_log(long_log).frames))
+
+
+class TestRunBlocks:
+    """``pipelines._run`` primes each block afresh: a block that primes
+    nothing, here for a frame without attitude, runs on the per-tick path
+    between primed blocks, and every block yields one output per frame."""
+
+    @pytest.mark.parametrize("order", ["tick-major", "routing-major"])
+    def test_blocks_give_the_unprimed_bits(self, gap_log, order):
+        configs = evalio.default_configs()
+        want = [[repr(out) for out in map(EstimationPipeline(config).step,
+                                          read_log(gap_log).frames)] for config in configs]
+        pipes = [EstimationPipeline(config) for config in configs]
+        got = [[] for _ in configs]
+        primed, end = [], object()
+        for block, _ in evalio._log_blocks(gap_log):
+            outputs = pipelines._run(pipes, block)
+            if block:
+                primed.append(pipes[0]._accels is not pipelines._ZEROS)
+            before = [len(run) for run in got]
+            if order == "tick-major":
+                for outs in zip(*outputs):
+                    for run, out in zip(got, outs):
+                        run.append(repr(out))
+            else:
+                for run, outs in zip(got, outputs):
+                    run += map(repr, outs)
+            assert [next(outs, end) for outs in outputs] == [end] * len(configs)
+            assert [len(run) - n for run, n in zip(got, before)] == [len(block)] * len(configs)
+        assert primed == [True, False, True, True]
+        assert got == want
+
+    def test_estimate_writes_the_unprimed_bytes(self, tmp_path, gap_log):
+        out = tmp_path / "e.csv"
+        assert main(["estimate", "--log", str(gap_log), "--out", str(out)]) == 0
+        assert out.read_bytes() == per_cell_estimate_csv(read_log(gap_log),
+                                                         EstimatorConfig()).encode()
 
 
 class TestEvaluate:

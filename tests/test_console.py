@@ -11,11 +11,17 @@ far more than a call, so only checks that need one are here.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on POSIX
+    resource = None
 
 from kitefusion.cli import main
 
@@ -23,12 +29,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 RUN_CONFIG = "duration = 2.0\nseed = 7\n"
 
 
-def python(cwd, *args: str, stdin: str = "") -> subprocess.CompletedProcess:
+def python(cwd, *args: str, stdin: str = "", preexec_fn=None) -> subprocess.CompletedProcess:
     """Run a new interpreter with ``args`` in ``cwd``, with every warning
-    raised as an error and ``stdin`` written to its stdin pipe."""
+    raised as an error and ``stdin`` written to its stdin pipe;
+    ``preexec_fn`` runs in the child before the interpreter starts."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error")
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, preexec_fn=preexec_fn,
                           input=stdin, capture_output=True, text=True, timeout=120)
 
 
@@ -162,6 +169,29 @@ def test_bad_input_exits_2_with_one_line(tmp_path, argv, config, line):
         argv = [*argv, "--config", "bad.cfg"]
     result = kitefusion(tmp_path, *argv, "--out", "out.csv")
     assert_refused(result, tmp_path / "out.csv", line)
+
+
+def limit_address_space() -> None:
+    """Limit this process's address space to 2 GiB; run in the child
+    alone, as its ``preexec_fn``, so the test process keeps its own."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+@pytest.mark.skipif(resource is None, reason="sets an address-space limit")
+@pytest.mark.parametrize("config", [b"duration = 60\ngps_rate = 1e10\n", b"duration = 1e9\n"],
+                         ids=["6e11-fixes", "5e10-ticks"])
+def test_input_no_memory_holds_exits_2_with_one_line(tmp_path, config):
+    """A record whose arrays fit numpy's index but no memory (4.37 TiB of
+    fix times, 373 GiB of ticks) is an input fault: numpy's allocation
+    error becomes one ``error:`` line and exit 2, not a traceback."""
+    (tmp_path / "big.cfg").write_bytes(config)
+    result = python(tmp_path, "-m", "kitefusion.cli", "simulate", "--config", "big.cfg",
+                    "--out", "out.csv", preexec_fn=limit_address_space)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert re.fullmatch(r"error: Unable to allocate [^\n]+\n", result.stderr), result.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 # Runs the command line, then prints the peak resident size of the new

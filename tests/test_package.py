@@ -16,11 +16,14 @@ def test_every_export_resolves():
 
 def test_removed_names_are_gone():
     """One per-axis gain path, no public function that nothing in the
-    package calls, an encoder reading that is a plain pair, and no number
-    parser in ``pipelines``: ``errors`` holds the one real-number rule."""
+    package calls, an encoder reading that is a plain pair, no number
+    parser in ``pipelines``: ``errors`` holds the one real-number rule, and
+    no priming but ``pipelines._run``'s."""
     gone = {estimator: ("steady_state_gain", "KfTuning", "KalmanGain"), simkite: ("truth_at",),
             attitude: ("quat_to_rot",), frames: ("velocity_angle",), evalio: ("rmse",),
-            lineangle: ("EncoderReading",), pipelines: ("_TEXT", "_real", "_float", "_floats")}
+            lineangle: ("EncoderReading",),
+            pipelines: ("_TEXT", "_real", "_float", "_floats", "_PAST_END"),
+            EstimationPipeline: ("prime",)}
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)

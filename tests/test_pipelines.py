@@ -956,62 +956,16 @@ class TestNonFiniteTime:
             assert str(raised.value) == f"sample times must increase: {t} after {TS}"
         pipe.step(SensorFrame(t=2.0 * TS))
 
-    @pytest.mark.parametrize("approach", [1, 2, 3])
-    @pytest.mark.parametrize("bad", ["nan", "repeat"])
-    def test_primed_pipeline_passes_a_refused_tick(self, approach, bad):
-        """Stepped on after a tick refused for its time, primed and
-        unprimed pipelines agree tick by tick, bit for bit: the next
-        frame is not the one the primed entries expect, so the primed
-        pipeline rotates per tick from there on."""
-        frames, _ = synthesize(TrajectoryParams(duration=1.0), NoiseSpec(seed=1))
-        frames[20] = dataclasses.replace(frames[20],
-                                         t=math.nan if bad == "nan" else frames[19].t)
-        config = default_configs()[approach - 1]
-        assert config.use_imu
-        primed, unprimed = EstimationPipeline(config), EstimationPipeline(config)
-        primed.prime(frames)
-        for k, frame in enumerate(frames):
-            if k == 20:
-                for pipe in (primed, unprimed):
-                    with pytest.raises(LogFormatError):
-                        pipe.step(frame)
-                continue
-            assert repr(primed.step(frame)) == repr(unprimed.step(frame)), k
-
 
 class TestPrimedRecord:
-    """A primed pipeline reads a primed acceleration only on the frame it
-    was computed from; stepped on any other frame, it drops the priming
-    and rotates per tick, so its outputs are the unprimed ones."""
+    """Priming declines a block whose channels were reassigned after its
+    frames were built; the block is then stepped through :func:`_run` on
+    the per-tick path, so its outputs and errors are the unprimed ones."""
 
     @staticmethod
     def record(seed):
         frames, _ = synthesize(TrajectoryParams(duration=2.0), NoiseSpec(seed=seed))
         return frames
-
-    @staticmethod
-    def primed_and_unprimed(approach, primed_on, stepped):
-        config = default_configs()[approach - 1]
-        primed = EstimationPipeline(config)
-        primed.prime(primed_on)
-        return (list(map(primed.step, stepped)),
-                list(map(EstimationPipeline(config).step, stepped)))
-
-    @pytest.mark.parametrize("approach", [1, 2, 3])
-    def test_stepped_past_its_record(self, approach):
-        frames = self.record(1)
-        got, want = self.primed_and_unprimed(approach, frames[:50], frames)
-        assert len(got) == len(frames)
-        assert repr(got) == repr(want)
-
-    @pytest.mark.parametrize("approach", [1, 2, 3])
-    @pytest.mark.parametrize("stepped", ["another", "copies"])
-    def test_stepped_on_another_record(self, approach, stepped):
-        frames = self.record(1)
-        other = (self.record(2) if stepped == "another"
-                 else [dataclasses.replace(frame) for frame in frames])
-        got, want = self.primed_and_unprimed(approach, frames, other)
-        assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("approach", [1, 2, 3])
     @pytest.mark.parametrize("rows", [
@@ -1030,12 +984,12 @@ class TestPrimedRecord:
             frames[k].accel_k = row
         config = default_configs()[approach - 1]
         primed, unprimed = EstimationPipeline(config), EstimationPipeline(config)
-        primed.prime(frames)
+        outputs, = pipelines._run([primed], frames)
         for k, frame in enumerate(frames):
             got, want = [], []
-            for pipe, outcome in ((primed, got), (unprimed, want)):
+            for step, outcome in ((outputs.__next__, got), (lambda: unprimed.step(frame), want)):
                 try:
-                    outcome.append(repr(pipe.step(frame)))
+                    outcome.append(repr(step()))
                 except (ValueError, OverflowError) as exc:
                     outcome.append((type(exc), str(exc)))
             assert got == want, k
@@ -1056,33 +1010,20 @@ class TestPrimedRecord:
         setattr(frames[60], field, value)
         config = default_configs()[approach - 1]
         primed, unprimed = EstimationPipeline(config), EstimationPipeline(config)
-        primed.prime(frames)
+        outputs, = pipelines._run([primed], frames)
         assert primed._accels is pipelines._ZEROS
         raised = []
         for k, frame in enumerate(frames):
             got, want = [], []
-            for pipe, outcome in ((primed, got), (unprimed, want)):
+            for step, outcome in ((outputs.__next__, got), (lambda: unprimed.step(frame), want)):
                 try:
-                    outcome.append(repr(pipe.step(frame)))
+                    outcome.append(repr(step()))
                 except Exception as exc:  # both paths must raise alike
                     outcome.append((type(exc), str(exc)))
             assert got == want, k
             if isinstance(got[0], tuple):
                 raised.append((k, got[0][0]))
         assert raised == [(60, TypeError)]
-
-    @pytest.mark.parametrize("use_imu", [True, False])
-    def test_frames_without_a_length_refused_by_name(self, use_imu):
-        """Priming reads the whole record before it is stepped, so an
-        iterator is refused before any frame is read, and the caller
-        still has every frame to step."""
-        frames = self.record(1)
-        stream = iter(frames)
-        config = dataclasses.replace(default_configs()[0], use_imu=use_imu)
-        with pytest.raises(DomainError) as raised:
-            EstimationPipeline(config).prime(stream)
-        assert str(raised.value) == "frames must be a sequence, got list_iterator"
-        assert next(stream) is frames[0]
 
 
 class TestNonFiniteAcceleration:
@@ -1096,15 +1037,14 @@ class TestNonFiniteAcceleration:
         frames[60] = dataclasses.replace(frames[60], accel_k=np.array(reading))
         config = default_configs()[approach - 1]
         pipe, clean = EstimationPipeline(config), EstimationPipeline(config)
-        if primed:
-            pipe.prime(frames)
+        outputs, = pipelines._run([pipe], frames) if primed else [map(pipe.step, frames)]
         for frame in frames[:60]:
-            assert repr(pipe.step(frame)) == repr(clean.step(frame))
+            assert repr(next(outputs)) == repr(clean.step(frame))
         message = f"accelerometer reading {reading} at t={frames[60].t} is not finite"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            pipe.step(frames[60])
+            next(outputs)
         for frame in frames[61:]:
-            assert repr(pipe.step(frame)) == repr(clean.step(frame))
+            assert repr(next(outputs)) == repr(clean.step(frame))
         assert all(map(math.isfinite, pipe.step(SensorFrame(t=3.0)).p_hat))
 
 
@@ -1206,11 +1146,11 @@ class TestFrameChannels:
         config = default_configs()[approach - 1]
         pipes = EstimationPipeline(config), EstimationPipeline(config)
         if primed:
-            pipes[0].prime(exact)
-            pipes[1].prime(given)
+            (wants,), (gots,) = pipelines._run([pipes[0]], exact), pipelines._run([pipes[1]], given)
+        else:
+            wants, gots = map(pipes[0].step, exact), map(pipes[1].step, given)
         emitted = 0
-        for frame, twin in zip(given, exact):
-            want, got = pipes[0].step(twin), pipes[1].step(frame)
+        for want, got in zip(wants, gots):
             assert (got is None) == (want is None)
             if want is not None:
                 assert output_hexes(got) == output_hexes(want)
@@ -1569,7 +1509,8 @@ class ReplayCases:
         """Primed: the record primes nothing, and the tick raises."""
         config, frames = default_configs()[approach - 1], scaled_quaternion(77)
         pipe = EstimationPipeline(config)
-        pipe.prime(frames)
+        pipelines._prime([pipe], frames)
+        assert pipe._accels is pipelines._ZEROS
         assert list(self.replay(config, frames, pipe=pipe)) == [77]
 
     @pytest.mark.parametrize("approach", [1, 2, 3])
@@ -1722,11 +1663,10 @@ def law_record(seed, noisy, phi_g=0.0, a_phi=TrajectoryParams().a_phi, r=R,
 
 
 def law_estimates(config, frames):
-    """The estimates of ``frames`` from a pipeline primed on them, then
-    from one not primed."""
-    primed = EstimationPipeline(config)
-    primed.prime(frames)
-    return [list(map(pipe.step, frames)) for pipe in (primed, EstimationPipeline(config))]
+    """The estimates of ``frames`` from a pipeline primed on them by
+    ``pipelines._run``, then from one stepped frame by frame, not primed."""
+    primed, = pipelines._run([EstimationPipeline(config)], frames)
+    return [list(primed), list(map(EstimationPipeline(config).step, frames))]
 
 
 def bits(values):
