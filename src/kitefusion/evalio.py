@@ -18,23 +18,24 @@ the earliest row that breaks one is named:
 
 :func:`_row_fault` is the one statement of them, and the reader and the
 writer both call it.  The reader meets a non-finite cell already as it
-parses the cell, and names it by its text.
+parses the cell, and names it by its text, before the rules of its row.
 
 Both directions handle a log in one form: an ``(n, width)`` float table
 in the column layout, with truth columns after the frame columns for a
 log with truth, and its mask of empty cells.  An empty cell holds nan,
 but only the mask tells it from a present nan, which the row rules
 refuse.  The reader, :func:`_log_blocks`, reads the file once, in blocks
-of ``_BLOCK_LINES`` lines, with one split and one ``float`` pass over
-each block's cells; in a parsed block every nan is an empty cell.  That
-pass only accepts: a block it cannot parse is parsed again, line by
-line, by :func:`_read_lines`, which names the first cell fault.  Either
-way the block's rows then go through the row rules, and the block is
-yielded as frames (and truth) before the next is read; :func:`read_log`
-collects the blocks.  :func:`_log_data` is the one maker of frames from
-a table, for the reader and for :func:`~kitefusion.simkite.synthesize`:
-each channel is read out of the table once, for the rows that hold it,
-as Python floats in the form of
+of ``_BLOCK_LINES`` lines, and :func:`_read_block` parses each block
+once, with one split and one ``float`` pass over its cells; in a parsed
+block every nan is an empty cell.  A block that pass refuses has its
+cells passed once more, stripped, so that a whitespace-only cell reads as
+empty; if that also refuses, its first bad cell is only located, and the
+rows before it are kept.  The parsed rows then go through the row rules,
+and the block is yielded as frames (and truth) before the next is read;
+:func:`read_log` collects the blocks.  :func:`_log_data` is the one
+maker of frames from a table, for the reader and for
+:func:`~kitefusion.simkite.synthesize`: each channel is read out of the
+table once, for the rows that hold it, as Python floats in the form of
 :class:`~kitefusion.pipelines.SensorFrame`'s frame rule, so the frames
 are made by :func:`~kitefusion.pipelines._frames` without the frame
 check; every truth point takes a row of one copy of each truth vector.
@@ -312,25 +313,50 @@ def _column(table: np.ndarray, empty: np.ndarray, cols: slice):
     return values
 
 
-def _read_block(lines: list[str], width: int) -> np.ndarray | None:
+def _read_block(lines: list[str], width: int) -> tuple[np.ndarray, tuple[int, str] | None]:
     """The data lines among ``lines``, stripped lines of a log, as a
-    ``(rows, width)`` table, nan where a cell is empty; blank and comment
-    lines hold no data.
+    ``(rows, width)`` table, nan where a cell is empty, and their first
+    cell fault as ``(row, message)``, ``row`` counted in data lines, or
+    None; blank and comment lines hold no data.  The table holds the rows
+    before the fault's.
 
-    Returns None if a line is one this pass cannot take: a wrong cell
-    count, a cell ``float`` refuses (a whitespace-only cell among them),
-    or a non-finite value.  No row rule is checked here.
+    A line's cell count is checked before its cells, and the cells from
+    left to right: a cell that is not a number, a non-finite number.  The
+    cells before a wrong cell count go through :func:`_parse_cells` once,
+    and again stripped if it refuses them, so that a whitespace-only cell
+    reads as empty; only if that also refuses does :func:`_cell_fault`
+    look for the first bad cell.  No row rule is checked here.
     """
     text = ",".join(lines)
     # A comment line puts a "#" in the text; a "#" elsewhere is a bad cell.
     if "" in lines or "#" in text:
         lines = [line for line in lines if line and line[0] != "#"]
         text = ",".join(lines)
-    if not lines:
-        return np.empty((0, width))
-    if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
-        return None
-    cells = text.split(",")
+    counts = list(map(str.count, lines, itertools.repeat(",")))
+    fault = None
+    if counts.count(width - 1) != len(counts):
+        row = next(row for row, count in enumerate(counts) if count != width - 1)
+        fault = (row, f"expected {width} cells, got {counts[row] + 1}")
+        # A new list: the caller's lines still map rows to line numbers.
+        lines = lines[:row]
+        text = ",".join(lines)
+    cells = text.split(",") if lines else []
+    table = _parse_cells(cells, width)
+    if table is None:
+        cells = [cell.strip() for cell in cells]
+        table = _parse_cells(cells, width)
+    if table is None:
+        at, message = _cell_fault(cells)
+        row = at // width
+        table, fault = _parse_cells(cells[:row * width], width), (row, message)
+    return table, fault
+
+
+def _parse_cells(cells: list[str], width: int) -> np.ndarray | None:
+    """``cells``, a log table's cells row by row, as a ``(rows, width)``
+    table, nan where a cell is empty, by one ``float`` pass over the cells
+    that are not; None if ``float`` refuses a cell or a value is not
+    finite."""
     try:
         # A list, then one array: building an array straight from the
         # map measured about 10% slower.
@@ -339,60 +365,35 @@ def _read_block(lines: list[str], width: int) -> np.ndarray | None:
         return None
     if not np.isfinite(values).all():
         return None
-    rows = np.full(len(cells), math.nan)
-    rows[np.frombuffer(bytearray(map(bool, cells)), dtype=bool)] = values
-    return rows.reshape(-1, width)
+    table = np.full(len(cells), math.nan)
+    table[np.frombuffer(bytearray(map(bool, cells)), dtype=bool)] = values
+    return table.reshape(-1, width)
 
 
-def _read_lines(lines: list[str], first_lineno: int,
-                width: int) -> tuple[np.ndarray, str | None]:
-    """The data lines among ``lines``, stripped lines of a log from line
-    ``first_lineno`` on, as :func:`_read_block`'s table, parsed one line at
-    a time with each cell stripped, so a whitespace-only cell reads as
-    empty.
-
-    Returns the table of the lines before the first cell fault, and that
-    fault's message naming its line (None if no line has one): within a
-    line, a wrong cell count, then each cell from left to right (a cell
-    that is not a number, a non-finite number).  No row rule is checked
-    here.
-    """
-    rows, fault = [], None
-    for lineno, line in enumerate(lines, start=first_lineno):
-        if not line or line[0] == "#":
-            continue
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != width:
-            fault = f"line {lineno}: expected {width} cells, got {len(cells)}"
-            break
-        row = []
-        for cell in cells:
-            try:
-                row.append(float(cell) if cell else math.nan)
-            except ValueError:
-                fault = f"line {lineno}: bad number {cell!r}"
-                break
-            if cell and not math.isfinite(row[-1]):
-                fault = f"line {lineno}: non-finite number {cell!r}"
-                break
-        if fault is not None:
-            break
-        rows.append(row)
-    return np.array(rows, dtype=float).reshape(-1, width), fault
+def _cell_fault(cells: list[str]) -> tuple[int, str]:
+    """The index of the first of ``cells``, stripped cells of a log, that
+    is neither empty nor a finite number, and its fault's message."""
+    for at, cell in enumerate(cells):
+        try:
+            if not cell or math.isfinite(float(cell)):
+                continue
+        except ValueError:
+            return at, f"bad number {cell!r}"
+        return at, f"non-finite number {cell!r}"
 
 
 def read_log(path) -> LogData:
     """Parse a log written by :func:`write_log`: the blocks of
     :func:`_log_blocks`, collected.
 
-    The file is read once, in blocks of ``_BLOCK_LINES`` lines.  Each
-    block is joined and split into cells once, each line's cell count is
-    checked, and its non-empty cells go through ``float`` in one pass.
-    That pass only accepts: a block it cannot parse (a wrong cell count, a
-    cell ``float`` refuses, a whitespace-only cell, a non-finite value) is
-    parsed again from its own lines, one at a time, by
-    :func:`_read_lines`, which reads a whitespace-only cell as empty and
-    stops at the first cell fault.  The rows either pass parsed are then
+    The file is read once, in blocks of ``_BLOCK_LINES`` lines, and each
+    block is parsed once by :func:`_read_block`: it is joined and split
+    into cells once, each line's cell count is checked, and the non-empty
+    cells of the lines before a wrong count go through ``float`` in one
+    pass.  If that pass refuses a cell, it is run once more on the
+    stripped cells, so that a whitespace-only cell reads as empty, and if
+    that also refuses, the first cell that is not a finite number is
+    located and the rows before its row kept.  The rows parsed are then
     checked against the row rules, once per block, and made into frames
     (and truth).
 
@@ -423,7 +424,8 @@ def _log_blocks(path) -> Iterator[LogData]:
     truth) of each block of ``_BLOCK_LINES`` lines that holds data, as
     each is read and checked (see :func:`read_log`).  A fault raises
     ``LogFormatError`` when its block is reached, after the blocks before
-    it were yielded."""
+    it were yielded: the earlier of the block's first cell fault and the
+    first row rule broken by the rows before it, named by its line."""
     try:
         with open(path) as fh:
             header: tuple[str, ...] | None = None
@@ -441,17 +443,15 @@ def _log_blocks(path) -> Iterator[LogData]:
             # The time of the last row read (-inf before there is one).
             last_t = -math.inf
             while lines := list(map(str.strip, itertools.islice(fh, _BLOCK_LINES))):
-                block, fault = _read_block(lines, width), None
-                if block is None:
-                    block, fault = _read_lines(lines, lineno + 1, width)
+                block, fault = _read_block(lines, width)
                 # Every nan in a parsed block is an empty cell.
                 empty = np.isnan(block)
-                if broken := _row_fault(block, empty, has_truth, last_t):
+                # The block ends before a cell fault's row, so a row rule
+                # it breaks is an earlier fault.
+                if fault := _row_fault(block, empty, has_truth, last_t) or fault:
                     data = [n for n, line in enumerate(lines, start=lineno + 1)
                             if line and line[0] != "#"]
-                    fault = "line %d: %s" % (data[broken[0]], broken[1])
-                if fault is not None:
-                    raise LogFormatError(fault)
+                    raise LogFormatError("line %d: %s" % (data[fault[0]], fault[1]))
                 lineno += len(lines)
                 if len(block):
                     last_t = float(block[-1, 0])

@@ -41,8 +41,8 @@ overflow float64.  These limits bind only the synthesizer, so an
 
 Only the sensor noise depends on the seed, so the noise-free flight (the
 truth, the body rates, the specific force and the encoder readings) is
-computed once per pattern, ``_BLOCK`` ticks at a time past the pattern
-angles, and shared by every seed's record: up to four
+computed once per pattern, ``_BLOCK`` ticks at a time from the pattern
+angles on, and shared by every seed's record: up to four
 flights are held, one per speed bin of the default report, as read-only
 float arrays only, about 0.35 MB for a 40 s flight at 50 Hz.  A record
 from a held flight is the one a fresh process would synthesize, bit for
@@ -220,10 +220,10 @@ def _fixes(params: TrajectoryParams, t: np.ndarray) -> np.ndarray:
     return _position(params.r, th, ph)[0]
 
 
-def _truth(params: TrajectoryParams, t: np.ndarray, angles):
+def _truth(params: TrajectoryParams, t: np.ndarray):
     """Position, velocity, acceleration, quaternion and velocity angle at
-    the times ``t``, one row per time, from their :func:`_pattern_angles`
-    ``angles``, computed ``_BLOCK`` ticks at a time.  Raises
+    the times ``t``, one row per time, computed with their
+    :func:`_pattern_angles` ``_BLOCK`` ticks at a time.  Raises
     ``DegenerateInputError`` at the first time the pattern velocity
     vanishes."""
     r = params.r
@@ -232,7 +232,7 @@ def _truth(params: TrajectoryParams, t: np.ndarray, angles):
     p, v, a, q = (np.empty((n, width)) for width in (3, 3, 3, 4))
     gamma = np.empty(n)
     for rows in _blocks(n):
-        th, ph, thd, phd, thdd, phdd = (angle[rows] for angle in angles)
+        th, ph, thd, phd, thdd, phdd = _pattern_angles(params, t[rows])
         p[rows], (st, ct, sp, cp) = _position(r, th, ph)
         thd2, phd2 = _square(thd), _square(phd)
         v[rows] = r * np.stack([-st * thd * cp - ct * sp * phd,
@@ -396,8 +396,7 @@ def _flight(bits: tuple[str, ...], params: TrajectoryParams, geometry: EncoderGe
     other float of its value).  A flight that raises is not held."""
     n = int(round(params.duration / ts))
     t = np.arange(n) * ts
-    angles = _pattern_angles(params, t)
-    p, v, a, q, gamma = _truth(params, t, angles)
+    p, v, a, q, gamma = _truth(params, t)
     # Keep the quaternions sign-continuous: flip every one whose dot
     # product with its (already continuous) predecessor is negative.
     turns = np.cumsum((q[:-1, None, :] @ q[1:, :, None])[:, 0, 0] < 0.0) % 2
@@ -416,8 +415,8 @@ def _flight(bits: tuple[str, ...], params: TrajectoryParams, geometry: EncoderGe
         rot_k_to_ned = quats_to_rots(q[rows])
         force[rows] = (rot_k_to_ned.transpose(0, 2, 1)
                        @ (rot_n2g @ (a[rows] - gravity_g)[:, :, None]))[:, :, 0]
-        encoders[rows] = _angles_to_encoders(angles[0][rows], angles[1][rows], geometry,
-                                             counts_per_rev)
+        th, ph, *_ = _pattern_angles(params, t[rows])
+        encoders[rows] = _angles_to_encoders(th, ph, geometry, counts_per_rev)
     flight = _Flight(p, v, a, q, gamma, rates, force, encoders)
     for column in flight:
         column.flags.writeable = False

@@ -87,8 +87,8 @@ def edited(flight: Path, case: str) -> str:
         lines[lineno - 1] = ",".join(cells)
 
     if case == "noted":
-        # A whitespace-only wind cell and a comment: each sends its block
-        # to the line-by-line pass.
+        # A whitespace-only wind cell, which sends its block's cells
+        # through the reader's stripped retry, and a comment.
         set_cell(60, 16, " ")
         lines.insert(49, "# hand note\n")
     elif case == "nan":
@@ -99,8 +99,8 @@ def edited(flight: Path, case: str) -> str:
 @pytest.mark.parametrize("case", ["clean", "noted"])
 def test_estimate_reads_a_pipe(flight, tmp_path, case):
     """``--log /dev/stdin`` on a pipe, which cannot be rewound, writes the
-    estimate of the log file; a refused block is parsed again from the
-    lines the reader already took."""
+    estimate of the log file; a refused block is parsed again, stripped,
+    from the lines the reader already took."""
     result = kitefusion(tmp_path, "estimate", "--config", str(flight / "run.cfg"),
                         "--log", "/dev/stdin", "--out", "estimate.csv",
                         stdin=edited(flight, case))

@@ -1104,8 +1104,8 @@ class TestTableReaderMatchesLineByLine:
     def test_clean_logs_stay_on_the_array_pass(self, tmp_path, monkeypatch, long_logs,
                                                with_truth):
         """What write_log writes, with meta comments above the header and
-        blank and comment lines among its data lines, is read without the
-        line-by-line pass, which would parse a block's lines a second time."""
+        blank and comment lines among its data lines, is read with one
+        ``float`` pass over each block's cells and no search for a fault."""
         block = evalio._BLOCK_LINES
         lines = list(long_logs[with_truth])
         assert lines[0].startswith("# ")
@@ -1116,44 +1116,41 @@ class TestTableReaderMatchesLineByLine:
         path.write_text("\n".join(lines) + "\n")
         expected = outcome(line_by_line_read_log, path)
         assert len(expected[0]) == 1000
-
-        def refused(*args):
-            raise AssertionError("a clean log was read line by line")
-
-        monkeypatch.setattr(evalio, "_read_lines", refused)
+        parses = record_parses(monkeypatch)
         assert log_bits(read_log(path)) == expected
+        width = len(FRAME_COLUMNS) + (len(TRUTH_COLUMNS) if with_truth else 0)
+        assert len(parses) == math.ceil((len(lines) - 2) / block)
+        assert sum(map(len, parses)) == 1000 * width
 
-    def test_refused_block_alone_read_line_by_line(self, tmp_path, monkeypatch, long_logs):
+    def test_refused_block_alone_retried_stripped(self, tmp_path, monkeypatch, long_logs):
         """A whitespace-only cell in the third of four blocks sends only
-        that block, with its own first line number, to the line-by-line
-        pass; the blocks around it stay on the array pass."""
+        that block's cells through ``float`` a second time, stripped, and
+        reads as empty; no fault is looked for, and no line is taken twice."""
         block = evalio._BLOCK_LINES
         lines = list(long_logs[True])
         row = 2 + 2 * block + 11
+        column = FRAME_COLUMNS.index("baro_z")
         cells = lines[row].split(",")
-        cells[FRAME_COLUMNS.index("baro_z")] = " "
+        cells[column] = " "
         lines[row] = ",".join(cells)
         path = tmp_path / "blank.csv"
         path.write_text("\n".join(lines) + "\n")
-        calls = []
-        read_lines = evalio._read_lines
-
-        def recorded(block_lines, first_lineno, *args):
-            calls.append((list(block_lines), first_lineno))
-            return read_lines(block_lines, first_lineno, *args)
-
-        monkeypatch.setattr(evalio, "_read_lines", recorded)
+        parses = record_parses(monkeypatch)
         opened = count_lines_taken(monkeypatch)
         got = outcome(read_log, path)
-        assert calls == [([line.strip() for line in lines[2 + 2 * block:2 + 3 * block]],
-                          3 + 2 * block)]
+        sizes = [block] * 3 + [block, len(lines) - 2 - 3 * block]
+        assert [len(cells) for cells in parses] == [size * len(cells) for size in sizes]
+        cell = (row - 2 - 2 * block) * len(cells) + column
+        assert (parses[2][cell], parses[3][cell]) == (" ", "")
+        assert parses[2][:cell] == parses[3][:cell]
         assert [fh.taken for fh in opened] == [len(lines)]
         assert got == outcome(line_by_line_read_log, path)
 
     def test_row_fault_named_from_the_array_pass(self, tmp_path, monkeypatch, long_logs):
         """A repeated timestamp in the third of four blocks, whose cells
-        all parse, is named without the line-by-line pass: the read takes
-        each line of the first three blocks once and stops there."""
+        all parse, is named without a search for a cell fault: the read
+        takes each line of the first three blocks once, parses each
+        block's cells once and stops there."""
         block = evalio._BLOCK_LINES
         lines = list(long_logs[True])
         assert len(lines) - 2 > 3 * block
@@ -1164,17 +1161,52 @@ class TestTableReaderMatchesLineByLine:
         path = tmp_path / "repeated.csv"
         path.write_text("\n".join(lines) + "\n")
         expected = outcome(line_by_line_read_log, path)
-
-        def refused(*args):
-            raise AssertionError("a block whose cells parse was read line by line")
-
-        monkeypatch.setattr(evalio, "_read_lines", refused)
+        parses = record_parses(monkeypatch)
         opened = count_lines_taken(monkeypatch)
         with pytest.raises(LogFormatError, match=rf"^line {row + 1}: time \S+ does not "
                                                  rf"increase past \S+$") as raised:
             read_log(path)
         assert str(raised.value) == expected
+        assert len(parses) == 3
         assert [fh.taken for fh in opened] == [2 + 3 * block]
+
+    # Two faults in one block: the earlier line is named, and within a
+    # line the cell count, then the cells from left to right.
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("edits, named", [
+        ([(0, "baro_z", " "), (3, "wind", "x")], (3, "bad number 'x'")),
+        ([(0, "ax", "x"), (2, None, None)], (0, "bad number 'x'")),
+        ([(0, None, None), (2, "ax", "x")], (0, "expected")),
+        ([(0, "t", "repeat"), (2, "wx", "x")], (0, "time")),
+        ([(0, "ay", "nan"), (0, "gps_x", "x")], (0, "non-finite number 'nan'")),
+        ([(0, "ay", "x"), (0, "gps_x", "nan")], (0, "bad number 'x'")),
+        # The block holds no comment or blank line.
+        ([(0, None, None)], (0, "expected")),
+    ], ids=["blank-then-bad", "bad-then-count", "count-then-bad", "time-then-bad",
+            "nan-left-of-x", "x-left-of-nan", "count-without-comments"])
+    def test_two_faults_in_one_block(self, tmp_path, long_logs, with_truth, edits, named):
+        """Faults in one block, in the second of four, are named as the
+        line-by-line read names them; a column of None drops a cell, and
+        a cell ``repeat`` repeats the timestamp of the row before."""
+        lines = list(long_logs[with_truth])
+        first = 2 + evalio._BLOCK_LINES + 40
+        for offset, column, cell in edits:
+            cells = lines[first + offset].split(",")
+            if column is None:
+                del cells[-1]
+            elif cell == "repeat":
+                cells[0] = lines[first + offset - 1].split(",")[0]
+            else:
+                cells[FRAME_COLUMNS.index(column)] = cell
+            lines[first + offset] = ",".join(cells)
+        assert not any(line.startswith("#") or not line.strip() for line in lines[2:])
+        path = tmp_path / "two.csv"
+        path.write_text("\n".join(lines) + "\n")
+        expected = outcome(line_by_line_read_log, path)
+        offset, fault = named
+        assert expected.startswith(f"line {first + offset + 1}: {fault}")
+        assert outcome(read_log, path) == expected
 
     def test_fault_ends_the_read(self, tmp_path, monkeypatch, long_logs):
         """A fault in the first of four blocks is raised once that block
@@ -1248,6 +1280,25 @@ class _CountingText(io.TextIOWrapper):
         line = super().__next__()
         self.taken += 1
         return line
+
+
+def record_parses(monkeypatch) -> list[list[str]]:
+    """Make ``evalio`` record the cells of each ``float`` pass of its
+    reader, and refuse to search a block for a cell fault; returns the
+    list of the cells passed."""
+    parses = []
+    parse_cells = evalio._parse_cells
+
+    def recorded(cells, width):
+        parses.append(list(cells))
+        return parse_cells(cells, width)
+
+    def refused(cells):
+        raise AssertionError("a fault was looked for")
+
+    monkeypatch.setattr(evalio, "_parse_cells", recorded)
+    monkeypatch.setattr(evalio, "_cell_fault", refused)
+    return parses
 
 
 def count_lines_taken(monkeypatch) -> list[_CountingText]:

@@ -1299,7 +1299,7 @@ def logged(path, case):
     if case == "comment":
         lines.insert(40, "# hand note\n")
     elif case == "whitespace-cell":
-        # A blank wind cell, which only the line-by-line pass reads.
+        # A blank wind cell, which only the reader's stripped retry reads.
         cells = lines[60].split(",")
         cells[16] = " "
         lines[60] = ",".join(cells)

@@ -39,7 +39,7 @@ def truth_at(params, t) -> TruthSample:
     """Exact trajectory state at time ``t``: one row of the synthesizer's
     own truth channel, at any time rather than on the sample grid."""
     times = np.array([t], dtype=float)
-    p, v, a, q, gamma = simkite._truth(params, times, simkite._pattern_angles(params, times))
+    p, v, a, q, gamma = simkite._truth(params, times)
     return TruthSample(t, p[0], v[0], a[0], q[0], float(gamma[0]))
 
 
