@@ -58,11 +58,12 @@ the one function that primes and steps a block for every replay
 routing integrates is the same for each of them, so it is computed once
 per block and distinct heading, as arrays; a block the per-tick path
 would refuse is not primed, so it fails as it would tick by tick.  Each
-routing is turned into its error columns while it runs: every tick's
-estimate leaves its floats in lists that are moved into flat ``p_hat``
-and ``gamma_hat`` buffers a block of ``_BLOCK_LINES`` ticks at a time,
-next to an ``emitted`` mask, so no per-tick output outlives its tick,
-and no frame outlives its block.
+routing is turned into its error columns while it runs, in one pass over
+its ticks: every tick's estimate leaves its floats in two lists, which
+become flat ``p_hat`` and ``gamma_hat`` buffers once the block's run
+ends, next to an ``emitted`` mask, so no per-tick output outlives its
+tick, and no frame outlives its block.  The wind column holds nan where
+a frame has no wind speed, so a nan speed is skipped as an absent one.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, LogFormatError, as_real
+from .errors import DomainError, LogFormatError, as_real, is_real
 from .frames import wrap_angle
 from .pipelines import EstimationPipeline, EstimatorConfig, SensorFrame, _frames, _run, _tuple_rows
 
@@ -175,7 +176,10 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
     DomainError
         If ``frames`` or a given ``truth`` has no length, such as an
         iterator, or an entry of either lacks a field the log holds (the
-        message names the argument and the index); or if ``meta`` is one
+        message names the argument and the index) or holds a value that is
+        not a real number by :func:`~kitefusion.errors.is_real`, such as
+        text, a ``bool`` or a ``Decimal`` (the message names the argument,
+        the index and the field, as in ``truth[0].p``); or if ``meta`` is one
         ``str`` or ``bytes``, which would be written a character at a time,
         is not a sequence, or holds a line that is not a ``str``.
     LogFormatError
@@ -213,11 +217,18 @@ def write_log(frames: Sequence[SensorFrame], path, truth=None,
                 i = next(i for i, item in enumerate(items) if not hasattr(item, name))
                 raise DomainError(f"{what}[{i}] has no {name}, got {items[i]!r}") from None
             rows = [i for i, value in enumerate(values) if value is not None]
+            present = [values[i] for i in rows]
             width = cols.stop - cols.start
             try:
-                held = np.array([values[i] for i in rows], dtype=float).reshape(len(rows), width)
+                held = np.array(present, dtype=float).reshape(len(rows), width)
             except ValueError:
                 raise LogFormatError(f"every {name} value must hold {width} numbers") from None
+            # That conversion parses text and takes a bool as a number.
+            entries = present if width == 1 else list(itertools.chain.from_iterable(present))
+            if not all(map(is_real, entries)):
+                i = rows[list(map(is_real, entries)).index(False) // width]
+                raise DomainError(f"{what}[{i}].{name} must hold only real numbers, "
+                                  f"got {values[i]!r}")
             _fill(table, empty, name, held, rows)
     _write_table(path, table, empty, meta)
 
@@ -533,7 +544,8 @@ def compare_approaches(log: LogData,
     2: each seeds its velocity at zero and corrects it only on the XY
     fixes, so its error decays over tens of seconds and shows in their
     rows.  Each remaining sample lands in the wind-speed bin of its
-    frame; rows without a wind-speed cell are skipped.  When the log has
+    frame (an infinite speed in the top bin); rows without a wind speed,
+    or with a nan one, are skipped.  When the log has
     no truth columns the routing-3 estimate serves as the reference (its
     own rows then report the residual against itself, i.e. zero).
     The log is replayed by :func:`_replay` as one block.
@@ -609,9 +621,9 @@ def _replay(blocks: Iterable[LogData], configs: tuple[EstimatorConfig, ...],
     routings by :func:`~kitefusion.pipelines._run`, routing by routing,
     and only columns are kept past it: per routing,
     :func:`_stacked`'s ``emitted``, ``p_hat`` and ``gamma_hat``, and per
-    tick the time, the wind speed and the truth ``p`` and ``gamma``.  The
-    tabulation then runs on the whole log's columns, so each RMS sums its
-    residuals in log order."""
+    tick the time, the wind speed (nan where absent) and the truth ``p``
+    and ``gamma``.  The tabulation then runs on the whole log's columns,
+    so each RMS sums its residuals in log order."""
     blocks = iter(blocks)
     first = next(blocks)
     has_truth = first.truth is not None
@@ -626,16 +638,15 @@ def _replay(blocks: Iterable[LogData], configs: tuple[EstimatorConfig, ...],
     for frames, truth in itertools.chain([first], blocks):
         for pipe, outputs in zip(pipelines, _run(pipelines, frames)):
             runs[pipe.config.approach].append(_stacked(outputs))
+        # An absent wind cell becomes nan.
         part = [np.array([f.t for f in frames], dtype=float),
-                np.array([f.wind_speed is not None for f in frames], dtype=bool),
-                np.array([0.0 if f.wind_speed is None else f.wind_speed for f in frames],
-                         dtype=float)]
+                np.array([f.wind_speed for f in frames], dtype=float)]
         if has_truth:
             part += [np.array([s.p for s in truth], dtype=float).reshape(-1, 3),
                      np.array([s.gamma for s in truth], dtype=float)]
         parts.append(part)
     runs = {approach: tuple(map(np.concatenate, zip(*run))) for approach, run in runs.items()}
-    t, has_wind, wind, *truth_columns = map(np.concatenate, zip(*parts))
+    t, wind, *truth_columns = map(np.concatenate, zip(*parts))
     if has_truth:
         ref_p, ref_gamma = truth_columns
         has_ref = np.ones(len(t), dtype=bool)
@@ -645,7 +656,7 @@ def _replay(blocks: Iterable[LogData], configs: tuple[EstimatorConfig, ...],
     t0 = t[0] if len(t) else 0.0
     # A speed equal to an edge belongs to the bin above it.
     bins = np.searchsorted(edges, wind, side="right")
-    usable = has_ref & has_wind & ~(t - t0 < settle)
+    usable = has_ref & ~np.isnan(wind) & ~(t - t0 < settle)
     rows = []
     for config in configs:
         emitted, p_hat, gamma_hat = runs[config.approach]
@@ -671,31 +682,22 @@ def _stacked(outputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and ``gamma_hat``, nan where it emitted nothing.
 
     Consumes ``outputs`` one tick at a time, so no output is kept past
-    its tick: each tick's floats go to two lists, which are moved into
-    flat buffers with one ``fromlist`` each per block of ``_BLOCK_LINES``
-    ticks.
+    its tick: each tick's flag goes to a ``bytearray`` and its floats to
+    two lists, which become flat buffers once the run ends.
     """
-    emitted = bytearray()
-    p_hat = array.array("d")
-    gamma_hat = array.array("d")
-    outputs = iter(outputs)
-    while True:
-        positions, gammas = [], []
-        for out in itertools.islice(outputs, _BLOCK_LINES):
-            if out is None:
-                emitted.append(False)
-                positions += _NO_POSITION
-                gammas.append(math.nan)
-            else:
-                emitted.append(True)
-                positions += out.p_hat
-                gammas.append(out.gamma_hat)
-        if not gammas:
-            break
-        p_hat.fromlist(positions)
-        gamma_hat.fromlist(gammas)
-    return (np.frombuffer(emitted, dtype=bool), np.frombuffer(p_hat).reshape(-1, 3),
-            np.frombuffer(gamma_hat))
+    emitted, positions, gammas = bytearray(), [], []
+    for out in outputs:
+        if out is None:
+            emitted.append(False)
+            positions += _NO_POSITION
+            gammas.append(math.nan)
+        else:
+            emitted.append(True)
+            positions += out.p_hat
+            gammas.append(out.gamma_hat)
+    return (np.frombuffer(emitted, dtype=bool),
+            np.frombuffer(array.array("d", positions)).reshape(-1, 3),
+            np.frombuffer(array.array("d", gammas)))
 
 
 def _rms(residuals: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kitefusion import cli, errors, evalio, pipelines
+from kitefusion import cli, errors, estimator, evalio, pipelines
 from kitefusion.cli import CONFIG_KEYS, ESTIMATE_HEADER, build_estimator_config, load_config, main
 from kitefusion.errors import LogFormatError, NonConvergenceError
 from kitefusion.estimator import axis_gain, kf_frequency_response, lo_frequency_response
@@ -564,6 +564,25 @@ class TestBode:
             "error: ratio 500.0: no fixed point after 10000 iterations\n")
         assert not out.exists()
 
+    def test_riccati_not_converging_exits_3(self, monkeypatch, tmp_path, capsys):
+        """The Riccati solve's own budget, the one source of exit code 3."""
+        monkeypatch.setattr(estimator, "DARE_MAX_ITERATIONS", 1)
+        axis_gain.cache_clear()
+        try:
+            out = tmp_path / "x.csv"
+            assert main(["bode", "--out", str(out)]) == 3
+        finally:
+            axis_gain.cache_clear()
+        assert capsys.readouterr().err == (
+            "error: Riccati fixed point not converged after 1 iterations\n")
+        assert not out.exists()
+
+    def test_band_bounds_out_of_order_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["bode", "--out", str(out), "--f-min", "5", "--f-max", "1"]) == 2
+        assert capsys.readouterr().err == "error: need 0 < f-min < f-max\n"
+        assert not out.exists()
+
     def test_lambda_moves_crossover(self, tmp_path):
         soft = tmp_path / "soft.csv"
         stiff = tmp_path / "stiff.csv"
@@ -699,6 +718,13 @@ class TestConfigParsing:
         assert time.perf_counter() - start < 5.0
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_bad_bool_value_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", "use_imu = maybe\n")
+        code = main(["bode", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg} line 1: bad value 'maybe' for key 'use_imu'\n")
 
     def test_unused_key_still_parsed(self, tmp_path, capsys):
         # bode uses no noise key, but every value in the file is checked.

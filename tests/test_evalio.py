@@ -266,6 +266,34 @@ class TestWriteFiniteRule:
             write_log([frame], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("argument, index, field, value", [
+        ("truth", 0, "p", ("1", "2", "3")),
+        ("truth", 2, "gamma", False),
+        ("truth", 1, "p", (Decimal("1.5"), 2.0, 3.0)),
+        ("truth", 4, "gamma", Decimal("0.5")),
+        ("frames", 3, "baro_z", "19.5"),
+        ("frames", 2, "accel_k", (1.0, True, 9.8)),
+        ("frames", 1, "quat", (Decimal(1), 0.0, 0.0, 0.0)),
+        ("frames", 5, "wind_speed", False),
+    ], ids=["truth-text", "truth-bool", "truth-decimal", "truth-decimal-scalar",
+            "frame-text", "frame-bool", "frame-decimal", "frame-bool-scalar"])
+    def test_entry_not_a_real_number_refused(self, tmp_path, argument, index, field, value):
+        """numpy's float conversion would write text as its digits and a
+        ``bool`` as 0 or 1; a frame channel assigned after the frame is
+        built reaches the writer unchecked."""
+        record = dict(zip(("frames", "truth"), small_record(duration=0.2)))
+        entries = record[argument]
+        if argument == "truth":
+            entries[index] = entries[index]._replace(**{field: value})
+        else:
+            assigned(entries[index], **{field: value})
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DomainError) as raised:
+            write_log(record["frames"], path, truth=record["truth"])
+        assert str(raised.value) == (
+            f"{argument}[{index}].{field} must hold only real numbers, got {value!r}")
+        assert not path.exists()
+
     def test_earliest_frame_then_leftmost_column_named(self, tmp_path):
         frames = [SensorFrame(t=0.0, baro_z=math.inf),
                   SensorFrame(t=0.02, gps_xy=np.array([1.0, math.nan]), wind_speed=math.nan)]
@@ -391,6 +419,30 @@ class TestCompareApproaches:
             assert math.isnan(row.values[0])      # no samples below 2
             assert row.values[1] >= 0.0           # the populated 2-3 bin
             assert math.isnan(row.values[2]) and math.isnan(row.values[3])
+
+    @staticmethod
+    def windy_report(wind, every=1):
+        """The report of a 10 s record whose every ``every``-th frame has
+        the wind speed ``wind``."""
+        frames, truth = synthesize(TrajectoryParams(duration=10.0, speed_scale=2.5),
+                                   NoiseSpec(seed=4))
+        frames = [dataclasses.replace(f, wind_speed=wind) if k % every == 0 else f
+                  for k, f in enumerate(frames)]
+        return compare_approaches(LogData(frames, truth))
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_nan_wind_skipped_like_absent(self, every):
+        """A nan speed is no bin's: ``searchsorted`` alone would put it
+        above the top edge."""
+        report = self.windy_report(math.nan, every)
+        assert report.to_csv() == self.windy_report(None, every).to_csv()
+        assert any(not math.isnan(v) for row in report.rows for v in row.values) == (every > 1)
+
+    def test_infinite_wind_in_top_bin(self):
+        report = self.windy_report(math.inf)
+        assert report.to_csv() == self.windy_report(5.0).to_csv()
+        for row in report.rows:
+            assert all(map(math.isnan, row.values[:-1])) and row.values[-1] >= 0.0
 
     def test_line_angle_beats_radio_on_noisy_log(self):
         frames, truth = synthesize(TrajectoryParams(duration=20.0), NoiseSpec(seed=5))
@@ -691,9 +743,11 @@ class TestComparePeakMemory:
 
 
 class TestStackedBlockEdges:
-    """A run's columns fill a block of ``_BLOCK_LINES`` ticks at a time;
-    at every block edge they are the columns of the run's outputs taken
-    from a list, bit for bit."""
+    """A run's columns are filled in one pass over its ticks.  For runs of
+    no tick, one tick, and either side of one and two of the reader's
+    blocks (``kitefusion evaluate`` hands a block of ``_BLOCK_LINES`` ticks
+    to each call), they are the columns of the run's outputs taken from a
+    list, bit for bit."""
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
